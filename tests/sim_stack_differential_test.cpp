@@ -7,8 +7,12 @@
 // container layout; any divergence means behaviour changed, not just speed.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/divergence.hpp"
 #include "obs/telemetry.hpp"
@@ -43,6 +47,179 @@ void expect_identical(const ProxySimResult& flat, const ProxySimResult& tree) {
   EXPECT_DOUBLE_EQ(flat.access_time_p50, tree.access_time_p50);
   EXPECT_DOUBLE_EQ(flat.access_time_p95, tree.access_time_p95);
   EXPECT_DOUBLE_EQ(flat.access_time_p99, tree.access_time_p99);
+}
+
+// --- frozen result digests ---------------------------------------------------
+//
+// One u64 FNV-1a digest per cell of the stack matrix (proxy sim: 5
+// predictors x 5 cache kinds; trace replay: 5 cache kinds x capacity {8, 24}
+// plus the other 3 replayable predictor kinds; 3-shard replay: 5 cache kinds
+// plus PPM). Each digest covers the bit pattern of every numeric
+// ProxySimResult field, so any change to simulated behaviour, however
+// small, changes the table. Regenerating is deliberate (one command line):
+//
+//   ./build/sim_stack_differential_test --gtest_also_run_disabled_tests
+//       --gtest_filter='StackDigests.DISABLED_PrintDigests'
+//       | grep '^{' > tests/stack_digests.inc
+
+struct CellDigest {
+  const char* cell;
+  std::uint64_t digest;
+};
+
+constexpr CellDigest kFrozenDigests[] = {
+#include "stack_digests.inc"
+};
+
+class Fnv1a {
+ public:
+  void add(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (v >> (8 * byte)) & 0xFF;
+      h_ *= 1099511628211ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ULL;
+};
+
+std::uint64_t result_digest(const ProxySimResult& r) {
+  Fnv1a h;
+  h.add(r.requests);
+  h.add(r.demand_jobs);
+  h.add(r.prefetch_jobs);
+  h.add(r.wasted_prefetch_evictions);
+  h.add(r.inflight_hits);
+  h.add(r.throttled_prefetches);
+  h.add(r.mean_access_time);
+  h.add(r.access_time_std_error);
+  h.add(r.access_time_p50);
+  h.add(r.access_time_p95);
+  h.add(r.access_time_p99);
+  h.add(r.hit_ratio);
+  h.add(r.server_utilization);
+  h.add(r.retrieval_time_per_request);
+  h.add(r.retrievals_per_request);
+  h.add(r.hprime_estimate);
+  h.add(r.prefetch_useful_fraction);
+  h.add(r.mean_inflight_wait);
+  h.add(r.mean_demand_sojourn);
+  h.add(r.peak_queue_depth);
+  h.add(r.peak_slowdown);
+  return h.value();
+}
+
+constexpr CacheKind kDigestCaches[] = {CacheKind::kLru, CacheKind::kLfu,
+                                       CacheKind::kFifo, CacheKind::kClock,
+                                       CacheKind::kRandom};
+
+/// Runs every matrix cell with the default backends and returns
+/// (cell name, digest) in table order.
+std::vector<std::pair<std::string, std::uint64_t>> compute_matrix_digests() {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+
+  for (int p = 0; p < kNumPredictorKinds; ++p) {
+    const auto predictor = static_cast<PredictorKind>(p);
+    for (CacheKind cache : kDigestCaches) {
+      ProxySimConfig cfg;
+      cfg.num_users = 4;
+      cfg.bandwidth = 30.0;
+      cfg.graph.num_pages = 60;
+      cfg.graph.out_degree = 3;
+      cfg.graph.exit_probability = 0.2;
+      cfg.cache_capacity = 12;
+      cfg.duration = 120.0;
+      cfg.warmup = 20.0;
+      cfg.seed = 9;
+      cfg.predictor_kind = predictor;
+      cfg.cache_kind = cache;
+      ThresholdPolicy policy(core::InteractionModel::kModelA);
+      out.emplace_back(std::string("proxy/") + predictor_kind_name(predictor) +
+                           "/" + cache_kind_name(cache),
+                       result_digest(run_proxy_sim(cfg, policy)));
+    }
+  }
+
+  SyntheticTraceConfig replay_trace_cfg;
+  replay_trace_cfg.num_users = 500;
+  replay_trace_cfg.num_requests = 5000;
+  replay_trace_cfg.request_rate = 50.0;
+  replay_trace_cfg.graph.num_pages = 80;
+  replay_trace_cfg.seed = 21;
+  const Trace replay_trace = generate_synthetic_trace(replay_trace_cfg);
+  for (CacheKind cache : kDigestCaches) {
+    for (std::size_t capacity : {std::size_t{8}, std::size_t{24}}) {
+      TraceReplayConfig cfg;
+      cfg.bandwidth = 60.0;
+      cfg.cache_capacity = capacity;
+      cfg.cache_kind = cache;
+      ThresholdPolicy policy(core::InteractionModel::kModelA);
+      out.emplace_back(std::string("replay/markov/") + cache_kind_name(cache) +
+                           "/" + std::to_string(capacity),
+                       result_digest(run_trace_replay(replay_trace, cfg,
+                                                      policy)));
+    }
+  }
+  for (auto predictor : {PredictorKind::kPpm, PredictorKind::kDependencyGraph,
+                         PredictorKind::kFrequency}) {
+    TraceReplayConfig cfg;
+    cfg.bandwidth = 60.0;
+    cfg.cache_capacity = 8;
+    cfg.predictor_kind = predictor;
+    ThresholdPolicy policy(core::InteractionModel::kModelA);
+    out.emplace_back(std::string("replay/") + predictor_kind_name(predictor) +
+                         "/lru/8",
+                     result_digest(run_trace_replay(replay_trace, cfg, policy)));
+  }
+
+  SyntheticTraceConfig shard_trace_cfg;
+  shard_trace_cfg.num_users = 300;
+  shard_trace_cfg.num_requests = 3000;
+  shard_trace_cfg.request_rate = 50.0;
+  shard_trace_cfg.graph.num_pages = 80;
+  shard_trace_cfg.seed = 33;
+  const Trace shard_trace = generate_synthetic_trace(shard_trace_cfg);
+  const PolicyFactory factory = [] {
+    return std::make_unique<ThresholdPolicy>(core::InteractionModel::kModelA);
+  };
+  auto sharded_cell = [&](PredictorKind predictor, CacheKind cache) {
+    ShardedReplayConfig cfg;
+    cfg.stack.bandwidth = 60.0;
+    cfg.stack.cache_capacity = 8;
+    cfg.stack.cache_kind = cache;
+    cfg.stack.predictor_kind = predictor;
+    cfg.num_shards = 3;
+    cfg.num_threads = 1;
+    out.emplace_back(std::string("shard3/") + predictor_kind_name(predictor) +
+                         "/" + cache_kind_name(cache) + "/8",
+                     result_digest(
+                         run_sharded_replay(shard_trace, cfg, factory).merged));
+  };
+  for (CacheKind cache : kDigestCaches) {
+    sharded_cell(PredictorKind::kMarkov, cache);
+  }
+  sharded_cell(PredictorKind::kPpm, CacheKind::kLru);
+  return out;
+}
+
+TEST(StackDigests, MatchFrozenTable) {
+  const auto digests = compute_matrix_digests();
+  ASSERT_EQ(digests.size(), std::size(kFrozenDigests));
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    EXPECT_EQ(digests[i].first, kFrozenDigests[i].cell) << "row " << i;
+    EXPECT_EQ(digests[i].second, kFrozenDigests[i].digest)
+        << digests[i].first << ": simulated results changed";
+  }
+}
+
+TEST(StackDigests, DISABLED_PrintDigests) {
+  for (const auto& [cell, digest] : compute_matrix_digests()) {
+    std::printf("{\"%s\", 0x%016llxULL},\n", cell.c_str(),
+                static_cast<unsigned long long>(digest));
+  }
 }
 
 TEST(StackDifferential, FlatMatchesTreeAcrossPredictorsAndCacheKinds) {
