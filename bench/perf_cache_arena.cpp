@@ -1,9 +1,9 @@
 // Cache-plane perf/memory recorder: measures the slab-backed arena cache
-// plane against the legacy per-user TaggedCache fleet — resident bytes per
-// user (via the util/mem RSS probe) under the million-user sweep's own
-// workload shape, cold construction of a million-user fleet, protocol-op
-// churn throughput, and an end-to-end trace replay — and writes
-// BENCH_cache.json alongside the engine/stack/shard snapshots.
+// plane — resident bytes per user (via the util/mem RSS probe) under the
+// million-user sweep's own workload shape, cold construction of a
+// million-user fleet, protocol-op churn throughput, and an end-to-end trace
+// replay — and writes BENCH_cache.json alongside the engine/stack/shard
+// snapshots.
 //
 // The fleet footprint is measured by replaying the same synthetic
 // session trace the million_user_sweep example uses (1M users, 3 requests
@@ -11,10 +11,6 @@
 // demand admissions on misses plus a prefetch admission stream in the
 // sweep's observed prefetch:demand ratio — the engine, in-flight map, and
 // predictor are deliberately absent so the number isolates the caches.
-//
-// The arena is measured before the legacy fleet so allocator page reuse
-// can only shrink the legacy numbers: the reported ratios are lower
-// bounds on the arena's advantage.
 //
 // Usage: perf_cache_arena [output.json] [num_users]
 //        (defaults: BENCH_cache.json, 1000000)
@@ -94,7 +90,7 @@ std::uint64_t drive_sweep_workload(CachePlane& plane, const Trace& trace,
 }
 
 /// RSS delta of construct + sweep replay, construction time, and drive
-/// throughput, for one backend.
+/// throughput.
 struct FleetCost {
   double construct_secs = 0.0;
   double drive_secs = 0.0;
@@ -102,7 +98,7 @@ struct FleetCost {
   std::uint64_t checksum = 0;
 };
 
-FleetCost measure_fleet(bool use_legacy, std::size_t num_users,
+FleetCost measure_fleet(std::size_t num_users,
                         const Trace& trace, std::size_t num_pages) {
   CachePlaneConfig config;
   config.num_users = num_users;
@@ -110,7 +106,7 @@ FleetCost measure_fleet(bool use_legacy, std::size_t num_users,
   config.seed = 7;
   const std::size_t rss_before = read_memory_usage().resident_bytes;
   auto t0 = Clock::now();
-  auto plane = make_cache_plane(CacheKind::kLru, config, use_legacy);
+  auto plane = make_cache_plane(CacheKind::kLru, config);
   FleetCost cost;
   cost.construct_secs = seconds_since(t0);
   t0 = Clock::now();
@@ -125,9 +121,9 @@ FleetCost measure_fleet(bool use_legacy, std::size_t num_users,
   return cost;
 }
 
-/// The stack's per-request cache work, replayed against one backend: an
-/// access, and on a miss a demand or prefetch admission, over a rolling
-/// population — returns ops/sec and a checksum for cross-backend equality.
+/// The stack's per-request cache work: an access, and on a miss a demand
+/// or prefetch admission, over a rolling population — returns a checksum
+/// that keeps the work observable.
 constexpr std::size_t kChurnUsers = 65536;
 constexpr std::size_t kChurnOps = 2000000;
 
@@ -157,18 +153,18 @@ std::uint64_t churn(CachePlane& plane) {
   return checksum;
 }
 
-double bench_churn(bool use_legacy, std::uint64_t* checksum) {
+double bench_churn(std::uint64_t* checksum) {
   return best_time([&] {
     CachePlaneConfig config;
     config.num_users = kChurnUsers;
     config.capacity = kCapacity;
     config.seed = 7;
-    auto plane = make_cache_plane(CacheKind::kLru, config, use_legacy);
+    auto plane = make_cache_plane(CacheKind::kLru, config);
     *checksum = churn(*plane);
   });
 }
 
-double bench_trace_replay(bool use_legacy, std::uint64_t* requests_out) {
+double bench_trace_replay(std::uint64_t* requests_out) {
   SyntheticTraceConfig trace_cfg;
   trace_cfg.num_users = 50000;
   trace_cfg.num_requests = 200000;
@@ -183,7 +179,6 @@ double bench_trace_replay(bool use_legacy, std::uint64_t* requests_out) {
   replay_cfg.bandwidth = 1200.0;
   replay_cfg.cache_capacity = kCapacity;
   replay_cfg.max_prefetch_per_request = 4;
-  replay_cfg.use_legacy_caches = use_legacy;
   std::uint64_t requests = 0;
   const double secs = best_time([&] {
     ThresholdPolicy policy(core::InteractionModel::kModelA);
@@ -202,8 +197,8 @@ int main(int argc, char** argv) {
       argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 1000000;
   std::vector<Metric> metrics;
 
-  // The sweep-shaped trace both fleet measurements replay (allocated before
-  // the first RSS snapshot, so it cancels out of the deltas).
+  // The sweep-shaped trace the fleet measurement replays (allocated before
+  // the first RSS snapshot, so it cancels out of the delta).
   constexpr std::size_t kNumPages = 400;
   SyntheticTraceConfig sweep_cfg;
   sweep_cfg.num_users = num_users;
@@ -216,78 +211,32 @@ int main(int argc, char** argv) {
   sweep_cfg.seed = 2001;
   const Trace sweep_trace = generate_synthetic_trace(sweep_cfg);
 
-  // Fleet footprint and cold construction. Arena first (see header note).
-  const FleetCost arena_cost =
-      measure_fleet(false, num_users, sweep_trace, kNumPages);
-  const FleetCost legacy_cost =
-      measure_fleet(true, num_users, sweep_trace, kNumPages);
-  if (arena_cost.checksum != legacy_cost.checksum) {
-    std::fprintf(stderr, "fleet replay diverged: arena=%llu legacy=%llu\n",
-                 static_cast<unsigned long long>(arena_cost.checksum),
-                 static_cast<unsigned long long>(legacy_cost.checksum));
-    return 1;
-  }
+  // Fleet footprint and cold construction.
+  const FleetCost fleet = measure_fleet(num_users, sweep_trace, kNumPages);
+  if (fleet.checksum == 0) std::fprintf(stderr, "fleet replay saw nothing\n");
   metrics.push_back({"cache.fleet.users", static_cast<double>(num_users), ""});
   metrics.push_back(
-      {"cache.fleet.arena_bytes_per_user", arena_cost.bytes_per_user, "B"});
-  metrics.push_back(
-      {"cache.fleet.legacy_bytes_per_user", legacy_cost.bytes_per_user, "B"});
-  if (arena_cost.bytes_per_user > 0.0) {
-    metrics.push_back({"cache.fleet.legacy_vs_arena_bytes_ratio",
-                       legacy_cost.bytes_per_user / arena_cost.bytes_per_user,
-                       "x"});
-  }
+      {"cache.fleet.arena_bytes_per_user", fleet.bytes_per_user, "B"});
   metrics.push_back({"cache.fleet.arena_construct_users_per_sec",
-                     static_cast<double>(num_users) / arena_cost.construct_secs,
+                     static_cast<double>(num_users) / fleet.construct_secs,
                      "users/s"});
-  metrics.push_back(
-      {"cache.fleet.legacy_construct_users_per_sec",
-       static_cast<double>(num_users) / legacy_cost.construct_secs, "users/s"});
-  metrics.push_back({"cache.fleet.construct_speedup",
-                     legacy_cost.construct_secs / arena_cost.construct_secs,
-                     "x"});
-  const double sweep_ops = static_cast<double>(sweep_trace.size());
   metrics.push_back({"cache.fleet.arena_sweep_ops_per_sec",
-                     sweep_ops / arena_cost.drive_secs, "ops/s"});
-  metrics.push_back({"cache.fleet.legacy_sweep_ops_per_sec",
-                     sweep_ops / legacy_cost.drive_secs, "ops/s"});
+                     static_cast<double>(sweep_trace.size()) / fleet.drive_secs,
+                     "ops/s"});
 
   // Protocol-op churn.
-  std::uint64_t arena_checksum = 0, legacy_checksum = 0;
-  const double arena_churn_secs = bench_churn(false, &arena_checksum);
-  const double legacy_churn_secs = bench_churn(true, &legacy_checksum);
-  if (arena_checksum != legacy_checksum) {
-    std::fprintf(stderr, "cache plane churn diverged: arena=%llu legacy=%llu\n",
-                 static_cast<unsigned long long>(arena_checksum),
-                 static_cast<unsigned long long>(legacy_checksum));
-    return 1;
-  }
-  const double ops = static_cast<double>(kChurnOps);
-  metrics.push_back(
-      {"cache.churn.arena_ops_per_sec", ops / arena_churn_secs, "ops/s"});
-  metrics.push_back(
-      {"cache.churn.legacy_ops_per_sec", ops / legacy_churn_secs, "ops/s"});
-  metrics.push_back({"cache.churn.arena_vs_legacy_speedup",
-                     legacy_churn_secs / arena_churn_secs, "x"});
+  std::uint64_t churn_checksum = 0;
+  const double churn_secs = bench_churn(&churn_checksum);
+  if (churn_checksum == 0) std::fprintf(stderr, "cache churn saw nothing\n");
+  metrics.push_back({"cache.churn.arena_ops_per_sec",
+                     static_cast<double>(kChurnOps) / churn_secs, "ops/s"});
 
   // End-to-end replay.
-  std::uint64_t arena_requests = 0, legacy_requests = 0;
-  const double arena_replay_secs = bench_trace_replay(false, &arena_requests);
-  const double legacy_replay_secs = bench_trace_replay(true, &legacy_requests);
-  if (arena_requests != legacy_requests) {
-    std::fprintf(stderr, "trace replay backends diverged: arena=%llu legacy=%llu\n",
-                 static_cast<unsigned long long>(arena_requests),
-                 static_cast<unsigned long long>(legacy_requests));
-    return 1;
-  }
+  std::uint64_t replay_requests = 0;
+  const double replay_secs = bench_trace_replay(&replay_requests);
   metrics.push_back({"cache.trace_replay.arena_requests_per_sec",
-                     static_cast<double>(arena_requests) / arena_replay_secs,
+                     static_cast<double>(replay_requests) / replay_secs,
                      "requests/s"});
-  metrics.push_back({"cache.trace_replay.legacy_requests_per_sec",
-                     static_cast<double>(legacy_requests) / legacy_replay_secs,
-                     "requests/s"});
-  metrics.push_back({"cache.trace_replay.arena_vs_legacy_speedup",
-                     legacy_replay_secs / arena_replay_secs, "x"});
 
   std::FILE* out = std::fopen(path, "w");
   if (!out) {

@@ -1,25 +1,13 @@
 // Stack perf-trajectory recorder: isolates the request data plane — the
-// in-flight transfer map, the predictor tables, and the full proxy/replay
+// in-flight transfer map, the predictor planes, and the full proxy/replay
 // stacks — with a plain chrono harness (no google-benchmark dependency) and
 // writes BENCH_stack.json alongside BENCH_engine.json, so the perf history
 // covers the stack and not just the engine.
 //
-// The "tree" numbers run the same code with the legacy std::map in-flight
-// backend (StackRuntimeConfig::use_tree_inflight), the exact baseline the
-// flat-hash data plane replaced. The "legacy" predictor numbers run the
-// original virtual Predictor tables (use_legacy_predictors), the baseline
-// the slab-backed predictor plane replaced.
-//
-// Usage: perf_stack [output.json] [--check-plane-speedup]
-//   (default output: BENCH_stack.json; --check-plane-speedup exits nonzero
-//    if any plane predictor benches slower than its legacy table, with a
-//    small noise tolerance — the CI perf-smoke regression gate)
-#include <algorithm>
+// Usage: perf_stack [output.json]   (default output: BENCH_stack.json)
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,15 +57,14 @@ struct InflightPayload {
   std::vector<double> waiter_times;
 };
 
-/// The in-flight access pattern of the stack, replayed against a map type:
-/// submit (insert), a few lookups while the transfer is live, completion
-/// (erase), over a rolling live set — the shape handle_request produces.
+/// The in-flight access pattern of the stack, replayed against the flat
+/// map: submit (insert), a few lookups while the transfer is live,
+/// completion (erase), over a rolling live set — the shape handle_request
+/// produces.
 constexpr std::size_t kChurnOps = 400000;
 constexpr std::size_t kChurnLive = 4096;
 
-template <typename MapLike, typename FindFn, typename EraseFn>
-std::uint64_t churn(MapLike& map, const FindFn& find_live,
-                    const EraseFn& erase_key) {
+std::uint64_t churn(FlatHashMap<InflightPayload>& map) {
   Rng rng(42);
   std::vector<std::uint64_t> live(kChurnLive, 0);
   std::uint64_t checksum = 0;
@@ -87,13 +74,13 @@ std::uint64_t churn(MapLike& map, const FindFn& find_live,
     const std::uint64_t key = (user << 32) | item;
     const std::size_t slot = i % kChurnLive;
     if (live[slot] != 0) {
-      checksum += erase_key(map, live[slot]) ? 1 : 0;
+      checksum += map.erase(live[slot]) ? 1 : 0;
     }
     map[key].is_prefetch = (i & 1) != 0;
     live[slot] = key;
     for (int probe = 0; probe < 3; ++probe) {
       const std::uint64_t probe_key = live[rng.next_u64() % kChurnLive];
-      if (probe_key != 0 && find_live(map, probe_key)) ++checksum;
+      if (probe_key != 0 && map.find(probe_key) != nullptr) ++checksum;
     }
   }
   return checksum;
@@ -102,28 +89,7 @@ std::uint64_t churn(MapLike& map, const FindFn& find_live,
 double bench_churn_flat(std::uint64_t* checksum) {
   return best_time([&] {
     FlatHashMap<InflightPayload> map;
-    *checksum = churn(
-        map,
-        [](FlatHashMap<InflightPayload>& m, std::uint64_t k) {
-          return m.find(k) != nullptr;
-        },
-        [](FlatHashMap<InflightPayload>& m, std::uint64_t k) {
-          return m.erase(k);
-        });
-  });
-}
-
-double bench_churn_tree(std::uint64_t* checksum) {
-  return best_time([&] {
-    std::map<std::uint64_t, InflightPayload> map;
-    *checksum = churn(
-        map,
-        [](std::map<std::uint64_t, InflightPayload>& m, std::uint64_t k) {
-          return m.find(k) != m.end();
-        },
-        [](std::map<std::uint64_t, InflightPayload>& m, std::uint64_t k) {
-          return m.erase(k) > 0;
-        });
+    *checksum = churn(map);
   });
 }
 
@@ -151,49 +117,20 @@ std::vector<std::pair<UserId, std::uint64_t>> make_predictor_stream(
 }
 
 std::unique_ptr<PredictorPlane> make_bench_plane(PredictorKind kind,
-                                                 const SessionGraph& graph,
-                                                 bool use_legacy) {
+                                                 const SessionGraph& graph) {
   PredictorPlaneConfig config;
   config.num_users = kPredictorUsers;
   config.graph = &graph;
-  return make_predictor_plane(kind, config, use_legacy);
-}
-
-/// Replays a prefix of the stream through both backends, comparing
-/// predictions exactly — a cheap pre-timing guard so the perf gate can
-/// never bless a plane that silently diverged from the legacy tables.
-bool predictor_backends_agree(
-    PredictorKind kind, const SessionGraph& graph,
-    const std::vector<std::pair<UserId, std::uint64_t>>& stream) {
-  auto plane = make_bench_plane(kind, graph, false);
-  auto legacy = make_bench_plane(kind, graph, true);
-  std::vector<core::Candidate> got, want;
-  const std::size_t prefix = std::min<std::size_t>(stream.size(), 20000);
-  for (std::size_t i = 0; i < prefix; ++i) {
-    const auto& [user, item] = stream[i];
-    plane->observe(user, item);
-    legacy->observe(user, item);
-    if (i % 16 != 0) continue;
-    plane->predict_into(user, 8, got);
-    legacy->predict_into(user, 8, want);
-    if (got.size() != want.size()) return false;
-    for (std::size_t c = 0; c < got.size(); ++c) {
-      if (got[c].item != want[c].item ||
-          got[c].probability != want[c].probability) {
-        return false;
-      }
-    }
-  }
-  return true;
+  return make_predictor_plane(kind, config);
 }
 
 /// Observe-throughput phase: table construction from a cold start, no
 /// prediction — isolates intern/counter-bump cost.
 double bench_predictor_observe(
-    PredictorKind kind, const SessionGraph& graph, bool use_legacy,
+    PredictorKind kind, const SessionGraph& graph,
     const std::vector<std::pair<UserId, std::uint64_t>>& stream) {
   return best_time([&] {
-    auto predictor = make_bench_plane(kind, graph, use_legacy);
+    auto predictor = make_bench_plane(kind, graph);
     for (const auto& [user, item] : stream) predictor->observe(user, item);
   });
 }
@@ -202,9 +139,9 @@ double bench_predictor_observe(
 /// predict_into(8) per event into a reused scratch buffer — isolates
 /// ranking/top-k cost.
 double bench_predictor_predict(
-    PredictorKind kind, const SessionGraph& graph, bool use_legacy,
+    PredictorKind kind, const SessionGraph& graph,
     const std::vector<std::pair<UserId, std::uint64_t>>& stream) {
-  auto predictor = make_bench_plane(kind, graph, use_legacy);
+  auto predictor = make_bench_plane(kind, graph);
   for (const auto& [user, item] : stream) predictor->observe(user, item);
   std::vector<core::Candidate> scratch;
   return best_time([&] {
@@ -217,14 +154,13 @@ double bench_predictor_predict(
   });
 }
 
-double bench_proxy_sim(bool use_tree, std::uint64_t* requests_out) {
+double bench_proxy_sim(std::uint64_t* requests_out) {
   ProxySimConfig config;
   config.num_users = 8;
   config.duration = 300.0;
   config.warmup = 30.0;
   config.seed = 11;
   config.predictor_kind = ProxySimConfig::PredictorKind::kMarkov;
-  config.use_tree_inflight = use_tree;
   std::uint64_t requests = 0;
   const double secs = best_time([&] {
     ThresholdPolicy policy(core::InteractionModel::kModelA);
@@ -235,7 +171,7 @@ double bench_proxy_sim(bool use_tree, std::uint64_t* requests_out) {
   return secs;
 }
 
-double bench_trace_replay(bool use_tree, std::uint64_t* requests_out) {
+double bench_trace_replay(std::uint64_t* requests_out) {
   SyntheticTraceConfig trace_cfg;
   trace_cfg.num_users = 50000;
   trace_cfg.num_requests = 200000;
@@ -250,7 +186,6 @@ double bench_trace_replay(bool use_tree, std::uint64_t* requests_out) {
   replay_cfg.bandwidth = 1200.0;
   replay_cfg.cache_capacity = 8;
   replay_cfg.max_prefetch_per_request = 4;
-  replay_cfg.use_tree_inflight = use_tree;
   std::uint64_t requests = 0;
   const double secs = best_time([&] {
     ThresholdPolicy policy(core::InteractionModel::kModelA);
@@ -264,36 +199,21 @@ double bench_trace_replay(bool use_tree, std::uint64_t* requests_out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* path = "BENCH_stack.json";
-  bool check_plane_speedup = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-plane-speedup") == 0) {
-      check_plane_speedup = true;
-    } else {
-      path = argv[i];
-    }
+  const char* path = argc > 1 ? argv[1] : "BENCH_stack.json";
+  if (argc > 2 || path[0] == '-') {
+    std::fprintf(stderr, "usage: perf_stack [output.json]\n");
+    return 2;
   }
   std::vector<Metric> metrics;
 
-  std::uint64_t flat_checksum = 0, tree_checksum = 0;
-  const double flat_churn_secs = bench_churn_flat(&flat_checksum);
-  const double tree_churn_secs = bench_churn_tree(&tree_checksum);
-  if (flat_checksum != tree_checksum) {
-    std::fprintf(stderr, "inflight churn diverged: flat=%llu tree=%llu\n",
-                 static_cast<unsigned long long>(flat_checksum),
-                 static_cast<unsigned long long>(tree_checksum));
-    return 1;
-  }
-  const double ops = static_cast<double>(kChurnOps);
-  metrics.push_back(
-      {"stack.inflight_churn.flat_ops_per_sec", ops / flat_churn_secs, "ops/s"});
-  metrics.push_back(
-      {"stack.inflight_churn.tree_ops_per_sec", ops / tree_churn_secs, "ops/s"});
-  metrics.push_back({"stack.inflight_churn.flat_vs_tree_speedup",
-                     tree_churn_secs / flat_churn_secs, "x"});
+  std::uint64_t churn_checksum = 0;
+  const double churn_secs = bench_churn_flat(&churn_checksum);
+  if (churn_checksum == 0) std::fprintf(stderr, "inflight churn found nothing\n");
+  metrics.push_back({"stack.inflight_churn.flat_ops_per_sec",
+                     static_cast<double>(kChurnOps) / churn_secs, "ops/s"});
 
-  // Predictor plane vs legacy tables: all five kinds, observe and predict
-  // phases timed separately over one shared session-structured stream.
+  // Predictor planes: all five kinds, observe and predict phases timed
+  // separately over one shared session-structured stream.
   const std::size_t kPredictorEvents = 200000;
   SessionGraphConfig pred_gcfg;
   pred_gcfg.num_pages = 400;
@@ -301,84 +221,30 @@ int main(int argc, char** argv) {
   const SessionGraph pred_graph(pred_gcfg, 7);
   const auto pred_stream = make_predictor_stream(pred_graph, kPredictorEvents);
   const double pred_events = static_cast<double>(kPredictorEvents);
-  bool plane_regressed = false;
   for (int k = 0; k < kNumPredictorKinds; ++k) {
     const auto kind = static_cast<PredictorKind>(k);
     const std::string name = predictor_kind_name(kind);
-    if (!predictor_backends_agree(kind, pred_graph, pred_stream)) {
-      std::fprintf(stderr, "%s plane diverged from legacy tables\n",
-                   name.c_str());
-      return 1;
-    }
-    const double op = bench_predictor_observe(kind, pred_graph, false,
-                                              pred_stream);
-    const double ol = bench_predictor_observe(kind, pred_graph, true,
-                                              pred_stream);
-    const double pp = bench_predictor_predict(kind, pred_graph, false,
-                                              pred_stream);
-    const double pl = bench_predictor_predict(kind, pred_graph, true,
-                                              pred_stream);
+    const double observe_secs =
+        bench_predictor_observe(kind, pred_graph, pred_stream);
+    const double predict_secs =
+        bench_predictor_predict(kind, pred_graph, pred_stream);
     metrics.push_back({"stack.predictor." + name + ".observe_plane_events_per_sec",
-                       pred_events / op, "events/s"});
-    metrics.push_back({"stack.predictor." + name + ".observe_legacy_events_per_sec",
-                       pred_events / ol, "events/s"});
+                       pred_events / observe_secs, "events/s"});
     metrics.push_back({"stack.predictor." + name + ".predict_plane_events_per_sec",
-                       pred_events / pp, "events/s"});
-    metrics.push_back({"stack.predictor." + name + ".predict_legacy_events_per_sec",
-                       pred_events / pl, "events/s"});
-    // Combined observe+predict speedup — what a stack request actually pays.
-    const double speedup = (ol + pl) / (op + pp);
-    metrics.push_back({"stack.predictor." + name + ".plane_vs_legacy_speedup",
-                       speedup, "x"});
-    // 5% tolerance absorbs timer noise on the cheap kinds without letting a
-    // real regression through.
-    if (speedup < 0.95) {
-      std::fprintf(stderr, "%s plane slower than legacy: %.3fx\n",
-                   name.c_str(), speedup);
-      plane_regressed = true;
-    }
+                       pred_events / predict_secs, "events/s"});
   }
-  if (check_plane_speedup && plane_regressed) return 1;
 
-  std::uint64_t proxy_flat_requests = 0, proxy_tree_requests = 0;
-  const double proxy_flat_secs = bench_proxy_sim(false, &proxy_flat_requests);
-  const double proxy_tree_secs = bench_proxy_sim(true, &proxy_tree_requests);
-  if (proxy_flat_requests != proxy_tree_requests) {
-    std::fprintf(stderr, "proxy sim backends diverged: flat=%llu tree=%llu\n",
-                 static_cast<unsigned long long>(proxy_flat_requests),
-                 static_cast<unsigned long long>(proxy_tree_requests));
-    return 1;
-  }
+  std::uint64_t proxy_requests = 0;
+  const double proxy_secs = bench_proxy_sim(&proxy_requests);
   metrics.push_back({"stack.proxy_sim.flat_requests_per_sec",
-                     static_cast<double>(proxy_flat_requests) / proxy_flat_secs,
+                     static_cast<double>(proxy_requests) / proxy_secs,
                      "requests/s"});
-  metrics.push_back({"stack.proxy_sim.tree_requests_per_sec",
-                     static_cast<double>(proxy_tree_requests) / proxy_tree_secs,
-                     "requests/s"});
-  metrics.push_back({"stack.proxy_sim.flat_vs_tree_speedup",
-                     proxy_tree_secs / proxy_flat_secs, "x"});
 
-  std::uint64_t replay_flat_requests = 0, replay_tree_requests = 0;
-  const double replay_flat_secs =
-      bench_trace_replay(false, &replay_flat_requests);
-  const double replay_tree_secs =
-      bench_trace_replay(true, &replay_tree_requests);
-  if (replay_flat_requests != replay_tree_requests) {
-    std::fprintf(stderr, "trace replay backends diverged: flat=%llu tree=%llu\n",
-                 static_cast<unsigned long long>(replay_flat_requests),
-                 static_cast<unsigned long long>(replay_tree_requests));
-    return 1;
-  }
-  metrics.push_back(
-      {"stack.trace_replay.flat_requests_per_sec",
-       static_cast<double>(replay_flat_requests) / replay_flat_secs,
-       "requests/s"});
-  metrics.push_back(
-      {"stack.trace_replay.tree_requests_per_sec",
-       static_cast<double>(replay_tree_requests) / replay_tree_secs,
-       "requests/s"});
-  metrics.push_back({"stack.trace_replay.flat_vs_tree_speedup",
-                     replay_tree_secs / replay_flat_secs, "x"});
+  std::uint64_t replay_requests = 0;
+  const double replay_secs = bench_trace_replay(&replay_requests);
+  metrics.push_back({"stack.trace_replay.flat_requests_per_sec",
+                     static_cast<double>(replay_requests) / replay_secs,
+                     "requests/s"});
 
   std::FILE* out = std::fopen(path, "w");
   if (!out) {

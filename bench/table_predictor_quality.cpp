@@ -6,15 +6,12 @@
 //
 // Workload: Markov session graph (so the oracle's numbers are the true
 // conditionals — its calibration should be exact).
+#include <array>
 #include <iostream>
-#include <map>
 #include <memory>
+#include <utility>
 
-#include "predict/dependency_graph.hpp"
-#include "predict/frequency.hpp"
-#include "predict/markov.hpp"
-#include "predict/oracle.hpp"
-#include "predict/ppm.hpp"
+#include "predict/predictor_plane.hpp"
 #include "util/argparse.hpp"
 #include "util/table.hpp"
 #include "workload/session_graph.hpp"
@@ -33,7 +30,7 @@ struct Calibration {
   std::uint64_t brier_terms = 0;
 };
 
-Calibration evaluate(Predictor& predictor, const SessionGraph& graph,
+Calibration evaluate(PredictorPlane& predictor, const SessionGraph& graph,
                      std::size_t requests, std::uint64_t seed) {
   Calibration cal;
   Rng rng(seed);
@@ -83,17 +80,24 @@ int main(int argc, char** argv) {
   gcfg.link_skew = 1.5;
   const SessionGraph graph(gcfg, 5);
 
+  PredictorPlaneConfig plane_config;
+  plane_config.num_users = 1;  // one user walks the graph
+  plane_config.ppm_order = 3;
+  plane_config.depgraph_lookahead = 4;
+  plane_config.graph = &graph;
   struct Entry {
     std::string name;
-    std::unique_ptr<Predictor> predictor;
+    std::unique_ptr<PredictorPlane> predictor;
   };
   std::vector<Entry> predictors;
-  predictors.push_back({"oracle", std::make_unique<OraclePredictor>(graph)});
-  predictors.push_back({"markov", std::make_unique<MarkovPredictor>()});
-  predictors.push_back({"ppm(3)", std::make_unique<PpmPredictor>(3)});
-  predictors.push_back(
-      {"depgraph(4)", std::make_unique<DependencyGraphPredictor>(4)});
-  predictors.push_back({"frequency", std::make_unique<FrequencyPredictor>()});
+  for (const auto& [name, kind] :
+       {std::pair{"oracle", PredictorKind::kOracle},
+        std::pair{"markov", PredictorKind::kMarkov},
+        std::pair{"ppm(3)", PredictorKind::kPpm},
+        std::pair{"depgraph(4)", PredictorKind::kDependencyGraph},
+        std::pair{"frequency", PredictorKind::kFrequency}}) {
+    predictors.push_back({name, make_predictor_plane(kind, plane_config)});
+  }
 
   Table table({"predictor", "top-1 acc", "brier", "cal 0.1-0.2", "cal 0.3-0.4",
                "cal 0.5-0.6", "cal 0.7-0.8"});

@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "policy/policies.hpp"
-#include "predict/dependency_graph.hpp"
 #include "sim/proxy_sim.hpp"
 #include "util/argparse.hpp"
 #include "util/table.hpp"

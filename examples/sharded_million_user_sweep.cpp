@@ -80,12 +80,6 @@ int main(int argc, char** argv) {
   args.add_flag("backbone-latency", "0.05",
                 "cross-shard latency = epoch lookahead (s)");
   args.add_flag("seed", "2001", "random seed");
-  args.add_flag("legacy-caches", "false",
-                "run the legacy per-user TaggedCache fleet instead of the "
-                "slab-backed arena cache plane");
-  args.add_flag("legacy-predictors", "false",
-                "run the legacy virtual Predictor tables instead of the "
-                "slab-backed SoA predictor plane");
   args.add_flag("trace", "",
                 "export a Chrome trace-event JSON (Perfetto-loadable) for "
                 "the first thread-count run");
@@ -176,8 +170,6 @@ int main(int argc, char** argv) {
   cfg.stack.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
   cfg.stack.max_prefetch_per_request = 4;
   cfg.stack.seed = trace_cfg.seed;
-  cfg.stack.use_legacy_caches = args.get_bool("legacy-caches");
-  cfg.stack.use_legacy_predictors = args.get_bool("legacy-predictors");
   cfg.num_shards = static_cast<std::size_t>(args.get_int("shards"));
   cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
   cfg.backbone_latency = args.get_double("backbone-latency");
@@ -264,10 +256,9 @@ int main(int argc, char** argv) {
                    run_bytes_per_user});
   }
   std::printf("\n%s\n", table.to_markdown().c_str());
-  std::printf("%zu shards, policy=%s, cache backend=%s, "
+  std::printf("%zu shards, policy=%s, "
               "determinism across thread counts: %s\n",
               cfg.num_shards, args.get_string("policy").c_str(),
-              cfg.stack.use_legacy_caches ? "legacy" : "arena",
               deterministic ? "OK (bit-identical)" : "FAILED");
   return deterministic ? 0 : 1;
 }

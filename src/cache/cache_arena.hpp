@@ -1,10 +1,11 @@
 // CacheArena — one slab for a million user caches.
 //
-// The legacy cache layer gives every user a heap-allocated TaggedCache plus
-// a virtual Cache built on std::list/std::unordered_map nodes: at the
-// million-user scale of the ROADMAP sweeps, that per-user node soup
-// dominates RSS and constructor time. The arena replaces all of it with
-// shared flat storage for the whole fleet:
+// The pre-arena cache layer (kept as a test oracle in tests/reference/)
+// gave every user a heap-allocated TaggedCache plus a virtual Cache built on
+// std::list/std::unordered_map nodes: at the million-user scale of the
+// ROADMAP sweeps, that per-user node soup dominated RSS and constructor
+// time. The arena replaces all of it with shared flat storage for the whole
+// fleet:
 //
 //   * one contiguous slab of packed entry nodes (u32 index links, 32-bit
 //     item, tag and policy metadata folded into the node, free-list reuse),
@@ -20,8 +21,8 @@
 //
 // Each policy arena reproduces its legacy counterpart's eviction decisions
 // bit-for-bit (same victims, same tags, same RNG draws for the random
-// policy); tests/cache_plane_test.cpp and the stack differential matrix pin
-// that equivalence. The arena deliberately has no erase(): the §4 tagged
+// policy); tests/cache_plane_test.cpp and the frozen stack digests pin that
+// equivalence. The arena deliberately has no erase(): the §4 tagged
 // protocol never removes entries, and dropping erase keeps CLOCK's
 // occupied frames a dense prefix (so the legacy "first unoccupied frame"
 // scan collapses to a counter).

@@ -1,25 +1,17 @@
 // CachePlane — the fleet-wide client-cache layer behind StackRuntime.
 //
 // One plane owns every user's cache plus the §4 tagged/untagged estimation
-// state, replacing the legacy vector of unique_ptr<TaggedCache> (each
-// wrapping a virtual Cache full of list/map nodes). Two backends:
+// state (cache/tag_protocol.hpp). All entries live in the shared CacheArena
+// slabs (cache/cache_arena.hpp), residency is one flat hash for the whole
+// fleet, and the eviction policy is a compile-time template parameter
+// dispatched ONCE per run in make_cache_plane. After that single dispatch,
+// a request's cache work (lookup, tag protocol, eviction) runs with no
+// virtual calls and no per-hook std::function — one monomorphic virtual hop
+// into the plane per operation, total.
 //
-//   * ArenaCachePlane<Policy> — the default: all entries live in the shared
-//     CacheArena slabs (cache/cache_arena.hpp), residency is one flat hash
-//     for the whole fleet, and the eviction policy is a compile-time
-//     template parameter dispatched ONCE per run in make_cache_plane. After
-//     that single dispatch, a request's cache work (lookup, tag protocol,
-//     eviction) runs with no virtual calls and no per-hook std::function —
-//     one monomorphic virtual hop into the plane per operation, total.
-//
-//   * LegacyCachePlane — the original per-user TaggedCache objects, kept
-//     behind StackRuntimeConfig::use_legacy_caches (same pattern as
-//     use_tree_inflight) as the byte-identical reference backend for
-//     differential tests and the memory/throughput baseline.
-//
-// Both backends implement the §4 protocol with identical arithmetic;
-// tests/cache_plane_test.cpp and the stack differential matrix pin
-// bit-identical results across all five eviction policies.
+// tests/cache_plane_test.cpp fuzzes every policy against the pre-arena
+// per-user caches kept in tests/reference/, and tests/stack_digests.inc
+// freezes the full-stack results.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +20,7 @@
 
 #include "cache/cache_arena.hpp"
 #include "cache/factory.hpp"
-#include "cache/tagged_cache.hpp"
+#include "cache/tag_protocol.hpp"
 #include "core/interaction.hpp"
 #include "des/inline_function.hpp"
 
@@ -90,20 +82,18 @@ class CachePlane {
 
   virtual void set_eviction_observer(EvictionObserver observer) = 0;
 
-  /// Deep-invariant sweep (util/audit.hpp): the arena backend walks its
-  /// policy arena (chains, free lists, residency index) plus the §4 counter
-  /// sanity (nhit <= naccess, first uses <= inserts). The legacy backend
-  /// checks the counters only — its std::list/map entries are already under
-  /// ASan's eye. Cold path; called from tests and SPECPF_AUDIT sweeps.
+  /// Deep-invariant sweep (util/audit.hpp): walks the policy arena (chains,
+  /// free lists, residency index) plus the §4 counter sanity (nhit <=
+  /// naccess, first uses <= inserts). Cold path; called from tests and
+  /// SPECPF_AUDIT sweeps.
   virtual void audit(AuditReport& report) const = 0;
 };
 
-/// Builds the cache plane for `kind`: the arena backend by default, the
-/// legacy per-user TaggedCache fleet when `use_legacy` is set. This switch
-/// is the once-per-run policy dispatch — everything after it is
-/// monomorphic.
+/// Builds the cache plane for `kind`. This switch is the once-per-run
+/// policy dispatch — everything after it is monomorphic. `use_legacy` must
+/// be false; it exists only because bench/e2e passes a literal `false`.
 std::unique_ptr<CachePlane> make_cache_plane(CacheKind kind,
                                              const CachePlaneConfig& config,
-                                             bool use_legacy);
+                                             bool use_legacy = false);
 
 }  // namespace specpf

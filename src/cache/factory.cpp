@@ -1,10 +1,5 @@
 #include "cache/factory.hpp"
 
-#include "cache/clock_cache.hpp"
-#include "cache/fifo.hpp"
-#include "cache/lfu.hpp"
-#include "cache/lru.hpp"
-#include "cache/random_cache.hpp"
 #include "util/contract.hpp"
 
 namespace specpf {
@@ -24,24 +19,6 @@ const char* cache_kind_name(CacheKind kind) {
   }
   SPECPF_ASSERT(false && "unknown cache kind");
   return "?";
-}
-
-std::unique_ptr<Cache> make_cache(CacheKind kind, std::size_t capacity,
-                                  std::uint64_t seed) {
-  switch (kind) {
-    case CacheKind::kLru:
-      return std::make_unique<LruCache>(capacity);
-    case CacheKind::kLfu:
-      return std::make_unique<LfuCache>(capacity);
-    case CacheKind::kFifo:
-      return std::make_unique<FifoCache>(capacity);
-    case CacheKind::kClock:
-      return std::make_unique<ClockCache>(capacity);
-    case CacheKind::kRandom:
-      return std::make_unique<RandomCache>(capacity, seed);
-  }
-  SPECPF_ASSERT(false && "unknown cache kind");
-  return nullptr;
 }
 
 }  // namespace specpf

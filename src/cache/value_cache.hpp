@@ -8,9 +8,9 @@
 // probability is less than h'/n̄(C)").
 //
 // Implementation: hash map + ordered multiset of (value, item) for an
-// O(log n) eviction victim; value updates are O(log n).
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
+// O(log n) eviction victim; value updates are O(log n). It backs the
+// paper's victim-value table (bench/table_victim_value_sweep) and is never
+// on the stack's request path, so node-based containers are fine here.
 #pragma once
 
 #include <map>
@@ -62,7 +62,8 @@ class ValueCache final : public Cache {
   void evict_min();
 
   std::size_t capacity_;
-  std::unordered_map<ItemId, Entry> entries_;
+  // Victim-value table only, never on the request path.
+  std::unordered_map<ItemId, Entry> entries_;  // lint:allow(std::unordered_map)
   std::set<std::pair<double, ItemId>> by_value_;  // ascending value
   EvictionHook hook_;
 };

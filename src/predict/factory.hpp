@@ -1,9 +1,7 @@
 // The one predictor-kind dispatch point. Every frontend (proxy sim, trace
 // replay, sharded driver, benches, CLI flags) names access predictors
-// through this enum, and both predictor backends — the legacy virtual
-// `Predictor` tables and the slab-backed SoA plane
-// (predict/predictor_plane.hpp) — select their model here, mirroring
-// cache/factory.hpp's CacheKind.
+// through this enum, and the predictor plane (predict/predictor_plane.hpp)
+// selects its model from it, mirroring cache/factory.hpp's CacheKind.
 #pragma once
 
 #include <string_view>

@@ -3,12 +3,6 @@
 #include <algorithm>
 
 #include "predict/context_arena.hpp"
-#include "predict/dependency_graph.hpp"
-#include "predict/frequency.hpp"
-#include "predict/markov.hpp"
-#include "predict/oracle.hpp"
-#include "predict/ppm.hpp"
-#include "predict/predictor.hpp"
 #include "util/contract.hpp"
 #include "workload/session_graph.hpp"
 
@@ -295,57 +289,11 @@ class OraclePlane final : public PredictorPlane {
   std::vector<std::uint8_t> has_page_;
 };
 
-// --- legacy adapter ---------------------------------------------------------
-
-/// The original virtual Predictor tables behind the plane interface — the
-/// pinned reference backend for differential tests and the perf baseline.
-class LegacyPredictorPlane final : public PredictorPlane {
- public:
-  explicit LegacyPredictorPlane(std::unique_ptr<Predictor> predictor)
-      : predictor_(std::move(predictor)) {}
-
-  void observe(UserId user, std::uint64_t item) override {
-    predictor_->observe(user, item);
-  }
-
-  void predict_into(UserId user, std::size_t max_candidates,
-                    std::vector<Candidate>& out) const override {
-    predictor_->predict_into(user, max_candidates, out);
-  }
-
- private:
-  std::unique_ptr<Predictor> predictor_;
-};
-
-std::unique_ptr<Predictor> make_legacy_predictor(
-    PredictorKind kind, const PredictorPlaneConfig& config) {
-  switch (kind) {
-    case PredictorKind::kMarkov:
-      return std::make_unique<MarkovPredictor>(config.markov_laplace);
-    case PredictorKind::kPpm:
-      return std::make_unique<PpmPredictor>(config.ppm_order);
-    case PredictorKind::kDependencyGraph:
-      return std::make_unique<DependencyGraphPredictor>(
-          config.depgraph_lookahead);
-    case PredictorKind::kFrequency:
-      return std::make_unique<FrequencyPredictor>();
-    case PredictorKind::kOracle:
-      SPECPF_EXPECTS(config.graph != nullptr);
-      return std::make_unique<OraclePredictor>(*config.graph);
-  }
-  SPECPF_ASSERT(false && "unreachable");
-  return nullptr;
-}
-
 }  // namespace
 
 std::unique_ptr<PredictorPlane> make_predictor_plane(
-    PredictorKind kind, const PredictorPlaneConfig& config, bool use_legacy) {
+    PredictorKind kind, const PredictorPlaneConfig& config) {
   SPECPF_EXPECTS(config.num_users >= 1);
-  if (use_legacy) {
-    return std::make_unique<LegacyPredictorPlane>(
-        make_legacy_predictor(kind, config));
-  }
   switch (kind) {
     case PredictorKind::kMarkov:
       return std::make_unique<MarkovPlane>(config.num_users,

@@ -10,18 +10,13 @@
 // partial top-k select instead of a full sort, so the stack's hot path does
 // zero allocation per request.
 //
-// Two backends behind make_predictor_plane, exactly like make_cache_plane:
+// make_predictor_plane dispatches once per run to one concrete class per
+// PredictorKind, exactly like make_cache_plane.
 //
-//   * the arena planes (default) — one concrete class per PredictorKind,
-//     dispatched once per run;
-//   * LegacyPredictorPlane — the original virtual `Predictor` tables
-//     (predict/{frequency,markov,ppm,dependency_graph,oracle}.hpp), kept
-//     behind use_legacy_predictors (same pattern as use_tree_inflight and
-//     use_legacy_caches) as the pinned differential baseline.
-//
-// Below the counter-saturation point both backends compute identical
-// arithmetic; tests/predict_plane_test.cpp fuzzes bit-identical predict
-// output and the sim_stack_differential matrix pins the full stack.
+// Below the counter-saturation point every plane computes the same
+// arithmetic as the pre-arena virtual tables kept in tests/reference/;
+// tests/predict_plane_test.cpp fuzzes bit-identical predict output against
+// them and tests/stack_digests.inc freezes the full-stack results.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +70,7 @@ class PredictorPlane {
     return out;
   }
 
-  /// Counter-halving events so far (0 on the legacy backend, which grows
-  /// u64 counts instead of quantizing).
+  /// Counter-halving events so far (0 for planes without counters).
   virtual std::uint64_t counter_halvings() const { return 0; }
 
   /// Distinct contexts interned in the plane's ContextArena (0 for planes
@@ -85,16 +79,15 @@ class PredictorPlane {
 
   /// Deep-invariant sweep (util/audit.hpp): the arena planes walk their
   /// ContextArena (successor-chain conservation, interning round-trips,
-  /// index health). The legacy tables and the stateless oracle have nothing
-  /// slab-backed to walk — default no-op.
+  /// index health). The stateless oracle has nothing slab-backed to walk —
+  /// default no-op.
   virtual void audit(AuditReport& /*report*/) const {}
 };
 
-/// Builds the predictor plane for `kind`: the arena backend by default, the
-/// legacy virtual Predictor tables when `use_legacy` is set. This switch is
-/// the once-per-run model dispatch — everything after it is monomorphic
-/// (one virtual hop into the plane per observe/predict, total).
+/// Builds the predictor plane for `kind`. This switch is the once-per-run
+/// model dispatch — everything after it is monomorphic (one virtual hop
+/// into the plane per observe/predict, total).
 std::unique_ptr<PredictorPlane> make_predictor_plane(
-    PredictorKind kind, const PredictorPlaneConfig& config, bool use_legacy);
+    PredictorKind kind, const PredictorPlaneConfig& config);
 
 }  // namespace specpf

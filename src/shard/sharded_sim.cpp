@@ -175,8 +175,7 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
     }
 
     shard->predictor = make_replay_predictor(config_.stack.predictor_kind,
-                                             shard->user_index.size(),
-                                             config_.stack.use_legacy_predictors);
+                                             shard->user_index.size());
     shard->policy = make_policy();
     if (policy_name_.empty()) policy_name_ = shard->policy->name();
 
@@ -196,8 +195,6 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
     rt.lambda_prior = std::max(
         1e-9,
         safe_div(static_cast<double>(shard->scan_count), duration, 0.0));
-    rt.use_tree_inflight = config_.stack.use_tree_inflight;
-    rt.use_legacy_caches = config_.stack.use_legacy_caches;
     rt.enable_load_sensor = config_.stack.enable_load_sensor;
     rt.sensor = config_.stack.sensor;
     rt.telemetry = shard->telemetry;  // runtime registers its set and seals

@@ -29,8 +29,7 @@ std::unique_ptr<PredictorPlane> make_predictor(const ProxySimConfig& config,
   PredictorPlaneConfig plane_config;
   plane_config.num_users = config.num_users;
   plane_config.graph = &graph;
-  return make_predictor_plane(config.predictor_kind, plane_config,
-                              config.use_legacy_predictors);
+  return make_predictor_plane(config.predictor_kind, plane_config);
 }
 
 }  // namespace
@@ -60,8 +59,6 @@ ProxySimResult run_proxy_sim(const ProxySimConfig& config,
   runtime_config.seed = config.seed;
   runtime_config.lambda_prior =
       static_cast<double>(config.num_users) * session_len / cycle;
-  runtime_config.use_tree_inflight = config.use_tree_inflight;
-  runtime_config.use_legacy_caches = config.use_legacy_caches;
   runtime_config.telemetry = config.telemetry;
 
   Simulator sim;

@@ -2,8 +2,9 @@
 // this library would actually deploy the threshold rule in.
 //
 // N clients issue session-structured (Markov graph) requests. Each client
-// owns a TaggedCache. Misses and prefetches contend on one shared
-// processor-sharing server (the paper's network model). A Predictor learns
+// owns a tagged cache in the cache plane. Misses and prefetches contend on
+// one shared processor-sharing server (the paper's network model). A
+// predictor plane learns
 // the access process online and a PrefetchPolicy decides, per request, what
 // to prefetch. System parameters for the policy (λ̂, ĥ', …) are estimated
 // online: ĥ' comes from the §4 tagged-entry protocol, λ̂ from the observed
@@ -53,20 +54,6 @@ struct ProxySimConfig {
   double duration = 2000.0;
   double warmup = 200.0;
   std::uint64_t seed = 1;
-
-  /// Use the legacy std::map in-flight backend (reference for differential
-  /// tests and the perf_stack baseline; the flat hash is the default).
-  bool use_tree_inflight = false;
-
-  /// Use the legacy per-user TaggedCache fleet instead of the slab-backed
-  /// arena cache plane (reference for differential tests; the arena is the
-  /// default).
-  bool use_legacy_caches = false;
-
-  /// Use the legacy virtual Predictor tables instead of the slab-backed
-  /// SoA predictor plane (reference for differential tests and the
-  /// perf_stack baseline; the plane is the default).
-  bool use_legacy_predictors = false;
 
   /// Telemetry plane to record into (borrowed; must outlive the run). Pure
   /// observation under the LinkLoadSensor contract: results are

@@ -18,6 +18,8 @@ void TraceReplayConfig::validate() const {
   SPECPF_EXPECTS(warmup_fraction >= 0.0 && warmup_fraction < 1.0);
   SPECPF_EXPECTS(governor.empty() || is_governor_name(governor));
   SPECPF_EXPECTS(stream_window >= 1);
+  SPECPF_EXPECTS(!use_tree_inflight && !use_legacy_caches &&
+                 !use_legacy_predictors);
   // The detector reads gauge streams; without a plane there is nothing to
   // watch, and aborting needs a verdict to abort on.
   SPECPF_EXPECTS(divergence == nullptr || telemetry != nullptr);
@@ -29,10 +31,11 @@ void TraceReplayConfig::validate() const {
 std::unique_ptr<PredictorPlane> make_replay_predictor(
     TraceReplayConfig::PredictorKind kind, std::size_t num_users,
     bool use_legacy) {
+  SPECPF_EXPECTS(!use_legacy);
   SPECPF_EXPECTS(kind != PredictorKind::kOracle);
   PredictorPlaneConfig plane_config;
   plane_config.num_users = num_users;
-  return make_predictor_plane(kind, plane_config, use_legacy);
+  return make_predictor_plane(kind, plane_config);
 }
 
 ProxySimResult run_trace_replay(TraceSource& source,
@@ -65,9 +68,8 @@ ProxySimResult run_trace_replay(TraceSource& source,
   }
   SPECPF_EXPECTS(record_count > 0);
 
-  auto predictor = make_replay_predictor(config.predictor_kind,
-                                         user_index.size(),
-                                         config.use_legacy_predictors);
+  auto predictor =
+      make_replay_predictor(config.predictor_kind, user_index.size());
 
   StackRuntimeConfig runtime_config;
   runtime_config.bandwidth = config.bandwidth;
@@ -83,8 +85,6 @@ ProxySimResult run_trace_replay(TraceSource& source,
   const double duration = record_count >= 2 ? last_time - first_time : 0.0;
   runtime_config.lambda_prior = std::max(
       1e-9, safe_div(static_cast<double>(record_count), duration, 0.0));
-  runtime_config.use_tree_inflight = config.use_tree_inflight;
-  runtime_config.use_legacy_caches = config.use_legacy_caches;
   runtime_config.enable_load_sensor = config.enable_load_sensor;
   runtime_config.sensor = config.sensor;
   runtime_config.telemetry = config.telemetry;

@@ -40,19 +40,10 @@ struct TraceReplayConfig {
   double warmup_fraction = 0.1;
   std::uint64_t seed = 1;  ///< only used by the random cache kind
 
-  /// Use the legacy std::map in-flight backend (reference for differential
-  /// tests and the perf_stack baseline; the flat hash is the default).
-  bool use_tree_inflight = false;
-
-  /// Use the legacy per-user TaggedCache fleet instead of the slab-backed
-  /// arena cache plane (reference for differential tests; the arena is the
-  /// default).
-  bool use_legacy_caches = false;
-
-  /// Use the legacy virtual Predictor tables instead of the slab-backed
-  /// SoA predictor plane (reference for differential tests and the
-  /// perf_stack baseline; the plane is the default).
-  bool use_legacy_predictors = false;
+  // Retired backend selectors: validate() rejects true, nothing reads them.
+  bool use_tree_inflight = false;      // exists only because bench/e2e names it
+  bool use_legacy_caches = false;      // exists only because bench/e2e names it
+  bool use_legacy_predictors = false;  // exists only because bench/e2e names it
 
   /// Prefetch governor by name (control/governor.hpp): noop, token-<rate>,
   /// aimd-<setpoint>, conf-<precision>. Empty = ungoverned (today's
@@ -119,8 +110,10 @@ ProxySimResult run_trace_replay(TraceSource& source,
 /// Fresh predictor plane for a replay kind — shared with the sharded
 /// driver, which needs one independent plane per shard (`num_users` sizes
 /// the plane's user-indexed history slab). kOracle is not replayable.
+/// `use_legacy` must be false; it exists only because bench/e2e passes a
+/// literal `false`.
 std::unique_ptr<PredictorPlane> make_replay_predictor(
     TraceReplayConfig::PredictorKind kind, std::size_t num_users,
-    bool use_legacy);
+    bool use_legacy = false);
 
 }  // namespace specpf

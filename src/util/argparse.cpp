@@ -1,12 +1,28 @@
 #include "util/argparse.hpp"
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
-#include <stdexcept>
+#include <system_error>
 
 #include "util/contract.hpp"
 
 namespace specpf {
+
+namespace {
+
+/// Whole-string, range-checked parse: false on an empty value, trailing
+/// characters, or a value outside T's range.
+template <typename T>
+bool parse_exact(const std::string& text, T* out) {
+  const char* first = text.data();
+  const char* last = first + text.size();
+  const auto [end, ec] = std::from_chars(first, last, *out);
+  return !text.empty() && ec == std::errc() && end == last;
+}
+
+}  // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -73,16 +89,31 @@ std::string ArgParser::get_string(const std::string& name) const {
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  return std::stod(get_string(name));
+  const std::string v = get_string(name);
+  double out = 0.0;
+  if (!parse_exact(v, &out)) reject_value(name, "number", v);
+  return out;
 }
 
 std::int64_t ArgParser::get_int(const std::string& name) const {
-  return std::stoll(get_string(name));
+  const std::string v = get_string(name);
+  std::int64_t out = 0;
+  if (!parse_exact(v, &out)) reject_value(name, "integer", v);
+  return out;
 }
 
 bool ArgParser::get_bool(const std::string& name) const {
   const std::string v = get_string(name);
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  reject_value(name, "boolean", v);
+}
+
+void ArgParser::reject_value(const std::string& name, const char* type,
+                             const std::string& value) const {
+  std::fprintf(stderr, "--%s: expected %s, got '%s'\n%s", name.c_str(), type,
+               value.c_str(), usage().c_str());
+  std::exit(2);
 }
 
 std::string ArgParser::usage() const {

@@ -22,6 +22,11 @@ class ArgParser {
   /// unknown/malformed flag.
   bool parse(int argc, const char* const* argv);
 
+  /// Typed accessors. A value that does not parse as a whole — `10x` or
+  /// `abc` for an integer, an out-of-range number, a boolean spelled other
+  /// than true/false/1/0/yes/no/on/off — prints
+  /// `--<flag>: expected <type>, got '<value>'` plus usage to stderr and
+  /// exits with status 2.
   std::string get_string(const std::string& name) const;
   double get_double(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
@@ -33,6 +38,9 @@ class ArgParser {
   std::string usage() const;
 
  private:
+  [[noreturn]] void reject_value(const std::string& name, const char* type,
+                                 const std::string& value) const;
+
   struct Flag {
     std::string default_value;
     std::string help;

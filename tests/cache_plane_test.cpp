@@ -1,8 +1,9 @@
-// Cache-plane differential tests: the slab-backed arena backend must be
-// bit-identical to the legacy per-user TaggedCache fleet — same access
-// outcomes, residency, sizes, ĥ' estimates, and eviction victims (with
-// tags) — across all five eviction policies under long random protocol
-// sequences, plus the §4 tag-transition edge cases pinned on both paths.
+// Cache-plane differential tests: the slab-backed arena plane must be
+// bit-identical to the pre-arena per-user TaggedCache fleet kept in
+// tests/reference/ — same access outcomes, residency, sizes, ĥ' estimates,
+// and eviction victims (with tags) — across all five eviction policies
+// under long random protocol sequences, plus the §4 tag-transition edge
+// cases pinned on both.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "cache/cache_plane.hpp"
+#include "reference/legacy_planes.hpp"
 #include "util/mem.hpp"
 #include "util/rng.hpp"
 
@@ -36,9 +38,8 @@ struct PlaneUnderTest {
   std::unique_ptr<CachePlane> plane;
   std::vector<Eviction> evictions;
 
-  PlaneUnderTest(CacheKind kind, const CachePlaneConfig& config,
-                 bool use_legacy) {
-    plane = make_cache_plane(kind, config, use_legacy);
+  explicit PlaneUnderTest(std::unique_ptr<CachePlane> built)
+      : plane(std::move(built)) {
     plane->set_eviction_observer(
         [this](std::uint32_t user, ItemId item, EntryTag tag) {
           evictions.push_back(Eviction{user, item, tag});
@@ -56,8 +57,8 @@ void run_differential(CacheKind kind, std::size_t capacity,
   config.num_users = 8;
   config.capacity = capacity;
   config.seed = 17;
-  PlaneUnderTest arena(kind, config, /*use_legacy=*/false);
-  PlaneUnderTest legacy(kind, config, /*use_legacy=*/true);
+  PlaneUnderTest arena(make_cache_plane(kind, config));
+  PlaneUnderTest legacy(make_legacy_cache_plane(kind, config));
 
   Rng rng(seed);
   for (int op = 0; op < 30000; ++op) {
@@ -129,13 +130,19 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, CachePlaneDifferential,
 class TagTransition : public ::testing::TestWithParam<bool> {
  protected:
   static constexpr std::uint32_t kUser = 0;
+
+  static std::unique_ptr<CachePlane> make(CacheKind kind,
+                                          const CachePlaneConfig& config) {
+    return GetParam() ? make_legacy_cache_plane(kind, config)
+                      : make_cache_plane(kind, config);
+  }
 };
 
 TEST_P(TagTransition, AdmitPrefetchAccessedOnResidentItemRetagsAndCounts) {
   CachePlaneConfig config;
   config.num_users = 1;
   config.capacity = 4;
-  auto plane = make_cache_plane(CacheKind::kLru, config, GetParam());
+  auto plane = make(CacheKind::kLru, config);
 
   plane->admit_prefetch(kUser, 1);  // resident, untagged
   EXPECT_EQ(plane->prefetch_inserts(kUser), 1u);
@@ -153,7 +160,7 @@ TEST_P(TagTransition, DemandReinsertOverUntaggedEntryUpgradesTag) {
   CachePlaneConfig config;
   config.num_users = 1;
   config.capacity = 4;
-  auto plane = make_cache_plane(CacheKind::kLru, config, GetParam());
+  auto plane = make(CacheKind::kLru, config);
 
   plane->admit_prefetch(kUser, 7);  // untagged
   plane->admit_demand(kUser, 7);    // re-insert upgrades to tagged, no growth
@@ -169,7 +176,7 @@ TEST_P(TagTransition, ClockSecondChanceEvictionReportsVictimTagFaithfully) {
   CachePlaneConfig config;
   config.num_users = 1;
   config.capacity = 3;
-  auto plane = make_cache_plane(CacheKind::kClock, config, GetParam());
+  auto plane = make(CacheKind::kClock, config);
   std::vector<Eviction> evictions;
   plane->set_eviction_observer(
       [&evictions](std::uint32_t user, ItemId item, EntryTag tag) {

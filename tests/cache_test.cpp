@@ -1,245 +1,244 @@
-// Cache substrate: generic interface properties parameterised over every
-// eviction policy, plus policy-specific behaviour.
+// Cache substrate: generic properties of the cache plane parameterised over
+// every eviction policy (one user, the per-client view), plus
+// policy-specific victim selection.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "cache/clock_cache.hpp"
-#include "cache/fifo.hpp"
-#include "cache/lfu.hpp"
-#include "cache/lru.hpp"
-#include "cache/random_cache.hpp"
+#include "cache/cache_plane.hpp"
 #include "util/contract.hpp"
 #include "util/rng.hpp"
 
 namespace specpf {
 namespace {
 
-using Factory = std::function<std::unique_ptr<Cache>(std::size_t)>;
+using core::InteractionModel;
 
-struct CacheCase {
-  std::string name;
-  Factory make;
+constexpr std::uint32_t kUser = 0;
+
+std::unique_ptr<CachePlane> make_one_user(CacheKind kind, std::size_t cap,
+                                          std::uint64_t seed = 42) {
+  CachePlaneConfig config;
+  config.num_users = 1;
+  config.capacity = cap;
+  config.seed = seed;
+  return make_cache_plane(kind, config);
+}
+
+/// Records eviction victims in order.
+struct Victims {
+  std::vector<ItemId> items;
+  void attach(CachePlane& plane) {
+    plane.set_eviction_observer(
+        [this](std::uint32_t, ItemId item, EntryTag) { items.push_back(item); });
+  }
 };
 
-void PrintTo(const CacheCase& c, std::ostream* os) { *os << c.name; }
-
-class AnyCacheTest : public ::testing::TestWithParam<CacheCase> {
+class AnyCacheTest : public ::testing::TestWithParam<CacheKind> {
  protected:
-  std::unique_ptr<Cache> make(std::size_t cap) const {
-    return GetParam().make(cap);
+  std::unique_ptr<CachePlane> make(std::size_t cap) const {
+    return make_one_user(GetParam(), cap);
   }
 };
 
 TEST_P(AnyCacheTest, InsertThenLookupHits) {
   auto cache = make(4);
-  cache->insert(1, EntryTag::kTagged);
-  const auto tag = cache->lookup(1);
-  ASSERT_TRUE(tag.has_value());
-  EXPECT_EQ(*tag, EntryTag::kTagged);
+  cache->admit_demand(kUser, 1);
+  EXPECT_EQ(cache->access(kUser, 1), AccessOutcome::kHitTagged);
 }
 
 TEST_P(AnyCacheTest, MissingItemMisses) {
   auto cache = make(4);
-  EXPECT_FALSE(cache->lookup(99).has_value());
-  EXPECT_FALSE(cache->contains(99));
+  EXPECT_EQ(cache->access(kUser, 99), AccessOutcome::kMiss);
+  EXPECT_FALSE(cache->contains(kUser, 99));
 }
 
 TEST_P(AnyCacheTest, NeverExceedsCapacity) {
   auto cache = make(8);
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {
-    cache->insert(rng.next_below(100), EntryTag::kTagged);
-    ASSERT_LE(cache->size(), 8u);
+    cache->admit_demand(kUser, rng.next_below(100));
+    ASSERT_LE(cache->size(kUser), 8u);
   }
-  EXPECT_EQ(cache->size(), 8u);
+  EXPECT_EQ(cache->size(kUser), 8u);
 }
 
-TEST_P(AnyCacheTest, EvictionHookFiresOncePerEviction) {
+TEST_P(AnyCacheTest, EvictionObserverFiresOncePerEviction) {
   auto cache = make(2);
   int evictions = 0;
-  cache->set_eviction_hook([&](ItemId, EntryTag) { ++evictions; });
-  for (ItemId i = 0; i < 10; ++i) cache->insert(i, EntryTag::kTagged);
+  cache->set_eviction_observer(
+      [&](std::uint32_t, ItemId, EntryTag) { ++evictions; });
+  for (ItemId i = 0; i < 10; ++i) cache->admit_demand(kUser, i);
   EXPECT_EQ(evictions, 8);
-  EXPECT_EQ(cache->stats().evictions, 8u);
 }
 
-TEST_P(AnyCacheTest, EraseRemovesWithoutEvictionCount) {
+TEST_P(AnyCacheTest, FirstTouchRetagsPrefetchedEntry) {
   auto cache = make(4);
-  cache->insert(1, EntryTag::kTagged);
-  EXPECT_TRUE(cache->erase(1));
-  EXPECT_FALSE(cache->erase(1));
-  EXPECT_FALSE(cache->contains(1));
-  EXPECT_EQ(cache->stats().evictions, 0u);
-}
-
-TEST_P(AnyCacheTest, SetTagUpdatesResidentEntry) {
-  auto cache = make(4);
-  cache->insert(1, EntryTag::kUntagged);
-  EXPECT_TRUE(cache->set_tag(1, EntryTag::kTagged));
-  EXPECT_EQ(*cache->lookup(1), EntryTag::kTagged);
-  EXPECT_FALSE(cache->set_tag(42, EntryTag::kTagged));
+  cache->admit_prefetch(kUser, 1);  // untagged
+  EXPECT_EQ(cache->access(kUser, 1), AccessOutcome::kHitUntagged);
+  EXPECT_EQ(cache->access(kUser, 1), AccessOutcome::kHitTagged);
+  EXPECT_EQ(cache->prefetch_first_uses(kUser), 1u);
 }
 
 TEST_P(AnyCacheTest, ReinsertUpdatesTagWithoutGrowth) {
   auto cache = make(4);
-  cache->insert(1, EntryTag::kTagged);
-  cache->insert(1, EntryTag::kUntagged);
-  EXPECT_EQ(cache->size(), 1u);
-  EXPECT_EQ(*cache->lookup(1), EntryTag::kUntagged);
+  cache->admit_prefetch(kUser, 1);
+  cache->admit_demand(kUser, 1);
+  EXPECT_EQ(cache->size(kUser), 1u);
+  EXPECT_EQ(cache->access(kUser, 1), AccessOutcome::kHitTagged);
 }
 
-TEST_P(AnyCacheTest, StatsCountLookupsAndHits) {
+TEST_P(AnyCacheTest, EstimateCountsAccessesAndTaggedHits) {
+  // Model A ĥ' = tagged hits / accesses.
   auto cache = make(4);
-  cache->insert(1, EntryTag::kTagged);
-  cache->lookup(1);
-  cache->lookup(2);
-  EXPECT_EQ(cache->stats().lookups, 2u);
-  EXPECT_EQ(cache->stats().hits, 1u);
-  EXPECT_DOUBLE_EQ(cache->stats().hit_ratio(), 0.5);
-  cache->reset_stats();
-  EXPECT_EQ(cache->stats().lookups, 0u);
+  cache->admit_demand(kUser, 1);
+  cache->access(kUser, 1);
+  cache->access(kUser, 2);
+  EXPECT_DOUBLE_EQ(cache->estimate(kUser, InteractionModel::kModelA), 0.5);
 }
 
-TEST_P(AnyCacheTest, ContainsDoesNotPerturbStats) {
+TEST_P(AnyCacheTest, ContainsDoesNotPerturbEstimate) {
   auto cache = make(4);
-  cache->insert(1, EntryTag::kTagged);
-  cache->contains(1);
-  cache->contains(2);
-  EXPECT_EQ(cache->stats().lookups, 0u);
+  cache->admit_demand(kUser, 1);
+  cache->access(kUser, 1);  // one tagged hit out of one access
+  cache->contains(kUser, 1);
+  cache->contains(kUser, 2);
+  EXPECT_DOUBLE_EQ(cache->estimate(kUser, InteractionModel::kModelA), 1.0);
 }
 
 TEST_P(AnyCacheTest, CapacityOneStillWorks) {
   auto cache = make(1);
-  cache->insert(1, EntryTag::kTagged);
-  cache->insert(2, EntryTag::kTagged);
-  EXPECT_EQ(cache->size(), 1u);
-  EXPECT_TRUE(cache->contains(2));
-  EXPECT_FALSE(cache->contains(1));
+  cache->admit_demand(kUser, 1);
+  cache->admit_demand(kUser, 2);
+  EXPECT_EQ(cache->size(kUser), 1u);
+  EXPECT_TRUE(cache->contains(kUser, 2));
+  EXPECT_FALSE(cache->contains(kUser, 1));
 }
 
 TEST_P(AnyCacheTest, WorkloadConservation) {
-  // hits + misses == lookups under arbitrary traffic.
+  // hits + misses == accesses under arbitrary traffic, and the Model A
+  // estimate is exactly hits / accesses when every entry is tagged.
   auto cache = make(16);
   Rng rng(11);
+  std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  for (int i = 0; i < 5000; ++i) {
+  constexpr int kAccesses = 5000;
+  for (int i = 0; i < kAccesses; ++i) {
     const ItemId item = rng.next_below(64);
-    if (!cache->lookup(item).has_value()) {
+    if (cache->access(kUser, item) == AccessOutcome::kMiss) {
       ++misses;
-      cache->insert(item, EntryTag::kTagged);
+      cache->admit_demand(kUser, item);
+    } else {
+      ++hits;
     }
   }
-  EXPECT_EQ(cache->stats().hits + misses, cache->stats().lookups);
+  EXPECT_EQ(hits + misses, static_cast<std::uint64_t>(kAccesses));
+  EXPECT_DOUBLE_EQ(cache->estimate(kUser, InteractionModel::kModelA),
+                   static_cast<double>(hits) / kAccesses);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Policies, AnyCacheTest,
-    ::testing::Values(
-        CacheCase{"lru",
-                  [](std::size_t c) { return std::make_unique<LruCache>(c); }},
-        CacheCase{"fifo",
-                  [](std::size_t c) { return std::make_unique<FifoCache>(c); }},
-        CacheCase{"lfu",
-                  [](std::size_t c) { return std::make_unique<LfuCache>(c); }},
-        CacheCase{"clock",
-                  [](std::size_t c) {
-                    return std::make_unique<ClockCache>(c);
-                  }},
-        CacheCase{"random",
-                  [](std::size_t c) {
-                    return std::make_unique<RandomCache>(c, 42);
-                  }}),
-    [](const ::testing::TestParamInfo<CacheCase>& info) {
-      return info.param.name;
-    });
+INSTANTIATE_TEST_SUITE_P(Policies, AnyCacheTest,
+                         ::testing::Values(CacheKind::kLru, CacheKind::kFifo,
+                                           CacheKind::kLfu, CacheKind::kClock,
+                                           CacheKind::kRandom),
+                         [](const ::testing::TestParamInfo<CacheKind>& info) {
+                           return std::string(cache_kind_name(info.param));
+                         });
 
 // --- Policy-specific behaviour ---
 
-TEST(LruCache, EvictsLeastRecentlyUsed) {
-  LruCache cache(3);
-  cache.insert(1, EntryTag::kTagged);
-  cache.insert(2, EntryTag::kTagged);
-  cache.insert(3, EntryTag::kTagged);
-  cache.lookup(1);  // refresh 1; victim order now 2,3,1
-  cache.insert(4, EntryTag::kTagged);
-  EXPECT_FALSE(cache.contains(2));
-  EXPECT_TRUE(cache.contains(1));
-  EXPECT_TRUE(cache.contains(3));
+TEST(LruPlane, EvictsLeastRecentlyUsed) {
+  auto cache = make_one_user(CacheKind::kLru, 3);
+  cache->admit_demand(kUser, 1);
+  cache->admit_demand(kUser, 2);
+  cache->admit_demand(kUser, 3);
+  cache->access(kUser, 1);  // refresh 1; victim order now 2,3,1
+  cache->admit_demand(kUser, 4);
+  EXPECT_FALSE(cache->contains(kUser, 2));
+  EXPECT_TRUE(cache->contains(kUser, 1));
+  EXPECT_TRUE(cache->contains(kUser, 3));
 }
 
-TEST(FifoCache, LookupDoesNotRefreshPosition) {
-  FifoCache cache(3);
-  cache.insert(1, EntryTag::kTagged);
-  cache.insert(2, EntryTag::kTagged);
-  cache.insert(3, EntryTag::kTagged);
-  cache.lookup(1);  // irrelevant for FIFO
-  cache.insert(4, EntryTag::kTagged);
-  EXPECT_FALSE(cache.contains(1));
+TEST(FifoPlane, LookupDoesNotRefreshPosition) {
+  auto cache = make_one_user(CacheKind::kFifo, 3);
+  cache->admit_demand(kUser, 1);
+  cache->admit_demand(kUser, 2);
+  cache->admit_demand(kUser, 3);
+  cache->access(kUser, 1);  // irrelevant for FIFO
+  cache->admit_demand(kUser, 4);
+  EXPECT_FALSE(cache->contains(kUser, 1));
 }
 
-TEST(LfuCache, EvictsLeastFrequentlyUsed) {
-  LfuCache cache(3);
-  cache.insert(1, EntryTag::kTagged);
-  cache.insert(2, EntryTag::kTagged);
-  cache.insert(3, EntryTag::kTagged);
-  cache.lookup(1);
-  cache.lookup(1);
-  cache.lookup(3);
-  cache.insert(4, EntryTag::kTagged);  // 2 has lowest frequency
-  EXPECT_FALSE(cache.contains(2));
-  EXPECT_EQ(cache.frequency(1), 3u);  // insert + two lookups
-  EXPECT_EQ(cache.frequency(4), 1u);
+TEST(LfuPlane, EvictsLeastFrequentlyUsed) {
+  auto cache = make_one_user(CacheKind::kLfu, 3);
+  Victims victims;
+  victims.attach(*cache);
+  cache->admit_demand(kUser, 1);
+  cache->admit_demand(kUser, 2);
+  cache->admit_demand(kUser, 3);
+  cache->access(kUser, 1);
+  cache->access(kUser, 1);
+  cache->access(kUser, 3);
+  cache->admit_demand(kUser, 4);  // 2 has the lowest frequency
+  EXPECT_FALSE(cache->contains(kUser, 2));
+  // Frequencies now 1:3 (insert + two hits), 3:2, 4:1 — so the next victim
+  // is 4, the lone frequency-1 entry; then 3, which ties 5 at frequency 2
+  // but reached it first.
+  cache->admit_demand(kUser, 5);
+  cache->access(kUser, 5);
+  cache->admit_demand(kUser, 6);
+  EXPECT_EQ(victims.items, (std::vector<ItemId>{2, 4, 3}));
+  EXPECT_TRUE(cache->contains(kUser, 1));
 }
 
-TEST(LfuCache, TieBreaksLeastRecentWithinFrequency) {
-  LfuCache cache(2);
-  cache.insert(1, EntryTag::kTagged);
-  cache.insert(2, EntryTag::kTagged);
+TEST(LfuPlane, TieBreaksLeastRecentWithinFrequency) {
+  auto cache = make_one_user(CacheKind::kLfu, 2);
+  cache->admit_demand(kUser, 1);
+  cache->admit_demand(kUser, 2);
   // Both at frequency 1; 1 is older within the bucket.
-  cache.insert(3, EntryTag::kTagged);
-  EXPECT_FALSE(cache.contains(1));
-  EXPECT_TRUE(cache.contains(2));
+  cache->admit_demand(kUser, 3);
+  EXPECT_FALSE(cache->contains(kUser, 1));
+  EXPECT_TRUE(cache->contains(kUser, 2));
 }
 
-TEST(ClockCache, SecondChanceSpairesReferencedFrames) {
-  ClockCache cache(3);
-  cache.insert(1, EntryTag::kTagged);
-  cache.insert(2, EntryTag::kTagged);
-  cache.insert(3, EntryTag::kTagged);
-  cache.lookup(1);  // sets reference bit again (insert set it too)
+TEST(ClockPlane, SecondChanceSparesReferencedFrames) {
+  auto cache = make_one_user(CacheKind::kClock, 3);
+  cache->admit_demand(kUser, 1);
+  cache->admit_demand(kUser, 2);
+  cache->admit_demand(kUser, 3);
+  cache->access(kUser, 1);  // sets reference bit again (insert set it too)
   // All referenced: sweep clears all bits, evicts frame 0 on second pass …
-  cache.insert(4, EntryTag::kTagged);
-  EXPECT_TRUE(cache.contains(4));
-  EXPECT_EQ(cache.size(), 3u);
+  cache->admit_demand(kUser, 4);
+  EXPECT_TRUE(cache->contains(kUser, 4));
+  EXPECT_EQ(cache->size(kUser), 3u);
 }
 
-TEST(RandomCache, EvictionVictimVaries) {
-  // Over many trials, the victim should not always be the same item.
+TEST(RandomPlane, EvictionVictimVaries) {
+  // Over many seeds, the victim should not always be the same item.
   int first_evicted = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    RandomCache cache(3, seed);
-    cache.insert(1, EntryTag::kTagged);
-    cache.insert(2, EntryTag::kTagged);
-    cache.insert(3, EntryTag::kTagged);
-    ItemId victim = 0;
-    cache.set_eviction_hook([&](ItemId item, EntryTag) { victim = item; });
-    cache.insert(4, EntryTag::kTagged);
-    if (victim == 1) ++first_evicted;
+    auto cache = make_one_user(CacheKind::kRandom, 3, seed);
+    cache->admit_demand(kUser, 1);
+    cache->admit_demand(kUser, 2);
+    cache->admit_demand(kUser, 3);
+    Victims victims;
+    victims.attach(*cache);
+    cache->admit_demand(kUser, 4);
+    ASSERT_EQ(victims.items.size(), 1u);
+    if (victims.items[0] == 1) ++first_evicted;
   }
   EXPECT_GT(first_evicted, 0);
   EXPECT_LT(first_evicted, 20);
 }
 
 TEST(CacheConstruction, RejectsZeroCapacity) {
-  EXPECT_THROW(LruCache(0), ContractViolation);
-  EXPECT_THROW(FifoCache(0), ContractViolation);
-  EXPECT_THROW(LfuCache(0), ContractViolation);
-  EXPECT_THROW(ClockCache(0), ContractViolation);
-  EXPECT_THROW(RandomCache(0, 1), ContractViolation);
+  for (CacheKind kind : {CacheKind::kLru, CacheKind::kFifo, CacheKind::kLfu,
+                         CacheKind::kClock, CacheKind::kRandom}) {
+    EXPECT_THROW(make_one_user(kind, 0), ContractViolation)
+        << cache_kind_name(kind);
+  }
 }
 
 }  // namespace

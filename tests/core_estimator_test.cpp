@@ -4,8 +4,7 @@
 
 #include <memory>
 
-#include "cache/lru.hpp"
-#include "cache/tagged_cache.hpp"
+#include "cache/cache_plane.hpp"
 #include "core/hit_ratio_estimator.hpp"
 #include "util/contract.hpp"
 #include "util/rng.hpp"
@@ -79,53 +78,73 @@ TEST(HitRatioEstimator, ResetClearsCounters) {
   EXPECT_DOUBLE_EQ(est.estimate_model_a(), 0.0);
 }
 
-// --- Protocol through TaggedCache ---
+// --- Protocol through the cache plane (one user) ---
 
-TEST(TaggedCache, SecondTouchOfPrefetchedEntryCountsAsWouldHaveHit) {
-  TaggedCache cache(std::make_unique<LruCache>(10));
-  cache.admit_prefetch(7);
+constexpr std::uint32_t kUser = 0;
+
+std::unique_ptr<CachePlane> make_lru_cache(std::size_t capacity) {
+  CachePlaneConfig config;
+  config.num_users = 1;
+  config.capacity = capacity;
+  return make_cache_plane(CacheKind::kLru, config);
+}
+
+TEST(TaggedProtocol, SecondTouchOfPrefetchedEntryCountsAsWouldHaveHit) {
+  auto cache = make_lru_cache(10);
+  cache->admit_prefetch(kUser, 7);
   // First touch: untagged -> access counted, no nhit, becomes tagged.
-  EXPECT_EQ(cache.access(7), AccessOutcome::kHitUntagged);
-  // Second touch: tagged -> nhit.
-  EXPECT_EQ(cache.access(7), AccessOutcome::kHitTagged);
-  EXPECT_EQ(cache.estimator().accesses(), 2u);
-  EXPECT_EQ(cache.estimator().tagged_hits(), 1u);
+  EXPECT_EQ(cache->access(kUser, 7), AccessOutcome::kHitUntagged);
+  // Second touch: tagged -> nhit. Two accesses, one tagged hit.
+  EXPECT_EQ(cache->access(kUser, 7), AccessOutcome::kHitTagged);
+  EXPECT_DOUBLE_EQ(cache->estimate(kUser, core::InteractionModel::kModelA),
+                   0.5);
 }
 
-TEST(TaggedCache, DemandAdmissionsAreTagged) {
-  TaggedCache cache(std::make_unique<LruCache>(10));
-  EXPECT_EQ(cache.access(3), AccessOutcome::kMiss);
-  cache.admit_demand(3);
-  EXPECT_EQ(cache.access(3), AccessOutcome::kHitTagged);
+TEST(TaggedProtocol, DemandAdmissionsAreTagged) {
+  auto cache = make_lru_cache(10);
+  EXPECT_EQ(cache->access(kUser, 3), AccessOutcome::kMiss);
+  cache->admit_demand(kUser, 3);
+  EXPECT_EQ(cache->access(kUser, 3), AccessOutcome::kHitTagged);
 }
 
-TEST(TaggedCache, PrefetchAccessedInFlightCountsAsUsed) {
-  TaggedCache cache(std::make_unique<LruCache>(10));
-  cache.admit_prefetch_accessed(5);
-  EXPECT_EQ(cache.prefetch_inserts(), 1u);
-  EXPECT_EQ(cache.prefetch_first_uses(), 1u);
-  EXPECT_EQ(cache.access(5), AccessOutcome::kHitTagged);
+TEST(TaggedProtocol, PrefetchAccessedInFlightCountsAsUsed) {
+  auto cache = make_lru_cache(10);
+  cache->admit_prefetch_accessed(kUser, 5);
+  EXPECT_EQ(cache->prefetch_inserts(kUser), 1u);
+  EXPECT_EQ(cache->prefetch_first_uses(kUser), 1u);
+  EXPECT_EQ(cache->access(kUser, 5), AccessOutcome::kHitTagged);
 }
 
-TEST(TaggedCache, TracksRealizedPrefetchRate) {
-  TaggedCache cache(std::make_unique<LruCache>(10));
-  cache.access(1);  // miss, naccess=1
-  cache.admit_prefetch(2);
-  cache.admit_prefetch(3);
-  cache.access(2);  // naccess=2
-  EXPECT_DOUBLE_EQ(cache.realized_prefetch_rate(), 1.0);
+TEST(TaggedProtocol, ModelBUsesRealizedPrefetchRate) {
+  auto cache = make_lru_cache(10);
+  cache->admit_demand(kUser, 1);
+  cache->access(kUser, 1);  // tagged hit: naccess=1, nhit=1
+  cache->admit_prefetch(kUser, 2);
+  cache->admit_prefetch(kUser, 3);
+  cache->access(kUser, 2);  // untagged first touch: naccess=2
+  // Realised n̄(F) = 2 prefetch inserts / 2 accesses = 1, n̄(C) = 3
+  // residents: ĥ'_B = 0.5 × 3/(3−1).
+  EXPECT_DOUBLE_EQ(cache->estimate(kUser, core::InteractionModel::kModelB),
+                   0.75);
+  // The shared helper computes the same from an estimator's counters.
+  HitRatioEstimator est;
+  est.on_cache_hit(EntryTag::kTagged);
+  est.on_cache_hit(EntryTag::kUntagged);
+  EXPECT_DOUBLE_EQ(tagged_model_b_estimate(est, 2, 3.0), 0.75);
+  // Degenerate tiny cache (n̄(F) ≥ n̄(C)) falls back to Model A.
+  EXPECT_DOUBLE_EQ(tagged_model_b_estimate(est, 6, 3.0), 0.5);
 }
 
 // Statistical accuracy: IRM stream over a small hot set, cache large enough
 // to hold everything. Ground truth h' = hit ratio of an identical cache
 // receiving no prefetches.
-TEST(TaggedCache, EstimateMatchesGroundTruthUnderPrefetching) {
+TEST(TaggedProtocol, EstimateMatchesGroundTruthUnderPrefetching) {
   constexpr std::size_t kItems = 40;
   constexpr std::size_t kCap = 400;
   constexpr int kAccesses = 60000;
 
-  TaggedCache with_prefetch(std::make_unique<LruCache>(kCap));
-  TaggedCache without_prefetch(std::make_unique<LruCache>(kCap));
+  auto with_prefetch = make_lru_cache(kCap);
+  auto without_prefetch = make_lru_cache(kCap);
 
   Rng rng(99);
   Rng noise(100);
@@ -134,21 +153,23 @@ TEST(TaggedCache, EstimateMatchesGroundTruthUnderPrefetching) {
     // *cold* items from a disjoint range (never accessed: pure pollution,
     // which §4's protocol must not count as would-have-hits).
     const std::uint64_t item = rng.next_below(kItems);
-    if (with_prefetch.access(item) == AccessOutcome::kMiss) {
-      with_prefetch.admit_demand(item);
+    if (with_prefetch->access(kUser, item) == AccessOutcome::kMiss) {
+      with_prefetch->admit_demand(kUser, item);
     }
-    if (without_prefetch.access(item) == AccessOutcome::kMiss) {
-      without_prefetch.admit_demand(item);
+    if (without_prefetch->access(kUser, item) == AccessOutcome::kMiss) {
+      without_prefetch->admit_demand(kUser, item);
     }
     // Also prefetch a *hot* item sometimes: prefetch-caused hits must be
     // excluded from ĥ'.
-    with_prefetch.admit_prefetch(1000 + noise.next_below(5000));
+    with_prefetch->admit_prefetch(kUser, 1000 + noise.next_below(5000));
     if (noise.bernoulli(0.3)) {
-      with_prefetch.admit_prefetch(noise.next_below(kItems));
+      with_prefetch->admit_prefetch(kUser, noise.next_below(kItems));
     }
   }
-  const double truth = without_prefetch.estimator().estimate_model_a();
-  const double estimate = with_prefetch.estimate_model_a();
+  const double truth =
+      without_prefetch->estimate(kUser, core::InteractionModel::kModelA);
+  const double estimate =
+      with_prefetch->estimate(kUser, core::InteractionModel::kModelA);
   EXPECT_NEAR(estimate, truth, 0.02);
 }
 

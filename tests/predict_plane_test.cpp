@@ -5,8 +5,9 @@
 //     the exact ceil(c/2) aging the header promises.
 //  2. HistoryRing preserves order across wraparound.
 //  3. Fuzz differential: every arena plane predicts bit-identically to its
-//     legacy virtual Predictor table across orders x user counts x
-//     candidate limits — exact double equality, not approximate.
+//     pre-arena virtual Predictor table (tests/reference/) across orders x
+//     user counts x candidate limits — exact double equality, not
+//     approximate.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 
 #include "predict/context_arena.hpp"
 #include "predict/predictor_plane.hpp"
+#include "reference/legacy_planes.hpp"
 #include "util/rng.hpp"
 #include "workload/session_graph.hpp"
 
@@ -161,8 +163,8 @@ TEST(HistoryRing, PreservesOrderAcrossWraparound) {
 void expect_bit_identical(PredictorKind kind, const PredictorPlaneConfig& cfg,
                           std::size_t max_candidates, std::uint64_t seed,
                           std::size_t events, std::uint64_t item_space) {
-  auto plane = make_predictor_plane(kind, cfg, false);
-  auto legacy = make_predictor_plane(kind, cfg, true);
+  auto plane = make_predictor_plane(kind, cfg);
+  auto legacy = make_legacy_predictor_plane(kind, cfg);
   Rng rng(seed);
   std::vector<Candidate> got, want;
   for (std::size_t i = 0; i < events; ++i) {
@@ -263,7 +265,7 @@ TEST(PredictPlane, MarkovSurvivesCounterSaturation) {
   // same *distribution* with bounded counters.
   PredictorPlaneConfig cfg;
   cfg.num_users = 1;
-  auto plane = make_predictor_plane(PredictorKind::kMarkov, cfg, false);
+  auto plane = make_predictor_plane(PredictorKind::kMarkov, cfg);
   plane->observe(0, 1);
   for (int i = 0; i < 70000; ++i) {
     plane->observe(0, 2);
@@ -279,7 +281,7 @@ TEST(PredictPlane, MarkovSurvivesCounterSaturation) {
 TEST(PredictPlane, PredictIntoReplacesStaleScratchContents) {
   PredictorPlaneConfig cfg;
   cfg.num_users = 1;
-  auto plane = make_predictor_plane(PredictorKind::kMarkov, cfg, false);
+  auto plane = make_predictor_plane(PredictorKind::kMarkov, cfg);
   std::vector<Candidate> scratch(5, Candidate{999, 0.123});
   plane->predict_into(0, 8, scratch);  // nothing observed: must clear
   EXPECT_TRUE(scratch.empty());

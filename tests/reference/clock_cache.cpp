@@ -1,4 +1,4 @@
-#include "cache/clock_cache.hpp"
+#include "reference/clock_cache.hpp"
 
 #include "util/contract.hpp"
 

@@ -1,7 +1,7 @@
 // CLOCK (second-chance) cache: circular scan over reference bits —
 // the classic low-overhead LRU approximation.
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
+// Pre-arena reference implementation, kept byte-identical as an oracle
+// for the differential tests; never linked into specpf.
 #pragma once
 
 #include <unordered_map>

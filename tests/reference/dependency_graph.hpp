@@ -2,13 +2,13 @@
 // item B is labelled with the probability that B is requested within a
 // lookahead window of w accesses after A (by the same user). Unlike the
 // Markov model it credits follow-ups that are not immediate successors.
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
+// Pre-arena reference implementation, kept byte-identical as an oracle
+// for the differential tests; never linked into specpf.
 #pragma once
 
 #include <deque>
 
-#include "predict/predictor.hpp"
+#include "reference/predictor.hpp"
 #include "util/flat_hash.hpp"
 
 namespace specpf {

@@ -1,7 +1,7 @@
 // First-in-first-out cache: eviction order fixed at insertion, lookups do
 // not refresh position.
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
+// Pre-arena reference implementation, kept byte-identical as an oracle
+// for the differential tests; never linked into specpf.
 #pragma once
 
 #include <list>

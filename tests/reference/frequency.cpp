@@ -1,4 +1,4 @@
-#include "predict/frequency.hpp"
+#include "reference/frequency.hpp"
 
 #include <algorithm>
 

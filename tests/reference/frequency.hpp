@@ -3,7 +3,7 @@
 // stationary distribution when the workload really is IRM.
 #pragma once
 
-#include "predict/predictor.hpp"
+#include "reference/predictor.hpp"
 #include "util/flat_hash.hpp"
 
 namespace specpf {

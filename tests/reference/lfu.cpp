@@ -1,4 +1,4 @@
-#include "cache/lfu.hpp"
+#include "reference/lfu.hpp"
 
 #include "util/contract.hpp"
 

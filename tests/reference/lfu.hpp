@@ -1,7 +1,7 @@
 // Least-frequently-used cache with O(1) operations (frequency-bucket list,
 // after Ketan Shah et al.). Ties within a frequency bucket break LRU.
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
+// Pre-arena reference implementation, kept byte-identical as an oracle
+// for the differential tests; never linked into specpf.
 #pragma once
 
 #include <list>

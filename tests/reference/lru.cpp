@@ -1,43 +1,45 @@
-#include "cache/fifo.hpp"
+#include "reference/lru.hpp"
 
 #include "util/contract.hpp"
 
 namespace specpf {
 
-FifoCache::FifoCache(std::size_t capacity) : capacity_(capacity) {
+LruCache::LruCache(std::size_t capacity) : capacity_(capacity) {
   SPECPF_EXPECTS(capacity >= 1);
 }
 
-std::optional<EntryTag> FifoCache::lookup(ItemId item) {
+std::optional<EntryTag> LruCache::lookup(ItemId item) {
   ++stats_.lookups;
   auto it = map_.find(item);
   if (it == map_.end()) return std::nullopt;
   ++stats_.hits;
+  order_.splice(order_.begin(), order_, it->second);
   return it->second->tag;
 }
 
-bool FifoCache::contains(ItemId item) const { return map_.count(item) != 0; }
+bool LruCache::contains(ItemId item) const { return map_.count(item) != 0; }
 
-void FifoCache::insert(ItemId item, EntryTag tag) {
+void LruCache::insert(ItemId item, EntryTag tag) {
   ++stats_.insertions;
   auto it = map_.find(item);
   if (it != map_.end()) {
-    it->second->tag = tag;  // refresh tag only; FIFO position unchanged
+    it->second->tag = tag;
+    order_.splice(order_.begin(), order_, it->second);
     return;
   }
   if (map_.size() >= capacity_) evict_one();
-  order_.push_back(Node{item, tag});
-  map_[item] = std::prev(order_.end());
+  order_.push_front(Node{item, tag});
+  map_[item] = order_.begin();
 }
 
-bool FifoCache::set_tag(ItemId item, EntryTag tag) {
+bool LruCache::set_tag(ItemId item, EntryTag tag) {
   auto it = map_.find(item);
   if (it == map_.end()) return false;
   it->second->tag = tag;
   return true;
 }
 
-bool FifoCache::erase(ItemId item) {
+bool LruCache::erase(ItemId item) {
   auto it = map_.find(item);
   if (it == map_.end()) return false;
   order_.erase(it->second);
@@ -45,10 +47,10 @@ bool FifoCache::erase(ItemId item) {
   return true;
 }
 
-void FifoCache::evict_one() {
+void LruCache::evict_one() {
   SPECPF_ASSERT(!order_.empty());
-  const Node victim = order_.front();
-  order_.pop_front();
+  const Node victim = order_.back();
+  order_.pop_back();
   map_.erase(victim.item);
   ++stats_.evictions;
   if (hook_) hook_(victim.item, victim.tag);

@@ -1,6 +1,6 @@
 // Least-recently-used cache: intrusive list + hash map, O(1) per operation.
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
+// Pre-arena reference implementation, kept byte-identical as an oracle
+// for the differential tests; never linked into specpf.
 #pragma once
 
 #include <list>

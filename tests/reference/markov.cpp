@@ -1,4 +1,4 @@
-#include "predict/markov.hpp"
+#include "reference/markov.hpp"
 
 #include <algorithm>
 

@@ -3,7 +3,7 @@
 // Markov access models.
 #pragma once
 
-#include "predict/predictor.hpp"
+#include "reference/predictor.hpp"
 #include "util/flat_hash.hpp"
 
 namespace specpf {

@@ -1,4 +1,4 @@
-#include "predict/oracle.hpp"
+#include "reference/oracle.hpp"
 
 #include <algorithm>
 

@@ -5,7 +5,7 @@
 // policy behaviour from predictor quality.
 #pragma once
 
-#include "predict/predictor.hpp"
+#include "reference/predictor.hpp"
 #include "util/flat_hash.hpp"
 #include "workload/session_graph.hpp"
 

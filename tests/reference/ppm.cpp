@@ -1,6 +1,6 @@
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
-#include "predict/ppm.hpp"
+// Pre-arena reference implementation, kept byte-identical as an oracle
+// for the differential tests; never linked into specpf.
+#include "reference/ppm.hpp"
 
 #include <algorithm>
 

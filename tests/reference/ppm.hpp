@@ -3,14 +3,14 @@
 // length k, k-1, ..., 1 are blended, longer contexts weighted by escape
 // probabilities (method C: escape mass = distinct successors / (total +
 // distinct)).
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
+// Pre-arena reference implementation, kept byte-identical as an oracle
+// for the differential tests; never linked into specpf.
 #pragma once
 
 #include <deque>
 #include <vector>
 
-#include "predict/predictor.hpp"
+#include "reference/predictor.hpp"
 #include "util/flat_hash.hpp"
 
 namespace specpf {

@@ -1,4 +1,4 @@
-#include "cache/random_cache.hpp"
+#include "reference/random_cache.hpp"
 
 #include "util/contract.hpp"
 

@@ -1,7 +1,7 @@
 // Random-replacement cache: evicts a uniformly random resident item.
 // The memoryless baseline for eviction-policy ablations.
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
+// Pre-arena reference implementation, kept byte-identical as an oracle
+// for the differential tests; never linked into specpf.
 #pragma once
 
 #include <unordered_map>

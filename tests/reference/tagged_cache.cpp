@@ -1,4 +1,4 @@
-#include "cache/tagged_cache.hpp"
+#include "reference/tagged_cache.hpp"
 
 #include "util/contract.hpp"
 #include "util/math.hpp"
@@ -47,17 +47,6 @@ void TaggedCache::admit_prefetch_accessed(ItemId item) {
 double TaggedCache::realized_prefetch_rate() const {
   return safe_div(static_cast<double>(prefetch_inserts_),
                   static_cast<double>(estimator_.accesses()), 0.0);
-}
-
-double tagged_model_b_estimate(const core::HitRatioEstimator& estimator,
-                               std::uint64_t prefetch_inserts,
-                               double resident_items) {
-  const double nf = safe_div(static_cast<double>(prefetch_inserts),
-                             static_cast<double>(estimator.accesses()), 0.0);
-  if (resident_items <= nf) {  // degenerate: tiny cache
-    return estimator.estimate_model_a();
-  }
-  return estimator.estimate_model_b(resident_items, nf);
 }
 
 double TaggedCache::estimate_model_b() const {

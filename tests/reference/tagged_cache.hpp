@@ -15,25 +15,10 @@
 #include <memory>
 
 #include "cache/cache.hpp"
+#include "cache/tag_protocol.hpp"
 #include "core/hit_ratio_estimator.hpp"
 
 namespace specpf {
-
-/// What a TaggedCache access observed.
-enum class AccessOutcome {
-  kMiss,         ///< not resident
-  kHitTagged,    ///< hit on a tagged entry (a "would-have-hit" per §4)
-  kHitUntagged,  ///< first touch of a prefetched entry (now tagged)
-};
-
-/// Model-B ĥ' from the protocol counters: Model A × n̄(C)/(n̄(C) − n̄(F)),
-/// with the realised n̄(F) = prefetch_inserts / accesses, falling back to
-/// Model A when n̄(F) ≥ n̄(C) (degenerate: tiny cache). The single
-/// arithmetic shared by TaggedCache and the arena cache plane, so the two
-/// backends' estimates are bit-identical.
-double tagged_model_b_estimate(const core::HitRatioEstimator& estimator,
-                               std::uint64_t prefetch_inserts,
-                               double resident_items);
 
 class TaggedCache {
  public:

@@ -183,8 +183,7 @@ TEST(AuditClean, CachePlanesAllKindsBothArenaVariants) {
       cfg.num_users = 16;
       cfg.capacity = capacity;
       cfg.seed = 20010803;
-      auto plane =
-          make_cache_plane(static_cast<CacheKind>(k), cfg, /*use_legacy=*/false);
+      auto plane = make_cache_plane(static_cast<CacheKind>(k), cfg);
       TinyRng rng{0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(k)};
       for (int op = 0; op < 4000; ++op) {
         const std::uint32_t user = rng.below(16);
@@ -206,27 +205,13 @@ TEST(AuditClean, CachePlanesAllKindsBothArenaVariants) {
   }
 }
 
-TEST(AuditClean, LegacyCachePlaneCountersOnly) {
-  CachePlaneConfig cfg;
-  cfg.num_users = 4;
-  cfg.capacity = 8;
-  auto plane = make_cache_plane(CacheKind::kLru, cfg, /*use_legacy=*/true);
-  for (int op = 0; op < 200; ++op) {
-    plane->access(op % 4, static_cast<ItemId>(op % 20));
-    plane->admit_demand(op % 4, static_cast<ItemId>(op % 20));
-  }
-  AuditReport report;
-  plane->audit(report);
-  EXPECT_TRUE(report.ok()) << report.summary();
-}
-
 TEST(AuditClean, PredictorPlanesAllArenaKinds) {
   for (PredictorKind kind : {PredictorKind::kMarkov, PredictorKind::kPpm,
                              PredictorKind::kDependencyGraph,
                              PredictorKind::kFrequency}) {
     PredictorPlaneConfig cfg;
     cfg.num_users = 8;
-    auto plane = make_predictor_plane(kind, cfg, /*use_legacy=*/false);
+    auto plane = make_predictor_plane(kind, cfg);
     TinyRng rng{42};
     std::vector<core::Candidate> scratch;
     for (int op = 0; op < 3000; ++op) {
@@ -273,8 +258,7 @@ TEST(AuditClean, StackRuntimeEndToEnd) {
   Simulator sim;
   PredictorPlaneConfig pcfg;
   pcfg.num_users = 6;
-  auto predictor =
-      make_predictor_plane(PredictorKind::kMarkov, pcfg, /*use_legacy=*/false);
+  auto predictor = make_predictor_plane(PredictorKind::kMarkov, pcfg);
   FixedThresholdPolicy policy(0.05);
   StackRuntimeConfig cfg;
   cfg.num_users = 6;
@@ -455,8 +439,7 @@ TEST(AuditInjection, StackRuntimeDemandCountDesync) {
   Simulator sim;
   PredictorPlaneConfig pcfg;
   pcfg.num_users = 2;
-  auto predictor =
-      make_predictor_plane(PredictorKind::kFrequency, pcfg, false);
+  auto predictor = make_predictor_plane(PredictorKind::kFrequency, pcfg);
   FixedThresholdPolicy policy(0.05);
   StackRuntimeConfig cfg;
   cfg.num_users = 2;
@@ -484,8 +467,7 @@ TEST(AuditInjection, StackRuntimeEstimateSumDrift) {
   Simulator sim;
   PredictorPlaneConfig pcfg;
   pcfg.num_users = 2;
-  auto predictor =
-      make_predictor_plane(PredictorKind::kFrequency, pcfg, false);
+  auto predictor = make_predictor_plane(PredictorKind::kFrequency, pcfg);
   FixedThresholdPolicy policy(0.05);
   StackRuntimeConfig cfg;
   cfg.num_users = 2;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -135,6 +136,72 @@ TEST(ArgParser, PositionalCollected) {
   ASSERT_TRUE(p.parse(3, argv));
   ASSERT_EQ(p.positional().size(), 2u);
   EXPECT_EQ(p.positional()[0], "file1");
+}
+
+/// A parser with one flag of each type, fed `<flag>=<value>` (the `=` form
+/// keeps a boolean flag from toggling and leaving the value positional).
+ArgParser parsed_with(const char* flag, const char* value) {
+  ArgParser p("prog", "test");
+  p.add_flag("users", "10", "");
+  p.add_flag("rate", "1.5", "");
+  p.add_flag("stream", "false", "");
+  const std::string arg = std::string(flag) + "=" + value;
+  const char* argv[] = {"prog", arg.c_str()};
+  EXPECT_TRUE(p.parse(2, argv));
+  return p;
+}
+
+TEST(ArgParser, NumbersParseAsWholeStrings) {
+  EXPECT_EQ(parsed_with("--users", "-3").get_int("users"), -3);
+  EXPECT_EQ(parsed_with("--users", "9223372036854775807").get_int("users"),
+            INT64_MAX);
+  EXPECT_DOUBLE_EQ(parsed_with("--rate", "2.5e3").get_double("rate"), 2500.0);
+  EXPECT_DOUBLE_EQ(parsed_with("--rate", "7").get_double("rate"), 7.0);
+}
+
+TEST(ArgParser, BoolAcceptsEightSpellings) {
+  for (const char* yes : {"true", "1", "yes", "on"}) {
+    EXPECT_TRUE(parsed_with("--stream", yes).get_bool("stream")) << yes;
+  }
+  for (const char* no : {"false", "0", "no", "off"}) {
+    EXPECT_FALSE(parsed_with("--stream", no).get_bool("stream")) << no;
+  }
+}
+
+TEST(ArgParserDeathTest, TrailingGarbageInIntegerExitsTwo) {
+  EXPECT_EXIT(parsed_with("--users", "10x").get_int("users"),
+              ::testing::ExitedWithCode(2),
+              "--users: expected integer, got '10x'");
+}
+
+TEST(ArgParserDeathTest, NonNumericIntegerExitsTwoWithUsage) {
+  EXPECT_EXIT(parsed_with("--users", "abc").get_int("users"),
+              ::testing::ExitedWithCode(2),
+              "--users: expected integer, got 'abc'(.|\n)*flags:");
+}
+
+TEST(ArgParserDeathTest, OutOfRangeIntegerExitsTwo) {
+  EXPECT_EXIT(parsed_with("--users", "9223372036854775808").get_int("users"),
+              ::testing::ExitedWithCode(2), "expected integer");
+}
+
+TEST(ArgParserDeathTest, EmptyIntegerExitsTwo) {
+  EXPECT_EXIT(parsed_with("--users", "").get_int("users"),
+              ::testing::ExitedWithCode(2), "--users: expected integer, got ''");
+}
+
+TEST(ArgParserDeathTest, BadDoubleExitsTwo) {
+  EXPECT_EXIT(parsed_with("--rate", "1.5.2").get_double("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected number, got '1.5.2'");
+  EXPECT_EXIT(parsed_with("--rate", "1e999").get_double("rate"),
+              ::testing::ExitedWithCode(2), "--rate: expected number");
+}
+
+TEST(ArgParserDeathTest, UnknownBoolSpellingExitsTwo) {
+  EXPECT_EXIT(parsed_with("--stream", "maybe").get_bool("stream"),
+              ::testing::ExitedWithCode(2),
+              "--stream: expected boolean, got 'maybe'");
 }
 
 TEST(Contract, ViolationMessageNamesKindAndExpression) {
