@@ -19,6 +19,10 @@
 
 namespace specpf {
 
+namespace {
+
+/// Builds a standalone (legacy, node-based) cache of the given kind.
+/// `seed` is only consumed by the random policy.
 std::unique_ptr<Cache> make_cache(CacheKind kind, std::size_t capacity,
                                   std::uint64_t seed) {
   switch (kind) {
@@ -36,8 +40,6 @@ std::unique_ptr<Cache> make_cache(CacheKind kind, std::size_t capacity,
   SPECPF_ASSERT(false && "unknown cache kind");
   return nullptr;
 }
-
-namespace {
 
 /// The legacy backend: one heap TaggedCache (wrapping a virtual Cache) per
 /// user, constructed exactly as the pre-arena StackRuntime did — the

@@ -6,19 +6,12 @@
 // these backends produced are frozen in tests/stack_digests.inc.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
-#include "cache/cache.hpp"
 #include "cache/cache_plane.hpp"
 #include "predict/predictor_plane.hpp"
 
 namespace specpf {
-
-/// Builds a standalone (legacy, node-based) cache of the given kind.
-/// `seed` is only consumed by the random policy.
-std::unique_ptr<Cache> make_cache(CacheKind kind, std::size_t capacity,
-                                  std::uint64_t seed);
 
 /// One heap TaggedCache per user, constructed exactly as the pre-arena
 /// StackRuntime did (random policy: per-user seed root.substream(100 + u)).

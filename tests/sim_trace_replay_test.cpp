@@ -2,6 +2,7 @@
 // equivalence sanity against the generative proxy sim.
 #include <gtest/gtest.h>
 
+#include "cache/cache_plane.hpp"
 #include "policy/policies.hpp"
 #include "sim/trace_replay.hpp"
 #include "util/contract.hpp"
@@ -104,6 +105,23 @@ TEST(TraceReplay, RejectsEmptyAndUnsortedTraces) {
   unsorted.append({5.0, 0, 1});
   unsorted.append({1.0, 0, 2});
   EXPECT_THROW(run_trace_replay(unsorted, cfg, none), ContractViolation);
+}
+
+TEST(TraceReplay, RejectsRetiredBackendSelectors) {
+  // The legacy backends are gone; the flags and factory parameters that
+  // named them survive only for source compatibility and refuse `true`.
+  for (int flag = 0; flag < 3; ++flag) {
+    TraceReplayConfig cfg;
+    cfg.use_tree_inflight = flag == 0;
+    cfg.use_legacy_caches = flag == 1;
+    cfg.use_legacy_predictors = flag == 2;
+    EXPECT_THROW(cfg.validate(), ContractViolation) << "flag " << flag;
+  }
+  EXPECT_THROW(make_replay_predictor(PredictorKind::kMarkov, 4, true),
+               ContractViolation);
+  CachePlaneConfig plane_cfg;
+  EXPECT_THROW(make_cache_plane(CacheKind::kLru, plane_cfg, true),
+               ContractViolation);
 }
 
 TEST(TraceReplay, SparseUserIdsAreDensified) {
