@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   args.add_flag("csv", "false", "emit CSV instead of markdown");
   if (!args.parse(argc, argv)) return 1;
 
-  const auto reps = static_cast<std::size_t>(args.get_int("replications"));
+  const auto reps = static_cast<std::size_t>(args.get_uint("replications"));
 
   Table table({"h'", "p", "nF", "t(analytic)", "t(poisson)", "t(delayed)",
                "t(batch)", "batch tax %"});

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   ProxySimConfig base;
-  base.num_users = static_cast<std::size_t>(args.get_int("users"));
+  base.num_users = static_cast<std::size_t>(args.get_uint("users"));
   base.graph.num_pages = 60;
   base.graph.out_degree = 3;
   base.graph.exit_probability = 0.2;
@@ -93,13 +93,13 @@ int main(int argc, char** argv) {
   // per-user bandwidth of the original 6-user setup at each load level.
   const double users_scale = static_cast<double>(base.num_users) / 6.0;
   const auto replications =
-      static_cast<std::size_t>(args.get_int("replications"));
+      static_cast<std::size_t>(args.get_uint("replications"));
   if (replications < 2) {
     std::cerr << "--replications must be >= 2 (t-based CIs need at least "
                  "two independent runs)\n";
     return 1;
   }
-  ThreadPool pool(static_cast<std::size_t>(args.get_int("threads")));
+  ThreadPool pool(static_cast<std::size_t>(args.get_uint("threads")));
 
   for (const auto& [label, bandwidth_per_6] :
        std::vector<std::pair<std::string, double>>{

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   args.add_flag("requests", "40000", "workload length");
   args.add_flag("csv", "false", "emit CSV instead of markdown");
   if (!args.parse(argc, argv)) return 1;
-  const auto requests = static_cast<std::size_t>(args.get_int("requests"));
+  const auto requests = static_cast<std::size_t>(args.get_uint("requests"));
 
   SessionGraphConfig gcfg;
   gcfg.num_pages = 100;

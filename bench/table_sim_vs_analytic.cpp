@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   ValidationOptions opt;
-  opt.replications = static_cast<std::size_t>(args.get_int("replications"));
+  opt.replications = static_cast<std::size_t>(args.get_uint("replications"));
   opt.duration = args.get_double("duration");
   opt.warmup = opt.duration / 10.0;
 

@@ -128,27 +128,27 @@ int main(int argc, char** argv) {
   tele_cfg.sample_interval = args.get_double("sample-interval");
 
   SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = static_cast<std::size_t>(args.get_int("users"));
-  trace_cfg.num_requests = static_cast<std::size_t>(args.get_int("requests"));
+  trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
+  trace_cfg.num_requests = static_cast<std::size_t>(args.get_uint("requests"));
   trace_cfg.request_rate = args.get_double("rate");
-  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_int("pages"));
+  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
   trace_cfg.graph.out_degree = 3;
   trace_cfg.graph.exit_probability = 0.25;
   trace_cfg.graph.link_skew = 1.6;
-  trace_cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  trace_cfg.seed = args.get_uint("seed");
   const double span = static_cast<double>(trace_cfg.num_requests) /
                       trace_cfg.request_rate;
 
-  const auto shards = static_cast<std::size_t>(args.get_int("shards"));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads"));
+  const auto shards = static_cast<std::size_t>(args.get_uint("shards"));
+  const auto threads = static_cast<std::size_t>(args.get_uint("threads"));
   const PolicyFactory factory = policy_factory(args.get_string("policy"));
 
   TraceReplayConfig replay_cfg;
   replay_cfg.bandwidth = args.get_double("bandwidth");
-  replay_cfg.cache_capacity = static_cast<std::size_t>(args.get_int("cache"));
+  replay_cfg.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
   replay_cfg.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
   replay_cfg.max_prefetch_per_request =
-      static_cast<std::size_t>(args.get_int("prefetch"));
+      static_cast<std::size_t>(args.get_uint("prefetch"));
   replay_cfg.seed = trace_cfg.seed;
   replay_cfg.enable_load_sensor = true;  // baselines report peaks too
 

@@ -151,14 +151,14 @@ int main(int argc, char** argv) {
   tele_cfg.sample_interval = args.get_double("sample-interval");
 
   SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = static_cast<std::size_t>(args.get_int("users"));
-  trace_cfg.num_requests = static_cast<std::size_t>(args.get_int("requests"));
+  trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
+  trace_cfg.num_requests = static_cast<std::size_t>(args.get_uint("requests"));
   trace_cfg.request_rate = args.get_double("rate");
-  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_int("pages"));
+  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
   trace_cfg.graph.out_degree = 3;
   trace_cfg.graph.exit_probability = 0.25;
   trace_cfg.graph.link_skew = 1.6;
-  trace_cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  trace_cfg.seed = args.get_uint("seed");
 
   // ---- Request-supply selection -------------------------------------
   // Exactly one of `ram` (in-RAM trace) or `stream` (bounded-RSS source)
@@ -246,8 +246,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto shards = static_cast<std::size_t>(args.get_int("shards"));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads"));
+  const auto shards = static_cast<std::size_t>(args.get_uint("shards"));
+  const auto threads = static_cast<std::size_t>(args.get_uint("threads"));
 
   // --progress wraps whatever supply was selected in the heartbeat
   // decorator; in-RAM traces go through a TraceVectorSource view so they
@@ -266,13 +266,13 @@ int main(int argc, char** argv) {
 
   TraceReplayConfig replay_cfg;
   replay_cfg.bandwidth = args.get_double("bandwidth");
-  replay_cfg.cache_capacity = static_cast<std::size_t>(args.get_int("cache"));
+  replay_cfg.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
   replay_cfg.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
   replay_cfg.max_prefetch_per_request = 4;
   replay_cfg.seed = trace_cfg.seed;
   replay_cfg.governor = args.get_string("governor");
   replay_cfg.stream_window =
-      static_cast<std::size_t>(args.get_int("stream-window"));
+      static_cast<std::size_t>(args.get_uint("stream-window"));
 
   Table table({"policy", "access time", "hit ratio", "rho", "demand jobs",
                "prefetch jobs", "throttled", "inflight hits", "backbone jobs",

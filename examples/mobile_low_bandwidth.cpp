@@ -56,17 +56,17 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   ProxySimConfig base;
-  base.num_users = static_cast<std::size_t>(args.get_int("users"));
-  base.graph.num_pages = static_cast<std::size_t>(args.get_int("pages"));
+  base.num_users = static_cast<std::size_t>(args.get_uint("users"));
+  base.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
   base.graph.out_degree = 3;
   base.graph.exit_probability = 0.2;
   base.graph.link_skew = 1.5;
   base.session_rate_per_user = 0.8;
   base.think_time_mean = 0.4;
-  base.cache_capacity = static_cast<std::size_t>(args.get_int("cache"));
+  base.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
   base.duration = args.get_double("duration");
   base.warmup = base.duration / 10.0;
-  base.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  base.seed = args.get_uint("seed");
 
   Table table({"bandwidth", "rho' (none)", "p_th est", "t none", "t threshold",
                "t aggressive", "threshold vs none", "aggressive vs none"});

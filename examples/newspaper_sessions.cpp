@@ -35,20 +35,20 @@ int main(int argc, char** argv) {
   // A newspaper: few entry pages (front page dominates via entry_skew),
   // heavily skewed link choices (lead story first).
   ProxySimConfig cfg;
-  cfg.num_users = static_cast<std::size_t>(args.get_int("users"));
+  cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
   cfg.bandwidth = args.get_double("bandwidth");
-  cfg.graph.num_pages = static_cast<std::size_t>(args.get_int("pages"));
+  cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
   cfg.graph.out_degree = 5;
   cfg.graph.exit_probability = 0.15;
   cfg.graph.link_skew = args.get_double("link-skew");
   cfg.graph.entry_skew = args.get_double("entry-skew");
   cfg.session_rate_per_user = 0.6;
   cfg.think_time_mean = 0.6;
-  cfg.cache_capacity = static_cast<std::size_t>(args.get_int("cache"));
+  cfg.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
   cfg.predictor_kind = ProxySimConfig::PredictorKind::kDependencyGraph;
   cfg.duration = args.get_double("duration");
   cfg.warmup = cfg.duration / 10.0;
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  cfg.seed = args.get_uint("seed");
 
   Table table({"policy", "access time", "hit ratio", "rho", "useful frac"});
   table.set_precision(4);

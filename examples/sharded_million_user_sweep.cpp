@@ -107,14 +107,14 @@ int main(int argc, char** argv) {
   tele_cfg.sample_interval = args.get_double("sample-interval");
 
   SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = static_cast<std::size_t>(args.get_int("users"));
-  trace_cfg.num_requests = static_cast<std::size_t>(args.get_int("requests"));
+  trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
+  trace_cfg.num_requests = static_cast<std::size_t>(args.get_uint("requests"));
   trace_cfg.request_rate = args.get_double("rate");
-  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_int("pages"));
+  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
   trace_cfg.graph.out_degree = 3;
   trace_cfg.graph.exit_probability = 0.25;
   trace_cfg.graph.link_skew = 1.6;
-  trace_cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  trace_cfg.seed = args.get_uint("seed");
 
   // Request supply: in-RAM trace (default), streamed generator, or a
   // binary .spt trace through the mmap cursor. The streamed forms feed the
@@ -166,11 +166,11 @@ int main(int argc, char** argv) {
 
   ShardedReplayConfig cfg;
   cfg.stack.bandwidth = args.get_double("bandwidth");
-  cfg.stack.cache_capacity = static_cast<std::size_t>(args.get_int("cache"));
+  cfg.stack.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
   cfg.stack.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
   cfg.stack.max_prefetch_per_request = 4;
   cfg.stack.seed = trace_cfg.seed;
-  cfg.num_shards = static_cast<std::size_t>(args.get_int("shards"));
+  cfg.num_shards = static_cast<std::size_t>(args.get_uint("shards"));
   cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
   cfg.backbone_latency = args.get_double("backbone-latency");
   const PolicyFactory factory = policy_factory(args.get_string("policy"));

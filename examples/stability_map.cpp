@@ -168,31 +168,31 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto shards = static_cast<std::size_t>(args.get_int("shards"));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads"));
+  const auto shards = static_cast<std::size_t>(args.get_uint("shards"));
+  const auto threads = static_cast<std::size_t>(args.get_uint("threads"));
   const bool abort_on = args.get_bool("abort");
   const double base_rate = args.get_double("rate");
   const double bandwidth = args.get_double("bandwidth");
   const auto base_requests =
-      static_cast<std::size_t>(args.get_int("requests"));
+      static_cast<std::size_t>(args.get_uint("requests"));
 
   TelemetryConfig tele_cfg;
   tele_cfg.sample_interval = args.get_double("sample-interval");
 
   DivergenceConfig det_cfg;
-  det_cfg.window = static_cast<std::size_t>(args.get_int("window"));
+  det_cfg.window = static_cast<std::size_t>(args.get_uint("window"));
   det_cfg.min_growth_run =
-      static_cast<std::size_t>(args.get_int("growth-run"));
+      static_cast<std::size_t>(args.get_uint("growth-run"));
   det_cfg.slope_threshold = args.get_double("slope-threshold");
   det_cfg.depth_level = args.get_double("depth-level");
 
   SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = static_cast<std::size_t>(args.get_int("users"));
-  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_int("pages"));
+  trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
+  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
   trace_cfg.graph.out_degree = 3;
   trace_cfg.graph.exit_probability = 0.25;
   trace_cfg.graph.link_skew = 1.6;
-  trace_cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  trace_cfg.seed = args.get_uint("seed");
   // Span at multiplier 1 — held constant across the rate axis by scaling
   // the trace length with the multiplier.
   const double span = static_cast<double>(base_requests) / base_rate;
@@ -200,14 +200,14 @@ int main(int argc, char** argv) {
   TraceReplayConfig replay_base;
   replay_base.bandwidth = bandwidth;
   replay_base.cache_capacity =
-      static_cast<std::size_t>(args.get_int("cache"));
+      static_cast<std::size_t>(args.get_uint("cache"));
   replay_base.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
   replay_base.max_prefetch_per_request =
-      static_cast<std::size_t>(args.get_int("prefetch"));
+      static_cast<std::size_t>(args.get_uint("prefetch"));
   replay_base.seed = trace_cfg.seed;
   replay_base.enable_load_sensor = true;
   replay_base.stream_window =
-      static_cast<std::size_t>(args.get_int("stream-window"));
+      static_cast<std::size_t>(args.get_uint("stream-window"));
 
   // The detector ignores the replay's warmup prefix: empty caches and an
   // untrained predictor make the opening seconds look like sustained queue

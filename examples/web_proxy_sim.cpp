@@ -28,18 +28,18 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   ProxySimConfig cfg;
-  cfg.num_users = static_cast<std::size_t>(args.get_int("users"));
+  cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
   cfg.bandwidth = args.get_double("bandwidth");
-  cfg.graph.num_pages = static_cast<std::size_t>(args.get_int("pages"));
+  cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
   cfg.graph.out_degree = 4;
   cfg.graph.exit_probability = 0.18;
   cfg.graph.link_skew = args.get_double("link-skew");
   cfg.session_rate_per_user = args.get_double("session-rate");
   cfg.think_time_mean = args.get_double("think");
-  cfg.cache_capacity = static_cast<std::size_t>(args.get_int("cache"));
+  cfg.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
   cfg.duration = args.get_double("duration");
   cfg.warmup = cfg.duration / 10.0;
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  cfg.seed = args.get_uint("seed");
 
   const std::string predictor = args.get_string("predictor");
   if (!parse_predictor_kind(predictor, &cfg.predictor_kind)) {

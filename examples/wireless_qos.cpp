@@ -89,18 +89,18 @@ int main(int argc, char** argv) {
 
   // --- 4. verify in simulation with the QoS-budgeted policy ---
   ProxySimConfig cfg;
-  cfg.num_users = static_cast<std::size_t>(args.get_int("users"));
+  cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
   cfg.bandwidth = params.bandwidth;
-  cfg.graph.num_pages = static_cast<std::size_t>(args.get_int("pages"));
+  cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
   cfg.graph.out_degree = 3;
   cfg.graph.exit_probability = 0.2;
   cfg.graph.link_skew = 1.6;
   cfg.session_rate_per_user = 0.9;
   cfg.think_time_mean = 0.35;
-  cfg.cache_capacity = static_cast<std::size_t>(args.get_int("cache"));
+  cfg.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
   cfg.duration = args.get_double("duration");
   cfg.warmup = cfg.duration / 10.0;
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  cfg.seed = args.get_uint("seed");
 
   // The policy enforces a utilisation cap (capacity headroom against the
   // tail effects the mean-value model ignores); 0.85 is a common choice.

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/contract.hpp"
+#include "util/parse.hpp"
 
 namespace specpf {
 
@@ -110,22 +111,11 @@ std::size_t ConfidenceGovernor::depth_limit(std::size_t configured) const {
 
 namespace {
 
-/// Parses `<prefix><number>` strictly: the whole suffix must be consumed,
-/// so typos like "token-200x" are rejected instead of silently running
-/// with a partially-parsed rate.
-bool suffix_value(const std::string& name, const char* prefix, double* out) {
-  const std::size_t len = std::string(prefix).size();
-  if (name.rfind(prefix, 0) != 0 || name.size() <= len) return false;
-  const std::string suffix = name.substr(len);
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(suffix, &consumed);
-    if (consumed != suffix.size()) return false;
-    *out = v;
-  } catch (...) {
-    return false;
-  }
-  return true;
+/// `<prefix><number>` with a finite, positive number — the domain every
+/// governor knob shares (rate, setpoint and precision bound are all > 0).
+bool positive_suffix(const std::string& name, const char* prefix,
+                     double* out) {
+  return parse_name_suffix(name, prefix, out) && *out > 0.0;
 }
 
 }  // namespace
@@ -133,25 +123,26 @@ bool suffix_value(const std::string& name, const char* prefix, double* out) {
 bool is_governor_name(const std::string& name) {
   if (name == "noop") return true;
   double v = 0.0;
-  return suffix_value(name, "token-", &v) || suffix_value(name, "aimd-", &v) ||
-         suffix_value(name, "conf-", &v);
+  return positive_suffix(name, "token-", &v) ||
+         positive_suffix(name, "aimd-", &v) ||
+         positive_suffix(name, "conf-", &v);
 }
 
 std::unique_ptr<PrefetchGovernor> make_governor_by_name(
     const std::string& name, const GovernorConfig& config) {
   if (name == "noop") return std::make_unique<NoopGovernor>();
   double v = 0.0;
-  if (suffix_value(name, "token-", &v)) {
+  if (positive_suffix(name, "token-", &v)) {
     GovernorConfig c = config;
     c.token_rate = v;
     return std::make_unique<TokenBucketGovernor>(c);
   }
-  if (suffix_value(name, "aimd-", &v)) {
+  if (positive_suffix(name, "aimd-", &v)) {
     GovernorConfig c = config;
     c.aimd_setpoint = v;
     return std::make_unique<AimdGovernor>(c);
   }
-  if (suffix_value(name, "conf-", &v)) {
+  if (positive_suffix(name, "conf-", &v)) {
     GovernorConfig c = config;
     c.conf_high = v;
     return std::make_unique<ConfidenceGovernor>(c);

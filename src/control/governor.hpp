@@ -213,8 +213,11 @@ class ConfidenceGovernor final : public PrefetchGovernor {
 /// Fresh governor by CLI-friendly name: noop, token-<rate>,
 /// aimd-<setpoint>, conf-<precision>. Returns nullptr for unknown names
 /// (and for the empty string — "ungoverned" is spelled by not installing a
-/// governor at all). Numeric suffixes are parsed strictly (trailing
-/// garbage rejects the name). Shared by the examples, the replay
+/// governor at all). Numeric suffixes are parsed strictly: trailing
+/// garbage, NaN, infinities and values <= 0 reject the name (`token-200x`,
+/// `conf-nan`, `token-inf`, `aimd--3`). A conf-<x> at or below the
+/// config's conf_low is a config inconsistency the constructor still
+/// reports. Shared by the examples, the replay
 /// frontends, and the sharded driver's per-shard construction so
 /// name→governor mappings cannot drift.
 std::unique_ptr<PrefetchGovernor> make_governor_by_name(

@@ -5,6 +5,7 @@
 
 #include "core/inverse.hpp"
 #include "util/contract.hpp"
+#include "util/parse.hpp"
 
 namespace specpf {
 
@@ -115,16 +116,6 @@ std::string AdaptiveCostPolicy::name() const {
 }
 
 std::unique_ptr<PrefetchPolicy> make_policy_by_name(const std::string& name) {
-  auto suffix_value = [&name](const char* prefix, double* out) {
-    const std::size_t len = std::string(prefix).size();
-    if (name.rfind(prefix, 0) != 0 || name.size() <= len) return false;
-    try {
-      *out = std::stod(name.substr(len));
-    } catch (...) {
-      return false;
-    }
-    return true;
-  };
   if (name == "none") return std::make_unique<NoPrefetchPolicy>();
   if (name == "threshold-a") {
     return std::make_unique<ThresholdPolicy>(core::InteractionModel::kModelA);
@@ -132,17 +123,24 @@ std::unique_ptr<PrefetchPolicy> make_policy_by_name(const std::string& name) {
   if (name == "threshold-b") {
     return std::make_unique<ThresholdPolicy>(core::InteractionModel::kModelB);
   }
+  // Each suffix must parse whole and lie in its constructor's domain;
+  // anything else is an unknown name, never a truncated or aborted one.
   double v = 0.0;
-  if (suffix_value("fixed-", &v)) {
+  if (parse_name_suffix(name, "fixed-", &v)) {
+    if (v < 0.0 || v > 1.0) return nullptr;
     return std::make_unique<FixedThresholdPolicy>(v);
   }
-  if (suffix_value("topk-", &v)) {
-    return std::make_unique<TopKPolicy>(static_cast<std::size_t>(v));
+  std::size_t k = 0;
+  if (parse_name_suffix(name, "topk-", &k)) {
+    if (k < 1) return nullptr;
+    return std::make_unique<TopKPolicy>(k);
   }
-  if (suffix_value("adaptive-", &v)) {
+  if (parse_name_suffix(name, "adaptive-", &v)) {
+    if (v <= 0.0) return nullptr;
     return std::make_unique<AdaptiveCostPolicy>(v);
   }
-  if (suffix_value("qos-", &v)) {
+  if (parse_name_suffix(name, "qos-", &v)) {
+    if (v <= 0.0 || v >= 1.0) return nullptr;
     return std::make_unique<QosThresholdPolicy>(
         core::InteractionModel::kModelA, v);
   }

@@ -117,8 +117,11 @@ class AdaptiveCostPolicy final : public PrefetchPolicy {
 
 /// Fresh policy instance by CLI-friendly name: none, threshold-a,
 /// threshold-b, fixed-<theta>, topk-<k>, adaptive-<w>, qos-<rho>. Returns
-/// nullptr for unknown names. Shared by the examples and the sharded
-/// driver's per-shard factories so name→policy mappings cannot drift.
+/// nullptr for unknown names, including a suffix that does not parse as a
+/// whole (`fixed-0.05x`), is not finite, is not an integer for topk, or
+/// lies outside what the policy's constructor accepts (`topk-0`,
+/// `fixed-1.5`). Shared by the examples and the sharded driver's per-shard
+/// factories so name→policy mappings cannot drift.
 std::unique_ptr<PrefetchPolicy> make_policy_by_name(const std::string& name);
 
 }  // namespace specpf

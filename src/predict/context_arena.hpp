@@ -71,12 +71,13 @@ class ContextArena {
 
   /// Records one context -> item observation: bumps the successor's
   /// quantized counter (halving the context first when it would saturate)
-  /// and the context total.
-  void add(CtxId ctx, std::uint32_t item_id) {
+  /// and the context total. Returns the successor's new count.
+  std::uint16_t add(CtxId ctx, std::uint32_t item_id) {
     const std::uint64_t key = succ_key(ctx, item_id);
+    std::uint16_t count = 1;
     if (const std::uint32_t* slot = succ_index_.find(key)) {
       if (succ_count_[*slot] == kCounterMax) halve(ctx);
-      ++succ_count_[*slot];
+      count = ++succ_count_[*slot];
     } else {
       const std::uint32_t fresh = static_cast<std::uint32_t>(succ_item_.size());
       succ_item_.push_back(item_id);
@@ -87,6 +88,7 @@ class ContextArena {
       succ_index_[key] = fresh;
     }
     ++total_[ctx];
+    return count;
   }
 
   /// Auxiliary per-context counter (the dependency graph's occurrence

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "predict/context_arena.hpp"
+#include "predict/ranked_prefix.hpp"
 #include "util/contract.hpp"
 #include "workload/session_graph.hpp"
 
@@ -39,7 +40,8 @@ class FrequencyPlane final : public PredictorPlane {
   FrequencyPlane() : ctx_(arena_.intern(0)) {}
 
   void observe(UserId /*user*/, std::uint64_t item) override {
-    arena_.add(ctx_, arena_.intern_item(item));
+    const std::uint16_t count = arena_.add(ctx_, arena_.intern_item(item));
+    ranks_.on_add(arena_, ctx_, item, count);
   }
 
   void predict_into(UserId /*user*/, std::size_t max_candidates,
@@ -47,11 +49,13 @@ class FrequencyPlane final : public PredictorPlane {
     out.clear();
     const std::uint64_t total = arena_.total(ctx_);
     if (total == 0) return;
+    // c / total is strictly increasing in c, so the ranked prefix is
+    // already in candidate order.
     const double total_d = static_cast<double>(total);
-    arena_.for_each_successor(ctx_, [&](std::uint64_t item, std::uint16_t c) {
-      out.push_back(Candidate{item, static_cast<double>(c) / total_d});
-    });
-    select_top_candidates(out, max_candidates);
+    for (const RankedPrefix::Entry& e :
+         ranks_.top(arena_, ctx_, max_candidates)) {
+      out.push_back(Candidate{e.item, static_cast<double>(e.count) / total_d});
+    }
   }
 
   std::uint64_t counter_halvings() const override { return arena_.halvings(); }
@@ -59,11 +63,17 @@ class FrequencyPlane final : public PredictorPlane {
     return arena_.context_count();
   }
 
-  void audit(AuditReport& report) const override { arena_.audit(report); }
+  void audit(AuditReport& report) const override {
+    arena_.audit(report);
+    ranks_.audit(arena_, report);
+  }
 
  private:
   ContextArena arena_;
   ContextArena::CtxId ctx_;
+  /// Grows its stride on the first predict that needs more entries, the
+  /// same single-threaded mutable scratch as PpmPlane::blended_.
+  mutable RankedPrefix ranks_;
 };
 
 // --- markov: one context per last item -------------------------------------
@@ -72,13 +82,17 @@ class MarkovPlane final : public PredictorPlane {
  public:
   MarkovPlane(std::size_t num_users, double laplace)
       : laplace_(laplace), last_(num_users, 0), has_last_(num_users, 0) {
-    SPECPF_EXPECTS(laplace >= 0.0);
+    // The bound keeps count order equal to probability order (see
+    // kMaxMarkovLaplace); predict_into depends on it.
+    SPECPF_EXPECTS(laplace >= 0.0 && laplace <= kMaxMarkovLaplace);
   }
 
   void observe(UserId user, std::uint64_t item) override {
     SPECPF_EXPECTS(user < last_.size());
     if (has_last_[user]) {
-      arena_.add(arena_.intern(last_[user]), arena_.intern_item(item));
+      const ContextArena::CtxId ctx = arena_.intern(last_[user]);
+      const std::uint16_t count = arena_.add(ctx, arena_.intern_item(item));
+      ranks_.on_add(arena_, ctx, item, count);
     }
     last_[user] = item;
     has_last_[user] = 1;
@@ -93,10 +107,11 @@ class MarkovPlane final : public PredictorPlane {
     const double denom =
         static_cast<double>(arena_.total(ctx)) +
         laplace_ * static_cast<double>(arena_.distinct(ctx));
-    arena_.for_each_successor(ctx, [&](std::uint64_t item, std::uint16_t c) {
-      out.push_back(Candidate{item, (static_cast<double>(c) + laplace_) / denom});
-    });
-    select_top_candidates(out, max_candidates);
+    for (const RankedPrefix::Entry& e :
+         ranks_.top(arena_, ctx, max_candidates)) {
+      out.push_back(Candidate{
+          e.item, (static_cast<double>(e.count) + laplace_) / denom});
+    }
   }
 
   std::uint64_t counter_halvings() const override { return arena_.halvings(); }
@@ -104,11 +119,15 @@ class MarkovPlane final : public PredictorPlane {
     return arena_.context_count();
   }
 
-  void audit(AuditReport& report) const override { arena_.audit(report); }
+  void audit(AuditReport& report) const override {
+    arena_.audit(report);
+    ranks_.audit(arena_, report);
+  }
 
  private:
   double laplace_;
   ContextArena arena_;
+  mutable RankedPrefix ranks_;  ///< see FrequencyPlane::ranks_
   std::vector<std::uint64_t> last_;
   std::vector<std::uint8_t> has_last_;
 };

@@ -6,9 +6,11 @@
 // successor lists threaded through one u32-linked slab, counts quantized to
 // saturating u16 counters with periodic halving, and per-user history kept
 // as fixed ring buffers in a user-indexed slab. Prediction writes into a
-// caller-provided scratch buffer (predict_into) and ranks candidates with a
-// partial top-k select instead of a full sort, so the stack's hot path does
-// zero allocation per request.
+// caller-provided scratch buffer (predict_into), so the stack's hot path
+// does zero allocation per request. Markov and frequency read their top-k
+// off a RankedPrefix (predict/ranked_prefix.hpp) kept in rank order as
+// counts move; the blending and clipping models rank with a partial top-k
+// select instead of a full sort.
 //
 // make_predictor_plane dispatches once per run to one concrete class per
 // PredictorKind, exactly like make_cache_plane.
@@ -33,13 +35,22 @@ class SessionGraph;  // workload/session_graph.hpp (oracle backend only)
 
 using UserId = std::uint32_t;
 
+/// Largest accepted PredictorPlaneConfig::markov_laplace. Below it the
+/// Markov probability (c + α) / denom is strictly increasing in every u16
+/// count c even after rounding: c + α < 2^33 keeps distinct counts distinct
+/// in a 53-bit mantissa, and their ratio, at least 1 + 2^-33, survives the
+/// division by one shared denominator. So count order is probability
+/// order, which lets the Markov plane read its ranking off a RankedPrefix.
+inline constexpr double kMaxMarkovLaplace = 4294967296.0;  // 2^32
+
 struct PredictorPlaneConfig {
   /// Users are dense ids in [0, num_users); per-user history lives in a
   /// user-indexed slab, so the plane must know the fleet size up front.
   std::size_t num_users = 1;
   std::size_t ppm_order = 3;            ///< PPM: longest context length
   std::size_t depgraph_lookahead = 4;   ///< dependency graph window w
-  double markov_laplace = 0.0;          ///< Markov add-α smoothing
+  /// Markov add-α smoothing, in [0, kMaxMarkovLaplace].
+  double markov_laplace = 0.0;
   /// Generating graph, required for kOracle (borrowed; must outlive the
   /// plane). Ignored by every other kind.
   const SessionGraph* graph = nullptr;
@@ -79,8 +90,9 @@ class PredictorPlane {
 
   /// Deep-invariant sweep (util/audit.hpp): the arena planes walk their
   /// ContextArena (successor-chain conservation, interning round-trips,
-  /// index health). The stateless oracle has nothing slab-backed to walk —
-  /// default no-op.
+  /// index health), and Markov and frequency also check every ranked
+  /// prefix against their chains. The stateless oracle has nothing
+  /// slab-backed to walk — default no-op.
   virtual void audit(AuditReport& /*report*/) const {}
 };
 

@@ -1,28 +1,13 @@
 #include "util/argparse.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
-#include <system_error>
 
 #include "util/contract.hpp"
+#include "util/parse.hpp"
 
 namespace specpf {
-
-namespace {
-
-/// Whole-string, range-checked parse: false on an empty value, trailing
-/// characters, or a value outside T's range.
-template <typename T>
-bool parse_exact(const std::string& text, T* out) {
-  const char* first = text.data();
-  const char* last = first + text.size();
-  const auto [end, ec] = std::from_chars(first, last, *out);
-  return !text.empty() && ec == std::errc() && end == last;
-}
-
-}  // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -99,6 +84,13 @@ std::int64_t ArgParser::get_int(const std::string& name) const {
   const std::string v = get_string(name);
   std::int64_t out = 0;
   if (!parse_exact(v, &out)) reject_value(name, "integer", v);
+  return out;
+}
+
+std::uint64_t ArgParser::get_uint(const std::string& name) const {
+  const std::string v = get_string(name);
+  std::uint64_t out = 0;
+  if (!parse_exact(v, &out)) reject_value(name, "non-negative integer", v);
   return out;
 }
 

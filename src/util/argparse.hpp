@@ -23,13 +23,14 @@ class ArgParser {
   bool parse(int argc, const char* const* argv);
 
   /// Typed accessors. A value that does not parse as a whole — `10x` or
-  /// `abc` for an integer, an out-of-range number, a boolean spelled other
-  /// than true/false/1/0/yes/no/on/off — prints
-  /// `--<flag>: expected <type>, got '<value>'` plus usage to stderr and
-  /// exits with status 2.
+  /// `abc` for an integer, `-5` for an unsigned one, an out-of-range
+  /// number, a boolean spelled other than true/false/1/0/yes/no/on/off —
+  /// prints `--<flag>: expected <type>, got '<value>'` plus usage to stderr
+  /// and exits with status 2. Counts, sizes and seeds use get_uint.
   std::string get_string(const std::string& name) const;
   double get_double(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  std::uint64_t get_uint(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
   /// Positional arguments left over after flag parsing.

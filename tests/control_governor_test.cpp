@@ -149,6 +149,21 @@ TEST(GovernorFactory, BuildsByNameAndRejectsUnknown) {
   EXPECT_FALSE(is_governor_name(""));
 }
 
+class GovernorByName : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GovernorByName, NonFiniteOrNonPositiveSuffixIsUnknown) {
+  // Each of these used to parse and then abort in the constructor's
+  // contract check (or run with a NaN knob); now the name is unknown.
+  EXPECT_EQ(make_governor_by_name(GetParam()), nullptr) << GetParam();
+  EXPECT_FALSE(is_governor_name(GetParam())) << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Spellings, GovernorByName,
+                         ::testing::Values("conf-nan", "token-inf", "aimd--3",
+                                           "token-0", "conf-0", "aimd-nan",
+                                           "token--inf", "conf- 0.5",
+                                           "aimd-+2"));
+
 // --- trace fixtures ---------------------------------------------------------
 
 Trace make_flash_trace(std::size_t users = 3000, std::size_t requests = 40000,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/model_a.hpp"
 #include "core/planner.hpp"
@@ -239,6 +240,60 @@ TEST(PolicyNames, AreDistinctAndStable) {
   EXPECT_EQ(ThresholdPolicy(InteractionModel::kModelB).name(), "threshold-B");
   EXPECT_EQ(FixedThresholdPolicy(0.5).name(), "fixed-0.5");
 }
+
+// --- make_policy_by_name: strict suffix parsing -----------------------------
+
+struct PolicySpelling {
+  const char* name;
+  const char* built;  ///< name() of the policy built, or nullptr if unknown
+};
+
+void PrintTo(const PolicySpelling& p, std::ostream* os) { *os << p.name; }
+
+class PolicyByName : public ::testing::TestWithParam<PolicySpelling> {};
+
+TEST_P(PolicyByName, BuildsExactlyWhatWasTypedOrNothing) {
+  const PolicySpelling& p = GetParam();
+  const auto policy = make_policy_by_name(p.name);
+  if (p.built == nullptr) {
+    EXPECT_EQ(policy, nullptr) << p.name;
+  } else {
+    ASSERT_NE(policy, nullptr) << p.name;
+    EXPECT_EQ(policy->name(), p.built);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Spellings, PolicyByName,
+    ::testing::Values(
+        PolicySpelling{"none", "none"},
+        PolicySpelling{"threshold-a", "threshold-A"},
+        PolicySpelling{"fixed-0.05", "fixed-0.05"},
+        PolicySpelling{"topk-2", "top-2"},
+        PolicySpelling{"adaptive-1.5", "adaptive-w1.5"},
+        PolicySpelling{"qos-0.8", "qos-A@rho0.8"},
+        // Trailing garbage is a typo, not a value.
+        PolicySpelling{"fixed-0.05x", nullptr},
+        PolicySpelling{"fixed-", nullptr},
+        PolicySpelling{"fixed- 0.5", nullptr},
+        // topk takes a whole count >= 1, never a truncated double.
+        PolicySpelling{"topk-2.7", nullptr},
+        PolicySpelling{"topk--3", nullptr},
+        PolicySpelling{"topk-nan", nullptr},
+        PolicySpelling{"topk-0", nullptr},
+        PolicySpelling{"topk-1e3", nullptr},
+        // Non-finite or out-of-domain values are unknown names, not aborts.
+        PolicySpelling{"fixed-nan", nullptr},
+        PolicySpelling{"fixed-inf", nullptr},
+        PolicySpelling{"fixed-1.5", nullptr},
+        PolicySpelling{"fixed--0.1", nullptr},
+        PolicySpelling{"adaptive-0", nullptr},
+        PolicySpelling{"adaptive--2", nullptr},
+        PolicySpelling{"adaptive-inf", nullptr},
+        PolicySpelling{"qos-1", nullptr},
+        PolicySpelling{"qos-0", nullptr},
+        PolicySpelling{"qos-nan", nullptr},
+        PolicySpelling{"bogus", nullptr}));
 
 }  // namespace
 }  // namespace specpf

@@ -5,7 +5,8 @@
 // injects exactly the defect class the walker exists to catch — a stale
 // generation or scribbled freed slot in the engine slab, a broken intrusive
 // chain or desynced residency entry in the cache arenas, a free-list cycle,
-// successor-total drift in the context arena, metadata corruption in the
+// successor-total drift in the context arena, a misranked or stale entry
+// in a ranked successor prefix, metadata corruption in the
 // robin-hood tables, a demand-count desync in the stack — and asserts the
 // sweep fails with a message naming the defect.
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include "predict/context_arena.hpp"
 #include "predict/factory.hpp"
 #include "predict/predictor_plane.hpp"
+#include "predict/ranked_prefix.hpp"
 #include "sim/stack_runtime.hpp"
 #include "util/audit.hpp"
 #include "util/flat_hash.hpp"
@@ -65,6 +67,14 @@ struct AuditPeer {
   }
   static void orphan_successor(ContextArena& a, ContextArena::CtxId c) {
     a.head_[c] = ContextArena::kNoSucc;  // leak the whole successor chain
+  }
+
+  // --- ranked successor prefix -------------------------------------------
+  static void swap_prefix_entries(RankedPrefix& p, ContextArena::CtxId c) {
+    std::swap(p.entries_[c * p.stride_], p.entries_[c * p.stride_ + 1]);
+  }
+  static void stale_prefix_count(RankedPrefix& p, ContextArena::CtxId c) {
+    --p.entries_[c * p.stride_ + 1].count;  // a bump the prefix missed
   }
 
   // --- flat hash tables ---------------------------------------------------
@@ -356,6 +366,48 @@ TEST(AuditInjection, ContextArenaOrphanedSuccessorChain) {
   AuditReport report;
   arena.audit(report);
   EXPECT_FALSE(report.ok()) << "orphaned successor slots were not detected";
+}
+
+/// A context with six successors of distinct counts (item i seen i + 1
+/// times) behind a stride-4 prefix. The stride is set after one add per
+/// item, so the later adds maintain the prefix incrementally.
+ContextArena::CtxId seeded_ranked_prefix(ContextArena& arena,
+                                         RankedPrefix& ranks) {
+  const ContextArena::CtxId ctx = arena.intern(0x77u);
+  for (std::uint64_t item = 0; item < 6; ++item) {
+    ranks.on_add(arena, ctx, item, arena.add(ctx, arena.intern_item(item)));
+  }
+  EXPECT_EQ(ranks.top(arena, ctx, 4).size(), 4u);
+  for (std::uint64_t item = 0; item < 6; ++item) {
+    for (std::uint64_t n = 0; n < item; ++n) {
+      ranks.on_add(arena, ctx, item, arena.add(ctx, arena.intern_item(item)));
+    }
+  }
+  EXPECT_EQ(ranks.stride(), 4u);
+  AuditReport clean;
+  ranks.audit(arena, clean);
+  EXPECT_TRUE(clean.ok()) << clean.summary();
+  return ctx;
+}
+
+TEST(AuditInjection, RankedPrefixSwappedEntries) {
+  ContextArena arena;
+  RankedPrefix ranks;
+  const ContextArena::CtxId ctx = seeded_ranked_prefix(arena, ranks);
+  AuditPeer::swap_prefix_entries(ranks, ctx);
+  AuditReport report;
+  ranks.audit(arena, report);
+  expect_failure_containing(report, "prefix rank 0");
+}
+
+TEST(AuditInjection, RankedPrefixStaleCount) {
+  ContextArena arena;
+  RankedPrefix ranks;
+  const ContextArena::CtxId ctx = seeded_ranked_prefix(arena, ranks);
+  AuditPeer::stale_prefix_count(ranks, ctx);
+  AuditReport report;
+  ranks.audit(arena, report);
+  expect_failure_containing(report, "prefix rank 1");
 }
 
 TEST(AuditInjection, FlatHashMapMetadataCorruption) {

@@ -159,6 +159,12 @@ TEST(ArgParser, NumbersParseAsWholeStrings) {
   EXPECT_DOUBLE_EQ(parsed_with("--rate", "7").get_double("rate"), 7.0);
 }
 
+TEST(ArgParser, UnsignedParsesTheFullRange) {
+  EXPECT_EQ(parsed_with("--users", "0").get_uint("users"), 0u);
+  EXPECT_EQ(parsed_with("--users", "18446744073709551615").get_uint("users"),
+            UINT64_MAX);
+}
+
 TEST(ArgParser, BoolAcceptsEightSpellings) {
   for (const char* yes : {"true", "1", "yes", "on"}) {
     EXPECT_TRUE(parsed_with("--stream", yes).get_bool("stream")) << yes;
@@ -196,6 +202,18 @@ TEST(ArgParserDeathTest, BadDoubleExitsTwo) {
               "--rate: expected number, got '1.5.2'");
   EXPECT_EXIT(parsed_with("--rate", "1e999").get_double("rate"),
               ::testing::ExitedWithCode(2), "--rate: expected number");
+}
+
+TEST(ArgParserDeathTest, NegativeUnsignedExitsTwo) {
+  // Read as -5 and cast, this used to become a 2^64 - 5 user count.
+  EXPECT_EXIT(parsed_with("--users", "-5").get_uint("users"),
+              ::testing::ExitedWithCode(2),
+              "--users: expected non-negative integer, got '-5'");
+  EXPECT_EXIT(parsed_with("--users", "18446744073709551616").get_uint("users"),
+              ::testing::ExitedWithCode(2), "expected non-negative integer");
+  EXPECT_EXIT(parsed_with("--users", "7x").get_uint("users"),
+              ::testing::ExitedWithCode(2),
+              "--users: expected non-negative integer, got '7x'");
 }
 
 TEST(ArgParserDeathTest, UnknownBoolSpellingExitsTwo) {
