@@ -11,7 +11,6 @@
 //   ./mobile_low_bandwidth --duration 900
 #include <cstdio>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,26 +18,6 @@
 #include "sim/proxy_sim.hpp"
 #include "util/argparse.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-std::vector<double> parse_double_list(const std::string& csv,
-                                      std::vector<double> fallback) {
-  std::vector<double> out;
-  for (const std::string& tok : specpf::split_csv(csv)) {
-    try {
-      std::size_t consumed = 0;
-      const double v = std::stod(tok, &consumed);
-      if (consumed != tok.size()) throw std::invalid_argument(tok);
-      out.push_back(v);
-    } catch (...) {
-      std::fprintf(stderr, "ignoring malformed bandwidth '%s'\n", tok.c_str());
-    }
-  }
-  return out.empty() ? fallback : out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace specpf;
@@ -72,9 +51,7 @@ int main(int argc, char** argv) {
                "t aggressive", "threshold vs none", "aggressive vs none"});
   table.set_precision(4);
 
-  for (double bandwidth : parse_double_list(
-           args.get_string("bandwidths"), {80.0, 40.0, 25.0, 18.0, 14.0,
-                                           11.0})) {
+  for (double bandwidth : args.get_list<double>("bandwidths")) {
     ProxySimConfig cfg = base;
     cfg.bandwidth = bandwidth;
 

@@ -44,20 +44,6 @@ PolicyFactory policy_factory(std::string name) {
   return [name] { return make_policy_by_name(name); };
 }
 
-std::vector<std::size_t> parse_thread_list(const std::string& csv) {
-  std::vector<std::size_t> out;
-  for (const std::string& tok : split_csv(csv)) {
-    try {
-      out.push_back(static_cast<std::size_t>(std::stoul(tok)));
-    } catch (...) {
-      std::fprintf(stderr, "ignoring malformed thread count '%s'\n",
-                   tok.c_str());
-    }
-  }
-  if (out.empty()) out.push_back(1);
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -175,8 +161,8 @@ int main(int argc, char** argv) {
   cfg.backbone_latency = args.get_double("backbone-latency");
   const PolicyFactory factory = policy_factory(args.get_string("policy"));
 
-  const std::vector<std::size_t> thread_counts =
-      parse_thread_list(args.get_string("threads"));
+  const std::vector<std::uint64_t> thread_counts =
+      args.get_list<std::uint64_t>("threads");
 
   Table table({"threads", "wall s", "req/s", "speedup", "epochs",
                "cross-shard", "backbone rho", "access time", "hit ratio",

@@ -67,19 +67,6 @@ struct GridCell {
   double wall_s = 0.0;
 };
 
-std::vector<double> parse_double_list(const std::string& csv,
-                                      const char* what) {
-  std::vector<double> out;
-  for (const std::string& tok : split_csv(csv)) {
-    try {
-      out.push_back(std::stod(tok));
-    } catch (...) {
-      std::fprintf(stderr, "ignoring malformed %s '%s'\n", what, tok.c_str());
-    }
-  }
-  return out;
-}
-
 /// Trims trailing zeros so grid labels read "fixed-0.05", not
 /// "fixed-0.050000".
 std::string compact_number(double v) {
@@ -153,15 +140,10 @@ int main(int argc, char** argv) {
                 "wall-clock ratio --check-abort-speedup requires");
   if (!args.parse(argc, argv)) return 1;
 
-  const std::vector<double> rate_mults =
-      parse_double_list(args.get_string("rates"), "rate multiplier");
+  const std::vector<double> rate_mults = args.get_list<double>("rates");
   const std::vector<double> aggr_values =
-      parse_double_list(args.get_string("aggressiveness"), "aggressiveness");
+      args.get_list<double>("aggressiveness");
   const std::string family = args.get_string("family");
-  if (rate_mults.empty() || aggr_values.empty()) {
-    std::fprintf(stderr, "empty sweep axis\n");
-    return 1;
-  }
   if (family != "fixed" && family != "token" && family != "aimd" &&
       family != "conf") {
     std::fprintf(stderr, "unknown family '%s'\n", family.c_str());

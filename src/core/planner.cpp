@@ -63,8 +63,6 @@ PrefetchPlan PrefetchPlanner::evaluate(std::vector<Candidate> selected) const {
   const double lambda = params_.request_rate;
   const double s = params_.mean_item_size;
 
-  const NoPrefetchResult base = analyze_no_prefetch(params_);
-
   // Heterogeneous-p generalisation: h = h' + Σp − n̄(F)·q. A predictor may
   // assign more probability mass than the estimated fault ratio admits
   // (eq. 6 consistency); clamp so the prediction stays a probability.
@@ -74,6 +72,15 @@ PrefetchPlan PrefetchPlanner::evaluate(std::vector<Candidate> selected) const {
       (1.0 - plan.predicted_hit_ratio + nf) * lambda * s / b;
   const double denom = b - (1.0 - plan.predicted_hit_ratio + nf) * lambda * s;
   plan.feasible = denom > 0.0;
+  // An already-overloaded link (ρ' ≥ 1) has no no-prefetch operating point
+  // to compare against (analyze_no_prefetch rejects it), and its threshold
+  // ρ' + q ≥ 1 selects nothing: the plan is saturated, with no access time,
+  // gain or excess cost to predict.
+  if (!params_.stable_without_prefetch()) {
+    plan.feasible = false;
+    return plan;
+  }
+  const NoPrefetchResult base = analyze_no_prefetch(params_);
   if (plan.feasible) {
     plan.predicted_access_time =
         (1.0 - plan.predicted_hit_ratio) * s / denom;

@@ -219,15 +219,17 @@ void Simulator::flush_batch() {
   const std::size_t size = heap_.size();
   if (heapified_ == size) return;
   const std::size_t batch = size - heapified_;
-  // Bulk load with nothing else pending: sort once, pop O(1) thereafter.
-  if (batch >= kSortedRunMin && heapified_ == kHeapBase &&
-      sorted_run_.empty()) {
-    sorted_run_.assign(heap_.begin() + kHeapBase, heap_.end());
+  // Bulk load while the run is empty: sort the batch once and pop it O(1)
+  // thereafter, even when a few events (a pending completion, say) already
+  // sit in the heap — pops take the smaller head of the two tiers.
+  if (batch >= kSortedRunMin && sorted_run_.empty()) {
+    sorted_run_.assign(heap_.begin() + static_cast<std::ptrdiff_t>(heapified_),
+                       heap_.end());
     std::sort(sorted_run_.begin(), sorted_run_.end(),
               [](const HeapEntry& a, const HeapEntry& b) {
                 return b.before(a);  // descending; min at the back
               });
-    heap_.resize(kHeapBase);
+    heap_.resize(heapified_);
     return;
   }
   // Bulk-rebuild when the batch rivals the ordered part; otherwise insert

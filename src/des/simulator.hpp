@@ -227,12 +227,13 @@ class Simulator {
   // Entries [kHeapBase, heapified_) satisfy the heap invariant; entries
   // beyond are an unordered appended batch awaiting flush_batch().
   std::size_t heapified_ = kHeapBase;
-  // Second tier: when a large batch is scheduled while nothing else is
-  // pending (bulk loads: trace replay, pre-seeded scenarios), the batch is
+  // Second tier: when a large batch is scheduled while the run is empty
+  // (bulk loads: trace replay windows, pre-seeded scenarios), the batch is
   // sorted descending once and popped O(1) from the back instead of paying
-  // a full-depth sift per pop. The earliest event is always the smaller of
-  // sorted_run_.back() and the heap top, so ordering semantics are
-  // identical; events scheduled afterwards go through the heap.
+  // a full-depth sift per pop; whatever was already pending stays in the
+  // heap. The earliest event is always the smaller of sorted_run_.back()
+  // and the heap top, so ordering semantics are identical; events
+  // scheduled afterwards go through the heap.
   std::vector<HeapEntry, CacheAlignedAllocator<HeapEntry>> sorted_run_;
   std::uint32_t free_head_ = EventId::kInvalid;
   std::size_t dead_in_heap_ = 0;

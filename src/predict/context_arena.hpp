@@ -6,13 +6,31 @@
 // The legacy tables realised that shape as FlatHashMap<FlatHashMap<u64>>
 // — one heap-allocated nested table per context, a pointer chase per probe
 // and an allocation per new context. The arena flattens the whole fleet of
-// tables into four structure-of-arrays slabs:
+// tables into structure-of-arrays columns:
 //
 //     ctx_index_ : FlatIndexMap   context key  -> u32 context id
 //     item_index_: FlatIndexMap   item value   -> u32 dense item id
-//     context slab (SoA)          head / distinct / total / aux  per context
-//     successor slab (SoA)        item id / quantized count / next  (u32 links)
-//     succ_index_: FlatIndexMap   (ctx id << 32 | item id) -> successor slot
+//     context columns (SoA)       offset / distinct / class / total / aux
+//     successor pool (SoA)        item id (u32) / quantized count (u16)
+//     succ_index_: FlatIndexMap   (ctx id << 32 | item id) -> position of
+//                                 the successor inside its context's block
+//
+// Each context's successors sit in one contiguous block of the pool,
+// [offset_[c], offset_[c] + distinct_[c]), in insertion order:
+//
+//     pool  | c3: a b c . | c0: d | free:class 1 | c1: e f g h | ...
+//             ^ offset_[3], distinct 3, capacity 4 (class 2)
+//
+// A block's capacity is 2^class, the smallest power of two >= distinct
+// (a context without successors has no block). A new successor goes to
+// position `distinct`; when the block is full, the whole block moves into
+// one twice its size — popped from that size class's free list of
+// outgrown blocks, or appended to the pool — and the outgrown block goes
+// onto its own class's free list. A move keeps every position, so
+// succ_index_ is never rewritten. Reading a context is one linear scan of
+// a block rather than one dependent load per successor. Iteration order is
+// insertion order; every consumer either ranks by a strict total order or
+// sums per item, so the order never shows in a prediction.
 //
 // Successor counts are quantized saturating u16 counters: when a counter
 // is about to overflow, every counter in that context is halved in place
@@ -25,6 +43,9 @@
 // 8-byte counters forever.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,9 +65,10 @@ class ContextArena {
   /// Context id for `key`, creating an empty context on first sight.
   CtxId intern(std::uint64_t key) {
     if (const std::uint32_t* id = ctx_index_.find(key)) return *id;
-    const CtxId id = static_cast<CtxId>(head_.size());
-    head_.push_back(kNoSucc);
+    const CtxId id = static_cast<CtxId>(offset_.size());
+    offset_.push_back(0);
     distinct_.push_back(0);
+    class_.push_back(kNoBlock);
     total_.push_back(0);
     aux_.push_back(0);
     ctx_index_[key] = id;
@@ -75,17 +97,17 @@ class ContextArena {
   std::uint16_t add(CtxId ctx, std::uint32_t item_id) {
     const std::uint64_t key = succ_key(ctx, item_id);
     std::uint16_t count = 1;
-    if (const std::uint32_t* slot = succ_index_.find(key)) {
-      if (succ_count_[*slot] == kCounterMax) halve(ctx);
-      count = ++succ_count_[*slot];
+    if (const std::uint32_t* found = succ_index_.find(key)) {
+      std::uint16_t& c = count_[offset_[ctx] + *found];
+      if (c == kCounterMax) halve(ctx);
+      count = ++c;
     } else {
-      const std::uint32_t fresh = static_cast<std::uint32_t>(succ_item_.size());
-      succ_item_.push_back(item_id);
-      succ_count_.push_back(1);
-      succ_next_.push_back(head_[ctx]);
-      head_[ctx] = fresh;
-      ++distinct_[ctx];
-      succ_index_[key] = fresh;
+      const std::uint32_t pos = distinct_[ctx];
+      if (pos == capacity(ctx)) grow(ctx);
+      item_[offset_[ctx] + pos] = item_id;
+      count_[offset_[ctx] + pos] = 1;
+      distinct_[ctx] = pos + 1;
+      succ_index_[key] = pos;
     }
     ++total_[ctx];
     return count;
@@ -99,92 +121,148 @@ class ContextArena {
   std::uint64_t aux(CtxId ctx) const { return aux_[ctx]; }
   std::uint32_t distinct(CtxId ctx) const { return distinct_[ctx]; }
 
-  /// Visits every (item value, count) successor of `ctx`. Order is reverse
-  /// insertion order — callers that rank candidates sort, so it never
-  /// shows.
+  /// Visits every (item id, count) successor of `ctx` in insertion order —
+  /// one linear scan of the context's block. Callers that rank candidates
+  /// sort by a strict total order, so the order never shows.
   template <typename Fn>
-  void for_each_successor(CtxId ctx, Fn&& fn) const {
-    for (std::uint32_t s = head_[ctx]; s != kNoSucc; s = succ_next_[s]) {
-      fn(item_value_[succ_item_[s]], succ_count_[s]);
+  void for_each_successor_id(CtxId ctx, Fn&& fn) const {
+    const std::uint32_t* items = item_.data() + offset_[ctx];
+    const std::uint16_t* counts = count_.data() + offset_[ctx];
+    for (std::uint32_t i = 0, n = distinct_[ctx]; i < n; ++i) {
+      fn(items[i], counts[i]);
     }
   }
 
-  std::size_t context_count() const { return head_.size(); }
-  std::size_t successor_count() const { return succ_item_.size(); }
+  /// for_each_successor_id with each id resolved to its item value.
+  template <typename Fn>
+  void for_each_successor(CtxId ctx, Fn&& fn) const {
+    for_each_successor_id(ctx, [&](std::uint32_t id, std::uint16_t c) {
+      fn(item_value_[id], c);
+    });
+  }
+
+  /// The item value behind a dense item id.
+  std::uint64_t item_value(std::uint32_t item_id) const {
+    return item_value_[item_id];
+  }
+
+  std::size_t context_count() const { return offset_.size(); }
+  std::size_t successor_count() const { return succ_index_.size(); }
   std::size_t item_count() const { return item_value_.size(); }
+  /// Successor-pool slots, live blocks and free-listed ones together.
+  std::size_t pool_size() const { return item_.size(); }
   /// Contexts halved so far — the quantization events where the plane's
   /// counts stop mirroring the legacy u64 tables.
   std::uint64_t halvings() const { return halvings_; }
 
-  /// Deep-invariant walker (util/audit.hpp): slab-length agreement across
-  /// the SoA columns, successor chains acyclic with every slot owned by
-  /// exactly one context, per-context conservation (chain length ==
-  /// distinct, sum of counts == total, counts >= 1), successor-index
-  /// round-trips ((ctx, item) <-> slot both ways), and interning
-  /// round-trips for the context and item indices.
+  /// Deep-invariant walker (util/audit.hpp): column-length agreement
+  /// across the SoA columns; every live block and every free-listed block
+  /// inside the pool, no two of them overlapping, and live plus free
+  /// capacity accounting for the whole pool; each context's capacity the
+  /// smallest power of two holding its successors; per-context
+  /// conservation (sum of counts == total, counts >= 1); successor-index
+  /// round-trips ((ctx, item) <-> block position both ways); and
+  /// interning round-trips for the context and item indices.
   void audit(AuditReport& report) const {
     const AuditScope scope(report, "ContextArena");
-    const std::size_t ctxs = head_.size();
-    report.check(distinct_.size() == ctxs && total_.size() == ctxs &&
-                     aux_.size() == ctxs,
+    const std::size_t ctxs = offset_.size();
+    report.check(distinct_.size() == ctxs && class_.size() == ctxs &&
+                     total_.size() == ctxs && aux_.size() == ctxs,
                  "context SoA columns disagree on length");
-    const std::size_t succs = succ_item_.size();
-    report.check(succ_count_.size() == succs && succ_next_.size() == succs,
-                 "successor SoA columns disagree on length");
+    const std::size_t pool = item_.size();
+    report.check(count_.size() == pool, "pool SoA columns disagree on length");
     report.check(ctx_index_.size() == ctxs,
                  "context index size != context count");
-    report.check(succ_index_.size() == succs,
-                 "successor index size != successor count");
     report.check(item_index_.size() == item_value_.size(),
                  "item index size != item count");
 
-    // Successor chains: each slot owned by exactly one context, counts
-    // conserve the context totals, and the (ctx, item) index agrees.
-    std::vector<std::uint8_t> owned(succs, 0);
-    std::uint64_t chained = 0;
+    // Pool ownership: 0 = unclaimed, 1 = a live block, 2 = a free block.
+    // Every pool slot must be claimed by exactly one block.
+    std::vector<std::uint8_t> owner(pool, 0);
+    std::uint64_t live_capacity = 0;
+    std::uint64_t free_capacity = 0;
+    auto claim = [&](std::uint64_t offset, std::uint64_t cap,
+                     std::uint8_t kind, const std::string& who) {
+      if (!report.check(offset + cap <= pool,
+                        who + ": block [" + std::to_string(offset) + ", " +
+                            std::to_string(offset + cap) +
+                            ") runs past the pool (" + std::to_string(pool) +
+                            " slots)")) {
+        return false;
+      }
+      for (std::uint64_t i = offset; i < offset + cap; ++i) {
+        if (!report.check(owner[i] == 0,
+                          who + ": block overlaps " +
+                              (owner[i] == 1 ? "a live" : "a free") +
+                              " block at pool slot " + std::to_string(i))) {
+          return false;
+        }
+        owner[i] = kind;
+      }
+      (kind == 1 ? live_capacity : free_capacity) += cap;
+      return true;
+    };
+
+    std::uint64_t successors = 0;
     for (CtxId ctx = 0; ctx < ctxs; ++ctx) {
       const std::string who = "ctx " + std::to_string(ctx);
-      std::uint64_t sum = 0;
-      std::uint32_t walked = 0;
-      for (std::uint32_t s = head_[ctx]; s != kNoSucc; s = succ_next_[s]) {
-        if (!report.check(s < succs, who + ": successor chain points past "
-                                           "the slab")) {
-          break;
-        }
-        if (!report.check(owned[s] == 0,
-                          who + ": successor slot " + std::to_string(s) +
-                              " owned twice (cycle or cross-context "
-                              "share)")) {
-          break;
-        }
-        owned[s] = 1;
-        report.check(succ_count_[s] >= 1,
-                     who + ": successor slot " + std::to_string(s) +
-                         " has a zero count");
-        report.check(succ_item_[s] < item_value_.size(),
-                     who + ": successor slot " + std::to_string(s) +
-                         " names an uninterned item id");
-        const std::uint32_t* slot =
-            succ_index_.find(succ_key(ctx, succ_item_[s]));
-        report.check(slot != nullptr && *slot == s,
-                     who + ": successor index round-trip failed for slot " +
-                         std::to_string(s));
-        sum += succ_count_[s];
-        ++walked;
+      if (!report.check(class_[ctx] == kNoBlock || class_[ctx] < kClasses,
+                        who + ": size class out of range")) {
+        continue;
       }
-      report.check(walked == distinct_[ctx],
-                   who + ": chain walk found " + std::to_string(walked) +
-                       " successors, distinct() says " +
-                       std::to_string(distinct_[ctx]));
+      const std::uint32_t distinct = distinct_[ctx];
+      const std::uint64_t cap = capacity(ctx);
+      if (!report.check(distinct <= cap,
+                        who + ": " + std::to_string(distinct) +
+                            " successors exceed its block capacity " +
+                            std::to_string(cap))) {
+        continue;
+      }
+      report.check(cap == (distinct == 0 ? 0 : std::bit_ceil(distinct)),
+                   who + ": block capacity " + std::to_string(cap) +
+                       " is not the smallest power of two holding " +
+                       std::to_string(distinct) + " successors");
+      if (cap == 0 || !claim(offset_[ctx], cap, 1, who)) continue;
+      std::uint64_t sum = 0;
+      for (std::uint32_t pos = 0; pos < distinct; ++pos) {
+        const std::string where =
+            who + ": position " + std::to_string(pos) + " ";
+        const std::uint32_t item_id = item_[offset_[ctx] + pos];
+        const std::uint16_t c = count_[offset_[ctx] + pos];
+        report.check(c >= 1, where + "has a zero count");
+        report.check(item_id < item_value_.size(),
+                     where + "names an uninterned item id");
+        const std::uint32_t* found =
+            succ_index_.find(succ_key(ctx, item_id));
+        report.check(found != nullptr && *found == pos,
+                     where + "failed the successor index round-trip");
+        sum += c;
+      }
       report.check(sum == total_[ctx],
                    who + ": successor counts sum to " + std::to_string(sum) +
                        " but total() says " + std::to_string(total_[ctx]));
-      chained += walked;
+      successors += distinct;
     }
-    report.check(chained == succs,
-                 "successor slab conservation: " + std::to_string(chained) +
-                     " slots chained, " + std::to_string(succs) +
-                     " allocated (orphaned slots)");
+    // Each context's successors round-trip through the index, so equal
+    // sizes leave no index entry without a successor behind it.
+    report.check(succ_index_.size() == successors,
+                 "successor index holds " +
+                     std::to_string(succ_index_.size()) +
+                     " entries, contexts hold " + std::to_string(successors) +
+                     " successors");
+
+    for (std::size_t cls = 0; cls < kClasses; ++cls) {
+      for (const std::uint32_t offset : free_[cls]) {
+        claim(offset, std::uint64_t{1} << cls, 2,
+              "free block at " + std::to_string(offset) + " (class " +
+                  std::to_string(cls) + ")");
+      }
+    }
+    report.check(live_capacity + free_capacity == pool,
+                 "pool conservation: live capacity " +
+                     std::to_string(live_capacity) + " + free capacity " +
+                     std::to_string(free_capacity) + " != pool size " +
+                     std::to_string(pool) + " (leaked slots)");
 
     // Interning round-trips: every index entry points at a slab slot that
     // agrees with it, and (for items) the slab points back into the index.
@@ -209,20 +287,58 @@ class ContextArena {
  private:
   friend struct AuditPeer;  // corruption-injection tests only
 
-  static constexpr std::uint32_t kNoSucc = 0xFFFFFFFFu;
+  /// Size classes 0..31: capacities 1 .. 2^31, enough for any u32
+  /// successor count. kNoBlock marks a context that has no block yet.
+  static constexpr std::size_t kClasses = 32;
+  static constexpr std::uint8_t kNoBlock = 0xFF;
 
   static std::uint64_t succ_key(CtxId ctx, std::uint32_t item_id) {
     return (static_cast<std::uint64_t>(ctx) << 32) | item_id;
+  }
+
+  std::uint32_t capacity(CtxId ctx) const {
+    return class_[ctx] == kNoBlock ? 0 : std::uint32_t{1} << class_[ctx];
+  }
+
+  /// Moves a full context into a block twice its size (or gives an empty
+  /// context its first, one-slot block), reusing an outgrown block of that
+  /// class when one is free. Positions are kept, so the index stays valid.
+  void grow(CtxId ctx) {
+    const std::uint32_t old_capacity = capacity(ctx);
+    const std::uint8_t cls = class_[ctx] == kNoBlock
+                                 ? 0
+                                 : static_cast<std::uint8_t>(class_[ctx] + 1);
+    SPECPF_ASSERT(cls < kClasses);
+    const std::uint32_t new_capacity = std::uint32_t{1} << cls;
+    std::uint32_t fresh;
+    if (!free_[cls].empty()) {
+      fresh = free_[cls].back();
+      free_[cls].pop_back();
+    } else {
+      SPECPF_ASSERT(item_.size() + new_capacity <= 0xFFFFFFFFull);
+      fresh = static_cast<std::uint32_t>(item_.size());
+      item_.resize(item_.size() + new_capacity);
+      count_.resize(count_.size() + new_capacity);
+    }
+    if (old_capacity != 0) {
+      const std::uint32_t old = offset_[ctx];
+      std::copy_n(item_.begin() + old, old_capacity, item_.begin() + fresh);
+      std::copy_n(count_.begin() + old, old_capacity, count_.begin() + fresh);
+      free_[class_[ctx]].push_back(old);
+    }
+    offset_[ctx] = fresh;
+    class_[ctx] = cls;
   }
 
   /// Ages every counter in `ctx`: c -> ceil(c/2), so counts stay >= 1 and
   /// relative frequencies are preserved to within rounding. The total is
   /// recomputed as the exact sum of the aged counts.
   void halve(CtxId ctx) {
+    std::uint16_t* counts = count_.data() + offset_[ctx];
     std::uint64_t total = 0;
-    for (std::uint32_t s = head_[ctx]; s != kNoSucc; s = succ_next_[s]) {
-      succ_count_[s] = static_cast<std::uint16_t>((succ_count_[s] + 1u) >> 1);
-      total += succ_count_[s];
+    for (std::uint32_t i = 0, n = distinct_[ctx]; i < n; ++i) {
+      counts[i] = static_cast<std::uint16_t>((counts[i] + 1u) >> 1);
+      total += counts[i];
     }
     total_[ctx] = total;
     ++halvings_;
@@ -233,16 +349,18 @@ class ContextArena {
   FlatIndexMap succ_index_;
   std::vector<std::uint64_t> item_value_;
 
-  // Context slab.
-  std::vector<std::uint32_t> head_;
+  // Context columns.
+  std::vector<std::uint32_t> offset_;  ///< block start in the pool
   std::vector<std::uint32_t> distinct_;
+  std::vector<std::uint8_t> class_;    ///< log2 capacity, or kNoBlock
   std::vector<std::uint64_t> total_;
   std::vector<std::uint64_t> aux_;
 
-  // Successor slab (u32 links; kNoSucc terminates each chain).
-  std::vector<std::uint32_t> succ_item_;
-  std::vector<std::uint16_t> succ_count_;
-  std::vector<std::uint32_t> succ_next_;
+  // Successor pool: live blocks and free-listed outgrown blocks.
+  std::vector<std::uint32_t> item_;
+  std::vector<std::uint16_t> count_;
+  /// free_[k]: offsets of outgrown blocks of capacity 2^k.
+  std::array<std::vector<std::uint32_t>, kClasses> free_;
 
   std::uint64_t halvings_ = 0;
 };

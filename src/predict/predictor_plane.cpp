@@ -72,7 +72,7 @@ class FrequencyPlane final : public PredictorPlane {
   ContextArena arena_;
   ContextArena::CtxId ctx_;
   /// Grows its stride on the first predict that needs more entries, the
-  /// same single-threaded mutable scratch as PpmPlane::blended_.
+  /// same single-threaded mutable scratch as PpmPlane::blend_.
   mutable RankedPrefix ranks_;
 };
 
@@ -161,7 +161,11 @@ class PpmPlane final : public PredictorPlane {
     // escape mass flows to the next shorter context, and so on. Per item
     // the contributions accumulate in descending-order sequence, so the
     // sums are bit-identical regardless of successor iteration order.
-    blended_.clear();
+    // Every contribution is > 0 (carry >= 1e-6, 1 - escape >= 1/2, c >= 1),
+    // so a zero sum marks an item this call has not touched yet.
+    if (blend_.size() < arena_.item_count()) {
+      blend_.resize(arena_.item_count(), 0.0);
+    }
     double carry = 1.0;
     for (std::size_t order = std::min(max_order_, len); order >= 1; --order) {
       const ContextArena::CtxId ctx = arena_.find(context_hash(user, order));
@@ -169,19 +173,26 @@ class PpmPlane final : public PredictorPlane {
       const double distinct = static_cast<double>(arena_.distinct(ctx));
       const double total = static_cast<double>(arena_.total(ctx));
       const double escape = distinct / (total + distinct);
-      arena_.for_each_successor(ctx, [&](std::uint64_t item, std::uint16_t c) {
-        blended_[item] +=
-            carry * (1.0 - escape) * static_cast<double>(c) / total;
-      });
+      arena_.for_each_successor_id(
+          ctx, [&](std::uint32_t item_id, std::uint16_t c) {
+            const double share =
+                carry * (1.0 - escape) * static_cast<double>(c) / total;
+            SPECPF_DCHECK(share > 0.0);
+            double& sum = blend_[item_id];
+            if (sum == 0.0) touched_.push_back(item_id);
+            sum += share;
+          });
       carry *= escape;
       if (carry < 1e-6) break;
     }
-    if (blended_.empty()) return;
+    if (touched_.empty()) return;
 
-    out.reserve(blended_.size());
-    for (const auto& [item, prob] : blended_) {
-      out.push_back(Candidate{item, prob});
+    out.reserve(touched_.size());
+    for (const std::uint32_t item_id : touched_) {
+      out.push_back(Candidate{arena_.item_value(item_id), blend_[item_id]});
+      blend_[item_id] = 0.0;
     }
+    touched_.clear();
     select_top_candidates(out, max_candidates);
   }
 
@@ -212,10 +223,13 @@ class PpmPlane final : public PredictorPlane {
   std::size_t max_order_;
   ContextArena arena_;
   HistoryRing history_;
-  /// Scratch for blending; cleared per call, capacity persists (no steady-
-  /// state allocation). The plane is single-threaded like the runtime that
-  /// owns it — the sharded driver builds one plane per shard.
-  mutable FlatHashMap<double> blended_;
+  /// Blending scratch: a dense per-item-id sum, zero between calls, and the
+  /// ids this call touched (reset from it in O(touched), not O(items)).
+  /// Capacity persists, so the steady state does not allocate. The plane is
+  /// single-threaded like the runtime that owns it — the sharded driver
+  /// builds one plane per shard.
+  mutable std::vector<double> blend_;
+  mutable std::vector<std::uint32_t> touched_;
 };
 
 // --- dependency graph: lookahead-window follower credits --------------------

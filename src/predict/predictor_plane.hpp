@@ -3,14 +3,14 @@
 //
 // One plane owns a predictor's entire table state in a shared ContextArena
 // (predict/context_arena.hpp): contexts interned through FlatIndexMap,
-// successor lists threaded through one u32-linked slab, counts quantized to
-// saturating u16 counters with periodic halving, and per-user history kept
-// as fixed ring buffers in a user-indexed slab. Prediction writes into a
-// caller-provided scratch buffer (predict_into), so the stack's hot path
-// does zero allocation per request. Markov and frequency read their top-k
-// off a RankedPrefix (predict/ranked_prefix.hpp) kept in rank order as
-// counts move; the blending and clipping models rank with a partial top-k
-// select instead of a full sort.
+// each context's successors in one contiguous block of a shared pool,
+// counts quantized to saturating u16 counters with periodic halving, and
+// per-user history kept as fixed ring buffers in a user-indexed slab.
+// Prediction writes into a caller-provided scratch buffer (predict_into),
+// so the stack's hot path does zero allocation per request. Markov and
+// frequency read their top-k off a RankedPrefix (predict/ranked_prefix.hpp)
+// kept in rank order as counts move; the blending and clipping models rank
+// with a partial top-k select instead of a full sort.
 //
 // make_predictor_plane dispatches once per run to one concrete class per
 // PredictorKind, exactly like make_cache_plane.
@@ -89,9 +89,9 @@ class PredictorPlane {
   virtual std::uint64_t context_count() const { return 0; }
 
   /// Deep-invariant sweep (util/audit.hpp): the arena planes walk their
-  /// ContextArena (successor-chain conservation, interning round-trips,
+  /// ContextArena (block bounds and pool conservation, interning round-trips,
   /// index health), and Markov and frequency also check every ranked
-  /// prefix against their chains. The stateless oracle has nothing
+  /// prefix against their blocks. The stateless oracle has nothing
   /// slab-backed to walk — default no-op.
   virtual void audit(AuditReport& /*report*/) const {}
 };

@@ -8,7 +8,7 @@
 // count descending, then item ascending. RankedPrefix keeps the first
 // min(stride, distinct) successors of every context in that order, so a
 // prediction reads its answer off the prefix in O(k) instead of walking
-// the context's whole successor chain.
+// the context's whole successor block.
 //
 // ContextArena::add bumps one count by one, and the prefix follows it in
 // O(stride):
@@ -18,7 +18,7 @@
 //     entry is exactly the new (stride + 1)-th;
 //   - while a context has fewer than `stride` successors all of them are
 //     in the prefix, so an item not found there is new and is appended.
-// A context's prefix is rebuilt from its chain in two cases only: after
+// A context's prefix is rebuilt from its block in two cases only: after
 // add halved it (ceil(c/2) can tie counts that differed, and the item
 // tie-break may then pull an outside successor in), and — for every
 // context — when a caller needs more entries than the stride holds.
@@ -86,7 +86,7 @@ class RankedPrefix {
 
   /// Deep-invariant walker (util/audit.hpp): every context's prefix holds
   /// exactly min(stride, distinct) entries and equals the top of its
-  /// successor chain, re-ranked here by a full sort.
+  /// successor block, re-ranked here by a full sort.
   void audit(const ContextArena& arena, AuditReport& report) const {
     const AuditScope scope(report, "RankedPrefix");
     report.check(halvings_seen_ == arena.halvings(),
@@ -122,7 +122,7 @@ class RankedPrefix {
                          row[i].count == ranked[i].count,
                      who + ": prefix rank " + std::to_string(i) + " holds (" +
                          std::to_string(row[i].item) + ", " +
-                         std::to_string(row[i].count) + "), chain says (" +
+                         std::to_string(row[i].count) + "), block says (" +
                          std::to_string(ranked[i].item) + ", " +
                          std::to_string(ranked[i].count) + ")");
       }

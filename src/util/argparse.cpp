@@ -1,8 +1,10 @@
 #include "util/argparse.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 #include "util/contract.hpp"
 #include "util/parse.hpp"
@@ -100,6 +102,31 @@ bool ArgParser::get_bool(const std::string& name) const {
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   reject_value(name, "boolean", v);
 }
+
+template <typename T>
+std::vector<T> ArgParser::get_list(const std::string& name) const {
+  static_assert(std::is_same_v<T, double> || std::is_same_v<T, std::uint64_t>);
+  const char* type = std::is_same_v<T, double> ? "finite number"
+                                               : "non-negative integer";
+  const std::string v = get_string(name);
+  std::vector<T> out;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = v.find(',', start);
+    const std::string tok = v.substr(start, comma - start);
+    T value{};
+    bool ok = parse_exact(tok, &value);
+    if constexpr (std::is_same_v<T, double>) ok = ok && std::isfinite(value);
+    if (!ok) reject_value(name, type, tok);
+    out.push_back(value);
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
+  }
+}
+
+template std::vector<double> ArgParser::get_list<double>(
+    const std::string& name) const;
+template std::vector<std::uint64_t> ArgParser::get_list<std::uint64_t>(
+    const std::string& name) const;
 
 void ArgParser::reject_value(const std::string& name, const char* type,
                              const std::string& value) const {

@@ -33,6 +33,14 @@ class ArgParser {
   std::uint64_t get_uint(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
+  /// A comma-separated list flag, every token read whole as T (double or
+  /// std::uint64_t) under the same rules as get_double / get_uint, and a
+  /// double also finite. An empty token (`1,,2`, a trailing comma, an
+  /// empty value) or a bad one prints `--<flag>: expected <type>, got
+  /// '<token>'` plus usage and exits with status 2.
+  template <typename T>
+  std::vector<T> get_list(const std::string& name) const;
+
   /// Positional arguments left over after flag parsing.
   const std::vector<std::string>& positional() const { return positional_; }
 
@@ -57,8 +65,8 @@ class ArgParser {
 };
 
 /// Splits a comma-separated flag value into its non-empty tokens — the
-/// shared helper behind every list-valued example flag (policies,
-/// governors, scenarios, thread counts, bandwidth sweeps).
+/// shared helper behind the name-list example flags (policies, governors,
+/// scenarios); numeric lists use ArgParser::get_list.
 std::vector<std::string> split_csv(const std::string& csv);
 
 }  // namespace specpf

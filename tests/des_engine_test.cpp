@@ -1,6 +1,7 @@
 // Tests for the zero-allocation engine internals: a determinism differential
-// against a reference (time, seq)-ordered engine, a cancel-heavy slab-reuse
-// stress, and generation-counter ABA protection for recycled slots.
+// against a reference (time, seq)-ordered engine (including a bulk batch
+// beside a pending heap event), a cancel-heavy slab-reuse stress, and
+// generation-counter ABA protection for recycled slots.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -11,9 +12,22 @@
 #include "des/simulator.hpp"
 #include "policy/policies.hpp"
 #include "sim/proxy_sim.hpp"
+#include "util/audit.hpp"
 #include "util/rng.hpp"
 
 namespace specpf {
+
+/// Test-only view of the engine's two ordering tiers (the library
+/// befriends AuditPeer and never defines it).
+struct AuditPeer {
+  static std::size_t heap_entries(const Simulator& s) {
+    return s.heap_.size() - Simulator::kHeapBase;
+  }
+  static std::size_t sorted_run_entries(const Simulator& s) {
+    return s.sorted_run_.size();
+  }
+};
+
 namespace {
 
 // Reference engine with the seed implementation's semantics: closures
@@ -61,57 +75,93 @@ class ReferenceEngine {
   std::uint64_t next_seq_ = 0;
 };
 
+/// Drives a Simulator and a ReferenceEngine through the same schedule and
+/// cancel calls, logging the ids of the events each one fires.
+struct TwinEngines {
+  Simulator sim;
+  ReferenceEngine ref;
+  std::vector<int> new_order;
+  std::vector<int> ref_order;
+  std::vector<EventId> new_ids;
+  std::vector<ReferenceEngine::Handle> ref_ids;
+
+  /// Schedules event `id` at `t` on both engines; every seventh event also
+  /// schedules a child 1.5 later when it fires (the dynamic heap path).
+  void schedule(int id, double t) {
+    new_ids.push_back(sim.schedule_at(t, [this, id, t] {
+      new_order.push_back(id);
+      if (id % 7 == 0) {
+        sim.schedule_at(t + 1.5, [this, id] {
+          new_order.push_back(id + 100000);
+        });
+      }
+    }));
+    ref_ids.push_back(ref.schedule_at(t, [this, id, t] {
+      ref_order.push_back(id);
+      if (id % 7 == 0) {
+        ref.schedule_at(t + 1.5, [this, id] {
+          ref_order.push_back(id + 100000);
+        });
+      }
+    }));
+  }
+
+  /// Schedules `n` events on a coarse time grid (so many share a
+  /// timestamp), then cancels every third of them before anything runs.
+  void schedule_batch(std::uint64_t seed, int n) {
+    Rng rng(seed);
+    const std::size_t first = new_ids.size();
+    for (int i = 0; i < n; ++i) {
+      schedule(static_cast<int>(first) + i,
+               static_cast<double>(rng.next_u64() % 512));
+    }
+    for (std::size_t i = first; i < new_ids.size(); i += 3) {
+      sim.cancel(new_ids[i]);
+      ReferenceEngine::cancel(ref_ids[i]);
+    }
+  }
+
+  void run_and_compare() {
+    sim.run();
+    ref.run();
+    ASSERT_EQ(new_order.size(), ref_order.size());
+    EXPECT_EQ(new_order, ref_order);
+    EXPECT_DOUBLE_EQ(sim.now(), ref.now());
+  }
+};
+
 // A scripted random workload: bulk-scheduled events (exercising the sorted
 // run), duplicate timestamps (exercising the seq tie-break), cancellations,
 // and events that schedule children dynamically (exercising the heap path).
 // Both engines must fire the surviving events in the identical order.
 TEST(EngineDifferential, ExecutionOrderMatchesReferenceEngine) {
-  constexpr int kInitial = 4000;  // above the sorted-run threshold
-  Rng rng(42);
-  std::vector<double> times;
-  times.reserve(kInitial);
-  for (int i = 0; i < kInitial; ++i) {
-    // Coarse grid so many events share a timestamp.
-    times.push_back(static_cast<double>(rng.next_u64() % 512));
-  }
+  TwinEngines twin;
+  twin.schedule_batch(/*seed=*/42, /*n=*/4000);  // above the sorted-run min
+  twin.run_and_compare();
+}
 
-  std::vector<int> new_order;
-  std::vector<int> ref_order;
-  const auto record = [](std::vector<int>& log, int id) {
-    log.push_back(id);
-  };
+// A bulk window scheduled while an earlier event is still pending in the
+// heap — the replay drivers' usual case, with a link completion in flight —
+// must still land in the sorted tier, and pops must interleave the two
+// tiers in (time, seq) order. The lone heap event ties with part of the
+// batch, so the seq tie-break across tiers is exercised too.
+TEST(EngineDifferential, BatchBesidePendingHeapEventUsesSortedTier) {
+  TwinEngines twin;
+  twin.schedule(-1, 100.0);
+  twin.sim.next_event_time();  // flushes: the event is now heap-ordered
+  ASSERT_EQ(AuditPeer::heap_entries(twin.sim), 1u);
 
-  Simulator sim;
-  ReferenceEngine ref;
-  std::vector<EventId> new_ids;
-  std::vector<ReferenceEngine::Handle> ref_ids;
-  for (int i = 0; i < kInitial; ++i) {
-    const double t = times[i];
-    new_ids.push_back(sim.schedule_at(t, [&, i, t] {
-      record(new_order, i);
-      if (i % 7 == 0) {
-        sim.schedule_at(t + 1.5, [&, i] { record(new_order, i + 100000); });
-      }
-    }));
-    ref_ids.push_back(ref.schedule_at(t, [&, i, t] {
-      record(ref_order, i);
-      if (i % 7 == 0) {
-        ref.schedule_at(t + 1.5, [&, i] { record(ref_order, i + 100000); });
-      }
-    }));
-  }
-  // Cancel a deterministic subset before anything runs.
-  for (int i = 0; i < kInitial; i += 3) {
-    sim.cancel(new_ids[i]);
-    ReferenceEngine::cancel(ref_ids[i]);
-  }
+  constexpr int kBatch = 3000;
+  twin.schedule_batch(/*seed=*/7, kBatch);
+  twin.sim.next_event_time();  // flushes the batch
+  EXPECT_EQ(AuditPeer::sorted_run_entries(twin.sim),
+            static_cast<std::size_t>(kBatch));
+  EXPECT_EQ(AuditPeer::heap_entries(twin.sim), 1u);
+  AuditReport report;
+  twin.sim.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
 
-  sim.run();
-  ref.run();
-
-  ASSERT_EQ(new_order.size(), ref_order.size());
-  EXPECT_EQ(new_order, ref_order);
-  EXPECT_DOUBLE_EQ(sim.now(), ref.now());
+  twin.run_and_compare();
 }
 
 // Full-stack determinism: identical seeds must give bit-identical metrics

@@ -104,6 +104,26 @@ TEST(Planner, RejectsOutOfRangeProbability) {
   EXPECT_THROW(planner.plan({{1, 1.5}}), ContractViolation);
 }
 
+TEST(Planner, OverloadedLinkGivesSaturatedPlan) {
+  // ρ' = 60/50 = 1.2: there is no no-prefetch operating point, and the
+  // threshold ρ' ≥ 1 selects nothing. The plan is saturated, not a throw.
+  SystemParams overloaded = paper_params(0.0);
+  overloaded.request_rate = 60.0;
+  for (const InteractionModel model :
+       {InteractionModel::kModelA, InteractionModel::kModelB}) {
+    PrefetchPlanner planner(overloaded, model);
+    const auto plan = planner.plan({{1, 1.0}, {2, 0.7}});
+    EXPECT_TRUE(plan.selected.empty());
+    EXPECT_FALSE(plan.feasible);
+    EXPECT_GE(plan.threshold, 1.0);
+    EXPECT_FALSE(planner.plan_with_budget({{1, 1.0}}, 4).feasible);
+  }
+  ThresholdPolicy policy(InteractionModel::kModelA);
+  PolicyContext ctx;
+  ctx.params = overloaded;
+  EXPECT_TRUE(policy.select({{1, 1.0}}, ctx).empty());
+}
+
 TEST(Planner, SetParamsUpdatesThreshold) {
   PrefetchPlanner planner(paper_params(0.0), InteractionModel::kModelA);
   SystemParams lighter = paper_params(0.0);

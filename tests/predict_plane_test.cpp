@@ -1,8 +1,10 @@
 // Differential + unit tests for the slab-backed SoA predictor plane
 // (predict/predictor_plane.hpp, predict/context_arena.hpp):
 //  1. ContextArena bookkeeping matches a reference map-of-maps under random
-//     load, and the quantized-counter edge cases (saturation, halving) do
-//     the exact ceil(c/2) aging the header promises.
+//     load, the quantized-counter edge cases (saturation, halving) do
+//     the exact ceil(c/2) aging the header promises, and the successor
+//     blocks grow through size classes, reuse outgrown blocks and halve in
+//     place after a move.
 //  2. HistoryRing preserves order across wraparound.
 //  3. Fuzz differential: every arena plane predicts bit-identically to its
 //     pre-arena virtual Predictor table (tests/reference/) across orders x
@@ -10,10 +12,13 @@
 //     approximate. A cycling limit drives RankedPrefix stride growth.
 //  4. Past counter saturation, where the reference tables no longer apply,
 //     Markov and frequency still predict exactly the brute-force ranking
-//     of a twin ContextArena fed the same observations.
+//     of a twin ContextArena fed the same observations, and PPM and the
+//     dependency graph exactly that of ordered-map models that age their
+//     counts the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -145,6 +150,106 @@ TEST(ContextArena, SlabGrowthStress) {
     EXPECT_EQ(got, successors);
   }
   EXPECT_EQ(arena.successor_count(), total_successors);
+}
+
+TEST(ContextArena, GrowthAcrossSizeClassesKeepsInsertionOrder) {
+  // One context taken through classes 0..6: every full block moves into
+  // one twice its size, appended to the pool since nothing else frees a
+  // block. Counts survive every move and visits stay in insertion order.
+  ContextArena arena;
+  const ContextArena::CtxId ctx = arena.intern(5);
+  std::vector<std::uint64_t> inserted;
+  for (std::uint64_t n = 1; n <= 100; ++n) {
+    const std::uint64_t item = 1000 - 7 * n;  // not sorted by value or id
+    inserted.push_back(item);
+    for (std::uint64_t rep = 0; rep < n % 3 + 1; ++rep) {
+      arena.add(ctx, arena.intern_item(item));
+    }
+    // Classes 0..k appended one after another: 2 * bit_ceil(n) - 1 slots.
+    ASSERT_EQ(arena.pool_size(), 2 * std::bit_ceil(n) - 1) << n;
+    ASSERT_EQ(arena.distinct(ctx), n);
+  }
+  std::vector<std::uint64_t> visited;
+  std::uint64_t n = 0;
+  arena.for_each_successor(ctx, [&](std::uint64_t item, std::uint16_t c) {
+    ++n;
+    visited.push_back(item);
+    EXPECT_EQ(c, n % 3 + 1) << item;
+  });
+  EXPECT_EQ(visited, inserted);
+  AuditReport report;
+  arena.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST(ContextArena, OutgrownBlocksAreReused) {
+  // Context a grows 1 -> 2 -> 4 -> 8 and frees one block of each class
+  // 0..2; context b then grows into exactly those blocks, so the pool does
+  // not move until b needs a class-3 block of its own.
+  ContextArena arena;
+  const ContextArena::CtxId a = arena.intern(1);
+  const ContextArena::CtxId b = arena.intern(2);
+  for (std::uint64_t item = 0; item < 8; ++item) {
+    arena.add(a, arena.intern_item(item));
+  }
+  EXPECT_EQ(arena.pool_size(), 15u);  // 1 + 2 + 4 free, 8 live
+  for (std::uint64_t item = 0; item < 4; ++item) {
+    arena.add(b, arena.intern_item(item + 50));
+    EXPECT_EQ(arena.pool_size(), 15u) << item;
+  }
+  arena.add(b, arena.intern_item(54));
+  EXPECT_EQ(arena.pool_size(), 23u);  // class 3 had no free block
+  AuditReport report;
+  arena.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  std::map<std::uint64_t, std::uint64_t> got;
+  arena.for_each_successor(b, [&](std::uint64_t item, std::uint16_t c) {
+    got[item] = c;
+  });
+  EXPECT_EQ(got, (std::map<std::uint64_t, std::uint64_t>{
+                     {50, 1}, {51, 1}, {52, 1}, {53, 1}, {54, 1}}));
+}
+
+TEST(ContextArena, HalvingInsideARelocatedBlock) {
+  // a's block moves three times, and b moves into the blocks a left
+  // behind; saturating one of a's counters must age a's current block
+  // only — b, sitting in a's old blocks, keeps its counts.
+  ContextArena arena;
+  const ContextArena::CtxId a = arena.intern(1);
+  const ContextArena::CtxId b = arena.intern(2);
+  const std::uint32_t hot = arena.intern_item(100);
+  for (std::uint64_t item = 0; item < 4; ++item) {
+    for (std::uint64_t rep = 0; rep <= item; ++rep) {
+      arena.add(a, arena.intern_item(item));
+    }
+  }
+  arena.add(a, hot);  // fifth successor: a moves into a class-3 block
+  for (std::uint64_t item = 0; item < 3; ++item) {
+    for (std::uint64_t rep = 0; rep < 5; ++rep) {
+      arena.add(b, arena.intern_item(item + 50));
+    }
+  }
+  ASSERT_EQ(arena.pool_size(), 15u);  // b lives in a's outgrown blocks
+  while (arena.halvings() == 0) arena.add(a, hot);
+  EXPECT_EQ(arena.halvings(), 1u);
+
+  std::map<std::uint64_t, std::uint64_t> got_a, got_b;
+  arena.for_each_successor(a, [&](std::uint64_t item, std::uint16_t c) {
+    got_a[item] = c;
+  });
+  arena.for_each_successor(b, [&](std::uint64_t item, std::uint16_t c) {
+    got_b[item] = c;
+  });
+  // ceil(c/2) of 1, 2, 3, 4, and the hot counter 65535 -> 32768 + 1.
+  EXPECT_EQ(got_a, (std::map<std::uint64_t, std::uint64_t>{
+                       {0, 1}, {1, 1}, {2, 2}, {3, 2}, {100, 32769}}));
+  EXPECT_EQ(arena.total(a), 1u + 1 + 2 + 2 + 32769);
+  EXPECT_EQ(got_b, (std::map<std::uint64_t, std::uint64_t>{
+                       {50, 5}, {51, 5}, {52, 5}}));
+  EXPECT_EQ(arena.total(b), 15u);
+  AuditReport report;
+  arena.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(HistoryRing, PreservesOrderAcrossWraparound) {
@@ -465,6 +570,152 @@ TEST(PredictPlaneSaturation, SkewedStreamMatchesBruteForceAcrossHalvings) {
                 2u)
           << predictor_kind_name(kind);
     }
+  }
+}
+
+/// Brute-force PPM and dependency-graph models over ordered maps, keyed by
+/// the literal history instead of a hash, with the arena's halving rule:
+/// the ground truth for the blending and clipping planes once counts age.
+class BruteForceModel {
+ public:
+  BruteForceModel(PredictorKind kind, std::size_t users, std::size_t depth)
+      : kind_(kind), depth_(depth), history_(users) {}
+
+  void observe(UserId user, std::uint64_t item) {
+    std::vector<std::uint64_t>& h = history_[user];
+    if (kind_ == PredictorKind::kPpm) {
+      for (std::size_t order = 1; order <= std::min(depth_, h.size());
+           ++order) {
+        add(Key(h.end() - static_cast<std::ptrdiff_t>(order), h.end()), item);
+      }
+    } else {
+      // Each distinct earlier access in the window, other than `item`
+      // itself, is followed by `item` once.
+      std::vector<std::uint64_t> credited;
+      for (const std::uint64_t pred : h) {
+        if (pred == item || std::find(credited.begin(), credited.end(),
+                                      pred) != credited.end()) {
+          continue;
+        }
+        credited.push_back(pred);
+        add(Key{pred}, item);
+      }
+      ++contexts_[Key{item}].occurrences;
+    }
+    h.push_back(item);
+    if (h.size() > depth_) h.erase(h.begin());
+  }
+
+  std::vector<Candidate> predict(UserId user, std::size_t k) const {
+    const std::vector<std::uint64_t>& h = history_[user];
+    std::map<std::uint64_t, double> blended;
+    if (kind_ == PredictorKind::kPpm) {
+      double carry = 1.0;
+      for (std::size_t order = std::min(depth_, h.size()); order >= 1;
+           --order) {
+        const auto it = contexts_.find(
+            Key(h.end() - static_cast<std::ptrdiff_t>(order), h.end()));
+        if (it == contexts_.end() || it->second.total == 0) continue;
+        const Context& ctx = it->second;
+        const double distinct = static_cast<double>(ctx.counts.size());
+        const double total = static_cast<double>(ctx.total);
+        const double escape = distinct / (total + distinct);
+        for (const auto& [item, c] : ctx.counts) {
+          blended[item] +=
+              carry * (1.0 - escape) * static_cast<double>(c) / total;
+        }
+        carry *= escape;
+        if (carry < 1e-6) break;
+      }
+    } else if (!h.empty()) {
+      const auto it = contexts_.find(Key{h.back()});
+      if (it != contexts_.end() && it->second.occurrences != 0) {
+        const double occ = static_cast<double>(it->second.occurrences);
+        for (const auto& [item, c] : it->second.counts) {
+          blended[item] = std::min(1.0, static_cast<double>(c) / occ);
+        }
+      }
+    }
+    std::vector<Candidate> out;
+    for (const auto& [item, p] : blended) out.push_back(Candidate{item, p});
+    std::sort(out.begin(), out.end(),
+              [](const Candidate& a, const Candidate& b) {
+                if (a.probability != b.probability) {
+                  return a.probability > b.probability;
+                }
+                return a.item < b.item;
+              });
+    if (out.size() > k) out.resize(k);
+    return out;
+  }
+
+  std::uint64_t halvings() const { return halvings_; }
+
+ private:
+  using Key = std::vector<std::uint64_t>;
+  struct Context {
+    std::map<std::uint64_t, std::uint64_t> counts;
+    std::uint64_t total = 0;
+    std::uint64_t occurrences = 0;
+  };
+
+  void add(const Key& key, std::uint64_t item) {
+    Context& ctx = contexts_[key];
+    const auto it = ctx.counts.find(item);
+    if (it != ctx.counts.end() && it->second == ContextArena::kCounterMax) {
+      ctx.total = 0;
+      for (auto& [succ, c] : ctx.counts) {
+        c = (c + 1) / 2;
+        ctx.total += c;
+      }
+      ++halvings_;
+    }
+    ++ctx.counts[item];
+    ++ctx.total;
+  }
+
+  PredictorKind kind_;
+  std::size_t depth_;
+  std::vector<std::vector<std::uint64_t>> history_;
+  std::map<Key, Context> contexts_;
+  std::uint64_t halvings_ = 0;
+};
+
+TEST(PredictPlaneSaturation, PpmAndDepgraphMatchBruteForceAcrossHalvings) {
+  // Nine in ten steps walk the 1 -> 2 -> 3 cycle, so its transitions
+  // saturate (PPM at every order, the dependency graph for every pair in
+  // the window); the rest spread over 12 items.
+  for (const PredictorKind kind :
+       {PredictorKind::kPpm, PredictorKind::kDependencyGraph}) {
+    const std::size_t users = 2;
+    const std::size_t depth = 3;
+    PredictorPlaneConfig cfg;
+    cfg.num_users = users;
+    cfg.ppm_order = depth;
+    cfg.depgraph_lookahead = depth;
+    auto plane = make_predictor_plane(kind, cfg);
+    BruteForceModel brute(kind, users, depth);
+    Rng rng(43);
+    std::vector<std::uint64_t> cursor(users, 1);
+    const std::vector<std::size_t> limits = {1, 4, 2, 16};
+    std::vector<Candidate> got;
+    for (std::size_t i = 0; i < 240000; ++i) {
+      const UserId user = static_cast<UserId>(rng.next_u64() % users);
+      std::uint64_t item = rng.next_u64() % 12;
+      if (rng.next_u64() % 10 != 0) item = cursor[user] = cursor[user] % 3 + 1;
+      plane->observe(user, item);
+      brute.observe(user, item);
+      const std::size_t limit = limits[i % limits.size()];
+      plane->predict_into(user, limit, got);
+      expect_same_candidates(got, brute.predict(user, limit),
+                             predictor_kind_name(kind), i);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GE(plane->counter_halvings(), 2u) << predictor_kind_name(kind);
+    EXPECT_EQ(plane->counter_halvings(), brute.halvings());
+    AuditReport report;
+    plane->audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
   }
 }
 

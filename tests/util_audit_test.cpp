@@ -65,8 +65,17 @@ struct AuditPeer {
   static void drift_successor_total(ContextArena& a, ContextArena::CtxId c) {
     ++a.total_[c];  // context total no longer equals the successor-count sum
   }
-  static void orphan_successor(ContextArena& a, ContextArena::CtxId c) {
-    a.head_[c] = ContextArena::kNoSucc;  // leak the whole successor chain
+  static void overlap_blocks(ContextArena& a, ContextArena::CtxId c,
+                             ContextArena::CtxId onto) {
+    a.offset_[c] = a.offset_[onto];  // two contexts share one block
+  }
+  static void stale_offset(ContextArena& a, ContextArena::CtxId c) {
+    // Point the context at the most recently outgrown block of the class
+    // below its own — its own old block when it was the last to grow.
+    a.offset_[c] = a.free_[a.class_[c] - 1].back();
+  }
+  static void over_capacity(ContextArena& a, ContextArena::CtxId c) {
+    a.distinct_[c] = a.capacity(c) + 1;  // one successor past the block
   }
 
   // --- ranked successor prefix -------------------------------------------
@@ -356,16 +365,46 @@ TEST(AuditInjection, ContextArenaSuccessorTotalDrift) {
   EXPECT_FALSE(report.ok()) << "successor-total drift was not detected";
 }
 
-TEST(AuditInjection, ContextArenaOrphanedSuccessorChain) {
+/// Two contexts grown in lockstep through classes 0..3 to capacity 8. No
+/// growth ever needs a smaller class, so every outgrown block is still on
+/// its free list, and `b`, the second to grow, freed the last one of each.
+struct GrownArena {
   ContextArena arena;
-  const ContextArena::CtxId ctx = arena.intern(0x1234u);
-  for (std::uint64_t item = 0; item < 8; ++item) {
-    arena.add(ctx, arena.intern_item(item));
+  ContextArena::CtxId a = arena.intern(0x1234u);
+  ContextArena::CtxId b = arena.intern(0x5678u);
+  GrownArena() {
+    for (std::uint64_t item = 0; item < 8; ++item) {
+      arena.add(a, arena.intern_item(item));
+      arena.add(b, arena.intern_item(item + 100));
+    }
+    AuditReport clean;
+    arena.audit(clean);
+    EXPECT_TRUE(clean.ok()) << clean.summary();
   }
-  AuditPeer::orphan_successor(arena, ctx);
+};
+
+TEST(AuditInjection, ContextArenaOverlappingBlocks) {
+  GrownArena g;
+  AuditPeer::overlap_blocks(g.arena, g.b, g.a);
   AuditReport report;
-  arena.audit(report);
-  EXPECT_FALSE(report.ok()) << "orphaned successor slots were not detected";
+  g.arena.audit(report);
+  expect_failure_containing(report, "overlaps a live block");
+}
+
+TEST(AuditInjection, ContextArenaStaleOffset) {
+  GrownArena g;
+  AuditPeer::stale_offset(g.arena, g.b);
+  AuditReport report;
+  g.arena.audit(report);
+  expect_failure_containing(report, "free block at");
+}
+
+TEST(AuditInjection, ContextArenaOverCapacity) {
+  GrownArena g;
+  AuditPeer::over_capacity(g.arena, g.a);
+  AuditReport report;
+  g.arena.audit(report);
+  expect_failure_containing(report, "exceed its block capacity");
 }
 
 /// A context with six successors of distinct counts (item i seen i + 1

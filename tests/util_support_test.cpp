@@ -216,6 +216,47 @@ TEST(ArgParserDeathTest, NegativeUnsignedExitsTwo) {
               "--users: expected non-negative integer, got '7x'");
 }
 
+TEST(ArgParser, ListsParseEveryToken) {
+  EXPECT_EQ(parsed_with("--rate", "80,2.5e1,0.5").get_list<double>("rate"),
+            (std::vector<double>{80.0, 25.0, 0.5}));
+  EXPECT_EQ(parsed_with("--rate", "-1").get_list<double>("rate"),
+            (std::vector<double>{-1.0}));
+  EXPECT_EQ(parsed_with("--users", "1,2,8").get_list<std::uint64_t>("users"),
+            (std::vector<std::uint64_t>{1, 2, 8}));
+}
+
+TEST(ArgParserDeathTest, BadListTokenExitsTwo) {
+  // Each of these used to be wrapped, read as a prefix, or silently
+  // dropped by a bare std::stoul / std::stod.
+  EXPECT_EXIT(parsed_with("--users", "1,-1").get_list<std::uint64_t>("users"),
+              ::testing::ExitedWithCode(2),
+              "--users: expected non-negative integer, got '-1'");
+  EXPECT_EXIT(parsed_with("--users", "2,10x").get_list<std::uint64_t>("users"),
+              ::testing::ExitedWithCode(2),
+              "--users: expected non-negative integer, got '10x'(.|\n)*flags:");
+  EXPECT_EXIT(parsed_with("--rate", "0.5,nan").get_list<double>("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected finite number, got 'nan'");
+  EXPECT_EXIT(parsed_with("--rate", "inf").get_list<double>("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected finite number, got 'inf'");
+  EXPECT_EXIT(parsed_with("--rate", "abc,1").get_list<double>("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected finite number, got 'abc'");
+}
+
+TEST(ArgParserDeathTest, EmptyListTokenExitsTwo) {
+  EXPECT_EXIT(parsed_with("--rate", "").get_list<double>("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected finite number, got ''");
+  EXPECT_EXIT(parsed_with("--rate", "1,,2").get_list<double>("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected finite number, got ''");
+  EXPECT_EXIT(parsed_with("--users", "4,").get_list<std::uint64_t>("users"),
+              ::testing::ExitedWithCode(2),
+              "--users: expected non-negative integer, got ''");
+}
+
 TEST(ArgParserDeathTest, UnknownBoolSpellingExitsTwo) {
   EXPECT_EXIT(parsed_with("--stream", "maybe").get_bool("stream"),
               ::testing::ExitedWithCode(2),
