@@ -53,8 +53,9 @@ void expect_identical(const ProxySimResult& a, const ProxySimResult& b) {
 //
 // One u64 FNV-1a digest per cell of the stack matrix (proxy sim: 5
 // predictors x 5 cache kinds; trace replay: 5 cache kinds x capacity {8, 24}
-// plus the other 3 replayable predictor kinds; 3-shard replay: 5 cache kinds
-// plus PPM). Each digest covers the bit pattern of every numeric
+// plus the other 3 replayable predictor kinds, then stream windows
+// {1, 97, 250, 1024} and a governed multi-window run; 3-shard replay: 5
+// cache kinds plus PPM). Each digest covers the bit pattern of every numeric
 // ProxySimResult field, so any change to simulated behaviour, however
 // small, changes the table. Regenerating is deliberate (one command line):
 //
@@ -172,6 +173,35 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_matrix_digests() {
     ThresholdPolicy policy(core::InteractionModel::kModelA);
     out.emplace_back(std::string("replay/") + predictor_kind_name(predictor) +
                          "/lru/8",
+                     result_digest(run_trace_replay(replay_trace, cfg, policy)));
+  }
+  // Multi-window replays: the cells above fit in one default stream window,
+  // so these pin the window-boundary feed. 250 puts the warmup record
+  // (index 500 of 5000) exactly on a boundary.
+  for (std::size_t window : {std::size_t{1}, std::size_t{97}, std::size_t{250},
+                             std::size_t{1024}}) {
+    TraceReplayConfig cfg;
+    cfg.bandwidth = 60.0;
+    cfg.cache_capacity = 8;
+    cfg.stream_window = window;
+    ThresholdPolicy policy(core::InteractionModel::kModelA);
+    out.emplace_back("replay/markov/lru/8/window-" + std::to_string(window),
+                     result_digest(run_trace_replay(replay_trace, cfg, policy)));
+  }
+  {
+    // Governed, with telemetry and a disarmed detector evaluated at every
+    // window boundary.
+    TraceReplayConfig cfg;
+    cfg.bandwidth = 60.0;
+    cfg.cache_capacity = 8;
+    cfg.stream_window = 97;
+    cfg.governor = "aimd-3";
+    TelemetryPlane plane;
+    DivergenceDetector detector;
+    cfg.telemetry = &plane;
+    cfg.divergence = &detector;
+    FixedThresholdPolicy policy(0.02);
+    out.emplace_back("replay/markov/lru/8/window-97/aimd-3",
                      result_digest(run_trace_replay(replay_trace, cfg, policy)));
   }
 
