@@ -1,12 +1,13 @@
-// Shard perf-trajectory recorder: measures the sharded runtime — epoch
-// loop overhead at S=1 against the unsharded replay, multi-core scaling of
-// an 8-shard fleet across worker-thread counts, and cross-shard traffic
-// throughput — with the same plain chrono harness as perf_stack, and
-// writes BENCH_shard.json alongside the engine/stack snapshots.
+// Shard perf-trajectory recorder: measures the sharded runtime — multi-core
+// scaling of an 8-shard fleet across worker-thread counts, and cross-shard
+// traffic throughput — with the same plain chrono harness as perf_stack,
+// and writes BENCH_shard.json alongside the engine/stack snapshots.
+// (run_trace_replay is ShardedSim at S = 1, so there is no separate
+// unsharded path to time against.)
 //
-// The binary also re-verifies the subsystem's two contracts before
-// writing anything: the 1-shard run must be bit-identical to the unsharded
-// path, and every thread count must produce bit-identical merged results.
+// The binary also re-verifies the subsystem's determinism contract before
+// writing anything: every thread count must produce bit-identical merged
+// results.
 //
 // Note: thread scaling is hardware-bound — the speedup metric records
 // whatever the host provides (hardware_concurrency is included in the
@@ -22,7 +23,6 @@
 
 #include "policy/policies.hpp"
 #include "shard/sharded_sim.hpp"
-#include "sim/trace_replay.hpp"
 #include "workload/synthetic_trace.hpp"
 
 namespace {
@@ -97,40 +97,7 @@ int main(int argc, char** argv) {
   const Trace trace = make_trace();
   const TraceReplayConfig stack = stack_config();
 
-  // Contract 1: 1 shard == unsharded, bit for bit.
-  ThresholdPolicy unsharded_policy(core::InteractionModel::kModelA);
-  const ProxySimResult unsharded =
-      run_trace_replay(trace, stack, unsharded_policy);
-  ShardedReplayConfig one_shard;
-  one_shard.stack = stack;
-  one_shard.num_shards = 1;
-  one_shard.num_threads = 1;
-  const ShardedReplayResult one =
-      run_sharded_replay(trace, one_shard, threshold_factory());
-  if (!results_equal(one.merged, unsharded)) {
-    std::fprintf(stderr, "1-shard run diverged from the unsharded replay\n");
-    return 1;
-  }
-
-  const std::uint64_t requests = unsharded.requests;
-  double unsharded_secs = best_of_two([&] {
-    ThresholdPolicy policy(core::InteractionModel::kModelA);
-    (void)run_trace_replay(trace, stack, policy);
-  });
-  metrics.push_back({"shard.replay.unsharded_requests_per_sec",
-                     static_cast<double>(requests) / unsharded_secs,
-                     "requests/s"});
-
-  double one_shard_secs = best_of_two([&] {
-    (void)run_sharded_replay(trace, one_shard, threshold_factory());
-  });
-  metrics.push_back({"shard.replay.one_shard_requests_per_sec",
-                     static_cast<double>(requests) / one_shard_secs,
-                     "requests/s"});
-  metrics.push_back({"shard.replay.one_shard_vs_unsharded_overhead",
-                     one_shard_secs / unsharded_secs, "x"});
-
-  // Contract 2 + scaling: an 8-shard fleet across worker-thread counts.
+  // Determinism + scaling: an 8-shard fleet across worker-thread counts.
   ShardedReplayConfig fleet;
   fleet.stack = stack;
   fleet.num_shards = 8;

@@ -139,11 +139,16 @@ int main(int argc, char** argv) {
   const double span = static_cast<double>(trace_cfg.num_requests) /
                       trace_cfg.request_rate;
 
-  const auto shards = static_cast<std::size_t>(args.get_uint("shards"));
-  const auto threads = static_cast<std::size_t>(args.get_uint("threads"));
   const PolicyFactory factory = policy_factory(args.get_string("policy"));
 
-  TraceReplayConfig replay_cfg;
+  ShardedReplayConfig sharded_cfg;
+  sharded_cfg.num_shards =
+      static_cast<std::size_t>(args.get_positive_uint("shards"));
+  sharded_cfg.num_threads = static_cast<std::size_t>(args.get_uint("threads"));
+  sharded_cfg.backbone_bandwidth =
+      args.get_positive_double("backbone-bandwidth");
+  sharded_cfg.backbone_latency = args.get_positive_double("backbone-latency");
+  TraceReplayConfig& replay_cfg = sharded_cfg.stack;
   replay_cfg.bandwidth = args.get_double("bandwidth");
   replay_cfg.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
   replay_cfg.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
@@ -153,8 +158,7 @@ int main(int argc, char** argv) {
   replay_cfg.enable_load_sensor = true;  // baselines report peaks too
 
   for (const std::string& scenario : split_csv(args.get_string("scenarios"))) {
-    if (!make_scenario_modulation(scenario, span, std::max<std::size_t>(
-                                      shards, 1),
+    if (!make_scenario_modulation(scenario, span, sharded_cfg.num_shards,
                                   &trace_cfg.modulation)) {
       std::fprintf(stderr, "unknown scenario '%s', skipping\n",
                    scenario.c_str());
@@ -171,50 +175,31 @@ int main(int argc, char** argv) {
     for (const std::string& gov : split_csv(args.get_string("governors"))) {
       replay_cfg.governor = gov == "none" ? "" : gov;
       const auto t0 = Clock::now();
-      ProxySimResult r;
-      double backbone_peak = 0.0;
-      // Telemetry lives per run: one plane (unsharded) or one plane per
-      // shard, exported before the next governor reuses the config.
-      std::unique_ptr<TelemetryPlane> plane;
+      // Telemetry lives per run, one plane per shard, exported before the
+      // next governor reuses the config.
       std::unique_ptr<TelemetryFleet> fleet;
-      if (shards <= 1) {
-        if (telemetry_on) {
-          plane = std::make_unique<TelemetryPlane>(tele_cfg);
-          replay_cfg.telemetry = plane.get();
-        }
-        auto policy = factory();
-        r = run_trace_replay(trace, replay_cfg, *policy);
-        replay_cfg.telemetry = nullptr;
-      } else {
-        ShardedReplayConfig sharded_cfg;
-        sharded_cfg.stack = replay_cfg;
-        sharded_cfg.num_shards = shards;
-        sharded_cfg.num_threads = threads;
-        sharded_cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
-        sharded_cfg.backbone_latency = args.get_double("backbone-latency");
-        if (telemetry_on) {
-          fleet = std::make_unique<TelemetryFleet>(tele_cfg, shards);
-          sharded_cfg.telemetry = fleet.get();
-        }
-        const ShardedReplayResult sr =
-            run_sharded_replay(trace, sharded_cfg, factory);
-        r = sr.merged;
-        backbone_peak = sr.backbone.peak_queue_depth;
-        if (per_shard_stats) print_per_shard_stats(sr);
+      if (telemetry_on) {
+        fleet = std::make_unique<TelemetryFleet>(tele_cfg,
+                                                 sharded_cfg.num_shards);
       }
+      sharded_cfg.telemetry = fleet.get();
+      const ShardedReplayResult sr =
+          run_sharded_replay(trace, sharded_cfg, factory);
+      const ProxySimResult& r = sr.merged;
+      if (per_shard_stats && sr.num_shards > 1) print_per_shard_stats(sr);
       const double secs =
           std::chrono::duration<double>(Clock::now() - t0).count();
       if (!trace_path.empty()) {
         const std::string out = run_output_path(trace_path, scenario, gov);
-        const bool ok = plane ? write_chrome_trace(out, *plane)
-                              : write_chrome_trace(out, *fleet);
-        if (!ok) std::fprintf(stderr, "cannot write trace '%s'\n", out.c_str());
+        if (!write_chrome_trace(out, *fleet)) {
+          std::fprintf(stderr, "cannot write trace '%s'\n", out.c_str());
+        }
       }
       if (!series_path.empty()) {
         const std::string out = run_output_path(series_path, scenario, gov);
-        const bool ok = plane ? write_timeseries_csv(out, *plane)
-                              : write_timeseries_csv(out, *fleet);
-        if (!ok) std::fprintf(stderr, "cannot write series '%s'\n", out.c_str());
+        if (!write_timeseries_csv(out, *fleet)) {
+          std::fprintf(stderr, "cannot write series '%s'\n", out.c_str());
+        }
       }
       // "instant hit" = served from cache with zero wait; the overall hit
       // ratio also counts hits that blocked on a live transfer, which is
@@ -229,7 +214,7 @@ int main(int argc, char** argv) {
                      r.server_utilization,
                      static_cast<std::int64_t>(r.prefetch_jobs),
                      static_cast<std::int64_t>(r.throttled_prefetches),
-                     backbone_peak, secs});
+                     sr.backbone.peak_queue_depth, secs});
     }
     table.print(std::cout);
     std::printf("\n");

@@ -17,10 +17,12 @@
 //   --convert OUT.spt   write it as a binary trace and exit
 //   --save-csv OUT.csv  write it as CSV and exit (both flags compose)
 //
-// With --shards > 1 the population is split across a sharded fleet
-// (shard/sharded_sim.hpp): one engine per shard, conservative epoch
-// barriers, cross-shard traffic on the backbone — and --threads worker
-// threads drive the shards in parallel with bit-identical results.
+// Every run goes through the sharded driver (shard/sharded_sim.hpp); the
+// default --shards 1 is the plain single-region replay. With --shards > 1
+// the population is split across a fleet: one engine per shard,
+// conservative epoch barriers, cross-shard traffic on the backbone — and
+// --threads worker threads drive the shards in parallel with
+// bit-identical results.
 //
 //   ./million_user_sweep --users 1000000 --requests 3000000
 //   ./million_user_sweep --shards 8 --threads 8 --policy threshold-a
@@ -99,7 +101,7 @@ int main(int argc, char** argv) {
   args.add_flag("pages", "400", "site size (pages)");
   args.add_flag("cache", "8", "per-user cache capacity (pages)");
   args.add_flag("bandwidth", "20000", "per-region link bandwidth (pages/s)");
-  args.add_flag("shards", "1", "number of shards (1 = unsharded runtime)");
+  args.add_flag("shards", "1", "number of shards (1 = single region)");
   args.add_flag("threads", "1",
                 "worker threads for the shard driver (0 = hardware)");
   args.add_flag("policy", "none,threshold-a",
@@ -138,7 +140,7 @@ int main(int argc, char** argv) {
   args.add_flag("save-csv", "",
                 "write the selected source to this CSV path and exit");
   args.add_flag("stream-window", "65536",
-                "records scheduled per engine batch on streamed replays");
+                "max records fed to the engines per epoch");
   args.add_flag("progress", "false",
                 "print a wall-clock heartbeat (records fed, req/s, peak RSS) "
                 "to stderr while the replay streams");
@@ -149,6 +151,14 @@ int main(int argc, char** argv) {
   const bool telemetry_on = !trace_path.empty() || !series_path.empty();
   TelemetryConfig tele_cfg;
   tele_cfg.sample_interval = args.get_double("sample-interval");
+
+  ShardedReplayConfig sharded_cfg;
+  sharded_cfg.num_shards =
+      static_cast<std::size_t>(args.get_positive_uint("shards"));
+  sharded_cfg.num_threads = static_cast<std::size_t>(args.get_uint("threads"));
+  sharded_cfg.backbone_bandwidth =
+      args.get_positive_double("backbone-bandwidth");
+  sharded_cfg.backbone_latency = args.get_positive_double("backbone-latency");
 
   SyntheticTraceConfig trace_cfg;
   trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
@@ -246,9 +256,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto shards = static_cast<std::size_t>(args.get_uint("shards"));
-  const auto threads = static_cast<std::size_t>(args.get_uint("threads"));
-
   // --progress wraps whatever supply was selected in the heartbeat
   // decorator; in-RAM traces go through a TraceVectorSource view so they
   // can be decorated too (bit-identical to the Trace overload, which wraps
@@ -264,7 +271,7 @@ int main(int argc, char** argv) {
     progress = std::make_unique<ProgressTraceSource>(*inner, "replay");
   }
 
-  TraceReplayConfig replay_cfg;
+  TraceReplayConfig& replay_cfg = sharded_cfg.stack;
   replay_cfg.bandwidth = args.get_double("bandwidth");
   replay_cfg.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
   replay_cfg.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
@@ -282,64 +289,42 @@ int main(int argc, char** argv) {
     const PolicyFactory factory = policy_factory(name);
     const MemoryUsage mem_before = read_memory_usage();
     t0 = Clock::now();
-    ProxySimResult r;
-    std::uint64_t backbone_jobs = 0;
-    std::unique_ptr<TelemetryPlane> plane;
     std::unique_ptr<TelemetryFleet> fleet;
-    if (shards <= 1) {
-      if (telemetry_on) {
-        plane = std::make_unique<TelemetryPlane>(tele_cfg);
-        replay_cfg.telemetry = plane.get();
-      }
-      auto policy = factory();
-      r = progress ? run_trace_replay(*progress, replay_cfg, *policy)
-          : ram    ? run_trace_replay(*ram, replay_cfg, *policy)
-                   : run_trace_replay(*stream, replay_cfg, *policy);
-      replay_cfg.telemetry = nullptr;
-    } else {
-      ShardedReplayConfig sharded_cfg;
-      sharded_cfg.stack = replay_cfg;
-      sharded_cfg.num_shards = shards;
-      sharded_cfg.num_threads = threads;
-      sharded_cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
-      sharded_cfg.backbone_latency = args.get_double("backbone-latency");
-      if (telemetry_on) {
-        fleet = std::make_unique<TelemetryFleet>(tele_cfg, shards);
-        sharded_cfg.telemetry = fleet.get();
-      }
-      const ShardedReplayResult sr =
-          progress ? run_sharded_replay(*progress, sharded_cfg, factory)
-          : ram    ? run_sharded_replay(*ram, sharded_cfg, factory)
-                   : run_sharded_replay(*stream, sharded_cfg, factory);
-      r = sr.merged;
-      backbone_jobs = sr.backbone.jobs();
-      if (args.get_bool("per-shard-stats")) {
-        std::printf("policy %s per-shard breakdown:\n", name.c_str());
-        for (std::size_t s = 0; s < sr.num_shards; ++s) {
-          const ShardLoadStats& load = sr.shard_load[s];
-          std::printf(
-              "  shard %zu: %llu requests, %llu events, mbox %llu out / "
-              "%llu in\n",
-              s,
-              static_cast<unsigned long long>(sr.per_shard[s].requests),
-              static_cast<unsigned long long>(load.events_executed),
-              static_cast<unsigned long long>(load.mailbox_sent),
-              static_cast<unsigned long long>(load.mailbox_received));
-        }
+    if (telemetry_on) {
+      fleet = std::make_unique<TelemetryFleet>(tele_cfg,
+                                               sharded_cfg.num_shards);
+    }
+    sharded_cfg.telemetry = fleet.get();
+    const ShardedReplayResult sr =
+        progress ? run_sharded_replay(*progress, sharded_cfg, factory)
+        : ram    ? run_sharded_replay(*ram, sharded_cfg, factory)
+                 : run_sharded_replay(*stream, sharded_cfg, factory);
+    const ProxySimResult& r = sr.merged;
+    if (args.get_bool("per-shard-stats") && sr.num_shards > 1) {
+      std::printf("policy %s per-shard breakdown:\n", name.c_str());
+      for (std::size_t s = 0; s < sr.num_shards; ++s) {
+        const ShardLoadStats& load = sr.shard_load[s];
+        std::printf(
+            "  shard %zu: %llu requests, %llu events, mbox %llu out / "
+            "%llu in\n",
+            s, static_cast<unsigned long long>(sr.per_shard[s].requests),
+            static_cast<unsigned long long>(load.events_executed),
+            static_cast<unsigned long long>(load.mailbox_sent),
+            static_cast<unsigned long long>(load.mailbox_received));
       }
     }
     const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
     if (!trace_path.empty()) {
       const std::string out = suffixed_path(trace_path, name);
-      const bool ok = plane ? write_chrome_trace(out, *plane)
-                            : write_chrome_trace(out, *fleet);
-      if (!ok) std::fprintf(stderr, "cannot write trace '%s'\n", out.c_str());
+      if (!write_chrome_trace(out, *fleet)) {
+        std::fprintf(stderr, "cannot write trace '%s'\n", out.c_str());
+      }
     }
     if (!series_path.empty()) {
       const std::string out = suffixed_path(series_path, name);
-      const bool ok = plane ? write_timeseries_csv(out, *plane)
-                            : write_timeseries_csv(out, *fleet);
-      if (!ok) std::fprintf(stderr, "cannot write series '%s'\n", out.c_str());
+      if (!write_timeseries_csv(out, *fleet)) {
+        std::fprintf(stderr, "cannot write series '%s'\n", out.c_str());
+      }
     }
     // Runtime footprint per user: growth of the RSS high-water mark over
     // this run (per-user caches + in-flight bookkeeping + predictor). The
@@ -358,7 +343,7 @@ int main(int argc, char** argv) {
                    static_cast<std::int64_t>(r.prefetch_jobs),
                    static_cast<std::int64_t>(r.throttled_prefetches),
                    static_cast<std::int64_t>(r.inflight_hits),
-                   static_cast<std::int64_t>(backbone_jobs), secs,
+                   static_cast<std::int64_t>(sr.backbone.jobs()), secs,
                    static_cast<double>(r.requests) / secs,
                    static_cast<double>(mem_after.peak_resident_bytes) / 1e6,
                    run_bytes_per_user});

@@ -91,6 +91,13 @@ int main(int argc, char** argv) {
   const std::string series_path = args.get_string("timeseries");
   TelemetryConfig tele_cfg;
   tele_cfg.sample_interval = args.get_double("sample-interval");
+  // Checked before any trace is built: the driver's contracts would reject
+  // these only after generation.
+  const auto num_shards =
+      static_cast<std::size_t>(args.get_positive_uint("shards"));
+  const double backbone_bandwidth =
+      args.get_positive_double("backbone-bandwidth");
+  const double backbone_latency = args.get_positive_double("backbone-latency");
 
   SyntheticTraceConfig trace_cfg;
   trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
@@ -156,9 +163,9 @@ int main(int argc, char** argv) {
   cfg.stack.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
   cfg.stack.max_prefetch_per_request = 4;
   cfg.stack.seed = trace_cfg.seed;
-  cfg.num_shards = static_cast<std::size_t>(args.get_uint("shards"));
-  cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
-  cfg.backbone_latency = args.get_double("backbone-latency");
+  cfg.num_shards = num_shards;
+  cfg.backbone_bandwidth = backbone_bandwidth;
+  cfg.backbone_latency = backbone_latency;
   const PolicyFactory factory = policy_factory(args.get_string("policy"));
 
   const std::vector<std::uint64_t> thread_counts =

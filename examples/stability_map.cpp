@@ -113,8 +113,9 @@ int main(int argc, char** argv) {
   args.add_flag("sample-interval", "0.25",
                 "telemetry gauge sampling cadence (sim-seconds)");
   args.add_flag("stream-window", "2048",
-                "records per engine batch — also the unsharded detector's "
-                "evaluation cadence, so it stays well below the trace");
+                "max records per engine batch — at --shards 1 also the "
+                "detector's evaluation cadence, so it stays well below the "
+                "trace");
   args.add_flag("window", "32", "detector trend window (rows)");
   args.add_flag("growth-run", "6",
                 "detector sustained-growth run length (steps)");
@@ -149,9 +150,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown family '%s'\n", family.c_str());
     return 1;
   }
+  if (family != "fixed" && !make_policy_by_name(args.get_string("base-policy"))) {
+    std::fprintf(stderr, "unknown base policy '%s'\n",
+                 args.get_string("base-policy").c_str());
+    return 1;
+  }
 
-  const auto shards = static_cast<std::size_t>(args.get_uint("shards"));
+  const auto shards =
+      static_cast<std::size_t>(args.get_positive_uint("shards"));
   const auto threads = static_cast<std::size_t>(args.get_uint("threads"));
+  const double backbone_bandwidth =
+      args.get_positive_double("backbone-bandwidth");
+  const double backbone_latency = args.get_positive_double("backbone-latency");
   const bool abort_on = args.get_bool("abort");
   const double base_rate = args.get_double("rate");
   const double bandwidth = args.get_double("bandwidth");
@@ -209,11 +219,17 @@ int main(int argc, char** argv) {
     cfg.request_rate = base_rate * mult;
     cfg.num_requests = static_cast<std::size_t>(
         static_cast<double>(base_requests) * mult);
-    const bool known = make_scenario_modulation(
-        scenario, span, std::max<std::size_t>(shards, 1), &cfg.modulation);
+    const bool known =
+        make_scenario_modulation(scenario, span, shards, &cfg.modulation);
     SPECPF_EXPECTS(known);
 
-    TraceReplayConfig replay_cfg = replay_base;
+    ShardedReplayConfig sharded_cfg;
+    sharded_cfg.stack = replay_base;
+    sharded_cfg.num_shards = shards;
+    sharded_cfg.num_threads = threads;
+    sharded_cfg.backbone_bandwidth = backbone_bandwidth;
+    sharded_cfg.backbone_latency = backbone_latency;
+    TraceReplayConfig& replay_cfg = sharded_cfg.stack;
     std::string policy_name;
     if (family == "fixed") {
       policy_name = "fixed-" + compact_number(aggr);
@@ -239,32 +255,16 @@ int main(int argc, char** argv) {
     detector.configure(det_cfg);
 
     const auto t0 = Clock::now();
-    ProxySimResult r;
-    if (shards <= 1) {
-      TelemetryPlane plane(tele_cfg);
-      replay_cfg.telemetry = &plane;
-      replay_cfg.divergence = &detector;
-      replay_cfg.abort_on_divergence = allow_abort;
-      const auto policy = make_policy_by_name(policy_name);
-      SPECPF_EXPECTS(policy != nullptr);
-      r = run_trace_replay(trace, replay_cfg, *policy);
-    } else {
-      ShardedReplayConfig sharded_cfg;
-      sharded_cfg.stack = std::move(replay_cfg);
-      sharded_cfg.num_shards = shards;
-      sharded_cfg.num_threads = threads;
-      sharded_cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
-      sharded_cfg.backbone_latency = args.get_double("backbone-latency");
-      TelemetryFleet fleet(tele_cfg, shards);
-      sharded_cfg.telemetry = &fleet;
-      sharded_cfg.divergence = &detector;
-      sharded_cfg.abort_on_divergence = allow_abort;
-      r = run_sharded_replay(trace, sharded_cfg,
-                             [&policy_name] {
-                               return make_policy_by_name(policy_name);
-                             })
-              .merged;
-    }
+    TelemetryFleet fleet(tele_cfg, shards);
+    sharded_cfg.telemetry = &fleet;
+    replay_cfg.divergence = &detector;
+    replay_cfg.abort_on_divergence = allow_abort;
+    const ProxySimResult r =
+        run_sharded_replay(trace, sharded_cfg,
+                           [&policy_name] {
+                             return make_policy_by_name(policy_name);
+                           })
+            .merged;
     cell.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
 
     cell.verdict = detector.verdict();
@@ -291,9 +291,7 @@ int main(int argc, char** argv) {
   for (const std::string& scenario :
        split_csv(args.get_string("scenarios"))) {
     ArrivalModulation probe;
-    if (!make_scenario_modulation(scenario, span,
-                                  std::max<std::size_t>(shards, 1),
-                                  &probe)) {
+    if (!make_scenario_modulation(scenario, span, shards, &probe)) {
       std::fprintf(stderr, "unknown scenario '%s', skipping\n",
                    scenario.c_str());
       continue;

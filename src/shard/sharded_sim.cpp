@@ -21,15 +21,18 @@ namespace specpf {
 void ShardedReplayConfig::validate() const {
   stack.validate();
   SPECPF_EXPECTS(num_shards >= 1);
-  SPECPF_EXPECTS(backbone_latency > 0.0);
+  // The lookahead must be finite for S > 1 epochs to advance.
+  SPECPF_EXPECTS(backbone_latency > 0.0 && std::isfinite(backbone_latency));
   SPECPF_EXPECTS(backbone_bandwidth > 0.0);
-  // Sharded telemetry goes through the fleet, one plane per shard; the
-  // detector likewise attaches fleet-wide through this config.
-  SPECPF_EXPECTS(stack.telemetry == nullptr);
-  SPECPF_EXPECTS(stack.divergence == nullptr);
+  // One plane serves one engine: a single stack plane only at S = 1 and
+  // never beside a fleet.
+  SPECPF_EXPECTS(stack.telemetry == nullptr ||
+                 (num_shards == 1 && telemetry == nullptr));
   SPECPF_EXPECTS(telemetry == nullptr || telemetry->size() == num_shards);
-  SPECPF_EXPECTS(divergence == nullptr || telemetry != nullptr);
-  SPECPF_EXPECTS(!abort_on_divergence || divergence != nullptr);
+  // The detector reads gauge streams; without a plane there is nothing to
+  // watch.
+  SPECPF_EXPECTS(stack.divergence == nullptr || stack.telemetry != nullptr ||
+                 telemetry != nullptr);
 }
 
 // One region: an independent engine plus its data plane. `runtime` is null
@@ -49,7 +52,8 @@ struct ShardedSim::Shard {
   double scan_first = 0.0;
   double scan_last = 0.0;
   std::unique_ptr<PredictorPlane> predictor;
-  std::unique_ptr<PrefetchPolicy> policy;
+  std::unique_ptr<PrefetchPolicy> owned_policy;
+  PrefetchPolicy* policy = nullptr;  ///< owned_policy or the caller's
   std::unique_ptr<OriginLink> origin;
   /// Shard-local prefetch governor (null when the run is ungoverned).
   /// Only this shard's thread touches it between barriers; the driver
@@ -76,8 +80,8 @@ struct ShardedSim::Shard {
 namespace {
 
 /// Shard s > 0 draws a counter-based stream off the root seed; shard 0
-/// inherits the root itself so a 1-shard run is bit-identical to the
-/// unsharded run_trace_replay with the same config.
+/// inherits the root itself, so a 1-shard run seeds its stack exactly as
+/// the config says.
 std::uint64_t shard_seed(std::uint64_t root_seed, std::uint32_t shard) {
   if (shard == 0) return root_seed;
   return Rng(root_seed).substream(shard).next_u64();
@@ -91,18 +95,32 @@ ShardedSim::ShardedSim(const Trace& trace, const ShardedReplayConfig& config,
   SPECPF_EXPECTS(!trace.empty());
   SPECPF_EXPECTS(trace.is_time_ordered());
   owned_source_ = std::make_unique<TraceVectorSource>(trace);
-  init(*owned_source_, make_policy);
+  init(*owned_source_, &make_policy, nullptr);
 }
 
 ShardedSim::ShardedSim(TraceSource& source, const ShardedReplayConfig& config,
                        const PolicyFactory& make_policy)
     : config_(config) {
-  init(source, make_policy);
+  init(source, &make_policy, nullptr);
 }
 
-void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
+ShardedSim::ShardedSim(TraceSource& source, const ShardedReplayConfig& config,
+                       PrefetchPolicy& policy)
+    : config_(config) {
+  SPECPF_EXPECTS(config_.num_shards == 1);
+  init(source, nullptr, &policy);
+}
+
+ShardedSim::Shard& ShardedSim::shard_of(std::uint32_t user) {
+  const std::size_t S = shards_.size();
+  return *shards_[S == 1 ? 0 : shard_of_user(user, S)];
+}
+
+void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
+                      PrefetchPolicy* borrowed_policy) {
   config_.validate();
-  SPECPF_EXPECTS(static_cast<bool>(make_policy));
+  SPECPF_EXPECTS(borrowed_policy != nullptr ||
+                 static_cast<bool>(*make_policy));
   source_ = &source;
   const std::size_t S = config_.num_shards;
 
@@ -118,28 +136,31 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
   // the shard's partition_by_user sub-trace would produce). Warmup and
   // horizon instants come from the *global* trace so every shard switches
   // measurement on at the same simulated time, exactly where the unsharded
-  // replay would.
+  // replay would. The global accumulators are locals so they stay in
+  // registers across the virtual next() call.
   source.reset();
   {
     TraceRecord r;
-    double prev = 0.0;
+    std::uint64_t total = 0;
+    double first = 0.0;
     double last = 0.0;
     while (source.next(&r)) {
-      SPECPF_EXPECTS(total_records_ == 0 || r.time >= prev);  // time-ordered
-      prev = r.time;
-      if (total_records_ == 0) t0_ = r.time;
+      SPECPF_EXPECTS(total == 0 || r.time >= last);  // time-ordered
+      if (total == 0) first = r.time;
       last = r.time;
-      Shard& shard = *shards_[shard_of_user(r.user, S)];
+      Shard& shard = shard_of(r.user);
       if (shard.scan_count == 0) shard.scan_first = r.time;
       shard.scan_last = r.time;
       ++shard.scan_count;
       bool inserted = false;
       UserId& dense = shard.user_index.get_or_insert(r.user, &inserted);
       if (inserted) dense = static_cast<UserId>(shard.user_index.size() - 1);
-      ++total_records_;
+      ++total;
     }
-    SPECPF_EXPECTS(total_records_ > 0);
-    end_time_ = last - t0_;
+    SPECPF_EXPECTS(total > 0);
+    total_records_ = total;
+    t0_ = first;
+    end_time_ = last - first;
   }
   warmup_records_ = static_cast<std::size_t>(
       config_.stack.warmup_fraction * static_cast<double>(total_records_));
@@ -152,10 +173,12 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
     shard->origin =
         std::make_unique<OriginLink>(shard->sim, config_.backbone_bandwidth);
     if (control_plane_on) shard->origin->enable_sensor(config_.stack.sensor);
-    if (config_.telemetry != nullptr) {
+    shard->telemetry = config_.telemetry != nullptr
+                           ? &config_.telemetry->shard(s)
+                           : config_.stack.telemetry;
+    if (shard->telemetry != nullptr && S > 1) {
       // Origin-uplink gauges register *before* the runtime builds (the
       // runtime seals the plane); the driver refreshes them at barriers.
-      shard->telemetry = &config_.telemetry->shard(s);
       TelemetryRegistry& reg = shard->telemetry->registry();
       shard->g_origin_queue = reg.register_gauge("origin.queue_depth", "jobs");
       shard->g_origin_util = reg.register_gauge("origin.util_ewma", "ratio");
@@ -176,7 +199,13 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
 
     shard->predictor = make_replay_predictor(config_.stack.predictor_kind,
                                              shard->user_index.size());
-    shard->policy = make_policy();
+    if (borrowed_policy != nullptr) {
+      shard->policy = borrowed_policy;
+    } else {
+      shard->owned_policy = (*make_policy)();
+      SPECPF_EXPECTS(shard->owned_policy != nullptr);
+      shard->policy = shard->owned_policy.get();
+    }
     if (policy_name_.empty()) policy_name_ = shard->policy->name();
 
     StackRuntimeConfig rt;
@@ -224,16 +253,18 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
     if (warmup_records_ == 0) shard->runtime->begin_measurement();
   }
 
-  // Attach the fleet detector now that every shard's plane is sealed. One
-  // detector watching all planes under per-shard name prefixes makes the
-  // fleet verdict the worst shard's with no extra merge step.
-  if (config_.divergence != nullptr) {
-    DivergenceDetector& det = *config_.divergence;
+  // Attach the detector now that every shard's plane is sealed. Callers
+  // may pre-configure thresholds and hand-pick signals; a bare detector
+  // gets defaults and the standard gauge set. One detector watching all
+  // planes under per-shard name prefixes makes the fleet verdict the worst
+  // shard's with no extra merge step.
+  if (config_.stack.divergence != nullptr) {
+    DivergenceDetector& det = *config_.stack.divergence;
     if (!det.configured()) det.configure(DivergenceConfig{});
     if (det.num_signals() == 0) {
       for (std::uint32_t s = 0; s < S; ++s) {
         det.watch_plane(*shards_[s]->telemetry,
-                        "shard" + std::to_string(s) + "/");
+                        S > 1 ? "shard" + std::to_string(s) + "/" : "");
       }
     }
   }
@@ -286,16 +317,19 @@ void ShardedSim::schedule_horizons() {
   }
 }
 
-void ShardedSim::feed_records(double epoch_end) {
-  const std::size_t S = shards_.size();
-  while (have_pending_) {
+double ShardedSim::feed_records(double epoch_end) {
+  for (std::size_t fed = 0; have_pending_; ++fed) {
     const double when = pending_record_.time - t0_;
-    if (when > epoch_end) return;
+    if (when > epoch_end) break;
+    // Cap the batch: the epoch ends at this unfed arrival. Every shard has
+    // run to at most the previous barrier, so scheduling it there next
+    // epoch stays legal.
+    if (fed == config_.stack.stream_window) return when;
     SPECPF_EXPECTS(when >= 0.0);
     if (warmup_records_ > 0 && fed_index_ == warmup_records_) {
       schedule_warmup_events();
     }
-    Shard& shard = *shards_[shard_of_user(pending_record_.user, S)];
+    Shard& shard = shard_of(pending_record_.user);
     const UserId user = *shard.user_index.find(pending_record_.user);
     StackRuntime* runtime = shard.runtime.get();
     shard.sim.schedule_at(when, [runtime, user, item = pending_record_.item] {
@@ -305,6 +339,7 @@ void ShardedSim::feed_records(double epoch_end) {
     have_pending_ = source_->next(&pending_record_);
     if (!have_pending_) schedule_horizons();
   }
+  return epoch_end;
 }
 
 double ShardedSim::fleet_next_event_time() {
@@ -317,7 +352,13 @@ double ShardedSim::fleet_next_event_time() {
 
 void ShardedSim::run_epoch(double epoch_end) {
   if (!pool_) {
-    for (auto& shard : shards_) shard->sim.run_until(epoch_end);
+    for (auto& shard : shards_) {
+      if (std::isinf(epoch_end)) {
+        shard->sim.run();  // run_until(+inf) would move the clock to +inf
+      } else {
+        shard->sim.run_until(epoch_end);
+      }
+    }
     return;
   }
   // One task vector per epoch barrier (S entries), not per-request.
@@ -375,7 +416,7 @@ void ShardedSim::exchange_setpoints() {
 }
 
 void ShardedSim::sample_telemetry(double now) {
-  if (config_.telemetry == nullptr) return;
+  if (config_.telemetry == nullptr || shards_.size() == 1) return;
   // Driver thread, canonical shard order. Every event a shard executed
   // this epoch is <= now, and mailbox deliveries land >= now, so the
   // forced barrier row keeps each recorder's timestamps monotone.
@@ -404,15 +445,19 @@ ShardedReplayResult ShardedSim::run() {
         std::min(threads, shards_.size()));
   }
 
-  // Conservative epoch loop. Lookahead = backbone latency: every event a
-  // shard emits during [t_min, t_min + L) is delivered at send + L >=
-  // t_min + L, i.e. never inside a window anyone already executed. Epochs
-  // are anchored at the fleet-wide earliest pending event — engine events
-  // and the feeder's next unscheduled trace record alike, so the epoch
-  // sequence is identical to the historical whole-trace-prescheduled
-  // driver's — which also fast-forwards through idle stretches instead of
-  // spinning fixed-width windows over them.
-  const double lookahead = config_.backbone_latency;
+  // Conservative epoch loop. Lookahead = the minimum cross-shard delay:
+  // every event a shard emits during [t_min, t_min + L) is delivered at
+  // send + L >= t_min + L, i.e. never inside a window anyone already
+  // executed. One shard has no cross-shard traffic, so its lookahead is
+  // unbounded and only the stream_window cap cuts its epochs. Epochs are
+  // anchored at the fleet-wide earliest pending event — engine events and
+  // the feeder's next unscheduled trace record alike — which also
+  // fast-forwards through idle stretches instead of spinning fixed-width
+  // windows over them.
+  const double lookahead = shards_.size() > 1
+                               ? config_.backbone_latency
+                               : std::numeric_limits<double>::infinity();
+  DivergenceDetector* detector = config_.stack.divergence;
   bool aborted = false;
   for (;;) {
     double t_min = fleet_next_event_time();
@@ -423,21 +468,35 @@ ShardedReplayResult ShardedSim::run() {
     // Feed this window's records before its pops: each batch lands in the
     // destination engine's O(1)-pop sorted tier, and occupancy stays at
     // ~one epoch's worth of arrivals instead of the whole trace.
-    feed_records(t_min + lookahead);
-    run_epoch(t_min + lookahead);
+    const double epoch_end = feed_records(t_min + lookahead);
+    run_epoch(epoch_end);
     ++epochs_;
     exchange_mailboxes();
     exchange_setpoints();
-    sample_telemetry(t_min + lookahead);
-    // Epoch barriers are the fleet detector's evaluation instants: the
-    // forced sample above just refreshed every shard's gauge rows, and the
-    // driver thread owns all state here. Pure observation unless abort is
-    // armed.
-    if (config_.divergence != nullptr &&
-        config_.divergence->evaluate() == StabilityVerdict::kDivergent &&
-        config_.abort_on_divergence) {
-      aborted = true;
-      break;
+    // Barrier rows and verdicts serve the feed: once an abort has cut it,
+    // the drain is judged once, post-drain, as at S = 1.
+    if (!aborted) {
+      sample_telemetry(epoch_end);
+      // Epoch barriers are the detector's evaluation instants: the engines
+      // have just caught up to real arrivals, so the gauge streams are
+      // current, and the driver thread owns all state here. Pure
+      // observation unless abort is armed, and an abort only cuts the feed
+      // while records remain.
+      if (detector != nullptr &&
+          detector->evaluate() == StabilityVerdict::kDivergent &&
+          config_.stack.abort_on_divergence && have_pending_) {
+        // Stop the feed and snapshot every shard at this barrier (driver
+        // thread, canonical order) instead of at the end_time_ horizon,
+        // which is never scheduled now.
+        aborted = true;
+        have_pending_ = false;
+        for (auto& shard : shards_) {
+          if (shard->runtime) {
+            shard->horizon = shard->runtime->snapshot_server();
+          }
+          shard->backbone_horizon = shard->origin->stats();
+        }
+      }
     }
     if constexpr (kAuditBuild) {
       // Epoch-barrier sweep, sampled at power-of-two epochs so the audit
@@ -450,19 +509,9 @@ ShardedReplayResult ShardedSim::run() {
     }
   }
   if constexpr (kAuditBuild) audit_fleet();  // final sweep before merging
-  // Post-drain verdict refresh (no-op after an abort: evaluate() skips
-  // signals with no rows newer than their cursor).
-  if (config_.divergence != nullptr) config_.divergence->evaluate();
-
-  if (aborted) {
-    // The scheduled end_time_ horizon snapshots never ran: snapshot every
-    // shard at the abort barrier instead, driver thread, canonical order,
-    // so the merge below covers the simulated prefix.
-    for (auto& shard : shards_) {
-      if (shard->runtime) shard->horizon = shard->runtime->snapshot_server();
-      shard->backbone_horizon = shard->origin->stats();
-    }
-  }
+  // Post-drain verdict refresh (evaluate() skips signals with no rows
+  // newer than their cursor).
+  if (detector != nullptr) detector->evaluate();
 
   // Merge in canonical shard order (0..S-1), on this thread.
   ShardedReplayResult out;

@@ -1,6 +1,7 @@
 // Sharded multi-server simulation: S regions, each owning an independent
 // slab Simulator + StackRuntime data plane, synchronized with conservative
 // epoch barriers and exchanging cross-shard traffic through mailboxes.
+// This is the one replay driver: run_trace_replay is ShardedSim at S = 1.
 //
 // Topology. Users are partitioned across shards (shard of user u is
 // u % S); items have a home shard (item % S). Every user request is served
@@ -9,22 +10,33 @@
 // backbone job on the home region's origin uplink (net/backbone.hpp),
 // delivered after the cross-region latency.
 //
-// Synchronization. Conservative epochs with lookahead L = backbone_latency,
-// the minimum cross-shard delay: every epoch runs each shard to
-// t_min + L, where t_min is the earliest pending event fleet-wide, so no
-// shard can receive a cross-shard event timestamped inside the window it
-// already executed. Mailboxes are drained at the barrier in canonical
-// order (destination-major, source 0..S-1) and bulk-scheduled into the
+// Synchronization. Conservative epochs with lookahead L = the minimum
+// cross-shard delay: backbone_latency at S > 1, unbounded at S = 1 (one
+// shard has no cross-shard traffic). Every epoch runs each shard to
+// t_min + L, where t_min is the earliest pending event or unfed record
+// fleet-wide, so no shard can receive a cross-shard event timestamped
+// inside the window it already executed. No epoch feeds more than
+// stack.stream_window records: when that cap binds, the epoch ends at the
+// next unfed record's arrival instead. At S = 1 every epoch is therefore
+// one stream window, and once every record is fed the shard drains with
+// run(). Mailboxes are drained at the barrier in canonical order
+// (destination-major, source 0..S-1) and bulk-scheduled into the
 // destination engine.
+//
+// Divergence abort. With stack.abort_on_divergence armed, a divergent
+// verdict at a barrier while records remain stops the feed and snapshots
+// every shard's horizon stats right there. The work already scheduled then
+// drains with no further barrier rows or verdicts, and the detector is
+// evaluated once post-drain. Once the last record is fed the run always
+// reaches its horizon.
 //
 // Determinism. Results are bit-identical regardless of worker thread
 // count: each shard's RNG stream is counter-derived from the root seed,
 // shards only touch their own state between barriers, and every merge
 // (mailboxes, SimMetrics via RunningStats::merge, ServerStats, backbone
-// stats) happens in canonical shard order on the driver thread. A 1-shard
-// run is bit-identical to the unsharded run_trace_replay path: shard 0
-// inherits the root seed, mailboxes stay empty, and result assembly goes
-// through the same assemble_stack_result arithmetic.
+// stats) happens in canonical shard order on the driver thread. Shard 0
+// inherits the root seed, so a 1-shard run is run_trace_replay with the
+// same config.
 #pragma once
 
 #include <cstdint>
@@ -54,27 +66,18 @@ struct ShardedReplayConfig {
   /// Bandwidth of each region's origin uplink.
   double backbone_bandwidth = 1000.0;
   /// Per-shard telemetry (borrowed; must outlive the run; size must equal
-  /// num_shards). Shard s records into plane s between barriers; the
-  /// driver adds origin-uplink gauges and forces a sample row at every
-  /// epoch barrier. Pure observation — results are bit-identical with
-  /// this null or installed. `stack.telemetry` must stay null here: one
-  /// plane cannot serve S independent engines.
+  /// num_shards). Shard s records into plane s between barriers; at S > 1
+  /// the driver adds origin-uplink gauges and forces a sample row at every
+  /// epoch barrier, so a fleet of one exports exactly like a single plane.
+  /// Pure observation — results are bit-identical with this null or
+  /// installed. `stack.telemetry`, a single plane, is the alternative at
+  /// S = 1 only: one plane cannot serve S independent engines.
+  ///
+  /// `stack.divergence` attaches to every shard's sealed plane (under a
+  /// "shard<s>/" signal-name prefix at S > 1, so the fleet verdict is the
+  /// worst shard's) and is evaluated on the driver thread at every epoch
+  /// barrier plus once after the loop drains.
   class TelemetryFleet* telemetry = nullptr;
-
-  /// Fleet divergence detector (borrowed; must outlive the run). Requires
-  /// `telemetry`: init() attaches it to every shard's sealed plane under a
-  /// "shard<s>/" signal-name prefix, so the fleet verdict is naturally the
-  /// worst shard's. Evaluated on the driver thread at every epoch barrier
-  /// right after the forced telemetry sample, plus once after the loop
-  /// drains. Pure observation — bit-identical results with this null or
-  /// installed — unless `abort_on_divergence` is also set.
-  /// `stack.divergence` must stay null here, same as `stack.telemetry`.
-  class DivergenceDetector* divergence = nullptr;
-  /// Stop the epoch loop as soon as the fleet verdict turns divergent:
-  /// horizon stats are snapshotted at the abort barrier on the driver
-  /// thread (canonical shard order) instead of simulating every shard's
-  /// exploding queue out to the trace horizon.
-  bool abort_on_divergence = false;
 
   void validate() const;
 };
@@ -124,6 +127,11 @@ class ShardedSim {
   ShardedSim(TraceSource& source, const ShardedReplayConfig& config,
              const PolicyFactory& make_policy);
 
+  /// S = 1 form whose shard borrows the caller's policy (which must
+  /// outlive the object) — run_trace_replay's entry point.
+  ShardedSim(TraceSource& source, const ShardedReplayConfig& config,
+             PrefetchPolicy& policy);
+
   ~ShardedSim();
 
   ShardedSim(const ShardedSim&) = delete;
@@ -143,19 +151,25 @@ class ShardedSim {
   struct Shard;
 
   /// Shared constructor body: metadata scan + per-shard engine build.
-  void init(TraceSource& source, const PolicyFactory& make_policy);
+  /// Shards take `borrowed_policy` when it is set, else `make_policy()`.
+  void init(TraceSource& source, const PolicyFactory* make_policy,
+            PrefetchPolicy* borrowed_policy);
+  /// Shard owning raw user id `user`.
+  Shard& shard_of(std::uint32_t user);
   /// Feeds pending records with arrival time ≤ epoch_end into their shard
-  /// engines (global trace order), interleaving the fleet-wide warmup
-  /// events at the warmup boundary record and the horizon snapshots after
-  /// the last record — the same engine insertion sequence per shard that
-  /// scheduling the whole partitioned trace up front produced.
-  void feed_records(double epoch_end);
+  /// engines (global trace order), at most stack.stream_window of them,
+  /// interleaving the fleet-wide warmup events at the warmup boundary
+  /// record and the horizon snapshots after the last record. Returns where
+  /// the epoch ends: epoch_end, or the next unfed record's arrival when the
+  /// cap bound first.
+  double feed_records(double epoch_end);
   /// Schedules begin_measurement / origin stat resets on every shard at
   /// the global warmup instant (canonical shard order).
   void schedule_warmup_events();
   /// Schedules the per-shard measurement-horizon snapshots at end_time_.
   void schedule_horizons();
-  /// Runs every shard to `epoch_end` (serially or on the pool).
+  /// Runs every shard to `epoch_end` (serially or on the pool); an
+  /// unbounded epoch (S = 1, feed done) drains with run().
   void run_epoch(double epoch_end);
   /// Drains all mailboxes into destination engines, canonical order.
   void exchange_mailboxes();
@@ -169,7 +183,7 @@ class ShardedSim {
   double fleet_next_event_time();
   /// Telemetry barrier step: refreshes every shard's origin-uplink gauges
   /// and forces a sample row at the epoch boundary (driver thread,
-  /// canonical order). No-op when the run carries no telemetry fleet.
+  /// canonical order). No-op at S = 1 or without a telemetry fleet.
   void sample_telemetry(double now);
   /// SPECPF_AUDIT epoch-barrier sweep: audits every shard's engine slab and
   /// stack slice on the driver thread, throwing ContractViolation (with the

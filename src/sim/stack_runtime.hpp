@@ -4,8 +4,9 @@
 // online parameter estimation for the policy, and metrics.
 //
 // Frontends drive it with handle_request(user, item) per arrival:
-//   * sim/proxy_sim   — generative session workload
-//   * sim/trace_replay — recorded traces
+//   * sim/proxy_sim     — generative session workload
+//   * shard/sharded_sim — recorded traces on S shards (sim/trace_replay
+//                         is its S = 1 form)
 #pragma once
 
 #include <algorithm>

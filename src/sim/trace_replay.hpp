@@ -7,6 +7,11 @@
 // own logs (Trace::load_csv_file). Timing semantics are open-loop: requests
 // fire at their recorded instants regardless of fetch completions, matching
 // the paper's fixed-λ assumption.
+//
+// There is one replay driver: run_trace_replay is ShardedSim
+// (shard/sharded_sim.hpp) at S = 1, whose shard borrows the caller's
+// policy. TraceReplayConfig is also the per-shard stack configuration
+// every sharded run carries.
 #pragma once
 
 #include <cstdint>
@@ -61,34 +66,34 @@ struct TraceReplayConfig {
 
   /// Telemetry plane to record into (borrowed; must outlive the run).
   /// Pure observation: results are bit-identical with this null or
-  /// installed. The *sharded* driver takes a TelemetryFleet through its
-  /// own config instead and requires this to stay null (one plane cannot
-  /// serve S independent engines).
+  /// installed. Accepted at S = 1 only; a sharded run records through a
+  /// TelemetryFleet in ShardedReplayConfig instead (one plane cannot serve
+  /// S independent engines).
   class TelemetryPlane* telemetry = nullptr;
 
   /// Online divergence detector (obs/divergence.hpp; borrowed, must
-  /// outlive the run). Requires `telemetry`: the replay attaches it to the
-  /// sealed plane (configuring it with defaults and watching the standard
-  /// gauge set if the caller did neither) and evaluates it on the driver
-  /// thread at every stream-window boundary plus once after the drain.
+  /// outlive the run). Requires a plane (`telemetry` or the sharded run's
+  /// fleet): the driver attaches it to the sealed plane(s), configuring it
+  /// with defaults and watching the standard gauge set if the caller did
+  /// neither, and evaluates it on the driver thread at every epoch barrier
+  /// (every stream-window boundary at S = 1) plus once after the drain.
   /// Pure observation — results are bit-identical with this null or
-  /// installed — unless `abort_on_divergence` is also set. The sharded
-  /// driver takes its detector through its own config and requires this to
-  /// stay null.
+  /// installed — unless `abort_on_divergence` is also set.
   class DivergenceDetector* divergence = nullptr;
-  /// Terminate the replay as soon as the detector's verdict turns
-  /// divergent: stop scheduling records and snapshot server stats at the
-  /// abort instant instead of simulating an exploding queue to the
-  /// horizon. The result then covers only the simulated prefix; callers
-  /// read the detector for the verdict and onset.
+  /// Stop feeding records as soon as the detector's verdict turns
+  /// divergent at a barrier while records remain: server stats are
+  /// snapshotted at that barrier instead of simulating an exploding queue
+  /// to the horizon, and the work already scheduled drains. The result
+  /// then covers only the simulated prefix; callers read the detector for
+  /// the verdict and onset.
   bool abort_on_divergence = false;
 
-  /// Streaming granularity: how many trace records to schedule into the
-  /// engine before running it forward. Bounds engine occupancy at
-  /// ~stream_window events (plus in-flight fetches) regardless of trace
-  /// length — the knob that keeps billion-request replays at bounded RSS.
-  /// Traces shorter than one window replay exactly like the old
-  /// bulk-schedule-everything path.
+  /// Streaming granularity: no epoch feeds more than this many trace
+  /// records into the engines before running them forward. Bounds engine
+  /// occupancy at ~stream_window events (plus in-flight fetches)
+  /// regardless of trace length — the knob that keeps billion-request
+  /// replays at bounded RSS. Traces shorter than one window replay exactly
+  /// like the bulk schedule-everything path.
   std::size_t stream_window = 65536;
 
   void validate() const;
@@ -103,13 +108,14 @@ ProxySimResult run_trace_replay(const Trace& trace,
 /// stream_window batches instead of materializing a Trace. Two sequential
 /// passes over the source (metadata, then schedule); results are
 /// bit-identical to the in-RAM overload fed the same record sequence.
+/// Both overloads are ShardedSim at S = 1 returning the merged result.
 ProxySimResult run_trace_replay(TraceSource& source,
                                 const TraceReplayConfig& config,
                                 PrefetchPolicy& policy);
 
-/// Fresh predictor plane for a replay kind — shared with the sharded
-/// driver, which needs one independent plane per shard (`num_users` sizes
-/// the plane's user-indexed history slab). kOracle is not replayable.
+/// Fresh predictor plane for a replay kind — the driver builds one
+/// independent plane per shard (`num_users` sizes the plane's
+/// user-indexed history slab). kOracle is not replayable.
 /// `use_legacy` must be false; it exists only because bench/e2e passes a
 /// literal `false`.
 std::unique_ptr<PredictorPlane> make_replay_predictor(

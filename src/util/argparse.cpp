@@ -103,6 +103,24 @@ bool ArgParser::get_bool(const std::string& name) const {
   reject_value(name, "boolean", v);
 }
 
+double ArgParser::get_positive_double(const std::string& name) const {
+  const std::string v = get_string(name);
+  double out = 0.0;
+  if (!parse_exact(v, &out) || !std::isfinite(out) || out <= 0.0) {
+    reject_value(name, "positive finite number", v);
+  }
+  return out;
+}
+
+std::uint64_t ArgParser::get_positive_uint(const std::string& name) const {
+  const std::string v = get_string(name);
+  std::uint64_t out = 0;
+  if (!parse_exact(v, &out) || out == 0) {
+    reject_value(name, "positive integer", v);
+  }
+  return out;
+}
+
 template <typename T>
 std::vector<T> ArgParser::get_list(const std::string& name) const {
   static_assert(std::is_same_v<T, double> || std::is_same_v<T, std::uint64_t>);

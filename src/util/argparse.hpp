@@ -32,6 +32,10 @@ class ArgParser {
   std::int64_t get_int(const std::string& name) const;
   std::uint64_t get_uint(const std::string& name) const;
   bool get_bool(const std::string& name) const;
+  /// get_double / get_uint that also reject zero, negatives and (for the
+  /// double) non-finite values, for rates, latencies and shard counts.
+  double get_positive_double(const std::string& name) const;
+  std::uint64_t get_positive_uint(const std::string& name) const;
 
   /// A comma-separated list flag, every token read whole as T (double or
   /// std::uint64_t) under the same rules as get_double / get_uint, and a

@@ -1,13 +1,18 @@
-// Sharded runtime: the 1-shard differential against the unsharded replay
-// path, bit-determinism across worker thread counts, conservative-epoch
-// cross-shard traffic, and the user→shard trace partition.
+// Sharded runtime: run_trace_replay against a factory-built 1-shard fleet,
+// bit-determinism across worker thread counts, conservative-epoch
+// cross-shard traffic, the telemetry config rules, and the user→shard
+// trace partition.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
+#include "obs/divergence.hpp"
+#include "obs/telemetry.hpp"
 #include "policy/policies.hpp"
 #include "shard/sharded_sim.hpp"
 #include "sim/trace_replay.hpp"
+#include "util/contract.hpp"
 #include "workload/synthetic_trace.hpp"
 
 namespace specpf {
@@ -190,6 +195,36 @@ TEST(ShardedSim, NoPrefetchPolicyProducesNoPrefetchBackboneTraffic) {
   EXPECT_EQ(r.merged.prefetch_jobs, 0u);
   EXPECT_EQ(r.backbone.prefetch_jobs, 0u);
   EXPECT_GT(r.backbone.demand_jobs, 0u);
+}
+
+TEST(ShardedSim, SinglePlaneOnlyAtOneShardWithoutFleet) {
+  // One plane serves one engine: a stack plane is accepted at S = 1 only,
+  // and never beside a fleet; a detector needs one of the two.
+  TelemetryPlane plane;
+  TelemetryFleet fleet_of_one(TelemetryConfig{}, 1);
+  DivergenceDetector detector;
+
+  ShardedReplayConfig one = sharded_config(1, 1);
+  one.stack.telemetry = &plane;
+  one.stack.divergence = &detector;
+  EXPECT_NO_THROW(one.validate());
+  one.telemetry = &fleet_of_one;
+  EXPECT_THROW(one.validate(), ContractViolation);
+
+  ShardedReplayConfig two = sharded_config(2, 1);
+  two.stack.telemetry = &plane;
+  EXPECT_THROW(two.validate(), ContractViolation);
+
+  ShardedReplayConfig blind = sharded_config(2, 1);
+  blind.stack.divergence = &detector;
+  EXPECT_THROW(blind.validate(), ContractViolation);
+  TelemetryFleet fleet(TelemetryConfig{}, 2);
+  blind.telemetry = &fleet;
+  EXPECT_NO_THROW(blind.validate());
+
+  ShardedReplayConfig unbounded = sharded_config(2, 1);
+  unbounded.backbone_latency = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(unbounded.validate(), ContractViolation);
 }
 
 TEST(TracePartition, PartitionByUserPreservesOrderAndCoverage) {

@@ -16,6 +16,7 @@
 
 #include "obs/divergence.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace_export.hpp"
 #include "policy/policies.hpp"
 #include "shard/sharded_sim.hpp"
 #include "sim/proxy_sim.hpp"
@@ -444,7 +445,7 @@ TEST(StackDifferential, ShardedReplayDetectorOnMatchesOff) {
   TelemetryFleet on_fleet(TelemetryConfig{}, 2);
   DivergenceDetector detector;
   cfg.telemetry = &on_fleet;
-  cfg.divergence = &detector;  // abort_on_divergence stays false
+  cfg.stack.divergence = &detector;  // abort_on_divergence stays false
   const ShardedReplayResult on = run_sharded_replay(trace, cfg, factory);
 
   expect_identical(on.merged, off.merged);
@@ -462,6 +463,196 @@ TEST(StackDifferential, ShardedReplayDetectorOnMatchesOff) {
   AuditReport report;
   detector.audit(report);
   EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+// --- armed divergence abort: one rule for every shard count -----------------
+
+/// An overloaded replay: demand alone exceeds the link (50 req/s on a
+/// 30 pages/s link) and fixed-0.02 prefetches nearly everything, so the
+/// detector turns divergent within the first few windows.
+Trace overload_trace() {
+  SyntheticTraceConfig trace_cfg;
+  trace_cfg.num_users = 400;
+  trace_cfg.num_requests = 6000;
+  trace_cfg.request_rate = 50.0;
+  trace_cfg.graph.num_pages = 80;
+  trace_cfg.seed = 21;
+  return generate_synthetic_trace(trace_cfg);
+}
+
+TraceReplayConfig overload_config() {
+  TraceReplayConfig cfg;
+  cfg.bandwidth = 30.0;
+  cfg.cache_capacity = 8;
+  cfg.stream_window = 256;
+  cfg.enable_load_sensor = true;
+  cfg.abort_on_divergence = true;
+  return cfg;
+}
+
+/// Ignores the warmup prefix (12 s of the 120 s trace), whose cold caches
+/// look like queue growth, so the abort lands inside the measured window.
+DivergenceConfig overload_detector_config() {
+  DivergenceConfig config;
+  config.settle_time = 12.0;
+  return config;
+}
+
+std::string read_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::string out;
+  if (f == nullptr) return out;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) {
+    out.append(buf, n);
+  }
+  std::fclose(f);
+  return out;
+}
+
+TEST(StackDifferential, ArmedAbortOneShardMatchesFleetOfOne) {
+  const Trace trace = overload_trace();
+  const auto warmup = static_cast<std::uint64_t>(
+      overload_config().warmup_fraction * static_cast<double>(trace.size()));
+
+  // run_trace_replay with a single plane...
+  TraceReplayConfig cfg = overload_config();
+  TelemetryPlane plane;
+  DivergenceDetector plane_detector;
+  plane_detector.configure(overload_detector_config());
+  cfg.telemetry = &plane;
+  cfg.divergence = &plane_detector;
+  FixedThresholdPolicy policy(0.02);
+  const ProxySimResult replay = run_trace_replay(trace, cfg, policy);
+
+  // ...equals ShardedSim at S = 1 recording into a fleet of one.
+  ShardedReplayConfig sharded;
+  sharded.stack = overload_config();
+  TelemetryFleet fleet(TelemetryConfig{}, 1);
+  DivergenceDetector fleet_detector;
+  fleet_detector.configure(overload_detector_config());
+  sharded.telemetry = &fleet;
+  sharded.stack.divergence = &fleet_detector;
+  const ShardedReplayResult one = run_sharded_replay(
+      trace, sharded, [] { return std::make_unique<FixedThresholdPolicy>(0.02); });
+
+  expect_identical(one.merged, replay);
+  EXPECT_EQ(plane_detector.verdict(), StabilityVerdict::kDivergent);
+  EXPECT_EQ(fleet_detector.verdict(), plane_detector.verdict());
+  EXPECT_EQ(fleet_detector.onset_time(), plane_detector.onset_time());
+  EXPECT_EQ(fleet_detector.onset_signal(), plane_detector.onset_signal());
+  EXPECT_EQ(fleet_detector.evaluations(), plane_detector.evaluations());
+  // The abort cut the feed: fewer requests than the post-warmup trace.
+  EXPECT_GT(replay.requests, 0u);
+  EXPECT_LT(replay.requests, trace.size() - warmup);
+
+  // A fleet of one carries no backbone gauges or barrier rows, so it
+  // exports exactly like the single plane.
+  const std::string dir = ::testing::TempDir();
+  ASSERT_TRUE(write_timeseries_csv(dir + "abort_plane.csv", plane));
+  ASSERT_TRUE(write_timeseries_csv(dir + "abort_fleet.csv", fleet));
+  const std::string plane_csv = read_file(dir + "abort_plane.csv");
+  EXPECT_FALSE(plane_csv.empty());
+  EXPECT_EQ(read_file(dir + "abort_fleet.csv"), plane_csv);
+  std::remove((dir + "abort_plane.csv").c_str());
+  std::remove((dir + "abort_fleet.csv").c_str());
+}
+
+TEST(StackDifferential, ArmedAbortTwoShardsIdenticalAcrossThreadCounts) {
+  const Trace trace = overload_trace();
+  const auto warmup = static_cast<std::uint64_t>(
+      overload_config().warmup_fraction * static_cast<double>(trace.size()));
+  const PolicyFactory factory = [] {
+    return std::make_unique<FixedThresholdPolicy>(0.02);
+  };
+  auto run = [&](std::size_t threads, DivergenceDetector* detector) {
+    ShardedReplayConfig cfg;
+    cfg.stack = overload_config();
+    cfg.stack.divergence = detector;
+    cfg.num_shards = 2;
+    cfg.num_threads = threads;
+    TelemetryFleet fleet(TelemetryConfig{}, 2);
+    cfg.telemetry = &fleet;
+    return run_sharded_replay(trace, cfg, factory);
+  };
+  DivergenceDetector serial_detector;
+  DivergenceDetector pooled_detector;
+  serial_detector.configure(overload_detector_config());
+  pooled_detector.configure(overload_detector_config());
+  const ShardedReplayResult serial = run(1, &serial_detector);
+  const ShardedReplayResult pooled = run(4, &pooled_detector);
+
+  EXPECT_EQ(serial_detector.verdict(), StabilityVerdict::kDivergent);
+  EXPECT_GT(serial.merged.requests, 0u);
+  EXPECT_LT(serial.merged.requests, trace.size() - warmup);
+  EXPECT_EQ(result_digest(pooled.merged), result_digest(serial.merged));
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(result_digest(pooled.per_shard[s]),
+              result_digest(serial.per_shard[s]))
+        << "shard " << s;
+  }
+  EXPECT_EQ(pooled.epochs, serial.epochs);
+  EXPECT_EQ(pooled.cross_shard_events, serial.cross_shard_events);
+  EXPECT_EQ(pooled.backbone.jobs(), serial.backbone.jobs());
+  EXPECT_EQ(pooled_detector.verdict(), serial_detector.verdict());
+  EXPECT_EQ(pooled_detector.onset_time(), serial_detector.onset_time());
+  EXPECT_EQ(pooled_detector.onset_signal(), serial_detector.onset_signal());
+}
+
+// --- the stream_window epoch cut ---------------------------------------------
+
+TEST(StackDifferential, OneShardEpochsAreStreamWindows) {
+  // At S = 1 nothing but the cap cuts an epoch, so a 5000-record trace in
+  // windows of 97 runs ceil(5000 / 97) = 52 epochs, the last one draining.
+  SyntheticTraceConfig trace_cfg;
+  trace_cfg.num_users = 500;
+  trace_cfg.num_requests = 5000;
+  trace_cfg.request_rate = 50.0;
+  trace_cfg.graph.num_pages = 80;
+  trace_cfg.seed = 21;
+  const Trace trace = generate_synthetic_trace(trace_cfg);
+  ShardedReplayConfig cfg;
+  cfg.stack.bandwidth = 60.0;
+  cfg.stack.cache_capacity = 8;
+  cfg.stack.stream_window = 97;
+  const ShardedReplayResult r = run_sharded_replay(trace, cfg, [] {
+    return std::make_unique<ThresholdPolicy>(core::InteractionModel::kModelA);
+  });
+  EXPECT_EQ(r.epochs, 52u);
+}
+
+TEST(StackDifferential, ShardedStreamWindowCapIsDeterministic) {
+  // At S > 1 the cap binds only when more than stream_window records
+  // arrive within one lookahead: 50 req/s over a 2 s lookahead is ~100
+  // records per epoch, so a window of 16 cuts every epoch.
+  SyntheticTraceConfig trace_cfg;
+  trace_cfg.num_users = 300;
+  trace_cfg.num_requests = 3000;
+  trace_cfg.request_rate = 50.0;
+  trace_cfg.graph.num_pages = 80;
+  trace_cfg.seed = 33;
+  const Trace trace = generate_synthetic_trace(trace_cfg);
+  auto run = [&](std::size_t window, std::size_t threads) {
+    ShardedReplayConfig cfg;
+    cfg.stack.bandwidth = 60.0;
+    cfg.stack.cache_capacity = 8;
+    cfg.stack.stream_window = window;
+    cfg.num_shards = 3;
+    cfg.num_threads = threads;
+    cfg.backbone_latency = 2.0;
+    return run_sharded_replay(trace, cfg, [] {
+      return std::make_unique<ThresholdPolicy>(core::InteractionModel::kModelA);
+    });
+  };
+  const ShardedReplayResult uncut = run(65536, 1);
+  const ShardedReplayResult cut = run(16, 1);
+  const ShardedReplayResult cut_pooled = run(16, 3);
+  EXPECT_GE(cut.epochs, trace.size() / 16);
+  EXPECT_LT(uncut.epochs, cut.epochs);
+  EXPECT_EQ(cut.merged.requests, uncut.merged.requests);
+  EXPECT_EQ(result_digest(cut_pooled.merged), result_digest(cut.merged));
+  EXPECT_EQ(cut_pooled.epochs, cut.epochs);
+  EXPECT_EQ(cut_pooled.cross_shard_events, cut.cross_shard_events);
 }
 
 // --- streamed sources vs in-RAM traces: the out-of-core pipeline ------------

@@ -216,6 +216,34 @@ TEST(ArgParserDeathTest, NegativeUnsignedExitsTwo) {
               "--users: expected non-negative integer, got '7x'");
 }
 
+TEST(ArgParser, PositiveAccessorsAcceptPositiveValues) {
+  EXPECT_EQ(parsed_with("--rate", "0.05").get_positive_double("rate"), 0.05);
+  EXPECT_EQ(parsed_with("--users", "2").get_positive_uint("users"), 2u);
+}
+
+TEST(ArgParserDeathTest, NonPositiveOrNonFiniteValueExitsTwo) {
+  // A zero backbone latency used to reach the sharded driver's contract
+  // check and end in an uncaught ContractViolation.
+  EXPECT_EXIT(parsed_with("--rate", "0").get_positive_double("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected positive finite number, got '0'(.|\n)*flags:");
+  EXPECT_EXIT(parsed_with("--rate", "-0.5").get_positive_double("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected positive finite number, got '-0.5'");
+  EXPECT_EXIT(parsed_with("--rate", "inf").get_positive_double("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected positive finite number, got 'inf'");
+  EXPECT_EXIT(parsed_with("--rate", "nan").get_positive_double("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected positive finite number, got 'nan'");
+  EXPECT_EXIT(parsed_with("--users", "0").get_positive_uint("users"),
+              ::testing::ExitedWithCode(2),
+              "--users: expected positive integer, got '0'");
+  EXPECT_EXIT(parsed_with("--users", "-1").get_positive_uint("users"),
+              ::testing::ExitedWithCode(2),
+              "--users: expected positive integer, got '-1'");
+}
+
 TEST(ArgParser, ListsParseEveryToken) {
   EXPECT_EQ(parsed_with("--rate", "80,2.5e1,0.5").get_list<double>("rate"),
             (std::vector<double>{80.0, 25.0, 0.5}));
