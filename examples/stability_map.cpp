@@ -150,9 +150,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown family '%s'\n", family.c_str());
     return 1;
   }
-  if (family != "fixed" && !make_policy_by_name(args.get_string("base-policy"))) {
-    std::fprintf(stderr, "unknown base policy '%s'\n",
-                 args.get_string("base-policy").c_str());
+  const std::string base_policy = args.get_string("base-policy");
+  if (family != "fixed" && !make_policy_by_name(base_policy)) {
+    std::fprintf(stderr, "unknown base policy '%s'\n", base_policy.c_str());
     return 1;
   }
 
@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
       policy_name = "fixed-" + compact_number(aggr);
       cell.aggressiveness = aggr;
     } else {
-      policy_name = args.get_string("base-policy");
+      policy_name = base_policy;
       replay_cfg.governor = family + "-" + compact_number(aggr);
       // Read the knob back through the governor's own introspection so the
       // annotation cannot drift from what the run actually constructed.

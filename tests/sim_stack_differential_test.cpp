@@ -55,8 +55,8 @@ void expect_identical(const ProxySimResult& a, const ProxySimResult& b) {
 // One u64 FNV-1a digest per cell of the stack matrix (proxy sim: 5
 // predictors x 5 cache kinds; trace replay: 5 cache kinds x capacity {8, 24}
 // plus the other 3 replayable predictor kinds, then stream windows
-// {1, 97, 250, 1024} and a governed multi-window run; 3-shard replay: 5
-// cache kinds plus PPM). Each digest covers the bit pattern of every numeric
+// {1, 97, 250, 1024}, a governed multi-window run and an armed divergence
+// abort; 3-shard replay: 5 cache kinds plus PPM). Each digest covers the bit pattern of every numeric
 // ProxySimResult field, so any change to simulated behaviour, however
 // small, changes the table. Regenerating is deliberate (one command line):
 //
@@ -187,7 +187,8 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_matrix_digests() {
     cfg.stream_window = window;
     ThresholdPolicy policy(core::InteractionModel::kModelA);
     out.emplace_back("replay/markov/lru/8/window-" + std::to_string(window),
-                     result_digest(run_trace_replay(replay_trace, cfg, policy)));
+                     result_digest(
+                         run_trace_replay(replay_trace, cfg, policy)));
   }
   {
     // Governed, with telemetry and a disarmed detector evaluated at every
@@ -203,7 +204,35 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_matrix_digests() {
     cfg.divergence = &detector;
     FixedThresholdPolicy policy(0.02);
     out.emplace_back("replay/markov/lru/8/window-97/aimd-3",
-                     result_digest(run_trace_replay(replay_trace, cfg, policy)));
+                     result_digest(
+                         run_trace_replay(replay_trace, cfg, policy)));
+  }
+  {
+    // Armed divergence abort: demand alone overloads the 30 pages/s link,
+    // so the feed stops at a window boundary and the scheduled work drains.
+    TraceReplayConfig cfg;
+    cfg.bandwidth = 30.0;
+    cfg.cache_capacity = 8;
+    cfg.stream_window = 256;
+    cfg.enable_load_sensor = true;  // the detector watches sensor EWMAs
+    cfg.abort_on_divergence = true;
+    TelemetryPlane plane;
+    DivergenceDetector detector;
+    DivergenceConfig detector_cfg;
+    detector_cfg.settle_time = 10.0;  // past the 500-record warmup
+    detector.configure(detector_cfg);
+    cfg.telemetry = &plane;
+    cfg.divergence = &detector;
+    FixedThresholdPolicy policy(0.02);
+    const ProxySimResult r = run_trace_replay(replay_trace, cfg, policy);
+    // Guard the cell's purpose: the run really aborted mid-trace.
+    if (detector.verdict() != StabilityVerdict::kDivergent ||
+        r.requests >= replay_trace.size() - 500) {
+      out.emplace_back("replay/markov/lru/8/window-256/abort:not-aborted", 0);
+    } else {
+      out.emplace_back("replay/markov/lru/8/window-256/abort",
+                       result_digest(r));
+    }
   }
 
   SyntheticTraceConfig shard_trace_cfg;
@@ -533,8 +562,9 @@ TEST(StackDifferential, ArmedAbortOneShardMatchesFleetOfOne) {
   fleet_detector.configure(overload_detector_config());
   sharded.telemetry = &fleet;
   sharded.stack.divergence = &fleet_detector;
-  const ShardedReplayResult one = run_sharded_replay(
-      trace, sharded, [] { return std::make_unique<FixedThresholdPolicy>(0.02); });
+  const ShardedReplayResult one = run_sharded_replay(trace, sharded, [] {
+    return std::make_unique<FixedThresholdPolicy>(0.02);
+  });
 
   expect_identical(one.merged, replay);
   EXPECT_EQ(plane_detector.verdict(), StabilityVerdict::kDivergent);
@@ -585,6 +615,9 @@ TEST(StackDifferential, ArmedAbortTwoShardsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial_detector.verdict(), StabilityVerdict::kDivergent);
   EXPECT_GT(serial.merged.requests, 0u);
   EXPECT_LT(serial.merged.requests, trace.size() - warmup);
+  // The drain after the abort spans several epochs, none of them judged:
+  // one evaluation per barrier up to the abort, then one post-drain.
+  EXPECT_LT(serial_detector.evaluations(), serial.epochs);
   EXPECT_EQ(result_digest(pooled.merged), result_digest(serial.merged));
   for (std::size_t s = 0; s < 2; ++s) {
     EXPECT_EQ(result_digest(pooled.per_shard[s]),
