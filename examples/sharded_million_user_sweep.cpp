@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   const std::string series_path = args.get_string("timeseries");
   TelemetryConfig tele_cfg;
   tele_cfg.sample_interval = args.get_double("sample-interval");
-  // Checked before any trace is built: the driver's contracts would reject
+  // Checked before any trace is built: ShardedSim's contracts would reject
   // these only after generation.
   const auto num_shards =
       static_cast<std::size_t>(args.get_positive_uint("shards"));

@@ -16,7 +16,7 @@ void TraceReplayConfig::validate() const {
   SPECPF_EXPECTS(!use_tree_inflight && !use_legacy_caches &&
                  !use_legacy_predictors);
   // Aborting needs a verdict to abort on. (Which plane the detector
-  // watches is the driver's check: ShardedReplayConfig::validate.)
+  // watches is checked by ShardedReplayConfig::validate.)
   SPECPF_EXPECTS(!abort_on_divergence || divergence != nullptr);
   // Replay has no generating graph for the oracle to read.
   SPECPF_EXPECTS(predictor_kind != PredictorKind::kOracle);

@@ -222,7 +222,7 @@ TEST(ArgParser, PositiveAccessorsAcceptPositiveValues) {
 }
 
 TEST(ArgParserDeathTest, NonPositiveOrNonFiniteValueExitsTwo) {
-  // A zero backbone latency used to reach the sharded driver's contract
+  // A zero backbone latency used to reach ShardedSim's contract
   // check and end in an uncaught ContractViolation.
   EXPECT_EXIT(parsed_with("--rate", "0").get_positive_double("rate"),
               ::testing::ExitedWithCode(2),
