@@ -1,136 +1,64 @@
-// Perf-trajectory recorder: runs the engine + proxy-sim benchmarks with a
-// plain chrono harness (no google-benchmark dependency) and writes the
-// results as JSON so every PR can snapshot BENCH_engine.json and the perf
-// history stays diffable.
+// Perf-trajectory recorder: runs the engine + proxy-sim benchmarks through
+// the plain chrono harness (bench/harness.hpp, no google-benchmark
+// dependency) and writes the results as JSON so every PR can snapshot
+// BENCH_engine.json and the perf history stays diffable.
 //
 // Usage: emit_bench_json [output.json]   (default: BENCH_engine.json)
-#include <chrono>
-#include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "engine_workloads.hpp"
+#include "harness.hpp"
 #include "policy/policies.hpp"
 #include "sim/proxy_sim.hpp"
 #include "util/rng.hpp"
 
-namespace {
+int main(int argc, char** argv) {
+  using namespace specpf;
+  const char* path =
+      bench::output_path(argc, argv, "emit_bench_json", "BENCH_engine.json");
+  std::vector<bench::Metric> metrics;
 
-using specpf::Rng;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Runs `body` repeatedly until ~0.5s elapses; returns best seconds/call.
-double best_time(const std::function<void()>& body) {
-  double best = 1e30;
-  double total = 0.0;
-  int calls = 0;
-  while (total < 0.5 || calls < 3) {
-    const auto t0 = Clock::now();
-    body();
-    const double dt = seconds_since(t0);
-    if (dt < best) best = dt;
-    total += dt;
-    ++calls;
+  const std::size_t kSizes[] = {1024, 16384, 131072};
+  for (std::size_t events : kSizes) {
+    Rng rng(1);
+    const bench::Timing t = bench::time_call(
+        [&] { bench::sink(benchwork::schedule_and_run(rng, events)); });
+    const std::string base =
+        "engine.schedule_and_run." + std::to_string(events);
+    const double n = static_cast<double>(events);
+    metrics.push_back(bench::rate(base + ".events_per_sec", n, t, "events/s"));
+    metrics.push_back(
+        bench::duration(base + ".ns_per_event", 1e9 / n, t, "ns"));
   }
-  return best;
-}
 
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
+  Rng cancel_rng(2);
+  metrics.push_back(bench::duration(
+      "engine.cancel_heavy.ms_per_iter", 1e3,
+      bench::time_call(
+          [&] { bench::sink(benchwork::cancel_heavy(cancel_rng)); }),
+      "ms"));
 
-double bench_schedule_run(std::size_t events) {
-  Rng rng(1);
-  return best_time(
-      [&] { specpf::benchwork::schedule_and_run(rng, events); });
-}
+  std::uint64_t ps_jobs = 0;
+  const bench::Timing ps =
+      bench::time_call([&] { ps_jobs = benchwork::ps_server_throughput(); });
+  metrics.push_back(bench::rate("ps_server.ops_per_sec",
+                                static_cast<double>(ps_jobs), ps, "jobs/s"));
 
-double bench_cancel_heavy() {
-  Rng rng(2);
-  return best_time([&] { specpf::benchwork::cancel_heavy(rng); });
-}
-
-double bench_ps_server(std::uint64_t* jobs_out) {
-  std::uint64_t completed = 0;
-  const double secs = best_time(
-      [&] { completed = specpf::benchwork::ps_server_throughput(); });
-  *jobs_out = completed;
-  return secs;
-}
-
-double bench_proxy_sim(std::uint64_t* requests_out) {
-  specpf::ProxySimConfig config;
+  // The generative driver's only timing; the trace replay is bench/e2e's.
+  ProxySimConfig config;
   config.num_users = 8;
   config.duration = 300.0;
   config.warmup = 30.0;
   config.seed = 11;
   std::uint64_t requests = 0;
-  const double secs = best_time([&] {
-    specpf::ThresholdPolicy policy(specpf::core::InteractionModel::kModelA);
-    const auto result = run_proxy_sim(config, policy);
-    requests = result.requests;
+  const bench::Timing proxy = bench::time_call([&] {
+    ThresholdPolicy policy(core::InteractionModel::kModelA);
+    requests = run_proxy_sim(config, policy).requests;
   });
-  *requests_out = requests;
-  return secs;
-}
+  metrics.push_back(bench::rate("proxy_sim.requests_per_sec",
+                                static_cast<double>(requests), proxy,
+                                "requests/s"));
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const char* path = argc > 1 ? argv[1] : "BENCH_engine.json";
-
-  std::vector<Metric> metrics;
-  const std::size_t kSizes[] = {1024, 16384, 131072};
-  for (std::size_t events : kSizes) {
-    const double secs = bench_schedule_run(events);
-    const double per_event_ns = secs / static_cast<double>(events) * 1e9;
-    const std::string base =
-        "engine.schedule_and_run." + std::to_string(events);
-    metrics.push_back({base + ".events_per_sec",
-                       static_cast<double>(events) / secs, "events/s"});
-    metrics.push_back({base + ".ns_per_event", per_event_ns, "ns"});
-  }
-
-  const double cancel_secs = bench_cancel_heavy();
-  metrics.push_back({"engine.cancel_heavy.ms_per_iter", cancel_secs * 1e3,
-                     "ms"});
-
-  std::uint64_t ps_jobs = 0;
-  const double ps_secs = bench_ps_server(&ps_jobs);
-  metrics.push_back({"ps_server.ops_per_sec",
-                     static_cast<double>(ps_jobs) / ps_secs, "jobs/s"});
-
-  std::uint64_t requests = 0;
-  const double proxy_secs = bench_proxy_sim(&requests);
-  metrics.push_back({"proxy_sim.requests_per_sec",
-                     static_cast<double>(requests) / proxy_secs,
-                     "requests/s"});
-
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
-                 metrics[i].name.c_str(), metrics[i].value,
-                 metrics[i].unit.c_str(), i + 1 < metrics.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  for (const auto& m : metrics) {
-    std::printf("  %-45s %14.4g %s\n", m.name.c_str(), m.value,
-                m.unit.c_str());
-  }
-  return 0;
+  return bench::write_snapshot(path, metrics) ? 0 : 1;
 }

@@ -12,20 +12,22 @@
 // sweep's observed prefetch:demand ratio — the engine, in-flight map, and
 // predictor are deliberately absent so the number isolates the caches.
 //
+// The fleet leg is one cold run (the RSS delta needs exactly one), so its
+// construct and sweep rates are single readings; the churn leg goes through
+// the harness timer (bench/harness.hpp).
+//
 // Usage: perf_cache_arena [output.json] [num_users]
 //        (defaults: BENCH_cache.json, 1000000)
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/cache_plane.hpp"
-#include "policy/policies.hpp"
-#include "sim/trace_replay.hpp"
+#include "harness.hpp"
 #include "util/mem.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "workload/synthetic_trace.hpp"
 
@@ -37,28 +39,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-/// Runs `body` repeatedly until ~0.5s elapses; returns best seconds/call.
-double best_time(const std::function<void()>& body) {
-  double best = 1e30;
-  double total = 0.0;
-  int calls = 0;
-  while (total < 0.5 || calls < 3) {
-    const auto t0 = Clock::now();
-    body();
-    const double dt = seconds_since(t0);
-    if (dt < best) best = dt;
-    total += dt;
-    ++calls;
-  }
-  return best;
-}
-
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
 
 constexpr std::size_t kCapacity = 8;  // the million-user sweep's default
 
@@ -153,49 +133,19 @@ std::uint64_t churn(CachePlane& plane) {
   return checksum;
 }
 
-double bench_churn(std::uint64_t* checksum) {
-  return best_time([&] {
-    CachePlaneConfig config;
-    config.num_users = kChurnUsers;
-    config.capacity = kCapacity;
-    config.seed = 7;
-    auto plane = make_cache_plane(CacheKind::kLru, config);
-    *checksum = churn(*plane);
-  });
-}
-
-double bench_trace_replay(std::uint64_t* requests_out) {
-  SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = 50000;
-  trace_cfg.num_requests = 200000;
-  trace_cfg.request_rate = 1000.0;
-  trace_cfg.graph.num_pages = 400;
-  trace_cfg.graph.out_degree = 3;
-  trace_cfg.graph.exit_probability = 0.25;
-  trace_cfg.seed = 5;
-  const Trace trace = generate_synthetic_trace(trace_cfg);
-
-  TraceReplayConfig replay_cfg;
-  replay_cfg.bandwidth = 1200.0;
-  replay_cfg.cache_capacity = kCapacity;
-  replay_cfg.max_prefetch_per_request = 4;
-  std::uint64_t requests = 0;
-  const double secs = best_time([&] {
-    ThresholdPolicy policy(core::InteractionModel::kModelA);
-    const auto result = run_trace_replay(trace, replay_cfg, policy);
-    requests = result.requests;
-  });
-  *requests_out = requests;
-  return secs;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* path = argc > 1 ? argv[1] : "BENCH_cache.json";
-  const std::size_t num_users =
-      argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 1000000;
-  std::vector<Metric> metrics;
+  const char* path = "BENCH_cache.json";
+  std::size_t num_users = 1000000;
+  if (argc > 3 || (argc > 1 && argv[1][0] == '-') ||
+      (argc > 2 && (!parse_exact(argv[2], &num_users) || num_users == 0))) {
+    std::fprintf(stderr,
+                 "usage: perf_cache_arena [output.json] [num_users > 0]\n");
+    return 2;
+  }
+  if (argc > 1) path = argv[1];
+  std::vector<bench::Metric> metrics;
 
   // The sweep-shaped trace the fleet measurement replays (allocated before
   // the first RSS snapshot, so it cancels out of the delta).
@@ -226,36 +176,18 @@ int main(int argc, char** argv) {
 
   // Protocol-op churn.
   std::uint64_t churn_checksum = 0;
-  const double churn_secs = bench_churn(&churn_checksum);
+  const bench::Timing churn_t = bench::time_call([&] {
+    CachePlaneConfig config;
+    config.num_users = kChurnUsers;
+    config.capacity = kCapacity;
+    config.seed = 7;
+    auto plane = make_cache_plane(CacheKind::kLru, config);
+    churn_checksum = churn(*plane);
+  });
   if (churn_checksum == 0) std::fprintf(stderr, "cache churn saw nothing\n");
-  metrics.push_back({"cache.churn.arena_ops_per_sec",
-                     static_cast<double>(kChurnOps) / churn_secs, "ops/s"});
+  metrics.push_back(bench::rate("cache.churn.arena_ops_per_sec",
+                                static_cast<double>(kChurnOps), churn_t,
+                                "ops/s"));
 
-  // End-to-end replay.
-  std::uint64_t replay_requests = 0;
-  const double replay_secs = bench_trace_replay(&replay_requests);
-  metrics.push_back({"cache.trace_replay.arena_requests_per_sec",
-                     static_cast<double>(replay_requests) / replay_secs,
-                     "requests/s"});
-
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
-                 metrics[i].name.c_str(), metrics[i].value,
-                 metrics[i].unit.c_str(), i + 1 < metrics.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  for (const auto& m : metrics) {
-    std::printf("  %-45s %14.4g %s\n", m.name.c_str(), m.value,
-                m.unit.c_str());
-  }
-  return 0;
+  return bench::write_snapshot(path, metrics) ? 0 : 1;
 }

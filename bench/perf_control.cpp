@@ -1,8 +1,10 @@
 // Control-plane perf/behaviour recorder: measures what the prefetch
 // governors do to network load under a flash crowd — peak smoothed queue
 // depth, peak slowdown, access time, and hit ratios, governed vs
-// ungoverned — plus the runtime overhead of sensing and governing, and
-// writes BENCH_control.json alongside the other snapshots.
+// ungoverned — plus the runtime overhead of sensing and governing, as
+// ratios to the same plain replay timed interleaved through the harness
+// (bench/harness.hpp), and writes BENCH_control.json alongside the other
+// snapshots.
 //
 // The binary re-verifies the subsystem's contracts before writing
 // anything:
@@ -20,12 +22,12 @@
 // blocked on a live transfer, which is exactly what congestion inflates).
 //
 // Usage: perf_control [output.json]   (default: BENCH_control.json)
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "policy/policies.hpp"
 #include "shard/sharded_sim.hpp"
 #include "sim/trace_replay.hpp"
@@ -34,13 +36,6 @@
 namespace {
 
 using namespace specpf;
-using Clock = std::chrono::steady_clock;
-
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
 
 Trace make_flash_trace() {
   SyntheticTraceConfig cfg;
@@ -79,31 +74,6 @@ PolicyFactory aggressive_factory() {
   return [] { return make_policy_by_name("fixed-0.05"); };
 }
 
-template <typename F>
-double best_of_two(const F& body) {
-  double best = 1e30;
-  for (int i = 0; i < 2; ++i) {
-    const auto t0 = Clock::now();
-    body();
-    const double dt = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (dt < best) best = dt;
-  }
-  return best;
-}
-
-bool results_equal(const ProxySimResult& a, const ProxySimResult& b) {
-  return a.mean_access_time == b.mean_access_time &&
-         a.hit_ratio == b.hit_ratio &&
-         a.server_utilization == b.server_utilization &&
-         a.requests == b.requests && a.demand_jobs == b.demand_jobs &&
-         a.prefetch_jobs == b.prefetch_jobs &&
-         a.inflight_hits == b.inflight_hits &&
-         a.hprime_estimate == b.hprime_estimate &&
-         a.throttled_prefetches == b.throttled_prefetches &&
-         a.peak_queue_depth == b.peak_queue_depth &&
-         a.peak_slowdown == b.peak_slowdown;
-}
-
 double instant_hit_ratio(const ProxySimResult& r) {
   if (r.requests == 0) return 0.0;
   return r.hit_ratio - static_cast<double>(r.inflight_hits) /
@@ -113,8 +83,9 @@ double instant_hit_ratio(const ProxySimResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* path = argc > 1 ? argv[1] : "BENCH_control.json";
-  std::vector<Metric> metrics;
+  const char* path =
+      bench::output_path(argc, argv, "perf_control", "BENCH_control.json");
+  std::vector<bench::Metric> metrics;
 
   const Trace trace = make_flash_trace();
   TraceReplayConfig stack = stack_config();
@@ -130,7 +101,7 @@ int main(int argc, char** argv) {
     noop.governor = "noop";
     auto policy = aggressive_policy();
     const ProxySimResult r = run_trace_replay(trace, noop, *policy);
-    if (!results_equal(r, ungoverned)) {
+    if (!bench::same_result(r, ungoverned)) {
       std::fprintf(stderr, "noop-governed replay diverged from ungoverned\n");
       return 1;
     }
@@ -154,7 +125,7 @@ int main(int argc, char** argv) {
       if (!have_reference) {
         reference = r;
         have_reference = true;
-      } else if (!results_equal(r.merged, reference.merged) ||
+      } else if (!bench::same_result(r.merged, reference.merged) ||
                  r.cross_shard_events != reference.cross_shard_events) {
         std::fprintf(stderr,
                      "governed 8-shard run diverged at %zu worker threads\n",
@@ -217,52 +188,23 @@ int main(int argc, char** argv) {
       {"control.flash.token200_access_time_reduction",
        ungoverned.mean_access_time / token_result.mean_access_time, "x"});
 
-  // Overhead of the control plane on the hot path: ungoverned/no-sensor vs
-  // sensor-on vs governed throughput on the same replay.
-  const std::uint64_t requests = ungoverned.requests;
+  // Overhead of the control plane on the hot path: sensor-on and governed
+  // replays against the same ungoverned/no-sensor replay.
   TraceReplayConfig plain = stack;
   plain.enable_load_sensor = false;
-  const double plain_secs = best_of_two([&] {
-    auto policy = aggressive_policy();
-    (void)run_trace_replay(trace, plain, *policy);
-  });
-  const double sensed_secs = best_of_two([&] {
-    auto policy = aggressive_policy();
-    (void)run_trace_replay(trace, stack, *policy);
-  });
   TraceReplayConfig governed = stack;
   governed.governor = "token-200";
-  const double governed_secs = best_of_two([&] {
-    auto policy = aggressive_policy();
-    (void)run_trace_replay(trace, governed, *policy);
-  });
-  metrics.push_back({"control.replay.ungoverned_requests_per_sec",
-                     static_cast<double>(requests) / plain_secs,
-                     "requests/s"});
-  metrics.push_back({"control.replay.sensor_overhead",
-                     sensed_secs / plain_secs, "x"});
-  metrics.push_back({"control.replay.governed_requests_per_sec",
-                     static_cast<double>(requests) / governed_secs,
-                     "requests/s"});
+  const auto replay = [&](const TraceReplayConfig& cfg) {
+    return [&trace, &cfg] {
+      auto policy = aggressive_policy();
+      bench::sink(run_trace_replay(trace, cfg, *policy).requests);
+    };
+  };
+  const std::vector<bench::Timing> t =
+      bench::time_legs({replay(plain), replay(stack), replay(governed)});
+  metrics.push_back(bench::ratio("control.replay.sensor_overhead", t[1], t[0]));
+  metrics.push_back(
+      bench::ratio("control.replay.governed_overhead", t[2], t[0]));
 
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
-                 metrics[i].name.c_str(), metrics[i].value,
-                 metrics[i].unit.c_str(), i + 1 < metrics.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  for (const auto& m : metrics) {
-    std::printf("  %-55s %14.4g %s\n", m.name.c_str(), m.value,
-                m.unit.c_str());
-  }
-  return 0;
+  return bench::write_snapshot(path, metrics) ? 0 : 1;
 }

@@ -1,55 +1,23 @@
 // Stack perf-trajectory recorder: isolates the request data plane — the
-// in-flight transfer map, the predictor planes, and the full proxy/replay
-// stacks — with a plain chrono harness (no google-benchmark dependency) and
-// writes BENCH_stack.json alongside BENCH_engine.json, so the perf history
-// covers the stack and not just the engine.
+// in-flight transfer map and the predictor planes — with the plain chrono
+// harness (bench/harness.hpp) and writes BENCH_stack.json alongside
+// BENCH_engine.json. The full replay stack is timed by bench/e2e.
 //
 // Usage: perf_stack [output.json]   (default output: BENCH_stack.json)
-#include <chrono>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "policy/policies.hpp"
+#include "harness.hpp"
 #include "predict/predictor_plane.hpp"
-#include "sim/proxy_sim.hpp"
-#include "sim/trace_replay.hpp"
 #include "util/flat_hash.hpp"
 #include "util/rng.hpp"
-#include "workload/synthetic_trace.hpp"
+#include "workload/session_graph.hpp"
 
 namespace {
 
 using namespace specpf;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Runs `body` repeatedly until ~0.5s elapses; returns best seconds/call.
-double best_time(const std::function<void()>& body) {
-  double best = 1e30;
-  double total = 0.0;
-  int calls = 0;
-  while (total < 0.5 || calls < 3) {
-    const auto t0 = Clock::now();
-    body();
-    const double dt = seconds_since(t0);
-    if (dt < best) best = dt;
-    total += dt;
-    ++calls;
-  }
-  return best;
-}
-
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
 
 // Mirrors StackRuntime::Inflight: a tag plus a usually-empty waiter list.
 struct InflightPayload {
@@ -86,13 +54,6 @@ std::uint64_t churn(FlatHashMap<InflightPayload>& map) {
   return checksum;
 }
 
-double bench_churn_flat(std::uint64_t* checksum) {
-  return best_time([&] {
-    FlatHashMap<InflightPayload> map;
-    *checksum = churn(map);
-  });
-}
-
 /// Interleaved per-user session walks, so each user's sequence is a real
 /// first-order chain (what the predictors' tables see in the stack).
 constexpr std::size_t kPredictorUsers = 256;
@@ -124,93 +85,22 @@ std::unique_ptr<PredictorPlane> make_bench_plane(PredictorKind kind,
   return make_predictor_plane(kind, config);
 }
 
-/// Observe-throughput phase: table construction from a cold start, no
-/// prediction — isolates intern/counter-bump cost.
-double bench_predictor_observe(
-    PredictorKind kind, const SessionGraph& graph,
-    const std::vector<std::pair<UserId, std::uint64_t>>& stream) {
-  return best_time([&] {
-    auto predictor = make_bench_plane(kind, graph);
-    for (const auto& [user, item] : stream) predictor->observe(user, item);
-  });
-}
-
-/// Predict-throughput phase: tables pre-built outside the timer, one
-/// predict_into(8) per event into a reused scratch buffer — isolates
-/// ranking/top-k cost.
-double bench_predictor_predict(
-    PredictorKind kind, const SessionGraph& graph,
-    const std::vector<std::pair<UserId, std::uint64_t>>& stream) {
-  auto predictor = make_bench_plane(kind, graph);
-  for (const auto& [user, item] : stream) predictor->observe(user, item);
-  std::vector<core::Candidate> scratch;
-  return best_time([&] {
-    std::size_t sink = 0;
-    for (const auto& [user, item] : stream) {
-      predictor->predict_into(user, 8, scratch);
-      sink += scratch.size();
-    }
-    if (sink == 0) std::fprintf(stderr, "predictor produced nothing\n");
-  });
-}
-
-double bench_proxy_sim(std::uint64_t* requests_out) {
-  ProxySimConfig config;
-  config.num_users = 8;
-  config.duration = 300.0;
-  config.warmup = 30.0;
-  config.seed = 11;
-  config.predictor_kind = ProxySimConfig::PredictorKind::kMarkov;
-  std::uint64_t requests = 0;
-  const double secs = best_time([&] {
-    ThresholdPolicy policy(core::InteractionModel::kModelA);
-    const auto result = run_proxy_sim(config, policy);
-    requests = result.requests;
-  });
-  *requests_out = requests;
-  return secs;
-}
-
-double bench_trace_replay(std::uint64_t* requests_out) {
-  SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = 50000;
-  trace_cfg.num_requests = 200000;
-  trace_cfg.request_rate = 1000.0;
-  trace_cfg.graph.num_pages = 400;
-  trace_cfg.graph.out_degree = 3;
-  trace_cfg.graph.exit_probability = 0.25;
-  trace_cfg.seed = 5;
-  const Trace trace = generate_synthetic_trace(trace_cfg);
-
-  TraceReplayConfig replay_cfg;
-  replay_cfg.bandwidth = 1200.0;
-  replay_cfg.cache_capacity = 8;
-  replay_cfg.max_prefetch_per_request = 4;
-  std::uint64_t requests = 0;
-  const double secs = best_time([&] {
-    ThresholdPolicy policy(core::InteractionModel::kModelA);
-    const auto result = run_trace_replay(trace, replay_cfg, policy);
-    requests = result.requests;
-  });
-  *requests_out = requests;
-  return secs;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* path = argc > 1 ? argv[1] : "BENCH_stack.json";
-  if (argc > 2 || path[0] == '-') {
-    std::fprintf(stderr, "usage: perf_stack [output.json]\n");
-    return 2;
-  }
-  std::vector<Metric> metrics;
+  const char* path =
+      bench::output_path(argc, argv, "perf_stack", "BENCH_stack.json");
+  std::vector<bench::Metric> metrics;
 
   std::uint64_t churn_checksum = 0;
-  const double churn_secs = bench_churn_flat(&churn_checksum);
+  const bench::Timing churn_t = bench::time_call([&] {
+    FlatHashMap<InflightPayload> map;
+    churn_checksum = churn(map);
+  });
   if (churn_checksum == 0) std::fprintf(stderr, "inflight churn found nothing\n");
-  metrics.push_back({"stack.inflight_churn.flat_ops_per_sec",
-                     static_cast<double>(kChurnOps) / churn_secs, "ops/s"});
+  metrics.push_back(bench::rate("stack.inflight_churn.flat_ops_per_sec",
+                                static_cast<double>(kChurnOps), churn_t,
+                                "ops/s"));
 
   // Predictor planes: all five kinds, observe and predict phases timed
   // separately over one shared session-structured stream.
@@ -223,47 +113,36 @@ int main(int argc, char** argv) {
   const double pred_events = static_cast<double>(kPredictorEvents);
   for (int k = 0; k < kNumPredictorKinds; ++k) {
     const auto kind = static_cast<PredictorKind>(k);
-    const std::string name = predictor_kind_name(kind);
-    const double observe_secs =
-        bench_predictor_observe(kind, pred_graph, pred_stream);
-    const double predict_secs =
-        bench_predictor_predict(kind, pred_graph, pred_stream);
-    metrics.push_back({"stack.predictor." + name + ".observe_plane_events_per_sec",
-                       pred_events / observe_secs, "events/s"});
-    metrics.push_back({"stack.predictor." + name + ".predict_plane_events_per_sec",
-                       pred_events / predict_secs, "events/s"});
+    const std::string name =
+        std::string("stack.predictor.") + predictor_kind_name(kind);
+    // Observe phase: table construction from a cold start, no prediction —
+    // isolates intern/counter-bump cost.
+    const bench::Timing observe_t = bench::time_call([&] {
+      auto predictor = make_bench_plane(kind, pred_graph);
+      for (const auto& [user, item] : pred_stream) {
+        predictor->observe(user, item);
+      }
+    });
+    // Predict phase: tables pre-built outside the timer, one
+    // predict_into(8) per event into a reused scratch buffer — isolates
+    // ranking/top-k cost.
+    auto predictor = make_bench_plane(kind, pred_graph);
+    for (const auto& [user, item] : pred_stream) predictor->observe(user, item);
+    std::vector<core::Candidate> scratch;
+    std::size_t candidates = 0;
+    const bench::Timing predict_t = bench::time_call([&] {
+      for (const auto& [user, item] : pred_stream) {
+        predictor->predict_into(user, 8, scratch);
+        candidates += scratch.size();
+      }
+      bench::sink(candidates);
+    });
+    if (candidates == 0) std::fprintf(stderr, "predictor produced nothing\n");
+    metrics.push_back(bench::rate(name + ".observe_plane_events_per_sec",
+                                  pred_events, observe_t, "events/s"));
+    metrics.push_back(bench::rate(name + ".predict_plane_events_per_sec",
+                                  pred_events, predict_t, "events/s"));
   }
 
-  std::uint64_t proxy_requests = 0;
-  const double proxy_secs = bench_proxy_sim(&proxy_requests);
-  metrics.push_back({"stack.proxy_sim.flat_requests_per_sec",
-                     static_cast<double>(proxy_requests) / proxy_secs,
-                     "requests/s"});
-
-  std::uint64_t replay_requests = 0;
-  const double replay_secs = bench_trace_replay(&replay_requests);
-  metrics.push_back({"stack.trace_replay.flat_requests_per_sec",
-                     static_cast<double>(replay_requests) / replay_secs,
-                     "requests/s"});
-
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
-                 metrics[i].name.c_str(), metrics[i].value,
-                 metrics[i].unit.c_str(), i + 1 < metrics.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  for (const auto& m : metrics) {
-    std::printf("  %-45s %14.4g %s\n", m.name.c_str(), m.value,
-                m.unit.c_str());
-  }
-  return 0;
+  return bench::write_snapshot(path, metrics) ? 0 : 1;
 }

@@ -1,5 +1,5 @@
 // Trace-pipeline perf recorder: measures what the out-of-core .spt path
-// costs and saves, with the same plain chrono harness as perf_stack, and
+// costs and saves, with the plain chrono harness (bench/harness.hpp), and
 // writes BENCH_trace.json.
 //
 // Legs:
@@ -9,9 +9,10 @@
 //     in-RAM TraceRecord).
 //   * decode  — full TraceCursor scan of that file: records/s back in.
 //   * replay  — streamed-source replay vs the in-RAM vector replay over
-//     an identical 300k-record workload; the two results are verified
-//     bit-identical before either leg is timed, so the overhead number
-//     can only describe runs that agree.
+//     an identical 300k-record workload, timed interleaved and reported
+//     as their ratio (replay throughput itself is bench/e2e's); the two
+//     results are verified bit-identical, so the overhead number can only
+//     describe runs that agree.
 //   * rss     — peak resident set of a streamed generator replay vs the
 //     bytes the same trace would pin as an in-RAM vector. The streamed
 //     leg runs first (peak RSS is a high-water mark, monotone within a
@@ -23,51 +24,22 @@
 // 24·N-byte vector floor the in-RAM path would need before event overhead.
 //
 // Usage: perf_trace [output.json] [--rss-sweep N]
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "policy/policies.hpp"
 #include "sim/trace_replay.hpp"
 #include "util/mem.hpp"
+#include "util/parse.hpp"
 #include "workload/synthetic_trace.hpp"
 #include "workload/trace_file.hpp"
 
 namespace {
 
 using namespace specpf;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Runs `body` repeatedly until ~0.5s elapses; returns best seconds/call.
-double best_time(const std::function<void()>& body) {
-  double best = 1e30;
-  double total = 0.0;
-  int calls = 0;
-  while (total < 0.5 || calls < 3) {
-    const auto t0 = Clock::now();
-    body();
-    const double dt = seconds_since(t0);
-    if (dt < best) best = dt;
-    total += dt;
-    ++calls;
-  }
-  return best;
-}
-
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
-
 SyntheticTraceConfig make_trace_config(std::size_t requests) {
   SyntheticTraceConfig cfg;
   cfg.num_users = 50000;
@@ -88,26 +60,27 @@ TraceReplayConfig make_replay_config() {
   return cfg;
 }
 
-bool results_identical(const ProxySimResult& a, const ProxySimResult& b) {
-  return a.requests == b.requests && a.demand_jobs == b.demand_jobs &&
-         a.prefetch_jobs == b.prefetch_jobs &&
-         a.mean_access_time == b.mean_access_time &&
-         a.hit_ratio == b.hit_ratio;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* path = "BENCH_trace.json";
   std::size_t rss_sweep = 0;
+  int positional = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--rss-sweep") == 0 && i + 1 < argc) {
-      rss_sweep = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else {
+    if (std::strcmp(argv[i], "--rss-sweep") == 0) {
+      if (i + 1 == argc || !parse_exact(argv[++i], &rss_sweep) ||
+          rss_sweep == 0) {
+        std::fprintf(stderr, "--rss-sweep: expected positive integer\n");
+        return 2;
+      }
+    } else if (argv[i][0] != '-' && positional++ == 0) {
       path = argv[i];
+    } else {
+      std::fprintf(stderr, "usage: perf_trace [output.json] [--rss-sweep N]\n");
+      return 2;
     }
   }
-  std::vector<Metric> metrics;
+  std::vector<bench::Metric> metrics;
   const char* tmp_spt = "perf_trace_tmp.spt";
 
   // --- rss leg first: peak RSS is a process-lifetime high-water mark, so
@@ -120,15 +93,11 @@ int main(int argc, char** argv) {
     SyntheticTraceStream stream(cfg);
     const TraceReplayConfig replay_cfg = make_replay_config();
     ThresholdPolicy policy(core::InteractionModel::kModelA);
-    const auto t0 = Clock::now();
     const ProxySimResult r = run_trace_replay(stream, replay_cfg, policy);
-    const double secs = seconds_since(t0);
     const double streamed_peak =
         static_cast<double>(read_memory_usage().peak_resident_bytes);
     const double in_ram_floor = 24.0 * static_cast<double>(n);
     metrics.push_back({"trace.rss.requests", static_cast<double>(n), "records"});
-    metrics.push_back({"trace.rss.streamed_replay_requests_per_sec",
-                       static_cast<double>(r.requests) / secs, "requests/s"});
     metrics.push_back(
         {"trace.rss.streamed_peak_bytes", streamed_peak, "bytes"});
     metrics.push_back(
@@ -142,7 +111,7 @@ int main(int argc, char** argv) {
       ThresholdPolicy ram_policy(core::InteractionModel::kModelA);
       const ProxySimResult ram_r =
           run_trace_replay(trace, replay_cfg, ram_policy);
-      if (!results_identical(r, ram_r)) {
+      if (!bench::same_result(r, ram_r)) {
         std::fprintf(stderr, "rss leg: streamed result diverged from in-RAM\n");
         return 1;
       }
@@ -156,17 +125,18 @@ int main(int argc, char** argv) {
   const SyntheticTraceConfig enc_cfg = make_trace_config(1000000);
   {
     std::uint64_t written = 0;
-    const double secs = best_time([&] {
+    const bench::Timing t = bench::time_call([&] {
       SyntheticTraceStream stream(enc_cfg);
       written = write_trace_file(tmp_spt, stream);
     });
     const TraceFile file(tmp_spt);
     const double payload_mb =
         static_cast<double>(file.header().payload_bytes) / 1e6;
-    metrics.push_back({"trace.encode.records_per_sec",
-                       static_cast<double>(written) / secs, "records/s"});
+    metrics.push_back(bench::rate("trace.encode.records_per_sec",
+                                  static_cast<double>(written), t,
+                                  "records/s"));
     metrics.push_back(
-        {"trace.encode.payload_mb_per_sec", payload_mb / secs, "MB/s"});
+        bench::rate("trace.encode.payload_mb_per_sec", payload_mb, t, "MB/s"));
     metrics.push_back(
         {"trace.encode.bytes_per_record", file.bytes_per_record(), "bytes"});
   }
@@ -175,7 +145,7 @@ int main(int argc, char** argv) {
   {
     const TraceFile file(tmp_spt);
     std::uint64_t decoded = 0;
-    const double secs = best_time([&] {
+    const bench::Timing t = bench::time_call([&] {
       TraceCursor cursor(file);
       TraceRecord r;
       decoded = 0;
@@ -185,69 +155,37 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "decode leg lost records\n");
       return 1;
     }
-    metrics.push_back({"trace.decode.records_per_sec",
-                       static_cast<double>(decoded) / secs, "records/s"});
+    metrics.push_back(bench::rate("trace.decode.records_per_sec",
+                                  static_cast<double>(decoded), t,
+                                  "records/s"));
   }
   std::remove(tmp_spt);
 
   // --- replay: streamed generator source vs in-RAM vector, identical
-  // workload. Bit-identity is checked before timing.
+  // workload, timed interleaved; bit-identity is checked on the last run of
+  // each leg.
   {
     const SyntheticTraceConfig cfg = make_trace_config(300000);
     const TraceReplayConfig replay_cfg = make_replay_config();
     const Trace trace = generate_synthetic_trace(cfg);
-    const double requests = static_cast<double>(trace.size());
-
     ProxySimResult ram_r, streamed_r;
-    {
-      ThresholdPolicy policy(core::InteractionModel::kModelA);
-      ram_r = run_trace_replay(trace, replay_cfg, policy);
-    }
-    {
-      SyntheticTraceStream stream(cfg);
-      ThresholdPolicy policy(core::InteractionModel::kModelA);
-      streamed_r = run_trace_replay(stream, replay_cfg, policy);
-    }
-    if (!results_identical(ram_r, streamed_r)) {
+    const std::vector<bench::Timing> t = bench::time_legs(
+        {[&] {
+           ThresholdPolicy policy(core::InteractionModel::kModelA);
+           ram_r = run_trace_replay(trace, replay_cfg, policy);
+         },
+         [&] {
+           SyntheticTraceStream stream(cfg);
+           ThresholdPolicy policy(core::InteractionModel::kModelA);
+           streamed_r = run_trace_replay(stream, replay_cfg, policy);
+         }});
+    if (!bench::same_result(ram_r, streamed_r)) {
       std::fprintf(stderr, "streamed replay diverged from in-RAM replay\n");
       return 1;
     }
-
-    const double ram_secs = best_time([&] {
-      ThresholdPolicy policy(core::InteractionModel::kModelA);
-      ram_r = run_trace_replay(trace, replay_cfg, policy);
-    });
-    const double streamed_secs = best_time([&] {
-      SyntheticTraceStream stream(cfg);
-      ThresholdPolicy policy(core::InteractionModel::kModelA);
-      streamed_r = run_trace_replay(stream, replay_cfg, policy);
-    });
-    metrics.push_back({"trace.replay.in_ram_requests_per_sec",
-                       requests / ram_secs, "requests/s"});
-    metrics.push_back({"trace.replay.streamed_requests_per_sec",
-                       requests / streamed_secs, "requests/s"});
-    metrics.push_back({"trace.replay.streamed_overhead",
-                       streamed_secs / ram_secs, "x"});
+    metrics.push_back(
+        bench::ratio("trace.replay.streamed_overhead", t[1], t[0]));
   }
 
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
-                 metrics[i].name.c_str(), metrics[i].value,
-                 metrics[i].unit.c_str(), i + 1 < metrics.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  for (const auto& m : metrics) {
-    std::printf("  %-48s %14.4g %s\n", m.name.c_str(), m.value,
-                m.unit.c_str());
-  }
-  return 0;
+  return bench::write_snapshot(path, metrics) ? 0 : 1;
 }

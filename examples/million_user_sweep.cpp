@@ -21,11 +21,13 @@
 // default --shards 1 is the plain single-region replay. With --shards > 1
 // the population is split across a fleet: one engine per shard,
 // conservative epoch barriers, cross-shard traffic on the backbone — and
-// --threads worker threads drive the shards in parallel with
-// bit-identical results.
+// worker threads drive the shards in parallel with bit-identical results.
+// --threads takes a list: each policy runs at every listed count, and the
+// binary exits 1 unless every count reproduces the first count's merged
+// result and backbone jobs.
 //
 //   ./million_user_sweep --users 1000000 --requests 3000000
-//   ./million_user_sweep --shards 8 --threads 8 --policy threshold-a
+//   ./million_user_sweep --shards 8 --threads 1,2,4,8 --policy threshold-a
 //   ./million_user_sweep --requests 100000000 --stream       # out-of-core
 //   ./million_user_sweep --convert big.spt --stream --requests 100000000
 //   ./million_user_sweep --trace-file big.spt --shards 4
@@ -61,6 +63,20 @@ PolicyFactory policy_factory(std::string name) {
     name = "threshold-a";
   }
   return [name] { return make_policy_by_name(name); };
+}
+
+/// Bit-identity of two runs at different thread counts.
+bool same_run(const ShardedReplayResult& a, const ShardedReplayResult& b) {
+  const ProxySimResult& x = a.merged;
+  const ProxySimResult& y = b.merged;
+  return x.mean_access_time == y.mean_access_time &&
+         x.hit_ratio == y.hit_ratio &&
+         x.server_utilization == y.server_utilization &&
+         x.requests == y.requests && x.demand_jobs == y.demand_jobs &&
+         x.prefetch_jobs == y.prefetch_jobs &&
+         x.inflight_hits == y.inflight_hits &&
+         x.throttled_prefetches == y.throttled_prefetches &&
+         a.backbone.jobs() == b.backbone.jobs();
 }
 
 /// Inserts "-<token>" before the path's extension so a multi-policy sweep
@@ -103,7 +119,8 @@ int main(int argc, char** argv) {
   args.add_flag("bandwidth", "20000", "per-region link bandwidth (pages/s)");
   args.add_flag("shards", "1", "number of shards (1 = single region)");
   args.add_flag("threads", "1",
-                "worker threads for the shard driver (0 = hardware)");
+                "comma-separated worker-thread counts for the shard driver, "
+                "each run per policy (0 = hardware)");
   args.add_flag("policy", "none,threshold-a",
                 "comma-separated policies: none|threshold-a|threshold-b|"
                 "fixed-<theta>|topk-<k>|adaptive-<w>|qos-<rho>");
@@ -155,20 +172,35 @@ int main(int argc, char** argv) {
   ShardedReplayConfig sharded_cfg;
   sharded_cfg.num_shards =
       static_cast<std::size_t>(args.get_positive_uint("shards"));
-  sharded_cfg.num_threads = static_cast<std::size_t>(args.get_uint("threads"));
+  const std::vector<std::uint64_t> thread_counts =
+      args.get_list<std::uint64_t>("threads");
   sharded_cfg.backbone_bandwidth =
       args.get_positive_double("backbone-bandwidth");
   sharded_cfg.backbone_latency = args.get_positive_double("backbone-latency");
 
   SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
-  trace_cfg.num_requests = static_cast<std::size_t>(args.get_uint("requests"));
-  trace_cfg.request_rate = args.get_double("rate");
-  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
+  trace_cfg.num_users =
+      static_cast<std::size_t>(args.get_positive_uint("users"));
+  trace_cfg.num_requests =
+      static_cast<std::size_t>(args.get_positive_uint("requests"));
+  trace_cfg.request_rate = args.get_positive_double("rate");
+  trace_cfg.graph.num_pages =
+      static_cast<std::size_t>(args.get_positive_uint("pages"));
   trace_cfg.graph.out_degree = 3;
   trace_cfg.graph.exit_probability = 0.25;
   trace_cfg.graph.link_skew = 1.6;
   trace_cfg.seed = args.get_uint("seed");
+
+  TraceReplayConfig& replay_cfg = sharded_cfg.stack;
+  replay_cfg.bandwidth = args.get_positive_double("bandwidth");
+  replay_cfg.cache_capacity =
+      static_cast<std::size_t>(args.get_positive_uint("cache"));
+  replay_cfg.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
+  replay_cfg.max_prefetch_per_request = 4;
+  replay_cfg.seed = trace_cfg.seed;
+  replay_cfg.governor = args.get_string("governor");
+  replay_cfg.stream_window =
+      static_cast<std::size_t>(args.get_positive_uint("stream-window"));
 
   // ---- Request-supply selection -------------------------------------
   // Exactly one of `ram` (in-RAM trace) or `stream` (bounded-RSS source)
@@ -271,87 +303,101 @@ int main(int argc, char** argv) {
     progress = std::make_unique<ProgressTraceSource>(*inner, "replay");
   }
 
-  TraceReplayConfig& replay_cfg = sharded_cfg.stack;
-  replay_cfg.bandwidth = args.get_double("bandwidth");
-  replay_cfg.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
-  replay_cfg.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
-  replay_cfg.max_prefetch_per_request = 4;
-  replay_cfg.seed = trace_cfg.seed;
-  replay_cfg.governor = args.get_string("governor");
-  replay_cfg.stream_window =
-      static_cast<std::size_t>(args.get_uint("stream-window"));
-
   Table table({"policy", "access time", "hit ratio", "rho", "demand jobs",
                "prefetch jobs", "throttled", "inflight hits", "backbone jobs",
-               "wall s", "req/s", "peak MB", "B/user"});
+               "wall s", "req/s", "peak MB", "B/user", "threads"});
   table.set_precision(4);
+  bool identical = true;
   for (const std::string& name : split_csv(args.get_string("policy"))) {
     const PolicyFactory factory = policy_factory(name);
-    const MemoryUsage mem_before = read_memory_usage();
-    t0 = Clock::now();
-    std::unique_ptr<TelemetryFleet> fleet;
-    if (telemetry_on) {
-      fleet = std::make_unique<TelemetryFleet>(tele_cfg,
-                                               sharded_cfg.num_shards);
-    }
-    sharded_cfg.telemetry = fleet.get();
-    const ShardedReplayResult sr =
-        progress ? run_sharded_replay(*progress, sharded_cfg, factory)
-        : ram    ? run_sharded_replay(*ram, sharded_cfg, factory)
-                 : run_sharded_replay(*stream, sharded_cfg, factory);
-    const ProxySimResult& r = sr.merged;
-    if (args.get_bool("per-shard-stats") && sr.num_shards > 1) {
-      std::printf("policy %s per-shard breakdown:\n", name.c_str());
-      for (std::size_t s = 0; s < sr.num_shards; ++s) {
-        const ShardLoadStats& load = sr.shard_load[s];
-        std::printf(
-            "  shard %zu: %llu requests, %llu events, mbox %llu out / "
-            "%llu in\n",
-            s, static_cast<unsigned long long>(sr.per_shard[s].requests),
-            static_cast<unsigned long long>(load.events_executed),
-            static_cast<unsigned long long>(load.mailbox_sent),
-            static_cast<unsigned long long>(load.mailbox_received));
+    ShardedReplayResult first;
+    for (std::size_t k = 0; k < thread_counts.size(); ++k) {
+      sharded_cfg.num_threads = static_cast<std::size_t>(thread_counts[k]);
+      // Telemetry and the per-shard breakdown come from the first count's
+      // run: both are pure observation, and the later counts must
+      // reproduce that run anyway.
+      std::unique_ptr<TelemetryFleet> fleet;
+      if (telemetry_on && k == 0) {
+        fleet = std::make_unique<TelemetryFleet>(tele_cfg,
+                                                 sharded_cfg.num_shards);
       }
-    }
-    const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (!trace_path.empty()) {
-      const std::string out = suffixed_path(trace_path, name);
-      if (!write_chrome_trace(out, *fleet)) {
-        std::fprintf(stderr, "cannot write trace '%s'\n", out.c_str());
+      sharded_cfg.telemetry = fleet.get();
+      const MemoryUsage mem_before = read_memory_usage();
+      t0 = Clock::now();
+      const ShardedReplayResult sr =
+          progress ? run_sharded_replay(*progress, sharded_cfg, factory)
+          : ram    ? run_sharded_replay(*ram, sharded_cfg, factory)
+                   : run_sharded_replay(*stream, sharded_cfg, factory);
+      const double secs =
+          std::chrono::duration<double>(Clock::now() - t0).count();
+      const ProxySimResult& r = sr.merged;
+      if (k == 0) {
+        first = sr;
+      } else if (!same_run(sr, first)) {
+        std::fprintf(stderr,
+                     "policy %s: %llu worker threads diverged from %llu\n",
+                     name.c_str(),
+                     static_cast<unsigned long long>(thread_counts[k]),
+                     static_cast<unsigned long long>(thread_counts[0]));
+        identical = false;
       }
-    }
-    if (!series_path.empty()) {
-      const std::string out = suffixed_path(series_path, name);
-      if (!write_timeseries_csv(out, *fleet)) {
-        std::fprintf(stderr, "cannot write series '%s'\n", out.c_str());
+      if (k == 0 && args.get_bool("per-shard-stats") && sr.num_shards > 1) {
+        std::printf("policy %s per-shard breakdown:\n", name.c_str());
+        for (std::size_t s = 0; s < sr.num_shards; ++s) {
+          const ShardLoadStats& load = sr.shard_load[s];
+          std::printf(
+              "  shard %zu: %llu requests, %llu events, mbox %llu out / "
+              "%llu in\n",
+              s, static_cast<unsigned long long>(sr.per_shard[s].requests),
+              static_cast<unsigned long long>(load.events_executed),
+              static_cast<unsigned long long>(load.mailbox_sent),
+              static_cast<unsigned long long>(load.mailbox_received));
+        }
       }
+      if (fleet && !trace_path.empty()) {
+        const std::string out = suffixed_path(trace_path, name);
+        if (!write_chrome_trace(out, *fleet)) {
+          std::fprintf(stderr, "cannot write trace '%s'\n", out.c_str());
+        }
+      }
+      if (fleet && !series_path.empty()) {
+        const std::string out = suffixed_path(series_path, name);
+        if (!write_timeseries_csv(out, *fleet)) {
+          std::fprintf(stderr, "cannot write series '%s'\n", out.c_str());
+        }
+      }
+      // Runtime footprint per user: growth of the RSS high-water mark over
+      // this run (per-user caches + in-flight bookkeeping + predictor). The
+      // first row carries the cost; later rows mostly reuse freed pages and
+      // report the marginal growth.
+      const MemoryUsage mem_after = read_memory_usage();
+      const double run_bytes_per_user =
+          mem_after.peak_resident_bytes > mem_before.peak_resident_bytes
+              ? static_cast<double>(mem_after.peak_resident_bytes -
+                                    mem_before.peak_resident_bytes) /
+                    static_cast<double>(population)
+              : 0.0;
+      table.add_row({r.policy, r.mean_access_time, r.hit_ratio,
+                     r.server_utilization,
+                     static_cast<std::int64_t>(r.demand_jobs),
+                     static_cast<std::int64_t>(r.prefetch_jobs),
+                     static_cast<std::int64_t>(r.throttled_prefetches),
+                     static_cast<std::int64_t>(r.inflight_hits),
+                     static_cast<std::int64_t>(sr.backbone.jobs()), secs,
+                     static_cast<double>(r.requests) / secs,
+                     static_cast<double>(mem_after.peak_resident_bytes) / 1e6,
+                     run_bytes_per_user,
+                     static_cast<std::int64_t>(thread_counts[k])});
     }
-    // Runtime footprint per user: growth of the RSS high-water mark over
-    // this run (per-user caches + in-flight bookkeeping + predictor). The
-    // first policy row carries the cost; later rows mostly reuse freed
-    // pages and report the marginal growth.
-    const MemoryUsage mem_after = read_memory_usage();
-    const double run_bytes_per_user =
-        mem_after.peak_resident_bytes > mem_before.peak_resident_bytes
-            ? static_cast<double>(mem_after.peak_resident_bytes -
-                                  mem_before.peak_resident_bytes) /
-                  static_cast<double>(population)
-            : 0.0;
-    table.add_row({r.policy, r.mean_access_time, r.hit_ratio,
-                   r.server_utilization,
-                   static_cast<std::int64_t>(r.demand_jobs),
-                   static_cast<std::int64_t>(r.prefetch_jobs),
-                   static_cast<std::int64_t>(r.throttled_prefetches),
-                   static_cast<std::int64_t>(r.inflight_hits),
-                   static_cast<std::int64_t>(sr.backbone.jobs()), secs,
-                   static_cast<double>(r.requests) / secs,
-                   static_cast<double>(mem_after.peak_resident_bytes) / 1e6,
-                   run_bytes_per_user});
   }
   std::printf("\n%s\n", table.to_markdown().c_str());
   std::printf("governor: %s, supply: %s\n",
               replay_cfg.governor.empty() ? "(ungoverned)"
                                           : replay_cfg.governor.c_str(),
               ram ? "in-RAM trace" : "streamed source");
-  return 0;
+  if (thread_counts.size() > 1) {
+    std::printf("thread counts %s: %s\n", args.get_string("threads").c_str(),
+                identical ? "identical results" : "DIVERGED");
+  }
+  return identical ? 0 : 1;
 }
