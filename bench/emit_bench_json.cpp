@@ -45,6 +45,13 @@ int main(int argc, char** argv) {
   metrics.push_back(bench::rate("ps_server.ops_per_sec",
                                 static_cast<double>(ps_jobs), ps, "jobs/s"));
 
+  std::uint64_t deep_jobs = 0;
+  const bench::Timing deep =
+      bench::time_call([&] { deep_jobs = benchwork::ps_server_deep_queue(); });
+  metrics.push_back(bench::rate("ps_server.deep_queue_jobs_per_sec",
+                                static_cast<double>(deep_jobs), deep,
+                                "jobs/s"));
+
   // The generative driver's only timing; the trace replay is bench/e2e's.
   ProxySimConfig config;
   config.num_users = 8;

@@ -57,4 +57,26 @@ inline std::uint64_t ps_server_throughput() {
   return server.stats().completed;
 }
 
+/// Equal-size surge on a PS link: Poisson arrivals at twice the service
+/// rate for 30 simulated seconds build the queue to about 3e4 jobs, which
+/// then drain. Equal sizes finish in submit order, so this times the link's
+/// FIFO run tier at depth (ps_server_throughput's exponential sizes time
+/// the heap tier). Returns jobs completed.
+inline std::uint64_t ps_server_deep_queue() {
+  Simulator sim;
+  PsServer server(sim, 1000.0);
+  Rng rng(4);
+  ExponentialDist interarrival(1.0 / 2000.0);
+  std::function<void()> arrive = [&] {
+    server.submit(1.0, nullptr);
+    const double dt = interarrival.sample(rng);
+    if (sim.now() + dt < 30.0) {
+      sim.schedule_in(dt, [&arrive] { arrive(); });
+    }
+  };
+  sim.schedule_in(interarrival.sample(rng), [&arrive] { arrive(); });
+  sim.run();
+  return server.stats().completed;
+}
+
 }  // namespace specpf::benchwork

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
                "t aggressive", "threshold vs none", "aggressive vs none"});
   table.set_precision(4);
 
-  for (double bandwidth : args.get_list<double>("bandwidths")) {
+  for (double bandwidth : args.get_positive_list("bandwidths")) {
     ProxySimConfig cfg = base;
     cfg.bandwidth = bandwidth;
 

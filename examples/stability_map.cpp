@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
                 "wall-clock ratio --check-abort-speedup requires");
   if (!args.parse(argc, argv)) return 1;
 
-  const std::vector<double> rate_mults = args.get_list<double>("rates");
+  const std::vector<double> rate_mults = args.get_positive_list("rates");
   const std::vector<double> aggr_values =
       args.get_list<double>("aggressiveness");
   const std::string family = args.get_string("family");

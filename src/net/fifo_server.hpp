@@ -4,8 +4,9 @@
 // far more than PS — one reason the paper's PS model suits shared links.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "net/server.hpp"
 
@@ -17,12 +18,12 @@ class FifoServer final : public Server {
 
   std::uint64_t submit(double size, Callback on_complete) override;
   std::size_t active_jobs() const override {
-    return queue_.size() + (in_service_ ? 1 : 0);
+    return queued_ + (in_service_ ? 1 : 0);
   }
 
  private:
   // Callbacks are inline (move-only InlineFunction), so queued jobs move
-  // through the deque without per-job heap traffic.
+  // through the ring without per-job heap traffic.
   struct Job {
     std::uint64_t id;
     double size;
@@ -33,7 +34,10 @@ class FifoServer final : public Server {
   void start_next();
   void finish_current();
 
-  std::deque<Job> queue_;
+  // Waiting jobs: a ring over a power-of-two vector, queue_[head_] first.
+  std::vector<Job> queue_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
   bool in_service_ = false;
   Job current_{};
   std::uint64_t next_job_id_ = 1;

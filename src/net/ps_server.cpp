@@ -1,15 +1,96 @@
 #include "net/ps_server.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "util/contract.hpp"
 
 namespace specpf {
 
+namespace {
+constexpr std::size_t kHeapArity = 4;
+constexpr std::size_t kMinRunCapacity = 16;
+}  // namespace
+
 PsServer::PsServer(Simulator& sim, double bandwidth)
     : Server(sim, bandwidth), last_sync_(sim.now()) {}
 
+PsServer::~PsServer() {
+  for (std::size_t slot = 0; slot < slab_size_; ++slot) {
+    job_at(static_cast<std::uint32_t>(slot)).~Job();
+  }
+}
+
+std::uint32_t PsServer::acquire_slot() {
+  if (!free_slots_.empty()) {
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  if (slab_size_ == chunks_.size() * kChunkSize) {
+    chunks_.push_back(ChunkPtr(
+        static_cast<std::byte*>(::operator new[](kChunkSize * sizeof(Job)))));
+  }
+  const auto slot = static_cast<std::uint32_t>(slab_size_++);
+  ::new (&job_at(slot)) Job();
+  return slot;
+}
+
+void PsServer::enqueue(std::uint32_t slot) {
+  const Key key = key_of(slot);
+  // The run is empty only when the heap is too, so an empty run takes the
+  // job.
+  if (run_size_ == 0 || !key.before(key_of(run_slot(run_size_ - 1)))) {
+    if (run_size_ == run_.size()) {
+      std::vector<std::uint32_t> grown(
+          std::max(kMinRunCapacity, 2 * run_.size()));
+      for (std::size_t i = 0; i < run_size_; ++i) grown[i] = run_slot(i);
+      run_.swap(grown);
+      run_head_ = 0;
+    }
+    run_[(run_head_ + run_size_++) & (run_.size() - 1)] = slot;
+    return;
+  }
+  heap_.push_back(key);
+  heap_sift_up(heap_.size() - 1);
+}
+
+bool PsServer::heap_first() const {
+  SPECPF_ASSERT(run_size_ > 0);
+  return !heap_.empty() && heap_.front().before(key_of(run_slot(0)));
+}
+
+void PsServer::heap_sift_up(std::size_t pos) {
+  const Key key = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / kHeapArity;
+    if (!key.before(heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    pos = parent;
+  }
+  heap_[pos] = key;
+}
+
+void PsServer::heap_sift_down(std::size_t hole, Key value) {
+  const std::size_t size = heap_.size();
+  for (;;) {
+    const std::size_t first_child = kHeapArity * hole + 1;
+    if (first_child >= size) break;
+    std::size_t best = first_child;
+    const std::size_t end = std::min(first_child + kHeapArity, size);
+    for (std::size_t child = first_child + 1; child < end; ++child) {
+      if (heap_[child].before(heap_[best])) best = child;
+    }
+    if (!heap_[best].before(value)) break;
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = value;
+}
+
 void PsServer::sync_virtual_time(double now) {
-  if (!jobs_.empty()) {
-    const double rate = bandwidth_ / static_cast<double>(jobs_.size());
+  if (active_jobs() != 0) {
+    const double rate = bandwidth_ / static_cast<double>(active_jobs());
     virtual_time_ += rate * (now - last_sync_);
   }
   last_sync_ = now;
@@ -19,8 +100,14 @@ std::uint64_t PsServer::submit(double size, Callback on_complete) {
   SPECPF_EXPECTS(size > 0.0);
   sync_virtual_time(sim_.now());
   const std::uint64_t id = next_job_id_++;
-  jobs_.emplace(virtual_time_ + size,
-                Job{id, size, sim_.now(), std::move(on_complete)});
+  const std::uint32_t slot = acquire_slot();
+  Job& job = job_at(slot);
+  job.finish_v = virtual_time_ + size;
+  job.id = id;
+  job.size = size;
+  job.submit_time = sim_.now();
+  job.on_complete = std::move(on_complete);
+  enqueue(slot);
   record_arrival();
   schedule_next_completion();
   return id;
@@ -30,33 +117,131 @@ void PsServer::schedule_next_completion() {
   // Generation-checked handles make cancel O(1) and idempotent; no need to
   // clear the handle before rescheduling.
   sim_.cancel(completion_event_);
-  if (jobs_.empty()) return;
-  const double finish_v = jobs_.begin()->first;
+  if (active_jobs() == 0) return;
+  const double finish_v =
+      heap_first() ? heap_.front().finish_v : job_at(run_slot(0)).finish_v;
   const double remaining_v = finish_v - virtual_time_;
   SPECPF_ASSERT(remaining_v >= -1e-9);
-  const double rate = bandwidth_ / static_cast<double>(jobs_.size());
+  const double rate = bandwidth_ / static_cast<double>(active_jobs());
   const double delay = remaining_v > 0.0 ? remaining_v / rate : 0.0;
   completion_event_ = sim_.schedule_in(delay, [this] { complete_front(); });
 }
 
 void PsServer::complete_front() {
-  SPECPF_ASSERT(!jobs_.empty());
+  SPECPF_ASSERT(active_jobs() != 0);
   sync_virtual_time(sim_.now());
-  auto it = jobs_.begin();
-  Job job = std::move(it->second);
+  std::uint32_t slot;
+  if (heap_first()) {
+    slot = heap_.front().slot;
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) heap_sift_down(0, last);
+  } else {
+    slot = run_slot(0);
+    run_head_ = (run_head_ + 1) & (run_.size() - 1);
+    --run_size_;
+    // Deep FIFO drains are bound by slab misses. The new head's finish
+    // value is read below; the job behind it becomes the head at the next
+    // completion, so fetch both of its cache lines now.
+    if (run_size_ > 1) {
+      const auto* next = reinterpret_cast<const char*>(&job_at(run_slot(1)));
+      __builtin_prefetch(next);
+      __builtin_prefetch(next + sizeof(Job) - 1);
+    }
+  }
+  Job& job = job_at(slot);
+  Callback on_complete = std::move(job.on_complete);
   // Snap the virtual clock to the exact finish value to prevent drift from
   // accumulating across millions of completions.
-  virtual_time_ = it->first;
-  jobs_.erase(it);
+  virtual_time_ = job.finish_v;
 
   TransferResult result;
   result.job_id = job.id;
   result.size = job.size;
   result.submit_time = job.submit_time;
   result.finish_time = sim_.now();
+  free_slots_.push_back(slot);
   record_completion(result);
   schedule_next_completion();
-  if (job.on_complete) job.on_complete(result);
+  if (on_complete) on_complete(result);
+}
+
+void PsServer::audit(AuditReport& report) const {
+  const AuditScope scope(report, "PsServer");
+  // 0 = unseen, 1 = on the free list, 2 = named by a queued key.
+  std::vector<std::uint8_t> state(slab_size_, 0);
+  for (const std::uint32_t slot : free_slots_) {
+    if (!report.check(slot < slab_size_, "free list names slot " +
+                                             std::to_string(slot) +
+                                             " past the slab")) {
+      continue;
+    }
+    report.check(state[slot] == 0,
+                 "free list names slot " + std::to_string(slot) + " twice");
+    state[slot] = 1;
+  }
+  auto check_key = [&](const Key& key, const char* tier) {
+    if (report.check(key.slot < slab_size_,
+                     std::string(tier) + " key names slot " +
+                         std::to_string(key.slot) + " past the slab")) {
+      report.check(state[key.slot] == 0,
+                   std::string(tier) + " key slot " +
+                       std::to_string(key.slot) +
+                       " is on the free list or queued twice");
+      state[key.slot] = 2;
+    }
+    report.check(key.finish_v >= virtual_time_ - 1e-9,
+                 std::string(tier) + " key for job " + std::to_string(key.id) +
+                     " finishes below the virtual clock");
+  };
+  if (!report.check(run_size_ <= run_.size() &&
+                        (run_.size() & (run_.size() - 1)) == 0,
+                    "run ring capacity is not a power of two holding the "
+                    "run")) {
+    return;
+  }
+  std::vector<Key> run_keys;
+  for (std::size_t i = 0; i < run_size_; ++i) {
+    const std::uint32_t slot = run_slot(i);
+    if (!report.check(slot < slab_size_, "run names slot " +
+                                             std::to_string(slot) +
+                                             " past the slab")) {
+      continue;
+    }
+    run_keys.push_back(key_of(slot));
+    check_key(run_keys.back(), "run");
+    if (run_keys.size() > 1) {
+      report.check(run_keys[run_keys.size() - 2].before(run_keys.back()),
+                   "run not increasing in (finish_v, id) at position " +
+                       std::to_string(i));
+    }
+  }
+  for (std::size_t j = 0; j < heap_.size(); ++j) {
+    check_key(heap_[j], "heap");
+    if (heap_[j].slot < slab_size_) {
+      const Job& job = job_at(heap_[j].slot);
+      report.check(job.finish_v == heap_[j].finish_v && job.id == heap_[j].id,
+                   "heap key for job " + std::to_string(heap_[j].id) +
+                       " disagrees with its slab entry");
+    }
+    if (j > 0) {
+      report.check(!heap_[j].before(heap_[(j - 1) / kHeapArity]),
+                   "4-ary heap property violated at index " +
+                       std::to_string(j));
+    }
+    report.check(!run_keys.empty() && heap_[j].before(run_keys.back()),
+                 "heap key for job " + std::to_string(heap_[j].id) +
+                     " is not below the run's back");
+  }
+  report.check(free_slots_.size() + run_size_ + heap_.size() == slab_size_,
+               "slab conservation: " + std::to_string(free_slots_.size()) +
+                   " free + " + std::to_string(run_size_) + " run + " +
+                   std::to_string(heap_.size()) +
+                   " heap != " + std::to_string(slab_size_) + " slots");
+  report.check(active_jobs() == live_jobs(),
+               "active_jobs() is " + std::to_string(active_jobs()) +
+                   " but the server recorded " + std::to_string(live_jobs()) +
+                   " live jobs");
 }
 
 }  // namespace specpf

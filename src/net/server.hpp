@@ -76,6 +76,9 @@ class Server {
  protected:
   void record_arrival();
   void record_completion(const TransferResult& result);
+  /// Jobs recorded as arrived and not yet completed (what audit walkers
+  /// check a discipline's own queue against).
+  std::size_t live_jobs() const noexcept { return live_jobs_; }
 
   Simulator& sim_;
   double bandwidth_;

@@ -485,6 +485,7 @@ void StackRuntime::audit(AuditReport& report) const {
   inflight_.audit(report);
   caches_->audit(report);
   predictor_.audit(report);
+  server_.audit(report);
   sim_.audit(report);
   if (telemetry_ != nullptr) telemetry_->audit(report);
 }

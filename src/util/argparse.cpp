@@ -121,24 +121,40 @@ std::uint64_t ArgParser::get_positive_uint(const std::string& name) const {
   return out;
 }
 
-template <typename T>
-std::vector<T> ArgParser::get_list(const std::string& name) const {
-  static_assert(std::is_same_v<T, double> || std::is_same_v<T, std::uint64_t>);
-  const char* type = std::is_same_v<T, double> ? "finite number"
-                                               : "non-negative integer";
+template <typename T, typename Accept>
+std::vector<T> ArgParser::parse_list(const std::string& name, const char* type,
+                                     Accept accept) const {
   const std::string v = get_string(name);
   std::vector<T> out;
   for (std::size_t start = 0;;) {
     const std::size_t comma = v.find(',', start);
     const std::string tok = v.substr(start, comma - start);
     T value{};
-    bool ok = parse_exact(tok, &value);
-    if constexpr (std::is_same_v<T, double>) ok = ok && std::isfinite(value);
-    if (!ok) reject_value(name, type, tok);
+    if (!parse_exact(tok, &value) || !accept(value)) {
+      reject_value(name, type, tok);
+    }
     out.push_back(value);
     if (comma == std::string::npos) return out;
     start = comma + 1;
   }
+}
+
+template <typename T>
+std::vector<T> ArgParser::get_list(const std::string& name) const {
+  static_assert(std::is_same_v<T, double> || std::is_same_v<T, std::uint64_t>);
+  if constexpr (std::is_same_v<T, double>) {
+    return parse_list<double>(name, "finite number",
+                              [](double x) { return std::isfinite(x); });
+  } else {
+    return parse_list<T>(name, "non-negative integer", [](T) { return true; });
+  }
+}
+
+std::vector<double> ArgParser::get_positive_list(
+    const std::string& name) const {
+  return parse_list<double>(name, "positive finite number", [](double x) {
+    return std::isfinite(x) && x > 0.0;
+  });
 }
 
 template std::vector<double> ArgParser::get_list<double>(

@@ -44,6 +44,10 @@ class ArgParser {
   /// '<token>'` plus usage and exits with status 2.
   template <typename T>
   std::vector<T> get_list(const std::string& name) const;
+  /// get_list<double> that also rejects zero and negative tokens, for
+  /// bandwidth and rate sweeps: `--<flag>: expected positive finite
+  /// number, got '<token>'` plus usage, exit status 2.
+  std::vector<double> get_positive_list(const std::string& name) const;
 
   /// Positional arguments left over after flag parsing.
   const std::vector<std::string>& positional() const { return positional_; }
@@ -53,6 +57,11 @@ class ArgParser {
  private:
   [[noreturn]] void reject_value(const std::string& name, const char* type,
                                  const std::string& value) const;
+  /// Splits the flag on commas and reads every token whole as T; a token
+  /// that fails to parse or that `accept` refuses is rejected as `type`.
+  template <typename T, typename Accept>
+  std::vector<T> parse_list(const std::string& name, const char* type,
+                            Accept accept) const;
 
   struct Flag {
     std::string default_value;

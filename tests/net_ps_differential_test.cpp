@@ -18,6 +18,7 @@
 
 #include "des/simulator.hpp"
 #include "net/ps_server.hpp"
+#include "util/audit.hpp"
 #include "util/rng.hpp"
 
 namespace specpf {
@@ -84,6 +85,13 @@ std::vector<double> naive_ps_completions(const std::vector<Arrival>& arrivals,
   return completions;
 }
 
+/// Deep-invariant sweep of the link's run, heap and job slab.
+void expect_audit_clean(const PsServer& server) {
+  AuditReport report;
+  server.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+}
+
 std::vector<double> server_ps_completions(const std::vector<Arrival>& arrivals,
                                           double bandwidth) {
   Simulator sim;
@@ -94,9 +102,11 @@ std::vector<double> server_ps_completions(const std::vector<Arrival>& arrivals,
       server.submit(arrivals[i].size, [&completions, i](const TransferResult& r) {
         completions[i] = r.finish_time;
       });
+      if (i % 32 == 0) expect_audit_clean(server);
     });
   }
   sim.run();
+  expect_audit_clean(server);
   return completions;
 }
 
@@ -204,6 +214,7 @@ std::uint64_t ps_digest(const std::vector<Arrival>& arrivals,
     });
   }
   sim.run();
+  expect_audit_clean(server);
   const ServerStats stats = server.stats();
   h.add(stats.completed);
   h.add(stats.mean_sojourn);

@@ -9,15 +9,23 @@
 #include <vector>
 
 #include "net/fifo_server.hpp"
-#include "util/contract.hpp"
 #include "net/ps_server.hpp"
 #include "queueing/mg1_ps.hpp"
 #include "queueing/mm1.hpp"
+#include "util/audit.hpp"
+#include "util/contract.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
 
 namespace specpf {
 namespace {
+
+/// Deep-invariant sweep of the link's run, heap and job slab.
+void expect_audit_clean(const PsServer& server) {
+  AuditReport report;
+  server.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+}
 
 TEST(PsServer, SingleJobRunsAtFullBandwidth) {
   Simulator sim;
@@ -55,7 +63,9 @@ TEST(PsServer, ShortJobOvertakesLongJob) {
   server.submit(2.0, [&](const TransferResult& r) {
     short_finish = r.finish_time;
   });
+  expect_audit_clean(server);  // the short job sits in the heap
   sim.run();
+  expect_audit_clean(server);
   // Both run at 5 u/s; short finishes at 0.4 having consumed 2 units; the
   // long one then speeds up to 10 u/s with 8 units left: 0.4 + 0.8 = 1.2.
   EXPECT_DOUBLE_EQ(short_finish, 0.4);
@@ -150,14 +160,17 @@ TEST_P(PsServerQueueing, MeanSojournMatchesMG1PS) {
 
   const double warmup = 200.0;
   const double horizon = 6000.0;
+  std::uint64_t arrivals = 0;
   std::function<void()> arrive = [&] {
     server.submit(sizes->sample(rng), nullptr);
+    if (++arrivals % 4096 == 0) expect_audit_clean(server);
     const double dt = interarrival.sample(rng);
     if (sim.now() + dt < horizon) sim.schedule_in(dt, arrive);
   };
   sim.schedule_in(interarrival.sample(rng), arrive);
   sim.schedule_at(warmup, [&] { server.reset_stats(); });
   sim.run_until(horizon);
+  expect_audit_clean(server);
 
   const ServerStats stats = server.stats();
   const MG1PS theory(lambda, mean_size / bandwidth);
@@ -184,6 +197,28 @@ TEST(FifoServer, ServesInOrder) {
   server.submit(1.0, [&](const TransferResult&) { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(FifoServer, RingGrowsWhileWrappedInOrder) {
+  // Advance the ring's head first, so the queue grows while it wraps.
+  Simulator sim;
+  FifoServer server(sim, 1.0);
+  std::vector<int> order;
+  int next = 0;
+  auto submit = [&] {
+    const int tag = next++;
+    server.submit(1.0, [&order, tag](const TransferResult&) {
+      order.push_back(tag);
+    });
+  };
+  for (int i = 0; i < 12; ++i) submit();
+  sim.run_until(10.5);
+  for (int i = 0; i < 40; ++i) submit();
+  sim.run();
+  std::vector<int> expected(52);
+  for (int i = 0; i < 52; ++i) expected[i] = i;
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(server.active_jobs(), 0u);
 }
 
 TEST(FifoServer, QueueingDelaysAccumulate) {

@@ -3,7 +3,8 @@
 // util/audit.hpp, defined only here, friend of every auditable structure):
 // each test builds a healthy structure, verifies audit() reports nothing,
 // injects exactly the defect class the walker exists to catch — a stale
-// generation or scribbled freed slot in the engine slab, a broken intrusive
+// generation or scribbled freed slot in the engine slab, a misordered tier,
+// leaked slot or lost job in the PS link, a broken intrusive
 // chain or desynced residency entry in the cache arenas, a free-list cycle,
 // successor-total drift in the context arena, a misranked or stale entry
 // in a ranked successor prefix, metadata corruption in the
@@ -22,6 +23,7 @@
 #include "cache/cache_plane.hpp"
 #include "cache/factory.hpp"
 #include "des/simulator.hpp"
+#include "net/ps_server.hpp"
 #include "obs/divergence.hpp"
 #include "obs/telemetry.hpp"
 #include "policy/policies.hpp"
@@ -129,6 +131,28 @@ struct AuditPeer {
     }
     return false;
   }
+
+  // --- PS link (run + heap over a job slab) -----------------------------
+  static std::size_t ps_run_size(const PsServer& s) { return s.run_size_; }
+  static std::size_t ps_heap_size(const PsServer& s) { return s.heap_.size(); }
+  static std::size_t ps_free_slots(const PsServer& s) {
+    return s.free_slots_.size();
+  }
+  static void swap_run_ends(PsServer& s) {
+    std::swap(s.run_[s.run_head_],
+              s.run_[(s.run_head_ + s.run_size_ - 1) & (s.run_.size() - 1)]);
+  }
+  static void swap_heap_root_and_child(PsServer& s) {
+    std::swap(s.heap_[0], s.heap_[1]);
+  }
+  static void leak_free_slot(PsServer& s) { s.free_slots_.pop_back(); }
+  static void unlink_run_back(PsServer& s) {
+    // Free the run's back job without completing it: the slab still
+    // balances, but the queue no longer holds every job the server counts.
+    s.free_slots_.push_back(s.run_slot(s.run_size_ - 1));
+    --s.run_size_;
+  }
+  static void advance_virtual_clock(PsServer& s) { s.virtual_time_ += 1e6; }
 
   // --- stack runtime ------------------------------------------------------
   static void desync_demand_count(StackRuntime& rt) {
@@ -524,6 +548,85 @@ TEST(AuditInjection, EnginePendingOrderViolation) {
   AuditReport report;
   sim.audit(report);
   EXPECT_FALSE(report.ok()) << "pending-order violation was not detected";
+}
+
+/// Overloaded PS link, equal sizes with every fourth job short: the short
+/// ones sort below the run's back and land in the heap, so both tiers hold
+/// keys and some slots have already been recycled.
+void seed_ps(Simulator& sim, PsServer& server) {
+  for (int i = 0; i < 60; ++i) {
+    sim.schedule_at(0.05 * i, [&server, i] {
+      server.submit(i % 4 == 3 ? 0.2 : 1.0, nullptr);
+    });
+  }
+  sim.run_until(3.0);
+  ASSERT_GE(AuditPeer::ps_run_size(server), 2u);
+  ASSERT_GE(AuditPeer::ps_heap_size(server), 2u);
+  ASSERT_GE(AuditPeer::ps_free_slots(server), 1u);
+  AuditReport clean;
+  server.audit(clean);
+  ASSERT_TRUE(clean.ok()) << clean.summary();
+}
+
+TEST(AuditClean, PsServerBothTiersSweepClean) {
+  Simulator sim;
+  PsServer server(sim, 10.0);
+  seed_ps(sim, server);
+  sim.run();
+  AuditReport drained;
+  server.audit(drained);
+  EXPECT_TRUE(drained.ok()) << drained.summary();
+  EXPECT_EQ(server.stats().completed, 60u);
+}
+
+TEST(AuditInjection, PsServerRunOutOfOrder) {
+  Simulator sim;
+  PsServer server(sim, 10.0);
+  seed_ps(sim, server);
+  AuditPeer::swap_run_ends(server);
+  AuditReport report;
+  server.audit(report);
+  expect_failure_containing(report, "run not increasing");
+}
+
+TEST(AuditInjection, PsServerHeapPropertyBroken) {
+  Simulator sim;
+  PsServer server(sim, 10.0);
+  seed_ps(sim, server);
+  AuditPeer::swap_heap_root_and_child(server);
+  AuditReport report;
+  server.audit(report);
+  expect_failure_containing(report, "4-ary heap property");
+}
+
+TEST(AuditInjection, PsServerSlabLeak) {
+  Simulator sim;
+  PsServer server(sim, 10.0);
+  seed_ps(sim, server);
+  AuditPeer::leak_free_slot(server);
+  AuditReport report;
+  server.audit(report);
+  expect_failure_containing(report, "slab conservation");
+}
+
+TEST(AuditInjection, PsServerLostJob) {
+  Simulator sim;
+  PsServer server(sim, 10.0);
+  seed_ps(sim, server);
+  AuditPeer::unlink_run_back(server);
+  AuditReport report;
+  server.audit(report);
+  expect_failure_containing(report, "live jobs");
+}
+
+TEST(AuditInjection, PsServerKeyBelowVirtualClock) {
+  Simulator sim;
+  PsServer server(sim, 10.0);
+  seed_ps(sim, server);
+  AuditPeer::advance_virtual_clock(server);
+  AuditReport report;
+  server.audit(report);
+  expect_failure_containing(report, "below the virtual clock");
 }
 
 TEST(AuditInjection, StackRuntimeDemandCountDesync) {

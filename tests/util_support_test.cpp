@@ -285,6 +285,32 @@ TEST(ArgParserDeathTest, EmptyListTokenExitsTwo) {
               "--users: expected non-negative integer, got ''");
 }
 
+TEST(ArgParser, PositiveListsAcceptPositiveValues) {
+  EXPECT_EQ(parsed_with("--rate", "80,2.5e1,0.5").get_positive_list("rate"),
+            (std::vector<double>{80.0, 25.0, 0.5}));
+}
+
+TEST(ArgParserDeathTest, NonPositiveListTokenExitsTwo) {
+  // A bandwidth sweep reading -1 or 0 through get_list used to reach the
+  // server's bandwidth contract and abort with an uncaught
+  // ContractViolation.
+  EXPECT_EXIT(parsed_with("--rate", "-1").get_positive_list("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected positive finite number, got '-1'(.|\n)*flags:");
+  EXPECT_EXIT(parsed_with("--rate", "80,0").get_positive_list("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected positive finite number, got '0'");
+  EXPECT_EXIT(parsed_with("--rate", "1,inf").get_positive_list("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected positive finite number, got 'inf'");
+  EXPECT_EXIT(parsed_with("--rate", "1,,2").get_positive_list("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected positive finite number, got ''");
+  EXPECT_EXIT(parsed_with("--rate", "2,x").get_positive_list("rate"),
+              ::testing::ExitedWithCode(2),
+              "--rate: expected positive finite number, got 'x'");
+}
+
 TEST(ArgParserDeathTest, UnknownBoolSpellingExitsTwo) {
   EXPECT_EXIT(parsed_with("--stream", "maybe").get_bool("stream"),
               ::testing::ExitedWithCode(2),
