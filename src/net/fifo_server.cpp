@@ -1,7 +1,5 @@
 #include "net/fifo_server.hpp"
 
-#include <algorithm>
-
 #include "util/contract.hpp"
 
 namespace specpf {
@@ -12,26 +10,16 @@ FifoServer::FifoServer(Simulator& sim, double bandwidth)
 std::uint64_t FifoServer::submit(double size, Callback on_complete) {
   SPECPF_EXPECTS(size > 0.0);
   const std::uint64_t id = next_job_id_++;
-  if (queued_ == queue_.size()) {
-    std::vector<Job> grown(std::max<std::size_t>(16, 2 * queue_.size()));
-    for (std::size_t i = 0; i < queued_; ++i) {
-      grown[i] = std::move(queue_[(head_ + i) & (queue_.size() - 1)]);
-    }
-    queue_.swap(grown);
-    head_ = 0;
-  }
-  queue_[(head_ + queued_++) & (queue_.size() - 1)] =
-      Job{id, size, sim_.now(), std::move(on_complete)};
+  queue_.push_back(Job{id, size, sim_.now(), std::move(on_complete)});
   record_arrival();
   if (!in_service_) start_next();
   return id;
 }
 
 void FifoServer::start_next() {
-  SPECPF_ASSERT(queued_ > 0);
-  current_ = std::move(queue_[head_]);
-  head_ = (head_ + 1) & (queue_.size() - 1);
-  --queued_;
+  SPECPF_ASSERT(!queue_.empty());
+  current_ = std::move(queue_.front());
+  queue_.pop_front();
   in_service_ = true;
   sim_.schedule_in(current_.size / bandwidth_, [this] { finish_current(); });
 }
@@ -45,7 +33,7 @@ void FifoServer::finish_current() {
   in_service_ = false;
   record_completion(result);
   Callback cb = std::move(current_.on_complete);
-  if (queued_ > 0) start_next();
+  if (!queue_.empty()) start_next();
   if (cb) cb(result);
 }
 

@@ -4,11 +4,10 @@
 // far more than PS — one reason the paper's PS model suits shared links.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "net/server.hpp"
+#include "util/flat_ring.hpp"
 
 namespace specpf {
 
@@ -18,7 +17,7 @@ class FifoServer final : public Server {
 
   std::uint64_t submit(double size, Callback on_complete) override;
   std::size_t active_jobs() const override {
-    return queued_ + (in_service_ ? 1 : 0);
+    return queue_.size() + (in_service_ ? 1 : 0);
   }
 
  private:
@@ -34,10 +33,7 @@ class FifoServer final : public Server {
   void start_next();
   void finish_current();
 
-  // Waiting jobs: a ring over a power-of-two vector, queue_[head_] first.
-  std::vector<Job> queue_;
-  std::size_t head_ = 0;
-  std::size_t queued_ = 0;
+  FlatRing<Job> queue_;
   bool in_service_ = false;
   Job current_{};
   std::uint64_t next_job_id_ = 1;

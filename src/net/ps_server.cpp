@@ -9,7 +9,6 @@ namespace specpf {
 
 namespace {
 constexpr std::size_t kHeapArity = 4;
-constexpr std::size_t kMinRunCapacity = 16;
 }  // namespace
 
 PsServer::PsServer(Simulator& sim, double bandwidth)
@@ -40,15 +39,8 @@ void PsServer::enqueue(std::uint32_t slot) {
   const Key key = key_of(slot);
   // The run is empty only when the heap is too, so an empty run takes the
   // job.
-  if (run_size_ == 0 || !key.before(key_of(run_slot(run_size_ - 1)))) {
-    if (run_size_ == run_.size()) {
-      std::vector<std::uint32_t> grown(
-          std::max(kMinRunCapacity, 2 * run_.size()));
-      for (std::size_t i = 0; i < run_size_; ++i) grown[i] = run_slot(i);
-      run_.swap(grown);
-      run_head_ = 0;
-    }
-    run_[(run_head_ + run_size_++) & (run_.size() - 1)] = slot;
+  if (run_.empty() || !key.before(key_of(run_[run_.size() - 1]))) {
+    run_.push_back(slot);
     return;
   }
   heap_.push_back(key);
@@ -56,8 +48,8 @@ void PsServer::enqueue(std::uint32_t slot) {
 }
 
 bool PsServer::heap_first() const {
-  SPECPF_ASSERT(run_size_ > 0);
-  return !heap_.empty() && heap_.front().before(key_of(run_slot(0)));
+  SPECPF_ASSERT(!run_.empty());
+  return !heap_.empty() && heap_.front().before(key_of(run_[0]));
 }
 
 void PsServer::heap_sift_up(std::size_t pos) {
@@ -119,7 +111,7 @@ void PsServer::schedule_next_completion() {
   sim_.cancel(completion_event_);
   if (active_jobs() == 0) return;
   const double finish_v =
-      heap_first() ? heap_.front().finish_v : job_at(run_slot(0)).finish_v;
+      heap_first() ? heap_.front().finish_v : job_at(run_[0]).finish_v;
   const double remaining_v = finish_v - virtual_time_;
   SPECPF_ASSERT(remaining_v >= -1e-9);
   const double rate = bandwidth_ / static_cast<double>(active_jobs());
@@ -137,14 +129,13 @@ void PsServer::complete_front() {
     heap_.pop_back();
     if (!heap_.empty()) heap_sift_down(0, last);
   } else {
-    slot = run_slot(0);
-    run_head_ = (run_head_ + 1) & (run_.size() - 1);
-    --run_size_;
+    slot = run_[0];
+    run_.pop_front();
     // Deep FIFO drains are bound by slab misses. The new head's finish
     // value is read below; the job behind it becomes the head at the next
     // completion, so fetch both of its cache lines now.
-    if (run_size_ > 1) {
-      const auto* next = reinterpret_cast<const char*>(&job_at(run_slot(1)));
+    if (run_.size() > 1) {
+      const auto* next = reinterpret_cast<const char*>(&job_at(run_[1]));
       __builtin_prefetch(next);
       __builtin_prefetch(next + sizeof(Job) - 1);
     }
@@ -194,15 +185,9 @@ void PsServer::audit(AuditReport& report) const {
                  std::string(tier) + " key for job " + std::to_string(key.id) +
                      " finishes below the virtual clock");
   };
-  if (!report.check(run_size_ <= run_.size() &&
-                        (run_.size() & (run_.size() - 1)) == 0,
-                    "run ring capacity is not a power of two holding the "
-                    "run")) {
-    return;
-  }
   std::vector<Key> run_keys;
-  for (std::size_t i = 0; i < run_size_; ++i) {
-    const std::uint32_t slot = run_slot(i);
+  for (std::size_t i = 0; i < run_.size(); ++i) {
+    const std::uint32_t slot = run_[i];
     if (!report.check(slot < slab_size_, "run names slot " +
                                              std::to_string(slot) +
                                              " past the slab")) {
@@ -233,9 +218,9 @@ void PsServer::audit(AuditReport& report) const {
                  "heap key for job " + std::to_string(heap_[j].id) +
                      " is not below the run's back");
   }
-  report.check(free_slots_.size() + run_size_ + heap_.size() == slab_size_,
+  report.check(free_slots_.size() + run_.size() + heap_.size() == slab_size_,
                "slab conservation: " + std::to_string(free_slots_.size()) +
-                   " free + " + std::to_string(run_size_) + " run + " +
+                   " free + " + std::to_string(run_.size()) + " run + " +
                    std::to_string(heap_.size()) +
                    " heap != " + std::to_string(slab_size_) + " slots");
   report.check(active_jobs() == live_jobs(),

@@ -36,6 +36,7 @@
 
 #include "net/server.hpp"
 #include "util/audit.hpp"
+#include "util/flat_ring.hpp"
 
 namespace specpf {
 
@@ -46,7 +47,7 @@ class PsServer final : public Server {
 
   std::uint64_t submit(double size, Callback on_complete) override;
   std::size_t active_jobs() const override {
-    return run_size_ + heap_.size();
+    return run_.size() + heap_.size();
   }
 
   /// Deep-invariant walker (util/audit.hpp): the run increasing in
@@ -79,7 +80,8 @@ class PsServer final : public Server {
     }
   };
 
-  static constexpr std::size_t kChunkShift = 10;  // 1024 jobs per slab chunk
+  // 256 jobs (22 KiB) per slab chunk keeps a calm link's slab small.
+  static constexpr std::size_t kChunkShift = 8;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
 
   Job& job_at(std::uint32_t slot) {
@@ -93,9 +95,6 @@ class PsServer final : public Server {
   }
   std::uint32_t acquire_slot();
 
-  std::uint32_t run_slot(std::size_t i) const {
-    return run_[(run_head_ + i) & (run_.size() - 1)];
-  }
   Key key_of(std::uint32_t slot) const {
     const Job& job = job_at(slot);
     return Key{job.finish_v, job.id, slot};
@@ -130,12 +129,9 @@ class PsServer final : public Server {
   std::vector<ChunkPtr> chunks_;
   std::size_t slab_size_ = 0;
   std::vector<std::uint32_t> free_slots_;  // LIFO: reuse the warmest slot
-  // The run: slots in finish order, a ring over a power-of-two vector with
-  // run_slot(0) at the head. Four bytes an entry keep the ring's slack
-  // small at depth; the keys themselves sit in the jobs.
-  std::vector<std::uint32_t> run_;
-  std::size_t run_head_ = 0;
-  std::size_t run_size_ = 0;
+  // The run: slots in finish order. Four bytes an entry keep the ring's
+  // slack small at depth; the keys themselves sit in the jobs.
+  FlatRing<std::uint32_t> run_;
   std::vector<Key> heap_;  // root at 0; children of i are 4i+1 .. 4i+4
   double virtual_time_ = 0.0;
   double last_sync_ = 0.0;

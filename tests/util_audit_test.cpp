@@ -133,24 +133,23 @@ struct AuditPeer {
   }
 
   // --- PS link (run + heap over a job slab) -----------------------------
-  static std::size_t ps_run_size(const PsServer& s) { return s.run_size_; }
+  static std::size_t ps_run_size(const PsServer& s) { return s.run_.size(); }
   static std::size_t ps_heap_size(const PsServer& s) { return s.heap_.size(); }
   static std::size_t ps_free_slots(const PsServer& s) {
     return s.free_slots_.size();
   }
   static void swap_run_ends(PsServer& s) {
-    std::swap(s.run_[s.run_head_],
-              s.run_[(s.run_head_ + s.run_size_ - 1) & (s.run_.size() - 1)]);
+    std::swap(s.run_[0], s.run_[s.run_.size() - 1]);
   }
   static void swap_heap_root_and_child(PsServer& s) {
     std::swap(s.heap_[0], s.heap_[1]);
   }
   static void leak_free_slot(PsServer& s) { s.free_slots_.pop_back(); }
-  static void unlink_run_back(PsServer& s) {
-    // Free the run's back job without completing it: the slab still
+  static void unlink_run_head(PsServer& s) {
+    // Free the run's head job without completing it: the slab still
     // balances, but the queue no longer holds every job the server counts.
-    s.free_slots_.push_back(s.run_slot(s.run_size_ - 1));
-    --s.run_size_;
+    s.free_slots_.push_back(s.run_[0]);
+    s.run_.pop_front();
   }
   static void advance_virtual_clock(PsServer& s) { s.virtual_time_ += 1e6; }
 
@@ -613,7 +612,7 @@ TEST(AuditInjection, PsServerLostJob) {
   Simulator sim;
   PsServer server(sim, 10.0);
   seed_ps(sim, server);
-  AuditPeer::unlink_run_back(server);
+  AuditPeer::unlink_run_head(server);
   AuditReport report;
   server.audit(report);
   expect_failure_containing(report, "live jobs");
