@@ -25,8 +25,8 @@
 // runtime and the backbone's origin links submit is one item of
 // `item_size`, so their links are FIFOs in disguise and each job costs O(1).
 // Mixed sizes (the abstract sim, exponential-size benches) fall back to the
-// heap for the out-of-order ones. The order is exactly (finish_v, id),
-// which is the order the former multimap keyed on finish_v produced.
+// heap for the out-of-order ones. Equal finish values complete in submit
+// order; tests/ps_digests.inc pins that tie order bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -60,8 +60,7 @@ class PsServer final : public Server {
  private:
   friend struct AuditPeer;  // corruption-injection tests only
 
-  // A queued job. `id` is the submit order, which breaks finish-value ties
-  // exactly as the former multimap's insertion order did.
+  // A queued job. `id` is the submit order, which breaks finish-value ties.
   struct Job {
     double finish_v = 0.0;
     std::uint64_t id = 0;

@@ -149,9 +149,10 @@ class StackRuntime {
 
   /// Deep-invariant sweep (util/audit.hpp) across the whole stack slice:
   /// the cache plane's arenas, the predictor plane's ContextArena, the
-  /// proxy link's job queue, the in-flight index (every entry has a waiter unless it is an untouched
-  /// prefetch, demand counts conserve, deferred prefetches imply a blocked
-  /// demand), and the cached ĥ' estimates against fresh recomputation.
+  /// proxy link's job queue, the in-flight index (every entry has a waiter
+  /// unless it is an untouched prefetch, demand counts conserve, deferred
+  /// prefetches imply a blocked demand), and the cached ĥ' estimates
+  /// against fresh recomputation.
   /// Runs automatically at begin_measurement/finalize in SPECPF_AUDIT
   /// builds (throwing ContractViolation on failure); callable from tests in
   /// any build.
