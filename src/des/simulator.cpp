@@ -15,12 +15,6 @@ constexpr std::size_t kCompactionMinHeap = 64;
 constexpr std::size_t kSortedRunMin = 1024;
 }  // namespace
 
-Simulator::~Simulator() {
-  for (std::size_t slot = 0; slot < slab_size_; ++slot) {
-    node_at(static_cast<std::uint32_t>(slot)).~Node();
-  }
-}
-
 std::uint32_t Simulator::acquire_slot() {
   if (free_head_ != EventId::kInvalid) {
     const std::uint32_t slot = free_head_;
@@ -28,14 +22,11 @@ std::uint32_t Simulator::acquire_slot() {
     if (slot < poisoned_.size()) poisoned_[slot] = 0;  // live again
     return slot;
   }
-  SPECPF_ASSERT(slab_size_ < kMaxSlots);
-  if (slab_size_ == chunks_.size() * kChunkSize) {
-    chunks_.push_back(ChunkPtr(static_cast<std::byte*>(::operator new[](
-        kChunkSize * sizeof(Node), std::align_val_t{kCacheLineBytes}))));
-    dead_bits_.resize(chunks_.size() * kChunkSize / 64, 0);
+  SPECPF_ASSERT(slab_.size() < kMaxSlots);
+  const std::uint32_t slot = slab_.emplace_back();
+  if (dead_bits_.size() * 64 < slab_.capacity()) {
+    dead_bits_.resize(slab_.capacity() / 64, 0);
   }
-  const auto slot = static_cast<std::uint32_t>(slab_size_++);
-  ::new (&node_at(slot)) Node();
   return slot;
 }
 
@@ -45,9 +36,9 @@ void Simulator::release_slot(std::uint32_t slot) {
   node.next_free = free_head_;
   free_head_ = slot;
   if (audit_mode_) {
-    if (shadow_gen_.size() < slab_size_) {
-      shadow_gen_.resize(slab_size_, EventId::kInvalid);
-      poisoned_.resize(slab_size_, 0);
+    if (shadow_gen_.size() < slab_.size()) {
+      shadow_gen_.resize(slab_.size(), EventId::kInvalid);
+      poisoned_.resize(slab_.size(), 0);
     }
     node.action.poison_storage(kPoisonByte);  // empty: only buf_ touched
     poisoned_[slot] = 1;
@@ -60,11 +51,11 @@ void Simulator::enable_audit_mode() { audit_mode_ = true; }
 void Simulator::audit(AuditReport& report) const {
   const AuditScope scope(report, "Simulator");
   // 0 = unseen, 1 = on the free list, 2 = named by a pending entry.
-  std::vector<std::uint8_t> state(slab_size_, 0);
+  std::vector<std::uint8_t> state(slab_.size(), 0);
   std::size_t free_count = 0;
   for (std::uint32_t slot = free_head_; slot != EventId::kInvalid;
        slot = node_at(slot).next_free) {
-    if (!report.check(slot < slab_size_,
+    if (!report.check(slot < slab_.size(),
                       "free list points past the slab (slot " +
                           std::to_string(slot) + ")")) {
       break;
@@ -91,7 +82,7 @@ void Simulator::audit(AuditReport& report) const {
   std::size_t dead_seen = 0;
   auto check_entry = [&](const HeapEntry& entry, const char* tier) {
     const std::uint32_t slot = entry.slot();
-    if (!report.check(slot < slab_size_, std::string(tier) +
+    if (!report.check(slot < slab_.size(), std::string(tier) +
                                              " entry names slot " +
                                              std::to_string(slot) +
                                              " past the slab")) {
@@ -130,7 +121,7 @@ void Simulator::audit(AuditReport& report) const {
   // match what release_slot last recorded — a mismatch means a rollback or
   // forgery through a recycled slot.
   for (std::uint32_t slot = 0;
-       slot < shadow_gen_.size() && slot < slab_size_; ++slot) {
+       slot < shadow_gen_.size() && slot < slab_.size(); ++slot) {
     if (shadow_gen_[slot] == EventId::kInvalid) continue;
     report.check(node_at(slot).generation == shadow_gen_[slot],
                  "slot " + std::to_string(slot) +
@@ -152,10 +143,10 @@ void Simulator::audit(AuditReport& report) const {
                  "sorted run not descending at index " + std::to_string(i));
   }
   // Slab conservation: every slot is free or pending, never both/neither.
-  report.check(free_count + (pending()) == slab_size_,
+  report.check(free_count + (pending()) == slab_.size(),
                "slab conservation: " + std::to_string(free_count) +
                    " free + " + std::to_string(pending()) +
-                   " pending != " + std::to_string(slab_size_) + " slots");
+                   " pending != " + std::to_string(slab_.size()) + " slots");
 }
 
 // Physical indexing (see kHeapBase): children of i are 4i-8 .. 4i-5, parent
@@ -307,7 +298,7 @@ EventId Simulator::schedule_in(double delay, Action action) {
 }
 
 void Simulator::cancel(const EventId& id) {
-  if (id.slot_ >= slab_size_) return;
+  if (id.slot_ >= slab_.size()) return;
   SPECPF_ASSERT(id.owner_ == this && "EventId belongs to another Simulator");
   Node& node = node_at(id.slot_);
   if (!node.action || node.generation != id.generation_) return;

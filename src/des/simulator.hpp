@@ -22,13 +22,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <vector>
 
 #include "des/inline_function.hpp"
 #include "util/audit.hpp"
 #include "util/cache_aligned.hpp"
+#include "util/chunked_slab.hpp"
 
 namespace specpf {
 
@@ -57,7 +56,6 @@ class Simulator {
   using Action = InlineFunction<void(), 48>;
 
   Simulator() = default;
-  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -149,8 +147,6 @@ class Simulator {
   static constexpr std::size_t kSlotBits = 24;
   static constexpr std::uint64_t kMaxSlots = 1ull << kSlotBits;  // concurrent
   static constexpr std::uint64_t kMaxSeq = 1ull << (64 - kSlotBits);
-  static constexpr std::size_t kChunkShift = 12;  // 4096 nodes per slab chunk
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
   // The heap root lives at physical index 3 so that every 4-entry child
   // group (children of i are at 4i-8 .. 4i-5; parent of j is (j+8)/4) starts
   // on a 64-byte boundary: one cache line per sift level instead of two.
@@ -160,15 +156,8 @@ class Simulator {
   /// slot nobody should be writing through.
   static constexpr unsigned char kPoisonByte = 0xDD;
 
-  Node& node_at(std::uint32_t slot) {
-    return *(reinterpret_cast<Node*>(chunks_[slot >> kChunkShift].get()) +
-             (slot & (kChunkSize - 1)));
-  }
-  const Node& node_at(std::uint32_t slot) const {
-    return *(reinterpret_cast<const Node*>(
-                 chunks_[slot >> kChunkShift].get()) +
-             (slot & (kChunkSize - 1)));
-  }
+  Node& node_at(std::uint32_t slot) { return slab_[slot]; }
+  const Node& node_at(std::uint32_t slot) const { return slab_[slot]; }
   // Tombstone bits live in a tiny slot-indexed bitset (2 KiB per 131k slots,
   // L1-resident) so the pop loop can classify the top entry without touching
   // the slab; the node's cache line is then fetched in parallel with the
@@ -205,20 +194,10 @@ class Simulator {
   /// if the heap drains or only later events remain.
   bool run_next(double limit);
 
-  struct ChunkDeleter {
-    void operator()(std::byte* p) const noexcept {
-      ::operator delete[](p, std::align_val_t{kCacheLineBytes});
-    }
-  };
-  using ChunkPtr = std::unique_ptr<std::byte[], ChunkDeleter>;
-
-  // Slab chunks have stable addresses: growing the slab never moves nodes,
-  // so no per-node relocation cost and references stay valid across
-  // schedule calls. Chunks are raw storage; a Node is placement-constructed
-  // the first time its slot is handed out (so allocating a chunk costs no
-  // construction sweep) and destroyed in ~Simulator.
-  std::vector<ChunkPtr> chunks_;
-  std::size_t slab_size_ = 0;
+  // 4096 nodes per chunk. Growing the slab never moves nodes, so there is
+  // no per-node relocation cost and references stay valid across schedule
+  // calls.
+  ChunkedSlab<Node, 12> slab_;
   std::vector<std::uint64_t> dead_bits_;
   // Physical layout: [0, kHeapBase) are never-read dummies; the root is at
   // kHeapBase. 64-byte-aligned storage keeps child groups line-aligned.

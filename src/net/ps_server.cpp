@@ -1,8 +1,10 @@
 #include "net/ps_server.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 
+#include "util/cache_aligned.hpp"
 #include "util/contract.hpp"
 
 namespace specpf {
@@ -14,25 +16,13 @@ constexpr std::size_t kHeapArity = 4;
 PsServer::PsServer(Simulator& sim, double bandwidth)
     : Server(sim, bandwidth), last_sync_(sim.now()) {}
 
-PsServer::~PsServer() {
-  for (std::size_t slot = 0; slot < slab_size_; ++slot) {
-    job_at(static_cast<std::uint32_t>(slot)).~Job();
-  }
-}
-
 std::uint32_t PsServer::acquire_slot() {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
     return slot;
   }
-  if (slab_size_ == chunks_.size() * kChunkSize) {
-    chunks_.push_back(ChunkPtr(
-        static_cast<std::byte*>(::operator new[](kChunkSize * sizeof(Job)))));
-  }
-  const auto slot = static_cast<std::uint32_t>(slab_size_++);
-  ::new (&job_at(slot)) Job();
-  return slot;
+  return slab_.emplace_back();
 }
 
 void PsServer::enqueue(std::uint32_t slot) {
@@ -133,11 +123,13 @@ void PsServer::complete_front() {
     run_.pop_front();
     // Deep FIFO drains are bound by slab misses. The new head's finish
     // value is read below; the job behind it becomes the head at the next
-    // completion, so fetch both of its cache lines now.
+    // completion, so fetch every cache line it spans (two or three) now.
     if (run_.size() > 1) {
-      const auto* next = reinterpret_cast<const char*>(&job_at(run_[1]));
-      __builtin_prefetch(next);
-      __builtin_prefetch(next + sizeof(Job) - 1);
+      const auto next = reinterpret_cast<std::uintptr_t>(&job_at(run_[1]));
+      for (std::uintptr_t line = next & ~(kCacheLineBytes - 1);
+           line < next + sizeof(Job); line += kCacheLineBytes) {
+        __builtin_prefetch(reinterpret_cast<const void*>(line));
+      }
     }
   }
   Job& job = job_at(slot);
@@ -160,9 +152,9 @@ void PsServer::complete_front() {
 void PsServer::audit(AuditReport& report) const {
   const AuditScope scope(report, "PsServer");
   // 0 = unseen, 1 = on the free list, 2 = named by a queued key.
-  std::vector<std::uint8_t> state(slab_size_, 0);
+  std::vector<std::uint8_t> state(slab_.size(), 0);
   for (const std::uint32_t slot : free_slots_) {
-    if (!report.check(slot < slab_size_, "free list names slot " +
+    if (!report.check(slot < slab_.size(), "free list names slot " +
                                              std::to_string(slot) +
                                              " past the slab")) {
       continue;
@@ -172,7 +164,7 @@ void PsServer::audit(AuditReport& report) const {
     state[slot] = 1;
   }
   auto check_key = [&](const Key& key, const char* tier) {
-    if (report.check(key.slot < slab_size_,
+    if (report.check(key.slot < slab_.size(),
                      std::string(tier) + " key names slot " +
                          std::to_string(key.slot) + " past the slab")) {
       report.check(state[key.slot] == 0,
@@ -188,7 +180,7 @@ void PsServer::audit(AuditReport& report) const {
   std::vector<Key> run_keys;
   for (std::size_t i = 0; i < run_.size(); ++i) {
     const std::uint32_t slot = run_[i];
-    if (!report.check(slot < slab_size_, "run names slot " +
+    if (!report.check(slot < slab_.size(), "run names slot " +
                                              std::to_string(slot) +
                                              " past the slab")) {
       continue;
@@ -203,7 +195,7 @@ void PsServer::audit(AuditReport& report) const {
   }
   for (std::size_t j = 0; j < heap_.size(); ++j) {
     check_key(heap_[j], "heap");
-    if (heap_[j].slot < slab_size_) {
+    if (heap_[j].slot < slab_.size()) {
       const Job& job = job_at(heap_[j].slot);
       report.check(job.finish_v == heap_[j].finish_v && job.id == heap_[j].id,
                    "heap key for job " + std::to_string(heap_[j].id) +
@@ -218,11 +210,11 @@ void PsServer::audit(AuditReport& report) const {
                  "heap key for job " + std::to_string(heap_[j].id) +
                      " is not below the run's back");
   }
-  report.check(free_slots_.size() + run_.size() + heap_.size() == slab_size_,
+  report.check(free_slots_.size() + run_.size() + heap_.size() == slab_.size(),
                "slab conservation: " + std::to_string(free_slots_.size()) +
                    " free + " + std::to_string(run_.size()) + " run + " +
                    std::to_string(heap_.size()) +
-                   " heap != " + std::to_string(slab_size_) + " slots");
+                   " heap != " + std::to_string(slab_.size()) + " slots");
   report.check(active_jobs() == live_jobs(),
                "active_jobs() is " + std::to_string(active_jobs()) +
                    " but the server recorded " + std::to_string(live_jobs()) +

@@ -31,11 +31,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "net/server.hpp"
 #include "util/audit.hpp"
+#include "util/chunked_slab.hpp"
 #include "util/flat_ring.hpp"
 
 namespace specpf {
@@ -43,7 +43,6 @@ namespace specpf {
 class PsServer final : public Server {
  public:
   PsServer(Simulator& sim, double bandwidth);
-  ~PsServer() override;
 
   std::uint64_t submit(double size, Callback on_complete) override;
   std::size_t active_jobs() const override {
@@ -79,19 +78,8 @@ class PsServer final : public Server {
     }
   };
 
-  // 256 jobs (22 KiB) per slab chunk keeps a calm link's slab small.
-  static constexpr std::size_t kChunkShift = 8;
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
-
-  Job& job_at(std::uint32_t slot) {
-    return *(reinterpret_cast<Job*>(chunks_[slot >> kChunkShift].get()) +
-             (slot & (kChunkSize - 1)));
-  }
-  const Job& job_at(std::uint32_t slot) const {
-    return *(reinterpret_cast<const Job*>(
-                 chunks_[slot >> kChunkShift].get()) +
-             (slot & (kChunkSize - 1)));
-  }
+  Job& job_at(std::uint32_t slot) { return slab_[slot]; }
+  const Job& job_at(std::uint32_t slot) const { return slab_[slot]; }
   std::uint32_t acquire_slot();
 
   Key key_of(std::uint32_t slot) const {
@@ -116,17 +104,8 @@ class PsServer final : public Server {
 
   void complete_front();
 
-  struct ChunkDeleter {
-    void operator()(std::byte* p) const noexcept {
-      ::operator delete[](p);
-    }
-  };
-  using ChunkPtr = std::unique_ptr<std::byte[], ChunkDeleter>;
-
-  // Raw chunk storage; a Job is constructed the first time its slot is
-  // handed out and destroyed in ~PsServer.
-  std::vector<ChunkPtr> chunks_;
-  std::size_t slab_size_ = 0;
+  // 1024 jobs (88 KiB) per chunk, as measured against 256 in CHANGES.md.
+  ChunkedSlab<Job, 10> slab_;
   std::vector<std::uint32_t> free_slots_;  // LIFO: reuse the warmest slot
   // The run: slots in finish order. Four bytes an entry keep the ring's
   // slack small at depth; the keys themselves sit in the jobs.

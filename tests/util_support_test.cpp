@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <numeric>
 #include <sstream>
+#include <vector>
 #include <stdexcept>
 
 #include "util/argparse.hpp"
+#include "util/chunked_slab.hpp"
 #include "util/contract.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -326,6 +328,41 @@ TEST(Contract, ViolationMessageNamesKindAndExpression) {
     EXPECT_NE(what.find("precondition"), std::string::npos);
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
   }
+}
+
+
+// An element that counts its live instances, so the slab's teardown can be
+// checked to destroy exactly the constructed prefix.
+struct Counted {
+  static inline int live = 0;
+  char pad[88 - sizeof(int)] = {};
+  int value = 0;
+  Counted() { ++live; }
+  ~Counted() { --live; }
+};
+
+TEST(ChunkedSlab, SlotsStayPutAcrossGrowthAndChunksAreLineAligned) {
+  {
+    ChunkedSlab<Counted, 2> slab;  // 4 elements per chunk
+    std::vector<const Counted*> addresses;
+    for (std::uint32_t i = 0; i < 11; ++i) {
+      ASSERT_EQ(slab.emplace_back(), i);
+      slab[i].value = static_cast<int>(i);
+      addresses.push_back(&slab[i]);
+    }
+    EXPECT_EQ(slab.size(), 11u);
+    EXPECT_EQ(slab.capacity(), 12u);
+    EXPECT_EQ(Counted::live, 11);  // constructed on hand-out, not per chunk
+    for (std::uint32_t i = 0; i < 11; ++i) {
+      EXPECT_EQ(&slab[i], addresses[i]);
+      EXPECT_EQ(slab[i].value, static_cast<int>(i));
+      if (i % 4 == 0) {
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&slab[i]) % kCacheLineBytes,
+                  0u);
+      }
+    }
+  }
+  EXPECT_EQ(Counted::live, 0);
 }
 
 }  // namespace
