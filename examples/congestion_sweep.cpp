@@ -156,6 +156,13 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_uint("prefetch"));
   replay_cfg.seed = trace_cfg.seed;
   replay_cfg.enable_load_sensor = true;  // baselines report peaks too
+  // Check the config of every run up front, before any trace is built.
+  const std::vector<std::string> governors =
+      split_csv(args.get_string("governors"));
+  for (const std::string& gov : governors) {
+    replay_cfg.governor = gov == "none" ? "" : gov;
+    args.require_valid(sharded_cfg.check());
+  }
 
   for (const std::string& scenario : split_csv(args.get_string("scenarios"))) {
     if (!make_scenario_modulation(scenario, span, sharded_cfg.num_shards,
@@ -172,7 +179,7 @@ int main(int argc, char** argv) {
                     "  (span " + std::to_string(trace.duration()).substr(0, 6) +
                     "s, " + std::to_string(trace.size()) + " requests)");
     table.set_precision(4);
-    for (const std::string& gov : split_csv(args.get_string("governors"))) {
+    for (const std::string& gov : governors) {
       replay_cfg.governor = gov == "none" ? "" : gov;
       const auto t0 = Clock::now();
       // Telemetry lives per run, one plane per shard, exported before the

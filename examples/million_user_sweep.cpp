@@ -201,6 +201,7 @@ int main(int argc, char** argv) {
   replay_cfg.governor = args.get_string("governor");
   replay_cfg.stream_window =
       static_cast<std::size_t>(args.get_positive_uint("stream-window"));
+  args.require_valid(sharded_cfg.check());
 
   // ---- Request-supply selection -------------------------------------
   // Exactly one of `ram` (in-RAM trace) or `stream` (bounded-RSS source)

@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   base.duration = args.get_double("duration");
   base.warmup = base.duration / 10.0;
   base.seed = args.get_uint("seed");
+  args.require_valid(base.check());
 
   Table table({"bandwidth", "rho' (none)", "p_th est", "t none", "t threshold",
                "t aggressive", "threshold vs none", "aggressive vs none"});

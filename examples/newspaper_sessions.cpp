@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
   cfg.duration = args.get_double("duration");
   cfg.warmup = cfg.duration / 10.0;
   cfg.seed = args.get_uint("seed");
+  args.require_valid(cfg.check());
 
   Table table({"policy", "access time", "hit ratio", "rho", "useful frac"});
   table.set_precision(4);

@@ -200,6 +200,7 @@ int main(int argc, char** argv) {
   replay_base.enable_load_sensor = true;
   replay_base.stream_window =
       static_cast<std::size_t>(args.get_uint("stream-window"));
+  args.require_valid(replay_base.check());
 
   // The detector ignores the replay's warmup prefix: empty caches and an
   // untrained predictor make the opening seconds look like sustained queue

@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown predictor '%s'\n", predictor.c_str());
     return 1;
   }
+  args.require_valid(cfg.check());
 
   std::printf("web proxy: %zu clients, b=%.0f, %zu pages, predictor=%s\n\n",
               cfg.num_users, cfg.bandwidth, cfg.graph.num_pages,

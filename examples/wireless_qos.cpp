@@ -46,6 +46,23 @@ int main(int argc, char** argv) {
   const double b_plain = core::min_bandwidth_for_access_time(params, slo);
   const double b_prefetch = core::min_bandwidth_for_access_time(
       params, {0.7, 0.5}, core::InteractionModel::kModelA, slo);
+  // The simulated check (part 4) runs on a link provisioned 10% above the
+  // plain need; its config is checked here, before anything is printed.
+  ProxySimConfig cfg;
+  cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
+  cfg.bandwidth = b_plain * 1.1;
+  cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
+  cfg.graph.out_degree = 3;
+  cfg.graph.exit_probability = 0.2;
+  cfg.graph.link_skew = 1.6;
+  cfg.session_rate_per_user = 0.9;
+  cfg.think_time_mean = 0.35;
+  cfg.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
+  cfg.duration = args.get_double("duration");
+  cfg.warmup = cfg.duration / 10.0;
+  cfg.seed = args.get_uint("seed");
+  args.require_valid(cfg.check());
+
   std::printf("SLO: mean access time <= %.0f ms at lambda=%.0f, h'=%.2f\n\n",
               slo * 1e3, params.request_rate, params.hit_ratio);
   std::printf("bandwidth to meet SLO, cache only:            %6.1f units/s\n",
@@ -57,7 +74,7 @@ int main(int argc, char** argv) {
               100.0 * (1.0 - b_prefetch / b_plain));
 
   // --- 2. prefetch budget on a fixed link ---
-  params.bandwidth = b_plain * 1.1;  // provision 10% above the plain need
+  params.bandwidth = cfg.bandwidth;
   Table budget({"candidate p", "p_th", "SLO prefetch budget n̄(F)",
                 "max(np) cap f'/p"});
   budget.set_title("Prefetch budget under the SLO  (b = " +
@@ -88,20 +105,6 @@ int main(int argc, char** argv) {
   quality.print(std::cout);
 
   // --- 4. verify in simulation with the QoS-budgeted policy ---
-  ProxySimConfig cfg;
-  cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
-  cfg.bandwidth = params.bandwidth;
-  cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
-  cfg.graph.out_degree = 3;
-  cfg.graph.exit_probability = 0.2;
-  cfg.graph.link_skew = 1.6;
-  cfg.session_rate_per_user = 0.9;
-  cfg.think_time_mean = 0.35;
-  cfg.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
-  cfg.duration = args.get_double("duration");
-  cfg.warmup = cfg.duration / 10.0;
-  cfg.seed = args.get_uint("seed");
-
   // The policy enforces a utilisation cap (capacity headroom against the
   // tail effects the mean-value model ignores); 0.85 is a common choice.
   NoPrefetchPolicy none;

@@ -18,22 +18,45 @@
 
 namespace specpf {
 
-void ShardedReplayConfig::validate() const {
-  stack.validate();
-  SPECPF_EXPECTS(num_shards >= 1);
+std::string ShardedReplayConfig::check() const {
+  if (std::string error = stack.check(); !error.empty()) return error;
+  if (num_shards < 1) {
+    return config_error("num_shards", "must be >= 1", num_shards);
+  }
   // The lookahead must be finite for S > 1 epochs to advance.
-  SPECPF_EXPECTS(backbone_latency > 0.0 && std::isfinite(backbone_latency));
-  SPECPF_EXPECTS(backbone_bandwidth > 0.0);
+  if (!positive_finite(backbone_latency)) {
+    return config_error("backbone_latency", "must be positive and finite",
+                        backbone_latency);
+  }
+  if (!positive_finite(backbone_bandwidth)) {
+    return config_error("backbone_bandwidth", "must be positive and finite",
+                        backbone_bandwidth);
+  }
   // One plane serves one engine: a single stack plane only at S = 1 and
   // never beside a fleet.
-  SPECPF_EXPECTS(stack.telemetry == nullptr ||
-                 (num_shards == 1 && telemetry == nullptr));
-  SPECPF_EXPECTS(telemetry == nullptr || telemetry->size() == num_shards);
+  if (stack.telemetry != nullptr && telemetry != nullptr) {
+    return config_error("telemetry", "must be null when stack.telemetry is set",
+                        "a fleet");
+  }
+  if (stack.telemetry != nullptr && num_shards != 1) {
+    return config_error("num_shards", "must be 1 when stack.telemetry is set",
+                        num_shards);
+  }
+  if (telemetry != nullptr && telemetry->size() != num_shards) {
+    return config_error("telemetry", "fleet size must equal num_shards",
+                        telemetry->size());
+  }
   // The detector reads gauge streams; without a plane there is nothing to
   // watch.
-  SPECPF_EXPECTS(stack.divergence == nullptr || stack.telemetry != nullptr ||
-                 telemetry != nullptr);
+  if (stack.divergence != nullptr && stack.telemetry == nullptr &&
+      telemetry == nullptr) {
+    return config_error("stack.divergence", "needs a telemetry plane or fleet",
+                        "no plane");
+  }
+  return {};
 }
+
+void ShardedReplayConfig::validate() const { expect_valid(check()); }
 
 // One region: an independent engine plus its data plane. `runtime` is null
 // for shards that own no trace records (they can still receive backbone
@@ -209,13 +232,8 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
     if (policy_name_.empty()) policy_name_ = shard->policy->name();
 
     StackRuntimeConfig rt;
-    rt.bandwidth = config_.stack.bandwidth;
-    rt.item_size = config_.stack.item_size;
+    static_cast<StackConfig&>(rt) = config_.stack;
     rt.num_users = shard->user_index.size();
-    rt.cache_capacity = config_.stack.cache_capacity;
-    rt.cache_kind = config_.stack.cache_kind;
-    rt.estimator_model = config_.stack.estimator_model;
-    rt.max_prefetch_per_request = config_.stack.max_prefetch_per_request;
     rt.seed = shard_seed(config_.stack.seed, s);
     // Matches the partitioned sub-trace's mean_request_rate bit-for-bit
     // (duration = last − first on the same doubles, rate 0 if degenerate).

@@ -79,6 +79,9 @@ struct ShardedReplayConfig {
   /// barrier plus once after the loop drains.
   class TelemetryFleet* telemetry = nullptr;
 
+  /// stack.check(), then the fleet's own fields and the plane/fleet rules.
+  std::string check() const;
+  /// Throws ContractViolation carrying check()'s message.
   void validate() const;
 };
 

@@ -1,5 +1,6 @@
 #include "sim/proxy_sim.hpp"
 
+#include <cmath>
 #include <functional>
 
 #include "des/simulator.hpp"
@@ -10,17 +11,48 @@
 
 namespace specpf {
 
-void ProxySimConfig::validate() const {
-  SPECPF_EXPECTS(num_users >= 1);
-  SPECPF_EXPECTS(bandwidth > 0.0);
-  SPECPF_EXPECTS(session_rate_per_user > 0.0);
-  SPECPF_EXPECTS(think_time_mean > 0.0);
-  SPECPF_EXPECTS(item_size > 0.0);
-  SPECPF_EXPECTS(cache_capacity >= 1);
-  SPECPF_EXPECTS(max_prefetch_per_request >= 1);
-  SPECPF_EXPECTS(duration > 0.0);
-  SPECPF_EXPECTS(warmup >= 0.0);
+std::string ProxySimConfig::check() const {
+  if (std::string error = StackConfig::check(); !error.empty()) return error;
+  if (num_users < 1) {
+    return config_error("num_users", "must be >= 1", num_users);
+  }
+  // SessionGraph's and its entry ZipfDist's preconditions, checked before
+  // run_proxy_sim builds the graph.
+  if (graph.num_pages < 2) {
+    return config_error("graph.num_pages", "must be >= 2", graph.num_pages);
+  }
+  if (graph.out_degree < 1) {
+    return config_error("graph.out_degree", "must be >= 1", graph.out_degree);
+  }
+  if (!(graph.exit_probability > 0.0 && graph.exit_probability <= 1.0)) {
+    return config_error("graph.exit_probability", "must be in (0, 1]",
+                        graph.exit_probability);
+  }
+  if (!std::isfinite(graph.link_skew)) {
+    return config_error("graph.link_skew", "must be finite", graph.link_skew);
+  }
+  if (!positive_finite(graph.entry_skew)) {
+    return config_error("graph.entry_skew", "must be positive and finite",
+                        graph.entry_skew);
+  }
+  if (!positive_finite(session_rate_per_user)) {
+    return config_error("session_rate_per_user", "must be positive and finite",
+                        session_rate_per_user);
+  }
+  if (!positive_finite(think_time_mean)) {
+    return config_error("think_time_mean", "must be positive and finite",
+                        think_time_mean);
+  }
+  if (!positive_finite(duration)) {
+    return config_error("duration", "must be positive and finite", duration);
+  }
+  if (!(warmup >= 0.0 && std::isfinite(warmup))) {
+    return config_error("warmup", "must be non-negative and finite", warmup);
+  }
+  return {};
 }
+
+void ProxySimConfig::validate() const { expect_valid(check()); }
 
 namespace {
 
@@ -49,17 +81,10 @@ ProxySimResult run_proxy_sim(const ProxySimConfig& config,
                        (session_len - 1.0) * config.think_time_mean;
 
   StackRuntimeConfig runtime_config;
-  runtime_config.bandwidth = config.bandwidth;
-  runtime_config.item_size = config.item_size;
+  static_cast<StackConfig&>(runtime_config) = config;
   runtime_config.num_users = config.num_users;
-  runtime_config.cache_capacity = config.cache_capacity;
-  runtime_config.cache_kind = config.cache_kind;
-  runtime_config.estimator_model = config.estimator_model;
-  runtime_config.max_prefetch_per_request = config.max_prefetch_per_request;
-  runtime_config.seed = config.seed;
   runtime_config.lambda_prior =
       static_cast<double>(config.num_users) * session_len / cycle;
-  runtime_config.telemetry = config.telemetry;
 
   Simulator sim;
   StackRuntime runtime(sim, *predictor, policy, std::move(runtime_config));

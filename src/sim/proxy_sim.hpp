@@ -24,42 +24,29 @@
 #include "policy/policy.hpp"
 #include "predict/factory.hpp"
 #include "sim/metrics.hpp"
+#include "sim/stack_runtime.hpp"
 #include "workload/session_graph.hpp"
 
 namespace specpf {
 
-struct ProxySimConfig {
+struct ProxySimConfig : StackConfig {
   std::size_t num_users = 8;
-  double bandwidth = 50.0;
 
   SessionGraphConfig graph;
   double session_rate_per_user = 1.0;  ///< session starts per second
   double think_time_mean = 0.5;        ///< gap between in-session requests
-  double item_size = 1.0;              ///< size of every page (units)
-
-  std::size_t cache_capacity = 64;
-  /// Eviction policy (the fleet-wide enum from cache/factory.hpp).
-  using CacheKind = specpf::CacheKind;
-  CacheKind cache_kind = CacheKind::kLru;
 
   /// Access model (the fleet-wide enum from predict/factory.hpp).
   using PredictorKind = specpf::PredictorKind;
   PredictorKind predictor_kind = PredictorKind::kOracle;
 
-  /// Which interaction model the online ĥ' estimate assumes.
-  core::InteractionModel estimator_model = core::InteractionModel::kModelA;
-
-  std::size_t max_prefetch_per_request = 8;
-
   double duration = 2000.0;
   double warmup = 200.0;
-  std::uint64_t seed = 1;
 
-  /// Telemetry plane to record into (borrowed; must outlive the run). Pure
-  /// observation under the LinkLoadSensor contract: results are
-  /// bit-identical with this null or installed. Null = telemetry off.
-  class TelemetryPlane* telemetry = nullptr;
-
+  /// StackConfig::check(), then the workload's own fields — the graph is
+  /// checked here, before any is built.
+  std::string check() const;
+  /// Throws ContractViolation carrying check()'s message.
   void validate() const;
 };
 

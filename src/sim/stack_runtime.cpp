@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <string>
 
 #include "control/governor.hpp"
@@ -9,6 +10,42 @@
 #include "util/contract.hpp"
 
 namespace specpf {
+
+std::string config_error(std::string_view field, std::string_view rule,
+                         std::string_view value) {
+  std::string out(field);
+  out.append(": ").append(rule).append(", got ").append(value);
+  return out;
+}
+
+std::string config_error(std::string_view field, std::string_view rule,
+                         double value) {
+  char got[32];
+  std::snprintf(got, sizeof got, "%g", value);
+  return config_error(field, rule, std::string_view(got));
+}
+
+std::string config_error(std::string_view field, std::string_view rule,
+                         std::uint64_t value) {
+  return config_error(field, rule, std::string_view(std::to_string(value)));
+}
+
+std::string StackConfig::check() const {
+  if (!positive_finite(bandwidth)) {
+    return config_error("bandwidth", "must be positive and finite", bandwidth);
+  }
+  if (!positive_finite(item_size)) {
+    return config_error("item_size", "must be positive and finite", item_size);
+  }
+  if (cache_capacity < 1) {
+    return config_error("cache_capacity", "must be >= 1", cache_capacity);
+  }
+  if (max_prefetch_per_request < 1) {
+    return config_error("max_prefetch_per_request", "must be >= 1",
+                        max_prefetch_per_request);
+  }
+  return {};
+}
 
 StackRuntime::StackRuntime(Simulator& sim, PredictorPlane& predictor,
                            PrefetchPolicy& policy, StackRuntimeConfig config)
@@ -24,9 +61,8 @@ StackRuntime::StackRuntime(Simulator& sim, PredictorPlane& predictor,
       sense_(config_.enable_load_sensor || config_.governor != nullptr),
       measuring_(false),
       telemetry_(config_.telemetry) {
+  expect_valid(config_.check());
   SPECPF_EXPECTS(config_.num_users >= 1);
-  SPECPF_EXPECTS(config_.item_size > 0.0);
-  SPECPF_EXPECTS(config_.cache_capacity >= 1);
   CachePlaneConfig plane_config;
   plane_config.num_users = config_.num_users;
   plane_config.capacity = config_.cache_capacity;

@@ -10,9 +10,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/cache_plane.hpp"
@@ -31,15 +33,60 @@ namespace specpf {
 struct ProxySimResult;  // defined in sim/proxy_sim.hpp
 class PrefetchGovernor;  // defined in control/governor.hpp
 
-struct StackRuntimeConfig {
-  double bandwidth = 50.0;
-  double item_size = 1.0;
-  std::size_t num_users = 1;
-  std::size_t cache_capacity = 64;
+/// What configures one proxy stack: the paper's link bandwidth b, item size
+/// s̄ and cache size n̄(C), the interaction model behind ĥ', the prefetch
+/// depth, the root seed and the telemetry hook. The driver configs
+/// (ProxySimConfig, TraceReplayConfig) and StackRuntimeConfig inherit it,
+/// so these fields, their defaults and their valid ranges live here once; a
+/// driver hands them to its runtime with one base assignment.
+struct StackConfig {
+  using CacheKind = specpf::CacheKind;
+
+  double bandwidth = 50.0;          ///< link bandwidth b (units/s)
+  double item_size = 1.0;           ///< size s̄ of every item (units)
+  std::size_t cache_capacity = 64;  ///< per-user cache size n̄(C) (items)
+  /// Eviction policy (the fleet-wide enum from cache/factory.hpp).
   CacheKind cache_kind = CacheKind::kLru;
+  /// Which interaction model the online ĥ' estimate assumes.
   core::InteractionModel estimator_model = core::InteractionModel::kModelA;
+  /// Prefetch depth: the most candidates dispatched per request.
   std::size_t max_prefetch_per_request = 8;
+  /// Root seed: the random cache kind's stream (and the proxy sim's
+  /// workload streams).
   std::uint64_t seed = 1;
+  /// Telemetry plane to record into (borrowed; must outlive the run). The
+  /// runtime registers its counters/gauges, installs the gauge-refresh
+  /// source, and seals the plane at construction — so register any extra
+  /// gauges (e.g. the sharded driver's origin-link set) *before* building
+  /// the runtime. Same purity contract as the load sensor: hooks observe
+  /// at event instants the runtime already visits, draw no randomness, and
+  /// schedule nothing, so results are bit-identical with this null or
+  /// installed. Null = telemetry off (one dead branch per hook site). A
+  /// replay accepts a single plane at S = 1 only; a sharded run records
+  /// through a TelemetryFleet in ShardedReplayConfig instead (one plane
+  /// cannot serve S independent engines).
+  TelemetryPlane* telemetry = nullptr;
+
+  /// "" when every field is in range, else "<field>: <rule>, got <value>"
+  /// for the first that is not: bandwidth and item size positive and
+  /// finite, cache capacity and prefetch depth at least 1. Frontends call
+  /// the driver config's check() at the edge and exit 2 on a message.
+  std::string check() const;
+};
+
+/// check()'s message for a field that breaks its rule.
+std::string config_error(std::string_view field, std::string_view rule,
+                         double value);
+std::string config_error(std::string_view field, std::string_view rule,
+                         std::uint64_t value);
+std::string config_error(std::string_view field, std::string_view rule,
+                         std::string_view value);
+
+/// The rule for rates, sizes, bandwidths and durations.
+inline bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
+
+struct StackRuntimeConfig : StackConfig {
+  std::size_t num_users = 1;
   /// Request-rate estimate used until ≥100 requests are observed.
   double lambda_prior = 1.0;
   /// Observer fired on every retrieval submission (demand and prefetch),
@@ -60,15 +107,6 @@ struct StackRuntimeConfig {
   /// metrics governed runs do). Always on when a governor is installed.
   bool enable_load_sensor = false;
   LoadSensorConfig sensor;
-  /// Telemetry plane to record into (borrowed; must outlive the runtime).
-  /// The runtime registers its counters/gauges, installs the gauge-refresh
-  /// source, and seals the plane at construction — so register any extra
-  /// gauges (e.g. the sharded driver's origin-link set) *before* building
-  /// the runtime. Same purity contract as the load sensor: hooks observe
-  /// at event instants the runtime already visits, draw no randomness, and
-  /// schedule nothing, so results are bit-identical with this null or
-  /// installed. Null = telemetry off (one dead branch per hook site).
-  TelemetryPlane* telemetry = nullptr;
 };
 
 /// Cache-derived aggregates a frontend needs to assemble a ProxySimResult.

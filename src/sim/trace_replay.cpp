@@ -5,22 +5,43 @@
 
 namespace specpf {
 
-void TraceReplayConfig::validate() const {
-  SPECPF_EXPECTS(bandwidth > 0.0);
-  SPECPF_EXPECTS(item_size > 0.0);
-  SPECPF_EXPECTS(cache_capacity >= 1);
-  SPECPF_EXPECTS(max_prefetch_per_request >= 1);
-  SPECPF_EXPECTS(warmup_fraction >= 0.0 && warmup_fraction < 1.0);
-  SPECPF_EXPECTS(governor.empty() || is_governor_name(governor));
-  SPECPF_EXPECTS(stream_window >= 1);
-  SPECPF_EXPECTS(!use_tree_inflight && !use_legacy_caches &&
-                 !use_legacy_predictors);
+std::string TraceReplayConfig::check() const {
+  if (std::string error = StackConfig::check(); !error.empty()) return error;
+  if (!(warmup_fraction >= 0.0 && warmup_fraction < 1.0)) {
+    return config_error("warmup_fraction", "must be in [0, 1)",
+                        warmup_fraction);
+  }
+  if (!governor.empty() && !is_governor_name(governor)) {
+    return config_error("governor",
+                        "must be empty or noop|token-<rate>|aimd-<setpoint>|"
+                        "conf-<precision>",
+                        "'" + governor + "'");
+  }
+  if (stream_window < 1) {
+    return config_error("stream_window", "must be >= 1", stream_window);
+  }
+  const char* retired = use_tree_inflight       ? "use_tree_inflight"
+                        : use_legacy_caches     ? "use_legacy_caches"
+                        : use_legacy_predictors ? "use_legacy_predictors"
+                                                : nullptr;
+  if (retired != nullptr) {
+    return config_error(retired, "retired backend, must be false", "true");
+  }
   // Aborting needs a verdict to abort on. (Which plane the detector
-  // watches is checked by ShardedReplayConfig::validate.)
-  SPECPF_EXPECTS(!abort_on_divergence || divergence != nullptr);
+  // watches is checked by ShardedReplayConfig::check.)
+  if (abort_on_divergence && divergence == nullptr) {
+    return config_error("abort_on_divergence", "needs a divergence detector",
+                        "true");
+  }
   // Replay has no generating graph for the oracle to read.
-  SPECPF_EXPECTS(predictor_kind != PredictorKind::kOracle);
+  if (predictor_kind == PredictorKind::kOracle) {
+    return config_error("predictor_kind", "oracle is not replayable",
+                        predictor_kind_name(predictor_kind));
+  }
+  return {};
 }
+
+void TraceReplayConfig::validate() const { expect_valid(check()); }
 
 std::unique_ptr<PredictorPlane> make_replay_predictor(
     TraceReplayConfig::PredictorKind kind, std::size_t num_users,

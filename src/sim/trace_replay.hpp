@@ -27,25 +27,16 @@
 
 namespace specpf {
 
-struct TraceReplayConfig {
-  double bandwidth = 50.0;
-  double item_size = 1.0;
-  std::size_t cache_capacity = 64;
-  ProxySimConfig::CacheKind cache_kind = ProxySimConfig::CacheKind::kLru;
-
+struct TraceReplayConfig : StackConfig {
   /// Access model (the fleet-wide enum from predict/factory.hpp). Replay
-  /// has no generating graph, so kOracle is rejected by validate().
+  /// has no generating graph, so kOracle is rejected by check().
   using PredictorKind = specpf::PredictorKind;
   PredictorKind predictor_kind = PredictorKind::kMarkov;
 
-  core::InteractionModel estimator_model = core::InteractionModel::kModelA;
-  std::size_t max_prefetch_per_request = 8;
-
   /// Fraction of the trace treated as warmup (metrics reset after it).
   double warmup_fraction = 0.1;
-  std::uint64_t seed = 1;  ///< only used by the random cache kind
 
-  // Retired backend selectors: validate() rejects true, nothing reads them.
+  // Retired backend selectors: check() rejects true, nothing reads them.
   bool use_tree_inflight = false;      // exists only because bench/e2e names it
   bool use_legacy_caches = false;      // exists only because bench/e2e names it
   bool use_legacy_predictors = false;  // exists only because bench/e2e names it
@@ -63,13 +54,6 @@ struct TraceReplayConfig {
   /// from the peak_* fields themselves).
   bool enable_load_sensor = false;
   LoadSensorConfig sensor;
-
-  /// Telemetry plane to record into (borrowed; must outlive the run).
-  /// Pure observation: results are bit-identical with this null or
-  /// installed. Accepted at S = 1 only; a sharded run records through a
-  /// TelemetryFleet in ShardedReplayConfig instead (one plane cannot serve
-  /// S independent engines).
-  class TelemetryPlane* telemetry = nullptr;
 
   /// Online divergence detector (obs/divergence.hpp; borrowed, must
   /// outlive the run). Requires a plane (`telemetry` or the sharded run's
@@ -96,6 +80,9 @@ struct TraceReplayConfig {
   /// like the bulk schedule-everything path.
   std::size_t stream_window = 65536;
 
+  /// StackConfig::check(), then the replay's own fields.
+  std::string check() const;
+  /// Throws ContractViolation carrying check()'s message.
   void validate() const;
 };
 

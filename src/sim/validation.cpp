@@ -30,16 +30,12 @@ ValidationRow validate_point(const core::SystemParams& params,
   cfg.duration = options.duration;
   cfg.warmup = options.warmup;
   cfg.seed = options.seed;
-  cfg.size_dist = options.size_dist;
-  cfg.inflight_wait = options.inflight_wait;
-  row.sim_prefetch =
-      run_abstract_replications(cfg, options.replications, options.parallel);
+  row.sim_prefetch = run_abstract_replications(cfg, options.replications);
 
   AbstractSimConfig base = cfg;
   base.op.prefetch_rate = 0.0;
   base.seed = cfg.seed ^ 0x5DEECE66DULL;  // independent baseline streams
-  row.sim_baseline =
-      run_abstract_replications(base, options.replications, options.parallel);
+  row.sim_baseline = run_abstract_replications(base, options.replications);
 
   row.sim_gain =
       row.sim_baseline.access_time.mean - row.sim_prefetch.access_time.mean;

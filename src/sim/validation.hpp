@@ -43,13 +43,10 @@ struct ValidationOptions {
   double duration = 2000.0;
   double warmup = 200.0;
   std::uint64_t seed = 42;
-  bool parallel = true;
-  AbstractSimConfig::SizeDist size_dist =
-      AbstractSimConfig::SizeDist::kExponential;
-  bool inflight_wait = false;
 };
 
-/// Runs the paired (prefetch vs no-prefetch) validation at one point.
+/// Runs the paired (prefetch vs no-prefetch) validation at one point:
+/// exponential sizes, free prefetched hits, replications on the thread pool.
 ValidationRow validate_point(const core::SystemParams& params,
                              const core::OperatingPoint& op,
                              core::InteractionModel model,

@@ -169,6 +169,12 @@ void ArgParser::reject_value(const std::string& name, const char* type,
   std::exit(2);
 }
 
+void ArgParser::require_valid(const std::string& error) const {
+  if (error.empty()) return;
+  std::fprintf(stderr, "%s\n%s", error.c_str(), usage().c_str());
+  std::exit(2);
+}
+
 std::string ArgParser::usage() const {
   std::ostringstream os;
   os << program_ << " — " << description_ << "\n\nflags:\n";

@@ -49,6 +49,11 @@ class ArgParser {
   /// number, got '<token>'` plus usage, exit status 2.
   std::vector<double> get_positive_list(const std::string& name) const;
 
+  /// The edge check for a driver config: a non-empty `error` (the config's
+  /// check() message, `<field>: <rule>, got <value>`) is printed with
+  /// usage to stderr and exits with status 2, as a bad flag value does.
+  void require_valid(const std::string& error) const;
+
   /// Positional arguments left over after flag parsing.
   const std::vector<std::string>& positional() const { return positional_; }
 

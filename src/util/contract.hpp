@@ -22,6 +22,12 @@ namespace detail {
 }
 }  // namespace detail
 
+/// Throws ContractViolation carrying `error` unless it is empty: how a
+/// config's validate() asserts its check() message.
+inline void expect_valid(const std::string& error) {
+  if (!error.empty()) throw ContractViolation("precondition failed: " + error);
+}
+
 }  // namespace specpf
 
 #define SPECPF_EXPECTS(cond)                                                \

@@ -2,7 +2,7 @@
 // arena residency modes) is checked against an obviously-correct (slow)
 // reference model on long random operation sequences — accesses, demand
 // admissions, prefetch admissions — comparing hit/miss outcomes, size, and
-// eviction victims step by step. ValueCache gets the same treatment.
+// eviction victims step by step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cache/cache_plane.hpp"
-#include "cache/value_cache.hpp"
 #include "util/rng.hpp"
 
 namespace specpf {
@@ -217,45 +216,6 @@ TEST(CacheDifferential, LfuMatchesReferenceOnRandomOps) {
         }
       }
       ASSERT_EQ(cache->size(kUser), ref.size()) << "op " << op;
-    }
-  }
-}
-
-/// ValueCache against a map-scan reference.
-TEST(CacheDifferential, ValueCacheMatchesMinScanReference) {
-  constexpr std::size_t kCap = 8;
-  ValueCache cache(kCap);
-  std::map<ItemId, double> ref;
-  Rng rng(123);
-  for (int op = 0; op < 10000; ++op) {
-    const ItemId item = rng.next_below(40);
-    const double value = rng.next_double();
-    const bool resident = ref.count(item) != 0;
-    if (resident || ref.size() < kCap) {
-      EXPECT_TRUE(cache.insert_valued(item, EntryTag::kTagged, value));
-      ref[item] = value;
-    } else {
-      auto min_it = std::min_element(
-          ref.begin(), ref.end(), [](const auto& a, const auto& b) {
-            if (a.second != b.second) return a.second < b.second;
-            return a.first < b.first;
-          });
-      if (value < min_it->second) {
-        EXPECT_FALSE(cache.insert_valued(item, EntryTag::kTagged, value));
-      } else {
-        EXPECT_TRUE(cache.insert_valued(item, EntryTag::kTagged, value));
-        ref.erase(min_it);
-        ref[item] = value;
-      }
-    }
-    ASSERT_EQ(cache.size(), ref.size()) << "op " << op;
-    if (!ref.empty()) {
-      const double ref_min =
-          std::min_element(ref.begin(), ref.end(), [](const auto& a,
-                                                      const auto& b) {
-            return a.second < b.second;
-          })->second;
-      EXPECT_DOUBLE_EQ(*cache.min_value(), ref_min) << "op " << op;
     }
   }
 }

@@ -2,8 +2,16 @@
 // equivalence sanity against the generative proxy sim.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "cache/cache_plane.hpp"
+#include "obs/divergence.hpp"
+#include "obs/telemetry.hpp"
 #include "policy/policies.hpp"
+#include "shard/sharded_sim.hpp"
 #include "sim/trace_replay.hpp"
 #include "util/contract.hpp"
 #include "util/rng.hpp"
@@ -135,6 +143,137 @@ TEST(TraceReplay, SparseUserIdsAreDensified) {
   NoPrefetchPolicy none;
   const auto r = run_trace_replay(trace, cfg, none);
   EXPECT_EQ(r.requests, 50u);
+}
+
+/// One broken rule: the field check() must name and how to break it.
+template <typename Config>
+struct BadField {
+  const char* field;
+  std::function<void(Config&)> apply;
+};
+
+/// Each case breaks one rule of an otherwise default config: check() must
+/// return "<field>: ..." and validate() must throw a ContractViolation
+/// carrying that same text.
+template <typename Config>
+void expect_each_rejected(const std::vector<BadField<Config>>& cases) {
+  for (const BadField<Config>& bad : cases) {
+    Config cfg;
+    bad.apply(cfg);
+    const std::string message = cfg.check();
+    EXPECT_EQ(message.rfind(std::string(bad.field) + ": ", 0), 0u)
+        << "field " << bad.field << ", message '" << message << "'";
+    try {
+      cfg.validate();
+      ADD_FAILURE() << bad.field << ": validate() did not throw";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ConfigCheck, EachRuleNamesItsField) {
+  EXPECT_EQ(StackConfig{}.check(), "");
+  EXPECT_EQ(ProxySimConfig{}.check(), "");
+  EXPECT_EQ(TraceReplayConfig{}.check(), "");
+  EXPECT_EQ(ShardedReplayConfig{}.check(), "");
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> not_positive_finite = {0.0, -1.0, nan, inf};
+
+  // The shared StackConfig rules hold in every driver config.
+  std::vector<BadField<StackConfig>> shared = {
+      {"cache_capacity", [](StackConfig& c) { c.cache_capacity = 0; }},
+      {"max_prefetch_per_request",
+       [](StackConfig& c) { c.max_prefetch_per_request = 0; }},
+  };
+  for (double v : not_positive_finite) {
+    shared.push_back({"bandwidth", [v](StackConfig& c) { c.bandwidth = v; }});
+    shared.push_back({"item_size", [v](StackConfig& c) { c.item_size = v; }});
+  }
+  std::vector<BadField<ProxySimConfig>> proxy;
+  std::vector<BadField<TraceReplayConfig>> replay;
+  std::vector<BadField<ShardedReplayConfig>> sharded;
+  for (const auto& bad : shared) {
+    proxy.push_back({bad.field, bad.apply});
+    replay.push_back({bad.field, bad.apply});
+    sharded.push_back(
+        {bad.field, [f = bad.apply](ShardedReplayConfig& c) { f(c.stack); }});
+  }
+
+  using P = ProxySimConfig;
+  proxy.push_back({"num_users", [](P& c) { c.num_users = 0; }});
+  proxy.push_back({"graph.num_pages", [](P& c) { c.graph.num_pages = 0; }});
+  proxy.push_back({"graph.num_pages", [](P& c) { c.graph.num_pages = 1; }});
+  proxy.push_back({"graph.out_degree", [](P& c) { c.graph.out_degree = 0; }});
+  for (double v : {0.0, -0.5, 1.5, nan}) {
+    proxy.push_back({"graph.exit_probability",
+                     [v](P& c) { c.graph.exit_probability = v; }});
+  }
+  for (double v : {nan, inf}) {
+    proxy.push_back({"graph.link_skew", [v](P& c) { c.graph.link_skew = v; }});
+  }
+  for (double v : not_positive_finite) {
+    proxy.push_back(
+        {"graph.entry_skew", [v](P& c) { c.graph.entry_skew = v; }});
+    proxy.push_back({"session_rate_per_user",
+                     [v](P& c) { c.session_rate_per_user = v; }});
+    proxy.push_back(
+        {"think_time_mean", [v](P& c) { c.think_time_mean = v; }});
+    proxy.push_back({"duration", [v](P& c) { c.duration = v; }});
+  }
+  for (double v : {-1.0, nan, inf}) {
+    proxy.push_back({"warmup", [v](P& c) { c.warmup = v; }});
+  }
+
+  using R = TraceReplayConfig;
+  for (double v : {-0.1, 1.0, nan}) {
+    replay.push_back({"warmup_fraction", [v](R& c) { c.warmup_fraction = v; }});
+  }
+  replay.push_back({"governor", [](R& c) { c.governor = "bogus"; }});
+  replay.push_back({"stream_window", [](R& c) { c.stream_window = 0; }});
+  replay.push_back(
+      {"use_tree_inflight", [](R& c) { c.use_tree_inflight = true; }});
+  replay.push_back(
+      {"use_legacy_caches", [](R& c) { c.use_legacy_caches = true; }});
+  replay.push_back(
+      {"use_legacy_predictors", [](R& c) { c.use_legacy_predictors = true; }});
+  replay.push_back(
+      {"abort_on_divergence", [](R& c) { c.abort_on_divergence = true; }});
+  replay.push_back({"predictor_kind", [](R& c) {
+                      c.predictor_kind = PredictorKind::kOracle;
+                    }});
+
+  TelemetryPlane plane;
+  TelemetryFleet fleet(TelemetryConfig{}, 2);
+  DivergenceDetector detector;
+  using S = ShardedReplayConfig;
+  sharded.push_back({"num_shards", [](S& c) { c.num_shards = 0; }});
+  for (double v : not_positive_finite) {
+    sharded.push_back(
+        {"backbone_latency", [v](S& c) { c.backbone_latency = v; }});
+    sharded.push_back(
+        {"backbone_bandwidth", [v](S& c) { c.backbone_bandwidth = v; }});
+  }
+  sharded.push_back({"num_shards", [&plane](S& c) {
+                       c.num_shards = 2;
+                       c.stack.telemetry = &plane;
+                     }});
+  sharded.push_back({"telemetry", [&plane, &fleet](S& c) {
+                       c.stack.telemetry = &plane;
+                       c.telemetry = &fleet;
+                     }});
+  sharded.push_back({"telemetry", [&fleet](S& c) { c.telemetry = &fleet; }});
+  sharded.push_back({"stack.divergence",
+                     [&detector](S& c) { c.stack.divergence = &detector; }});
+  // A replay rule reached through the sharded config's stack.
+  sharded.push_back({"stream_window", [](S& c) { c.stack.stream_window = 0; }});
+
+  expect_each_rejected(proxy);
+  expect_each_rejected(replay);
+  expect_each_rejected(sharded);
 }
 
 }  // namespace
