@@ -52,6 +52,17 @@ int main(int argc, char** argv) {
                                 static_cast<double>(deep_jobs), deep,
                                 "jobs/s"));
 
+  // The link's completion mechanism alone, at depth 1 and at the ~3e4-job
+  // crest a flash crowd builds.
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{30000}}) {
+    std::uint64_t jobs = 0;
+    const bench::Timing t = bench::time_call(
+        [&] { jobs = benchwork::link_rearm(depth, 200000); });
+    metrics.push_back(bench::rate(
+        "engine.link_rearm." + std::to_string(depth) + ".jobs_per_sec",
+        static_cast<double>(jobs), t, "jobs/s"));
+  }
+
   // The generative driver's only timing; the trace replay is bench/e2e's.
   ProxySimConfig config;
   config.num_users = 8;

@@ -79,4 +79,33 @@ inline std::uint64_t ps_server_deep_queue() {
   return server.stats().completed;
 }
 
+/// Re-arm churn on a PS link held at `depth` jobs: every completion
+/// submits one unit job from its callback, `resubmits` times in all.
+/// Seeding the link with sizes 1/depth, 2/depth, ..., 1 spaces the finish
+/// values 1/depth apart, so each replacement sorts behind the rest (the
+/// FIFO run tier) and nothing but the link is pending. Each job then moves
+/// the link's next-completion instant twice, at its departure and at its
+/// replacement's arrival, which times the completion mechanism itself.
+/// Returns jobs completed (depth + resubmits).
+inline std::uint64_t link_rearm(std::size_t depth, std::uint64_t resubmits) {
+  Simulator sim;
+  PsServer server(sim, 1000.0);
+  struct Churn {
+    PsServer& server;
+    std::uint64_t left;
+    void submit(double size) {
+      server.submit(size, [this](const TransferResult&) {
+        if (left == 0) return;
+        --left;
+        submit(1.0);
+      });
+    }
+  } churn{server, resubmits};
+  for (std::size_t i = 1; i <= depth; ++i) {
+    churn.submit(static_cast<double>(i) / static_cast<double>(depth));
+  }
+  sim.run();
+  return server.stats().completed;
+}
+
 }  // namespace specpf::benchwork

@@ -38,6 +38,20 @@ void BM_PsServer_Throughput(benchmark::State& state) {
 }
 BENCHMARK(BM_PsServer_Throughput);
 
+void BM_Link_Rearm(benchmark::State& state) {
+  // PS link held at depth N: two next-completion moves per job.
+  constexpr std::uint64_t kResubmits = 200000;
+  std::uint64_t jobs = 0;
+  for (auto _ : state) {
+    jobs = benchwork::link_rearm(static_cast<std::size_t>(state.range(0)),
+                                 kResubmits);
+    benchmark::DoNotOptimize(jobs);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(jobs));
+}
+BENCHMARK(BM_Link_Rearm)->Arg(1)->Arg(30000);
+
 void BM_Rng_NextDouble(benchmark::State& state) {
   Rng rng(4);
   double acc = 0.0;

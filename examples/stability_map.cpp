@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "control/governor.hpp"
 #include "obs/divergence.hpp"
 #include "obs/telemetry.hpp"
 #include "policy/policies.hpp"
@@ -154,6 +155,25 @@ int main(int argc, char** argv) {
   if (family != "fixed" && !make_policy_by_name(base_policy)) {
     std::fprintf(stderr, "unknown base policy '%s'\n", base_policy.c_str());
     return 1;
+  }
+  // Every value names a cell, fixed-<theta> or <family>-<knob>; refuse one
+  // the factories would not build here, before any cell runs. The sweep
+  // builds governors from the default GovernorConfig, so a conf bound must
+  // clear its conf_low.
+  const double conf_low = GovernorConfig{}.conf_low;
+  for (const double aggr : aggr_values) {
+    const std::string cell = family + "-" + compact_number(aggr);
+    if (family == "fixed" ? make_policy_by_name(cell) == nullptr
+                          : !is_governor_name(cell) ||
+                                (family == "conf" && aggr <= conf_low)) {
+      args.reject_value(
+          "aggressiveness",
+          family == "fixed"  ? "number in [0, 1] for family fixed"
+          : family == "conf" ? "number above " + compact_number(conf_low) +
+                                   " for family conf"
+                             : "positive finite number for family " + family,
+          compact_number(aggr));
+    }
   }
 
   const auto shards =

@@ -35,6 +35,11 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   const double slo = args.get_double("slo");
+  const double utilization_cap = args.get_double("utilization-cap");
+  if (!(utilization_cap > 0.0 && utilization_cap < 1.0)) {
+    args.reject_value("utilization-cap", "number in (0, 1)",
+                      args.get_string("utilization-cap"));
+  }
 
   core::SystemParams params;
   params.request_rate = args.get_double("lambda");
@@ -108,8 +113,7 @@ int main(int argc, char** argv) {
   // The policy enforces a utilisation cap (capacity headroom against the
   // tail effects the mean-value model ignores); 0.85 is a common choice.
   NoPrefetchPolicy none;
-  QosThresholdPolicy qos(core::InteractionModel::kModelA,
-                         args.get_double("utilization-cap"));
+  QosThresholdPolicy qos(core::InteractionModel::kModelA, utilization_cap);
   const auto base = run_proxy_sim(cfg, none);
   const auto with_qos = run_proxy_sim(cfg, qos);
   std::printf("simulated check on a session workload (b=%.1f):\n",

@@ -142,11 +142,70 @@ void Simulator::audit(AuditReport& report) const {
     report.check(sorted_run_[i + 1].before(sorted_run_[i]),
                  "sorted run not descending at index " + std::to_string(i));
   }
-  // Slab conservation: every slot is free or pending, never both/neither.
-  report.check(free_count + (pending()) == slab_.size(),
+  // Slab conservation: every slot is free or queued, never both/neither.
+  // Timers live in their own slab and are not counted here.
+  report.check(free_count + queued_nodes() == slab_.size(),
                "slab conservation: " + std::to_string(free_count) +
-                   " free + " + std::to_string(pending()) +
-                   " pending != " + std::to_string(slab_.size()) + " slots");
+                   " free + " + std::to_string(queued_nodes()) +
+                   " queued != " + std::to_string(slab_.size()) + " slots");
+  audit_timers(report);
+}
+
+void Simulator::audit_timers(AuditReport& report) const {
+  // The timer free list: in bounds, acyclic, over released timers only.
+  std::vector<std::uint8_t> released(timers_.size(), 0);
+  for (std::uint32_t i = timer_free_head_; i != TimerId::kInvalid;
+       i = timers_[i].next_free) {
+    if (!report.check(i < timers_.size(),
+                      "timer free list points past the timer slab (timer " +
+                          std::to_string(i) + ")") ||
+        !report.check(released[i] == 0, "timer free list revisits timer " +
+                                            std::to_string(i) + " (cycle)")) {
+      break;
+    }
+    released[i] = 1;
+  }
+  // Every seq a pending node holds; an armed timer must hold none of them.
+  std::vector<std::uint64_t> seqs;
+  seqs.reserve(queued_nodes());
+  for (std::size_t i = kHeapBase; i < heap_.size(); ++i) {
+    seqs.push_back(heap_[i].tie >> kSlotBits);
+  }
+  for (const HeapEntry& entry : sorted_run_) {
+    seqs.push_back(entry.tie >> kSlotBits);
+  }
+  std::sort(seqs.begin(), seqs.end());
+  std::uint32_t earliest = TimerId::kInvalid;
+  std::size_t armed = 0;
+  for (std::uint32_t i = 0; i < timers_.size(); ++i) {
+    const Timer& timer = timers_[i];
+    const std::string name = "timer " + std::to_string(i);
+    report.check(static_cast<bool>(timer.action) == (released[i] == 0),
+                 name + (released[i] ? " is released but still bound"
+                                     : " is unbound but not released"));
+    if (!timer.armed) continue;
+    ++armed;
+    report.check(!released[i], name + " is armed after release");
+    report.check(timer.key.slot() == i,
+                 name + " key names timer " + std::to_string(timer.key.slot()));
+    report.check(timer.key.time >= now_, name + " is armed in the past");
+    report.check(!std::binary_search(seqs.begin(), seqs.end(),
+                                     timer.key.tie >> kSlotBits),
+                 name + " shares its seq with a pending entry");
+    if (earliest == TimerId::kInvalid ||
+        timer.key.before(timers_[earliest].key)) {
+      earliest = i;
+    }
+  }
+  report.check(armed == armed_timers_,
+               std::to_string(armed) + " timers armed but armed_timers_ says " +
+                   std::to_string(armed_timers_));
+  const bool cache_ok =
+      earliest == timer_top_ &&
+      (earliest == TimerId::kInvalid ||
+       (timer_top_key_.time == timers_[earliest].key.time &&
+        timer_top_key_.tie == timers_[earliest].key.tie));
+  report.check(cache_ok, "cached earliest timer disagrees with a rescan");
 }
 
 // Physical indexing (see kHeapBase): children of i are 4i-8 .. 4i-5, parent
@@ -260,9 +319,10 @@ void Simulator::compact() {
   floyd_heapify();  // also absorbs any pending appended batch
 }
 
-// Reassigns pending seqs 0..n-1 preserving relative order. A monotone remap
-// leaves every heap comparison's outcome unchanged, so the heap structure
-// itself needs no rebuild. Runs once per ~1.1e12 scheduled events.
+// Reassigns pending seqs 0..n-1 preserving relative order, armed timers
+// included. A monotone remap leaves every comparison's outcome unchanged,
+// so the heap structure itself needs no rebuild. Runs once per ~1.1e12
+// scheduled events.
 void Simulator::renumber_seqs() {
   std::vector<HeapEntry*> order;
   order.reserve(pending());
@@ -270,6 +330,9 @@ void Simulator::renumber_seqs() {
     order.push_back(&heap_[i]);
   }
   for (HeapEntry& entry : sorted_run_) order.push_back(&entry);
+  for (std::uint32_t i = 0; i < timers_.size(); ++i) {
+    if (timers_[i].armed) order.push_back(&timers_[i].key);
+  }
   std::sort(order.begin(), order.end(),
             [](const HeapEntry* a, const HeapEntry* b) {
               return a->tie < b->tie;
@@ -279,6 +342,7 @@ void Simulator::renumber_seqs() {
     entry->tie = (seq++ << kSlotBits) | entry->slot();
   }
   next_seq_ = seq;
+  rescan_timers();  // refresh the cached key's seq
 }
 
 EventId Simulator::schedule_at(double when, Action action) {
@@ -305,23 +369,93 @@ void Simulator::cancel(const EventId& id) {
   node.action.reset();  // frees captured resources eagerly
   mark_dead(id.slot_);
   ++dead_in_heap_;
-  if (2 * dead_in_heap_ >= pending() && pending() >= kCompactionMinHeap) {
+  if (2 * dead_in_heap_ >= queued_nodes() &&
+      queued_nodes() >= kCompactionMinHeap) {
     compact();
+  }
+}
+
+TimerId Simulator::add_timer(Action action) {
+  SPECPF_EXPECTS(static_cast<bool>(action));
+  std::uint32_t index = timer_free_head_;
+  if (index != TimerId::kInvalid) {
+    timer_free_head_ = timers_[index].next_free;
+  } else {
+    SPECPF_ASSERT(timers_.size() < kMaxSlots);
+    index = timers_.emplace_back();
+  }
+  timers_[index].action = std::move(action);
+  return TimerId(index);
+}
+
+void Simulator::arm_timer(TimerId id, double when) {
+  SPECPF_EXPECTS(when >= now_);
+  if (next_seq_ == kMaxSeq) renumber_seqs();
+  Timer& timer = timer_at(id);
+  timer.key = HeapEntry{when, (next_seq_++ << kSlotBits) | id.index_};
+  if (!timer.armed) {
+    timer.armed = true;
+    ++armed_timers_;
+  }
+  if (timer_top_ == TimerId::kInvalid || timer.key.before(timer_top_key_)) {
+    timer_top_ = id.index_;
+    timer_top_key_ = timer.key;
+  } else if (timer_top_ == id.index_) {
+    rescan_timers();  // the earliest timer moved later
+  }
+}
+
+void Simulator::disarm_timer(TimerId id) {
+  Timer& timer = timer_at(id);
+  if (!timer.armed) return;
+  timer.armed = false;
+  --armed_timers_;
+  if (timer_top_ == id.index_) rescan_timers();
+}
+
+void Simulator::release_timer(TimerId id) {
+  disarm_timer(id);
+  Timer& timer = timer_at(id);
+  timer.action.reset();
+  timer.next_free = timer_free_head_;
+  timer_free_head_ = id.index_;
+}
+
+void Simulator::rescan_timers() {
+  timer_top_ = TimerId::kInvalid;
+  if (armed_timers_ == 0) return;  // a lone link's timer just fired
+  for (std::uint32_t i = 0; i < timers_.size(); ++i) {
+    const Timer& timer = timers_[i];
+    if (timer.armed && (timer_top_ == TimerId::kInvalid ||
+                        timer.key.before(timer_top_key_))) {
+      timer_top_ = i;
+      timer_top_key_ = timer.key;
+    }
   }
 }
 
 bool Simulator::run_next(double limit) {
   flush_batch();
   HeapEntry top;
-  bool from_run;
-  if (!peek_live_top(&top, &from_run)) return false;
+  Tier tier;
+  if (!peek_live_top(&top, &tier)) return false;
   if (top.time > limit) return false;
+  if (tier == Tier::kTimer) {
+    Timer& timer = timers_[timer_top_];
+    timer.armed = false;
+    --armed_timers_;
+    rescan_timers();
+    now_ = top.time;
+    ++executed_;
+    timer.action();  // in place: the action may re-arm its own timer
+    return true;
+  }
   const std::uint32_t slot = top.slot();
   Node& node = node_at(slot);
   // Start fetching the node's cache line now; the pop below overlaps the
   // miss so the action is already local when it is moved out.
   __builtin_prefetch(&node, /*rw=*/1);
-  if (from_run) {
+  if (tier == Tier::kRun) {
     sorted_run_.pop_back();
   } else {
     heap_remove_top();
@@ -334,18 +468,24 @@ bool Simulator::run_next(double limit) {
   return true;
 }
 
-bool Simulator::peek_live_top(HeapEntry* top, bool* from_run) {
+bool Simulator::peek_live_top(HeapEntry* top, Tier* tier) {
+  bool have_node = false;
   for (;;) {
     const bool have_heap = heap_.size() > kHeapBase;
     const bool have_run = !sorted_run_.empty();
-    if (!have_heap && !have_run) return false;
-    *from_run = have_run && (!have_heap ||
-                             sorted_run_.back().before(heap_[kHeapBase]));
-    *top = *from_run ? sorted_run_.back() : heap_[kHeapBase];
+    if (!have_heap && !have_run) break;
+    const bool from_run =
+        have_run &&
+        (!have_heap || sorted_run_.back().before(heap_[kHeapBase]));
+    *top = from_run ? sorted_run_.back() : heap_[kHeapBase];
+    *tier = from_run ? Tier::kRun : Tier::kHeap;
     const std::uint32_t slot = top->slot();
-    if (!is_dead(slot)) return true;
+    if (!is_dead(slot)) {
+      have_node = true;
+      break;
+    }
     // Tombstone — collect and keep looking.
-    if (*from_run) {
+    if (from_run) {
       sorted_run_.pop_back();
     } else {
       heap_remove_top();
@@ -354,13 +494,20 @@ bool Simulator::peek_live_top(HeapEntry* top, bool* from_run) {
     clear_dead(slot);
     release_slot(slot);
   }
+  if (timer_top_ != TimerId::kInvalid &&
+      (!have_node || timer_top_key_.before(*top))) {
+    *top = timer_top_key_;
+    *tier = Tier::kTimer;
+    return true;
+  }
+  return have_node;
 }
 
 double Simulator::next_event_time() {
   flush_batch();
   HeapEntry top;
-  bool from_run;
-  if (!peek_live_top(&top, &from_run)) {
+  Tier tier;
+  if (!peek_live_top(&top, &tier)) {
     return std::numeric_limits<double>::infinity();
   }
   return top.time;

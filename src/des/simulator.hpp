@@ -18,6 +18,18 @@
 //     entries exceed half the heap, the heap is compacted and re-heapified
 //     in one O(n) pass so cancel-heavy workloads don't drag a tail of
 //     tombstones through every sift.
+//   * Re-armable timers are a third tier beside the heap and the sorted
+//     run. A timer binds its action once (add_timer) and then only moves:
+//     arm_timer rewrites its (time, seq) key in place, so a link whose next
+//     completion shifts at every arrival and departure costs no tombstone,
+//     no slab node and no closure move per shift. Timers sit in their own
+//     chunked slab (stable addresses, so an action may add a timer while
+//     one fires), and the earliest armed key is cached; the pop takes the
+//     smallest of the run's back, the heap top and that cached key. There
+//     is one timer per link, so refreshing the cache is a scan over one or
+//     two entries. Every arm takes the next insertion seq, exactly as
+//     cancel + schedule_at would, so firing order, now() and
+//     events_executed() are the same as with cancel + reschedule.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +40,7 @@
 #include "util/audit.hpp"
 #include "util/cache_aligned.hpp"
 #include "util/chunked_slab.hpp"
+#include "util/contract.hpp"
 
 namespace specpf {
 
@@ -51,6 +64,19 @@ class EventId {
   const void* owner_ = nullptr;
 };
 
+/// Handle to a re-armable timer (Simulator::add_timer). It stays valid
+/// until release_timer; the owner keeps it for the timer's whole life.
+class TimerId {
+ public:
+  TimerId() = default;
+
+ private:
+  friend class Simulator;
+  static constexpr std::uint32_t kInvalid = 0xffffffffu;
+  explicit TimerId(std::uint32_t index) : index_(index) {}
+  std::uint32_t index_ = kInvalid;
+};
+
 class Simulator {
  public:
   using Action = InlineFunction<void(), 48>;
@@ -72,6 +98,23 @@ class Simulator {
   /// Cancels a pending event; no-op if already fired or cancelled.
   void cancel(const EventId& id);
 
+  /// Binds `action` (non-empty) to a new timer, initially disarmed. The
+  /// action stays bound across fires until release_timer.
+  TimerId add_timer(Action action);
+
+  /// (Re)arms the timer to fire once at absolute time `when` (>= now),
+  /// replacing any earlier arming. The arm takes the next insertion seq,
+  /// so it orders exactly as cancel + schedule_at would. A firing timer is
+  /// disarmed before its action runs, so the action may re-arm it.
+  void arm_timer(TimerId id, double when);
+
+  /// Disarms the timer; no-op when it is not armed.
+  void disarm_timer(TimerId id);
+
+  /// Disarms the timer, destroys its action and recycles its storage; `id`
+  /// is dead afterwards. Must not be called from the timer's own action.
+  void release_timer(TimerId id);
+
   /// Executes the next event. Returns false when the queue is empty.
   bool step();
 
@@ -89,12 +132,14 @@ class Simulator {
   /// lookahead) and to fast-forward through idle gaps.
   double next_event_time();
 
-  /// Number of events executed so far (excludes cancelled).
+  /// Number of events executed so far (excludes cancelled; includes timer
+  /// fires).
   std::uint64_t events_executed() const noexcept { return executed_; }
 
-  /// Events currently pending (including not-yet-collected tombstones).
+  /// Events currently pending (including not-yet-collected tombstones and
+  /// armed timers).
   std::size_t pending() const noexcept {
-    return heap_.size() - kHeapBase + sorted_run_.size();
+    return queued_nodes() + armed_timers_;
   }
 
   /// Turns on freed-slot poisoning (0xDD fill of the action storage) and
@@ -110,7 +155,11 @@ class Simulator {
   /// valid unique slots with armed-iff-live actions, tombstone bitset
   /// agreeing with dead_in_heap_, the 4-ary heap property over the ordered
   /// prefix, the sorted run descending, pending times >= now(), and slab
-  /// conservation (free + pending == slab size).
+  /// conservation (free + queued nodes == slab size; timers are not
+  /// nodes). The timer tier: armed times >= now(), the cached earliest
+  /// timer equal to a rescan, the armed count, no armed timer sharing a
+  /// seq with a pending entry, and the timer free list acyclic over
+  /// unbound timers.
   void audit(AuditReport& report) const;
 
  private:
@@ -143,6 +192,19 @@ class Simulator {
       return tie < other.tie;
     }
   };
+
+  // A re-armable timer. `key` is the armed (time, seq) with the timer's
+  // index in the slot bits, so it compares against heap entries directly;
+  // it is meaningful only while `armed`. The action is empty exactly when
+  // the timer is released (on the timer free list).
+  struct Timer {
+    Action action;
+    HeapEntry key{};
+    bool armed = false;
+    std::uint32_t next_free = TimerId::kInvalid;
+  };
+  // Which tier the earliest pending entry came from.
+  enum class Tier : std::uint8_t { kHeap, kRun, kTimer };
 
   static constexpr std::size_t kSlotBits = 24;
   static constexpr std::uint64_t kMaxSlots = 1ull << kSlotBits;  // concurrent
@@ -184,12 +246,26 @@ class Simulator {
   void flush_batch();
   void compact();
   void renumber_seqs();
-  /// Finds the earliest *live* pending entry across both tiers, collecting
-  /// any tombstones sitting on top along the way. Returns false when
-  /// nothing is pending; otherwise fills `top` and whether it came from the
-  /// sorted run. Shared by run_next and next_event_time so the epoch
-  /// driver's view of "next event" can never diverge from what pops.
-  bool peek_live_top(HeapEntry* top, bool* from_run);
+  /// Heap and sorted-run entries, tombstones included: the slab nodes in
+  /// use.
+  std::size_t queued_nodes() const noexcept {
+    return heap_.size() - kHeapBase + sorted_run_.size();
+  }
+  Timer& timer_at(TimerId id) {
+    SPECPF_DCHECK(id.index_ < timers_.size() &&
+                  static_cast<bool>(timers_[id.index_].action));
+    return timers_[id.index_];
+  }
+  /// Recomputes the cached earliest armed timer.
+  void rescan_timers();
+  void audit_timers(AuditReport& report) const;
+  /// Finds the earliest *live* pending entry across the three tiers,
+  /// collecting any tombstones sitting on top of the run or the heap along
+  /// the way. Returns false when nothing is pending; otherwise fills `top`
+  /// and the tier it came from. Shared by run_next and next_event_time so
+  /// the epoch driver's view of "next event" can never diverge from what
+  /// pops.
+  bool peek_live_top(HeapEntry* top, Tier* tier);
   /// Executes the earliest runnable event with time <= limit. Returns false
   /// if the heap drains or only later events remain.
   bool run_next(double limit);
@@ -214,6 +290,15 @@ class Simulator {
   // and the heap top, so ordering semantics are identical; events
   // scheduled afterwards go through the heap.
   std::vector<HeapEntry, CacheAlignedAllocator<HeapEntry>> sorted_run_;
+  // Third tier: re-armable timers, 16 per chunk (an engine holds one per
+  // link). Chunks never move, so a timer can be added while another fires.
+  ChunkedSlab<Timer, 4> timers_;
+  std::uint32_t timer_free_head_ = TimerId::kInvalid;
+  // The earliest armed timer (kInvalid when none is armed) and a copy of
+  // its key, so the pop path compares against it without a slab lookup.
+  std::uint32_t timer_top_ = TimerId::kInvalid;
+  HeapEntry timer_top_key_{};
+  std::size_t armed_timers_ = 0;
   std::uint32_t free_head_ = EventId::kInvalid;
   std::size_t dead_in_heap_ = 0;
   double now_ = 0.0;

@@ -5,7 +5,10 @@
 namespace specpf {
 
 FifoServer::FifoServer(Simulator& sim, double bandwidth)
-    : Server(sim, bandwidth) {}
+    : Server(sim, bandwidth),
+      finish_timer_(sim.add_timer([this] { finish_current(); })) {}
+
+FifoServer::~FifoServer() { sim_.release_timer(finish_timer_); }
 
 std::uint64_t FifoServer::submit(double size, Callback on_complete) {
   SPECPF_EXPECTS(size > 0.0);
@@ -21,7 +24,7 @@ void FifoServer::start_next() {
   current_ = std::move(queue_.front());
   queue_.pop_front();
   in_service_ = true;
-  sim_.schedule_in(current_.size / bandwidth_, [this] { finish_current(); });
+  sim_.arm_timer(finish_timer_, sim_.now() + current_.size / bandwidth_);
 }
 
 void FifoServer::finish_current() {

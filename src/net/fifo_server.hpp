@@ -14,6 +14,7 @@ namespace specpf {
 class FifoServer final : public Server {
  public:
   FifoServer(Simulator& sim, double bandwidth);
+  ~FifoServer() override;
 
   std::uint64_t submit(double size, Callback on_complete) override;
   std::size_t active_jobs() const override {
@@ -36,6 +37,7 @@ class FifoServer final : public Server {
   FlatRing<Job> queue_;
   bool in_service_ = false;
   Job current_{};
+  TimerId finish_timer_;  // fires finish_current(), armed while in service
   std::uint64_t next_job_id_ = 1;
 };
 

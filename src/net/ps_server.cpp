@@ -14,7 +14,11 @@ constexpr std::size_t kHeapArity = 4;
 }  // namespace
 
 PsServer::PsServer(Simulator& sim, double bandwidth)
-    : Server(sim, bandwidth), last_sync_(sim.now()) {}
+    : Server(sim, bandwidth),
+      last_sync_(sim.now()),
+      completion_timer_(sim.add_timer([this] { complete_front(); })) {}
+
+PsServer::~PsServer() { sim_.release_timer(completion_timer_); }
 
 std::uint32_t PsServer::acquire_slot() {
   if (!free_slots_.empty()) {
@@ -96,17 +100,17 @@ std::uint64_t PsServer::submit(double size, Callback on_complete) {
 }
 
 void PsServer::schedule_next_completion() {
-  // Generation-checked handles make cancel O(1) and idempotent; no need to
-  // clear the handle before rescheduling.
-  sim_.cancel(completion_event_);
-  if (active_jobs() == 0) return;
+  if (active_jobs() == 0) {
+    sim_.disarm_timer(completion_timer_);
+    return;
+  }
   const double finish_v =
       heap_first() ? heap_.front().finish_v : job_at(run_[0]).finish_v;
   const double remaining_v = finish_v - virtual_time_;
   SPECPF_ASSERT(remaining_v >= -1e-9);
   const double rate = bandwidth_ / static_cast<double>(active_jobs());
   const double delay = remaining_v > 0.0 ? remaining_v / rate : 0.0;
-  completion_event_ = sim_.schedule_in(delay, [this] { complete_front(); });
+  sim_.arm_timer(completion_timer_, sim_.now() + delay);
 }
 
 void PsServer::complete_front() {

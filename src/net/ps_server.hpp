@@ -6,8 +6,9 @@
 // bandwidth/n(t) while n(t) jobs are active. A job arriving at virtual time
 // V_a with size S completes when V reaches V_a + S, so jobs finish in order
 // of finish value (V_a + S, ties by arrival), and only the earliest
-// completion needs an event scheduled; arrivals and departures reschedule
-// it. No O(n) remaining-work rescans.
+// completion needs an event; arrivals and departures move it, and the link
+// re-arms one engine timer (Simulator::arm_timer) to do so instead of
+// cancelling and scheduling an event. No O(n) remaining-work rescans.
 //
 // Queue layout — two tiers over a job slab, ordered by (finish_v, id):
 //   * Jobs (finish value, id, size, submit time, inline callback) live in a
@@ -44,6 +45,7 @@ namespace specpf {
 class PsServer final : public Server {
  public:
   PsServer(Simulator& sim, double bandwidth);
+  ~PsServer() override;
 
   std::uint64_t submit(double size, Callback on_complete) override;
   std::size_t active_jobs() const override {
@@ -99,8 +101,8 @@ class PsServer final : public Server {
   /// Advances the virtual clock to wall-clock time `now`.
   void sync_virtual_time(double now);
 
-  /// (Re)schedules the completion event for the job with least finish
-  /// virtual time.
+  /// Re-arms the completion timer for the job with least finish virtual
+  /// time, or disarms it when the link is idle.
   void schedule_next_completion();
 
   void complete_front();
@@ -115,7 +117,7 @@ class PsServer final : public Server {
   std::vector<Key> heap_;  // root at 0; children of i are 4i+1 .. 4i+4
   double virtual_time_ = 0.0;
   double last_sync_ = 0.0;
-  EventId completion_event_;
+  TimerId completion_timer_;  // fires complete_front()
   std::uint64_t next_job_id_ = 1;
 };
 

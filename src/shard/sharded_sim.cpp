@@ -110,6 +110,16 @@ std::uint64_t shard_seed(std::uint64_t root_seed, std::uint32_t shard) {
   return Rng(root_seed).substream(shard).next_u64();
 }
 
+/// The metadata scan's item-id rejection, kept out of line so the scan
+/// loop carries one test and a branch.
+[[noreturn]] [[gnu::cold, gnu::noinline]] void reject_item(
+    std::uint64_t record, std::uint64_t item) {
+  throw ContractViolation("precondition failed: trace record " +
+                          std::to_string(record) + ": item " +
+                          std::to_string(item) +
+                          " does not fit the 32-bit in-flight key");
+}
+
 }  // namespace
 
 ShardedSim::ShardedSim(const Trace& trace, const ShardedReplayConfig& config,
@@ -160,7 +170,10 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
   // horizon instants come from the *global* trace so every shard switches
   // measurement on at the same simulated time, exactly where the unsharded
   // replay would. The global accumulators are locals so they stay in
-  // registers across the virtual next() call.
+  // registers across the virtual next() call. The scan is also the input
+  // edge for item ids: the runtime packs (user, item) into one 64-bit
+  // in-flight key, so an item needing more than 32 bits is refused here,
+  // by record, before any event runs.
   source.reset();
   {
     TraceRecord r;
@@ -169,6 +182,7 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
     double last = 0.0;
     while (source.next(&r)) {
       SPECPF_EXPECTS(total == 0 || r.time >= last);  // time-ordered
+      if ((r.item >> 32) != 0) reject_item(total, r.item);
       if (total == 0) first = r.time;
       last = r.time;
       Shard& shard = shard_of(r.user);

@@ -162,10 +162,10 @@ template std::vector<double> ArgParser::get_list<double>(
 template std::vector<std::uint64_t> ArgParser::get_list<std::uint64_t>(
     const std::string& name) const;
 
-void ArgParser::reject_value(const std::string& name, const char* type,
+void ArgParser::reject_value(const std::string& name, const std::string& type,
                              const std::string& value) const {
-  std::fprintf(stderr, "--%s: expected %s, got '%s'\n%s", name.c_str(), type,
-               value.c_str(), usage().c_str());
+  std::fprintf(stderr, "--%s: expected %s, got '%s'\n%s", name.c_str(),
+               type.c_str(), value.c_str(), usage().c_str());
   std::exit(2);
 }
 

@@ -54,14 +54,19 @@ class ArgParser {
   /// usage to stderr and exits with status 2, as a bad flag value does.
   void require_valid(const std::string& error) const;
 
+  /// Prints `--<flag>: expected <type>, got '<value>'` plus usage to stderr
+  /// and exits with status 2: the typed accessors' rejection, for a value
+  /// that parsed but falls outside a domain only the caller knows.
+  [[noreturn]] void reject_value(const std::string& name,
+                                 const std::string& type,
+                                 const std::string& value) const;
+
   /// Positional arguments left over after flag parsing.
   const std::vector<std::string>& positional() const { return positional_; }
 
   std::string usage() const;
 
  private:
-  [[noreturn]] void reject_value(const std::string& name, const char* type,
-                                 const std::string& value) const;
   /// Splits the flag on commas and reads every token whole as T; a token
   /// that fails to parse or that `accept` refuses is rejected as `type`.
   template <typename T, typename Accept>

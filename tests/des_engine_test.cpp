@@ -1,12 +1,18 @@
 // Tests for the zero-allocation engine internals: a determinism differential
 // against a reference (time, seq)-ordered engine (including a bulk batch
-// beside a pending heap event), a cancel-heavy slab-reuse stress, and
-// generation-counter ABA protection for recycled slots.
+// beside a pending heap event), a cancel-heavy slab-reuse stress,
+// generation-counter ABA protection for recycled slots, and the re-armable
+// timer tier (a seeded differential against cancel + schedule_at, re-arming
+// and adding timers from inside actions, the epoch hook, and seq
+// renumbering with a timer armed).
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <queue>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "des/simulator.hpp"
@@ -25,6 +31,11 @@ struct AuditPeer {
   }
   static std::size_t sorted_run_entries(const Simulator& s) {
     return s.sorted_run_.size();
+  }
+  static std::uint64_t max_seq() { return Simulator::kMaxSeq; }
+  static std::uint64_t next_seq(const Simulator& s) { return s.next_seq_; }
+  static void set_next_seq(Simulator& s, std::uint64_t seq) {
+    s.next_seq_ = seq;
   }
 };
 
@@ -46,6 +57,7 @@ class ReferenceEngine {
   static void cancel(const Handle& handle) { *handle = true; }
 
   double now() const { return now_; }
+  std::uint64_t executed() const { return executed_; }
 
   void run() {
     while (!queue_.empty()) {
@@ -53,6 +65,7 @@ class ReferenceEngine {
       queue_.pop();
       if (*entry.cancelled) continue;
       now_ = entry.time;
+      ++executed_;
       entry.action();
     }
   }
@@ -73,6 +86,7 @@ class ReferenceEngine {
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
 };
 
 /// Drives a Simulator and a ReferenceEngine through the same schedule and
@@ -289,6 +303,231 @@ TEST(EngineStress, CancelAcrossBothTiers) {
   // 1000; of the 500 dynamic events, 250 survive.
   EXPECT_EQ(sim.events_executed(), 1u + 1000u + 250u);
   EXPECT_EQ(sim.pending(), 0u);
+}
+
+// --- Re-armable timers -----------------------------------------------------
+
+constexpr int kScriptTimers = 3;
+
+/// What fired, in order: ('e', event id) or ('t', timer index), and when.
+using FireLog = std::vector<std::tuple<char, int, double>>;
+
+/// `count` seeded random steps of the timer script, shared by both sides:
+/// each a schedule_at, a cancel of any handle issued so far (fired or
+/// not), an arm or a disarm. Times sit on a 0.5 grid from now, delay 0 included, so
+/// many entries tie and the seq tie-break decides. `budget` bounds the
+/// whole script so the run drains.
+template <typename Side>
+void random_timer_ops(Side& side, int count) {
+  for (int i = 0; i < count && side.budget > 0; ++i, --side.budget) {
+    Rng& rng = side.rng;
+    const double when =
+        side.now() + 0.5 * static_cast<double>(rng.next_u64() % 8);
+    const int timer = static_cast<int>(rng.next_u64() % kScriptTimers);
+    switch (rng.next_u64() % 4) {
+      case 0:
+        side.schedule(when);
+        break;
+      case 1:
+        if (side.events_issued() > 0) {
+          side.cancel(rng.next_u64() % side.events_issued());
+        }
+        break;
+      case 2:
+        side.arm(timer, when);
+        break;
+      default:
+        side.disarm(timer);
+        break;
+    }
+  }
+}
+
+/// The engine under test: timers through add_timer/arm_timer/disarm_timer.
+struct TimerSimSide {
+  Simulator sim;
+  Rng rng;
+  int budget;
+  std::vector<EventId> events;
+  std::vector<TimerId> timers;
+  FireLog log;
+
+  TimerSimSide(std::uint64_t seed, int script_budget)
+      : rng(seed), budget(script_budget) {
+    for (int k = 0; k < kScriptTimers; ++k) {
+      timers.push_back(sim.add_timer([this, k] { fired('t', k); }));
+    }
+  }
+  double now() const { return sim.now(); }
+  std::size_t events_issued() const { return events.size(); }
+  void schedule(double when) {
+    const int id = static_cast<int>(events.size());
+    events.push_back(sim.schedule_at(when, [this, id] { fired('e', id); }));
+  }
+  void cancel(std::size_t i) { sim.cancel(events[i]); }
+  void arm(int k, double when) { sim.arm_timer(timers[k], when); }
+  void disarm(int k) { sim.disarm_timer(timers[k]); }
+  void fired(char kind, int id) {
+    log.emplace_back(kind, id, sim.now());
+    random_timer_ops(*this, 3);
+  }
+};
+
+/// The reference: each arm is cancel + schedule_at, each disarm a cancel.
+struct TimerRefSide {
+  ReferenceEngine ref;
+  Rng rng;
+  int budget;
+  std::vector<ReferenceEngine::Handle> events;
+  std::vector<ReferenceEngine::Handle> timers =
+      std::vector<ReferenceEngine::Handle>(kScriptTimers);
+  FireLog log;
+
+  TimerRefSide(std::uint64_t seed, int script_budget)
+      : rng(seed), budget(script_budget) {}
+  double now() const { return ref.now(); }
+  std::size_t events_issued() const { return events.size(); }
+  void schedule(double when) {
+    const int id = static_cast<int>(events.size());
+    events.push_back(ref.schedule_at(when, [this, id] { fired('e', id); }));
+  }
+  void cancel(std::size_t i) { ReferenceEngine::cancel(events[i]); }
+  void arm(int k, double when) {
+    disarm(k);
+    timers[k] = ref.schedule_at(when, [this, k] { fired('t', k); });
+  }
+  void disarm(int k) {
+    if (timers[k]) ReferenceEngine::cancel(timers[k]);
+  }
+  void fired(char kind, int id) {
+    log.emplace_back(kind, id, ref.now());
+    random_timer_ops(*this, 3);
+  }
+};
+
+// Random interleavings of schedule_at, cancel, arm_timer and disarm_timer,
+// issued before the run and from inside firing events and timers (a timer
+// may re-arm or disarm itself), must fire in the reference engine's order
+// at the same times with the same events_executed(). The bulk prefix is
+// above the sorted-run minimum, so all three tiers take part.
+TEST(EngineTimers, DifferentialAgainstCancelAndReschedule) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    constexpr int kBudget = 20000;
+    TimerSimSide fast(seed, kBudget);
+    TimerRefSide slow(seed, kBudget);
+    for (int i = 0; i < 1500; ++i) {
+      const double when = static_cast<double>(fast.rng.next_u64() % 256);
+      slow.rng.next_u64();
+      fast.schedule(when);
+      slow.schedule(when);
+    }
+    random_timer_ops(fast, 200);
+    random_timer_ops(slow, 200);
+    // Stop partway once so the epoch hook sees a mid-run state.
+    fast.sim.run_until(64.0);
+    AuditReport report;
+    fast.sim.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+    fast.sim.run();
+    slow.ref.run();
+    ASSERT_EQ(fast.log.size(), slow.log.size());
+    EXPECT_EQ(fast.log, slow.log);
+    EXPECT_EQ(fast.sim.events_executed(), slow.ref.executed());
+    EXPECT_EQ(fast.sim.events_executed(), fast.log.size());
+    EXPECT_EQ(fast.sim.pending(), 0u);
+    std::size_t timer_fires = 0;
+    for (const auto& fire : fast.log) timer_fires += std::get<0>(fire) == 't';
+    EXPECT_GT(timer_fires, 50u) << "the script barely fired a timer";
+  }
+}
+
+TEST(EngineTimers, ReArmsFromInsideItsOwnAction) {
+  Simulator sim;
+  std::vector<double> fires;
+  TimerId timer;
+  timer = sim.add_timer([&] {
+    fires.push_back(sim.now());
+    if (fires.size() < 3) sim.arm_timer(timer, sim.now() + 1.0);
+  });
+  sim.arm_timer(timer, 0.5);
+  sim.arm_timer(timer, 0.25);  // a re-arm replaces the earlier arming
+  sim.run();
+  EXPECT_EQ(fires, (std::vector<double>{0.25, 1.25, 2.25}));
+  EXPECT_EQ(sim.events_executed(), 3u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// Timers live in chunks that never move, so a timer action may add timers
+// past a chunk boundary (16 per chunk) and keep running in place.
+TEST(EngineTimers, AddsTimersFromInsideATimerAction) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<TimerId> added;
+  const TimerId first = sim.add_timer([&] {
+    for (int k = 0; k < 40; ++k) {
+      added.push_back(sim.add_timer([&order, k] { order.push_back(k); }));
+      sim.arm_timer(added.back(), 2.0 + static_cast<double>(39 - k));
+    }
+    order.push_back(-1);
+  });
+  sim.arm_timer(first, 1.0);
+  sim.run();
+  ASSERT_EQ(order.size(), 41u);
+  EXPECT_EQ(order.front(), -1);
+  for (int i = 1; i <= 40; ++i) EXPECT_EQ(order[i], 40 - i);
+  // Released timers are recycled by the next add.
+  sim.release_timer(added[5]);
+  const TimerId reused = sim.add_timer([] {});
+  sim.arm_timer(reused, sim.now() + 1.0);
+  AuditReport report;
+  sim.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  sim.run();
+  EXPECT_EQ(sim.events_executed(), 42u);
+}
+
+TEST(EngineTimers, NextEventTimeSeesALoneTimer) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Simulator sim;
+  const TimerId timer = sim.add_timer([] {});
+  EXPECT_EQ(sim.next_event_time(), kInf);
+  sim.arm_timer(timer, 3.0);
+  EXPECT_EQ(sim.next_event_time(), 3.0);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.arm_timer(timer, 2.0);
+  EXPECT_EQ(sim.next_event_time(), 2.0);
+  sim.disarm_timer(timer);
+  EXPECT_EQ(sim.next_event_time(), kInf);
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.arm_timer(timer, 4.0);
+  sim.run_until(3.0);
+  EXPECT_EQ(sim.events_executed(), 0u);
+  EXPECT_EQ(sim.next_event_time(), 4.0);
+  sim.run();
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(sim.now(), 4.0);
+  EXPECT_EQ(sim.next_event_time(), kInf);
+}
+
+// Seq exhaustion renumbers armed timers with the pending entries, keeping
+// their relative order; here the renumber is triggered by an arm.
+TEST(EngineTimers, SeqRenumberingKeepsArmedTimersInOrder) {
+  Simulator sim;
+  std::string order;
+  const TimerId t1 = sim.add_timer([&order] { order += '1'; });
+  const TimerId t2 = sim.add_timer([&order] { order += '2'; });
+  AuditPeer::set_next_seq(sim, AuditPeer::max_seq() - 3);
+  sim.schedule_at(1.0, [&order] { order += 'a'; });
+  sim.arm_timer(t1, 1.0);
+  sim.schedule_at(1.0, [&order] { order += 'b'; });
+  sim.arm_timer(t2, 1.0);  // next seq is kMaxSeq: renumbers first
+  EXPECT_EQ(AuditPeer::next_seq(sim), 4u);
+  AuditReport report;
+  sim.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  sim.run();
+  EXPECT_EQ(order, "a1b2");
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "obs/divergence.hpp"
 #include "obs/telemetry.hpp"
@@ -225,6 +227,26 @@ TEST(ShardedSim, SinglePlaneOnlyAtOneShardWithoutFleet) {
   ShardedReplayConfig unbounded = sharded_config(2, 1);
   unbounded.backbone_latency = std::numeric_limits<double>::infinity();
   EXPECT_THROW(unbounded.validate(), ContractViolation);
+}
+
+// The in-flight key packs (user, item) into 64 bits, so the metadata scan
+// refuses an item id of 2^32 or more by record, before any event runs.
+TEST(ShardedSim, RejectsItemIdsBeyondTheInflightKey) {
+  const std::uint64_t item = std::uint64_t{1} << 32;
+  const Trace trace(std::vector<TraceRecord>{{1.0, 0, item}});
+  try {
+    ShardedSim sim(trace, sharded_config(1, 1), threshold_factory());
+    FAIL() << "an item id of 2^32 was accepted";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trace record 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("item " + std::to_string(item)), std::string::npos)
+        << what;
+  }
+  // The largest id that fits replays.
+  const Trace fits(std::vector<TraceRecord>{{1.0, 0, item - 1}});
+  ShardedSim sim(fits, sharded_config(1, 1), threshold_factory());
+  EXPECT_EQ(sim.run().merged.requests, 1u);
 }
 
 TEST(TracePartition, PartitionByUserPreservesOrderAndCoverage) {

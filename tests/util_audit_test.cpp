@@ -3,7 +3,8 @@
 // util/audit.hpp, defined only here, friend of every auditable structure):
 // each test builds a healthy structure, verifies audit() reports nothing,
 // injects exactly the defect class the walker exists to catch — a stale
-// generation or scribbled freed slot in the engine slab, a misordered tier,
+// generation or scribbled freed slot in the engine slab, an armed timer
+// sharing a seq with a pending entry, a misordered tier,
 // leaked slot or lost job in the PS link, a broken intrusive
 // chain or desynced residency entry in the cache arenas, a free-list cycle,
 // successor-total drift in the context arena, a misranked or stale entry
@@ -127,6 +128,22 @@ struct AuditPeer {
     }
     if (s.heapified_ > Simulator::kHeapBase + 1) {
       s.heap_[Simulator::kHeapBase].time += 1e9;
+      return true;
+    }
+    return false;
+  }
+
+  // Gives the first armed timer the seq of the heap's top entry (keeping
+  // the earliest-timer cache in step), so only the seq check can object.
+  static bool share_timer_seq(Simulator& s) {
+    if (s.heap_.size() <= Simulator::kHeapBase) return false;
+    const std::uint64_t seq =
+        s.heap_[Simulator::kHeapBase].tie >> Simulator::kSlotBits;
+    for (std::uint32_t i = 0; i < s.timers_.size(); ++i) {
+      Simulator::Timer& timer = s.timers_[i];
+      if (!timer.armed) continue;
+      timer.key.tie = (seq << Simulator::kSlotBits) | i;
+      if (s.timer_top_ == i) s.timer_top_key_ = timer.key;
       return true;
     }
     return false;
@@ -549,6 +566,21 @@ TEST(AuditInjection, EnginePendingOrderViolation) {
   EXPECT_FALSE(report.ok()) << "pending-order violation was not detected";
 }
 
+TEST(AuditInjection, EngineTimerSharesSeqWithPendingEntry) {
+  Simulator sim;
+  seed_engine(sim);
+  const TimerId timer = sim.add_timer([] {});
+  sim.arm_timer(timer, 5.0);
+  AuditReport clean;
+  sim.audit(clean);
+  ASSERT_TRUE(clean.ok()) << clean.summary();
+
+  ASSERT_TRUE(AuditPeer::share_timer_seq(sim));
+  AuditReport report;
+  sim.audit(report);
+  expect_failure_containing(report, "shares its seq");
+}
+
 /// Overloaded PS link, equal sizes with every fourth job short: the short
 /// ones sort below the run's back and land in the heap, so both tiers hold
 /// keys and some slots have already been recycled.
@@ -564,6 +596,7 @@ void seed_ps(Simulator& sim, PsServer& server) {
   ASSERT_GE(AuditPeer::ps_free_slots(server), 1u);
   AuditReport clean;
   server.audit(clean);
+  sim.audit(clean);  // the link's completion timer is armed
   ASSERT_TRUE(clean.ok()) << clean.summary();
 }
 
