@@ -32,6 +32,15 @@ int main(int argc, char** argv) {
         bench::duration(base + ".ns_per_event", 1e9 / n, t, "ns"));
   }
 
+  // The replay driver's arrival path: 60 windows of 65,536 time-sorted
+  // records through one arrival stream.
+  std::uint64_t streamed = 0;
+  const bench::Timing stream = bench::time_call(
+      [&] { streamed = benchwork::stream_feed(60); });
+  metrics.push_back(bench::rate("engine.stream_feed.events_per_sec",
+                                static_cast<double>(streamed), stream,
+                                "events/s"));
+
   Rng cancel_rng(2);
   metrics.push_back(bench::duration(
       "engine.cancel_heavy.ms_per_iter", 1e3,

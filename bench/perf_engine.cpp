@@ -30,6 +30,19 @@ void BM_EventQueue_CancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_CancelHeavy);
 
+void BM_Stream_Feed(benchmark::State& state) {
+  // 60 windows of 65,536 time-sorted arrivals through one arrival stream.
+  constexpr std::size_t kWindows = 60;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    events = benchwork::stream_feed(kWindows);
+    benchmark::DoNotOptimize(events);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_Stream_Feed);
+
 void BM_PsServer_Throughput(benchmark::State& state) {
   // Sustained M/M/1-PS at rho = 0.7: jobs processed per second of CPU.
   for (auto _ : state) {

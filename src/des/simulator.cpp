@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "util/contract.hpp"
 
@@ -11,8 +13,6 @@ namespace {
 constexpr std::size_t kHeapArity = 4;
 // Compaction is pointless (and would thrash) on tiny heaps.
 constexpr std::size_t kCompactionMinHeap = 64;
-// Minimum bulk-load batch worth sorting into the O(1)-pop second tier.
-constexpr std::size_t kSortedRunMin = 1024;
 }  // namespace
 
 std::uint32_t Simulator::acquire_slot() {
@@ -77,22 +77,21 @@ void Simulator::audit(AuditReport& report) const {
                        "handle?)");
     }
   }
-  // Pending entries across both tiers: valid unique slots, armed exactly
-  // when live, times no earlier than the clock.
+  // Heap entries: valid unique slots, armed exactly when live, times no
+  // earlier than the clock.
   std::size_t dead_seen = 0;
-  auto check_entry = [&](const HeapEntry& entry, const char* tier) {
+  for (std::size_t i = kHeapBase; i < heap_.size(); ++i) {
+    const HeapEntry& entry = heap_[i];
     const std::uint32_t slot = entry.slot();
-    if (!report.check(slot < slab_.size(), std::string(tier) +
-                                             " entry names slot " +
-                                             std::to_string(slot) +
-                                             " past the slab")) {
-      return;
+    if (!report.check(slot < slab_.size(), "heap entry names slot " +
+                                               std::to_string(slot) +
+                                               " past the slab")) {
+      continue;
     }
     if (!report.check(state[slot] == 0,
-                      std::string(tier) + " entry slot " +
-                          std::to_string(slot) +
+                      "heap entry slot " + std::to_string(slot) +
                           " is on the free list or pending twice")) {
-      return;
+      continue;
     }
     state[slot] = 2;
     const Node& node = node_at(slot);
@@ -102,17 +101,13 @@ void Simulator::audit(AuditReport& report) const {
                                      " still armed");
     } else {
       report.check(static_cast<bool>(node.action),
-                   std::string(tier) + " live slot " + std::to_string(slot) +
+                   "heap live slot " + std::to_string(slot) +
                        " is disarmed (lost action)");
-      report.check(entry.time >= now_,
-                   std::string(tier) + " live entry at slot " +
-                       std::to_string(slot) + " is scheduled in the past");
+      report.check(entry.time >= now_, "heap live entry at slot " +
+                                           std::to_string(slot) +
+                                           " is scheduled in the past");
     }
-  };
-  for (std::size_t i = kHeapBase; i < heap_.size(); ++i) {
-    check_entry(heap_[i], "heap");
   }
-  for (const HeapEntry& entry : sorted_run_) check_entry(entry, "run");
   report.check(dead_seen == dead_in_heap_,
                "tombstone bitset marks " + std::to_string(dead_seen) +
                    " pending slots but dead_in_heap_ says " +
@@ -128,19 +123,11 @@ void Simulator::audit(AuditReport& report) const {
                      " generation diverged from its shadow (rolled back or "
                      "forged)");
   }
-  // Structural health of the ordering tiers.
-  report.check(heapified_ >= kHeapBase && heapified_ <= heap_.size(),
-               "heapified_ watermark out of range");
-  const std::size_t ordered = std::min(heapified_, heap_.size());
-  for (std::size_t j = kHeapBase + 1; j < ordered; ++j) {
+  for (std::size_t j = kHeapBase + 1; j < heap_.size(); ++j) {
     const std::size_t parent = (j + 8) / kHeapArity;
     report.check(!heap_[j].before(heap_[parent]),
                  "4-ary heap property violated at index " +
                      std::to_string(j));
-  }
-  for (std::size_t i = 0; i + 1 < sorted_run_.size(); ++i) {
-    report.check(sorted_run_[i + 1].before(sorted_run_[i]),
-                 "sorted run not descending at index " + std::to_string(i));
   }
   // Slab conservation: every slot is free or queued, never both/neither.
   // Timers live in their own slab and are not counted here.
@@ -149,6 +136,8 @@ void Simulator::audit(AuditReport& report) const {
                    " free + " + std::to_string(queued_nodes()) +
                    " queued != " + std::to_string(slab_.size()) + " slots");
   audit_timers(report);
+  audit_streams(report);
+  audit_seqs(report);
 }
 
 void Simulator::audit_timers(AuditReport& report) const {
@@ -165,16 +154,6 @@ void Simulator::audit_timers(AuditReport& report) const {
     }
     released[i] = 1;
   }
-  // Every seq a pending node holds; an armed timer must hold none of them.
-  std::vector<std::uint64_t> seqs;
-  seqs.reserve(queued_nodes());
-  for (std::size_t i = kHeapBase; i < heap_.size(); ++i) {
-    seqs.push_back(heap_[i].tie >> kSlotBits);
-  }
-  for (const HeapEntry& entry : sorted_run_) {
-    seqs.push_back(entry.tie >> kSlotBits);
-  }
-  std::sort(seqs.begin(), seqs.end());
   std::uint32_t earliest = TimerId::kInvalid;
   std::size_t armed = 0;
   for (std::uint32_t i = 0; i < timers_.size(); ++i) {
@@ -189,9 +168,6 @@ void Simulator::audit_timers(AuditReport& report) const {
     report.check(timer.key.slot() == i,
                  name + " key names timer " + std::to_string(timer.key.slot()));
     report.check(timer.key.time >= now_, name + " is armed in the past");
-    report.check(!std::binary_search(seqs.begin(), seqs.end(),
-                                     timer.key.tie >> kSlotBits),
-                 name + " shares its seq with a pending entry");
     if (earliest == TimerId::kInvalid ||
         timer.key.before(timers_[earliest].key)) {
       earliest = i;
@@ -206,6 +182,69 @@ void Simulator::audit_timers(AuditReport& report) const {
        (timer_top_key_.time == timers_[earliest].key.time &&
         timer_top_key_.tie == timers_[earliest].key.tie));
   report.check(cache_ok, "cached earliest timer disagrees with a rescan");
+}
+
+void Simulator::audit_streams(AuditReport& report) const {
+  std::uint32_t earliest = StreamId::kInvalid;
+  std::size_t count = 0;
+  for (std::uint32_t i = 0; i < streams_.size(); ++i) {
+    const Stream& stream = streams_[i];
+    const std::string name = "stream " + std::to_string(i);
+    report.check(static_cast<bool>(stream.action), name + " has no action");
+    count += stream.fifo.size();
+    for (std::size_t k = 0; k < stream.fifo.size(); ++k) {
+      const HeapEntry& key = stream.fifo[k].key;
+      const std::string entry = name + " entry " + std::to_string(k);
+      report.check(key.slot() == i,
+                   entry + " names stream " + std::to_string(key.slot()));
+      report.check(key.time >= now_, entry + " is in the past");
+      if (k > 0) {
+        report.check(stream.fifo[k - 1].key.before(key),
+                     entry + " is out of (time, seq) order");
+      }
+    }
+    if (!stream.fifo.empty() &&
+        (earliest == StreamId::kInvalid ||
+         stream.fifo[0].key.before(streams_[earliest].fifo[0].key))) {
+      earliest = i;
+    }
+  }
+  report.check(count == streamed_,
+               std::to_string(count) + " stream entries pending but " +
+                   "streamed_ says " + std::to_string(streamed_));
+  const bool cache_ok =
+      earliest == stream_top_ &&
+      (earliest == StreamId::kInvalid ||
+       (stream_top_key_.time == streams_[earliest].fifo[0].key.time &&
+        stream_top_key_.tie == streams_[earliest].fifo[0].key.tie));
+  report.check(cache_ok, "cached earliest stream head disagrees with a rescan");
+}
+
+void Simulator::audit_seqs(AuditReport& report) const {
+  // Every pending key's seq with the kind of entry that holds it.
+  std::vector<std::pair<std::uint64_t, const char*>> seqs;
+  seqs.reserve(pending());
+  for (std::size_t i = kHeapBase; i < heap_.size(); ++i) {
+    seqs.emplace_back(heap_[i].tie >> kSlotBits, "queued node");
+  }
+  for (std::uint32_t i = 0; i < timers_.size(); ++i) {
+    if (timers_[i].armed) {
+      seqs.emplace_back(timers_[i].key.tie >> kSlotBits, "armed timer");
+    }
+  }
+  for (std::uint32_t i = 0; i < streams_.size(); ++i) {
+    const FlatRing<StreamEntry>& fifo = streams_[i].fifo;
+    for (std::size_t k = 0; k < fifo.size(); ++k) {
+      seqs.emplace_back(fifo[k].key.tie >> kSlotBits, "stream entry");
+    }
+  }
+  std::sort(seqs.begin(), seqs.end());
+  for (std::size_t i = 1; i < seqs.size(); ++i) {
+    if (seqs[i].first != seqs[i - 1].first) continue;
+    report.check(false, std::string(seqs[i].second) + " shares its seq " +
+                            std::to_string(seqs[i].first) + " with a " +
+                            seqs[i - 1].second);
+  }
 }
 
 // Physical indexing (see kHeapBase): children of i are 4i-8 .. 4i-5, parent
@@ -253,42 +292,7 @@ void Simulator::sift_down(std::size_t hole, HeapEntry value) {
 void Simulator::heap_remove_top() {
   const HeapEntry last = heap_.back();
   heap_.pop_back();
-  heapified_ = heap_.size();  // only called with no batch pending
   if (heap_.size() > kHeapBase) sift_down(kHeapBase, last);
-}
-
-void Simulator::floyd_heapify() {
-  const std::size_t size = heap_.size();
-  for (std::size_t i = (size + 7) / kHeapArity + 1; i-- > kHeapBase;) {
-    sift_down(i, heap_[i]);
-  }
-  heapified_ = size;
-}
-
-void Simulator::flush_batch() {
-  const std::size_t size = heap_.size();
-  if (heapified_ == size) return;
-  const std::size_t batch = size - heapified_;
-  // Bulk load while the run is empty: sort the batch once and pop it O(1)
-  // thereafter, even when a few events (a pending completion, say) already
-  // sit in the heap — pops take the smaller head of the two tiers.
-  if (batch >= kSortedRunMin && sorted_run_.empty()) {
-    sorted_run_.assign(heap_.begin() + static_cast<std::ptrdiff_t>(heapified_),
-                       heap_.end());
-    std::sort(sorted_run_.begin(), sorted_run_.end(),
-              [](const HeapEntry& a, const HeapEntry& b) {
-                return b.before(a);  // descending; min at the back
-              });
-    heap_.resize(heapified_);
-    return;
-  }
-  // Bulk-rebuild when the batch rivals the ordered part; otherwise insert
-  // the stragglers individually.
-  if (batch > (heapified_ - kHeapBase) / 2) {
-    floyd_heapify();
-  } else {
-    while (heapified_ < size) sift_up(heapified_++);
-  }
 }
 
 void Simulator::compact() {
@@ -303,35 +307,31 @@ void Simulator::compact() {
     }
   }
   heap_.resize(out);
-  // Filtering the sorted run preserves its descending order.
-  std::size_t run_out = 0;
-  for (std::size_t i = 0; i < sorted_run_.size(); ++i) {
-    const HeapEntry entry = sorted_run_[i];
-    if (!is_dead(entry.slot())) {
-      sorted_run_[run_out++] = entry;
-    } else {
-      clear_dead(entry.slot());
-      release_slot(entry.slot());
-    }
-  }
-  sorted_run_.resize(run_out);
   dead_in_heap_ = 0;
-  floyd_heapify();  // also absorbs any pending appended batch
+  // Each prefix [kHeapBase, i) is a heap, so sifting entry i up extends it.
+  // The survivors keep the old layout's near-order, so most sifts stop at
+  // once.
+  for (std::size_t i = kHeapBase + 1; i < out; ++i) sift_up(i);
 }
 
-// Reassigns pending seqs 0..n-1 preserving relative order, armed timers
-// included. A monotone remap leaves every comparison's outcome unchanged,
-// so the heap structure itself needs no rebuild. Runs once per ~1.1e12
-// scheduled events.
+// Reassigns pending seqs 0..n-1 preserving relative order, armed timers and
+// stream entries included. A monotone remap leaves every comparison's
+// outcome unchanged, so neither the heap nor any FIFO needs a rebuild. Runs
+// once per ~1.1e12 scheduled events.
 void Simulator::renumber_seqs() {
   std::vector<HeapEntry*> order;
   order.reserve(pending());
   for (std::size_t i = kHeapBase; i < heap_.size(); ++i) {
     order.push_back(&heap_[i]);
   }
-  for (HeapEntry& entry : sorted_run_) order.push_back(&entry);
   for (std::uint32_t i = 0; i < timers_.size(); ++i) {
     if (timers_[i].armed) order.push_back(&timers_[i].key);
+  }
+  for (std::uint32_t i = 0; i < streams_.size(); ++i) {
+    FlatRing<StreamEntry>& fifo = streams_[i].fifo;
+    for (std::size_t k = 0; k < fifo.size(); ++k) {
+      order.push_back(&fifo[k].key);
+    }
   }
   std::sort(order.begin(), order.end(),
             [](const HeapEntry* a, const HeapEntry* b) {
@@ -342,7 +342,8 @@ void Simulator::renumber_seqs() {
     entry->tie = (seq++ << kSlotBits) | entry->slot();
   }
   next_seq_ = seq;
-  rescan_timers();  // refresh the cached key's seq
+  rescan_timers();  // refresh the cached keys' seqs
+  rescan_streams();
 }
 
 EventId Simulator::schedule_at(double when, Action action) {
@@ -353,6 +354,7 @@ EventId Simulator::schedule_at(double when, Action action) {
   Node& node = node_at(slot);
   node.action = std::move(action);
   heap_.push_back(HeapEntry{when, (next_seq_++ << kSlotBits) | slot});
+  sift_up(heap_.size() - 1);
   return EventId(slot, node.generation, this);
 }
 
@@ -434,8 +436,47 @@ void Simulator::rescan_timers() {
   }
 }
 
+StreamId Simulator::add_stream(StreamAction action) {
+  SPECPF_EXPECTS(static_cast<bool>(action));
+  SPECPF_ASSERT(streams_.size() < kMaxSlots);
+  const std::uint32_t index = streams_.emplace_back();
+  streams_[index].action = std::move(action);
+  return StreamId(index);
+}
+
+void Simulator::stream_push(StreamId id, double when, std::uint64_t a,
+                            std::uint64_t b) {
+  SPECPF_DCHECK(id.index_ < streams_.size());
+  Stream& stream = streams_[id.index_];
+  SPECPF_EXPECTS(when >= now_);
+  SPECPF_EXPECTS(stream.fifo.empty() ||
+                 when >= stream.fifo[stream.fifo.size() - 1].key.time);
+  if (next_seq_ == kMaxSeq) renumber_seqs();
+  const HeapEntry key{when, (next_seq_++ << kSlotBits) | id.index_};
+  stream.fifo.push_back(StreamEntry{key, a, b});
+  ++streamed_;
+  // The new entry carries the largest seq and no earlier time than its
+  // stream's head, so it is the stream's head only if the FIFO was empty.
+  if (stream_top_ == StreamId::kInvalid || key.before(stream_top_key_)) {
+    stream_top_ = id.index_;
+    stream_top_key_ = key;
+  }
+}
+
+void Simulator::rescan_streams() {
+  stream_top_ = StreamId::kInvalid;
+  if (streamed_ == 0) return;
+  for (std::uint32_t i = 0; i < streams_.size(); ++i) {
+    const FlatRing<StreamEntry>& fifo = streams_[i].fifo;
+    if (!fifo.empty() && (stream_top_ == StreamId::kInvalid ||
+                          fifo[0].key.before(stream_top_key_))) {
+      stream_top_ = i;
+      stream_top_key_ = fifo[0].key;
+    }
+  }
+}
+
 bool Simulator::run_next(double limit) {
-  flush_batch();
   HeapEntry top;
   Tier tier;
   if (!peek_live_top(&top, &tier)) return false;
@@ -450,16 +491,23 @@ bool Simulator::run_next(double limit) {
     timer.action();  // in place: the action may re-arm its own timer
     return true;
   }
+  if (tier == Tier::kStream) {
+    Stream& stream = streams_[stream_top_];
+    const StreamEntry entry = stream.fifo.front();
+    stream.fifo.pop_front();
+    --streamed_;
+    rescan_streams();
+    now_ = top.time;
+    ++executed_;
+    stream.action(entry.a, entry.b);  // in place: it may push to its stream
+    return true;
+  }
   const std::uint32_t slot = top.slot();
   Node& node = node_at(slot);
   // Start fetching the node's cache line now; the pop below overlaps the
   // miss so the action is already local when it is moved out.
   __builtin_prefetch(&node, /*rw=*/1);
-  if (tier == Tier::kRun) {
-    sorted_run_.pop_back();
-  } else {
-    heap_remove_top();
-  }
+  heap_remove_top();
   Action action = std::move(node.action);
   release_slot(slot);  // slot reusable by whatever `action` schedules
   now_ = top.time;
@@ -469,42 +517,37 @@ bool Simulator::run_next(double limit) {
 }
 
 bool Simulator::peek_live_top(HeapEntry* top, Tier* tier) {
-  bool have_node = false;
-  for (;;) {
-    const bool have_heap = heap_.size() > kHeapBase;
-    const bool have_run = !sorted_run_.empty();
-    if (!have_heap && !have_run) break;
-    const bool from_run =
-        have_run &&
-        (!have_heap || sorted_run_.back().before(heap_[kHeapBase]));
-    *top = from_run ? sorted_run_.back() : heap_[kHeapBase];
-    *tier = from_run ? Tier::kRun : Tier::kHeap;
+  bool have = false;
+  while (heap_.size() > kHeapBase) {
+    *top = heap_[kHeapBase];
     const std::uint32_t slot = top->slot();
     if (!is_dead(slot)) {
-      have_node = true;
+      *tier = Tier::kHeap;
+      have = true;
       break;
     }
     // Tombstone — collect and keep looking.
-    if (from_run) {
-      sorted_run_.pop_back();
-    } else {
-      heap_remove_top();
-    }
+    heap_remove_top();
     --dead_in_heap_;
     clear_dead(slot);
     release_slot(slot);
   }
   if (timer_top_ != TimerId::kInvalid &&
-      (!have_node || timer_top_key_.before(*top))) {
+      (!have || timer_top_key_.before(*top))) {
     *top = timer_top_key_;
     *tier = Tier::kTimer;
-    return true;
+    have = true;
   }
-  return have_node;
+  if (stream_top_ != StreamId::kInvalid &&
+      (!have || stream_top_key_.before(*top))) {
+    *top = stream_top_key_;
+    *tier = Tier::kStream;
+    have = true;
+  }
+  return have;
 }
 
 double Simulator::next_event_time() {
-  flush_batch();
   HeapEntry top;
   Tier tier;
   if (!peek_live_top(&top, &tier)) {

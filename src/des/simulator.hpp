@@ -12,24 +12,34 @@
 //     list; the generation counter makes stale handles (ABA) harmless.
 //   * The ready queue is an indexed 4-ary min-heap of {time, seq, slot}
 //     entries — shallower than a binary heap and comparisons never touch the
-//     slab, so sifts stay in a few cache lines.
+//     slab, so sifts stay in a few cache lines. schedule_at sifts each entry
+//     up on push.
 //   * Cancellation is O(1): the node is disarmed (tombstoned) and its action
 //     destroyed in place; the heap entry is lazily skipped on pop. When dead
-//     entries exceed half the heap, the heap is compacted and re-heapified
-//     in one O(n) pass so cancel-heavy workloads don't drag a tail of
-//     tombstones through every sift.
-//   * Re-armable timers are a third tier beside the heap and the sorted
-//     run. A timer binds its action once (add_timer) and then only moves:
-//     arm_timer rewrites its (time, seq) key in place, so a link whose next
-//     completion shifts at every arrival and departure costs no tombstone,
-//     no slab node and no closure move per shift. Timers sit in their own
-//     chunked slab (stable addresses, so an action may add a timer while
-//     one fires), and the earliest armed key is cached; the pop takes the
-//     smallest of the run's back, the heap top and that cached key. There
-//     is one timer per link, so refreshing the cache is a scan over one or
-//     two entries. Every arm takes the next insertion seq, exactly as
-//     cancel + schedule_at would, so firing order, now() and
-//     events_executed() are the same as with cancel + reschedule.
+//     entries exceed half the heap, the heap is compacted in one pass so
+//     cancel-heavy workloads don't drag a tail of tombstones through every
+//     sift.
+//   * Re-armable timers are a second tier beside the heap. A timer binds its
+//     action once (add_timer) and then only moves: arm_timer rewrites its
+//     (time, seq) key in place, so a link whose next completion shifts at
+//     every arrival and departure costs no tombstone, no slab node and no
+//     closure move per shift. Timers sit in their own chunked slab (stable
+//     addresses, so an action may add a timer while one fires), and the
+//     earliest armed key is cached. There is one timer per link, so
+//     refreshing the cache is a scan over one or two entries. Every arm
+//     takes the next insertion seq, exactly as cancel + schedule_at would,
+//     so firing order, now() and events_executed() are the same as with
+//     cancel + reschedule.
+//   * Arrival streams are the third tier. A stream binds one
+//     void(uint64_t, uint64_t) handler once (add_stream) and holds a FIFO
+//     of 32-byte {time, seq, a, b} entries that stream_push appends in
+//     nondecreasing time: an open-loop source whose instants are known in
+//     order (trace arrivals) needs no closure, no slab node and no
+//     reordering per entry. Each push takes the next insertion seq, exactly
+//     as schedule_at of the handler call would, so the two order alike.
+//     The earliest stream head is cached like the earliest timer.
+//   * The pop takes the smallest of the heap top, the cached timer key and
+//     the cached stream head.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +51,7 @@
 #include "util/cache_aligned.hpp"
 #include "util/chunked_slab.hpp"
 #include "util/contract.hpp"
+#include "util/flat_ring.hpp"
 
 namespace specpf {
 
@@ -77,9 +88,24 @@ class TimerId {
   std::uint32_t index_ = kInvalid;
 };
 
+/// Handle to an arrival stream (Simulator::add_stream). It stays valid for
+/// the engine's lifetime.
+class StreamId {
+ public:
+  StreamId() = default;
+
+ private:
+  friend class Simulator;
+  static constexpr std::uint32_t kInvalid = 0xffffffffu;
+  explicit StreamId(std::uint32_t index) : index_(index) {}
+  std::uint32_t index_ = kInvalid;
+};
+
 class Simulator {
  public:
   using Action = InlineFunction<void(), 48>;
+  /// A stream's handler, called with the two payload words of each entry.
+  using StreamAction = InlineFunction<void(std::uint64_t, std::uint64_t), 48>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -115,6 +141,15 @@ class Simulator {
   /// is dead afterwards. Must not be called from the timer's own action.
   void release_timer(TimerId id);
 
+  /// Binds `action` (non-empty) to a new, empty arrival stream.
+  StreamId add_stream(StreamAction action);
+
+  /// Appends an entry that calls the stream's action with (a, b) at
+  /// absolute time `when`. `when` must be >= now() and >= the time of the
+  /// stream's last pending entry. The push takes the next insertion seq, so
+  /// it orders exactly as schedule_at of the same call would.
+  void stream_push(StreamId id, double when, std::uint64_t a, std::uint64_t b);
+
   /// Executes the next event. Returns false when the queue is empty.
   bool step();
 
@@ -126,20 +161,20 @@ class Simulator {
   void run();
 
   /// Timestamp of the earliest live pending event, or +infinity when the
-  /// queue is empty. Collects any tombstones sitting on top of either tier,
-  /// so the answer is exact. This is the epoch hook the sharded driver uses
+  /// queue is empty. Collects any tombstones sitting on top of the heap, so
+  /// the answer is exact. This is the epoch hook the sharded driver uses
   /// to size conservative synchronization windows (epoch = earliest event +
   /// lookahead) and to fast-forward through idle gaps.
   double next_event_time();
 
   /// Number of events executed so far (excludes cancelled; includes timer
-  /// fires).
+  /// fires and stream entries).
   std::uint64_t events_executed() const noexcept { return executed_; }
 
-  /// Events currently pending (including not-yet-collected tombstones and
-  /// armed timers).
+  /// Events currently pending (including not-yet-collected tombstones,
+  /// armed timers and stream entries).
   std::size_t pending() const noexcept {
-    return queued_nodes() + armed_timers_;
+    return queued_nodes() + armed_timers_ + streamed_;
   }
 
   /// Turns on freed-slot poisoning (0xDD fill of the action storage) and
@@ -153,13 +188,15 @@ class Simulator {
   /// bounds, freed slots disarmed + poison intact + generation matching the
   /// shadow (catches rollback through a recycled slot), heap entries naming
   /// valid unique slots with armed-iff-live actions, tombstone bitset
-  /// agreeing with dead_in_heap_, the 4-ary heap property over the ordered
-  /// prefix, the sorted run descending, pending times >= now(), and slab
-  /// conservation (free + queued nodes == slab size; timers are not
-  /// nodes). The timer tier: armed times >= now(), the cached earliest
-  /// timer equal to a rescan, the armed count, no armed timer sharing a
-  /// seq with a pending entry, and the timer free list acyclic over
-  /// unbound timers.
+  /// agreeing with dead_in_heap_, the 4-ary heap property, pending times
+  /// >= now(), and slab conservation (free + queued nodes == slab size;
+  /// timers and stream entries are not nodes). The timer tier: armed times
+  /// >= now(), the cached earliest timer equal to a rescan, the armed
+  /// count, and the timer free list acyclic over unbound timers. The
+  /// stream tier: each FIFO nondecreasing in (time, seq) with times >=
+  /// now() and its index in every key's slot bits, the cached head equal
+  /// to a rescan, and the streamed count. Across tiers, no two pending
+  /// keys (queued node, armed timer, stream entry) share a seq.
   void audit(AuditReport& report) const;
 
  private:
@@ -203,8 +240,21 @@ class Simulator {
     bool armed = false;
     std::uint32_t next_free = TimerId::kInvalid;
   };
+  // One pending stream entry: `key` carries (time, seq) with the stream's
+  // index in the slot bits, so it compares against heap entries directly.
+  struct StreamEntry {
+    HeapEntry key;
+    std::uint64_t a;
+    std::uint64_t b;
+  };
+  static_assert(sizeof(StreamEntry) == 32,
+                "a stream entry is the 16-byte key plus two payload words");
+  struct Stream {
+    StreamAction action;
+    FlatRing<StreamEntry> fifo;
+  };
   // Which tier the earliest pending entry came from.
-  enum class Tier : std::uint8_t { kHeap, kRun, kTimer };
+  enum class Tier : std::uint8_t { kHeap, kTimer, kStream };
 
   static constexpr std::size_t kSlotBits = 24;
   static constexpr std::uint64_t kMaxSlots = 1ull << kSlotBits;  // concurrent
@@ -238,18 +288,11 @@ class Simulator {
   void sift_up(std::size_t pos);
   void heap_remove_top();
   void sift_down(std::size_t hole, HeapEntry value);
-  void floyd_heapify();
-  /// Restores the heap invariant over entries appended since the last pop.
-  /// schedule_at only appends; ordering is established here, in bulk when
-  /// the batch is large (Floyd heapify is O(n) and streams sequentially,
-  /// far cheaper than n individual sift-ups on a cold heap).
-  void flush_batch();
   void compact();
   void renumber_seqs();
-  /// Heap and sorted-run entries, tombstones included: the slab nodes in
-  /// use.
+  /// Heap entries, tombstones included: the slab nodes in use.
   std::size_t queued_nodes() const noexcept {
-    return heap_.size() - kHeapBase + sorted_run_.size();
+    return heap_.size() - kHeapBase;
   }
   Timer& timer_at(TimerId id) {
     SPECPF_DCHECK(id.index_ < timers_.size() &&
@@ -258,13 +301,18 @@ class Simulator {
   }
   /// Recomputes the cached earliest armed timer.
   void rescan_timers();
+  /// Recomputes the cached earliest stream head.
+  void rescan_streams();
   void audit_timers(AuditReport& report) const;
+  void audit_streams(AuditReport& report) const;
+  /// Every pending key's seq is unique across the heap, the armed timers
+  /// and the stream entries.
+  void audit_seqs(AuditReport& report) const;
   /// Finds the earliest *live* pending entry across the three tiers,
-  /// collecting any tombstones sitting on top of the run or the heap along
-  /// the way. Returns false when nothing is pending; otherwise fills `top`
-  /// and the tier it came from. Shared by run_next and next_event_time so
-  /// the epoch driver's view of "next event" can never diverge from what
-  /// pops.
+  /// collecting any tombstones sitting on top of the heap along the way.
+  /// Returns false when nothing is pending; otherwise fills `top` and the
+  /// tier it came from. Shared by run_next and next_event_time so the epoch
+  /// driver's view of "next event" can never diverge from what pops.
   bool peek_live_top(HeapEntry* top, Tier* tier);
   /// Executes the earliest runnable event with time <= limit. Returns false
   /// if the heap drains or only later events remain.
@@ -279,18 +327,7 @@ class Simulator {
   // kHeapBase. 64-byte-aligned storage keeps child groups line-aligned.
   std::vector<HeapEntry, CacheAlignedAllocator<HeapEntry>> heap_ =
       std::vector<HeapEntry, CacheAlignedAllocator<HeapEntry>>(kHeapBase);
-  // Entries [kHeapBase, heapified_) satisfy the heap invariant; entries
-  // beyond are an unordered appended batch awaiting flush_batch().
-  std::size_t heapified_ = kHeapBase;
-  // Second tier: when a large batch is scheduled while the run is empty
-  // (bulk loads: trace replay windows, pre-seeded scenarios), the batch is
-  // sorted descending once and popped O(1) from the back instead of paying
-  // a full-depth sift per pop; whatever was already pending stays in the
-  // heap. The earliest event is always the smaller of sorted_run_.back()
-  // and the heap top, so ordering semantics are identical; events
-  // scheduled afterwards go through the heap.
-  std::vector<HeapEntry, CacheAlignedAllocator<HeapEntry>> sorted_run_;
-  // Third tier: re-armable timers, 16 per chunk (an engine holds one per
+  // Second tier: re-armable timers, 16 per chunk (an engine holds one per
   // link). Chunks never move, so a timer can be added while another fires.
   ChunkedSlab<Timer, 4> timers_;
   std::uint32_t timer_free_head_ = TimerId::kInvalid;
@@ -299,6 +336,15 @@ class Simulator {
   std::uint32_t timer_top_ = TimerId::kInvalid;
   HeapEntry timer_top_key_{};
   std::size_t armed_timers_ = 0;
+  // Third tier: arrival streams, 16 per chunk (an engine holds one per
+  // source). Chunks never move, so a handler may add a stream or push to
+  // its own while it runs.
+  ChunkedSlab<Stream, 4> streams_;
+  // The stream whose head is earliest (kInvalid when every FIFO is empty),
+  // a copy of that head's key, and the entries pending across all streams.
+  std::uint32_t stream_top_ = StreamId::kInvalid;
+  HeapEntry stream_top_key_{};
+  std::size_t streamed_ = 0;
   std::uint32_t free_head_ = EventId::kInvalid;
   std::size_t dead_in_heap_ = 0;
   double now_ = 0.0;

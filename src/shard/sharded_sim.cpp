@@ -83,6 +83,9 @@ struct ShardedSim::Shard {
   /// thread pushes the fleet setpoint in at the barrier.
   std::unique_ptr<PrefetchGovernor> governor;
   std::unique_ptr<StackRuntime> runtime;
+  /// The engine stream the feeder pushes this shard's trace arrivals to,
+  /// bound to runtime->handle_request (unset while runtime is null).
+  StreamId arrivals;
   ShardMailbox outbox;
   ServerStats horizon;
   BackboneStats backbone_horizon;
@@ -279,6 +282,11 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
     }
     shard->runtime = std::make_unique<StackRuntime>(
         shard->sim, *shard->predictor, *shard->policy, std::move(rt));
+    StackRuntime* runtime = shard->runtime.get();
+    shard->arrivals = shard->sim.add_stream(
+        [runtime](std::uint64_t user, std::uint64_t item) {
+          runtime->handle_request(static_cast<UserId>(user), item);
+        });
 
     // With no warmup prefix, measurement must be live before the feeder
     // delivers the first request.
@@ -301,9 +309,9 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
     }
   }
 
-  // Prime the feeder; records flow into the engines epoch-by-epoch during
-  // run(). A whole-trace epoch still lands each batch in the engine's
-  // O(1)-pop sorted tier because feeding happens before that epoch's pops.
+  // Prime the feeder; records flow into the engines' arrival streams
+  // epoch-by-epoch during run(), already in time order, so no epoch sorts
+  // or heapifies them.
   source.reset();
   have_pending_ = source.next(&pending_record_);
   SPECPF_ENSURES(have_pending_);
@@ -363,10 +371,7 @@ double ShardedSim::feed_records(double epoch_end) {
     }
     Shard& shard = shard_of(pending_record_.user);
     const UserId user = *shard.user_index.find(pending_record_.user);
-    StackRuntime* runtime = shard.runtime.get();
-    shard.sim.schedule_at(when, [runtime, user, item = pending_record_.item] {
-      runtime->handle_request(user, item);
-    });
+    shard.sim.stream_push(shard.arrivals, when, user, pending_record_.item);
     ++fed_index_;
     have_pending_ = source_->next(&pending_record_);
     if (!have_pending_) schedule_horizons();
@@ -497,8 +502,8 @@ ShardedReplayResult ShardedSim::run() {
       t_min = std::min(t_min, pending_record_.time - t0_);
     }
     if (!std::isfinite(t_min)) break;
-    // Feed this window's records before its pops: each batch lands in the
-    // destination engine's O(1)-pop sorted tier, and occupancy stays at
+    // Feed this window's records before its pops: each record is a 32-byte
+    // entry appended to its shard's arrival stream, and occupancy stays at
     // ~one epoch's worth of arrivals instead of the whole trace.
     const double epoch_end = feed_records(t_min + lookahead);
     run_epoch(epoch_end);

@@ -19,9 +19,10 @@
 // stack.stream_window records: when that cap binds, the epoch ends at the
 // next unfed record's arrival instead. At S = 1 every epoch is therefore
 // one stream window, and once every record is fed the shard drains with
-// run(). Mailboxes are drained at the barrier in canonical order
-// (destination-major, source 0..S-1) and bulk-scheduled into the
-// destination engine.
+// run(). Records enter each shard engine as entries of one typed arrival
+// stream (Simulator::stream_push), in trace order. Mailboxes are drained at
+// the barrier in canonical order (destination-major, source 0..S-1) and
+// scheduled into the destination engine's heap.
 //
 // Divergence abort. With stack.abort_on_divergence armed, a divergent
 // verdict at a barrier while records remain stops the feed and snapshots
@@ -160,11 +161,11 @@ class ShardedSim {
   /// Shard owning raw user id `user`.
   Shard& shard_of(std::uint32_t user);
   /// Feeds pending records with arrival time ≤ epoch_end into their shard
-  /// engines (global trace order), at most stack.stream_window of them,
-  /// interleaving the fleet-wide warmup events at the warmup boundary
-  /// record and the horizon snapshots after the last record. Returns where
-  /// the epoch ends: epoch_end, or the next unfed record's arrival when the
-  /// cap bound first.
+  /// engines' arrival streams (global trace order), at most
+  /// stack.stream_window of them, interleaving the fleet-wide warmup events
+  /// at the warmup boundary record and the horizon snapshots after the last
+  /// record. Returns where the epoch ends: epoch_end, or the next unfed
+  /// record's arrival when the cap bound first.
   double feed_records(double epoch_end);
   /// Schedules begin_measurement / origin stat resets on every shard at
   /// the global warmup instant (canonical shard order).

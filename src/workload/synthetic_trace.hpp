@@ -13,8 +13,8 @@
 // byte-for-byte.
 //
 // The output is time-ordered by construction, so run_trace_replay can
-// bulk-schedule the whole trace into the engine's O(1)-pop sorted tier, and
-// per-user sequences stay first-order predictable — what the stack's
+// append it to the engine's arrival streams as it reads it, and per-user
+// sequences stay first-order predictable — what the stack's
 // predictors exploit.
 #pragma once
 

@@ -1,12 +1,17 @@
 // Tests for the zero-allocation engine internals: a determinism differential
 // against a reference (time, seq)-ordered engine (including a bulk batch
 // beside a pending heap event), a cancel-heavy slab-reuse stress,
-// generation-counter ABA protection for recycled slots, and the re-armable
+// generation-counter ABA protection for recycled slots, the re-armable
 // timer tier (a seeded differential against cancel + schedule_at, re-arming
 // and adding timers from inside actions, the epoch hook, and seq
-// renumbering with a timer armed).
+// renumbering with a timer armed), and the arrival-stream tier (a seeded
+// differential against one schedule_at per push, beside events and timers,
+// the epoch hook, seq renumbering with entries pending, and the push-order
+// contract).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -19,19 +24,14 @@
 #include "policy/policies.hpp"
 #include "sim/proxy_sim.hpp"
 #include "util/audit.hpp"
+#include "util/contract.hpp"
 #include "util/rng.hpp"
 
 namespace specpf {
 
-/// Test-only view of the engine's two ordering tiers (the library
-/// befriends AuditPeer and never defines it).
+/// Test-only view of the engine's seq counter (the library befriends
+/// AuditPeer and never defines it).
 struct AuditPeer {
-  static std::size_t heap_entries(const Simulator& s) {
-    return s.heap_.size() - Simulator::kHeapBase;
-  }
-  static std::size_t sorted_run_entries(const Simulator& s) {
-    return s.sorted_run_.size();
-  }
   static std::uint64_t max_seq() { return Simulator::kMaxSeq; }
   static std::uint64_t next_seq(const Simulator& s) { return s.next_seq_; }
   static void set_next_seq(Simulator& s, std::uint64_t seq) {
@@ -144,33 +144,26 @@ struct TwinEngines {
   }
 };
 
-// A scripted random workload: bulk-scheduled events (exercising the sorted
-// run), duplicate timestamps (exercising the seq tie-break), cancellations,
-// and events that schedule children dynamically (exercising the heap path).
-// Both engines must fire the surviving events in the identical order.
+// A scripted random workload: bulk-scheduled events, duplicate timestamps
+// (exercising the seq tie-break), cancellations, and events that schedule
+// children dynamically. Both engines must fire the surviving events in the
+// identical order.
 TEST(EngineDifferential, ExecutionOrderMatchesReferenceEngine) {
   TwinEngines twin;
-  twin.schedule_batch(/*seed=*/42, /*n=*/4000);  // above the sorted-run min
+  twin.schedule_batch(/*seed=*/42, /*n=*/4000);
   twin.run_and_compare();
 }
 
-// A bulk window scheduled while an earlier event is still pending in the
-// heap — the replay drivers' usual case, with a link completion in flight —
-// must still land in the sorted tier, and pops must interleave the two
-// tiers in (time, seq) order. The lone heap event ties with part of the
-// batch, so the seq tie-break across tiers is exercised too.
-TEST(EngineDifferential, BatchBesidePendingHeapEventUsesSortedTier) {
+// A bulk batch scheduled while an earlier event is already pending — a
+// driver's usual case, with a link completion in flight. The lone early
+// event ties with part of the batch, so the seq tie-break between it and
+// the batch is exercised too.
+TEST(EngineDifferential, BatchBesidePendingHeapEvent) {
   TwinEngines twin;
   twin.schedule(-1, 100.0);
-  twin.sim.next_event_time();  // flushes: the event is now heap-ordered
-  ASSERT_EQ(AuditPeer::heap_entries(twin.sim), 1u);
+  EXPECT_EQ(twin.sim.next_event_time(), 100.0);
 
-  constexpr int kBatch = 3000;
-  twin.schedule_batch(/*seed=*/7, kBatch);
-  twin.sim.next_event_time();  // flushes the batch
-  EXPECT_EQ(AuditPeer::sorted_run_entries(twin.sim),
-            static_cast<std::size_t>(kBatch));
-  EXPECT_EQ(AuditPeer::heap_entries(twin.sim), 1u);
+  twin.schedule_batch(/*seed=*/7, /*n=*/3000);
   AuditReport report;
   twin.sim.audit(report);
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -279,9 +272,9 @@ TEST(EngineActions, MoveOnlyCapturesAreSupported) {
   EXPECT_EQ(seen, 42);
 }
 
-// Cancelling mid-run events scheduled into the sorted run (bulk load) and
-// the heap (dynamic) in the same simulation.
-TEST(EngineStress, CancelAcrossBothTiers) {
+// Cancelling bulk-loaded events after the run has started, beside events
+// scheduled mid-run, in the same simulation.
+TEST(EngineStress, CancelBulkAndDynamicEvents) {
   Simulator sim;
   std::vector<EventId> bulk;
   bulk.reserve(2000);
@@ -289,8 +282,8 @@ TEST(EngineStress, CancelAcrossBothTiers) {
     bulk.push_back(
         sim.schedule_at(static_cast<double>(i % 97) + 1.0, [] {}));
   }
-  EXPECT_TRUE(sim.step());  // builds the sorted run
-  // Cancel bulk events (now in the sorted run) and add heap-side events.
+  EXPECT_TRUE(sim.step());
+  // Cancel bulk events and add events scheduled mid-run.
   std::vector<EventId> dynamic;
   for (int i = 0; i < 500; ++i) {
     dynamic.push_back(sim.schedule_at(50.0 + 0.001 * i, [] {}));
@@ -408,8 +401,8 @@ struct TimerRefSide {
 // Random interleavings of schedule_at, cancel, arm_timer and disarm_timer,
 // issued before the run and from inside firing events and timers (a timer
 // may re-arm or disarm itself), must fire in the reference engine's order
-// at the same times with the same events_executed(). The bulk prefix is
-// above the sorted-run minimum, so all three tiers take part.
+// at the same times with the same events_executed(). The bulk prefix keeps
+// the heap deep while timers fire beside it.
 TEST(EngineTimers, DifferentialAgainstCancelAndReschedule) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -528,6 +521,244 @@ TEST(EngineTimers, SeqRenumberingKeepsArmedTimersInOrder) {
   EXPECT_TRUE(report.ok()) << report.summary();
   sim.run();
   EXPECT_EQ(order, "a1b2");
+}
+
+// --- Arrival streams --------------------------------------------------------
+
+constexpr int kScriptStreams = 3;
+
+/// What fired, in order: kind ('e' event, 't' timer, 's' stream), id (event
+/// id, timer or stream index), the two stream payload words (0 otherwise)
+/// and when.
+using StreamLog =
+    std::vector<std::tuple<char, int, std::uint64_t, std::uint64_t, double>>;
+
+/// `count` seeded random steps of the stream script, shared by both sides:
+/// a schedule_at, a cancel of any handle issued so far, an arm or a disarm
+/// of a timer, or (half the steps) a push to a stream. Times sit on a 0.5
+/// grid from now, so many entries tie across all three tiers; a push is
+/// lifted to its stream's last push time, which keeps each stream in order.
+template <typename Side>
+void random_stream_ops(Side& side, int count) {
+  for (int i = 0; i < count && side.budget > 0; ++i, --side.budget) {
+    Rng& rng = side.rng;
+    const double when =
+        side.now() + 0.5 * static_cast<double>(rng.next_u64() % 8);
+    const int k = static_cast<int>(rng.next_u64() % kScriptStreams);
+    switch (rng.next_u64() % 8) {
+      case 0:
+        side.schedule(when);
+        break;
+      case 1:
+        if (side.events_issued() > 0) {
+          side.cancel(rng.next_u64() % side.events_issued());
+        }
+        break;
+      case 2:
+        side.arm(k % kScriptTimers, when);
+        break;
+      case 3:
+        side.disarm(k % kScriptTimers);
+        break;
+      default: {
+        const double at = std::max(when, side.last_push[k]);
+        side.last_push[k] = at;
+        side.push(k, at, rng.next_u64() % 1000, ++side.pushes);
+        break;
+      }
+    }
+  }
+}
+
+/// The engine under test: streams through add_stream/stream_push.
+struct StreamSimSide {
+  Simulator sim;
+  Rng rng;
+  int budget;
+  std::uint64_t pushes = 0;
+  std::array<double, kScriptStreams> last_push{};
+  std::vector<EventId> events;
+  std::vector<TimerId> timers;
+  std::vector<StreamId> streams;
+  StreamLog log;
+
+  StreamSimSide(std::uint64_t seed, int script_budget)
+      : rng(seed), budget(script_budget) {
+    for (int k = 0; k < kScriptTimers; ++k) {
+      timers.push_back(sim.add_timer([this, k] { fired('t', k, 0, 0); }));
+    }
+    for (int k = 0; k < kScriptStreams; ++k) {
+      streams.push_back(
+          sim.add_stream([this, k](std::uint64_t a, std::uint64_t b) {
+            fired('s', k, a, b);
+          }));
+    }
+  }
+  double now() const { return sim.now(); }
+  std::size_t events_issued() const { return events.size(); }
+  void schedule(double when) {
+    const int id = static_cast<int>(events.size());
+    events.push_back(
+        sim.schedule_at(when, [this, id] { fired('e', id, 0, 0); }));
+  }
+  void cancel(std::size_t i) { sim.cancel(events[i]); }
+  void arm(int k, double when) { sim.arm_timer(timers[k], when); }
+  void disarm(int k) { sim.disarm_timer(timers[k]); }
+  void push(int k, double when, std::uint64_t a, std::uint64_t b) {
+    sim.stream_push(streams[k], when, a, b);
+  }
+  void fired(char kind, int id, std::uint64_t a, std::uint64_t b) {
+    log.emplace_back(kind, id, a, b, sim.now());
+    random_stream_ops(*this, 3);
+  }
+};
+
+/// The reference: each push is a schedule_at of the handler call; timers
+/// are cancel + schedule_at as in the timer differential.
+struct StreamRefSide {
+  ReferenceEngine ref;
+  Rng rng;
+  int budget;
+  std::uint64_t pushes = 0;
+  std::array<double, kScriptStreams> last_push{};
+  std::vector<ReferenceEngine::Handle> events;
+  std::vector<ReferenceEngine::Handle> timers =
+      std::vector<ReferenceEngine::Handle>(kScriptTimers);
+  StreamLog log;
+
+  StreamRefSide(std::uint64_t seed, int script_budget)
+      : rng(seed), budget(script_budget) {}
+  double now() const { return ref.now(); }
+  std::size_t events_issued() const { return events.size(); }
+  void schedule(double when) {
+    const int id = static_cast<int>(events.size());
+    events.push_back(
+        ref.schedule_at(when, [this, id] { fired('e', id, 0, 0); }));
+  }
+  void cancel(std::size_t i) { ReferenceEngine::cancel(events[i]); }
+  void arm(int k, double when) {
+    disarm(k);
+    timers[k] = ref.schedule_at(when, [this, k] { fired('t', k, 0, 0); });
+  }
+  void disarm(int k) {
+    if (timers[k]) ReferenceEngine::cancel(timers[k]);
+  }
+  void push(int k, double when, std::uint64_t a, std::uint64_t b) {
+    ref.schedule_at(when, [this, k, a, b] { fired('s', k, a, b); });
+  }
+  void fired(char kind, int id, std::uint64_t a, std::uint64_t b) {
+    log.emplace_back(kind, id, a, b, ref.now());
+    random_stream_ops(*this, 3);
+  }
+};
+
+// Three streams beside events and timers, with pushes, schedules, cancels
+// and arms issued before the run and from inside firing events, timers and
+// stream handlers (a handler may push to its own stream). Every fire must
+// match the reference in order, time and payload, with the same
+// events_executed(); a run_until partway is audited.
+TEST(EngineStreams, DifferentialAgainstScheduledCalls) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    constexpr int kBudget = 20000;
+    StreamSimSide fast(seed, kBudget);
+    StreamRefSide slow(seed, kBudget);
+    // A time-sorted prefix per stream, interleaved with heap events.
+    for (int i = 0; i < 1500; ++i) {
+      const double when = 0.25 * static_cast<double>(i / 4);
+      const int k = i % kScriptStreams;
+      fast.last_push[k] = slow.last_push[k] = when;
+      fast.push(k, when, static_cast<std::uint64_t>(i), ++fast.pushes);
+      slow.push(k, when, static_cast<std::uint64_t>(i), ++slow.pushes);
+      if (i % 5 == 0) {
+        fast.schedule(when);
+        slow.schedule(when);
+      }
+    }
+    random_stream_ops(fast, 200);
+    random_stream_ops(slow, 200);
+    fast.sim.run_until(64.0);
+    AuditReport report;
+    fast.sim.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+    fast.sim.run();
+    slow.ref.run();
+    ASSERT_EQ(fast.log.size(), slow.log.size());
+    EXPECT_EQ(fast.log, slow.log);
+    EXPECT_EQ(fast.sim.events_executed(), slow.ref.executed());
+    EXPECT_EQ(fast.sim.events_executed(), fast.log.size());
+    EXPECT_EQ(fast.sim.pending(), 0u);
+    // The prefix ends at 93.5, so stream fires after 94 are script pushes,
+    // almost all of them issued from inside firing entries.
+    std::size_t late_stream_fires = 0;
+    for (const auto& fire : fast.log) {
+      late_stream_fires += std::get<0>(fire) == 's' && std::get<4>(fire) > 94.0;
+    }
+    EXPECT_GT(late_stream_fires, 1000u)
+        << "the script barely pushed from inside a handler";
+  }
+}
+
+TEST(EngineStreams, NextEventTimeSeesALoneStreamEntry) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Simulator sim;
+  const StreamId stream = sim.add_stream([](std::uint64_t, std::uint64_t) {});
+  EXPECT_EQ(sim.next_event_time(), kInf);
+  sim.stream_push(stream, 3.0, 0, 0);
+  EXPECT_EQ(sim.next_event_time(), 3.0);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_until(2.0);
+  EXPECT_EQ(sim.events_executed(), 0u);
+  EXPECT_EQ(sim.next_event_time(), 3.0);
+  sim.run();
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(sim.now(), 3.0);
+  EXPECT_EQ(sim.next_event_time(), kInf);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// Seq exhaustion renumbers pending stream entries with the heap and the
+// armed timers, keeping their relative order; here a push triggers it.
+TEST(EngineStreams, SeqRenumberingKeepsStreamEntriesInOrder) {
+  Simulator sim;
+  std::string order;
+  const StreamId s1 = sim.add_stream([&order](std::uint64_t a, std::uint64_t) {
+    order += static_cast<char>(a);
+  });
+  const StreamId s2 = sim.add_stream([&order](std::uint64_t a, std::uint64_t) {
+    order += static_cast<char>(a);
+  });
+  const TimerId timer = sim.add_timer([&order] { order += 't'; });
+  AuditPeer::set_next_seq(sim, AuditPeer::max_seq() - 5);
+  sim.stream_push(s1, 1.0, 'a', 0);
+  sim.schedule_at(1.0, [&order] { order += 'e'; });
+  sim.stream_push(s2, 1.0, 'b', 0);
+  sim.arm_timer(timer, 1.0);
+  sim.stream_push(s1, 1.0, 'c', 0);
+  sim.stream_push(s2, 1.0, 'd', 0);  // next seq is kMaxSeq: renumbers first
+  EXPECT_EQ(AuditPeer::next_seq(sim), 6u);
+  AuditReport report;
+  sim.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  sim.run();
+  EXPECT_EQ(order, "aebtcd");
+}
+
+TEST(EngineStreams, OutOfOrderPushIsRejected) {
+  Simulator sim;
+  const StreamId stream = sim.add_stream([](std::uint64_t, std::uint64_t) {});
+  const StreamId other = sim.add_stream([](std::uint64_t, std::uint64_t) {});
+  sim.stream_push(stream, 2.0, 0, 0);
+  EXPECT_THROW(sim.stream_push(stream, 1.0, 0, 0), ContractViolation);
+  sim.stream_push(other, 1.0, 0, 0);  // each stream keeps its own order
+  sim.run_until(1.5);
+  EXPECT_THROW(sim.stream_push(other, 1.25, 0, 0), ContractViolation);
+  EXPECT_EQ(sim.pending(), 1u);
+  AuditReport report;
+  sim.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  sim.run();
+  EXPECT_EQ(sim.events_executed(), 2u);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // each test builds a healthy structure, verifies audit() reports nothing,
 // injects exactly the defect class the walker exists to catch — a stale
 // generation or scribbled freed slot in the engine slab, an armed timer
-// sharing a seq with a pending entry, a misordered tier,
+// sharing a seq with a pending entry, swapped stream entries or a stream
+// entry sharing a seq with a queued node, a misordered heap,
 // leaked slot or lost job in the PS link, a broken intrusive
 // chain or desynced residency entry in the cache arenas, a free-list cycle,
 // successor-total drift in the context arena, a misranked or stale entry
@@ -122,11 +123,7 @@ struct AuditPeer {
   }
   static void desync_tombstone_count(Simulator& s) { ++s.dead_in_heap_; }
   static bool break_pending_order(Simulator& s) {
-    if (s.sorted_run_.size() >= 2) {
-      std::swap(s.sorted_run_.front(), s.sorted_run_.back());
-      return true;
-    }
-    if (s.heapified_ > Simulator::kHeapBase + 1) {
+    if (s.heap_.size() > Simulator::kHeapBase + 1) {
       s.heap_[Simulator::kHeapBase].time += 1e9;
       return true;
     }
@@ -144,6 +141,35 @@ struct AuditPeer {
       if (!timer.armed) continue;
       timer.key.tie = (seq << Simulator::kSlotBits) | i;
       if (s.timer_top_ == i) s.timer_top_key_ = timer.key;
+      return true;
+    }
+    return false;
+  }
+
+  // Swaps the last two entries of the first stream holding at least three,
+  // so its head (and the cached head) stay put and only the FIFO order
+  // check can object.
+  static bool swap_stream_entries(Simulator& s) {
+    for (std::uint32_t i = 0; i < s.streams_.size(); ++i) {
+      FlatRing<Simulator::StreamEntry>& fifo = s.streams_[i].fifo;
+      const std::size_t n = fifo.size();
+      if (n < 3) continue;
+      std::swap(fifo[n - 2], fifo[n - 1]);
+      return true;
+    }
+    return false;
+  }
+  // Gives the last entry of the first stream holding at least two the seq
+  // of the heap's top entry. That entry is not the head and its time stays,
+  // so with strictly increasing push times only the seq check can object.
+  static bool share_stream_seq(Simulator& s) {
+    if (s.heap_.size() <= Simulator::kHeapBase) return false;
+    const std::uint64_t seq =
+        s.heap_[Simulator::kHeapBase].tie >> Simulator::kSlotBits;
+    for (std::uint32_t i = 0; i < s.streams_.size(); ++i) {
+      FlatRing<Simulator::StreamEntry>& fifo = s.streams_[i].fifo;
+      if (fifo.size() < 2) continue;
+      fifo[fifo.size() - 1].key.tie = (seq << Simulator::kSlotBits) | i;
       return true;
     }
     return false;
@@ -576,6 +602,37 @@ TEST(AuditInjection, EngineTimerSharesSeqWithPendingEntry) {
   ASSERT_TRUE(clean.ok()) << clean.summary();
 
   ASSERT_TRUE(AuditPeer::share_timer_seq(sim));
+  AuditReport report;
+  sim.audit(report);
+  expect_failure_containing(report, "shares its seq");
+}
+
+/// seed_engine plus one arrival stream holding entries at strictly
+/// increasing times past every heap event.
+void seed_engine_stream(Simulator& sim) {
+  seed_engine(sim);
+  const StreamId stream = sim.add_stream([](std::uint64_t, std::uint64_t) {});
+  for (int i = 0; i < 4; ++i) {
+    sim.stream_push(stream, 10.0 + i, static_cast<std::uint64_t>(i), 0);
+  }
+  AuditReport clean;
+  sim.audit(clean);
+  ASSERT_TRUE(clean.ok()) << clean.summary();
+}
+
+TEST(AuditInjection, EngineStreamEntriesSwapped) {
+  Simulator sim;
+  seed_engine_stream(sim);
+  ASSERT_TRUE(AuditPeer::swap_stream_entries(sim));
+  AuditReport report;
+  sim.audit(report);
+  expect_failure_containing(report, "out of (time, seq) order");
+}
+
+TEST(AuditInjection, EngineStreamSharesSeqWithQueuedNode) {
+  Simulator sim;
+  seed_engine_stream(sim);
+  ASSERT_TRUE(AuditPeer::share_stream_seq(sim));
   AuditReport report;
   sim.audit(report);
   expect_failure_containing(report, "shares its seq");
