@@ -25,23 +25,22 @@ inline std::uint64_t schedule_and_run(Rng& rng, std::size_t events) {
 }
 
 /// Trace-replay arrival path with a trivial handler: `windows` windows of
-/// 65,536 time-sorted records (pairs share an instant), each pushed to one
+/// 65,536 time-sorted records (pairs share an instant), each pushed to the
 /// arrival stream and run to its last instant before the next is fed.
 /// Returns events executed.
 inline std::uint64_t stream_feed(std::size_t windows) {
   constexpr std::size_t kWindow = 65536;
   Simulator sim;
   std::uint64_t checksum = 0;
-  const StreamId arrivals =
-      sim.add_stream([&checksum](std::uint64_t user, std::uint64_t item) {
-        checksum += user ^ item;
-      });
+  sim.bind_arrivals([&checksum](std::uint64_t user, std::uint64_t item) {
+    checksum += user ^ item;
+  });
   std::uint64_t record = 0;
   for (std::size_t w = 0; w < windows; ++w) {
     double when = 0.0;
     for (std::size_t i = 0; i < kWindow; ++i, ++record) {
       when = static_cast<double>(record / 2) * 1e-4;
-      sim.stream_push(arrivals, when, record & 1023, record);
+      sim.push_arrival(when, record & 1023, record);
     }
     sim.run_until(when);
   }

@@ -136,7 +136,7 @@ void Simulator::audit(AuditReport& report) const {
                    " free + " + std::to_string(queued_nodes()) +
                    " queued != " + std::to_string(slab_.size()) + " slots");
   audit_timers(report);
-  audit_streams(report);
+  audit_arrivals(report);
   audit_seqs(report);
 }
 
@@ -184,40 +184,18 @@ void Simulator::audit_timers(AuditReport& report) const {
   report.check(cache_ok, "cached earliest timer disagrees with a rescan");
 }
 
-void Simulator::audit_streams(AuditReport& report) const {
-  std::uint32_t earliest = StreamId::kInvalid;
-  std::size_t count = 0;
-  for (std::uint32_t i = 0; i < streams_.size(); ++i) {
-    const Stream& stream = streams_[i];
-    const std::string name = "stream " + std::to_string(i);
-    report.check(static_cast<bool>(stream.action), name + " has no action");
-    count += stream.fifo.size();
-    for (std::size_t k = 0; k < stream.fifo.size(); ++k) {
-      const HeapEntry& key = stream.fifo[k].key;
-      const std::string entry = name + " entry " + std::to_string(k);
-      report.check(key.slot() == i,
-                   entry + " names stream " + std::to_string(key.slot()));
-      report.check(key.time >= now_, entry + " is in the past");
-      if (k > 0) {
-        report.check(stream.fifo[k - 1].key.before(key),
-                     entry + " is out of (time, seq) order");
-      }
-    }
-    if (!stream.fifo.empty() &&
-        (earliest == StreamId::kInvalid ||
-         stream.fifo[0].key.before(streams_[earliest].fifo[0].key))) {
-      earliest = i;
+void Simulator::audit_arrivals(AuditReport& report) const {
+  report.check(arrivals_.empty() || static_cast<bool>(arrival_action_),
+               "arrivals pending with no bound handler");
+  for (std::size_t k = 0; k < arrivals_.size(); ++k) {
+    const HeapEntry& key = arrivals_[k].key;
+    const std::string name = "arrival " + std::to_string(k);
+    report.check(key.time >= now_, name + " is in the past");
+    if (k > 0) {
+      report.check(arrivals_[k - 1].key.before(key),
+                   name + " is out of (time, seq) order");
     }
   }
-  report.check(count == streamed_,
-               std::to_string(count) + " stream entries pending but " +
-                   "streamed_ says " + std::to_string(streamed_));
-  const bool cache_ok =
-      earliest == stream_top_ &&
-      (earliest == StreamId::kInvalid ||
-       (stream_top_key_.time == streams_[earliest].fifo[0].key.time &&
-        stream_top_key_.tie == streams_[earliest].fifo[0].key.tie));
-  report.check(cache_ok, "cached earliest stream head disagrees with a rescan");
 }
 
 void Simulator::audit_seqs(AuditReport& report) const {
@@ -232,11 +210,8 @@ void Simulator::audit_seqs(AuditReport& report) const {
       seqs.emplace_back(timers_[i].key.tie >> kSlotBits, "armed timer");
     }
   }
-  for (std::uint32_t i = 0; i < streams_.size(); ++i) {
-    const FlatRing<StreamEntry>& fifo = streams_[i].fifo;
-    for (std::size_t k = 0; k < fifo.size(); ++k) {
-      seqs.emplace_back(fifo[k].key.tie >> kSlotBits, "stream entry");
-    }
+  for (std::size_t k = 0; k < arrivals_.size(); ++k) {
+    seqs.emplace_back(arrivals_[k].key.tie >> kSlotBits, "arrival");
   }
   std::sort(seqs.begin(), seqs.end());
   for (std::size_t i = 1; i < seqs.size(); ++i) {
@@ -315,8 +290,8 @@ void Simulator::compact() {
 }
 
 // Reassigns pending seqs 0..n-1 preserving relative order, armed timers and
-// stream entries included. A monotone remap leaves every comparison's
-// outcome unchanged, so neither the heap nor any FIFO needs a rebuild. Runs
+// arrivals included. A monotone remap leaves every comparison's outcome
+// unchanged, so neither the heap nor the arrival FIFO needs a rebuild. Runs
 // once per ~1.1e12 scheduled events.
 void Simulator::renumber_seqs() {
   std::vector<HeapEntry*> order;
@@ -327,11 +302,8 @@ void Simulator::renumber_seqs() {
   for (std::uint32_t i = 0; i < timers_.size(); ++i) {
     if (timers_[i].armed) order.push_back(&timers_[i].key);
   }
-  for (std::uint32_t i = 0; i < streams_.size(); ++i) {
-    FlatRing<StreamEntry>& fifo = streams_[i].fifo;
-    for (std::size_t k = 0; k < fifo.size(); ++k) {
-      order.push_back(&fifo[k].key);
-    }
+  for (std::size_t k = 0; k < arrivals_.size(); ++k) {
+    order.push_back(&arrivals_[k].key);
   }
   std::sort(order.begin(), order.end(),
             [](const HeapEntry* a, const HeapEntry* b) {
@@ -342,8 +314,7 @@ void Simulator::renumber_seqs() {
     entry->tie = (seq++ << kSlotBits) | entry->slot();
   }
   next_seq_ = seq;
-  rescan_timers();  // refresh the cached keys' seqs
-  rescan_streams();
+  rescan_timers();  // refresh the cached key's seq
 }
 
 EventId Simulator::schedule_at(double when, Action action) {
@@ -436,44 +407,20 @@ void Simulator::rescan_timers() {
   }
 }
 
-StreamId Simulator::add_stream(StreamAction action) {
+void Simulator::bind_arrivals(ArrivalAction action) {
   SPECPF_EXPECTS(static_cast<bool>(action));
-  SPECPF_ASSERT(streams_.size() < kMaxSlots);
-  const std::uint32_t index = streams_.emplace_back();
-  streams_[index].action = std::move(action);
-  return StreamId(index);
+  SPECPF_EXPECTS(!arrival_action_);
+  arrival_action_ = std::move(action);
 }
 
-void Simulator::stream_push(StreamId id, double when, std::uint64_t a,
-                            std::uint64_t b) {
-  SPECPF_DCHECK(id.index_ < streams_.size());
-  Stream& stream = streams_[id.index_];
+void Simulator::push_arrival(double when, std::uint64_t a, std::uint64_t b) {
+  SPECPF_DCHECK(static_cast<bool>(arrival_action_));
   SPECPF_EXPECTS(when >= now_);
-  SPECPF_EXPECTS(stream.fifo.empty() ||
-                 when >= stream.fifo[stream.fifo.size() - 1].key.time);
+  SPECPF_EXPECTS(arrivals_.empty() ||
+                 when >= arrivals_[arrivals_.size() - 1].key.time);
   if (next_seq_ == kMaxSeq) renumber_seqs();
-  const HeapEntry key{when, (next_seq_++ << kSlotBits) | id.index_};
-  stream.fifo.push_back(StreamEntry{key, a, b});
-  ++streamed_;
-  // The new entry carries the largest seq and no earlier time than its
-  // stream's head, so it is the stream's head only if the FIFO was empty.
-  if (stream_top_ == StreamId::kInvalid || key.before(stream_top_key_)) {
-    stream_top_ = id.index_;
-    stream_top_key_ = key;
-  }
-}
-
-void Simulator::rescan_streams() {
-  stream_top_ = StreamId::kInvalid;
-  if (streamed_ == 0) return;
-  for (std::uint32_t i = 0; i < streams_.size(); ++i) {
-    const FlatRing<StreamEntry>& fifo = streams_[i].fifo;
-    if (!fifo.empty() && (stream_top_ == StreamId::kInvalid ||
-                          fifo[0].key.before(stream_top_key_))) {
-      stream_top_ = i;
-      stream_top_key_ = fifo[0].key;
-    }
-  }
+  arrivals_.push_back(ArrivalEntry{HeapEntry{when, next_seq_++ << kSlotBits},
+                                   a, b});
 }
 
 bool Simulator::run_next(double limit) {
@@ -491,15 +438,12 @@ bool Simulator::run_next(double limit) {
     timer.action();  // in place: the action may re-arm its own timer
     return true;
   }
-  if (tier == Tier::kStream) {
-    Stream& stream = streams_[stream_top_];
-    const StreamEntry entry = stream.fifo.front();
-    stream.fifo.pop_front();
-    --streamed_;
-    rescan_streams();
+  if (tier == Tier::kArrival) {
+    const ArrivalEntry entry = arrivals_.front();
+    arrivals_.pop_front();
     now_ = top.time;
     ++executed_;
-    stream.action(entry.a, entry.b);  // in place: it may push to its stream
+    arrival_action_(entry.a, entry.b);  // may push further arrivals
     return true;
   }
   const std::uint32_t slot = top.slot();
@@ -538,10 +482,9 @@ bool Simulator::peek_live_top(HeapEntry* top, Tier* tier) {
     *tier = Tier::kTimer;
     have = true;
   }
-  if (stream_top_ != StreamId::kInvalid &&
-      (!have || stream_top_key_.before(*top))) {
-    *top = stream_top_key_;
-    *tier = Tier::kStream;
+  if (!arrivals_.empty() && (!have || arrivals_.front().key.before(*top))) {
+    *top = arrivals_.front().key;
+    *tier = Tier::kArrival;
     have = true;
   }
   return have;

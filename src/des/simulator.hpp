@@ -30,16 +30,16 @@
 //     takes the next insertion seq, exactly as cancel + schedule_at would,
 //     so firing order, now() and events_executed() are the same as with
 //     cancel + reschedule.
-//   * Arrival streams are the third tier. A stream binds one
-//     void(uint64_t, uint64_t) handler once (add_stream) and holds a FIFO
-//     of 32-byte {time, seq, a, b} entries that stream_push appends in
-//     nondecreasing time: an open-loop source whose instants are known in
-//     order (trace arrivals) needs no closure, no slab node and no
-//     reordering per entry. Each push takes the next insertion seq, exactly
-//     as schedule_at of the handler call would, so the two order alike.
-//     The earliest stream head is cached like the earliest timer.
+//   * The arrival stream is the third tier: one void(uint64_t, uint64_t)
+//     handler bound once (bind_arrivals) and a FIFO of 32-byte
+//     {time, seq, a, b} entries that push_arrival appends in nondecreasing
+//     time. An open-loop source whose instants are known in order (trace
+//     arrivals) needs no closure, no slab node and no reordering per
+//     entry. Each push takes the next insertion seq, exactly as
+//     schedule_at of the handler call would, so the two order alike. The
+//     FIFO's front is its earliest entry.
 //   * The pop takes the smallest of the heap top, the cached timer key and
-//     the cached stream head.
+//     the arrival FIFO's front.
 #pragma once
 
 #include <cstddef>
@@ -88,24 +88,11 @@ class TimerId {
   std::uint32_t index_ = kInvalid;
 };
 
-/// Handle to an arrival stream (Simulator::add_stream). It stays valid for
-/// the engine's lifetime.
-class StreamId {
- public:
-  StreamId() = default;
-
- private:
-  friend class Simulator;
-  static constexpr std::uint32_t kInvalid = 0xffffffffu;
-  explicit StreamId(std::uint32_t index) : index_(index) {}
-  std::uint32_t index_ = kInvalid;
-};
-
 class Simulator {
  public:
   using Action = InlineFunction<void(), 48>;
-  /// A stream's handler, called with the two payload words of each entry.
-  using StreamAction = InlineFunction<void(std::uint64_t, std::uint64_t), 48>;
+  /// The arrival handler, called with the two payload words of each entry.
+  using ArrivalAction = InlineFunction<void(std::uint64_t, std::uint64_t), 48>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -141,14 +128,15 @@ class Simulator {
   /// is dead afterwards. Must not be called from the timer's own action.
   void release_timer(TimerId id);
 
-  /// Binds `action` (non-empty) to a new, empty arrival stream.
-  StreamId add_stream(StreamAction action);
+  /// Binds `action` (non-empty) as the engine's arrival handler. Called
+  /// once, before the first push_arrival.
+  void bind_arrivals(ArrivalAction action);
 
-  /// Appends an entry that calls the stream's action with (a, b) at
+  /// Appends an arrival that calls the bound handler with (a, b) at
   /// absolute time `when`. `when` must be >= now() and >= the time of the
-  /// stream's last pending entry. The push takes the next insertion seq, so
-  /// it orders exactly as schedule_at of the same call would.
-  void stream_push(StreamId id, double when, std::uint64_t a, std::uint64_t b);
+  /// last pending arrival. The push takes the next insertion seq, so it
+  /// orders exactly as schedule_at of the same call would.
+  void push_arrival(double when, std::uint64_t a, std::uint64_t b);
 
   /// Executes the next event. Returns false when the queue is empty.
   bool step();
@@ -168,13 +156,13 @@ class Simulator {
   double next_event_time();
 
   /// Number of events executed so far (excludes cancelled; includes timer
-  /// fires and stream entries).
+  /// fires and arrivals).
   std::uint64_t events_executed() const noexcept { return executed_; }
 
   /// Events currently pending (including not-yet-collected tombstones,
-  /// armed timers and stream entries).
+  /// armed timers and arrivals).
   std::size_t pending() const noexcept {
-    return queued_nodes() + armed_timers_ + streamed_;
+    return queued_nodes() + armed_timers_ + arrivals_.size();
   }
 
   /// Turns on freed-slot poisoning (0xDD fill of the action storage) and
@@ -190,13 +178,12 @@ class Simulator {
   /// valid unique slots with armed-iff-live actions, tombstone bitset
   /// agreeing with dead_in_heap_, the 4-ary heap property, pending times
   /// >= now(), and slab conservation (free + queued nodes == slab size;
-  /// timers and stream entries are not nodes). The timer tier: armed times
+  /// timers and arrivals are not nodes). The timer tier: armed times
   /// >= now(), the cached earliest timer equal to a rescan, the armed
   /// count, and the timer free list acyclic over unbound timers. The
-  /// stream tier: each FIFO nondecreasing in (time, seq) with times >=
-  /// now() and its index in every key's slot bits, the cached head equal
-  /// to a rescan, and the streamed count. Across tiers, no two pending
-  /// keys (queued node, armed timer, stream entry) share a seq.
+  /// arrival FIFO: strictly increasing in (time, seq), times >= now(), and
+  /// a bound handler while it holds entries. Across tiers, no two pending
+  /// keys (queued node, armed timer, arrival) share a seq.
   void audit(AuditReport& report) const;
 
  private:
@@ -240,21 +227,17 @@ class Simulator {
     bool armed = false;
     std::uint32_t next_free = TimerId::kInvalid;
   };
-  // One pending stream entry: `key` carries (time, seq) with the stream's
-  // index in the slot bits, so it compares against heap entries directly.
-  struct StreamEntry {
+  // One pending arrival: `key` carries (time, seq) with zero slot bits, so
+  // it compares against heap entries directly.
+  struct ArrivalEntry {
     HeapEntry key;
     std::uint64_t a;
     std::uint64_t b;
   };
-  static_assert(sizeof(StreamEntry) == 32,
-                "a stream entry is the 16-byte key plus two payload words");
-  struct Stream {
-    StreamAction action;
-    FlatRing<StreamEntry> fifo;
-  };
+  static_assert(sizeof(ArrivalEntry) == 32,
+                "an arrival is the 16-byte key plus two payload words");
   // Which tier the earliest pending entry came from.
-  enum class Tier : std::uint8_t { kHeap, kTimer, kStream };
+  enum class Tier : std::uint8_t { kHeap, kTimer, kArrival };
 
   static constexpr std::size_t kSlotBits = 24;
   static constexpr std::uint64_t kMaxSlots = 1ull << kSlotBits;  // concurrent
@@ -301,12 +284,10 @@ class Simulator {
   }
   /// Recomputes the cached earliest armed timer.
   void rescan_timers();
-  /// Recomputes the cached earliest stream head.
-  void rescan_streams();
   void audit_timers(AuditReport& report) const;
-  void audit_streams(AuditReport& report) const;
+  void audit_arrivals(AuditReport& report) const;
   /// Every pending key's seq is unique across the heap, the armed timers
-  /// and the stream entries.
+  /// and the arrivals.
   void audit_seqs(AuditReport& report) const;
   /// Finds the earliest *live* pending entry across the three tiers,
   /// collecting any tombstones sitting on top of the heap along the way.
@@ -336,15 +317,10 @@ class Simulator {
   std::uint32_t timer_top_ = TimerId::kInvalid;
   HeapEntry timer_top_key_{};
   std::size_t armed_timers_ = 0;
-  // Third tier: arrival streams, 16 per chunk (an engine holds one per
-  // source). Chunks never move, so a handler may add a stream or push to
-  // its own while it runs.
-  ChunkedSlab<Stream, 4> streams_;
-  // The stream whose head is earliest (kInvalid when every FIFO is empty),
-  // a copy of that head's key, and the entries pending across all streams.
-  std::uint32_t stream_top_ = StreamId::kInvalid;
-  HeapEntry stream_top_key_{};
-  std::size_t streamed_ = 0;
+  // Third tier: the arrival handler and its FIFO. The handler runs from
+  // a copy of the popped entry, so it may push further arrivals.
+  ArrivalAction arrival_action_;
+  FlatRing<ArrivalEntry> arrivals_;
   std::uint32_t free_head_ = EventId::kInvalid;
   std::size_t dead_in_heap_ = 0;
   double now_ = 0.0;

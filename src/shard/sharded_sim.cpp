@@ -83,9 +83,6 @@ struct ShardedSim::Shard {
   /// thread pushes the fleet setpoint in at the barrier.
   std::unique_ptr<PrefetchGovernor> governor;
   std::unique_ptr<StackRuntime> runtime;
-  /// The engine stream the feeder pushes this shard's trace arrivals to,
-  /// bound to runtime->handle_request (unset while runtime is null).
-  StreamId arrivals;
   ShardMailbox outbox;
   ServerStats horizon;
   BackboneStats backbone_horizon;
@@ -283,7 +280,7 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
     shard->runtime = std::make_unique<StackRuntime>(
         shard->sim, *shard->predictor, *shard->policy, std::move(rt));
     StackRuntime* runtime = shard->runtime.get();
-    shard->arrivals = shard->sim.add_stream(
+    shard->sim.bind_arrivals(
         [runtime](std::uint64_t user, std::uint64_t item) {
           runtime->handle_request(static_cast<UserId>(user), item);
         });
@@ -371,7 +368,7 @@ double ShardedSim::feed_records(double epoch_end) {
     }
     Shard& shard = shard_of(pending_record_.user);
     const UserId user = *shard.user_index.find(pending_record_.user);
-    shard.sim.stream_push(shard.arrivals, when, user, pending_record_.item);
+    shard.sim.push_arrival(when, user, pending_record_.item);
     ++fed_index_;
     have_pending_ = source_->next(&pending_record_);
     if (!have_pending_) schedule_horizons();

@@ -20,7 +20,7 @@
 // next unfed record's arrival instead. At S = 1 every epoch is therefore
 // one stream window, and once every record is fed the shard drains with
 // run(). Records enter each shard engine as entries of one typed arrival
-// stream (Simulator::stream_push), in trace order. Mailboxes are drained at
+// stream (Simulator::push_arrival), in trace order. Mailboxes are drained at
 // the barrier in canonical order (destination-major, source 0..S-1) and
 // scheduled into the destination engine's heap.
 //

@@ -13,7 +13,7 @@
 // byte-for-byte.
 //
 // The output is time-ordered by construction, so run_trace_replay can
-// append it to the engine's arrival streams as it reads it, and per-user
+// append it to the engine's arrival stream as it reads it, and per-user
 // sequences stay first-order predictable — what the stack's
 // predictors exploit.
 #pragma once

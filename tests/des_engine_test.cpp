@@ -4,14 +4,13 @@
 // generation-counter ABA protection for recycled slots, the re-armable
 // timer tier (a seeded differential against cancel + schedule_at, re-arming
 // and adding timers from inside actions, the epoch hook, and seq
-// renumbering with a timer armed), and the arrival-stream tier (a seeded
+// renumbering with a timer armed), and the arrival stream (a seeded
 // differential against one schedule_at per push, beside events and timers,
 // the epoch hook, seq renumbering with entries pending, and the push-order
 // contract).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -523,28 +522,26 @@ TEST(EngineTimers, SeqRenumberingKeepsArmedTimersInOrder) {
   EXPECT_EQ(order, "a1b2");
 }
 
-// --- Arrival streams --------------------------------------------------------
+// --- Arrival stream ---------------------------------------------------------
 
-constexpr int kScriptStreams = 3;
-
-/// What fired, in order: kind ('e' event, 't' timer, 's' stream), id (event
-/// id, timer or stream index), the two stream payload words (0 otherwise)
-/// and when.
-using StreamLog =
+/// What fired, in order: kind ('e' event, 't' timer, 'a' arrival), id
+/// (event id or timer index, 0 for an arrival), the two arrival payload
+/// words (0 otherwise) and when.
+using ArrivalLog =
     std::vector<std::tuple<char, int, std::uint64_t, std::uint64_t, double>>;
 
-/// `count` seeded random steps of the stream script, shared by both sides:
+/// `count` seeded random steps of the arrival script, shared by both sides:
 /// a schedule_at, a cancel of any handle issued so far, an arm or a disarm
-/// of a timer, or (half the steps) a push to a stream. Times sit on a 0.5
-/// grid from now, so many entries tie across all three tiers; a push is
-/// lifted to its stream's last push time, which keeps each stream in order.
+/// of a timer, or (half the steps) an arrival push. Times sit on a 0.5 grid
+/// from now, so many entries tie across all three tiers; a push is lifted
+/// to the last push time, which keeps the arrivals in order.
 template <typename Side>
-void random_stream_ops(Side& side, int count) {
+void random_arrival_ops(Side& side, int count) {
   for (int i = 0; i < count && side.budget > 0; ++i, --side.budget) {
     Rng& rng = side.rng;
     const double when =
         side.now() + 0.5 * static_cast<double>(rng.next_u64() % 8);
-    const int k = static_cast<int>(rng.next_u64() % kScriptStreams);
+    const int timer = static_cast<int>(rng.next_u64() % kScriptTimers);
     switch (rng.next_u64() % 8) {
       case 0:
         side.schedule(when);
@@ -555,44 +552,38 @@ void random_stream_ops(Side& side, int count) {
         }
         break;
       case 2:
-        side.arm(k % kScriptTimers, when);
+        side.arm(timer, when);
         break;
       case 3:
-        side.disarm(k % kScriptTimers);
+        side.disarm(timer);
         break;
       default: {
-        const double at = std::max(when, side.last_push[k]);
-        side.last_push[k] = at;
-        side.push(k, at, rng.next_u64() % 1000, ++side.pushes);
+        side.last_push = std::max(when, side.last_push);
+        side.push(side.last_push, rng.next_u64() % 1000, ++side.pushes);
         break;
       }
     }
   }
 }
 
-/// The engine under test: streams through add_stream/stream_push.
-struct StreamSimSide {
+/// The engine under test: arrivals through bind_arrivals/push_arrival.
+struct ArrivalSimSide {
   Simulator sim;
   Rng rng;
   int budget;
   std::uint64_t pushes = 0;
-  std::array<double, kScriptStreams> last_push{};
+  double last_push = 0.0;
   std::vector<EventId> events;
   std::vector<TimerId> timers;
-  std::vector<StreamId> streams;
-  StreamLog log;
+  ArrivalLog log;
 
-  StreamSimSide(std::uint64_t seed, int script_budget)
+  ArrivalSimSide(std::uint64_t seed, int script_budget)
       : rng(seed), budget(script_budget) {
     for (int k = 0; k < kScriptTimers; ++k) {
       timers.push_back(sim.add_timer([this, k] { fired('t', k, 0, 0); }));
     }
-    for (int k = 0; k < kScriptStreams; ++k) {
-      streams.push_back(
-          sim.add_stream([this, k](std::uint64_t a, std::uint64_t b) {
-            fired('s', k, a, b);
-          }));
-    }
+    sim.bind_arrivals(
+        [this](std::uint64_t a, std::uint64_t b) { fired('a', 0, a, b); });
   }
   double now() const { return sim.now(); }
   std::size_t events_issued() const { return events.size(); }
@@ -604,29 +595,29 @@ struct StreamSimSide {
   void cancel(std::size_t i) { sim.cancel(events[i]); }
   void arm(int k, double when) { sim.arm_timer(timers[k], when); }
   void disarm(int k) { sim.disarm_timer(timers[k]); }
-  void push(int k, double when, std::uint64_t a, std::uint64_t b) {
-    sim.stream_push(streams[k], when, a, b);
+  void push(double when, std::uint64_t a, std::uint64_t b) {
+    sim.push_arrival(when, a, b);
   }
   void fired(char kind, int id, std::uint64_t a, std::uint64_t b) {
     log.emplace_back(kind, id, a, b, sim.now());
-    random_stream_ops(*this, 3);
+    random_arrival_ops(*this, 3);
   }
 };
 
 /// The reference: each push is a schedule_at of the handler call; timers
 /// are cancel + schedule_at as in the timer differential.
-struct StreamRefSide {
+struct ArrivalRefSide {
   ReferenceEngine ref;
   Rng rng;
   int budget;
   std::uint64_t pushes = 0;
-  std::array<double, kScriptStreams> last_push{};
+  double last_push = 0.0;
   std::vector<ReferenceEngine::Handle> events;
   std::vector<ReferenceEngine::Handle> timers =
       std::vector<ReferenceEngine::Handle>(kScriptTimers);
-  StreamLog log;
+  ArrivalLog log;
 
-  StreamRefSide(std::uint64_t seed, int script_budget)
+  ArrivalRefSide(std::uint64_t seed, int script_budget)
       : rng(seed), budget(script_budget) {}
   double now() const { return ref.now(); }
   std::size_t events_issued() const { return events.size(); }
@@ -643,40 +634,39 @@ struct StreamRefSide {
   void disarm(int k) {
     if (timers[k]) ReferenceEngine::cancel(timers[k]);
   }
-  void push(int k, double when, std::uint64_t a, std::uint64_t b) {
-    ref.schedule_at(when, [this, k, a, b] { fired('s', k, a, b); });
+  void push(double when, std::uint64_t a, std::uint64_t b) {
+    ref.schedule_at(when, [this, a, b] { fired('a', 0, a, b); });
   }
   void fired(char kind, int id, std::uint64_t a, std::uint64_t b) {
     log.emplace_back(kind, id, a, b, ref.now());
-    random_stream_ops(*this, 3);
+    random_arrival_ops(*this, 3);
   }
 };
 
-// Three streams beside events and timers, with pushes, schedules, cancels
-// and arms issued before the run and from inside firing events, timers and
-// stream handlers (a handler may push to its own stream). Every fire must
+// Arrivals beside events and timers, with pushes, schedules, cancels and
+// arms issued before the run and from inside firing events, timers and
+// arrival handlers (a handler may push further arrivals). Every fire must
 // match the reference in order, time and payload, with the same
 // events_executed(); a run_until partway is audited.
-TEST(EngineStreams, DifferentialAgainstScheduledCalls) {
+TEST(EngineArrivals, DifferentialAgainstScheduledCalls) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     constexpr int kBudget = 20000;
-    StreamSimSide fast(seed, kBudget);
-    StreamRefSide slow(seed, kBudget);
-    // A time-sorted prefix per stream, interleaved with heap events.
+    ArrivalSimSide fast(seed, kBudget);
+    ArrivalRefSide slow(seed, kBudget);
+    // A time-sorted prefix of arrivals, interleaved with heap events.
     for (int i = 0; i < 1500; ++i) {
       const double when = 0.25 * static_cast<double>(i / 4);
-      const int k = i % kScriptStreams;
-      fast.last_push[k] = slow.last_push[k] = when;
-      fast.push(k, when, static_cast<std::uint64_t>(i), ++fast.pushes);
-      slow.push(k, when, static_cast<std::uint64_t>(i), ++slow.pushes);
+      fast.last_push = slow.last_push = when;
+      fast.push(when, static_cast<std::uint64_t>(i), ++fast.pushes);
+      slow.push(when, static_cast<std::uint64_t>(i), ++slow.pushes);
       if (i % 5 == 0) {
         fast.schedule(when);
         slow.schedule(when);
       }
     }
-    random_stream_ops(fast, 200);
-    random_stream_ops(slow, 200);
+    random_arrival_ops(fast, 200);
+    random_arrival_ops(slow, 200);
     fast.sim.run_until(64.0);
     AuditReport report;
     fast.sim.audit(report);
@@ -688,23 +678,23 @@ TEST(EngineStreams, DifferentialAgainstScheduledCalls) {
     EXPECT_EQ(fast.sim.events_executed(), slow.ref.executed());
     EXPECT_EQ(fast.sim.events_executed(), fast.log.size());
     EXPECT_EQ(fast.sim.pending(), 0u);
-    // The prefix ends at 93.5, so stream fires after 94 are script pushes,
+    // The prefix ends at 93.5, so arrivals after 94 are script pushes,
     // almost all of them issued from inside firing entries.
-    std::size_t late_stream_fires = 0;
+    std::size_t late_arrivals = 0;
     for (const auto& fire : fast.log) {
-      late_stream_fires += std::get<0>(fire) == 's' && std::get<4>(fire) > 94.0;
+      late_arrivals += std::get<0>(fire) == 'a' && std::get<4>(fire) > 94.0;
     }
-    EXPECT_GT(late_stream_fires, 1000u)
+    EXPECT_GT(late_arrivals, 1000u)
         << "the script barely pushed from inside a handler";
   }
 }
 
-TEST(EngineStreams, NextEventTimeSeesALoneStreamEntry) {
+TEST(EngineArrivals, NextEventTimeSeesALoneArrival) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   Simulator sim;
-  const StreamId stream = sim.add_stream([](std::uint64_t, std::uint64_t) {});
+  sim.bind_arrivals([](std::uint64_t, std::uint64_t) {});
   EXPECT_EQ(sim.next_event_time(), kInf);
-  sim.stream_push(stream, 3.0, 0, 0);
+  sim.push_arrival(3.0, 0, 0);
   EXPECT_EQ(sim.next_event_time(), 3.0);
   EXPECT_EQ(sim.pending(), 1u);
   sim.run_until(2.0);
@@ -717,25 +707,22 @@ TEST(EngineStreams, NextEventTimeSeesALoneStreamEntry) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
-// Seq exhaustion renumbers pending stream entries with the heap and the
-// armed timers, keeping their relative order; here a push triggers it.
-TEST(EngineStreams, SeqRenumberingKeepsStreamEntriesInOrder) {
+// Seq exhaustion renumbers pending arrivals with the heap and the armed
+// timers, keeping their relative order; here a push triggers it.
+TEST(EngineArrivals, SeqRenumberingKeepsArrivalsInOrder) {
   Simulator sim;
   std::string order;
-  const StreamId s1 = sim.add_stream([&order](std::uint64_t a, std::uint64_t) {
-    order += static_cast<char>(a);
-  });
-  const StreamId s2 = sim.add_stream([&order](std::uint64_t a, std::uint64_t) {
+  sim.bind_arrivals([&order](std::uint64_t a, std::uint64_t) {
     order += static_cast<char>(a);
   });
   const TimerId timer = sim.add_timer([&order] { order += 't'; });
   AuditPeer::set_next_seq(sim, AuditPeer::max_seq() - 5);
-  sim.stream_push(s1, 1.0, 'a', 0);
+  sim.push_arrival(1.0, 'a', 0);
   sim.schedule_at(1.0, [&order] { order += 'e'; });
-  sim.stream_push(s2, 1.0, 'b', 0);
+  sim.push_arrival(1.0, 'b', 0);
   sim.arm_timer(timer, 1.0);
-  sim.stream_push(s1, 1.0, 'c', 0);
-  sim.stream_push(s2, 1.0, 'd', 0);  // next seq is kMaxSeq: renumbers first
+  sim.push_arrival(1.0, 'c', 0);
+  sim.push_arrival(1.0, 'd', 0);  // next seq is kMaxSeq: renumbers first
   EXPECT_EQ(AuditPeer::next_seq(sim), 6u);
   AuditReport report;
   sim.audit(report);
@@ -744,21 +731,28 @@ TEST(EngineStreams, SeqRenumberingKeepsStreamEntriesInOrder) {
   EXPECT_EQ(order, "aebtcd");
 }
 
-TEST(EngineStreams, OutOfOrderPushIsRejected) {
+TEST(EngineArrivals, OutOfOrderPushIsRejected) {
   Simulator sim;
-  const StreamId stream = sim.add_stream([](std::uint64_t, std::uint64_t) {});
-  const StreamId other = sim.add_stream([](std::uint64_t, std::uint64_t) {});
-  sim.stream_push(stream, 2.0, 0, 0);
-  EXPECT_THROW(sim.stream_push(stream, 1.0, 0, 0), ContractViolation);
-  sim.stream_push(other, 1.0, 0, 0);  // each stream keeps its own order
-  sim.run_until(1.5);
-  EXPECT_THROW(sim.stream_push(other, 1.25, 0, 0), ContractViolation);
-  EXPECT_EQ(sim.pending(), 1u);
+  sim.bind_arrivals([](std::uint64_t, std::uint64_t) {});
+  sim.push_arrival(2.0, 0, 0);
+  EXPECT_THROW(sim.push_arrival(1.0, 0, 0), ContractViolation);
+  sim.run();
+  sim.push_arrival(2.5, 0, 0);
+  sim.run_until(3.0);
+  EXPECT_THROW(sim.push_arrival(2.75, 0, 0), ContractViolation);
+  EXPECT_EQ(sim.pending(), 0u);
   AuditReport report;
   sim.audit(report);
   EXPECT_TRUE(report.ok()) << report.summary();
-  sim.run();
   EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(EngineArrivals, BindsOneHandlerOnce) {
+  Simulator sim;
+  EXPECT_THROW(sim.bind_arrivals(Simulator::ArrivalAction{}), ContractViolation);
+  sim.bind_arrivals([](std::uint64_t, std::uint64_t) {});
+  EXPECT_THROW(sim.bind_arrivals([](std::uint64_t, std::uint64_t) {}),
+               ContractViolation);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // each test builds a healthy structure, verifies audit() reports nothing,
 // injects exactly the defect class the walker exists to catch — a stale
 // generation or scribbled freed slot in the engine slab, an armed timer
-// sharing a seq with a pending entry, swapped stream entries or a stream
-// entry sharing a seq with a queued node, a misordered heap,
+// sharing a seq with a pending entry, swapped arrivals or an arrival
+// sharing a seq with a queued node, a misordered heap,
 // leaked slot or lost job in the PS link, a broken intrusive
 // chain or desynced residency entry in the cache arenas, a free-list cycle,
 // successor-total drift in the context arena, a misranked or stale entry
@@ -146,33 +146,24 @@ struct AuditPeer {
     return false;
   }
 
-  // Swaps the last two entries of the first stream holding at least three,
-  // so its head (and the cached head) stay put and only the FIFO order
-  // check can object.
-  static bool swap_stream_entries(Simulator& s) {
-    for (std::uint32_t i = 0; i < s.streams_.size(); ++i) {
-      FlatRing<Simulator::StreamEntry>& fifo = s.streams_[i].fifo;
-      const std::size_t n = fifo.size();
-      if (n < 3) continue;
-      std::swap(fifo[n - 2], fifo[n - 1]);
-      return true;
-    }
-    return false;
+  // Swaps the last two pending arrivals (of at least three), so the front
+  // stays put and only the FIFO order check can object.
+  static bool swap_arrivals(Simulator& s) {
+    const std::size_t n = s.arrivals_.size();
+    if (n < 3) return false;
+    std::swap(s.arrivals_[n - 2], s.arrivals_[n - 1]);
+    return true;
   }
-  // Gives the last entry of the first stream holding at least two the seq
-  // of the heap's top entry. That entry is not the head and its time stays,
-  // so with strictly increasing push times only the seq check can object.
-  static bool share_stream_seq(Simulator& s) {
-    if (s.heap_.size() <= Simulator::kHeapBase) return false;
+  // Gives the last pending arrival (of at least two) the seq of the heap's
+  // top entry. That arrival is not the front and its time stays, so with
+  // strictly increasing push times only the seq check can object.
+  static bool share_arrival_seq(Simulator& s) {
+    const std::size_t n = s.arrivals_.size();
+    if (s.heap_.size() <= Simulator::kHeapBase || n < 2) return false;
     const std::uint64_t seq =
         s.heap_[Simulator::kHeapBase].tie >> Simulator::kSlotBits;
-    for (std::uint32_t i = 0; i < s.streams_.size(); ++i) {
-      FlatRing<Simulator::StreamEntry>& fifo = s.streams_[i].fifo;
-      if (fifo.size() < 2) continue;
-      fifo[fifo.size() - 1].key.tie = (seq << Simulator::kSlotBits) | i;
-      return true;
-    }
-    return false;
+    s.arrivals_[n - 1].key.tie = seq << Simulator::kSlotBits;
+    return true;
   }
 
   // --- PS link (run + heap over a job slab) -----------------------------
@@ -607,32 +598,32 @@ TEST(AuditInjection, EngineTimerSharesSeqWithPendingEntry) {
   expect_failure_containing(report, "shares its seq");
 }
 
-/// seed_engine plus one arrival stream holding entries at strictly
-/// increasing times past every heap event.
-void seed_engine_stream(Simulator& sim) {
+/// seed_engine plus four pending arrivals at strictly increasing times past
+/// every heap event.
+void seed_engine_arrivals(Simulator& sim) {
   seed_engine(sim);
-  const StreamId stream = sim.add_stream([](std::uint64_t, std::uint64_t) {});
+  sim.bind_arrivals([](std::uint64_t, std::uint64_t) {});
   for (int i = 0; i < 4; ++i) {
-    sim.stream_push(stream, 10.0 + i, static_cast<std::uint64_t>(i), 0);
+    sim.push_arrival(10.0 + i, static_cast<std::uint64_t>(i), 0);
   }
   AuditReport clean;
   sim.audit(clean);
   ASSERT_TRUE(clean.ok()) << clean.summary();
 }
 
-TEST(AuditInjection, EngineStreamEntriesSwapped) {
+TEST(AuditInjection, EngineArrivalsSwapped) {
   Simulator sim;
-  seed_engine_stream(sim);
-  ASSERT_TRUE(AuditPeer::swap_stream_entries(sim));
+  seed_engine_arrivals(sim);
+  ASSERT_TRUE(AuditPeer::swap_arrivals(sim));
   AuditReport report;
   sim.audit(report);
   expect_failure_containing(report, "out of (time, seq) order");
 }
 
-TEST(AuditInjection, EngineStreamSharesSeqWithQueuedNode) {
+TEST(AuditInjection, EngineArrivalSharesSeqWithQueuedNode) {
   Simulator sim;
-  seed_engine_stream(sim);
-  ASSERT_TRUE(AuditPeer::share_stream_seq(sim));
+  seed_engine_arrivals(sim);
+  ASSERT_TRUE(AuditPeer::share_arrival_seq(sim));
   AuditReport report;
   sim.audit(report);
   expect_failure_containing(report, "shares its seq");
