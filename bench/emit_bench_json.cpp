@@ -41,13 +41,6 @@ int main(int argc, char** argv) {
                                 static_cast<double>(streamed), stream,
                                 "events/s"));
 
-  Rng cancel_rng(2);
-  metrics.push_back(bench::duration(
-      "engine.cancel_heavy.ms_per_iter", 1e3,
-      bench::time_call(
-          [&] { bench::sink(benchwork::cancel_heavy(cancel_rng)); }),
-      "ms"));
-
   std::uint64_t ps_jobs = 0;
   const bench::Timing ps =
       bench::time_call([&] { ps_jobs = benchwork::ps_server_throughput(); });

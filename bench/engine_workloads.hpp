@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "des/simulator.hpp"
 #include "net/ps_server.hpp"
@@ -44,19 +43,6 @@ inline std::uint64_t stream_feed(std::size_t windows) {
     }
     sim.run_until(when);
   }
-  return sim.events_executed();
-}
-
-/// Schedules 10000 events, cancels every other one, then drains.
-inline std::uint64_t cancel_heavy(Rng& rng) {
-  Simulator sim;
-  std::vector<EventId> ids;
-  ids.reserve(10000);
-  for (int i = 0; i < 10000; ++i) {
-    ids.push_back(sim.schedule_at(rng.next_double() * 100.0, [] {}));
-  }
-  for (std::size_t i = 0; i < ids.size(); i += 2) sim.cancel(ids[i]);
-  sim.run();
   return sim.events_executed();
 }
 

@@ -22,14 +22,6 @@ void BM_EventQueue_ScheduleAndRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_ScheduleAndRun)->Arg(1024)->Arg(16384)->Arg(131072);
 
-void BM_EventQueue_CancelHeavy(benchmark::State& state) {
-  Rng rng(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(benchwork::cancel_heavy(rng));
-  }
-}
-BENCHMARK(BM_EventQueue_CancelHeavy);
-
 void BM_Stream_Feed(benchmark::State& state) {
   // 60 windows of 65,536 time-sorted arrivals through one arrival stream.
   constexpr std::size_t kWindows = 60;

@@ -27,7 +27,11 @@ int main(int argc, char** argv) {
   params.mean_item_size = args.get_double("size");
   params.hit_ratio = args.get_double("hprime");
   params.cache_items = args.get_double("cache-items");
+  args.require_valid(params.check());
   const double p = args.get_double("p");
+  if (!(p > 0.0 && p <= 1.0)) {
+    args.reject_value("p", "number in (0, 1]", args.get_string("p"));
+  }
 
   const double lambda_max =
       params.bandwidth / (params.fault_ratio() * params.mean_item_size);

@@ -125,12 +125,12 @@ int main(int argc, char** argv) {
   const bool telemetry_on = !trace_path.empty() || !series_path.empty();
   const bool per_shard_stats = args.get_bool("per-shard-stats");
   TelemetryConfig tele_cfg;
-  tele_cfg.sample_interval = args.get_double("sample-interval");
+  tele_cfg.sample_interval = args.get_positive_double("sample-interval");
 
   SyntheticTraceConfig trace_cfg;
   trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
   trace_cfg.num_requests = static_cast<std::size_t>(args.get_uint("requests"));
-  trace_cfg.request_rate = args.get_double("rate");
+  trace_cfg.request_rate = args.get_positive_double("rate");
   trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
   trace_cfg.graph.out_degree = 3;
   trace_cfg.graph.exit_probability = 0.25;

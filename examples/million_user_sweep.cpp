@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   const std::string series_path = args.get_string("timeseries");
   const bool telemetry_on = !trace_path.empty() || !series_path.empty();
   TelemetryConfig tele_cfg;
-  tele_cfg.sample_interval = args.get_double("sample-interval");
+  tele_cfg.sample_interval = args.get_positive_double("sample-interval");
 
   ShardedReplayConfig sharded_cfg;
   sharded_cfg.num_shards =

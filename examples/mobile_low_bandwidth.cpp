@@ -47,6 +47,11 @@ int main(int argc, char** argv) {
   base.warmup = base.duration / 10.0;
   base.seed = args.get_uint("seed");
   args.require_valid(base.check());
+  const double aggressive_theta = args.get_double("aggressive-theta");
+  if (!(aggressive_theta >= 0.0 && aggressive_theta <= 1.0)) {
+    args.reject_value("aggressive-theta", "number in [0, 1]",
+                      args.get_string("aggressive-theta"));
+  }
 
   Table table({"bandwidth", "rho' (none)", "p_th est", "t none", "t threshold",
                "t aggressive", "threshold vs none", "aggressive vs none"});
@@ -62,7 +67,7 @@ int main(int argc, char** argv) {
     ThresholdPolicy threshold(core::InteractionModel::kModelA);
     const auto r_thresh = run_proxy_sim(cfg, threshold);
 
-    FixedThresholdPolicy aggressive(args.get_double("aggressive-theta"));
+    FixedThresholdPolicy aggressive(aggressive_theta);
     const auto r_aggr = run_proxy_sim(cfg, aggressive);
 
     // p_th as the deployed policy would estimate it at the end of the run.

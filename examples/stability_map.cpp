@@ -183,20 +183,22 @@ int main(int argc, char** argv) {
       args.get_positive_double("backbone-bandwidth");
   const double backbone_latency = args.get_positive_double("backbone-latency");
   const bool abort_on = args.get_bool("abort");
-  const double base_rate = args.get_double("rate");
+  const double min_abort_speedup =
+      args.get_positive_double("min-abort-speedup");
+  const double base_rate = args.get_positive_double("rate");
   const double bandwidth = args.get_double("bandwidth");
   const auto base_requests =
       static_cast<std::size_t>(args.get_uint("requests"));
 
   TelemetryConfig tele_cfg;
-  tele_cfg.sample_interval = args.get_double("sample-interval");
+  tele_cfg.sample_interval = args.get_positive_double("sample-interval");
 
   DivergenceConfig det_cfg;
   det_cfg.window = static_cast<std::size_t>(args.get_uint("window"));
   det_cfg.min_growth_run =
       static_cast<std::size_t>(args.get_uint("growth-run"));
-  det_cfg.slope_threshold = args.get_double("slope-threshold");
-  det_cfg.depth_level = args.get_double("depth-level");
+  det_cfg.slope_threshold = args.get_positive_double("slope-threshold");
+  det_cfg.depth_level = args.get_positive_double("depth-level");
 
   SyntheticTraceConfig trace_cfg;
   trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
@@ -448,10 +450,9 @@ int main(int argc, char** argv) {
                 compact_number(deepest->rate_mult).c_str(),
                 deepest->label.c_str(), rerun.wall_s, deepest->wall_s,
                 ratio);
-    const double need = args.get_double("min-abort-speedup");
-    if (ratio < need) {
+    if (ratio < min_abort_speedup) {
       std::fprintf(stderr, "abort speedup %.2fx below the %.2fx gate\n",
-                   ratio, need);
+                   ratio, min_abort_speedup);
       return 1;
     }
   }

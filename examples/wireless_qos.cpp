@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   args.add_flag("seed", "4", "random seed for the simulated check");
   if (!args.parse(argc, argv)) return 1;
 
-  const double slo = args.get_double("slo");
+  const double slo = args.get_positive_double("slo");
   const double utilization_cap = args.get_double("utilization-cap");
   if (!(utilization_cap > 0.0 && utilization_cap < 1.0)) {
     args.reject_value("utilization-cap", "number in (0, 1)",
@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   params.mean_item_size = 1.0;
   params.hit_ratio = args.get_double("hprime");
   params.cache_items = 100.0;
+  args.require_valid(params.check());
 
   // --- 1. bandwidth provisioning ---
   const double b_plain = core::min_bandwidth_for_access_time(params, slo);

@@ -4,13 +4,29 @@
 
 namespace specpf::core {
 
-void SystemParams::validate() const {
-  SPECPF_EXPECTS(bandwidth > 0.0);
-  SPECPF_EXPECTS(request_rate >= 0.0);
-  SPECPF_EXPECTS(mean_item_size > 0.0);
-  SPECPF_EXPECTS(hit_ratio >= 0.0 && hit_ratio <= 1.0);
-  SPECPF_EXPECTS(cache_items > 0.0);
+std::string SystemParams::check() const {
+  if (!positive_finite(bandwidth)) {
+    return config_error("bandwidth", "must be positive and finite", bandwidth);
+  }
+  if (!(request_rate >= 0.0 && std::isfinite(request_rate))) {
+    return config_error("request_rate", "must be non-negative and finite",
+                        request_rate);
+  }
+  if (!positive_finite(mean_item_size)) {
+    return config_error("mean_item_size", "must be positive and finite",
+                        mean_item_size);
+  }
+  if (!(hit_ratio >= 0.0 && hit_ratio <= 1.0)) {
+    return config_error("hit_ratio", "must be in [0, 1]", hit_ratio);
+  }
+  if (!positive_finite(cache_items)) {
+    return config_error("cache_items", "must be positive and finite",
+                        cache_items);
+  }
+  return {};
 }
+
+void SystemParams::validate() const { expect_valid(check()); }
 
 double max_candidates(const SystemParams& params, double access_probability) {
   SPECPF_EXPECTS(access_probability > 0.0 && access_probability <= 1.0);

@@ -8,6 +8,8 @@
 //   n̄(C)   average number of items in a user's cache
 #pragma once
 
+#include <string>
+
 namespace specpf::core {
 
 struct SystemParams {
@@ -34,7 +36,14 @@ struct SystemParams {
     return utilization_no_prefetch() < 1.0;
   }
 
-  /// Throws ContractViolation when any field is out of domain.
+  /// "" when every field is in its domain, else "<field>: <rule>, got
+  /// <value>" for the first that is not: bandwidth, item size and cache
+  /// occupancy positive and finite, request rate non-negative and finite,
+  /// hit ratio in [0, 1]. Frontends call it at the edge and exit 2 on a
+  /// message.
+  std::string check() const;
+
+  /// Throws ContractViolation carrying check()'s message.
   void validate() const;
 };
 

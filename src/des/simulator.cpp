@@ -11,38 +11,27 @@ namespace specpf {
 
 namespace {
 constexpr std::size_t kHeapArity = 4;
-// Compaction is pointless (and would thrash) on tiny heaps.
-constexpr std::size_t kCompactionMinHeap = 64;
 }  // namespace
 
 std::uint32_t Simulator::acquire_slot() {
-  if (free_head_ != EventId::kInvalid) {
+  if (free_head_ != kNoSlot) {
     const std::uint32_t slot = free_head_;
     free_head_ = node_at(slot).next_free;
     if (slot < poisoned_.size()) poisoned_[slot] = 0;  // live again
     return slot;
   }
   SPECPF_ASSERT(slab_.size() < kMaxSlots);
-  const std::uint32_t slot = slab_.emplace_back();
-  if (dead_bits_.size() * 64 < slab_.capacity()) {
-    dead_bits_.resize(slab_.capacity() / 64, 0);
-  }
-  return slot;
+  return slab_.emplace_back();
 }
 
 void Simulator::release_slot(std::uint32_t slot) {
   Node& node = node_at(slot);
-  ++node.generation;  // stale handles (ABA) now mismatch
   node.next_free = free_head_;
   free_head_ = slot;
   if (audit_mode_) {
-    if (shadow_gen_.size() < slab_.size()) {
-      shadow_gen_.resize(slab_.size(), EventId::kInvalid);
-      poisoned_.resize(slab_.size(), 0);
-    }
+    if (poisoned_.size() < slab_.size()) poisoned_.resize(slab_.size(), 0);
     node.action.poison_storage(kPoisonByte);  // empty: only buf_ touched
     poisoned_[slot] = 1;
-    shadow_gen_[slot] = node.generation;
   }
 }
 
@@ -53,7 +42,7 @@ void Simulator::audit(AuditReport& report) const {
   // 0 = unseen, 1 = on the free list, 2 = named by a pending entry.
   std::vector<std::uint8_t> state(slab_.size(), 0);
   std::size_t free_count = 0;
-  for (std::uint32_t slot = free_head_; slot != EventId::kInvalid;
+  for (std::uint32_t slot = free_head_; slot != kNoSlot;
        slot = node_at(slot).next_free) {
     if (!report.check(slot < slab_.size(),
                       "free list points past the slab (slot " +
@@ -73,13 +62,12 @@ void Simulator::audit(AuditReport& report) const {
     if (slot < poisoned_.size() && poisoned_[slot]) {
       report.check(node.action.storage_is(kPoisonByte),
                    "freed slot " + std::to_string(slot) +
-                       " poison overwritten (write through a stale "
-                       "handle?)");
+                       " poison overwritten (write through a freed "
+                       "node?)");
     }
   }
-  // Heap entries: valid unique slots, armed exactly when live, times no
-  // earlier than the clock.
-  std::size_t dead_seen = 0;
+  // Heap entries: valid unique slots, armed, times no earlier than the
+  // clock.
   for (std::size_t i = kHeapBase; i < heap_.size(); ++i) {
     const HeapEntry& entry = heap_[i];
     const std::uint32_t slot = entry.slot();
@@ -94,34 +82,12 @@ void Simulator::audit(AuditReport& report) const {
       continue;
     }
     state[slot] = 2;
-    const Node& node = node_at(slot);
-    if (is_dead(slot)) {
-      ++dead_seen;
-      report.check(!node.action, "tombstoned slot " + std::to_string(slot) +
-                                     " still armed");
-    } else {
-      report.check(static_cast<bool>(node.action),
-                   "heap live slot " + std::to_string(slot) +
-                       " is disarmed (lost action)");
-      report.check(entry.time >= now_, "heap live entry at slot " +
-                                           std::to_string(slot) +
-                                           " is scheduled in the past");
-    }
-  }
-  report.check(dead_seen == dead_in_heap_,
-               "tombstone bitset marks " + std::to_string(dead_seen) +
-                   " pending slots but dead_in_heap_ says " +
-                   std::to_string(dead_in_heap_));
-  // Generation shadowing (audit mode): every tracked slot's generation must
-  // match what release_slot last recorded — a mismatch means a rollback or
-  // forgery through a recycled slot.
-  for (std::uint32_t slot = 0;
-       slot < shadow_gen_.size() && slot < slab_.size(); ++slot) {
-    if (shadow_gen_[slot] == EventId::kInvalid) continue;
-    report.check(node_at(slot).generation == shadow_gen_[slot],
-                 "slot " + std::to_string(slot) +
-                     " generation diverged from its shadow (rolled back or "
-                     "forged)");
+    report.check(static_cast<bool>(node_at(slot).action),
+                 "heap slot " + std::to_string(slot) +
+                     " is disarmed (lost action)");
+    report.check(entry.time >= now_, "heap entry at slot " +
+                                         std::to_string(slot) +
+                                         " is scheduled in the past");
   }
   for (std::size_t j = kHeapBase + 1; j < heap_.size(); ++j) {
     const std::size_t parent = (j + 8) / kHeapArity;
@@ -270,25 +236,6 @@ void Simulator::heap_remove_top() {
   if (heap_.size() > kHeapBase) sift_down(kHeapBase, last);
 }
 
-void Simulator::compact() {
-  std::size_t out = kHeapBase;
-  for (std::size_t i = kHeapBase; i < heap_.size(); ++i) {
-    const HeapEntry entry = heap_[i];
-    if (!is_dead(entry.slot())) {
-      heap_[out++] = entry;
-    } else {
-      clear_dead(entry.slot());
-      release_slot(entry.slot());
-    }
-  }
-  heap_.resize(out);
-  dead_in_heap_ = 0;
-  // Each prefix [kHeapBase, i) is a heap, so sifting entry i up extends it.
-  // The survivors keep the old layout's near-order, so most sifts stop at
-  // once.
-  for (std::size_t i = kHeapBase + 1; i < out; ++i) sift_up(i);
-}
-
 // Reassigns pending seqs 0..n-1 preserving relative order, armed timers and
 // arrivals included. A monotone remap leaves every comparison's outcome
 // unchanged, so neither the heap nor the arrival FIFO needs a rebuild. Runs
@@ -317,35 +264,19 @@ void Simulator::renumber_seqs() {
   rescan_timers();  // refresh the cached key's seq
 }
 
-EventId Simulator::schedule_at(double when, Action action) {
+void Simulator::schedule_at(double when, Action action) {
   SPECPF_EXPECTS(when >= now_);
   SPECPF_EXPECTS(static_cast<bool>(action));
   if (next_seq_ == kMaxSeq) renumber_seqs();
   const std::uint32_t slot = acquire_slot();
-  Node& node = node_at(slot);
-  node.action = std::move(action);
+  node_at(slot).action = std::move(action);
   heap_.push_back(HeapEntry{when, (next_seq_++ << kSlotBits) | slot});
   sift_up(heap_.size() - 1);
-  return EventId(slot, node.generation, this);
 }
 
-EventId Simulator::schedule_in(double delay, Action action) {
+void Simulator::schedule_in(double delay, Action action) {
   SPECPF_EXPECTS(delay >= 0.0);
-  return schedule_at(now_ + delay, std::move(action));
-}
-
-void Simulator::cancel(const EventId& id) {
-  if (id.slot_ >= slab_.size()) return;
-  SPECPF_ASSERT(id.owner_ == this && "EventId belongs to another Simulator");
-  Node& node = node_at(id.slot_);
-  if (!node.action || node.generation != id.generation_) return;
-  node.action.reset();  // frees captured resources eagerly
-  mark_dead(id.slot_);
-  ++dead_in_heap_;
-  if (2 * dead_in_heap_ >= queued_nodes() &&
-      queued_nodes() >= kCompactionMinHeap) {
-    compact();
-  }
+  schedule_at(now_ + delay, std::move(action));
 }
 
 TimerId Simulator::add_timer(Action action) {
@@ -426,8 +357,21 @@ void Simulator::push_arrival(double when, std::uint64_t a, std::uint64_t b) {
 bool Simulator::run_next(double limit) {
   HeapEntry top;
   Tier tier;
-  if (!peek_live_top(&top, &tier)) return false;
-  if (top.time > limit) return false;
+  if (!peek_top(&top, &tier) || top.time > limit) return false;
+  if (tier == Tier::kHeap) {
+    const std::uint32_t slot = top.slot();
+    Node& node = node_at(slot);
+    // Start fetching the node's cache line now; the pop below overlaps the
+    // miss so the action is already local when it is moved out.
+    __builtin_prefetch(&node, /*rw=*/1);
+    heap_remove_top();
+    Action action = std::move(node.action);
+    release_slot(slot);  // slot reusable by whatever `action` schedules
+    now_ = top.time;
+    ++executed_;
+    action();
+    return true;
+  }
   if (tier == Tier::kTimer) {
     Timer& timer = timers_[timer_top_];
     timer.armed = false;
@@ -438,43 +382,20 @@ bool Simulator::run_next(double limit) {
     timer.action();  // in place: the action may re-arm its own timer
     return true;
   }
-  if (tier == Tier::kArrival) {
-    const ArrivalEntry entry = arrivals_.front();
-    arrivals_.pop_front();
-    now_ = top.time;
-    ++executed_;
-    arrival_action_(entry.a, entry.b);  // may push further arrivals
-    return true;
-  }
-  const std::uint32_t slot = top.slot();
-  Node& node = node_at(slot);
-  // Start fetching the node's cache line now; the pop below overlaps the
-  // miss so the action is already local when it is moved out.
-  __builtin_prefetch(&node, /*rw=*/1);
-  heap_remove_top();
-  Action action = std::move(node.action);
-  release_slot(slot);  // slot reusable by whatever `action` schedules
+  const ArrivalEntry entry = arrivals_.front();
+  arrivals_.pop_front();
   now_ = top.time;
   ++executed_;
-  action();
+  arrival_action_(entry.a, entry.b);  // may push further arrivals
   return true;
 }
 
-bool Simulator::peek_live_top(HeapEntry* top, Tier* tier) {
+bool Simulator::peek_top(HeapEntry* top, Tier* tier) const {
   bool have = false;
-  while (heap_.size() > kHeapBase) {
+  if (heap_.size() > kHeapBase) {
     *top = heap_[kHeapBase];
-    const std::uint32_t slot = top->slot();
-    if (!is_dead(slot)) {
-      *tier = Tier::kHeap;
-      have = true;
-      break;
-    }
-    // Tombstone — collect and keep looking.
-    heap_remove_top();
-    --dead_in_heap_;
-    clear_dead(slot);
-    release_slot(slot);
+    *tier = Tier::kHeap;
+    have = true;
   }
   if (timer_top_ != TimerId::kInvalid &&
       (!have || timer_top_key_.before(*top))) {
@@ -490,10 +411,10 @@ bool Simulator::peek_live_top(HeapEntry* top, Tier* tier) {
   return have;
 }
 
-double Simulator::next_event_time() {
+double Simulator::next_event_time() const {
   HeapEntry top;
   Tier tier;
-  if (!peek_live_top(&top, &tier)) {
+  if (!peek_top(&top, &tier)) {
     return std::numeric_limits<double>::infinity();
   }
   return top.time;

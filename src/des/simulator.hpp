@@ -7,29 +7,24 @@
 // Engine layout:
 //   * Actions are InlineFunction — small-buffer-optimized closures stored
 //     inline in the event node; scheduling never heap-allocates.
-//   * Event nodes live in a slab (std::vector) and are addressed by
-//     {slot, generation} EventId handles. Slots are recycled through a free
-//     list; the generation counter makes stale handles (ABA) harmless.
+//   * Event nodes live in a slab (one cache line each) and are named only by
+//     their slot. A scheduled event cannot be withdrawn, so no handle leaves
+//     the engine; executed slots are recycled through a free list.
 //   * The ready queue is an indexed 4-ary min-heap of {time, seq, slot}
 //     entries — shallower than a binary heap and comparisons never touch the
 //     slab, so sifts stay in a few cache lines. schedule_at sifts each entry
-//     up on push.
-//   * Cancellation is O(1): the node is disarmed (tombstoned) and its action
-//     destroyed in place; the heap entry is lazily skipped on pop. When dead
-//     entries exceed half the heap, the heap is compacted in one pass so
-//     cancel-heavy workloads don't drag a tail of tombstones through every
-//     sift.
+//     up on push. Every heap entry is pending, so the top is always the
+//     heap's next event.
 //   * Re-armable timers are a second tier beside the heap. A timer binds its
 //     action once (add_timer) and then only moves: arm_timer rewrites its
 //     (time, seq) key in place, so a link whose next completion shifts at
-//     every arrival and departure costs no tombstone, no slab node and no
-//     closure move per shift. Timers sit in their own chunked slab (stable
-//     addresses, so an action may add a timer while one fires), and the
-//     earliest armed key is cached. There is one timer per link, so
-//     refreshing the cache is a scan over one or two entries. Every arm
-//     takes the next insertion seq, exactly as cancel + schedule_at would,
-//     so firing order, now() and events_executed() are the same as with
-//     cancel + reschedule.
+//     every arrival and departure costs no slab node and no closure move per
+//     shift. Timers sit in their own chunked slab (stable addresses, so an
+//     action may add a timer while one fires), and the earliest armed key is
+//     cached. There is one timer per link, so refreshing the cache is a scan
+//     over one or two entries. Every arm takes the next insertion seq,
+//     exactly as withdrawing the old event and scheduling a new one would,
+//     so firing order, now() and events_executed() are those of that model.
 //   * The arrival stream is the third tier: one void(uint64_t, uint64_t)
 //     handler bound once (bind_arrivals) and a FIFO of 32-byte
 //     {time, seq, a, b} entries that push_arrival appends in nondecreasing
@@ -38,7 +33,7 @@
 //     entry. Each push takes the next insertion seq, exactly as
 //     schedule_at of the handler call would, so the two order alike. The
 //     FIFO's front is its earliest entry.
-//   * The pop takes the smallest of the heap top, the cached timer key and
+//   * The pop is a three-way min of the heap top, the cached timer key and
 //     the arrival FIFO's front.
 #pragma once
 
@@ -54,26 +49,6 @@
 #include "util/flat_ring.hpp"
 
 namespace specpf {
-
-/// Opaque handle for cancelling a scheduled event. Trivially copyable;
-/// outliving the event is safe (generation-checked).
-class EventId {
- public:
-  EventId() = default;
-  bool valid() const { return slot_ != kInvalid; }
-
- private:
-  friend class Simulator;
-  static constexpr std::uint32_t kInvalid = 0xffffffffu;
-  EventId(std::uint32_t slot, std::uint32_t generation, const void* owner)
-      : slot_(slot), generation_(generation), owner_(owner) {}
-  std::uint32_t slot_ = kInvalid;
-  std::uint32_t generation_ = 0;
-  // Slot/generation handles are only meaningful within their own engine;
-  // cancel() rejects cross-instance handles instead of silently tombstoning
-  // an unrelated event with a coincident {slot, generation}.
-  const void* owner_ = nullptr;
-};
 
 /// Handle to a re-armable timer (Simulator::add_timer). It stays valid
 /// until release_timer; the owner keeps it for the timer's whole life.
@@ -101,15 +76,11 @@ class Simulator {
   /// Current simulation time (seconds).
   double now() const noexcept { return now_; }
 
-  /// Schedules `action` at absolute time `when` (>= now). Returns a handle
-  /// usable with cancel().
-  EventId schedule_at(double when, Action action);
+  /// Schedules `action` (non-empty) at absolute time `when` (>= now).
+  void schedule_at(double when, Action action);
 
   /// Schedules `action` after a non-negative delay.
-  EventId schedule_in(double delay, Action action);
-
-  /// Cancels a pending event; no-op if already fired or cancelled.
-  void cancel(const EventId& id);
+  void schedule_in(double delay, Action action);
 
   /// Binds `action` (non-empty) to a new timer, initially disarmed. The
   /// action stays bound across fires until release_timer.
@@ -117,7 +88,7 @@ class Simulator {
 
   /// (Re)arms the timer to fire once at absolute time `when` (>= now),
   /// replacing any earlier arming. The arm takes the next insertion seq,
-  /// so it orders exactly as cancel + schedule_at would. A firing timer is
+  /// so it orders exactly as a fresh schedule_at would. A firing timer is
   /// disarmed before its action runs, so the action may re-arm it.
   void arm_timer(TimerId id, double when);
 
@@ -148,37 +119,35 @@ class Simulator {
   /// Runs until the queue drains.
   void run();
 
-  /// Timestamp of the earliest live pending event, or +infinity when the
-  /// queue is empty. Collects any tombstones sitting on top of the heap, so
-  /// the answer is exact. This is the epoch hook the sharded driver uses
-  /// to size conservative synchronization windows (epoch = earliest event +
-  /// lookahead) and to fast-forward through idle gaps.
-  double next_event_time();
+  /// Timestamp of the earliest pending event across the three tiers, or
+  /// +infinity when nothing is pending. This is the epoch hook the sharded
+  /// driver uses to size conservative synchronization windows (epoch =
+  /// earliest event + lookahead) and to fast-forward through idle gaps.
+  double next_event_time() const;
 
-  /// Number of events executed so far (excludes cancelled; includes timer
-  /// fires and arrivals).
+  /// Number of events executed so far (heap events, timer fires and
+  /// arrivals).
   std::uint64_t events_executed() const noexcept { return executed_; }
 
-  /// Events currently pending (including not-yet-collected tombstones,
-  /// armed timers and arrivals).
+  /// Events currently pending: queued heap events, armed timers and
+  /// arrivals.
   std::size_t pending() const noexcept {
     return queued_nodes() + armed_timers_ + arrivals_.size();
   }
 
-  /// Turns on freed-slot poisoning (0xDD fill of the action storage) and
-  /// generation shadowing for subsequent slot traffic. On by default in
-  /// SPECPF_AUDIT builds; tests call this to exercise the stale-handle and
-  /// poison checks in any build. Slots freed before the call are left
-  /// unpoisoned — audit() only checks slots freed while the mode was on.
+  /// Turns on freed-slot poisoning (0xDD fill of the action storage) for
+  /// subsequent slot traffic. On by default in SPECPF_AUDIT builds; tests
+  /// call this to exercise the poison check in any build. Slots freed
+  /// before the call are left unpoisoned — audit() only checks slots freed
+  /// while the mode was on.
   void enable_audit_mode();
 
   /// Deep-invariant walker (util/audit.hpp): free-list acyclicity and
-  /// bounds, freed slots disarmed + poison intact + generation matching the
-  /// shadow (catches rollback through a recycled slot), heap entries naming
-  /// valid unique slots with armed-iff-live actions, tombstone bitset
-  /// agreeing with dead_in_heap_, the 4-ary heap property, pending times
-  /// >= now(), and slab conservation (free + queued nodes == slab size;
-  /// timers and arrivals are not nodes). The timer tier: armed times
+  /// bounds, freed slots disarmed with their poison intact (catches a
+  /// write through a freed node), heap entries naming valid unique slots
+  /// with armed actions, the 4-ary heap property, pending times >= now(),
+  /// and slab conservation (free + queued nodes == slab size; timers and
+  /// arrivals are not nodes). The timer tier: armed times
   /// >= now(), the cached earliest timer equal to a rescan, the armed
   /// count, and the timer free list acyclic over unbound timers. The
   /// arrival FIFO: strictly increasing in (time, seq), times >= now(), and
@@ -189,13 +158,14 @@ class Simulator {
  private:
   friend struct AuditPeer;  // corruption-injection tests only
 
-  // One cache line per node: the inline action plus slot bookkeeping. A node
-  // is "armed" exactly when its action is non-empty (schedule_at rejects
-  // empty actions), so no separate flag is needed.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  // One cache line per node: the inline action plus the free-list link. A
+  // node is "armed" exactly when its action is non-empty (schedule_at
+  // rejects empty actions), so no separate flag is needed.
   struct alignas(kCacheLineBytes) Node {
     Action action;
-    std::uint32_t generation = 0;
-    std::uint32_t next_free = EventId::kInvalid;
+    std::uint32_t next_free = kNoSlot;
   };
   static_assert(sizeof(Node) == kCacheLineBytes,
                 "a slab node must stay exactly one cache line: the pop path "
@@ -253,27 +223,13 @@ class Simulator {
 
   Node& node_at(std::uint32_t slot) { return slab_[slot]; }
   const Node& node_at(std::uint32_t slot) const { return slab_[slot]; }
-  // Tombstone bits live in a tiny slot-indexed bitset (2 KiB per 131k slots,
-  // L1-resident) so the pop loop can classify the top entry without touching
-  // the slab; the node's cache line is then fetched in parallel with the
-  // heap sift. Invariant: bit set <=> cancelled event awaiting collection.
-  bool is_dead(std::uint32_t slot) const {
-    return (dead_bits_[slot >> 6] >> (slot & 63)) & 1u;
-  }
-  void mark_dead(std::uint32_t slot) {
-    dead_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-  }
-  void clear_dead(std::uint32_t slot) {
-    dead_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  }
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void sift_up(std::size_t pos);
   void heap_remove_top();
   void sift_down(std::size_t hole, HeapEntry value);
-  void compact();
   void renumber_seqs();
-  /// Heap entries, tombstones included: the slab nodes in use.
+  /// Heap entries: the slab nodes in use.
   std::size_t queued_nodes() const noexcept {
     return heap_.size() - kHeapBase;
   }
@@ -289,12 +245,11 @@ class Simulator {
   /// Every pending key's seq is unique across the heap, the armed timers
   /// and the arrivals.
   void audit_seqs(AuditReport& report) const;
-  /// Finds the earliest *live* pending entry across the three tiers,
-  /// collecting any tombstones sitting on top of the heap along the way.
-  /// Returns false when nothing is pending; otherwise fills `top` and the
-  /// tier it came from. Shared by run_next and next_event_time so the epoch
-  /// driver's view of "next event" can never diverge from what pops.
-  bool peek_live_top(HeapEntry* top, Tier* tier);
+  /// Finds the earliest pending entry across the three tiers. Returns false
+  /// when nothing is pending; otherwise fills `top` and the tier it came
+  /// from. Shared by run_next and next_event_time so the epoch driver's
+  /// view of "next event" can never diverge from what pops.
+  bool peek_top(HeapEntry* top, Tier* tier) const;
   /// Executes the earliest runnable event with time <= limit. Returns false
   /// if the heap drains or only later events remain.
   bool run_next(double limit);
@@ -303,7 +258,6 @@ class Simulator {
   // no per-node relocation cost and references stay valid across schedule
   // calls.
   ChunkedSlab<Node, 12> slab_;
-  std::vector<std::uint64_t> dead_bits_;
   // Physical layout: [0, kHeapBase) are never-read dummies; the root is at
   // kHeapBase. 64-byte-aligned storage keeps child groups line-aligned.
   std::vector<HeapEntry, CacheAlignedAllocator<HeapEntry>> heap_ =
@@ -321,18 +275,15 @@ class Simulator {
   // a copy of the popped entry, so it may push further arrivals.
   ArrivalAction arrival_action_;
   FlatRing<ArrivalEntry> arrivals_;
-  std::uint32_t free_head_ = EventId::kInvalid;
-  std::size_t dead_in_heap_ = 0;
+  std::uint32_t free_head_ = kNoSlot;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   // Audit-mode state (see enable_audit_mode): poison freed action storage
-  // and shadow each slot's expected generation so audit() can catch a
-  // generation rolled back (or forged) through a recycled slot. The shadow
-  // vectors grow lazily on the first release with the mode on.
+  // so audit() can catch a write through a freed node. The flag vector
+  // grows lazily on the first release with the mode on.
   bool audit_mode_ = kAuditBuild;
-  std::vector<std::uint32_t> shadow_gen_;  // kInvalid = untracked slot
-  std::vector<std::uint8_t> poisoned_;     // freed with poison applied
+  std::vector<std::uint8_t> poisoned_;  // freed with poison applied
 };
 
 }  // namespace specpf

@@ -7,8 +7,8 @@
 // V_a with size S completes when V reaches V_a + S, so jobs finish in order
 // of finish value (V_a + S, ties by arrival), and only the earliest
 // completion needs an event; arrivals and departures move it, and the link
-// re-arms one engine timer (Simulator::arm_timer) to do so instead of
-// cancelling and scheduling an event. No O(n) remaining-work rescans.
+// re-arms one engine timer (Simulator::arm_timer) to do so. No O(n)
+// remaining-work rescans.
 //
 // Queue layout — two tiers over a job slab, ordered by (finish_v, id):
 //   * Jobs (finish value, id, size, submit time, inline callback) live in a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <string>
 
 #include "control/governor.hpp"
@@ -10,25 +9,6 @@
 #include "util/contract.hpp"
 
 namespace specpf {
-
-std::string config_error(std::string_view field, std::string_view rule,
-                         std::string_view value) {
-  std::string out(field);
-  out.append(": ").append(rule).append(", got ").append(value);
-  return out;
-}
-
-std::string config_error(std::string_view field, std::string_view rule,
-                         double value) {
-  char got[32];
-  std::snprintf(got, sizeof got, "%g", value);
-  return config_error(field, rule, std::string_view(got));
-}
-
-std::string config_error(std::string_view field, std::string_view rule,
-                         std::uint64_t value) {
-  return config_error(field, rule, std::string_view(std::to_string(value)));
-}
 
 std::string StackConfig::check() const {
   if (!positive_finite(bandwidth)) {

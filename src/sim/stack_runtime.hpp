@@ -10,11 +10,9 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cache/cache_plane.hpp"
@@ -26,6 +24,7 @@
 #include "policy/policy.hpp"
 #include "predict/predictor_plane.hpp"
 #include "sim/metrics.hpp"
+#include "util/contract.hpp"
 #include "util/flat_hash.hpp"
 
 namespace specpf {
@@ -73,17 +72,6 @@ struct StackConfig {
   /// the driver config's check() at the edge and exit 2 on a message.
   std::string check() const;
 };
-
-/// check()'s message for a field that breaks its rule.
-std::string config_error(std::string_view field, std::string_view rule,
-                         double value);
-std::string config_error(std::string_view field, std::string_view rule,
-                         std::uint64_t value);
-std::string config_error(std::string_view field, std::string_view rule,
-                         std::string_view value);
-
-/// The rule for rates, sizes, bandwidths and durations.
-inline bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
 
 struct StackRuntimeConfig : StackConfig {
   std::size_t num_users = 1;

@@ -3,8 +3,11 @@
 // assert on misuse and long-running sweeps fail loudly but catchably.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace specpf {
 
@@ -27,6 +30,18 @@ namespace detail {
 inline void expect_valid(const std::string& error) {
   if (!error.empty()) throw ContractViolation("precondition failed: " + error);
 }
+
+/// check()'s message for a field that breaks its rule:
+/// "<field>: <rule>, got <value>".
+std::string config_error(std::string_view field, std::string_view rule,
+                         double value);
+std::string config_error(std::string_view field, std::string_view rule,
+                         std::uint64_t value);
+std::string config_error(std::string_view field, std::string_view rule,
+                         std::string_view value);
+
+/// The rule for rates, sizes, bandwidths and durations.
+inline bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
 
 }  // namespace specpf
 

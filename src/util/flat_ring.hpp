@@ -25,6 +25,7 @@ class FlatRing {
     return buf_[(head_ + i) & (buf_.size() - 1)];
   }
   T& front() { return (*this)[0]; }
+  const T& front() const { return (*this)[0]; }
 
   void push_back(T value) {
     if (size_ == buf_.size()) grow();

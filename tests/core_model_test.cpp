@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "core/interaction.hpp"
 #include "core/model_a.hpp"
@@ -74,6 +76,32 @@ TEST(SystemParams, ValidationRejectsOutOfDomain) {
   EXPECT_THROW(p.validate(), ContractViolation);
   p = paper_params(0.0);
   p.mean_item_size = -1.0;
+  EXPECT_THROW(p.validate(), ContractViolation);
+}
+
+// check() names the first field out of domain, non-finite values included,
+// in the "<field>: <rule>, got <value>" form the frontends print.
+TEST(SystemParams, CheckNamesTheFirstBadField) {
+  EXPECT_EQ(paper_params(0.3).check(), "");
+  const auto first_field = [](SystemParams p) {
+    const std::string error = p.check();
+    return error.substr(0, error.find(':'));
+  };
+  SystemParams p = paper_params(0.3);
+  p.bandwidth = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(first_field(p), "bandwidth");
+  p = paper_params(0.3);
+  p.request_rate = std::nan("");
+  EXPECT_EQ(p.check(), "request_rate: must be non-negative and finite, got nan");
+  p = paper_params(0.3);
+  p.mean_item_size = 0.0;
+  EXPECT_EQ(first_field(p), "mean_item_size");
+  p = paper_params(0.3);
+  p.hit_ratio = 2.0;
+  EXPECT_EQ(p.check(), "hit_ratio: must be in [0, 1], got 2");
+  p = paper_params(0.3);
+  p.cache_items = -1.0;
+  EXPECT_EQ(first_field(p), "cache_items");
   EXPECT_THROW(p.validate(), ContractViolation);
 }
 

@@ -1,8 +1,8 @@
 // Tests for the zero-allocation engine internals: a determinism differential
 // against a reference (time, seq)-ordered engine (including a bulk batch
-// beside a pending heap event), a cancel-heavy slab-reuse stress,
-// generation-counter ABA protection for recycled slots, the re-armable
-// timer tier (a seeded differential against cancel + schedule_at, re-arming
+// beside a pending heap event), a slab-reuse stress across chunks, the
+// re-armable timer tier (a seeded differential against a reference that
+// withdraws and reschedules an event per arm, re-arming
 // and adding timers from inside actions, the epoch hook, and seq
 // renumbering with a timer armed), and the arrival stream (a seeded
 // differential against one schedule_at per push, beside events and timers,
@@ -28,9 +28,10 @@
 
 namespace specpf {
 
-/// Test-only view of the engine's seq counter (the library befriends
-/// AuditPeer and never defines it).
+/// Test-only view of the engine's seq counter and slab size (the library
+/// befriends AuditPeer and never defines it).
 struct AuditPeer {
+  static std::size_t slots(const Simulator& s) { return s.slab_.size(); }
   static std::uint64_t max_seq() { return Simulator::kMaxSeq; }
   static std::uint64_t next_seq(const Simulator& s) { return s.next_seq_; }
   static void set_next_seq(Simulator& s, std::uint64_t seq) {
@@ -41,8 +42,10 @@ struct AuditPeer {
 namespace {
 
 // Reference engine with the seed implementation's semantics: closures
-// ordered by (time, insertion sequence), lazy tombstone deletion. Any
-// divergence between this and Simulator is an ordering bug.
+// ordered by (time, insertion sequence). It keeps a cancel (cancelled
+// entries are skipped when popped) so the timer differentials can model
+// each arm as cancel + schedule_at. Any divergence between this and
+// Simulator is an ordering bug.
 class ReferenceEngine {
  public:
   using Handle = std::shared_ptr<bool>;
@@ -88,49 +91,43 @@ class ReferenceEngine {
   std::uint64_t executed_ = 0;
 };
 
-/// Drives a Simulator and a ReferenceEngine through the same schedule and
-/// cancel calls, logging the ids of the events each one fires.
+/// Drives a Simulator and a ReferenceEngine through the same schedule
+/// calls, logging the ids of the events each one fires.
 struct TwinEngines {
   Simulator sim;
   ReferenceEngine ref;
   std::vector<int> new_order;
   std::vector<int> ref_order;
-  std::vector<EventId> new_ids;
-  std::vector<ReferenceEngine::Handle> ref_ids;
+  int scheduled = 0;
 
   /// Schedules event `id` at `t` on both engines; every seventh event also
   /// schedules a child 1.5 later when it fires (the dynamic heap path).
   void schedule(int id, double t) {
-    new_ids.push_back(sim.schedule_at(t, [this, id, t] {
+    ++scheduled;
+    sim.schedule_at(t, [this, id, t] {
       new_order.push_back(id);
       if (id % 7 == 0) {
         sim.schedule_at(t + 1.5, [this, id] {
           new_order.push_back(id + 100000);
         });
       }
-    }));
-    ref_ids.push_back(ref.schedule_at(t, [this, id, t] {
+    });
+    ref.schedule_at(t, [this, id, t] {
       ref_order.push_back(id);
       if (id % 7 == 0) {
         ref.schedule_at(t + 1.5, [this, id] {
           ref_order.push_back(id + 100000);
         });
       }
-    }));
+    });
   }
 
-  /// Schedules `n` events on a coarse time grid (so many share a
-  /// timestamp), then cancels every third of them before anything runs.
+  /// Schedules `n` events on a coarse time grid, so many share a timestamp.
   void schedule_batch(std::uint64_t seed, int n) {
     Rng rng(seed);
-    const std::size_t first = new_ids.size();
+    const int first = scheduled;
     for (int i = 0; i < n; ++i) {
-      schedule(static_cast<int>(first) + i,
-               static_cast<double>(rng.next_u64() % 512));
-    }
-    for (std::size_t i = first; i < new_ids.size(); i += 3) {
-      sim.cancel(new_ids[i]);
-      ReferenceEngine::cancel(ref_ids[i]);
+      schedule(first + i, static_cast<double>(rng.next_u64() % 512));
     }
   }
 
@@ -144,9 +141,8 @@ struct TwinEngines {
 };
 
 // A scripted random workload: bulk-scheduled events, duplicate timestamps
-// (exercising the seq tie-break), cancellations, and events that schedule
-// children dynamically. Both engines must fire the surviving events in the
-// identical order.
+// (exercising the seq tie-break), and events that schedule children
+// dynamically. Both engines must fire every event in the identical order.
 TEST(EngineDifferential, ExecutionOrderMatchesReferenceEngine) {
   TwinEngines twin;
   twin.schedule_batch(/*seed=*/42, /*n=*/4000);
@@ -195,69 +191,39 @@ TEST(EngineDifferential, ProxySimMetricsAreReproducible) {
   EXPECT_EQ(a.hprime_estimate, b.hprime_estimate);
 }
 
-// Cancel-heavy slab churn: waves of schedule/cancel force tombstone
-// compaction and free-list reuse; counts must stay exact throughout.
-TEST(EngineStress, CancelWavesReuseSlots) {
+// Slab churn: overlapping waves of schedule-then-fire. Each wave schedules
+// 6000 events over the next 20 time units and runs 10 units, so about half
+// stay pending into the next wave and executed slots are recycled through
+// the free list across slab chunks (4096 nodes each). Counts stay exact
+// throughout, the slab never outgrows the peak pending count, and the
+// drained engine audits clean.
+TEST(EngineStress, ScheduleWavesReuseSlots) {
   Simulator sim;
   Rng rng(3);
-  std::uint64_t expected = 0;
+  std::vector<double> times;
+  std::size_t peak = 0;
   double horizon = 0.0;
   for (int wave = 0; wave < 20; ++wave) {
-    std::vector<EventId> ids;
-    ids.reserve(5000);
-    for (int i = 0; i < 5000; ++i) {
-      const double t = horizon + rng.next_double() * 10.0;
-      ids.push_back(sim.schedule_at(t, [] {}));
+    for (int i = 0; i < 6000; ++i) {
+      times.push_back(horizon + rng.next_double() * 20.0);
+      sim.schedule_at(times.back(), [] {});
     }
-    // Cancel two thirds — beyond the half-dead compaction threshold.
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (i % 3 != 0) sim.cancel(ids[i]);
-    }
-    expected += (ids.size() + 2) / 3;
+    peak = std::max(peak, sim.pending());
     horizon += 10.0;
     sim.run_until(horizon);
+    const auto due = std::count_if(times.begin(), times.end(),
+                                   [&](double t) { return t <= horizon; });
+    ASSERT_EQ(sim.events_executed(), static_cast<std::uint64_t>(due));
+    ASSERT_EQ(sim.pending(), times.size() - static_cast<std::size_t>(due));
   }
+  EXPECT_GT(peak, 4096u) << "the waves never span two slab chunks";
+  EXPECT_EQ(AuditPeer::slots(sim), peak);
   sim.run();
-  EXPECT_EQ(sim.events_executed(), expected);
+  EXPECT_EQ(sim.events_executed(), times.size());
   EXPECT_EQ(sim.pending(), 0u);
-}
-
-// A handle kept across its event's execution and the slot's reuse must not
-// cancel the slot's new occupant (generation/ABA protection).
-TEST(EngineStress, StaleHandleCannotCancelRecycledSlot) {
-  Simulator sim;
-  bool first_fired = false;
-  bool second_fired = false;
-
-  const EventId stale = sim.schedule_at(1.0, [&] { first_fired = true; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_TRUE(first_fired);
-
-  // The slot freed by the fired event is recycled for the next schedule.
-  sim.schedule_at(2.0, [&] { second_fired = true; });
-  sim.cancel(stale);  // must be a no-op
-  sim.cancel(stale);  // idempotent
-  sim.run();
-  EXPECT_TRUE(second_fired);
-  EXPECT_EQ(sim.events_executed(), 2u);
-}
-
-// Same protection when the first event is cancelled (not fired): collecting
-// the tombstone releases the slot; the stale handle must stay dead.
-TEST(EngineStress, StaleHandleAfterCancelAndReuse) {
-  Simulator sim;
-  bool victim_fired = false;
-  bool survivor_fired = false;
-
-  const EventId victim = sim.schedule_at(1.0, [&] { victim_fired = true; });
-  sim.cancel(victim);
-  sim.run();  // collects the tombstone, releasing the slot
-  EXPECT_FALSE(victim_fired);
-
-  sim.schedule_at(2.0, [&] { survivor_fired = true; });
-  sim.cancel(victim);  // stale generation — no-op
-  sim.run();
-  EXPECT_TRUE(survivor_fired);
+  AuditReport report;
+  sim.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 // InlineFunction is move-only, so move-only captures now work (they could
@@ -271,32 +237,6 @@ TEST(EngineActions, MoveOnlyCapturesAreSupported) {
   EXPECT_EQ(seen, 42);
 }
 
-// Cancelling bulk-loaded events after the run has started, beside events
-// scheduled mid-run, in the same simulation.
-TEST(EngineStress, CancelBulkAndDynamicEvents) {
-  Simulator sim;
-  std::vector<EventId> bulk;
-  bulk.reserve(2000);
-  for (int i = 0; i < 2000; ++i) {
-    bulk.push_back(
-        sim.schedule_at(static_cast<double>(i % 97) + 1.0, [] {}));
-  }
-  EXPECT_TRUE(sim.step());
-  // Cancel bulk events and add events scheduled mid-run.
-  std::vector<EventId> dynamic;
-  for (int i = 0; i < 500; ++i) {
-    dynamic.push_back(sim.schedule_at(50.0 + 0.001 * i, [] {}));
-  }
-  for (std::size_t i = 0; i < bulk.size(); i += 2) sim.cancel(bulk[i]);
-  for (std::size_t i = 0; i < dynamic.size(); i += 2) sim.cancel(dynamic[i]);
-  sim.run();
-  // bulk[0] fired in step(); its cancel is a stale no-op. Of the 1999
-  // remaining bulk events, the 999 other even indices are cancelled, leaving
-  // 1000; of the 500 dynamic events, 250 survive.
-  EXPECT_EQ(sim.events_executed(), 1u + 1000u + 250u);
-  EXPECT_EQ(sim.pending(), 0u);
-}
-
 // --- Re-armable timers -----------------------------------------------------
 
 constexpr int kScriptTimers = 3;
@@ -305,10 +245,9 @@ constexpr int kScriptTimers = 3;
 using FireLog = std::vector<std::tuple<char, int, double>>;
 
 /// `count` seeded random steps of the timer script, shared by both sides:
-/// each a schedule_at, a cancel of any handle issued so far (fired or
-/// not), an arm or a disarm. Times sit on a 0.5 grid from now, delay 0 included, so
-/// many entries tie and the seq tie-break decides. `budget` bounds the
-/// whole script so the run drains.
+/// each a schedule_at, an arm (half the steps) or a disarm. Times sit on a
+/// 0.5 grid from now, delay 0 included, so many entries tie and the seq
+/// tie-break decides. `budget` bounds the whole script so the run drains.
 template <typename Side>
 void random_timer_ops(Side& side, int count) {
   for (int i = 0; i < count && side.budget > 0; ++i, --side.budget) {
@@ -321,10 +260,6 @@ void random_timer_ops(Side& side, int count) {
         side.schedule(when);
         break;
       case 1:
-        if (side.events_issued() > 0) {
-          side.cancel(rng.next_u64() % side.events_issued());
-        }
-        break;
       case 2:
         side.arm(timer, when);
         break;
@@ -340,7 +275,7 @@ struct TimerSimSide {
   Simulator sim;
   Rng rng;
   int budget;
-  std::vector<EventId> events;
+  int events = 0;
   std::vector<TimerId> timers;
   FireLog log;
 
@@ -351,12 +286,10 @@ struct TimerSimSide {
     }
   }
   double now() const { return sim.now(); }
-  std::size_t events_issued() const { return events.size(); }
   void schedule(double when) {
-    const int id = static_cast<int>(events.size());
-    events.push_back(sim.schedule_at(when, [this, id] { fired('e', id); }));
+    const int id = events++;
+    sim.schedule_at(when, [this, id] { fired('e', id); });
   }
-  void cancel(std::size_t i) { sim.cancel(events[i]); }
   void arm(int k, double when) { sim.arm_timer(timers[k], when); }
   void disarm(int k) { sim.disarm_timer(timers[k]); }
   void fired(char kind, int id) {
@@ -370,7 +303,7 @@ struct TimerRefSide {
   ReferenceEngine ref;
   Rng rng;
   int budget;
-  std::vector<ReferenceEngine::Handle> events;
+  int events = 0;
   std::vector<ReferenceEngine::Handle> timers =
       std::vector<ReferenceEngine::Handle>(kScriptTimers);
   FireLog log;
@@ -378,12 +311,10 @@ struct TimerRefSide {
   TimerRefSide(std::uint64_t seed, int script_budget)
       : rng(seed), budget(script_budget) {}
   double now() const { return ref.now(); }
-  std::size_t events_issued() const { return events.size(); }
   void schedule(double when) {
-    const int id = static_cast<int>(events.size());
-    events.push_back(ref.schedule_at(when, [this, id] { fired('e', id); }));
+    const int id = events++;
+    ref.schedule_at(when, [this, id] { fired('e', id); });
   }
-  void cancel(std::size_t i) { ReferenceEngine::cancel(events[i]); }
   void arm(int k, double when) {
     disarm(k);
     timers[k] = ref.schedule_at(when, [this, k] { fired('t', k); });
@@ -397,7 +328,7 @@ struct TimerRefSide {
   }
 };
 
-// Random interleavings of schedule_at, cancel, arm_timer and disarm_timer,
+// Random interleavings of schedule_at, arm_timer and disarm_timer,
 // issued before the run and from inside firing events and timers (a timer
 // may re-arm or disarm itself), must fire in the reference engine's order
 // at the same times with the same events_executed(). The bulk prefix keeps
@@ -531,8 +462,8 @@ using ArrivalLog =
     std::vector<std::tuple<char, int, std::uint64_t, std::uint64_t, double>>;
 
 /// `count` seeded random steps of the arrival script, shared by both sides:
-/// a schedule_at, a cancel of any handle issued so far, an arm or a disarm
-/// of a timer, or (half the steps) an arrival push. Times sit on a 0.5 grid
+/// a schedule_at, an arm or a disarm of a timer, or (half the steps) an
+/// arrival push. Times sit on a 0.5 grid
 /// from now, so many entries tie across all three tiers; a push is lifted
 /// to the last push time, which keeps the arrivals in order.
 template <typename Side>
@@ -542,19 +473,14 @@ void random_arrival_ops(Side& side, int count) {
     const double when =
         side.now() + 0.5 * static_cast<double>(rng.next_u64() % 8);
     const int timer = static_cast<int>(rng.next_u64() % kScriptTimers);
-    switch (rng.next_u64() % 8) {
+    switch (rng.next_u64() % 6) {
       case 0:
         side.schedule(when);
         break;
       case 1:
-        if (side.events_issued() > 0) {
-          side.cancel(rng.next_u64() % side.events_issued());
-        }
-        break;
-      case 2:
         side.arm(timer, when);
         break;
-      case 3:
+      case 2:
         side.disarm(timer);
         break;
       default: {
@@ -573,7 +499,7 @@ struct ArrivalSimSide {
   int budget;
   std::uint64_t pushes = 0;
   double last_push = 0.0;
-  std::vector<EventId> events;
+  int events = 0;
   std::vector<TimerId> timers;
   ArrivalLog log;
 
@@ -586,13 +512,10 @@ struct ArrivalSimSide {
         [this](std::uint64_t a, std::uint64_t b) { fired('a', 0, a, b); });
   }
   double now() const { return sim.now(); }
-  std::size_t events_issued() const { return events.size(); }
   void schedule(double when) {
-    const int id = static_cast<int>(events.size());
-    events.push_back(
-        sim.schedule_at(when, [this, id] { fired('e', id, 0, 0); }));
+    const int id = events++;
+    sim.schedule_at(when, [this, id] { fired('e', id, 0, 0); });
   }
-  void cancel(std::size_t i) { sim.cancel(events[i]); }
   void arm(int k, double when) { sim.arm_timer(timers[k], when); }
   void disarm(int k) { sim.disarm_timer(timers[k]); }
   void push(double when, std::uint64_t a, std::uint64_t b) {
@@ -612,7 +535,7 @@ struct ArrivalRefSide {
   int budget;
   std::uint64_t pushes = 0;
   double last_push = 0.0;
-  std::vector<ReferenceEngine::Handle> events;
+  int events = 0;
   std::vector<ReferenceEngine::Handle> timers =
       std::vector<ReferenceEngine::Handle>(kScriptTimers);
   ArrivalLog log;
@@ -620,13 +543,10 @@ struct ArrivalRefSide {
   ArrivalRefSide(std::uint64_t seed, int script_budget)
       : rng(seed), budget(script_budget) {}
   double now() const { return ref.now(); }
-  std::size_t events_issued() const { return events.size(); }
   void schedule(double when) {
-    const int id = static_cast<int>(events.size());
-    events.push_back(
-        ref.schedule_at(when, [this, id] { fired('e', id, 0, 0); }));
+    const int id = events++;
+    ref.schedule_at(when, [this, id] { fired('e', id, 0, 0); });
   }
-  void cancel(std::size_t i) { ReferenceEngine::cancel(events[i]); }
   void arm(int k, double when) {
     disarm(k);
     timers[k] = ref.schedule_at(when, [this, k] { fired('t', k, 0, 0); });
@@ -643,8 +563,8 @@ struct ArrivalRefSide {
   }
 };
 
-// Arrivals beside events and timers, with pushes, schedules, cancels and
-// arms issued before the run and from inside firing events, timers and
+// Arrivals beside events and timers, with pushes, schedules, arms and
+// disarms issued before the run and from inside firing events, timers and
 // arrival handlers (a handler may push further arrivals). Every fire must
 // match the reference in order, time and payload, with the same
 // events_executed(); a run_until partway is audited.

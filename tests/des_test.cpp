@@ -54,35 +54,6 @@ TEST(Simulator, ScheduleInIsRelative) {
   EXPECT_DOUBLE_EQ(times[0], 5.0);
 }
 
-TEST(Simulator, CancelledEventsDoNotFire) {
-  Simulator sim;
-  bool fired = false;
-  const EventId id = sim.schedule_at(1.0, [&] { fired = true; });
-  sim.cancel(id);
-  sim.run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(sim.events_executed(), 0u);
-}
-
-TEST(Simulator, CancelIsIdempotentAndSafeAfterFire) {
-  Simulator sim;
-  const EventId id = sim.schedule_at(1.0, [] {});
-  sim.run();
-  sim.cancel(id);  // no-op
-  sim.cancel(id);
-  EXPECT_EQ(sim.events_executed(), 1u);
-}
-
-TEST(Simulator, CancelFromWithinEvent) {
-  Simulator sim;
-  bool fired = false;
-  EventId later;
-  sim.schedule_at(1.0, [&] { sim.cancel(later); });
-  later = sim.schedule_at(2.0, [&] { fired = true; });
-  sim.run();
-  EXPECT_FALSE(fired);
-}
-
 TEST(Simulator, RunUntilStopsAtHorizonAndSetsClock) {
   Simulator sim;
   std::vector<double> fired;

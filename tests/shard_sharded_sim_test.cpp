@@ -281,10 +281,11 @@ TEST(SimulatorEpochHook, NextEventTimeTracksQueue) {
   EXPECT_TRUE(std::isinf(sim.next_event_time()));
   int fired = 0;
   sim.schedule_at(2.0, [&] { ++fired; });
-  const EventId early = sim.schedule_at(1.0, [&] { ++fired; });
+  const TimerId early = sim.add_timer([&] { ++fired; });
+  sim.arm_timer(early, 1.0);
   EXPECT_EQ(sim.next_event_time(), 1.0);
-  sim.cancel(early);
-  EXPECT_EQ(sim.next_event_time(), 2.0);  // tombstone collected
+  sim.disarm_timer(early);
+  EXPECT_EQ(sim.next_event_time(), 2.0);  // the disarmed timer drops out
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(std::isinf(sim.next_event_time()));

@@ -2,8 +2,8 @@
 // caught. The corruption half works through AuditPeer (declared in
 // util/audit.hpp, defined only here, friend of every auditable structure):
 // each test builds a healthy structure, verifies audit() reports nothing,
-// injects exactly the defect class the walker exists to catch — a stale
-// generation or scribbled freed slot in the engine slab, an armed timer
+// injects exactly the defect class the walker exists to catch — a
+// scribbled freed slot in the engine slab, an armed timer
 // sharing a seq with a pending entry, swapped arrivals or an arrival
 // sharing a seq with a queued node, a misordered heap,
 // leaked slot or lost job in the PS link, a broken intrusive
@@ -101,7 +101,7 @@ struct AuditPeer {
   }
 
   // --- DES engine slab ----------------------------------------------------
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNoSlot = Simulator::kNoSlot;
 
   static std::uint32_t freed_tracked_slot(const Simulator& s) {
     for (std::uint32_t slot = s.free_head_; slot != kNoSlot;
@@ -110,18 +110,14 @@ struct AuditPeer {
     }
     return kNoSlot;
   }
-  static void rollback_generation(Simulator& s, std::uint32_t slot) {
-    --s.node_at(slot).generation;  // forge a reusable stale handle
-  }
   static void scribble_freed_slot(Simulator& s, std::uint32_t slot) {
-    // A write through a stale handle lands in freed storage: simulate the
+    // A write through a freed node lands in freed storage: simulate the
     // scribble by repainting the poison fill.
     s.node_at(slot).action.poison_storage(0xAB);
   }
   static void cycle_engine_free_list(Simulator& s) {
     s.node_at(s.free_head_).next_free = s.free_head_;
   }
-  static void desync_tombstone_count(Simulator& s) { ++s.dead_in_heap_; }
   static bool break_pending_order(Simulator& s) {
     if (s.heap_.size() > Simulator::kHeapBase + 1) {
       s.heap_[Simulator::kHeapBase].time += 1e9;
@@ -306,16 +302,14 @@ TEST(AuditClean, PredictorPlanesAllArenaKinds) {
   }
 }
 
-TEST(AuditClean, EngineScheduleCancelRunSweepsClean) {
+TEST(AuditClean, EngineScheduleRunSweepsClean) {
   Simulator sim;
   sim.enable_audit_mode();
   int fired = 0;
-  std::vector<EventId> ids;
   for (int i = 0; i < 500; ++i) {
-    ids.push_back(sim.schedule_at(0.01 * (i + 1), [&fired] { ++fired; }));
+    sim.schedule_at(0.01 * (i + 1), [&fired] { ++fired; });
   }
-  for (int i = 0; i < 500; i += 3) sim.cancel(ids[i]);
-  sim.run_until(2.0);  // executes ~2/5 of the live events
+  sim.run_until(2.0);  // executes 2/5 of the events, freeing their slots
   for (int i = 0; i < 40; ++i) {
     sim.schedule_in(0.5 + 0.01 * i, [&fired] { ++fired; });
   }
@@ -327,7 +321,7 @@ TEST(AuditClean, EngineScheduleCancelRunSweepsClean) {
   AuditReport drained;
   sim.audit(drained);
   EXPECT_TRUE(drained.ok()) << drained.summary();
-  EXPECT_GT(fired, 0);
+  EXPECT_EQ(fired, 540);
 }
 
 TEST(AuditClean, StackRuntimeEndToEnd) {
@@ -529,21 +523,6 @@ void seed_engine(Simulator& sim) {
   sim.run_until(2.0);  // frees ~20 slots, leaves the rest pending
 }
 
-TEST(AuditInjection, EngineStaleGeneration) {
-  Simulator sim;
-  seed_engine(sim);
-  const std::uint32_t slot = AuditPeer::freed_tracked_slot(sim);
-  ASSERT_NE(slot, AuditPeer::kNoSlot);
-  AuditReport clean;
-  sim.audit(clean);
-  ASSERT_TRUE(clean.ok()) << clean.summary();
-
-  AuditPeer::rollback_generation(sim, slot);
-  AuditReport report;
-  sim.audit(report);
-  expect_failure_containing(report, "generation");
-}
-
 TEST(AuditInjection, EngineFreedSlotScribble) {
   Simulator sim;
   seed_engine(sim);
@@ -562,15 +541,6 @@ TEST(AuditInjection, EngineFreeListCycle) {
   AuditReport report;
   sim.audit(report);
   expect_failure_containing(report, "cycle");
-}
-
-TEST(AuditInjection, EngineTombstoneCountDesync) {
-  Simulator sim;
-  seed_engine(sim);
-  AuditPeer::desync_tombstone_count(sim);
-  AuditReport report;
-  sim.audit(report);
-  EXPECT_FALSE(report.ok()) << "tombstone-count desync was not detected";
 }
 
 TEST(AuditInjection, EnginePendingOrderViolation) {
