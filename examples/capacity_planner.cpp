@@ -28,6 +28,12 @@ int main(int argc, char** argv) {
   params.hit_ratio = args.get_double("hprime");
   params.cache_items = args.get_double("cache-items");
   args.require_valid(params.check());
+  // At h' = 1 no demand reaches the link: the load sweep below spans
+  // fractions of a saturation rate that does not exist.
+  if (!(params.hit_ratio < 1.0)) {
+    args.reject_value("hprime", "number in [0, 1) (no load range to plan at "
+                      "h' = 1)", args.get_string("hprime"));
+  }
   const double p = args.get_double("p");
   if (!(p > 0.0 && p <= 1.0)) {
     args.reject_value("p", "number in (0, 1]", args.get_string("p"));

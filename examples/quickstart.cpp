@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   params.mean_item_size = args.get_double("size");
   params.hit_ratio = args.get_double("hprime");
   args.require_valid(params.check());
+  args.require_valid(params.check_stable());
 
   const auto baseline = core::analyze_no_prefetch(params);
   std::printf("no-prefetch baseline: utilisation rho'=%.3f, "

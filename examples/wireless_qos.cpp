@@ -47,11 +47,22 @@ int main(int argc, char** argv) {
   params.hit_ratio = args.get_double("hprime");
   params.cache_items = 100.0;
   args.require_valid(params.check());
+  // The good-predictor operating point of part 1. Eq. (6) bounds it: at
+  // most max(np) = f'/p items per request can have access probability p,
+  // so n̄(F) <= (1 - h')/p, i.e. h' <= 1 - p·n̄(F) = 0.65.
+  const core::OperatingPoint good_prefetch{0.7, 0.5};
+  if (core::max_candidates(params, good_prefetch.access_probability) <
+      good_prefetch.prefetch_rate) {
+    args.reject_value("hprime",
+                      "number in [0, 0.65] (eq. 6: the p = 0.7, n̄(F) = 0.5 "
+                      "operating point needs n̄(F) <= (1 - h')/p)",
+                      args.get_string("hprime"));
+  }
 
   // --- 1. bandwidth provisioning ---
   const double b_plain = core::min_bandwidth_for_access_time(params, slo);
   const double b_prefetch = core::min_bandwidth_for_access_time(
-      params, {0.7, 0.5}, core::InteractionModel::kModelA, slo);
+      params, good_prefetch, core::InteractionModel::kModelA, slo);
   // The simulated check (part 4) runs on a link provisioned 10% above the
   // plain need; its config is checked here, before anything is printed.
   ProxySimConfig cfg;

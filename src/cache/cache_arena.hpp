@@ -14,7 +14,8 @@
 //   * fixed per-user frame/slot blocks for CLOCK and random replacement,
 //   * residency resolved by ONE flat hash index keyed (user << 32) | item
 //     for the entire fleet (FlatIndexMap: structure-of-arrays robin-hood,
-//     13 bytes per slot),
+//     13 bytes per slot), grown with the resident population rather than
+//     reserved up front,
 //   * per-user state collapsed to a small value-type view (head/tail
 //     index + size — tens of bytes instead of a constellation of heap
 //     nodes).
@@ -27,13 +28,21 @@
 // occupied frames a dense prefix (so the legacy "first unoccupied frame"
 // scan collapses to a counter).
 //
+// Capacities up to kInlineResidencyCapacity skip the slab and the index
+// altogether: each user owns a fixed block of packed entries, residency is
+// a scan of that block, and the blocks are allocated unwritten so a user's
+// pages are touched only when the user first fills them.
+//
 // Eviction policy is a compile-time template parameter of the plane built
 // on top of these arenas (cache/cache_plane.hpp), dispatched once per run.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -60,12 +69,33 @@ inline std::uint64_t residency_key(std::uint32_t user, ItemId item) {
 }
 
 /// Capacities up to this use the small-cache arenas: per-user fixed blocks
-/// with inline residency (a linear scan of at most 16 packed entries — one
-/// to three cache lines), no hash index at all. Larger capacities use the
-/// slab + FlatIndexMap arenas. Both variants of every policy are
-/// bit-identical to the legacy caches; the dispatch happens once per run in
-/// make_cache_plane next to the policy dispatch.
-inline constexpr std::size_t kInlineResidencyCapacity = 16;
+/// with inline residency (a linear scan of at most 32 packed entries — up
+/// to seven cache lines of 12-byte list nodes, eight of 16-byte LFU nodes),
+/// no hash index at all. Larger capacities use the slab + FlatIndexMap
+/// arenas. Both variants of every policy are bit-identical to the legacy
+/// caches; the dispatch happens once per run in make_cache_plane next to
+/// the policy dispatch.
+inline constexpr std::size_t kInlineResidencyCapacity = 32;
+
+/// Fill byte of never-written per-user block storage in SPECPF_AUDIT
+/// builds (the engine poisons freed slots with the same byte).
+inline constexpr unsigned char kUnwrittenByte = 0xDD;
+
+/// Node storage for the per-user-block arenas, allocated but not written.
+/// Each node is written whole before it is linked, and no slot at or past
+/// a user's size is ever read, so a block's pages stay untouched until its
+/// user fills them. Audit builds fill the storage with kUnwrittenByte so a
+/// read of a never-written slot yields poisoned items and links.
+template <typename Node>
+std::unique_ptr<Node[]> unwritten_block(std::size_t n) {
+  static_assert(std::is_trivially_default_constructible_v<Node>);
+  auto block = std::make_unique_for_overwrite<Node[]>(n);
+  if constexpr (kAuditBuild) {
+    std::memset(static_cast<void*>(block.get()), kUnwrittenByte,
+                n * sizeof(Node));
+  }
+  return block;
+}
 
 // ---------------------------------------------------------------------------
 // Intrusive-list arenas (LRU, FIFO)
@@ -80,7 +110,6 @@ class ListArenaBase {
                 std::uint64_t /*seed*/)
       : capacity_(static_cast<std::uint32_t>(capacity)), users_(num_users) {
     SPECPF_EXPECTS(capacity >= 1);
-    map_.reserve(std::min<std::size_t>(num_users * capacity, 1u << 20));
   }
 
   bool contains(std::uint32_t user, ItemId item) const {
@@ -339,7 +368,6 @@ class LfuArena {
   LfuArena(std::size_t num_users, std::size_t capacity, std::uint64_t /*seed*/)
       : capacity_(static_cast<std::uint32_t>(capacity)), users_(num_users) {
     SPECPF_EXPECTS(capacity >= 1);
-    map_.reserve(std::min<std::size_t>(num_users * capacity, 1u << 20));
   }
 
   std::optional<EntryTag> lookup(std::uint32_t user, ItemId item) {
@@ -658,9 +686,6 @@ class ClockArenaT {
     SPECPF_EXPECTS(capacity >= 1);
     SPECPF_EXPECTS(num_users * capacity < kNull);
     frames_.resize(num_users * capacity);
-    if constexpr (!kInlineResidency) {
-      map_.reserve(std::min<std::size_t>(num_users * capacity, 1u << 20));
-    }
   }
 
   std::optional<EntryTag> lookup(std::uint32_t user, ItemId item) {
@@ -820,9 +845,6 @@ class RandomArenaT {
     SPECPF_EXPECTS(capacity >= 1);
     SPECPF_EXPECTS(num_users * capacity < kNull);
     slots_.resize(num_users * capacity);
-    if constexpr (!kInlineResidency) {
-      map_.reserve(std::min<std::size_t>(num_users * capacity, 1u << 20));
-    }
     const Rng root(seed);
     rngs_.reserve(num_users);
     for (std::size_t u = 0; u < num_users; ++u) {
@@ -960,16 +982,17 @@ using SmallRandomArena = RandomArenaT<true>;
 /// fixed block of `capacity` packed 12-byte nodes with 16-bit local links.
 /// Residency is a scan of the block's occupied prefix (the §4 protocol
 /// never erases, and eviction reuses the victim's slot in place, so
-/// occupied slots always form a prefix) — at most three cache lines, and
+/// occupied slots always form a prefix) — at most seven cache lines, and
 /// zero index bytes per entry.
 class SmallListArenaBase {
  public:
   SmallListArenaBase(std::size_t num_users, std::size_t capacity,
                      std::uint64_t /*seed*/)
-      : capacity_(static_cast<std::uint16_t>(capacity)), users_(num_users) {
+      : capacity_(static_cast<std::uint16_t>(capacity)),
+        nodes_(unwritten_block<Node>(num_users * capacity)),
+        users_(num_users) {
     SPECPF_EXPECTS(capacity >= 1);
     SPECPF_EXPECTS(capacity <= kInlineResidencyCapacity);
-    nodes_.resize(num_users * capacity);
   }
 
   bool contains(std::uint32_t user, ItemId item) const {
@@ -993,7 +1016,7 @@ class SmallListArenaBase {
       const UserCacheView& u = users_[user];
       const std::string who = "user " + std::to_string(user);
       report.check(u.size <= capacity_, who + " exceeds capacity");
-      std::uint32_t seen = 0;  // bitmap: capacity_ <= 16 slots
+      std::uint32_t seen = 0;  // bitmap: capacity_ <= 32 slots
       std::uint16_t prev = kNull16;
       std::uint16_t slot = u.head;
       std::uint16_t steps = 0;
@@ -1029,11 +1052,11 @@ class SmallListArenaBase {
 
   static constexpr std::uint16_t kNull16 = 0xFFFF;
 
-  struct Node {  // 12 bytes
-    std::uint32_t item = 0;
-    std::uint16_t prev = kNull16;  // local slot index within the block
-    std::uint16_t next = kNull16;
-    EntryTag tag = EntryTag::kUntagged;
+  struct Node {  // 12 bytes; no initializers: see unwritten_block
+    std::uint32_t item;
+    std::uint16_t prev;  // local slot index within the block
+    std::uint16_t next;
+    EntryTag tag;
   };
 
   /// Per-user chain view over the block.
@@ -1092,7 +1115,7 @@ class SmallListArenaBase {
   }
 
   std::uint16_t capacity_;
-  std::vector<Node> nodes_;
+  std::unique_ptr<Node[]> nodes_;  // user u: [u * capacity_, +capacity_)
   std::vector<UserCacheView> users_;
 };
 
@@ -1186,15 +1209,16 @@ class SmallFifoArena : public SmallListArenaBase {
 ///                           (the front of the f+1 bucket),
 ///   * victim             -> last node of the head's equal-frequency run
 ///                           (LRU within the lowest bucket).
-/// Every walk is block-local (≤ 16 nodes in 4 cache lines).
+/// Every walk is block-local (≤ 32 nodes in 8 cache lines).
 class SmallLfuArena {
  public:
   SmallLfuArena(std::size_t num_users, std::size_t capacity,
                 std::uint64_t /*seed*/)
-      : capacity_(static_cast<std::uint16_t>(capacity)), users_(num_users) {
+      : capacity_(static_cast<std::uint16_t>(capacity)),
+        nodes_(unwritten_block<Node>(num_users * capacity)),
+        users_(num_users) {
     SPECPF_EXPECTS(capacity >= 1);
     SPECPF_EXPECTS(capacity <= kInlineResidencyCapacity);
-    nodes_.resize(num_users * capacity);
   }
 
   std::optional<EntryTag> lookup(std::uint32_t user, ItemId item) {
@@ -1259,7 +1283,7 @@ class SmallLfuArena {
       const UserLfuView& u = users_[user];
       const std::string who = "user " + std::to_string(user);
       report.check(u.size <= capacity_, who + " exceeds capacity");
-      std::uint32_t seen = 0;  // bitmap: capacity_ <= 16 slots
+      std::uint32_t seen = 0;  // bitmap: capacity_ <= 32 slots
       std::uint32_t prev_freq = 1;
       std::uint16_t prev = kNull16;
       std::uint16_t slot = u.head;
@@ -1301,12 +1325,12 @@ class SmallLfuArena {
 
   static constexpr std::uint16_t kNull16 = 0xFFFF;
 
-  struct Node {  // 16 bytes
-    std::uint32_t item = 0;
-    std::uint32_t freq = 0;
-    std::uint16_t prev = kNull16;
-    std::uint16_t next = kNull16;
-    EntryTag tag = EntryTag::kUntagged;
+  struct Node {  // 16 bytes; no initializers: see unwritten_block
+    std::uint32_t item;
+    std::uint32_t freq;
+    std::uint16_t prev;
+    std::uint16_t next;
+    EntryTag tag;
   };
   struct UserLfuView {
     std::uint16_t head = kNull16;  // lowest freq, most recent within it
@@ -1399,7 +1423,7 @@ class SmallLfuArena {
   }
 
   std::uint16_t capacity_;
-  std::vector<Node> nodes_;
+  std::unique_ptr<Node[]> nodes_;  // user u: [u * capacity_, +capacity_)
   std::vector<UserLfuView> users_;
 };
 

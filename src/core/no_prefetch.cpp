@@ -6,7 +6,7 @@ namespace specpf::core {
 
 NoPrefetchResult analyze_no_prefetch(const SystemParams& params) {
   params.validate();
-  SPECPF_EXPECTS(params.stable_without_prefetch());
+  expect_valid(params.check_stable());
 
   NoPrefetchResult out;
   out.utilization = params.utilization_no_prefetch();

@@ -26,6 +26,14 @@ std::string SystemParams::check() const {
   return {};
 }
 
+std::string SystemParams::check_stable() const {
+  if (stable_without_prefetch()) return {};
+  return config_error("utilization_no_prefetch",
+                      "must be below 1 (demand traffic f'*lambda*s/b alone "
+                      "saturates the link)",
+                      utilization_no_prefetch());
+}
+
 void SystemParams::validate() const { expect_valid(check()); }
 
 double max_candidates(const SystemParams& params, double access_probability) {

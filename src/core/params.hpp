@@ -43,6 +43,12 @@ struct SystemParams {
   /// message.
   std::string check() const;
 
+  /// "" when demand traffic alone is within capacity (ρ' < 1), else
+  /// "utilization_no_prefetch: <rule>, got <ρ'>". A cross-field rule kept
+  /// out of check(): frontends that size the bandwidth after reading the
+  /// other fields call it once the link is known.
+  std::string check_stable() const;
+
   /// Throws ContractViolation carrying check()'s message.
   void validate() const;
 };

@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "cache/cache_arena.hpp"
 #include "cache/cache_plane.hpp"
 #include "util/rng.hpp"
 
@@ -34,8 +35,11 @@ std::unique_ptr<CachePlane> make_observed(CacheKind kind, std::size_t cap,
 }
 
 /// Capacities on both sides of arena::kInlineResidencyCapacity: the
-/// per-user-block arenas and the shared-slab + FlatIndexMap arenas.
-constexpr std::size_t kCapacities[] = {12, 24};
+/// per-user-block arenas below and at the ceiling (a full block), and the
+/// shared-slab + FlatIndexMap arenas one past it and well above it.
+constexpr std::size_t kInline = arena::kInlineResidencyCapacity;
+constexpr std::size_t kCapacities[] = {kInline * 3 / 4, kInline, kInline + 1,
+                                       kInline * 3 / 2};
 
 /// Reference LRU: vector ordered most-recent-first.
 class RefLru {

@@ -10,8 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache_arena.hpp"
 #include "cache/cache_plane.hpp"
 #include "reference/legacy_planes.hpp"
+#include "util/audit.hpp"
 #include "util/mem.hpp"
 #include "util/rng.hpp"
 
@@ -20,6 +22,8 @@ namespace {
 
 using core::EntryTag;
 using core::InteractionModel;
+
+constexpr std::size_t kInline = arena::kInlineResidencyCapacity;
 
 constexpr CacheKind kAllKinds[] = {CacheKind::kLru, CacheKind::kLfu,
                                    CacheKind::kFifo, CacheKind::kClock,
@@ -107,15 +111,21 @@ void run_differential(CacheKind kind, std::size_t capacity,
 
 class CachePlaneDifferential : public ::testing::TestWithParam<CacheKind> {};
 
+/// Each side of the dispatch runs at its edge too: a per-user block at
+/// exactly the ceiling, and the smallest capacity above it.
 TEST_P(CachePlaneDifferential, SmallArenaMatchesLegacyOnRandomProtocolOps) {
-  for (std::uint64_t seed : {11ULL, 1111ULL}) {
-    run_differential(GetParam(), /*capacity=*/6, seed);
+  for (std::size_t capacity : {std::size_t{6}, kInline}) {
+    for (std::uint64_t seed : {11ULL, 1111ULL}) {
+      run_differential(GetParam(), capacity, seed);
+    }
   }
 }
 
 TEST_P(CachePlaneDifferential, MappedArenaMatchesLegacyOnRandomProtocolOps) {
-  for (std::uint64_t seed : {11ULL, 1111ULL}) {
-    run_differential(GetParam(), /*capacity=*/24, seed);
+  for (std::size_t capacity : {kInline + 1, kInline + 16}) {
+    for (std::uint64_t seed : {11ULL, 1111ULL}) {
+      run_differential(GetParam(), capacity, seed);
+    }
   }
 }
 
@@ -124,6 +134,92 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, CachePlaneDifferential,
                          [](const ::testing::TestParamInfo<CacheKind>& info) {
                            return std::string(cache_kind_name(info.param));
                          });
+
+// --- a full block at the ceiling, per-user block vs shared slab ---
+
+/// Drives a per-user-block arena and its slab + FlatIndexMap counterpart
+/// through one scripted sequence at capacity kInlineResidencyCapacity. Two
+/// users fill their blocks to the last slot. Every resident item is probed,
+/// the last one after a scan of the whole block, and so is a miss. Lookups
+/// then run newest-first: for LFU the first one bumps the head past the
+/// whole frequency-1 run. Last, a second block's worth of items is
+/// admitted, each one an eviction; the first LFU victim is found by walking
+/// every node of the lowest-frequency run.
+template <typename Small, typename Slab>
+void run_full_block(std::uint64_t seed) {
+  constexpr std::uint32_t kUsers = 2;
+  Small small(kUsers, kInline, seed);
+  Slab slab(kUsers, kInline, seed);
+  std::vector<Eviction> small_evictions;
+  std::vector<Eviction> slab_evictions;
+  const auto item_of = [](std::uint32_t user, std::size_t i) {
+    return static_cast<ItemId>(user * 1000 + i);
+  };
+  const auto admit = [&](std::uint32_t user, ItemId item, EntryTag tag) {
+    small.insert(user, item, tag, [&](ItemId victim, EntryTag victim_tag) {
+      small_evictions.push_back(Eviction{user, victim, victim_tag});
+    });
+    slab.insert(user, item, tag, [&](ItemId victim, EntryTag victim_tag) {
+      slab_evictions.push_back(Eviction{user, victim, victim_tag});
+    });
+  };
+
+  for (std::uint32_t user = 0; user < kUsers; ++user) {
+    for (std::size_t i = 0; i < kInline; ++i) {
+      admit(user, item_of(user, i),
+            i % 3 == 0 ? EntryTag::kUntagged : EntryTag::kTagged);
+    }
+  }
+  ASSERT_TRUE(small_evictions.empty());
+  ASSERT_TRUE(slab_evictions.empty());
+  for (std::uint32_t user = 0; user < kUsers; ++user) {
+    ASSERT_EQ(small.size(user), kInline);
+    for (std::size_t i = 0; i < kInline; ++i) {
+      EXPECT_TRUE(small.contains(user, item_of(user, i))) << "item " << i;
+    }
+    EXPECT_FALSE(small.contains(user, item_of(user, kInline)));
+    EXPECT_FALSE(small.contains(user, item_of(1 - user, 0)));
+    for (std::size_t k = 0; k < kInline; k += 3) {
+      const ItemId item = item_of(user, kInline - 1 - k);
+      ASSERT_EQ(small.lookup(user, item), slab.lookup(user, item))
+          << "item " << item;
+      if constexpr (requires { small.frequency(user, item); }) {
+        EXPECT_EQ(small.frequency(user, item), slab.frequency(user, item))
+            << "item " << item;
+      }
+    }
+  }
+  for (std::size_t i = kInline; i < 2 * kInline; ++i) {
+    for (std::uint32_t user = 0; user < kUsers; ++user) {
+      admit(user, item_of(user, i),
+            i % 2 == 0 ? EntryTag::kUntagged : EntryTag::kTagged);
+    }
+    ASSERT_EQ(small_evictions, slab_evictions) << "admission " << i;
+  }
+  EXPECT_EQ(small_evictions.size(), kUsers * kInline);
+  for (std::uint32_t user = 0; user < kUsers; ++user) {
+    EXPECT_EQ(small.size(user), slab.size(user));
+    for (std::size_t i = 0; i < 2 * kInline; ++i) {
+      EXPECT_EQ(small.contains(user, item_of(user, i)),
+                slab.contains(user, item_of(user, i)))
+          << "item " << i;
+    }
+  }
+  AuditReport small_report;
+  small.audit(small_report);
+  EXPECT_TRUE(small_report.ok()) << small_report.summary();
+  AuditReport slab_report;
+  slab.audit(slab_report);
+  EXPECT_TRUE(slab_report.ok()) << slab_report.summary();
+}
+
+TEST(InlineResidencyCeiling, FullBlockMatchesSlabArenaForEveryPolicy) {
+  run_full_block<arena::SmallLruArena, arena::LruArena>(5);
+  run_full_block<arena::SmallFifoArena, arena::FifoArena>(5);
+  run_full_block<arena::SmallLfuArena, arena::LfuArena>(5);
+  run_full_block<arena::SmallClockArena, arena::ClockArena>(5);
+  run_full_block<arena::SmallRandomArena, arena::RandomArena>(5);
+}
 
 // --- §4 tag-transition edge cases, pinned identically on both backends ---
 

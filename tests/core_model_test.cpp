@@ -105,6 +105,17 @@ TEST(SystemParams, CheckNamesTheFirstBadField) {
   EXPECT_THROW(p.validate(), ContractViolation);
 }
 
+TEST(SystemParams, CheckStableNamesTheSaturatedDemandLoad) {
+  SystemParams p = paper_params(0.3);  // rho' = 0.7 * 30 / 50 = 0.42
+  EXPECT_EQ(p.check_stable(), "");
+  p.request_rate = 1000.0;  // rho' = 14: every field alone is in its domain
+  EXPECT_EQ(p.check(), "");
+  const std::string error = p.check_stable();
+  EXPECT_EQ(error.substr(0, error.find(':')), "utilization_no_prefetch");
+  EXPECT_NE(error.find("got 14"), std::string::npos) << error;
+  EXPECT_THROW(analyze_no_prefetch(p), ContractViolation);
+}
+
 // ---------------------------------------------------------------------------
 // Model A explicit formulas vs generalised implementation
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -63,6 +64,19 @@ struct AuditPeer {
     a.nodes_[n1].next = n2;
     a.nodes_[n2].next = n1;
     a.free_ = n1;
+  }
+
+  // --- cache arenas (per-user blocks) -------------------------------------
+  /// Bytes of the slots of `user`'s block at or past its size: storage the
+  /// arena has never written.
+  template <typename SmallArena>
+  static std::vector<unsigned char> unwritten_slots(const SmallArena& a,
+                                                    std::uint32_t user) {
+    const auto* block =
+        reinterpret_cast<const unsigned char*>(&a.nodes_[a.base(user)]);
+    using Node = std::remove_reference_t<decltype(a.nodes_[0])>;
+    return {block + a.users_[user].size * sizeof(Node),
+            block + a.capacity_ * sizeof(Node)};
   }
 
   // --- context arena ------------------------------------------------------
@@ -250,6 +264,8 @@ TEST(AuditClean, CachePlanesAllKindsBothArenaVariants) {
   for (int k = 0; k < kNumCacheKinds; ++k) {
     // capacity 4 selects the small (inline-residency) arenas, 48 the
     // slab + FlatIndexMap arenas; both variants of every policy.
+    static_assert(4 <= arena::kInlineResidencyCapacity &&
+                  48 > arena::kInlineResidencyCapacity);
     for (std::size_t capacity : {std::size_t{4}, std::size_t{48}}) {
       CachePlaneConfig cfg;
       cfg.num_users = 16;
@@ -398,6 +414,39 @@ TEST(AuditInjection, CacheArenaFreeListCycle) {
   AuditReport report;
   a.audit(report);
   expect_failure_containing(report, "cycle");
+}
+
+/// Audit builds fill fresh per-user-block storage with 0xDD, so a read of
+/// a slot no insert has written yields poisoned items and links; other
+/// builds leave the storage unwritten, and its bytes are indeterminate.
+TEST(AuditInjection, SmallCacheArenaUnwrittenSlotsCarryPoison) {
+  if constexpr (!kAuditBuild) {
+    GTEST_SKIP() << "unwritten block storage is poisoned in SPECPF_AUDIT "
+                    "builds only";
+  }
+  const auto expect_poisoned = [](const std::vector<unsigned char>& bytes) {
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end(), [](unsigned char b) {
+      return b == arena::kUnwrittenByte;
+    }));
+  };
+  const std::size_t cap = arena::kInlineResidencyCapacity;
+  arena::SmallLruArena lru(/*num_users=*/2, cap, /*seed=*/1);
+  arena::SmallLfuArena lfu(/*num_users=*/2, cap, /*seed=*/1);
+  const auto no_eviction = [](ItemId, arena::EntryTag) {};
+  for (ItemId item = 0; item < 3; ++item) {
+    lru.insert(0, item, arena::EntryTag::kTagged, no_eviction);
+    lfu.insert(0, item, arena::EntryTag::kTagged, no_eviction);
+  }
+  for (std::uint32_t user = 0; user < 2; ++user) {
+    expect_poisoned(AuditPeer::unwritten_slots(
+        static_cast<const arena::SmallListArenaBase&>(lru), user));
+    expect_poisoned(AuditPeer::unwritten_slots(lfu, user));
+  }
+  AuditReport report;
+  lru.audit(report);
+  lfu.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(AuditInjection, ContextArenaSuccessorTotalDrift) {
