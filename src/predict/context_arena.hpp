@@ -1,19 +1,31 @@
 // ContextArena — the shared slab behind the SoA predictor plane.
 //
 // Every predictor model reduces to the same data shape: a set of *contexts*
-// (the global stream, a last item, an order-k history hash, a
+// (the global stream, a last item, an order-k history, a
 // dependency-graph node), each holding a count per observed *successor*.
 // The legacy tables realised that shape as FlatHashMap<FlatHashMap<u64>>
 // — one heap-allocated nested table per context, a pointer chase per probe
 // and an allocation per new context. The arena flattens the whole fleet of
 // tables into structure-of-arrays columns:
 //
-//     ctx_index_ : FlatIndexMap   context key  -> u32 context id
 //     item_index_: FlatIndexMap   item value   -> u32 dense item id
-//     context columns (SoA)       offset / distinct / class / total / aux
+//     item_ctx_  : per item id    the item's context id, or kNoCtx
+//     context columns (SoA)       offset / distinct / class / total
 //     successor pool (SoA)        item id (u32) / quantized count (u16)
+//                                 / child context id (u32, PPM's arena only)
 //     succ_index_: FlatIndexMap   (ctx id << 32 | item id) -> position of
 //                                 the successor inside its context's block
+//
+// A context is named by structure, never by a hashed key, and each context
+// by exactly one name:
+//   - an item context (Markov's last item, a dependency-graph node, PPM's
+//     order-1 context) sits in item_ctx_ at the item's id;
+//   - a child context (PPM's order k + 1) sits in the child column beside
+//     one successor slot of its order-k parent: the context of history
+//     (x1 .. xk, y) is the child of context (x1 .. xk) at y's slot;
+//   - the root context (frequency's global stream) is made once.
+// So PPM's contexts form a trie rooted at item contexts, and a PPM user
+// walks it through ContextPath refs instead of hashing its history.
 //
 // Each context's successors sit in one contiguous block of the pool,
 // [offset_[c], offset_[c] + distinct_[c]), in insertion order:
@@ -26,11 +38,12 @@
 // position `distinct`; when the block is full, the whole block moves into
 // one twice its size — popped from that size class's free list of
 // outgrown blocks, or appended to the pool — and the outgrown block goes
-// onto its own class's free list. A move keeps every position, so
-// succ_index_ is never rewritten. Reading a context is one linear scan of
-// a block rather than one dependent load per successor. Iteration order is
-// insertion order; every consumer either ranks by a strict total order or
-// sums per item, so the order never shows in a prediction.
+// onto its own class's free list. A move keeps every position, so neither
+// succ_index_ nor a (parent, slot) ref is ever rewritten. Reading a context
+// is one linear scan of a block rather than one dependent load per
+// successor. Iteration order is insertion order; every consumer either
+// ranks by a strict total order or sums per item, so the order never shows
+// in a prediction.
 //
 // Successor counts are quantized saturating u16 counters: when a counter
 // is about to overflow, every counter in that context is halved in place
@@ -60,25 +73,28 @@ class ContextArena {
  public:
   using CtxId = std::uint32_t;
   static constexpr CtxId kNoCtx = 0xFFFFFFFFu;
+  /// Never a valid item id: the "no item yet" sentinel for per-user state.
+  static constexpr std::uint32_t kNoItem = 0xFFFFFFFFu;
   static constexpr std::uint16_t kCounterMax = 0xFFFFu;
 
-  /// Context id for `key`, creating an empty context on first sight.
-  CtxId intern(std::uint64_t key) {
-    if (const std::uint32_t* id = ctx_index_.find(key)) return *id;
-    const CtxId id = static_cast<CtxId>(offset_.size());
-    offset_.push_back(0);
-    distinct_.push_back(0);
-    class_.push_back(kNoBlock);
-    total_.push_back(0);
-    aux_.push_back(0);
-    ctx_index_[key] = id;
-    return id;
-  }
+  /// Where add() counted a successor: its position in the context's block,
+  /// which it keeps for good, and its new count.
+  struct Added {
+    std::uint32_t slot;
+    std::uint16_t count;
+  };
 
-  /// Context id for `key`, or kNoCtx when the context was never observed.
-  CtxId find(std::uint64_t key) const {
-    const std::uint32_t* id = ctx_index_.find(key);
-    return id ? *id : kNoCtx;
+  /// `child_column`: keep a child context id beside every successor slot,
+  /// for child_context. Only PPM's trie names contexts that way, and the
+  /// column costs 4 bytes per pool slot, so the other models go without.
+  explicit ContextArena(bool child_column = false)
+      : children_(child_column) {}
+
+  /// The arena's one root context (frequency's global stream), created on
+  /// the first call.
+  CtxId root_context() {
+    if (root_ == kNoCtx) root_ = new_context();
+    return root_;
   }
 
   /// Dense id for `item`, interning on first sight. Shared across every
@@ -86,39 +102,66 @@ class ContextArena {
   std::uint32_t intern_item(std::uint64_t item) {
     if (const std::uint32_t* id = item_index_.find(item)) return *id;
     const std::uint32_t id = static_cast<std::uint32_t>(item_value_.size());
+    SPECPF_ASSERT(id != kNoItem);
     item_value_.push_back(item);
+    item_ctx_.push_back(kNoCtx);
     item_index_[item] = id;
     return id;
   }
 
-  /// Records one context -> item observation: bumps the successor's
-  /// quantized counter (halving the context first when it would saturate)
-  /// and the context total. Returns the successor's new count.
-  std::uint16_t add(CtxId ctx, std::uint32_t item_id) {
-    const std::uint64_t key = succ_key(ctx, item_id);
-    std::uint16_t count = 1;
-    if (const std::uint32_t* found = succ_index_.find(key)) {
-      std::uint16_t& c = count_[offset_[ctx] + *found];
-      if (c == kCounterMax) halve(ctx);
-      count = ++c;
-    } else {
-      const std::uint32_t pos = distinct_[ctx];
-      if (pos == capacity(ctx)) grow(ctx);
-      item_[offset_[ctx] + pos] = item_id;
-      count_[offset_[ctx] + pos] = 1;
-      distinct_[ctx] = pos + 1;
-      succ_index_[key] = pos;
-    }
-    ++total_[ctx];
-    return count;
+  /// The context named by `item_id`, created empty on first need.
+  CtxId item_context(std::uint32_t item_id) {
+    CtxId& ctx = item_ctx_[item_id];
+    if (ctx == kNoCtx) ctx = new_context();
+    return ctx;
   }
 
-  /// Auxiliary per-context counter (the dependency graph's occurrence
-  /// count); not part of the successor-total bookkeeping.
-  void bump_aux(CtxId ctx) { ++aux_[ctx]; }
+  /// The context named by `item_id`, or kNoCtx when none was needed yet.
+  CtxId find_item_context(std::uint32_t item_id) const {
+    return item_ctx_[item_id];
+  }
+
+  /// The child of `parent` at successor position `slot` (< distinct),
+  /// created empty on first need. Needs the child column.
+  CtxId child_context(CtxId parent, std::uint32_t slot) {
+    SPECPF_DCHECK(children_ && slot < distinct_[parent]);
+    CtxId& child = child_[offset_[parent] + slot];
+    if (child == kNoCtx) child = new_context();
+    return child;
+  }
+
+  /// The child of `parent` at `slot`, or kNoCtx when none was needed yet.
+  CtxId find_child(CtxId parent, std::uint32_t slot) const {
+    SPECPF_DCHECK(children_ && slot < distinct_[parent]);
+    return child_[offset_[parent] + slot];
+  }
+
+  /// Records one context -> item observation: bumps the successor's
+  /// quantized counter (halving the context first when it would saturate)
+  /// and the context total. Returns the successor's slot and new count.
+  Added add(CtxId ctx, std::uint32_t item_id) {
+    // One probe finds the successor or makes its index entry.
+    const std::size_t indexed = succ_index_.size();
+    std::uint32_t& slot = succ_index_[succ_key(ctx, item_id)];
+    Added added{slot, 1};
+    if (succ_index_.size() == indexed) {
+      std::uint16_t& c = count_[offset_[ctx] + added.slot];
+      if (c == kCounterMax) halve(ctx);
+      added.count = ++c;
+    } else {
+      slot = added.slot = distinct_[ctx];
+      if (added.slot == capacity(ctx)) grow(ctx);
+      const std::uint32_t at = offset_[ctx] + added.slot;
+      item_[at] = item_id;
+      count_[at] = 1;
+      if (children_) child_[at] = kNoCtx;
+      distinct_[ctx] = added.slot + 1;
+    }
+    ++total_[ctx];
+    return added;
+  }
 
   std::uint64_t total(CtxId ctx) const { return total_[ctx]; }
-  std::uint64_t aux(CtxId ctx) const { return aux_[ctx]; }
   std::uint32_t distinct(CtxId ctx) const { return distinct_[ctx]; }
 
   /// Visits every (item id, count) successor of `ctx` in insertion order —
@@ -146,6 +189,11 @@ class ContextArena {
     return item_value_[item_id];
   }
 
+  /// The item id of `ctx`'s successor at position `slot` (< distinct).
+  std::uint32_t successor_id(CtxId ctx, std::uint32_t slot) const {
+    return item_[offset_[ctx] + slot];
+  }
+
   std::size_t context_count() const { return offset_.size(); }
   std::size_t successor_count() const { return succ_index_.size(); }
   std::size_t item_count() const { return item_value_.size(); }
@@ -161,20 +209,38 @@ class ContextArena {
   /// capacity accounting for the whole pool; each context's capacity the
   /// smallest power of two holding its successors; per-context
   /// conservation (sum of counts == total, counts >= 1); successor-index
-  /// round-trips ((ctx, item) <-> block position both ways); and
-  /// interning round-trips for the context and item indices.
+  /// round-trips ((ctx, item) <-> block position both ways); naming (every
+  /// context named exactly once — by an item, by one child slot, or as the
+  /// root — and every child created after its parent); and item interning
+  /// round-trips.
   void audit(AuditReport& report) const {
     const AuditScope scope(report, "ContextArena");
     const std::size_t ctxs = offset_.size();
     report.check(distinct_.size() == ctxs && class_.size() == ctxs &&
-                     total_.size() == ctxs && aux_.size() == ctxs,
+                     total_.size() == ctxs,
                  "context SoA columns disagree on length");
     const std::size_t pool = item_.size();
-    report.check(count_.size() == pool, "pool SoA columns disagree on length");
-    report.check(ctx_index_.size() == ctxs,
-                 "context index size != context count");
-    report.check(item_index_.size() == item_value_.size(),
-                 "item index size != item count");
+    report.check(count_.size() == pool &&
+                     child_.size() == (children_ ? pool : 0),
+                 "pool SoA columns disagree on length");
+    report.check(item_index_.size() == item_value_.size() &&
+                     item_ctx_.size() == item_value_.size(),
+                 "item index or item-context column size != item count");
+
+    // Naming: names[c] counts the names of context c, saturating at 2.
+    std::vector<std::uint8_t> names(ctxs, 0);
+    auto name = [&](CtxId ctx, const char* by) {
+      if (ctx < ctxs) {
+        names[ctx] = static_cast<std::uint8_t>(std::min(names[ctx] + 1, 2));
+      } else {
+        report.fail(std::string(by) + " names an unallocated context " +
+                    std::to_string(ctx));
+      }
+    };
+    if (root_ != kNoCtx) name(root_, "the root");
+    for (const CtxId ctx : item_ctx_) {
+      if (ctx != kNoCtx) name(ctx, "an item");
+    }
 
     // Pool ownership: 0 = unclaimed, 1 = a live block, 2 = a free block.
     // Every pool slot must be claimed by exactly one block.
@@ -236,6 +302,17 @@ class ContextArena {
             succ_index_.find(succ_key(ctx, item_id));
         report.check(found != nullptr && *found == pos,
                      where + "failed the successor index round-trip");
+        const CtxId child =
+            children_ && offset_[ctx] + pos < child_.size()
+                ? child_[offset_[ctx] + pos]
+                : kNoCtx;
+        if (child != kNoCtx) {
+          name(child, "a child slot");
+          if (child <= ctx) {
+            report.fail(where + "names child ctx " + std::to_string(child) +
+                        ", created before its parent");
+          }
+        }
         sum += c;
       }
       report.check(sum == total_[ctx],
@@ -264,12 +341,26 @@ class ContextArena {
                      std::to_string(free_capacity) + " != pool size " +
                      std::to_string(pool) + " (leaked slots)");
 
-    // Interning round-trips: every index entry points at a slab slot that
-    // agrees with it, and (for items) the slab points back into the index.
-    ctx_index_.for_each([&](std::uint64_t /*key*/, std::uint32_t id) {
-      report.check(id < ctxs, "context index maps to an unallocated id " +
-                                  std::to_string(id));
-    });
+    std::size_t unnamed = 0;
+    std::size_t renamed = 0;
+    CtxId first_unnamed = 0;
+    CtxId first_renamed = 0;
+    for (CtxId ctx = 0; ctx < ctxs; ++ctx) {
+      if (names[ctx] == 0 && unnamed++ == 0) first_unnamed = ctx;
+      if (names[ctx] == 2 && renamed++ == 0) first_renamed = ctx;
+    }
+    report.check(unnamed == 0,
+                 std::to_string(unnamed) +
+                     " context(s) named by no item, child slot or root, "
+                     "the first ctx " +
+                     std::to_string(first_unnamed));
+    report.check(renamed == 0, std::to_string(renamed) +
+                                   " context(s) have two names, the first "
+                                   "ctx " +
+                                   std::to_string(first_renamed));
+
+    // Item interning round-trips: every index entry points at a slab slot
+    // that agrees with it, and the slab points back into the index.
     item_index_.for_each([&](std::uint64_t item, std::uint32_t id) {
       if (report.check(id < item_value_.size(),
                        "item index maps to an unallocated id " +
@@ -279,7 +370,6 @@ class ContextArena {
                          std::to_string(id));
       }
     });
-    ctx_index_.audit(report);
     item_index_.audit(report);
     succ_index_.audit(report);
   }
@@ -292,6 +382,16 @@ class ContextArena {
   static constexpr std::size_t kClasses = 32;
   static constexpr std::uint8_t kNoBlock = 0xFF;
 
+  CtxId new_context() {
+    const CtxId id = static_cast<CtxId>(offset_.size());
+    SPECPF_ASSERT(id != kNoCtx);
+    offset_.push_back(0);
+    distinct_.push_back(0);
+    class_.push_back(kNoBlock);
+    total_.push_back(0);
+    return id;
+  }
+
   static std::uint64_t succ_key(CtxId ctx, std::uint32_t item_id) {
     return (static_cast<std::uint64_t>(ctx) << 32) | item_id;
   }
@@ -302,7 +402,8 @@ class ContextArena {
 
   /// Moves a full context into a block twice its size (or gives an empty
   /// context its first, one-slot block), reusing an outgrown block of that
-  /// class when one is free. Positions are kept, so the index stays valid.
+  /// class when one is free. Positions are kept, so the index and every
+  /// (parent, slot) ref stay valid.
   void grow(CtxId ctx) {
     const std::uint32_t old_capacity = capacity(ctx);
     const std::uint8_t cls = class_[ctx] == kNoBlock
@@ -319,11 +420,16 @@ class ContextArena {
       fresh = static_cast<std::uint32_t>(item_.size());
       item_.resize(item_.size() + new_capacity);
       count_.resize(count_.size() + new_capacity);
+      if (children_) child_.resize(child_.size() + new_capacity);
     }
     if (old_capacity != 0) {
       const std::uint32_t old = offset_[ctx];
       std::copy_n(item_.begin() + old, old_capacity, item_.begin() + fresh);
       std::copy_n(count_.begin() + old, old_capacity, count_.begin() + fresh);
+      if (children_) {
+        std::copy_n(child_.begin() + old, old_capacity,
+                    child_.begin() + fresh);
+      }
       free_[class_[ctx]].push_back(old);
     }
     offset_[ctx] = fresh;
@@ -344,30 +450,139 @@ class ContextArena {
     ++halvings_;
   }
 
-  FlatIndexMap ctx_index_;
   FlatIndexMap item_index_;
   FlatIndexMap succ_index_;
   std::vector<std::uint64_t> item_value_;
+  std::vector<CtxId> item_ctx_;  ///< per item id: its context, or kNoCtx
+  CtxId root_ = kNoCtx;
+  bool children_;
 
   // Context columns.
   std::vector<std::uint32_t> offset_;  ///< block start in the pool
   std::vector<std::uint32_t> distinct_;
   std::vector<std::uint8_t> class_;    ///< log2 capacity, or kNoBlock
   std::vector<std::uint64_t> total_;
-  std::vector<std::uint64_t> aux_;
 
   // Successor pool: live blocks and free-listed outgrown blocks.
   std::vector<std::uint32_t> item_;
   std::vector<std::uint16_t> count_;
+  /// Per pool slot: the child context at that successor, or kNoCtx. Empty
+  /// unless the arena was built with the child column.
+  std::vector<CtxId> child_;
   /// free_[k]: offsets of outgrown blocks of capacity 2^k.
   std::array<std::vector<std::uint32_t>, kClasses> free_;
 
   std::uint64_t halvings_ = 0;
 };
 
-/// Fixed-window per-user history, stored as rings in one user-indexed slab
-/// (replacing FlatHashMap<std::deque<u64>>): user u's window occupies slots
-/// [u*window, (u+1)*window), with a one-byte head/length pair per user.
+/// Each user's place in a child-column ContextArena's context trie, for a
+/// PPM model of order `depth`. After the user's latest access x_n, ref k
+/// (k = 1 .. size) names the user's order-k context (x_{n-k+1} .. x_n):
+///   - order 1 is x_n's item context, so the ref holds x_n's item id;
+///   - order k >= 2 is the child of the order-(k - 1) context that x_n was
+///     counted in, at x_n's slot, so the ref holds {that parent, that slot}.
+/// A ref names its context before the context exists: observe creates it
+/// when the user's next access is counted in it, which is exactly where an
+/// index keyed by the literal history would first have interned it. Refs
+/// never go stale, because a successor keeps its slot for good (grow keeps
+/// positions and halving does not reorder).
+class ContextPath {
+ public:
+  ContextPath(std::size_t num_users, std::size_t depth)
+      : depth_(depth), refs_(num_users * depth), len_(num_users, 0) {
+    SPECPF_EXPECTS(depth >= 1 && depth <= 255);
+  }
+
+  /// Orders the user's refs cover: min(depth, accesses observed).
+  std::size_t size(std::uint32_t user) const { return len_[user]; }
+
+  /// Counts `item_id` in each of the user's contexts, shortest first,
+  /// creating any that does not exist yet. Then moves the refs on: the new
+  /// order-1 ref is `item_id`, and the new order-(k + 1) ref is the order-k
+  /// context with the slot that `item_id` was just counted at.
+  void observe(ContextArena& arena, std::uint32_t user,
+               std::uint32_t item_id) {
+    Ref* refs = refs_.data() + static_cast<std::size_t>(user) * depth_;
+    const std::size_t len = len_[user];
+    Ref next{item_id, 0};
+    for (std::size_t k = 0; k < len; ++k) {
+      const ContextArena::CtxId ctx =
+          k == 0 ? arena.item_context(refs[0].parent)
+                 : arena.child_context(refs[k].parent, refs[k].slot);
+      refs[k] = next;
+      next = Ref{ctx, arena.add(ctx, item_id).slot};
+    }
+    if (len < depth_) {
+      refs[len] = next;
+      len_[user] = static_cast<std::uint8_t>(len + 1);
+    }
+  }
+
+  /// The user's order-`order` context (1 <= order <= size), or kNoCtx when
+  /// no access has been counted in it yet.
+  ContextArena::CtxId find(const ContextArena& arena, std::uint32_t user,
+                           std::size_t order) const {
+    const Ref& ref =
+        refs_[static_cast<std::size_t>(user) * depth_ + order - 1];
+    return order == 1 ? arena.find_item_context(ref.parent)
+                      : arena.find_child(ref.parent, ref.slot);
+  }
+
+  /// Deep-invariant walker (util/audit.hpp): per user, at most `depth`
+  /// refs; the order-1 ref an interned item; every longer ref an allocated
+  /// parent with slot < distinct(parent), holding the user's newest item.
+  void audit(const ContextArena& arena, AuditReport& report) const {
+    const AuditScope scope(report, "ContextPath");
+    report.check(refs_.size() == len_.size() * depth_,
+                 "ref slab size != users x depth");
+    for (std::size_t user = 0; user < len_.size(); ++user) {
+      const std::size_t len = len_[user];
+      if (len == 0) continue;
+      const std::string who = "user " + std::to_string(user) + ": ";
+      const Ref* refs = refs_.data() + user * depth_;
+      const std::uint32_t newest = refs[0].parent;
+      if (!report.check(len <= depth_, who + std::to_string(len) +
+                                           " refs exceed the depth") ||
+          !report.check(newest < arena.item_count(),
+                        who + "order-1 ref names an uninterned item id")) {
+        continue;
+      }
+      for (std::size_t k = 1; k < len; ++k) {
+        const Ref& ref = refs[k];
+        const std::string where =
+            who + "order-" + std::to_string(k + 1) + " ref ";
+        if (!report.check(ref.parent < arena.context_count(),
+                          where + "names an unallocated parent") ||
+            !report.check(ref.slot < arena.distinct(ref.parent),
+                          where + "slot " + std::to_string(ref.slot) +
+                              " is past its parent's " +
+                              std::to_string(arena.distinct(ref.parent)) +
+                              " successors")) {
+          continue;
+        }
+        report.check(arena.successor_id(ref.parent, ref.slot) == newest,
+                     where + "slot does not hold the newest item");
+      }
+    }
+  }
+
+ private:
+  friend struct AuditPeer;  // corruption-injection tests only
+
+  struct Ref {
+    std::uint32_t parent;  ///< order 1: the item id; else the parent ctx
+    std::uint32_t slot;    ///< the newest item's slot in the parent
+  };
+
+  std::size_t depth_;
+  std::vector<Ref> refs_;  ///< user u's refs: [u * depth, (u + 1) * depth)
+  std::vector<std::uint8_t> len_;
+};
+
+/// Fixed-window per-user history of item ids, stored as rings in one
+/// user-indexed slab (replacing FlatHashMap<std::deque<u64>>): user u's
+/// window occupies slots [u*window, (u+1)*window), with a one-byte
+/// head/length pair per user.
 class HistoryRing {
  public:
   HistoryRing(std::size_t num_users, std::size_t window)
@@ -378,7 +593,7 @@ class HistoryRing {
     SPECPF_EXPECTS(window >= 1 && window <= 255);
   }
 
-  void push(std::uint32_t user, std::uint64_t item) {
+  void push(std::uint32_t user, std::uint32_t item) {
     const std::size_t base = static_cast<std::size_t>(user) * window_;
     if (len_[user] < window_) {
       items_[base + (head_[user] + len_[user]) % window_] = item;
@@ -392,18 +607,18 @@ class HistoryRing {
   std::size_t size(std::uint32_t user) const { return len_[user]; }
 
   /// i-th item of the user's window, oldest (i = 0) to newest.
-  std::uint64_t at(std::uint32_t user, std::size_t i) const {
+  std::uint32_t at(std::uint32_t user, std::size_t i) const {
     return items_[static_cast<std::size_t>(user) * window_ +
                   (head_[user] + i) % window_];
   }
 
-  std::uint64_t newest(std::uint32_t user) const {
+  std::uint32_t newest(std::uint32_t user) const {
     return at(user, len_[user] - 1);
   }
 
  private:
   std::size_t window_;
-  std::vector<std::uint64_t> items_;
+  std::vector<std::uint32_t> items_;
   std::vector<std::uint8_t> head_;  ///< ring index of the oldest entry
   std::vector<std::uint8_t> len_;
 };

@@ -1,6 +1,7 @@
 #include "predict/predictor_plane.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "predict/context_arena.hpp"
 #include "predict/ranked_prefix.hpp"
@@ -37,10 +38,11 @@ void select_top_candidates(std::vector<Candidate>& candidates, std::size_t k) {
 
 class FrequencyPlane final : public PredictorPlane {
  public:
-  FrequencyPlane() : ctx_(arena_.intern(0)) {}
+  FrequencyPlane() : ctx_(arena_.root_context()) {}
 
   void observe(UserId /*user*/, std::uint64_t item) override {
-    const std::uint16_t count = arena_.add(ctx_, arena_.intern_item(item));
+    const std::uint16_t count =
+        arena_.add(ctx_, arena_.intern_item(item)).count;
     ranks_.on_add(arena_, ctx_, item, count);
   }
 
@@ -81,7 +83,7 @@ class FrequencyPlane final : public PredictorPlane {
 class MarkovPlane final : public PredictorPlane {
  public:
   MarkovPlane(std::size_t num_users, double laplace)
-      : laplace_(laplace), last_(num_users, 0), has_last_(num_users, 0) {
+      : laplace_(laplace), last_(num_users, ContextArena::kNoItem) {
     // The bound keeps count order equal to probability order (see
     // kMaxMarkovLaplace); predict_into depends on it.
     SPECPF_EXPECTS(laplace >= 0.0 && laplace <= kMaxMarkovLaplace);
@@ -89,20 +91,19 @@ class MarkovPlane final : public PredictorPlane {
 
   void observe(UserId user, std::uint64_t item) override {
     SPECPF_EXPECTS(user < last_.size());
-    if (has_last_[user]) {
-      const ContextArena::CtxId ctx = arena_.intern(last_[user]);
-      const std::uint16_t count = arena_.add(ctx, arena_.intern_item(item));
-      ranks_.on_add(arena_, ctx, item, count);
+    const std::uint32_t item_id = arena_.intern_item(item);
+    if (last_[user] != ContextArena::kNoItem) {
+      const ContextArena::CtxId ctx = arena_.item_context(last_[user]);
+      ranks_.on_add(arena_, ctx, item, arena_.add(ctx, item_id).count);
     }
-    last_[user] = item;
-    has_last_[user] = 1;
+    last_[user] = item_id;
   }
 
   void predict_into(UserId user, std::size_t max_candidates,
                     std::vector<Candidate>& out) const override {
     out.clear();
-    if (!has_last_[user]) return;
-    const ContextArena::CtxId ctx = arena_.find(last_[user]);
+    if (last_[user] == ContextArena::kNoItem) return;
+    const ContextArena::CtxId ctx = arena_.find_item_context(last_[user]);
     if (ctx == ContextArena::kNoCtx || arena_.total(ctx) == 0) return;
     const double denom =
         static_cast<double>(arena_.total(ctx)) +
@@ -122,38 +123,38 @@ class MarkovPlane final : public PredictorPlane {
   void audit(AuditReport& report) const override {
     arena_.audit(report);
     ranks_.audit(arena_, report);
+    const AuditScope scope(report, "MarkovPlane");
+    std::size_t bad = 0;
+    for (const std::uint32_t last : last_) {
+      bad += last != ContextArena::kNoItem && last >= arena_.item_count();
+    }
+    report.check(bad == 0, std::to_string(bad) +
+                               " user(s) whose last item is not interned");
   }
 
  private:
   double laplace_;
   ContextArena arena_;
   mutable RankedPrefix ranks_;  ///< see FrequencyPlane::ranks_
-  std::vector<std::uint64_t> last_;
-  std::vector<std::uint8_t> has_last_;
+  /// Per user: the item id of their latest access, or kNoItem before it.
+  std::vector<std::uint32_t> last_;
 };
 
-// --- ppm: order-k context trie over hashed histories ------------------------
+// --- ppm: order-k context trie ---------------------------------------------
 
 class PpmPlane final : public PredictorPlane {
  public:
   PpmPlane(std::size_t num_users, std::size_t max_order)
-      : max_order_(max_order), history_(num_users, max_order) {
-    SPECPF_EXPECTS(max_order >= 1);
-  }
+      : arena_(/*child_column=*/true), path_(num_users, max_order) {}
 
   void observe(UserId user, std::uint64_t item) override {
-    const std::uint32_t item_id = arena_.intern_item(item);
-    const std::size_t len = history_.size(user);
-    for (std::size_t order = 1; order <= std::min(max_order_, len); ++order) {
-      arena_.add(arena_.intern(context_hash(user, order)), item_id);
-    }
-    history_.push(user, item);
+    path_.observe(arena_, user, arena_.intern_item(item));
   }
 
   void predict_into(UserId user, std::size_t max_candidates,
                     std::vector<Candidate>& out) const override {
     out.clear();
-    const std::size_t len = history_.size(user);
+    const std::size_t len = path_.size(user);
     if (len == 0) return;
 
     // PPM-C blending, replicated term-for-term from the legacy table: the
@@ -167,8 +168,8 @@ class PpmPlane final : public PredictorPlane {
       blend_.resize(arena_.item_count(), 0.0);
     }
     double carry = 1.0;
-    for (std::size_t order = std::min(max_order_, len); order >= 1; --order) {
-      const ContextArena::CtxId ctx = arena_.find(context_hash(user, order));
+    for (std::size_t order = len; order >= 1; --order) {
+      const ContextArena::CtxId ctx = path_.find(arena_, user, order);
       if (ctx == ContextArena::kNoCtx || arena_.total(ctx) == 0) continue;
       const double distinct = static_cast<double>(arena_.distinct(ctx));
       const double total = static_cast<double>(arena_.total(ctx));
@@ -201,28 +202,14 @@ class PpmPlane final : public PredictorPlane {
     return arena_.context_count();
   }
 
-  void audit(AuditReport& report) const override { arena_.audit(report); }
-
- private:
-  /// Hash of the user's most recent `length` items — the same FNV-1a mix
-  /// (seeded by the length) as PpmPredictor::hash_context, so context
-  /// interning groups observations exactly as the legacy table does,
-  /// including any 64-bit hash collisions.
-  std::uint64_t context_hash(UserId user, std::size_t length) const {
-    std::uint64_t h =
-        14695981039346656037ULL ^ (length * 0x9E3779B97F4A7C15ULL);
-    const std::size_t len = history_.size(user);
-    for (std::size_t i = len - length; i < len; ++i) {
-      h ^= history_.at(user, i);
-      h *= 1099511628211ULL;
-      h ^= h >> 29;
-    }
-    return h;
+  void audit(AuditReport& report) const override {
+    arena_.audit(report);
+    path_.audit(arena_, report);
   }
 
-  std::size_t max_order_;
+ private:
   ContextArena arena_;
-  HistoryRing history_;
+  ContextPath path_;
   /// Blending scratch: a dense per-item-id sum, zero between calls, and the
   /// ids this call touched (reset from it in O(touched), not O(items)).
   /// Capacity persists, so the steady state does not allocate. The plane is
@@ -242,13 +229,15 @@ class DependencyGraphPlane final : public PredictorPlane {
   }
 
   void observe(UserId user, std::uint64_t item) override {
+    const std::uint32_t item_id = arena_.intern_item(item);
     const std::size_t len = window_.size(user);
     // Credit `item` as a follower of each access still inside the window —
     // at most once per occurrence, deduplicating by prefix scan exactly
-    // like the legacy table (the window holds a handful of entries).
+    // like the legacy table (the window holds a handful of entries). The
+    // window holds item ids, which are equal exactly when the items are.
     for (std::size_t i = 0; i < len; ++i) {
-      const std::uint64_t predecessor = window_.at(user, i);
-      if (predecessor == item) continue;
+      const std::uint32_t predecessor = window_.at(user, i);
+      if (predecessor == item_id) continue;
       bool duplicate = false;
       for (std::size_t j = 0; j < i; ++j) {
         if (window_.at(user, j) == predecessor) {
@@ -257,19 +246,24 @@ class DependencyGraphPlane final : public PredictorPlane {
         }
       }
       if (duplicate) continue;
-      arena_.add(arena_.intern(predecessor), arena_.intern_item(item));
+      arena_.add(arena_.item_context(predecessor), item_id);
     }
-    arena_.bump_aux(arena_.intern(item));
-    window_.push(user, item);
+    // Every context here is an observed item's, created right here, so the
+    // occurrence column grows with the context count.
+    const ContextArena::CtxId ctx = arena_.item_context(item_id);
+    if (ctx == occurrences_.size()) occurrences_.push_back(0);
+    ++occurrences_[ctx];
+    window_.push(user, item_id);
   }
 
   void predict_into(UserId user, std::size_t max_candidates,
                     std::vector<Candidate>& out) const override {
     out.clear();
     if (window_.size(user) == 0) return;
-    const ContextArena::CtxId ctx = arena_.find(window_.newest(user));
-    if (ctx == ContextArena::kNoCtx || arena_.aux(ctx) == 0) return;
-    const double occurrences = static_cast<double>(arena_.aux(ctx));
+    const ContextArena::CtxId ctx =
+        arena_.find_item_context(window_.newest(user));
+    if (ctx == ContextArena::kNoCtx) return;
+    const double occurrences = static_cast<double>(occurrences_[ctx]);
     arena_.for_each_successor(ctx, [&](std::uint64_t item, std::uint16_t c) {
       // P(B follows A within w) = count / occurrences(A), clipped to 1.
       out.push_back(Candidate{
@@ -283,11 +277,18 @@ class DependencyGraphPlane final : public PredictorPlane {
     return arena_.context_count();
   }
 
-  void audit(AuditReport& report) const override { arena_.audit(report); }
+  void audit(AuditReport& report) const override {
+    arena_.audit(report);
+    const AuditScope scope(report, "DependencyGraphPlane");
+    report.check(occurrences_.size() == arena_.context_count(),
+                 "occurrence column length != context count");
+  }
 
  private:
   ContextArena arena_;
-  HistoryRing window_;
+  HistoryRing window_;  ///< item ids of each user's latest accesses
+  /// Per context (an observed item): how often the item was accessed.
+  std::vector<std::uint64_t> occurrences_;
 };
 
 // --- oracle: true conditionals from the generating graph --------------------

@@ -2,10 +2,13 @@
 // StackRuntime, built the way cache/cache_plane.hpp rebuilt the caches.
 //
 // One plane owns a predictor's entire table state in a shared ContextArena
-// (predict/context_arena.hpp): contexts interned through FlatIndexMap,
-// each context's successors in one contiguous block of a shared pool,
-// counts quantized to saturating u16 counters with periodic halving, and
-// per-user history kept as fixed ring buffers in a user-indexed slab.
+// (predict/context_arena.hpp): contexts named by structure — by an item,
+// by a successor slot of a parent context, or as the one root — with no
+// hashed context keys; each context's successors in one contiguous block
+// of a shared pool; counts quantized to saturating u16 counters with
+// periodic halving; and per-user state in user-indexed slabs (Markov's
+// last item id, PPM's refs into its context trie, the dependency graph's
+// window ring).
 // Prediction writes into a caller-provided scratch buffer (predict_into),
 // so the stack's hot path does zero allocation per request. Markov and
 // frequency read their top-k off a RankedPrefix (predict/ranked_prefix.hpp)
@@ -84,15 +87,16 @@ class PredictorPlane {
   /// Counter-halving events so far (0 for planes without counters).
   virtual std::uint64_t counter_halvings() const { return 0; }
 
-  /// Distinct contexts interned in the plane's ContextArena (0 for planes
+  /// Distinct contexts created in the plane's ContextArena (0 for planes
   /// without one) — the occupancy gauge the telemetry plane samples.
   virtual std::uint64_t context_count() const { return 0; }
 
   /// Deep-invariant sweep (util/audit.hpp): the arena planes walk their
-  /// ContextArena (block bounds and pool conservation, interning round-trips,
-  /// index health), and Markov and frequency also check every ranked
-  /// prefix against their blocks. The stateless oracle has nothing
-  /// slab-backed to walk — default no-op.
+  /// ContextArena (block bounds and pool conservation, context naming,
+  /// interning round-trips, index health), PPM also its per-user trie refs,
+  /// and Markov and frequency also check every ranked prefix against their
+  /// blocks. The stateless oracle has nothing slab-backed to walk —
+  /// default no-op.
   virtual void audit(AuditReport& /*report*/) const {}
 };
 

@@ -2,9 +2,10 @@
 // (predict/predictor_plane.hpp, predict/context_arena.hpp):
 //  1. ContextArena bookkeeping matches a reference map-of-maps under random
 //     load, the quantized-counter edge cases (saturation, halving) do
-//     the exact ceil(c/2) aging the header promises, and the successor
+//     the exact ceil(c/2) aging the header promises, the successor
 //     blocks grow through size classes, reuse outgrown blocks and halve in
-//     place after a move.
+//     place after a move, and item, child and root contexts are created
+//     once, on first need, with child slots that survive moves and halving.
 //  2. HistoryRing preserves order across wraparound.
 //  3. Fuzz differential: every arena plane predicts bit-identically to its
 //     pre-arena virtual Predictor table (tests/reference/) across orders x
@@ -15,6 +16,10 @@
 //     of a twin ContextArena fed the same observations, and PPM and the
 //     dependency graph exactly that of ordered-map models that age their
 //     counts the same way.
+//  5. PPM's context trie, at orders 1 to 6 over 64 users with session
+//     restarts, predicts what the literal-history model does and holds as
+//     many contexts as the hashed reference table after every step; Markov
+//     names a context only once an access follows its item.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +33,7 @@
 #include "predict/context_arena.hpp"
 #include "predict/predictor_plane.hpp"
 #include "reference/legacy_planes.hpp"
+#include "reference/ppm.hpp"
 #include "util/audit.hpp"
 #include "util/contract.hpp"
 #include "util/rng.hpp"
@@ -38,6 +44,11 @@ namespace {
 
 using core::Candidate;
 
+/// The item context of `key`, interning the key as an item first.
+ContextArena::CtxId item_ctx(ContextArena& arena, std::uint64_t key) {
+  return arena.item_context(arena.intern_item(key));
+}
+
 TEST(ContextArena, CountsMatchReferenceMap) {
   ContextArena arena;
   std::map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>> reference;
@@ -45,12 +56,13 @@ TEST(ContextArena, CountsMatchReferenceMap) {
   for (int i = 0; i < 5000; ++i) {
     const std::uint64_t ctx_key = rng.next_u64() % 17;
     const std::uint64_t item = rng.next_u64() % 40;
-    arena.add(arena.intern(ctx_key), arena.intern_item(item));
+    arena.add(item_ctx(arena, ctx_key), arena.intern_item(item));
     ++reference[ctx_key][item];
   }
   ASSERT_EQ(arena.context_count(), reference.size());
   for (const auto& [ctx_key, successors] : reference) {
-    const ContextArena::CtxId ctx = arena.find(ctx_key);
+    const ContextArena::CtxId ctx =
+        arena.find_item_context(arena.intern_item(ctx_key));
     ASSERT_NE(ctx, ContextArena::kNoCtx);
     EXPECT_EQ(arena.distinct(ctx), successors.size());
     std::uint64_t want_total = 0;
@@ -65,18 +77,65 @@ TEST(ContextArena, CountsMatchReferenceMap) {
   EXPECT_EQ(arena.halvings(), 0u);  // counts stayed far below saturation
 }
 
-TEST(ContextArena, FindOnUnknownKeyIsNoCtx) {
-  ContextArena arena;
-  EXPECT_EQ(arena.find(123), ContextArena::kNoCtx);
-  const ContextArena::CtxId ctx = arena.intern(123);
-  EXPECT_EQ(arena.find(123), ctx);
+TEST(ContextArena, NamesAreCreatedOnceOnFirstNeed) {
+  ContextArena arena(/*child_column=*/true);
+  const std::uint32_t item = arena.intern_item(123);
+  EXPECT_EQ(arena.find_item_context(item), ContextArena::kNoCtx);
+  EXPECT_EQ(arena.context_count(), 0u);
+  const ContextArena::CtxId ctx = arena.item_context(item);
+  EXPECT_EQ(arena.item_context(item), ctx);
+  EXPECT_EQ(arena.find_item_context(item), ctx);
   EXPECT_EQ(arena.total(ctx), 0u);
   EXPECT_EQ(arena.distinct(ctx), 0u);
+
+  const ContextArena::Added added = arena.add(ctx, arena.intern_item(7));
+  EXPECT_EQ(added.slot, 0u);
+  EXPECT_EQ(added.count, 1u);
+  EXPECT_EQ(arena.find_child(ctx, added.slot), ContextArena::kNoCtx);
+  const ContextArena::CtxId child = arena.child_context(ctx, added.slot);
+  EXPECT_NE(child, ctx);
+  EXPECT_EQ(arena.child_context(ctx, added.slot), child);
+  EXPECT_EQ(arena.find_child(ctx, added.slot), child);
+
+  const ContextArena::CtxId root = arena.root_context();
+  EXPECT_EQ(arena.root_context(), root);
+  EXPECT_EQ(arena.context_count(), 3u);
+  AuditReport report;
+  arena.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST(ContextArena, ChildSlotsSurviveGrowthAndHalving) {
+  // A parent with a child at every successor slot is moved through
+  // classes 0..4 and then halved; each slot must still name its own child,
+  // with the successor it was created for.
+  ContextArena arena(/*child_column=*/true);
+  const ContextArena::CtxId parent = item_ctx(arena, 1000);
+  std::vector<ContextArena::CtxId> children;
+  for (std::uint64_t item = 0; item < 20; ++item) {
+    const ContextArena::Added added =
+        arena.add(parent, arena.intern_item(item));
+    ASSERT_EQ(added.slot, item);
+    children.push_back(arena.child_context(parent, added.slot));
+    // Another context grows in between, so blocks are reused out of order.
+    arena.add(item_ctx(arena, 2000), arena.intern_item(item));
+  }
+  const std::uint32_t hot = arena.intern_item(5);
+  while (arena.halvings() == 0) {
+    EXPECT_EQ(arena.add(parent, hot).slot, 5u);
+  }
+  for (std::uint32_t slot = 0; slot < 20; ++slot) {
+    EXPECT_EQ(arena.find_child(parent, slot), children[slot]) << slot;
+    EXPECT_EQ(arena.item_value(arena.successor_id(parent, slot)), slot);
+  }
+  AuditReport report;
+  arena.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(ContextArena, SaturationHalvesEveryCounterRoundingUp) {
   ContextArena arena;
-  const ContextArena::CtxId ctx = arena.intern(7);
+  const ContextArena::CtxId ctx = arena.root_context();
   const std::uint32_t a = arena.intern_item(100);
   const std::uint32_t b = arena.intern_item(200);
   for (int i = 0; i < 3; ++i) arena.add(ctx, b);
@@ -89,7 +148,7 @@ TEST(ContextArena, SaturationHalvesEveryCounterRoundingUp) {
   // The add that would overflow `a` ages the whole context first:
   // a: 65535 -> 32768 (then the pending increment lands: 32769),
   // b: 3 -> 2, and the total is recomputed from the aged counts.
-  EXPECT_EQ(arena.add(ctx, a), 32769u);
+  EXPECT_EQ(arena.add(ctx, a).count, 32769u);
   EXPECT_EQ(arena.halvings(), 1u);
   std::map<std::uint64_t, std::uint64_t> got;
   arena.for_each_successor(ctx, [&](std::uint64_t item, std::uint16_t c) {
@@ -105,7 +164,7 @@ TEST(ContextArena, HalvingNeverZeroesACount) {
   // A count of 1 halves to ceil(1/2) = 1, so even rare successors survive
   // arbitrarily many agings.
   ContextArena arena;
-  const ContextArena::CtxId ctx = arena.intern(1);
+  const ContextArena::CtxId ctx = arena.root_context();
   const std::uint32_t rare = arena.intern_item(999);
   const std::uint32_t hot = arena.intern_item(111);
   arena.add(ctx, rare);
@@ -133,14 +192,15 @@ TEST(ContextArena, SlabGrowthStress) {
   for (int i = 0; i < 200000; ++i) {
     const std::uint64_t ctx_key = rng.next_u64() % 4096;
     const std::uint64_t item = rng.next_u64() % 2048;
-    arena.add(arena.intern(ctx_key), arena.intern_item(item));
+    arena.add(item_ctx(arena, ctx_key), arena.intern_item(item));
     ++reference[ctx_key][item];
   }
   ASSERT_EQ(arena.context_count(), reference.size());
-  EXPECT_EQ(arena.item_count(), 2048u);
+  EXPECT_EQ(arena.item_count(), 4096u);  // the context keys, items among them
   std::size_t total_successors = 0;
   for (const auto& [ctx_key, successors] : reference) {
-    const ContextArena::CtxId ctx = arena.find(ctx_key);
+    const ContextArena::CtxId ctx =
+        arena.find_item_context(arena.intern_item(ctx_key));
     ASSERT_NE(ctx, ContextArena::kNoCtx);
     total_successors += successors.size();
     std::map<std::uint64_t, std::uint64_t> got;
@@ -157,7 +217,7 @@ TEST(ContextArena, GrowthAcrossSizeClassesKeepsInsertionOrder) {
   // one twice its size, appended to the pool since nothing else frees a
   // block. Counts survive every move and visits stay in insertion order.
   ContextArena arena;
-  const ContextArena::CtxId ctx = arena.intern(5);
+  const ContextArena::CtxId ctx = arena.root_context();
   std::vector<std::uint64_t> inserted;
   for (std::uint64_t n = 1; n <= 100; ++n) {
     const std::uint64_t item = 1000 - 7 * n;  // not sorted by value or id
@@ -187,8 +247,8 @@ TEST(ContextArena, OutgrownBlocksAreReused) {
   // 0..2; context b then grows into exactly those blocks, so the pool does
   // not move until b needs a class-3 block of its own.
   ContextArena arena;
-  const ContextArena::CtxId a = arena.intern(1);
-  const ContextArena::CtxId b = arena.intern(2);
+  const ContextArena::CtxId a = item_ctx(arena, 1);
+  const ContextArena::CtxId b = item_ctx(arena, 2);
   for (std::uint64_t item = 0; item < 8; ++item) {
     arena.add(a, arena.intern_item(item));
   }
@@ -215,8 +275,8 @@ TEST(ContextArena, HalvingInsideARelocatedBlock) {
   // behind; saturating one of a's counters must age a's current block
   // only — b, sitting in a's old blocks, keeps its counts.
   ContextArena arena;
-  const ContextArena::CtxId a = arena.intern(1);
-  const ContextArena::CtxId b = arena.intern(2);
+  const ContextArena::CtxId a = item_ctx(arena, 1);
+  const ContextArena::CtxId b = item_ctx(arena, 2);
   const std::uint32_t hot = arena.intern_item(100);
   for (std::uint64_t item = 0; item < 4; ++item) {
     for (std::uint64_t rep = 0; rep <= item; ++rep) {
@@ -445,23 +505,28 @@ TEST(PredictPlane, MarkovSurvivesCounterSaturation) {
 class TwinArena {
  public:
   TwinArena(PredictorKind kind, std::size_t users, double laplace)
-      : kind_(kind), laplace_(laplace), last_(users, kNone) {}
+      : kind_(kind), laplace_(laplace), last_(users, ContextArena::kNoItem) {
+    if (kind_ == PredictorKind::kFrequency) root_ = arena_.root_context();
+  }
 
   void observe(UserId user, std::uint64_t item) {
+    const std::uint32_t id = arena_.intern_item(item);
     if (kind_ == PredictorKind::kFrequency) {
-      arena_.add(arena_.intern(0), arena_.intern_item(item));
-    } else if (last_[user] != kNone) {
-      arena_.add(arena_.intern(last_[user]), arena_.intern_item(item));
+      arena_.add(root_, id);
+    } else if (last_[user] != ContextArena::kNoItem) {
+      arena_.add(arena_.item_context(last_[user]), id);
     }
-    last_[user] = item;
+    last_[user] = id;
   }
 
   std::vector<Candidate> predict(UserId user, std::size_t k) const {
     std::vector<Candidate> out;
-    const std::uint64_t key =
-        kind_ == PredictorKind::kFrequency ? 0 : last_[user];
-    const ContextArena::CtxId ctx = arena_.find(key);
-    if (key == kNone || ctx == ContextArena::kNoCtx) return out;
+    const ContextArena::CtxId ctx =
+        kind_ == PredictorKind::kFrequency ? root_
+        : last_[user] == ContextArena::kNoItem
+            ? ContextArena::kNoCtx
+            : arena_.find_item_context(last_[user]);
+    if (ctx == ContextArena::kNoCtx) return out;
     const double denom =
         static_cast<double>(arena_.total(ctx)) +
         laplace_ * static_cast<double>(arena_.distinct(ctx));
@@ -483,11 +548,11 @@ class TwinArena {
   std::uint64_t halvings() const { return arena_.halvings(); }
 
  private:
-  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
   PredictorKind kind_;
   double laplace_;
   ContextArena arena_;
-  std::vector<std::uint64_t> last_;
+  ContextArena::CtxId root_ = ContextArena::kNoCtx;
+  std::vector<std::uint32_t> last_;  ///< item ids, kNoItem before any
 };
 
 /// Feeds `stream` to a plane and its twin, comparing predict_into against
@@ -650,6 +715,7 @@ class BruteForceModel {
   }
 
   std::uint64_t halvings() const { return halvings_; }
+  std::size_t context_count() const { return contexts_.size(); }
 
  private:
   using Key = std::vector<std::uint64_t>;
@@ -717,6 +783,93 @@ TEST(PredictPlaneSaturation, PpmAndDepgraphMatchBruteForceAcrossHalvings) {
     plane->audit(report);
     EXPECT_TRUE(report.ok()) << report.summary();
   }
+}
+
+TEST(PredictPlaneDifferential, PpmTrieMatchesBruteForceAndHashedContexts) {
+  // 64 users walk sessions over a 48-page site: each step follows one of
+  // three links from the current page, and one step in eight restarts the
+  // session at one of four entry pages, so deep histories recur across
+  // users and sessions. After every step the trie plane predicts exactly
+  // what the literal-history model does and holds exactly as many contexts
+  // as the hashed reference table (no tested stream collides).
+  const std::size_t users = 64;
+  for (const std::size_t order :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{6}}) {
+    PredictorPlaneConfig cfg;
+    cfg.num_users = users;
+    cfg.ppm_order = order;
+    auto plane = make_predictor_plane(PredictorKind::kPpm, cfg);
+    BruteForceModel brute(PredictorKind::kPpm, users, order);
+    PpmPredictor hashed(order);
+    Rng rng(300 + order);
+    std::vector<std::uint64_t> page(users, 0);
+    const std::vector<std::size_t> limits = {1, 4, 16};
+    std::vector<Candidate> got;
+    for (std::size_t i = 0; i < 30000; ++i) {
+      const UserId user = static_cast<UserId>(rng.next_u64() % users);
+      page[user] = rng.next_u64() % 8 == 0
+                       ? rng.next_u64() % 4
+                       : (page[user] * 7 + 1 + rng.next_u64() % 3) % 48;
+      plane->observe(user, page[user]);
+      brute.observe(user, page[user]);
+      hashed.observe(user, page[user]);
+      ASSERT_EQ(plane->context_count(), hashed.context_count())
+          << "order " << order << " event " << i;
+      ASSERT_EQ(plane->context_count(), brute.context_count())
+          << "order " << order << " event " << i;
+      const std::size_t limit = limits[i % limits.size()];
+      plane->predict_into(user, limit, got);
+      expect_same_candidates(got, brute.predict(user, limit), "ppm", i);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GE(plane->context_count(), 48u * order) << "order " << order;
+    AuditReport report;
+    plane->audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+  }
+}
+
+TEST(PredictPlane, MarkovNamesAContextOnlyOnceItIsFollowed) {
+  // A user's first request names no context and predicts nothing. Item 9
+  // is counted as a successor by 30 users long before anyone requests
+  // something after it; only then does it become a context.
+  PredictorPlaneConfig cfg;
+  cfg.num_users = 40;
+  auto plane = make_predictor_plane(PredictorKind::kMarkov, cfg);
+  auto legacy = make_legacy_predictor_plane(PredictorKind::kMarkov, cfg);
+  std::vector<Candidate> got, want;
+  std::size_t step = 0;
+  auto observe = [&](UserId user, std::uint64_t item) {
+    plane->observe(user, item);
+    legacy->observe(user, item);
+    plane->predict_into(user, 8, got);
+    legacy->predict_into(user, 8, want);
+    expect_same_candidates(got, want, "markov", step++);
+  };
+  observe(0, 5);
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(plane->context_count(), 0u);
+  for (UserId user = 1; user <= 30; ++user) {
+    observe(user, 100 + user);
+    observe(user, 9);
+    EXPECT_TRUE(got.empty()) << user;  // nothing has followed 9 yet
+  }
+  EXPECT_EQ(plane->context_count(), 30u);
+  observe(31, 9);
+  EXPECT_EQ(plane->context_count(), 30u);
+  observe(31, 4);
+  EXPECT_EQ(plane->context_count(), 31u);
+  plane->predict_into(1, 8, got);  // user 1's last request is 9
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].item, 4u);
+  EXPECT_EQ(got[0].probability, 1.0);
+  observe(0, 9);  // user 0's second request: 5 becomes a context
+  EXPECT_EQ(plane->context_count(), 32u);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].item, 4u);
+  AuditReport report;
+  plane->audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(PredictPlane, PredictIntoReplacesStaleScratchContents) {

@@ -8,7 +8,8 @@
 // sharing a seq with a queued node, a misordered heap,
 // leaked slot or lost job in the PS link, a broken intrusive
 // chain or desynced residency entry in the cache arenas, a free-list cycle,
-// successor-total drift in the context arena, a misranked or stale entry
+// successor-total drift, a doubly named context or a trie ref past its
+// parent's successors in the context arena, a misranked or stale entry
 // in a ranked successor prefix, metadata corruption in the
 // robin-hood tables, a demand-count desync in the stack — and asserts the
 // sweep fails with a message naming the defect.
@@ -94,6 +95,16 @@ struct AuditPeer {
   }
   static void over_capacity(ContextArena& a, ContextArena::CtxId c) {
     a.distinct_[c] = a.capacity(c) + 1;  // one successor past the block
+  }
+  static void alias_child(ContextArena& a, ContextArena::CtxId parent,
+                          std::uint32_t slot, ContextArena::CtxId named) {
+    // The slot names a context that already has a name of its own.
+    a.child_[a.offset_[parent] + slot] = named;
+  }
+  static void ref_past_distinct(ContextPath& p, const ContextArena& a,
+                                std::uint32_t user, std::size_t order) {
+    ContextPath::Ref& ref = p.refs_[user * p.depth_ + order - 1];
+    ref.slot = a.distinct(ref.parent);  // one past the parent's successors
   }
 
   // --- ranked successor prefix -------------------------------------------
@@ -451,7 +462,7 @@ TEST(AuditInjection, SmallCacheArenaUnwrittenSlotsCarryPoison) {
 
 TEST(AuditInjection, ContextArenaSuccessorTotalDrift) {
   ContextArena arena;
-  const ContextArena::CtxId ctx = arena.intern(0xABCDu);
+  const ContextArena::CtxId ctx = arena.root_context();
   for (std::uint64_t item = 0; item < 12; ++item) {
     arena.add(ctx, arena.intern_item(item % 5));
   }
@@ -470,8 +481,8 @@ TEST(AuditInjection, ContextArenaSuccessorTotalDrift) {
 /// its free list, and `b`, the second to grow, freed the last one of each.
 struct GrownArena {
   ContextArena arena;
-  ContextArena::CtxId a = arena.intern(0x1234u);
-  ContextArena::CtxId b = arena.intern(0x5678u);
+  ContextArena::CtxId a = arena.item_context(arena.intern_item(0x1234u));
+  ContextArena::CtxId b = arena.item_context(arena.intern_item(0x5678u));
   GrownArena() {
     for (std::uint64_t item = 0; item < 8; ++item) {
       arena.add(a, arena.intern_item(item));
@@ -507,19 +518,61 @@ TEST(AuditInjection, ContextArenaOverCapacity) {
   expect_failure_containing(report, "exceed its block capacity");
 }
 
+/// An order-3 PPM trie: users walk short overlapping item cycles, so the
+/// arena holds item contexts with child contexts under them, and every
+/// user's path holds refs of all three orders.
+struct GrownTrie {
+  ContextArena arena{/*child_column=*/true};
+  ContextPath path{4, 3};
+  GrownTrie() {
+    for (std::uint32_t step = 0; step < 60; ++step) {
+      for (std::uint32_t user = 0; user < 4; ++user) {
+        path.observe(arena, user, arena.intern_item((step + user) % 5));
+      }
+    }
+    AuditReport clean;
+    arena.audit(clean);
+    path.audit(arena, clean);
+    EXPECT_TRUE(clean.ok()) << clean.summary();
+  }
+};
+
+TEST(AuditInjection, ContextArenaChildNamingANamedContext) {
+  GrownTrie g;
+  // Item 0's context gets a child ref to item 1's context as well.
+  const ContextArena::CtxId parent = g.arena.find_item_context(0);
+  const ContextArena::CtxId named = g.arena.find_item_context(1);
+  ASSERT_NE(parent, ContextArena::kNoCtx);
+  ASSERT_NE(named, ContextArena::kNoCtx);
+  AuditPeer::alias_child(g.arena, parent, 0, named);
+  AuditReport report;
+  g.arena.audit(report);
+  expect_failure_containing(report, "have two names");
+}
+
+TEST(AuditInjection, ContextPathRefPastItsParentsSuccessors) {
+  GrownTrie g;
+  AuditPeer::ref_past_distinct(g.path, g.arena, 2, 3);
+  AuditReport report;
+  g.path.audit(g.arena, report);
+  expect_failure_containing(report, "past its parent's");
+}
+
 /// A context with six successors of distinct counts (item i seen i + 1
 /// times) behind a stride-4 prefix. The stride is set after one add per
 /// item, so the later adds maintain the prefix incrementally.
 ContextArena::CtxId seeded_ranked_prefix(ContextArena& arena,
                                          RankedPrefix& ranks) {
-  const ContextArena::CtxId ctx = arena.intern(0x77u);
+  const ContextArena::CtxId ctx = arena.root_context();
   for (std::uint64_t item = 0; item < 6; ++item) {
-    ranks.on_add(arena, ctx, item, arena.add(ctx, arena.intern_item(item)));
+    ranks.on_add(arena, ctx, item,
+                 arena.add(ctx, arena.intern_item(item)).count);
   }
   EXPECT_EQ(ranks.top(arena, ctx, 4).size(), 4u);
   for (std::uint64_t item = 0; item < 6; ++item) {
     for (std::uint64_t n = 0; n < item; ++n) {
-      ranks.on_add(arena, ctx, item, arena.add(ctx, arena.intern_item(item)));
+      ranks.on_add(arena, ctx, item,
+                   arena.add(ctx, arena.intern_item(item)).count);
     }
   }
   EXPECT_EQ(ranks.stride(), 4u);
