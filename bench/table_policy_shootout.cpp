@@ -77,16 +77,9 @@ int main(int argc, char** argv) {
   base.seed = 42;
 
   const std::string predictor = args.get_string("predictor");
-  if (predictor == "markov") {
-    base.predictor_kind = ProxySimConfig::PredictorKind::kMarkov;
-  } else if (predictor == "ppm") {
-    base.predictor_kind = ProxySimConfig::PredictorKind::kPpm;
-  } else if (predictor == "depgraph") {
-    base.predictor_kind = ProxySimConfig::PredictorKind::kDependencyGraph;
-  } else if (predictor == "frequency") {
-    base.predictor_kind = ProxySimConfig::PredictorKind::kFrequency;
-  } else {
-    base.predictor_kind = ProxySimConfig::PredictorKind::kOracle;
+  if (!parse_predictor_kind(predictor, &base.predictor_kind)) {
+    args.reject_value("predictor", "markov|ppm|depgraph|frequency|oracle",
+                      predictor);
   }
 
   // The paper's single shared link scales with the population: keep the

@@ -73,8 +73,9 @@ int main(int argc, char** argv) {
     // p_th as the deployed policy would estimate it at the end of the run.
     core::SystemParams params;
     params.bandwidth = bandwidth;
-    params.request_rate = static_cast<double>(r_none.requests) /
-                          (cfg.duration + cfg.warmup);
+    // Requests counted over the measured window only (metrics reset at
+    // warmup).
+    params.request_rate = static_cast<double>(r_none.requests) / cfg.duration;
     params.mean_item_size = cfg.item_size;
     params.hit_ratio = r_none.hit_ratio;
     const double pth =

@@ -6,6 +6,8 @@
 //   ./newspaper_sessions --trace /tmp/newspaper.csv
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "policy/policies.hpp"
 #include "sim/proxy_sim.hpp"
@@ -29,7 +31,8 @@ int main(int argc, char** argv) {
   args.add_flag("entry-skew", "1.5",
                 "Zipf skew of session entries (front page dominates)");
   args.add_flag("seed", "1997", "random seed (default: the ETEL year)");
-  args.add_flag("trace", "", "optional path to dump the workload trace CSV");
+  args.add_flag("trace", "",
+                "optional path to write the replayed workload as trace CSV");
   if (!args.parse(argc, argv)) return 1;
 
   // A newspaper: few entry pages (front page dominates via entry_skew),
@@ -51,6 +54,24 @@ int main(int argc, char** argv) {
   cfg.seed = args.get_uint("seed");
   args.require_valid(cfg.check());
 
+  // Every run below replays this one workload; --trace records it.
+  const std::string trace_path = args.get_string("trace");
+  if (!trace_path.empty()) {
+    SessionTraceSource source = proxy_session_source(cfg);
+    Trace trace;
+    for (TraceRecord r; source.next(&r);) trace.append(r);
+    try {
+      trace.save_csv_file(trace_path);
+    } catch (const std::runtime_error&) {
+      args.reject_value("trace", "writable path", trace_path);
+    }
+    const Trace reloaded = Trace::load_csv_file(trace_path);
+    std::printf("workload: %zu requests, %zu unique pages, %.2f req/s mean "
+                "rate; written to %s and re-read (%zu records)\n\n",
+                trace.size(), trace.unique_items(), trace.mean_request_rate(),
+                trace_path.c_str(), reloaded.size());
+  }
+
   Table table({"policy", "access time", "hit ratio", "rho", "useful frac"});
   table.set_precision(4);
 
@@ -70,30 +91,5 @@ int main(int argc, char** argv) {
                  tk.server_utilization, tk.prefetch_useful_fraction});
 
   table.print(std::cout);
-
-  // Demonstrate the trace tooling on the same session model.
-  const std::string trace_path = args.get_string("trace");
-  Rng rng(42);
-  SessionGraph graph(cfg.graph, 1);
-  Trace trace;
-  double t = 0.0;
-  for (int session = 0; session < 200; ++session) {
-    t += 3.0;
-    for (std::uint64_t page : graph.sample_session(rng)) {
-      trace.append({t, static_cast<std::uint32_t>(
-                           session % static_cast<int>(cfg.num_users)),
-                    page});
-      t += 0.5;
-    }
-  }
-  std::printf("sample workload: %zu requests, %zu unique pages, "
-              "%.2f req/s mean rate\n",
-              trace.size(), trace.unique_items(), trace.mean_request_rate());
-  if (!trace_path.empty()) {
-    trace.save_csv_file(trace_path);
-    const Trace reloaded = Trace::load_csv_file(trace_path);
-    std::printf("trace written to %s and re-read (%zu records)\n",
-                trace_path.c_str(), reloaded.size());
-  }
   return 0;
 }

@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
 
   const std::string predictor = args.get_string("predictor");
   if (!parse_predictor_kind(predictor, &cfg.predictor_kind)) {
-    std::fprintf(stderr, "unknown predictor '%s'\n", predictor.c_str());
-    return 1;
+    args.reject_value("predictor", "markov|ppm|depgraph|frequency|oracle",
+                      predictor);
   }
   args.require_valid(cfg.check());
 

@@ -12,8 +12,15 @@ namespace specpf {
 std::vector<core::Candidate> ThresholdPolicy::select(
     const std::vector<core::Candidate>& predictions,
     const PolicyContext& ctx) {
-  core::PrefetchPlanner planner(ctx.params, model_);
-  return planner.plan(predictions).selected;
+  // PrefetchPlanner::plan's selection without the plan's predictions,
+  // which the caller never reads.
+  const double pth = threshold(ctx);
+  std::vector<core::Candidate> out;
+  for (const core::Candidate& c : predictions) {
+    SPECPF_EXPECTS(c.probability >= 0.0 && c.probability <= 1.0);
+    if (c.probability > pth) out.push_back(c);
+  }
+  return out;
 }
 
 double ThresholdPolicy::threshold(const PolicyContext& ctx) const {

@@ -154,6 +154,13 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
   config_.validate();
   SPECPF_EXPECTS(borrowed_policy != nullptr ||
                  static_cast<bool>(*make_policy));
+  // Only a generative source carries a graph for the oracle to read.
+  if (config_.stack.predictor_kind == PredictorKind::kOracle &&
+      source.graph() == nullptr) {
+    expect_valid(config_error("predictor_kind",
+                              "oracle needs a source with a generating graph",
+                              "oracle"));
+  }
   source_ = &source;
   const std::size_t S = config_.num_shards;
 
@@ -194,7 +201,6 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
       if (inserted) dense = static_cast<UserId>(shard.user_index.size() - 1);
       ++total;
     }
-    SPECPF_EXPECTS(total > 0);
     total_records_ = total;
     t0_ = first;
     end_time_ = last - first;
@@ -234,8 +240,9 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
       continue;
     }
 
-    shard->predictor = make_replay_predictor(config_.stack.predictor_kind,
-                                             shard->user_index.size());
+    shard->predictor = make_predictor_plane(
+        config_.stack.predictor_kind,
+        {.num_users = shard->user_index.size(), .graph = source.graph()});
     if (borrowed_policy != nullptr) {
       shard->policy = borrowed_policy;
     } else {
@@ -290,6 +297,13 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
     if (warmup_records_ == 0) shard->runtime->begin_measurement();
   }
 
+  // An empty source builds no runtime; its all-zero result still names
+  // the policy.
+  if (policy_name_.empty()) {
+    policy_name_ = borrowed_policy != nullptr ? borrowed_policy->name()
+                                              : (*make_policy)()->name();
+  }
+
   // Attach the detector now that every shard's plane is sealed. Callers
   // may pre-configure thresholds and hand-pick signals; a bare detector
   // gets defaults and the standard gauge set. One detector watching all
@@ -311,7 +325,7 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
   // or heapifies them.
   source.reset();
   have_pending_ = source.next(&pending_record_);
-  SPECPF_ENSURES(have_pending_);
+  SPECPF_ENSURES(have_pending_ == (total_records_ > 0));
 }
 
 ShardedSim::~ShardedSim() = default;
@@ -575,9 +589,10 @@ ShardedReplayResult ShardedSim::run() {
     out.per_shard.push_back(shard->runtime->finalize(shard->horizon,
                                                      policy_name_));
   }
-  out.merged = assemble_stack_result(merged_metrics,
-                                     merge_server_stats(horizons), merged_agg,
-                                     policy_name_);
+  out.merged = assemble_stack_result(
+      merged_metrics,
+      horizons.empty() ? ServerStats{} : merge_server_stats(horizons),
+      merged_agg, policy_name_);
   out.backbone = merge_backbone_stats(backbones);
   return out;
 }

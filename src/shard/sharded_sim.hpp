@@ -1,7 +1,8 @@
 // Sharded multi-server simulation: S regions, each owning an independent
 // slab Simulator + StackRuntime data plane, synchronized with conservative
 // epoch barriers and exchanging cross-shard traffic through mailboxes.
-// This is the one replay driver: run_trace_replay is ShardedSim at S = 1.
+// This is the one driver: run_trace_replay is ShardedSim at S = 1, and
+// run_proxy_sim is ShardedSim at S = 1 over a session source.
 //
 // Topology. Users are partitioned across shards (shard of user u is
 // u % S); items have a home shard (item % S). Every user request is served
@@ -127,7 +128,10 @@ class ShardedSim {
   /// counts, time spans, user densification), then records are fed to the
   /// shard engines epoch-by-epoch during run() — engine occupancy tracks
   /// the epoch window, not the trace length, so billion-request sources
-  /// replay at bounded RSS.
+  /// replay at bounded RSS. A source with no records simulates nothing and
+  /// returns the all-zero result under the policy's name. The oracle
+  /// predictor reads source.graph() and is refused (ContractViolation
+  /// naming predictor_kind) when the source has none.
   ShardedSim(TraceSource& source, const ShardedReplayConfig& config,
              const PolicyFactory& make_policy);
 

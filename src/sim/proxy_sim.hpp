@@ -4,16 +4,25 @@
 // N clients issue session-structured (Markov graph) requests. Each client
 // owns a tagged cache in the cache plane. Misses and prefetches contend on
 // one shared processor-sharing server (the paper's network model). A
-// predictor plane learns
-// the access process online and a PrefetchPolicy decides, per request, what
-// to prefetch. System parameters for the policy (λ̂, ĥ', …) are estimated
-// online: ĥ' comes from the §4 tagged-entry protocol, λ̂ from the observed
-// request count.
+// predictor plane learns the access process online and a PrefetchPolicy
+// decides, per request, what to prefetch. System parameters for the policy
+// (λ̂, ĥ', …) are estimated online: ĥ' comes from the §4 tagged-entry
+// protocol, λ̂ from the observed request count.
 //
 // Unlike the abstract validation simulator, nothing here is wired to the
 // closed forms — hit ratios emerge from real cache contents, eviction
 // victims are chosen by the configured replacement policy, and prediction
 // errors propagate. This is the testbed for the policy-shootout experiment.
+//
+// run_proxy_sim is the one driver, ShardedSim (shard/sharded_sim.hpp), at
+// S = 1 over a SessionTraceSource (workload/session_source.hpp): the
+// clients' session processes merged into one time-ordered record stream
+// that ends at warmup + duration. The source carries its SessionGraph, so
+// the oracle predictor runs here and not over recorded traces. The warmup
+// becomes the driver's warmup share, warmup / (warmup + duration) of the
+// records: measurement starts at the first record past that share, not at
+// the exact instant `warmup`, and the measured window ends at the last
+// request. Times count from the first request.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +35,7 @@
 #include "sim/metrics.hpp"
 #include "sim/stack_runtime.hpp"
 #include "workload/session_graph.hpp"
+#include "workload/session_source.hpp"
 
 namespace specpf {
 
@@ -44,7 +54,8 @@ struct ProxySimConfig : StackConfig {
   double warmup = 200.0;
 
   /// StackConfig::check(), then the workload's own fields — the graph is
-  /// checked here, before any is built.
+  /// checked here, before any is built — and that the warmup leaves a
+  /// measured share.
   std::string check() const;
   /// Throws ContractViolation carrying check()'s message.
   void validate() const;
@@ -81,6 +92,10 @@ struct ProxySimResult {
   double peak_queue_depth = 0.0;
   double peak_slowdown = 0.0;
 };
+
+/// The workload run_proxy_sim replays for `config`: its session processes,
+/// seeded from config.seed, ending at warmup + duration.
+SessionTraceSource proxy_session_source(const ProxySimConfig& config);
 
 /// Runs one replication with the given policy (policy state persists across
 /// the run; pass a fresh instance per run).

@@ -7,6 +7,7 @@
 #include "control/governor.hpp"
 #include "sim/proxy_sim.hpp"
 #include "util/contract.hpp"
+#include "util/math.hpp"
 
 namespace specpf {
 
@@ -396,8 +397,8 @@ ProxySimResult assemble_stack_result(const SimMetrics& metrics,
   out.inflight_hits = metrics.inflight_hits();
   out.mean_inflight_wait = metrics.mean_inflight_wait();
   out.mean_demand_sojourn = metrics.mean_demand_sojourn();
-  out.hprime_estimate =
-      aggregates.hprime_sum / static_cast<double>(aggregates.num_users);
+  out.hprime_estimate = safe_div(aggregates.hprime_sum,
+                                 static_cast<double>(aggregates.num_users));
   out.prefetch_useful_fraction =
       aggregates.prefetch_inserts
           ? static_cast<double>(aggregates.prefetch_first_uses) /

@@ -3,10 +3,11 @@
 // prefetch deferral ("prefetch when the connection is idle", paper §1),
 // online parameter estimation for the policy, and metrics.
 //
-// Frontends drive it with handle_request(user, item) per arrival:
-//   * sim/proxy_sim     — generative session workload
-//   * shard/sharded_sim — recorded traces on S shards (sim/trace_replay
-//                         is its S = 1 form)
+// One driver builds it and calls handle_request(user, item) per arrival:
+// shard/sharded_sim, one runtime per shard. Its frontends are
+//   * sim/trace_replay — recorded traces (ShardedSim at S = 1);
+//   * sim/proxy_sim    — the generative session workload, as a
+//                        SessionTraceSource replayed the same way.
 #pragma once
 
 #include <algorithm>

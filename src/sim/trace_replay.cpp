@@ -33,11 +33,6 @@ std::string TraceReplayConfig::check() const {
     return config_error("abort_on_divergence", "needs a divergence detector",
                         "true");
   }
-  // Replay has no generating graph for the oracle to read.
-  if (predictor_kind == PredictorKind::kOracle) {
-    return config_error("predictor_kind", "oracle is not replayable",
-                        predictor_kind_name(predictor_kind));
-  }
   return {};
 }
 

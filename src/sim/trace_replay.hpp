@@ -8,10 +8,11 @@
 // fire at their recorded instants regardless of fetch completions, matching
 // the paper's fixed-λ assumption.
 //
-// There is one replay driver: run_trace_replay is ShardedSim
+// There is one driver: run_trace_replay is ShardedSim
 // (shard/sharded_sim.hpp) at S = 1, whose shard borrows the caller's
-// policy. TraceReplayConfig is also the per-shard stack configuration
-// every sharded run carries.
+// policy, and run_proxy_sim is the same call over a session source.
+// TraceReplayConfig is also the per-shard stack configuration every
+// sharded run carries.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +29,9 @@
 namespace specpf {
 
 struct TraceReplayConfig : StackConfig {
-  /// Access model (the fleet-wide enum from predict/factory.hpp). Replay
-  /// has no generating graph, so kOracle is rejected by check().
+  /// Access model (the fleet-wide enum from predict/factory.hpp). kOracle
+  /// reads the source's generating graph; the driver rejects it over a
+  /// source without one (any recorded trace).
   using PredictorKind = specpf::PredictorKind;
   PredictorKind predictor_kind = PredictorKind::kMarkov;
 
@@ -100,11 +102,10 @@ ProxySimResult run_trace_replay(TraceSource& source,
                                 const TraceReplayConfig& config,
                                 PrefetchPolicy& policy);
 
-/// Fresh predictor plane for a replay kind — the driver builds one
-/// independent plane per shard (`num_users` sizes the plane's
-/// user-indexed history slab). kOracle is not replayable.
-/// `use_legacy` must be false; it exists only because bench/e2e passes a
-/// literal `false`.
+/// Fresh predictor plane for a graph-less kind (`num_users` sizes the
+/// plane's user-indexed history slab); kOracle is refused. Kept for
+/// bench/e2e's traced driver copy. `use_legacy` must be false; it exists
+/// only because bench/e2e passes a literal `false`.
 std::unique_ptr<PredictorPlane> make_replay_predictor(
     TraceReplayConfig::PredictorKind kind, std::size_t num_users,
     bool use_legacy = false);

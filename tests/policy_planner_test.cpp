@@ -166,6 +166,39 @@ TEST(ThresholdPolicy, ThresholdTracksLoad) {
   EXPECT_TRUE(policy.select(candidates, heavy).empty());
 }
 
+TEST(ThresholdPolicy, SelectsWhatThePlannerSelects) {
+  // select() filters by the threshold directly instead of building the
+  // planner's full plan; the batch must be the plan's, item for item,
+  // under both models, across loads up to an overloaded link, and the
+  // same out-of-range rejections must hold.
+  std::vector<Candidate> candidates;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    candidates.push_back({i, static_cast<double>((i * 37) % 41) / 40.0});
+  }
+  for (InteractionModel model :
+       {InteractionModel::kModelA, InteractionModel::kModelB}) {
+    ThresholdPolicy policy(model);
+    for (double rate : {0.0, 5.0, 20.0, 34.0, 49.0, 60.0}) {
+      for (double hprime : {0.0, 0.3, 0.9}) {
+        PolicyContext ctx = make_ctx(hprime);
+        ctx.params.request_rate = rate;
+        const auto want =
+            PrefetchPlanner(ctx.params, model).plan(candidates).selected;
+        const auto got = policy.select(candidates, ctx);
+        ASSERT_EQ(got.size(), want.size()) << "rate " << rate;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].item, want[i].item);
+          EXPECT_EQ(got[i].probability, want[i].probability);
+        }
+      }
+    }
+    EXPECT_THROW(policy.select({{1, 1.5}}, make_ctx(0.3)), ContractViolation);
+    PolicyContext bad = make_ctx(0.3);
+    bad.params.bandwidth = 0.0;
+    EXPECT_THROW(policy.select(candidates, bad), ContractViolation);
+  }
+}
+
 TEST(FixedThresholdPolicy, IgnoresContext) {
   FixedThresholdPolicy policy(0.25);
   PolicyContext heavy = make_ctx(0.0);

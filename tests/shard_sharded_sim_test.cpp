@@ -126,6 +126,29 @@ TEST(ShardedSim, OneShardMatchesUnshardedReplayWithRandomCache) {
   expect_result_eq(sharded.merged, unsharded);
 }
 
+TEST(ShardedSim, EmptySourceGivesTheAllZeroResultUnderThePolicyName) {
+  const Trace empty;
+  ProxySimResult zero;
+  zero.policy = "threshold-A";
+  for (std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    TraceVectorSource source(empty);
+    const ShardedReplayResult r = run_sharded_replay(
+        source, sharded_config(shards, 1), threshold_factory());
+    expect_result_eq(r.merged, zero);
+    EXPECT_EQ(r.merged.access_time_p99, 0.0);
+    EXPECT_EQ(r.epochs, 0u);
+    ASSERT_EQ(r.per_shard.size(), shards);
+    EXPECT_EQ(r.backbone.jobs(), 0u);
+  }
+  // The borrowed-policy form (run_trace_replay's) names the caller's.
+  TraceVectorSource source(empty);
+  NoPrefetchPolicy none;
+  ShardedSim sim(source, sharded_config(1, 1), none);
+  zero.policy = "none";
+  expect_result_eq(sim.run().merged, zero);
+}
+
 TEST(ShardedSim, DeterministicAcrossThreadCounts) {
   const Trace trace = make_trace();
   ShardedReplayResult runs[3];

@@ -40,6 +40,25 @@ TEST(ProxySim, SmokeRunProducesTraffic) {
   EXPECT_EQ(result.policy, "none");
 }
 
+TEST(ProxySim, EmptyWindowGivesTheAllZeroResult) {
+  // No request falls inside a 0.11 ms run: nothing is simulated, and the
+  // result is all zero under the policy's name.
+  auto cfg = small_config();
+  cfg.num_users = 1;
+  cfg.duration = 0.0001;
+  cfg.warmup = cfg.duration / 10.0;
+  NoPrefetchPolicy policy;
+  const auto r = run_proxy_sim(cfg, policy);
+  EXPECT_EQ(r.policy, "none");
+  EXPECT_EQ(r.requests, 0u);
+  EXPECT_EQ(r.demand_jobs, 0u);
+  EXPECT_EQ(r.mean_access_time, 0.0);
+  EXPECT_EQ(r.access_time_p99, 0.0);
+  EXPECT_EQ(r.hit_ratio, 0.0);
+  EXPECT_EQ(r.server_utilization, 0.0);
+  EXPECT_EQ(r.hprime_estimate, 0.0);
+}
+
 TEST(ProxySim, DeterministicGivenSeed) {
   auto cfg = small_config();
   cfg.duration = 200.0;

@@ -2,9 +2,9 @@
 // every predictor x cache-kind cell for the generative proxy sim, trace
 // replay, and a sharded replay (frozen while the retired pre-arena
 // backends still matched the default ones leg for leg). The remaining legs
-// pin the
-// purity contracts: telemetry on == off, detector armed-but-disarmed ==
-// absent, and streamed sources == in-RAM traces.
+// pin the purity contracts: telemetry on == off, detector armed-but-disarmed
+// == absent, streamed sources == in-RAM traces, and the proxy sim == a
+// replay of its own session source.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -311,6 +311,45 @@ TEST(StackDifferential, ProxySimTelemetryOnMatchesOff) {
   EXPECT_GT(plane.spans().opens(), 0u);
   EXPECT_GT(plane.spans().closes(), 0u);
   EXPECT_GT(plane.registry().counter(0), 0u);  // "req.count"
+}
+
+// --- one driver: the proxy sim is a replay of its session source -----------
+
+TEST(StackDifferential, ProxySimMatchesReplayOfItsMaterializedSource) {
+  for (auto predictor : {PredictorKind::kMarkov, PredictorKind::kPpm,
+                         PredictorKind::kDependencyGraph,
+                         PredictorKind::kFrequency}) {
+    SCOPED_TRACE(predictor_kind_name(predictor));
+    ProxySimConfig cfg;
+    cfg.num_users = 4;
+    cfg.bandwidth = 30.0;
+    cfg.graph.num_pages = 60;
+    cfg.graph.out_degree = 3;
+    cfg.graph.exit_probability = 0.2;
+    cfg.cache_capacity = 12;
+    cfg.duration = 120.0;
+    cfg.warmup = 20.0;
+    cfg.seed = 9;
+    cfg.predictor_kind = predictor;
+    ThresholdPolicy proxy_policy(core::InteractionModel::kModelA);
+    const ProxySimResult proxy = run_proxy_sim(cfg, proxy_policy);
+
+    SessionTraceSource source = proxy_session_source(cfg);
+    Trace trace;
+    TraceRecord r;
+    while (source.next(&r)) trace.append(r);
+    TraceReplayConfig replay_cfg;
+    static_cast<StackConfig&>(replay_cfg) = cfg;
+    replay_cfg.predictor_kind = predictor;
+    replay_cfg.warmup_fraction = cfg.warmup / (cfg.warmup + cfg.duration);
+    ThresholdPolicy replay_policy(core::InteractionModel::kModelA);
+    const ProxySimResult replay =
+        run_trace_replay(trace, replay_cfg, replay_policy);
+
+    expect_identical(proxy, replay);
+    EXPECT_EQ(proxy.policy, replay.policy);
+    EXPECT_GT(proxy.requests, 0u);
+  }
 }
 
 TEST(StackDifferential, TraceReplayTelemetryOnMatchesOff) {

@@ -145,6 +145,25 @@ TEST(TraceReplay, SparseUserIdsAreDensified) {
   EXPECT_EQ(r.requests, 50u);
 }
 
+TEST(TraceReplay, OracleWithoutAGraphNamesPredictorKind) {
+  // A recorded trace carries no generating graph; the driver refuses the
+  // oracle with a message naming the config field.
+  const Trace trace = make_session_trace(20, 29);
+  TraceReplayConfig cfg;
+  cfg.predictor_kind = PredictorKind::kOracle;
+  EXPECT_EQ(cfg.check(), "");
+  NoPrefetchPolicy none;
+  try {
+    run_trace_replay(trace, cfg, none);
+    ADD_FAILURE() << "oracle over a plain trace did not throw";
+  } catch (const ContractViolation& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("precondition failed: predictor_kind: ",
+                                          0),
+              0u)
+        << e.what();
+  }
+}
+
 /// One broken rule: the field check() must name and how to break it.
 template <typename Config>
 struct BadField {
@@ -227,6 +246,11 @@ TEST(ConfigCheck, EachRuleNamesItsField) {
   for (double v : {-1.0, nan, inf}) {
     proxy.push_back({"warmup", [v](P& c) { c.warmup = v; }});
   }
+  // A warmup share that rounds to the whole run leaves nothing to measure.
+  proxy.push_back({"warmup", [](P& c) {
+                     c.warmup = 1e17;
+                     c.duration = 1.0;
+                   }});
 
   using R = TraceReplayConfig;
   for (double v : {-0.1, 1.0, nan}) {
@@ -242,9 +266,6 @@ TEST(ConfigCheck, EachRuleNamesItsField) {
       {"use_legacy_predictors", [](R& c) { c.use_legacy_predictors = true; }});
   replay.push_back(
       {"abort_on_divergence", [](R& c) { c.abort_on_divergence = true; }});
-  replay.push_back({"predictor_kind", [](R& c) {
-                      c.predictor_kind = PredictorKind::kOracle;
-                    }});
 
   TelemetryPlane plane;
   TelemetryFleet fleet(TelemetryConfig{}, 2);

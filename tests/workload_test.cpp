@@ -5,98 +5,13 @@
 #include <set>
 #include <sstream>
 
-#include "workload/catalog.hpp"
-#include "workload/request_stream.hpp"
 #include "workload/session_graph.hpp"
+#include "workload/session_source.hpp"
 #include "workload/synthetic_trace.hpp"
 #include "workload/trace.hpp"
 
 namespace specpf {
 namespace {
-
-TEST(Catalog, FixedSizesAllEqualMean) {
-  CatalogConfig cfg;
-  cfg.num_items = 100;
-  cfg.mean_size = 2.5;
-  Catalog catalog(cfg, 1);
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    EXPECT_DOUBLE_EQ(catalog.item_size(i), 2.5);
-  }
-  EXPECT_DOUBLE_EQ(catalog.mean_size(), 2.5);
-  EXPECT_DOUBLE_EQ(catalog.popularity_weighted_mean_size(), 2.5);
-}
-
-TEST(Catalog, PopularityIsZipfNormalised) {
-  CatalogConfig cfg;
-  cfg.num_items = 50;
-  cfg.zipf_alpha = 0.8;
-  Catalog catalog(cfg, 1);
-  double total = 0.0;
-  for (std::uint64_t i = 0; i < 50; ++i) total += catalog.popularity(i);
-  EXPECT_NEAR(total, 1.0, 1e-9);
-  EXPECT_GT(catalog.popularity(0), catalog.popularity(49));
-}
-
-TEST(Catalog, ExponentialSizesMatchMean) {
-  CatalogConfig cfg;
-  cfg.num_items = 20000;
-  cfg.size_model = CatalogConfig::SizeModel::kExponential;
-  cfg.mean_size = 3.0;
-  Catalog catalog(cfg, 7);
-  EXPECT_NEAR(catalog.mean_size(), 3.0, 0.1);
-}
-
-TEST(Catalog, BoundedParetoSizesMatchMean) {
-  CatalogConfig cfg;
-  cfg.num_items = 100000;
-  cfg.size_model = CatalogConfig::SizeModel::kBoundedPareto;
-  cfg.mean_size = 2.0;
-  cfg.pareto_shape = 1.3;
-  Catalog catalog(cfg, 11);
-  EXPECT_NEAR(catalog.mean_size() / 2.0, 1.0, 0.1);
-}
-
-TEST(Catalog, ItemsCoveringMass) {
-  CatalogConfig cfg;
-  cfg.num_items = 1000;
-  cfg.zipf_alpha = 1.0;
-  Catalog catalog(cfg, 1);
-  const std::size_t half = catalog.items_covering(0.5);
-  EXPECT_GT(half, 1u);
-  EXPECT_LT(half, 500u);  // Zipf: half the mass in far fewer than half items
-  EXPECT_EQ(catalog.items_covering(1.0), 1000u);
-}
-
-TEST(Catalog, SamplingFollowsPopularity) {
-  CatalogConfig cfg;
-  cfg.num_items = 20;
-  cfg.zipf_alpha = 1.0;
-  Catalog catalog(cfg, 3);
-  Rng rng(5);
-  std::vector<int> counts(20, 0);
-  constexpr int kDraws = 200000;
-  for (int i = 0; i < kDraws; ++i) ++counts[catalog.sample(rng)];
-  EXPECT_NEAR(static_cast<double>(counts[0]) / kDraws, catalog.popularity(0),
-              0.01);
-}
-
-TEST(IrmStream, PoissonInterarrivalsMatchRate) {
-  CatalogConfig cfg;
-  cfg.num_items = 10;
-  Catalog catalog(cfg, 1);
-  IrmStream stream(catalog, 4.0, Rng(9));
-  double prev = 0.0;
-  double sum = 0.0;
-  constexpr int kN = 50000;
-  for (int i = 0; i < kN; ++i) {
-    const Request r = stream.next();
-    EXPECT_GT(r.time, prev);
-    sum += r.time - prev;
-    prev = r.time;
-    ASSERT_LT(r.item, 10u);
-  }
-  EXPECT_NEAR(sum / kN, 0.25, 0.01);
-}
 
 TEST(SessionGraph, LinkProbabilitiesSumToOne) {
   SessionGraphConfig cfg;
@@ -165,17 +80,76 @@ TEST(SessionGraph, PopularityEstimateNormalised) {
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
-TEST(SessionStream, ProducesMonotoneTimesAndValidPages) {
+SessionTraceSource small_session_source(std::size_t users, double end_time) {
   SessionGraphConfig cfg;
   cfg.num_pages = 25;
-  SessionGraph graph(cfg, 29);
-  SessionStream stream(graph, 0.5, 0.2, Rng(31));
-  double prev = 0.0;
-  for (int i = 0; i < 10000; ++i) {
-    const Request r = stream.next();
-    ASSERT_GE(r.time, prev);
+  cfg.out_degree = 3;
+  return SessionTraceSource(cfg, users, 0.5, 0.2, 31, end_time);
+}
+
+TEST(SessionTraceSource, RecordsAreTimeOrderedOnTheGraphAndInsideTheWindow) {
+  constexpr double kEnd = 400.0;
+  SessionTraceSource source = small_session_source(6, kEnd);
+  TraceRecord r;
+  TraceRecord prev{-1.0, 0, 0};
+  std::size_t count = 0;
+  while (source.next(&r)) {
+    ASSERT_TRUE(r.time > prev.time ||
+                (r.time == prev.time && r.user > prev.user))
+        << "record " << count;
+    ASSERT_LE(r.time, kEnd) << "record " << count;
+    ASSERT_LT(r.user, 6u);
     ASSERT_LT(r.item, 25u);
-    prev = r.time;
+    prev = r;
+    ++count;
+  }
+  // 6 users x 0.5 sessions/s x ~6.7 pages over 400 s.
+  EXPECT_GT(count, 5000u);
+  EXPECT_FALSE(source.next(&r));  // stays exhausted
+}
+
+TEST(SessionTraceSource, ResetReplaysTheIdenticalSequence) {
+  SessionTraceSource source = small_session_source(4, 200.0);
+  std::vector<TraceRecord> first;
+  TraceRecord r;
+  while (source.next(&r)) first.push_back(r);
+  ASSERT_FALSE(first.empty());
+  source.reset();
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    ASSERT_TRUE(source.next(&r)) << "record " << i;
+    EXPECT_EQ(r.time, first[i].time) << "record " << i;
+    EXPECT_EQ(r.user, first[i].user) << "record " << i;
+    EXPECT_EQ(r.item, first[i].item) << "record " << i;
+  }
+  EXPECT_FALSE(source.next(&r));
+}
+
+TEST(SessionTraceSource, EachUserIsTheSessionStreamOfItsSubstream) {
+  // The documented seeding: graph from substream 0, user u from 200 + u.
+  SessionGraphConfig cfg;
+  cfg.num_pages = 25;
+  cfg.out_degree = 3;
+  constexpr std::uint64_t kSeed = 31;
+  constexpr double kEnd = 150.0;
+  constexpr std::size_t kUsers = 5;
+  SessionTraceSource source(cfg, kUsers, 0.5, 0.2, kSeed, kEnd);
+  const Rng root(kSeed);
+  const SessionGraph graph(cfg, root.substream(0).next_u64());
+  ASSERT_EQ(source.graph()->links(3)[0].target, graph.links(3)[0].target);
+
+  std::vector<std::vector<TraceRecord>> per_user(kUsers);
+  TraceRecord r;
+  while (source.next(&r)) per_user[r.user].push_back(r);
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    SCOPED_TRACE("user " + std::to_string(u));
+    SessionStream stream(graph, 0.5, 0.2, root.substream(200 + u));
+    for (const TraceRecord& got : per_user[u]) {
+      const Request want = stream.next();
+      ASSERT_EQ(got.time, want.time);
+      ASSERT_EQ(got.item, want.item);
+    }
+    // The stream's next request is the first past the window.
+    EXPECT_GT(stream.next().time, kEnd);
   }
 }
 
