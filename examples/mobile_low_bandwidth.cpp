@@ -81,11 +81,16 @@ int main(int argc, char** argv) {
     const double pth =
         core::threshold(params, core::InteractionModel::kModelA);
 
+    // A window too short to measure a request leaves t none at zero.
+    const auto vs_none = [&](double t) {
+      return r_none.mean_access_time > 0.0
+                 ? Cell{t / r_none.mean_access_time}
+                 : Cell{std::string("n/a")};
+    };
     table.add_row({bandwidth, r_none.server_utilization, std::min(1.0, pth),
                    r_none.mean_access_time, r_thresh.mean_access_time,
-                   r_aggr.mean_access_time,
-                   r_thresh.mean_access_time / r_none.mean_access_time,
-                   r_aggr.mean_access_time / r_none.mean_access_time});
+                   r_aggr.mean_access_time, vs_none(r_thresh.mean_access_time),
+                   vs_none(r_aggr.mean_access_time)});
   }
 
   table.print(std::cout);

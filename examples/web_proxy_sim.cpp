@@ -5,6 +5,7 @@
 //   ./web_proxy_sim --users 8 --bandwidth 40 --duration 1200
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "policy/policies.hpp"
 #include "sim/proxy_sim.hpp"
@@ -61,16 +62,23 @@ int main(int argc, char** argv) {
   table.add_row({base.policy, base.mean_access_time, base.hit_ratio,
                  base.server_utilization, 0.0, 0.0, base.hprime_estimate});
 
+  // A window too short to measure a request leaves both divisors at zero.
   ThresholdPolicy threshold(core::InteractionModel::kModelA);
   const auto pref = run_proxy_sim(cfg, threshold);
+  const Cell prefetch_per_request =
+      pref.requests == 0 ? Cell{std::string("n/a")}
+                         : Cell{static_cast<double>(pref.prefetch_jobs) /
+                                static_cast<double>(pref.requests)};
   table.add_row({pref.policy, pref.mean_access_time, pref.hit_ratio,
-                 pref.server_utilization,
-                 static_cast<double>(pref.prefetch_jobs) /
-                     static_cast<double>(pref.requests),
+                 pref.server_utilization, prefetch_per_request,
                  pref.prefetch_useful_fraction, pref.hprime_estimate});
 
   table.print(std::cout);
-  const double speedup = base.mean_access_time / pref.mean_access_time;
-  std::printf("threshold-rule speedup over cache-only: %.2fx\n", speedup);
+  if (pref.mean_access_time > 0.0) {
+    std::printf("threshold-rule speedup over cache-only: %.2fx\n",
+                base.mean_access_time / pref.mean_access_time);
+  } else {
+    std::printf("threshold-rule speedup over cache-only: n/a\n");
+  }
   return 0;
 }

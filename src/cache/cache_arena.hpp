@@ -13,9 +13,9 @@
 //     buckets threaded through that slab,
 //   * fixed per-user frame/slot blocks for CLOCK and random replacement,
 //   * residency resolved by ONE flat hash index keyed (user << 32) | item
-//     for the entire fleet (FlatIndexMap: structure-of-arrays robin-hood,
-//     13 bytes per slot), grown with the resident population rather than
-//     reserved up front,
+//     for the entire fleet (a FlatHashMap<std::uint32_t>, whose parallel
+//     key, value and metadata arrays cost 13 bytes per slot), grown with
+//     the resident population rather than reserved up front,
 //   * per-user state collapsed to a small value-type view (head/tail
 //     index + size — tens of bytes instead of a constellation of heap
 //     nodes).
@@ -71,7 +71,7 @@ inline std::uint64_t residency_key(std::uint32_t user, ItemId item) {
 /// Capacities up to this use the small-cache arenas: per-user fixed blocks
 /// with inline residency (a linear scan of at most 32 packed entries — up
 /// to seven cache lines of 12-byte list nodes, eight of 16-byte LFU nodes),
-/// no hash index at all. Larger capacities use the slab + FlatIndexMap
+/// no hash index at all. Larger capacities use the slab + fleet hash index
 /// arenas. Both variants of every policy are bit-identical to the legacy
 /// caches; the dispatch happens once per run in make_cache_plane next to
 /// the policy dispatch.
@@ -267,7 +267,7 @@ class ListArenaBase {
   }
 
   std::uint32_t capacity_;
-  FlatIndexMap map_;
+  FlatHashMap<std::uint32_t> map_;
   std::vector<Node> nodes_;
   NodeIndex free_ = kNull;
   std::vector<UserCacheView> users_;
@@ -659,7 +659,7 @@ class LfuArena {
   }
 
   std::uint32_t capacity_;
-  FlatIndexMap map_;
+  FlatHashMap<std::uint32_t> map_;
   std::vector<LfuNode> nodes_;
   std::vector<Bucket> buckets_;
   NodeIndex free_nodes_ = kNull;
@@ -676,7 +676,7 @@ class LfuArena {
 /// frames are a dense prefix, so the legacy "first unoccupied frame" scan
 /// reduces to the live counter; once full, the hand sweep is identical to
 /// the legacy ClockCache's. Residency: inline block scan below
-/// kInlineResidencyCapacity, the fleet FlatIndexMap above.
+/// kInlineResidencyCapacity, the fleet hash index above.
 template <bool kInlineResidency>
 class ClockArenaT {
  public:
@@ -820,7 +820,7 @@ class ClockArenaT {
   }
 
   std::uint32_t capacity_;
-  FlatIndexMap map_;  // empty in inline-residency mode
+  FlatHashMap<std::uint32_t> map_;  // empty in inline-residency mode
   std::vector<Frame> frames_;
   std::vector<UserClockView> users_;
 };
@@ -965,7 +965,7 @@ class RandomArenaT {
   }
 
   std::uint32_t capacity_;
-  FlatIndexMap map_;  // empty in inline-residency mode
+  FlatHashMap<std::uint32_t> map_;  // empty in inline-residency mode
   std::vector<Slot> slots_;
   std::vector<Rng> rngs_;
   std::vector<UserRandomView> users_;

@@ -148,7 +148,7 @@ std::unique_ptr<CachePlane> make_cache_plane(CacheKind kind,
   // The once-per-run dispatch: policy × residency mode. Small capacities
   // take the per-user-block arenas (inline residency scan, no hash index
   // bytes at all); larger ones the shared-slab arenas over the fleet-wide
-  // FlatIndexMap. The two modes make identical eviction decisions.
+  // hash index. The two modes make identical eviction decisions.
   const bool small = config.capacity <= arena::kInlineResidencyCapacity;
   switch (kind) {
     case CacheKind::kLru:

@@ -8,12 +8,12 @@
 // and an allocation per new context. The arena flattens the whole fleet of
 // tables into structure-of-arrays columns:
 //
-//     item_index_: FlatIndexMap   item value   -> u32 dense item id
+//     item_index_: FlatHashMap<u32>  item value   -> u32 dense item id
 //     item_ctx_  : per item id    the item's context id, or kNoCtx
 //     context columns (SoA)       offset / distinct / class / total
 //     successor pool (SoA)        item id (u32) / quantized count (u16)
 //                                 / child context id (u32, PPM's arena only)
-//     succ_index_: FlatIndexMap   (ctx id << 32 | item id) -> position of
+//     succ_index_: FlatHashMap<u32>  (ctx id << 32 | item id) -> position of
 //                                 the successor inside its context's block
 //
 // A context is named by structure, never by a hashed key, and each context
@@ -450,8 +450,8 @@ class ContextArena {
     ++halvings_;
   }
 
-  FlatIndexMap item_index_;
-  FlatIndexMap succ_index_;
+  FlatHashMap<std::uint32_t> item_index_;
+  FlatHashMap<std::uint32_t> succ_index_;
   std::vector<std::uint64_t> item_value_;
   std::vector<CtxId> item_ctx_;  ///< per item id: its context, or kNoCtx
   CtxId root_ = kNoCtx;

@@ -111,23 +111,4 @@ ConfidenceInterval t_interval(const RunningStats& stats, double confidence) {
   return ci;
 }
 
-ConfidenceInterval batch_means(const std::vector<double>& observations,
-                               std::size_t batches, double confidence) {
-  SPECPF_EXPECTS(batches >= 2);
-  if (observations.size() < batches) {
-    return t_interval(observations, confidence);
-  }
-  const std::size_t per_batch = observations.size() / batches;
-  std::vector<double> means;
-  means.reserve(batches);
-  for (std::size_t b = 0; b < batches; ++b) {
-    KahanSum sum;
-    for (std::size_t i = b * per_batch; i < (b + 1) * per_batch; ++i) {
-      sum.add(observations[i]);
-    }
-    means.push_back(sum.value() / static_cast<double>(per_batch));
-  }
-  return t_interval(means, confidence);
-}
-
 }  // namespace specpf

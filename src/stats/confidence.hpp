@@ -1,6 +1,6 @@
 // Confidence intervals for simulation output analysis: Student-t intervals
-// over independent replications and the batch-means method for single long
-// runs. Implemented from scratch (incomplete-beta based t quantiles).
+// over independent replications. Implemented from scratch (incomplete-beta
+// based t quantiles).
 #pragma once
 
 #include <cstddef>
@@ -36,12 +36,5 @@ ConfidenceInterval t_interval(const std::vector<double>& samples,
 /// t-interval from a pre-accumulated RunningStats.
 ConfidenceInterval t_interval(const RunningStats& stats,
                               double confidence = 0.95);
-
-/// Batch-means estimator: splits `observations` (one long autocorrelated
-/// series) into `batches` equal batches and forms a t-interval over batch
-/// means. Standard method for steady-state DES output.
-ConfidenceInterval batch_means(const std::vector<double>& observations,
-                               std::size_t batches = 16,
-                               double confidence = 0.95);
 
 }  // namespace specpf

@@ -1,80 +1,10 @@
 #include "stats/histogram.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/contract.hpp"
 
 namespace specpf {
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      bins_(bins, 0) {
-  SPECPF_EXPECTS(hi > lo);
-  SPECPF_EXPECTS(bins >= 1);
-}
-
-void Histogram::add(double x) noexcept {
-  ++count_;
-  if (x < lo_) {
-    ++underflow_;
-    ++bins_.front();
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    ++bins_.back();
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= bins_.size()) idx = bins_.size() - 1;  // x == hi - epsilon edge
-  ++bins_[idx];
-}
-
-void Histogram::merge(const Histogram& other) {
-  SPECPF_EXPECTS(lo_ == other.lo_ && hi_ == other.hi_ &&
-                 bins_.size() == other.bins_.size());
-  for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
-  count_ += other.count_;
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-}
-
-double Histogram::quantile(double q) const {
-  SPECPF_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (count_ == 0) return lo_;
-  const double target = q * static_cast<double>(count_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(bins_[i]);
-    if (next >= target) {
-      const double frac =
-          bins_[i] == 0 ? 0.0
-                        : (target - cumulative) / static_cast<double>(bins_[i]);
-      return bin_lo(i) + frac * width_;
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  SPECPF_EXPECTS(i < bins_.size());
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
-std::string Histogram::to_string(std::size_t max_lines) const {
-  std::ostringstream os;
-  std::size_t lines = 0;
-  for (std::size_t i = 0; i < bins_.size() && lines < max_lines; ++i) {
-    if (bins_[i] == 0) continue;
-    os << bin_lo(i) << ".." << bin_hi(i) << ": " << bins_[i] << '\n';
-    ++lines;
-  }
-  return os.str();
-}
 
 LogHistogram::LogHistogram(int min_exp, int max_exp)
     : min_exp_(min_exp), max_exp_(max_exp),

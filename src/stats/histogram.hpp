@@ -1,49 +1,12 @@
-// Fixed-bin and logarithmic histograms for latency distributions. Quantile
-// queries interpolate within bins, which is accurate enough for reporting
+// Logarithmic histogram for latency distributions. Quantile queries
+// interpolate within bins, which is accurate enough for reporting
 // p50/p95/p99 of simulated access times.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace specpf {
-
-/// Linear-bin histogram over [lo, hi); values outside are clamped into the
-/// first/last bin and counted as underflow/overflow.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-
-  /// Combines another histogram with identical binning (same lo/hi/bins —
-  /// checked). Bin counts add exactly, so merging per-shard histograms in
-  /// any fixed order reproduces the single-accumulator result bit-for-bit.
-  void merge(const Histogram& other);
-
-  std::uint64_t count() const noexcept { return count_; }
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-
-  /// Quantile in [0,1] via linear interpolation within the containing bin.
-  double quantile(double q) const;
-
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  std::uint64_t bin_count(std::size_t i) const { return bins_.at(i); }
-  std::size_t bin_count_size() const { return bins_.size(); }
-
-  /// Sparse text rendering for logs: one `lo..hi: count` line per non-empty bin.
-  std::string to_string(std::size_t max_lines = 16) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> bins_;
-  std::uint64_t count_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-};
 
 /// Log2-spaced histogram for heavy-tailed positive values (sizes, sojourns).
 class LogHistogram {

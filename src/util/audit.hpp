@@ -1,7 +1,7 @@
 // Structural audit layer — deep-invariant walkers for the slab planes.
 //
 // PRs 1-6 moved every hot structure onto hand-rolled arenas (DES handle
-// slabs, CacheArena, ContextArena, FlatHashMap/FlatIndexMap). Slabs never
+// slabs, CacheArena, ContextArena, FlatHashMap). Slabs never
 // return memory to the allocator, so AddressSanitizer is blind to the bug
 // classes that matter most here: a stale {slot, generation} handle, a
 // recycled successor slot, or a desynced residency entry all read *valid*

@@ -21,12 +21,6 @@ double ExponentialDist::sample(Rng& rng) const {
   return -mean_ * std::log1p(-rng.next_double());
 }
 
-UniformDist::UniformDist(double lo, double hi) : lo_(lo), hi_(hi) {
-  SPECPF_EXPECTS(lo >= 0.0 && hi > lo);
-}
-
-double UniformDist::sample(Rng& rng) const { return rng.uniform(lo_, hi_); }
-
 BoundedParetoDist::BoundedParetoDist(double shape, double lo, double hi)
     : shape_(shape), lo_(lo), hi_(hi) {
   SPECPF_EXPECTS(shape > 0.0);
@@ -51,20 +45,6 @@ double BoundedParetoDist::mean() const {
   return la / (1.0 - la / ha) * shape_ / (shape_ - 1.0) *
          (1.0 / std::pow(lo_, shape_ - 1.0) - 1.0 / std::pow(hi_, shape_ - 1.0));
 }
-
-LogNormalDist::LogNormalDist(double mu, double sigma) : mu_(mu), sigma_(sigma) {
-  SPECPF_EXPECTS(sigma > 0.0);
-}
-
-double LogNormalDist::sample(Rng& rng) const {
-  // Box–Muller; one variate per call keeps the draw count deterministic.
-  const double u1 = 1.0 - rng.next_double();
-  const double u2 = rng.next_double();
-  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-  return std::exp(mu_ + sigma_ * z);
-}
-
-double LogNormalDist::mean() const { return std::exp(mu_ + 0.5 * sigma_ * sigma_); }
 
 // ---------------------------------------------------------------------------
 // ZipfDist — Hörmann & Derflinger (1996) rejection-inversion. We sample ranks

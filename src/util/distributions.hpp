@@ -47,17 +47,6 @@ class ExponentialDist final : public Distribution {
   double mean_;
 };
 
-/// Continuous uniform on [lo, hi).
-class UniformDist final : public Distribution {
- public:
-  UniformDist(double lo, double hi);
-  double sample(Rng& rng) const override;
-  double mean() const override { return 0.5 * (lo_ + hi_); }
-
- private:
-  double lo_, hi_;
-};
-
 /// Bounded Pareto on [lo, hi] with shape alpha — the classic heavy-tailed
 /// model for web object sizes (Crovella & Bestavros).
 class BoundedParetoDist final : public Distribution {
@@ -69,17 +58,6 @@ class BoundedParetoDist final : public Distribution {
 
  private:
   double shape_, lo_, hi_;
-};
-
-/// Log-normal parameterised by the mean and sigma of the underlying normal.
-class LogNormalDist final : public Distribution {
- public:
-  LogNormalDist(double mu, double sigma);
-  double sample(Rng& rng) const override;
-  double mean() const override;
-
- private:
-  double mu_, sigma_;
 };
 
 /// Zipf(α) over ranks {0, ..., n-1}: P(rank k) ∝ (k+1)^-α.

@@ -89,21 +89,4 @@ std::vector<std::uint64_t> SessionGraph::sample_session(
   return session;
 }
 
-std::vector<double> SessionGraph::estimate_popularity(
-    std::uint64_t seed, std::size_t samples) const {
-  std::vector<double> counts(num_pages(), 0.0);
-  Rng rng(seed);
-  double total = 0.0;
-  for (std::size_t i = 0; i < samples; ++i) {
-    for (std::uint64_t page : sample_session(rng)) {
-      counts[page] += 1.0;
-      total += 1.0;
-    }
-  }
-  if (total > 0.0) {
-    for (auto& c : counts) c /= total;
-  }
-  return counts;
-}
-
 }  // namespace specpf

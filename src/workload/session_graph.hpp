@@ -56,11 +56,6 @@ class SessionGraph {
   std::vector<std::uint64_t> sample_session(Rng& rng,
                                             std::size_t max_length = 256) const;
 
-  /// Stationary-ish popularity: empirical visit frequency from `samples`
-  /// simulated sessions (used to size caches in experiments).
-  std::vector<double> estimate_popularity(std::uint64_t seed,
-                                          std::size_t samples = 20000) const;
-
  private:
   std::vector<std::vector<Link>> links_;
   double exit_probability_;

@@ -36,7 +36,7 @@ std::unique_ptr<CachePlane> make_observed(CacheKind kind, std::size_t cap,
 
 /// Capacities on both sides of arena::kInlineResidencyCapacity: the
 /// per-user-block arenas below and at the ceiling (a full block), and the
-/// shared-slab + FlatIndexMap arenas one past it and well above it.
+/// shared-slab + hash-index arenas one past it and well above it.
 constexpr std::size_t kInline = arena::kInlineResidencyCapacity;
 constexpr std::size_t kCapacities[] = {kInline * 3 / 4, kInline, kInline + 1,
                                        kInline * 3 / 2};

@@ -54,7 +54,7 @@ struct PlaneUnderTest {
 /// Drives both backends through an identical random §4 protocol sequence
 /// and checks every observable after every operation. Capacity selects the
 /// arena's residency mode: ≤ kInlineResidencyCapacity takes the per-user
-/// block arenas, above it the shared-slab + FlatIndexMap arenas.
+/// block arenas, above it the shared-slab + hash-index arenas.
 void run_differential(CacheKind kind, std::size_t capacity,
                       std::uint64_t seed) {
   CachePlaneConfig config;
@@ -137,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, CachePlaneDifferential,
 
 // --- a full block at the ceiling, per-user block vs shared slab ---
 
-/// Drives a per-user-block arena and its slab + FlatIndexMap counterpart
+/// Drives a per-user-block arena and its slab + hash-index counterpart
 /// through one scripted sequence at capacity kInlineResidencyCapacity. Two
 /// users fill their blocks to the last slot. Every resident item is probed,
 /// the last one after a scan of the whole block, and so is a miss. Lookups

@@ -1,5 +1,5 @@
 // Merge semantics backing the sharded runtime's canonical-order reduction:
-// SimMetrics, Histogram/LogHistogram, ServerStats, and BackboneStats. The
+// SimMetrics, LogHistogram, ServerStats, and BackboneStats. The
 // load-bearing property is that a merge of one accumulator into a fresh one
 // reproduces it bit-for-bit (the 1-shard differential depends on it), and
 // that counter-style state adds exactly.
@@ -9,7 +9,6 @@
 #include "net/server.hpp"
 #include "sim/metrics.hpp"
 #include "stats/histogram.hpp"
-#include "util/contract.hpp"
 #include "util/rng.hpp"
 
 namespace specpf {
@@ -103,37 +102,6 @@ TEST(SimMetricsMerge, MergeMatchesSequentialAccumulationClosely) {
   EXPECT_NEAR(split_a.mean_access_time(), joint.mean_access_time(), 1e-14);
   EXPECT_NEAR(split_a.access_time_stats().variance(),
               joint.access_time_stats().variance(), 1e-12);
-}
-
-TEST(HistogramMerge, BinsAddExactly) {
-  Histogram a(0.0, 10.0, 20);
-  Histogram b(0.0, 10.0, 20);
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) a.add(rng.uniform(-1.0, 12.0));
-  for (int i = 0; i < 700; ++i) b.add(rng.uniform(-1.0, 12.0));
-
-  Histogram joint(0.0, 10.0, 20);
-  joint.merge(a);
-  joint.merge(b);
-  EXPECT_EQ(joint.count(), a.count() + b.count());
-  EXPECT_EQ(joint.underflow(), a.underflow() + b.underflow());
-  EXPECT_EQ(joint.overflow(), a.overflow() + b.overflow());
-  for (std::size_t i = 0; i < joint.bin_count_size(); ++i) {
-    EXPECT_EQ(joint.bin_count(i), a.bin_count(i) + b.bin_count(i));
-  }
-  // Merge of one into empty reproduces quantiles exactly.
-  Histogram copy(0.0, 10.0, 20);
-  copy.merge(a);
-  EXPECT_EQ(copy.quantile(0.5), a.quantile(0.5));
-  EXPECT_EQ(copy.quantile(0.99), a.quantile(0.99));
-}
-
-TEST(HistogramMerge, MismatchedBinningIsRejected) {
-  Histogram a(0.0, 10.0, 20);
-  Histogram b(0.0, 10.0, 10);
-  EXPECT_THROW(a.merge(b), ContractViolation);
-  Histogram c(0.0, 9.0, 20);
-  EXPECT_THROW(a.merge(c), ContractViolation);
 }
 
 TEST(LogHistogramMerge, BinsAddExactly) {

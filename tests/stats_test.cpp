@@ -74,32 +74,6 @@ TEST(RunningStats, NumericallyStableAroundLargeOffset) {
   EXPECT_NEAR(stats.variance(), 0.25025, 1e-3);
 }
 
-TEST(Histogram, CountsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 1000; ++i) h.add(i % 10 + 0.5);
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.1);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.1);
-  EXPECT_NEAR(h.quantile(1.0), 10.0, 1.1);
-}
-
-TEST(Histogram, UnderOverflowClamped) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(99.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(), 2u);
-}
-
-TEST(Histogram, QuantileOfUniformSamples) {
-  Histogram h(0.0, 1.0, 100);
-  Rng rng(3);
-  for (int i = 0; i < 100000; ++i) h.add(rng.next_double());
-  EXPECT_NEAR(h.quantile(0.25), 0.25, 0.02);
-  EXPECT_NEAR(h.quantile(0.95), 0.95, 0.02);
-}
-
 TEST(LogHistogram, QuantileSpansDecades) {
   LogHistogram h;
   for (int i = 0; i < 1000; ++i) h.add(1.0);     // 2^0 bucket
@@ -149,27 +123,6 @@ TEST(TInterval, DegenerateCases) {
   EXPECT_DOUBLE_EQ(ci.mean, 3.0);
   EXPECT_DOUBLE_EQ(ci.lo, 3.0);
   EXPECT_DOUBLE_EQ(ci.hi, 3.0);
-}
-
-TEST(BatchMeans, TighterWindowThanRawVarianceForCorrelatedSeries) {
-  // AR(1)-ish positively correlated series: batch means should produce a
-  // *wider* (more honest) interval than pretending samples are iid.
-  Rng rng(13);
-  std::vector<double> series;
-  double x = 0.0;
-  for (int i = 0; i < 4096; ++i) {
-    x = 0.9 * x + rng.next_double() - 0.5;
-    series.push_back(x);
-  }
-  const auto naive = t_interval(series);
-  const auto batched = batch_means(series, 16);
-  EXPECT_GT(batched.half_width, naive.half_width);
-}
-
-TEST(BatchMeans, FallsBackWhenTooFewObservations) {
-  std::vector<double> tiny{1.0, 2.0, 3.0};
-  const auto ci = batch_means(tiny, 16);
-  EXPECT_EQ(ci.samples, 3u);
 }
 
 TEST(TimeWeighted, PiecewiseConstantAverage) {

@@ -274,7 +274,7 @@ void expect_failure_containing(const AuditReport& report,
 TEST(AuditClean, CachePlanesAllKindsBothArenaVariants) {
   for (int k = 0; k < kNumCacheKinds; ++k) {
     // capacity 4 selects the small (inline-residency) arenas, 48 the
-    // slab + FlatIndexMap arenas; both variants of every policy.
+    // slab + hash-index arenas; both variants of every policy.
     static_assert(4 <= arena::kInlineResidencyCapacity &&
                   48 > arena::kInlineResidencyCapacity);
     for (std::size_t capacity : {std::size_t{4}, std::size_t{48}}) {

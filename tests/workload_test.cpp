@@ -70,16 +70,6 @@ TEST(SessionGraph, SessionsFollowEdges) {
   }
 }
 
-TEST(SessionGraph, PopularityEstimateNormalised) {
-  SessionGraphConfig cfg;
-  cfg.num_pages = 40;
-  SessionGraph graph(cfg, 27);
-  const auto pop = graph.estimate_popularity(1, 5000);
-  double total = 0.0;
-  for (double p : pop) total += p;
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
 SessionTraceSource small_session_source(std::size_t users, double end_time) {
   SessionGraphConfig cfg;
   cfg.num_pages = 25;
