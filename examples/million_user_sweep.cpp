@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,7 @@
 #include "workload/progress_source.hpp"
 #include "workload/synthetic_trace.hpp"
 #include "workload/trace_file.hpp"
+#include "workload/trace_stream.hpp"
 
 namespace {
 
@@ -87,21 +89,6 @@ std::string suffixed_path(const std::string& base, const std::string& token) {
     return base + "-" + token;
   }
   return base.substr(0, dot) + "-" + token + base.substr(dot);
-}
-
-/// Streams `source` to CSV with round-trip-exact timestamp precision,
-/// without materializing a Trace.
-bool save_csv_streaming(const std::string& path, TraceSource& source) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "time,user,item\n");
-  source.reset();
-  TraceRecord r;
-  while (source.next(&r)) {
-    std::fprintf(f, "%.17g,%u,%llu\n", r.time, r.user,
-                 static_cast<unsigned long long>(r.item));
-  }
-  return std::fclose(f) == 0;
 }
 
 }  // namespace
@@ -267,7 +254,12 @@ int main(int argc, char** argv) {
     }
     if (!convert_path.empty()) {
       t0 = Clock::now();
-      const std::uint64_t n = write_trace_file(convert_path, *src);
+      std::uint64_t n = 0;
+      try {
+        n = write_trace_file(convert_path, *src);
+      } catch (const std::runtime_error&) {
+        args.reject_value("convert", "writable path", convert_path);
+      }
       const double secs =
           std::chrono::duration<double>(Clock::now() - t0).count();
       const TraceFile out(convert_path);
@@ -280,9 +272,10 @@ int main(int argc, char** argv) {
           static_cast<double>(out.file_bytes()) / 1e6);
     }
     if (!save_csv_path.empty()) {
-      if (!save_csv_streaming(save_csv_path, *src)) {
-        std::fprintf(stderr, "cannot write CSV '%s'\n", save_csv_path.c_str());
-        return 1;
+      try {
+        save_csv_file(save_csv_path, *src);
+      } catch (const std::runtime_error&) {
+        args.reject_value("save-csv", "writable path", save_csv_path);
       }
       std::printf("wrote %s\n", save_csv_path.c_str());
     }

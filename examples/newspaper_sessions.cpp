@@ -14,6 +14,7 @@
 #include "util/argparse.hpp"
 #include "util/table.hpp"
 #include "workload/trace.hpp"
+#include "workload/trace_stream.hpp"
 
 int main(int argc, char** argv) {
   using namespace specpf;
@@ -61,7 +62,8 @@ int main(int argc, char** argv) {
     Trace trace;
     for (TraceRecord r; source.next(&r);) trace.append(r);
     try {
-      trace.save_csv_file(trace_path);
+      TraceVectorSource view(trace);
+      save_csv_file(trace_path, view);
     } catch (const std::runtime_error&) {
       args.reject_value("trace", "writable path", trace_path);
     }

@@ -45,10 +45,11 @@
 #include <type_traits>
 #include <vector>
 
-#include "cache/cache.hpp"
+#include "core/hit_ratio_estimator.hpp"
 #include "util/audit.hpp"
 #include "util/contract.hpp"
 #include "util/flat_hash.hpp"
+#include "util/ids.hpp"
 #include "util/rng.hpp"
 
 namespace specpf::arena {
@@ -66,6 +67,18 @@ inline constexpr NodeIndex kNull = 0xFFFFFFFFu;
 inline std::uint64_t residency_key(std::uint32_t user, ItemId item) {
   SPECPF_DCHECK((item >> 32) == 0);
   return (static_cast<std::uint64_t>(user) << 32) | item;
+}
+
+/// Largest per-user capacity the arenas hold: capacities and per-user
+/// sizes are stored as u32.
+inline constexpr std::size_t kMaxCapacity = 0xFFFFFFFFu;
+
+/// `capacity` narrowed to the arenas' u32 field, after checking it lies in
+/// [1, kMaxCapacity]: an API caller gets a ContractViolation, not a
+/// silently truncated cache.
+inline std::uint32_t checked_capacity(std::size_t capacity) {
+  SPECPF_EXPECTS(capacity >= 1 && capacity <= kMaxCapacity);
+  return static_cast<std::uint32_t>(capacity);
 }
 
 /// Capacities up to this use the small-cache arenas: per-user fixed blocks
@@ -108,9 +121,7 @@ class ListArenaBase {
  public:
   ListArenaBase(std::size_t num_users, std::size_t capacity,
                 std::uint64_t /*seed*/)
-      : capacity_(static_cast<std::uint32_t>(capacity)), users_(num_users) {
-    SPECPF_EXPECTS(capacity >= 1);
-  }
+      : capacity_(checked_capacity(capacity)), users_(num_users) {}
 
   bool contains(std::uint32_t user, ItemId item) const {
     return map_.contains(residency_key(user, item));
@@ -366,9 +377,7 @@ class FifoArena : public ListArenaBase {
 class LfuArena {
  public:
   LfuArena(std::size_t num_users, std::size_t capacity, std::uint64_t /*seed*/)
-      : capacity_(static_cast<std::uint32_t>(capacity)), users_(num_users) {
-    SPECPF_EXPECTS(capacity >= 1);
-  }
+      : capacity_(checked_capacity(capacity)), users_(num_users) {}
 
   std::optional<EntryTag> lookup(std::uint32_t user, ItemId item) {
     const NodeIndex* idx = map_.find(residency_key(user, item));
@@ -682,8 +691,7 @@ class ClockArenaT {
  public:
   ClockArenaT(std::size_t num_users, std::size_t capacity,
               std::uint64_t /*seed*/)
-      : capacity_(static_cast<std::uint32_t>(capacity)), users_(num_users) {
-    SPECPF_EXPECTS(capacity >= 1);
+      : capacity_(checked_capacity(capacity)), users_(num_users) {
     SPECPF_EXPECTS(num_users * capacity < kNull);
     frames_.resize(num_users * capacity);
   }
@@ -841,8 +849,7 @@ template <bool kInlineResidency>
 class RandomArenaT {
  public:
   RandomArenaT(std::size_t num_users, std::size_t capacity, std::uint64_t seed)
-      : capacity_(static_cast<std::uint32_t>(capacity)), users_(num_users) {
-    SPECPF_EXPECTS(capacity >= 1);
+      : capacity_(checked_capacity(capacity)), users_(num_users) {
     SPECPF_EXPECTS(num_users * capacity < kNull);
     slots_.resize(num_users * capacity);
     const Rng root(seed);

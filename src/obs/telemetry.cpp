@@ -44,23 +44,6 @@ std::size_t TelemetryRegistry::find_gauge(const std::string& name) const {
   return find_name(gauge_names_, name);
 }
 
-void TelemetryRegistry::merge(const TelemetryRegistry& other) {
-  for (std::size_t i = 0; i < other.counters_.size(); ++i) {
-    const std::size_t at = find_name(counter_names_, other.counter_names_[i]);
-    if (at == counter_names_.size()) {
-      register_counter(other.counter_names_[i]);
-    }
-    counters_[at].value += other.counters_[i].value;
-  }
-  for (std::size_t i = 0; i < other.gauges_.size(); ++i) {
-    const std::size_t at = find_name(gauge_names_, other.gauge_names_[i]);
-    if (at == gauge_names_.size()) {
-      register_gauge(other.gauge_names_[i], other.gauge_units_[i]);
-    }
-    gauges_[at] = std::max(gauges_[at], other.gauges_[i]);
-  }
-}
-
 void TelemetryRegistry::audit(AuditReport& report) const {
   const AuditScope scope(report, "TelemetryRegistry");
   report.check(counters_.size() == counter_names_.size(),
@@ -288,12 +271,6 @@ TelemetryFleet::TelemetryFleet(const TelemetryConfig& config,
     planes_.push_back(
         std::make_unique<TelemetryPlane>(config, static_cast<std::uint32_t>(s)));
   }
-}
-
-TelemetryRegistry TelemetryFleet::merged_registry() const {
-  TelemetryRegistry merged;
-  for (const auto& plane : planes_) merged.merge(plane->registry());
-  return merged;
 }
 
 void TelemetryFleet::audit(AuditReport& report) const {

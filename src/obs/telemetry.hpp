@@ -4,9 +4,8 @@
 //
 //   * TelemetryRegistry    — flat counter/gauge slots registered by name at
 //                            setup (cache-aligned u64 counters, double
-//                            gauges). One registry per shard; registries
-//                            merge canonically (by name, shard order) at
-//                            the end of a run, like SimMetrics.
+//                            gauges). One registry per shard; the
+//                            exporters read them in shard order.
 //   * TimeSeriesRecorder   — samples every registered gauge into a flat
 //                            preallocated ring at fixed sim-time intervals
 //                            (and at sharded epoch barriers). When full it
@@ -89,14 +88,6 @@ class TelemetryRegistry {
   std::size_t find_gauge(const std::string& name) const;
   /// The gauge block the recorder snapshots (index = GaugeId).
   const std::vector<double>& gauge_values() const noexcept { return gauges_; }
-
-  /// Folds another registry in by *name* (cold path, canonical shard
-  /// order): counters with the same name sum exactly, gauges take the max,
-  /// names unseen so far append in the other registry's order. Merging
-  /// per-shard registries in shard order is therefore deterministic even
-  /// when shards registered different subsets (e.g. userless shards carry
-  /// only origin gauges).
-  void merge(const TelemetryRegistry& other);
 
   /// Invariants: parallel name/slot arrays agree, names unique + nonempty.
   void audit(AuditReport& report) const;
@@ -323,9 +314,6 @@ class TelemetryFleet {
   std::size_t size() const noexcept { return planes_.size(); }
   TelemetryPlane& shard(std::size_t s) { return *planes_[s]; }
   const TelemetryPlane& shard(std::size_t s) const { return *planes_[s]; }
-
-  /// Counters/gauges merged by name in canonical shard order (cold path).
-  TelemetryRegistry merged_registry() const;
 
   void audit(AuditReport& report) const;
 

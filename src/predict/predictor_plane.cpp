@@ -82,12 +82,8 @@ class FrequencyPlane final : public PredictorPlane {
 
 class MarkovPlane final : public PredictorPlane {
  public:
-  MarkovPlane(std::size_t num_users, double laplace)
-      : laplace_(laplace), last_(num_users, ContextArena::kNoItem) {
-    // The bound keeps count order equal to probability order (see
-    // kMaxMarkovLaplace); predict_into depends on it.
-    SPECPF_EXPECTS(laplace >= 0.0 && laplace <= kMaxMarkovLaplace);
-  }
+  explicit MarkovPlane(std::size_t num_users)
+      : last_(num_users, ContextArena::kNoItem) {}
 
   void observe(UserId user, std::uint64_t item) override {
     SPECPF_EXPECTS(user < last_.size());
@@ -105,13 +101,10 @@ class MarkovPlane final : public PredictorPlane {
     if (last_[user] == ContextArena::kNoItem) return;
     const ContextArena::CtxId ctx = arena_.find_item_context(last_[user]);
     if (ctx == ContextArena::kNoCtx || arena_.total(ctx) == 0) return;
-    const double denom =
-        static_cast<double>(arena_.total(ctx)) +
-        laplace_ * static_cast<double>(arena_.distinct(ctx));
+    const double total = static_cast<double>(arena_.total(ctx));
     for (const RankedPrefix::Entry& e :
          ranks_.top(arena_, ctx, max_candidates)) {
-      out.push_back(Candidate{
-          e.item, (static_cast<double>(e.count) + laplace_) / denom});
+      out.push_back(Candidate{e.item, static_cast<double>(e.count) / total});
     }
   }
 
@@ -133,7 +126,6 @@ class MarkovPlane final : public PredictorPlane {
   }
 
  private:
-  double laplace_;
   ContextArena arena_;
   mutable RankedPrefix ranks_;  ///< see FrequencyPlane::ranks_
   /// Per user: the item id of their latest access, or kNoItem before it.
@@ -330,8 +322,7 @@ std::unique_ptr<PredictorPlane> make_predictor_plane(
   SPECPF_EXPECTS(config.num_users >= 1);
   switch (kind) {
     case PredictorKind::kMarkov:
-      return std::make_unique<MarkovPlane>(config.num_users,
-                                           config.markov_laplace);
+      return std::make_unique<MarkovPlane>(config.num_users);
     case PredictorKind::kPpm:
       return std::make_unique<PpmPlane>(config.num_users, config.ppm_order);
     case PredictorKind::kDependencyGraph:

@@ -31,20 +31,11 @@
 #include "core/planner.hpp"
 #include "predict/factory.hpp"
 #include "util/audit.hpp"
+#include "util/ids.hpp"
 
 namespace specpf {
 
 class SessionGraph;  // workload/session_graph.hpp (oracle backend only)
-
-using UserId = std::uint32_t;
-
-/// Largest accepted PredictorPlaneConfig::markov_laplace. Below it the
-/// Markov probability (c + α) / denom is strictly increasing in every u16
-/// count c even after rounding: c + α < 2^33 keeps distinct counts distinct
-/// in a 53-bit mantissa, and their ratio, at least 1 + 2^-33, survives the
-/// division by one shared denominator. So count order is probability
-/// order, which lets the Markov plane read its ranking off a RankedPrefix.
-inline constexpr double kMaxMarkovLaplace = 4294967296.0;  // 2^32
 
 struct PredictorPlaneConfig {
   /// Users are dense ids in [0, num_users); per-user history lives in a
@@ -52,8 +43,6 @@ struct PredictorPlaneConfig {
   std::size_t num_users = 1;
   std::size_t ppm_order = 3;            ///< PPM: longest context length
   std::size_t depgraph_lookahead = 4;   ///< dependency graph window w
-  /// Markov add-α smoothing, in [0, kMaxMarkovLaplace].
-  double markov_laplace = 0.0;
   /// Generating graph, required for kOracle (borrowed; must outlive the
   /// plane). Ignored by every other kind.
   const SessionGraph* graph = nullptr;

@@ -2,10 +2,9 @@
 //
 // Markov and frequency predictions are the k best successors of one
 // ContextArena context under the plane's candidate order: probability
-// descending, then item ascending. Their probabilities, (c + α) / denom and
-// c / total, are strictly increasing in the u16 count c (MarkovPlane bounds
-// α so that this holds in floating point too), so that order is exactly
-// count descending, then item ascending. RankedPrefix keeps the first
+// descending, then item ascending. Both probabilities are c / total,
+// strictly increasing in the u16 count c, so that order is exactly count
+// descending, then item ascending. RankedPrefix keeps the first
 // min(stride, distinct) successors of every context in that order, so a
 // prediction reads its answer off the prefix in O(k) instead of walking
 // the context's whole successor block.

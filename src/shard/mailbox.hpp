@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/cache.hpp"  // ItemId
+#include "util/ids.hpp"
 
 namespace specpf {
 

@@ -172,8 +172,8 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory* make_policy,
 
   // Metadata scan (one sequential pass): global count/time span, and per
   // shard the record count, time span, and densified user ids
-  // (first-appearance order within the shard — the same order iterating
-  // the shard's partition_by_user sub-trace would produce). Warmup and
+  // (first-appearance order among the records whose user maps to the
+  // shard, walked in trace order). Warmup and
   // horizon instants come from the *global* trace so every shard switches
   // measurement on at the same simulated time, exactly where the unsharded
   // replay would. The global accumulators are locals so they stay in

@@ -47,9 +47,9 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache.hpp"
 #include "net/backbone.hpp"
 #include "sim/trace_replay.hpp"
+#include "util/ids.hpp"
 
 namespace specpf {
 

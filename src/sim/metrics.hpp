@@ -48,7 +48,6 @@ class SimMetrics {
   double access_time_quantile(double p) const {
     return access_hist_.quantile(p);
   }
-  const LogHistogram& access_time_histogram() const { return access_hist_; }
 
   /// Mean retrieval time per *user request*: (Σ all sojourns)/requests —
   /// the R of paper eq. (25).

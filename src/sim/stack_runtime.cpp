@@ -18,8 +18,9 @@ std::string StackConfig::check() const {
   if (!positive_finite(item_size)) {
     return config_error("item_size", "must be positive and finite", item_size);
   }
-  if (cache_capacity < 1) {
-    return config_error("cache_capacity", "must be >= 1", cache_capacity);
+  if (cache_capacity < 1 || cache_capacity > arena::kMaxCapacity) {
+    return config_error("cache_capacity", "must be in [1, 2^32 - 1]",
+                        cache_capacity);
   }
   if (max_prefetch_per_request < 1) {
     return config_error("max_prefetch_per_request", "must be >= 1",
@@ -49,9 +50,9 @@ StackRuntime::StackRuntime(Simulator& sim, PredictorPlane& predictor,
   plane_config.capacity = config_.cache_capacity;
   plane_config.seed = config_.seed;
   caches_ = make_cache_plane(config_.cache_kind, plane_config);
-  caches_->set_eviction_observer([this](UserId, ItemId, EntryTag tag) {
+  caches_->set_eviction_observer([this](UserId, ItemId, core::EntryTag tag) {
     --cache_residents_;
-    if (tag == EntryTag::kUntagged) {
+    if (tag == core::EntryTag::kUntagged) {
       ++wasted_evictions_;
       if (measuring_) metrics_.record_wasted_prefetch();
       if (telemetry_) telemetry_->registry().add(tele_.wasted_evictions);

@@ -3,13 +3,8 @@
 #include <cmath>
 
 #include "util/contract.hpp"
-#include "util/math.hpp"
 
 namespace specpf {
-
-double ConfidenceInterval::relative_half_width() const {
-  return safe_div(half_width, std::abs(mean), 0.0);
-}
 
 namespace {
 

@@ -20,9 +20,6 @@ struct ConfidenceInterval {
 
   /// True when `value` lies inside [lo, hi].
   bool contains(double value) const { return value >= lo && value <= hi; }
-
-  /// half_width / |mean| — the usual stopping criterion for replications.
-  double relative_half_width() const;
 };
 
 /// Quantile of the Student-t distribution with `dof` degrees of freedom at

@@ -75,18 +75,4 @@ bool SessionGraph::sample_next(std::uint64_t page, Rng& rng,
   return true;
 }
 
-std::vector<std::uint64_t> SessionGraph::sample_session(
-    Rng& rng, std::size_t max_length) const {
-  std::vector<std::uint64_t> session;
-  std::uint64_t page = sample_entry(rng);
-  session.push_back(page);
-  while (session.size() < max_length) {
-    std::uint64_t next = 0;
-    if (!sample_next(page, rng, &next)) break;
-    session.push_back(next);
-    page = next;
-  }
-  return session;
-}
-
 }  // namespace specpf

@@ -52,10 +52,6 @@ class SessionGraph {
   /// Draws the next page from `page`; returns false when the session exits.
   bool sample_next(std::uint64_t page, Rng& rng, std::uint64_t* next) const;
 
-  /// Generates one full session (entry + follow-ups).
-  std::vector<std::uint64_t> sample_session(Rng& rng,
-                                            std::size_t max_length = 256) const;
-
  private:
   std::vector<std::vector<Link>> links_;
   double exit_probability_;

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
-#include "util/contract.hpp"
 #include "util/flat_hash.hpp"
 #include "util/math.hpp"
 
@@ -22,13 +20,6 @@ bool Trace::is_time_ordered() const {
                         [](const TraceRecord& a, const TraceRecord& b) {
                           return a.time < b.time;
                         });
-}
-
-void Trace::sort_by_time() {
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.time < b.time;
-                   });
 }
 
 std::size_t Trace::unique_items() const {
@@ -53,44 +44,6 @@ double Trace::duration() const {
 
 double Trace::mean_request_rate() const {
   return safe_div(static_cast<double>(records_.size()), duration(), 0.0);
-}
-
-std::vector<std::pair<std::uint64_t, std::uint64_t>> Trace::item_counts()
-    const {
-  FlatHashMap<std::uint64_t> counts;
-  for (const auto& r : records_) ++counts[r.item];
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  out.reserve(counts.size());
-  for (const auto& [item, count] : counts) out.emplace_back(item, count);
-  std::sort(out.begin(), out.end());  // keep the item-sorted contract
-  return out;
-}
-
-std::vector<Trace> Trace::partition_by_user(std::size_t num_shards) const {
-  SPECPF_EXPECTS(num_shards >= 1);
-  std::vector<std::vector<TraceRecord>> parts(num_shards);
-  // Pre-size each shard: a second pass over headers is far cheaper than
-  // push_back growth on million-record traces.
-  std::vector<std::size_t> counts(num_shards, 0);
-  for (const auto& r : records_) ++counts[r.user % num_shards];
-  for (std::size_t s = 0; s < num_shards; ++s) parts[s].reserve(counts[s]);
-  for (const auto& r : records_) parts[r.user % num_shards].push_back(r);
-  std::vector<Trace> out;
-  out.reserve(num_shards);
-  for (auto& part : parts) out.emplace_back(std::move(part));
-  return out;
-}
-
-void Trace::save_csv(std::ostream& os) const {
-  // max_digits10 keeps the save/load round trip exact; shorter defaults
-  // would quantize timestamps to 6 significant digits.
-  const auto precision =
-      os.precision(std::numeric_limits<double>::max_digits10);
-  os << "time,user,item\n";
-  for (const auto& r : records_) {
-    os << r.time << ',' << r.user << ',' << r.item << '\n';
-  }
-  os.precision(precision);
 }
 
 namespace {
@@ -155,31 +108,10 @@ Trace Trace::load_csv(std::istream& is) {
   return Trace{std::move(records)};
 }
 
-void Trace::save_csv_file(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open for write: " + path);
-  save_csv(os);
-}
-
 Trace Trace::load_csv_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("cannot open for read: " + path);
   return load_csv(is);
-}
-
-TraceShardView::TraceShardView(const Trace& trace, std::uint32_t shard,
-                               std::size_t num_shards)
-    : trace_(&trace), shard_(shard), num_shards_(num_shards) {
-  SPECPF_EXPECTS(num_shards >= 1);
-  SPECPF_EXPECTS(shard < num_shards);
-}
-
-std::size_t TraceShardView::count() const {
-  std::size_t n = 0;
-  for (const auto& r : trace_->records()) {
-    if (r.user % num_shards_ == shard_) ++n;
-  }
-  return n;
 }
 
 }  // namespace specpf

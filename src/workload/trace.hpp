@@ -1,4 +1,4 @@
-// Access traces: recording, replay, CSV round-trip, and summary statistics.
+// Access traces: recording, replay, CSV loading, and summary statistics.
 // Lets experiments be re-run on identical request sequences (paired
 // comparisons between policies) and lets users feed real traces in.
 #pragma once
@@ -29,106 +29,23 @@ class Trace {
   /// True when records are sorted by time (required for replay).
   bool is_time_ordered() const;
 
-  /// Stable-sorts records by time.
-  void sort_by_time();
-
   /// Summary statistics.
   std::size_t unique_items() const;
   std::size_t unique_users() const;
   double duration() const;  ///< last time − first time (0 if < 2 records)
   double mean_request_rate() const;  ///< size / duration
 
-  /// Per-item request counts, indexed sparsely.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> item_counts() const;
-
-  /// Splits the trace into `num_shards` sub-traces by user (shard of user u
-  /// is u % num_shards), preserving record order within each shard — the
-  /// user→shard partitioning of the sharded runtime. Shard 0 of a 1-way
-  /// partition is the whole trace. Copies every record; callers that only
-  /// need to *walk* one shard's records should use TraceShardView instead.
-  std::vector<Trace> partition_by_user(std::size_t num_shards) const;
-
-  /// CSV with header "time,user,item". Timestamps are written with
-  /// max_digits10 precision so a save/load round trip reproduces the
-  /// doubles exactly.
-  void save_csv(std::ostream& os) const;
-
-  /// Parses the CSV written by save_csv. Throws std::runtime_error with
-  /// the offending line number on a malformed record, a negative id, a
-  /// non-finite timestamp, trailing garbage after the item column, or a
-  /// timestamp that moves backwards (replay requires time order; sort
-  /// externally before loading if the source is unordered).
+  /// Parses the CSV that save_csv (workload/trace_stream.hpp) writes.
+  /// Throws std::runtime_error with the offending line number on a
+  /// malformed record, a negative id, a non-finite timestamp, trailing
+  /// garbage after the item column, or a timestamp that moves backwards
+  /// (replay requires time order; sort externally before loading if the
+  /// source is unordered).
   static Trace load_csv(std::istream& is);
-
-  void save_csv_file(const std::string& path) const;
   static Trace load_csv_file(const std::string& path);
 
  private:
   std::vector<TraceRecord> records_;
-};
-
-/// Non-copying per-shard view over a Trace: iterates the records whose user
-/// maps to `shard` (user % num_shards == shard) in trace order, skipping the
-/// rest in place. The allocation-free counterpart of partition_by_user for
-/// callers that only need one sequential walk — O(1) space instead of a
-/// 24 B/record copy. The viewed trace must outlive the view.
-class TraceShardView {
- public:
-  TraceShardView(const Trace& trace, std::uint32_t shard,
-                 std::size_t num_shards);
-
-  class iterator {
-   public:
-    using value_type = TraceRecord;
-    using reference = const TraceRecord&;
-
-    reference operator*() const { return (*records_)[index_]; }
-    const TraceRecord* operator->() const { return &(*records_)[index_]; }
-    iterator& operator++() {
-      ++index_;
-      skip_to_match();
-      return *this;
-    }
-    bool operator==(const iterator& other) const {
-      return index_ == other.index_;
-    }
-    bool operator!=(const iterator& other) const { return !(*this == other); }
-
-   private:
-    friend class TraceShardView;
-    iterator(const std::vector<TraceRecord>* records, std::size_t index,
-             std::uint32_t shard, std::size_t num_shards)
-        : records_(records), index_(index), shard_(shard),
-          num_shards_(num_shards) {
-      skip_to_match();
-    }
-    void skip_to_match() {
-      while (index_ < records_->size() &&
-             (*records_)[index_].user % num_shards_ != shard_) {
-        ++index_;
-      }
-    }
-
-    const std::vector<TraceRecord>* records_;
-    std::size_t index_;
-    std::uint32_t shard_;
-    std::size_t num_shards_;
-  };
-
-  iterator begin() const {
-    return iterator(&trace_->records(), 0, shard_, num_shards_);
-  }
-  iterator end() const {
-    return iterator(&trace_->records(), trace_->size(), shard_, num_shards_);
-  }
-
-  /// Number of records in the shard (one O(n) counting pass).
-  std::size_t count() const;
-
- private:
-  const Trace* trace_;
-  std::uint32_t shard_;
-  std::size_t num_shards_;
 };
 
 }  // namespace specpf

@@ -24,6 +24,8 @@
 #pragma once
 
 #include <cstddef>
+#include <iosfwd>
+#include <string>
 
 #include "workload/trace.hpp"
 
@@ -65,5 +67,15 @@ class TraceVectorSource final : public TraceSource {
   const Trace* trace_;
   std::size_t index_ = 0;
 };
+
+/// Drains `source` (after reset()) as CSV with header "time,user,item", the
+/// format Trace::load_csv reads. Timestamps are written with max_digits10
+/// precision so a save/load round trip reproduces the doubles exactly. An
+/// in-RAM Trace is written through a TraceVectorSource.
+void save_csv(std::ostream& os, TraceSource& source);
+
+/// save_csv into a new file at `path`. Throws std::runtime_error when the
+/// file cannot be opened or written.
+void save_csv_file(const std::string& path, TraceSource& source);
 
 }  // namespace specpf

@@ -28,7 +28,7 @@ std::unique_ptr<CachePlane> make_observed(CacheKind kind, std::size_t cap,
   config.capacity = cap;
   auto plane = make_cache_plane(kind, config);
   plane->set_eviction_observer(
-      [victims](std::uint32_t, ItemId item, EntryTag) {
+      [victims](std::uint32_t, ItemId item, core::EntryTag) {
         victims->push_back(item);
       });
   return plane;

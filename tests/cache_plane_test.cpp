@@ -221,6 +221,25 @@ TEST(InlineResidencyCeiling, FullBlockMatchesSlabArenaForEveryPolicy) {
   run_full_block<arena::SmallRandomArena, arena::RandomArena>(5);
 }
 
+TEST(CapacityBound, CapacityPastU32IsRejectedNotTruncated) {
+  // The arenas store capacity in 32 bits, where 2^32 would narrow to a
+  // capacity-0 cache: every policy must refuse it when the plane is built.
+  CachePlaneConfig config;
+  config.num_users = 1;
+  config.capacity = arena::kMaxCapacity + 1;
+  for (const CacheKind kind : kAllKinds) {
+    EXPECT_THROW(make_cache_plane(kind, config), ContractViolation)
+        << cache_kind_name(kind);
+  }
+  // The list and LFU slabs grow with residents, so the largest capacity
+  // itself builds.
+  config.capacity = arena::kMaxCapacity;
+  for (const CacheKind kind :
+       {CacheKind::kLru, CacheKind::kFifo, CacheKind::kLfu}) {
+    EXPECT_NO_THROW(make_cache_plane(kind, config)) << cache_kind_name(kind);
+  }
+}
+
 // --- §4 tag-transition edge cases, pinned identically on both backends ---
 
 class TagTransition : public ::testing::TestWithParam<bool> {

@@ -14,6 +14,7 @@
 namespace specpf {
 namespace {
 
+using core::EntryTag;
 using core::InteractionModel;
 
 constexpr std::uint32_t kUser = 0;

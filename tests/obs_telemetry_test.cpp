@@ -1,4 +1,4 @@
-// Telemetry-plane unit tests: registry registration/merge semantics, the
+// Telemetry-plane unit tests: registry registration semantics, the
 // recorder's ring wraparound + keep-every-2nd downsampling, span tracer
 // open/close pairing (including stale closes and ring overwrites), plane
 // seal/sampling mechanics, and structural well-formedness of the Chrome
@@ -42,44 +42,6 @@ TEST(TelemetryRegistry, RegisterAddAndRead) {
   EXPECT_DOUBLE_EQ(reg.gauge(g0), 3.5);
   EXPECT_EQ(reg.counter_name(c0), "req.count");
   EXPECT_EQ(reg.gauge_name(g0), "link.queue_depth");
-}
-
-TEST(TelemetryRegistry, MergeSumsCountersByNameAndMaxesGauges) {
-  // Shard 0: the full instrument set. Shard 1: a userless shard carrying
-  // only origin gauges plus one counter shard 0 also has — the exact shape
-  // the sharded driver produces.
-  TelemetryRegistry a;
-  const auto a_req = a.register_counter("req.count");
-  const auto a_q = a.register_gauge("link.queue_depth");
-  a.add(a_req, 10);
-  a.set_gauge(a_q, 2.0);
-
-  TelemetryRegistry b;
-  const auto b_oq = b.register_gauge("origin.queue_depth");
-  const auto b_req = b.register_counter("req.count");
-  b.add(b_req, 5);
-  b.set_gauge(b_oq, 7.0);
-
-  TelemetryRegistry merged;
-  merged.merge(a);
-  merged.merge(b);
-  // Canonical order: shard 0's names first, then shard 1's unseen names.
-  EXPECT_EQ(merged.counter_count(), 1u);
-  EXPECT_EQ(merged.counter_name(0), "req.count");
-  EXPECT_EQ(merged.counter(0), 15u);
-  ASSERT_EQ(merged.gauge_count(), 2u);
-  EXPECT_EQ(merged.gauge_name(0), "link.queue_depth");
-  EXPECT_EQ(merged.gauge_name(1), "origin.queue_depth");
-  EXPECT_DOUBLE_EQ(merged.gauge(0), 2.0);
-  EXPECT_DOUBLE_EQ(merged.gauge(1), 7.0);
-
-  // Merging in the opposite order flips the union order — which is why the
-  // fleet always merges in shard order.
-  TelemetryRegistry reversed;
-  reversed.merge(b);
-  reversed.merge(a);
-  EXPECT_EQ(reversed.gauge_name(0), "origin.queue_depth");
-  EXPECT_EQ(reversed.counter(0), 15u);
 }
 
 // --- recorder ---------------------------------------------------------------

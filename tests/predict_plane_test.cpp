@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -35,7 +34,6 @@
 #include "reference/legacy_planes.hpp"
 #include "reference/ppm.hpp"
 #include "util/audit.hpp"
-#include "util/contract.hpp"
 #include "util/rng.hpp"
 #include "workload/session_graph.hpp"
 
@@ -392,19 +390,6 @@ TEST(PredictPlaneDifferential, MarkovMatchesLegacy) {
   }
 }
 
-TEST(PredictPlaneDifferential, MarkovLaplaceMatchesLegacy) {
-  // Up to the largest accepted α, where every probability sits within
-  // ~1e-5 of 1/distinct, count order must still be probability order.
-  for (const double laplace : {0.5, kMaxMarkovLaplace}) {
-    PredictorPlaneConfig cfg;
-    cfg.num_users = 4;
-    cfg.markov_laplace = laplace;
-    expect_bit_identical(PredictorKind::kMarkov, cfg, {8}, 23, 4000, 40);
-    expect_bit_identical(PredictorKind::kMarkov, cfg, {1, 4, 2, 8, 64}, 34,
-                         4000, 40);
-  }
-}
-
 TEST(PredictPlaneDifferential, CyclingLimitGrowsRankedPrefixExactly) {
   // Limits that rise, fall and rise again: every growth rebuilds the
   // prefixes mid-stream, and the smaller limits must read a prefix of the
@@ -418,19 +403,6 @@ TEST(PredictPlaneDifferential, CyclingLimitGrowsRankedPrefixExactly) {
     cfg.num_users = users;
     expect_bit_identical(PredictorKind::kMarkov, cfg, cycle, 32, 4000, 40);
   }
-}
-
-TEST(PredictPlane, MarkovLaplaceAboveBoundIsRejected) {
-  PredictorPlaneConfig cfg;
-  cfg.markov_laplace = std::nextafter(kMaxMarkovLaplace, 1e300);
-  EXPECT_THROW(make_predictor_plane(PredictorKind::kMarkov, cfg),
-               ContractViolation);
-  cfg.markov_laplace = INFINITY;
-  EXPECT_THROW(make_predictor_plane(PredictorKind::kMarkov, cfg),
-               ContractViolation);
-  cfg.markov_laplace = NAN;
-  EXPECT_THROW(make_predictor_plane(PredictorKind::kMarkov, cfg),
-               ContractViolation);
 }
 
 TEST(PredictPlaneDifferential, PpmMatchesLegacyAcrossOrders) {
@@ -504,8 +476,8 @@ TEST(PredictPlane, MarkovSurvivesCounterSaturation) {
 /// truth once counts have aged, where the reference tables never halve.
 class TwinArena {
  public:
-  TwinArena(PredictorKind kind, std::size_t users, double laplace)
-      : kind_(kind), laplace_(laplace), last_(users, ContextArena::kNoItem) {
+  TwinArena(PredictorKind kind, std::size_t users)
+      : kind_(kind), last_(users, ContextArena::kNoItem) {
     if (kind_ == PredictorKind::kFrequency) root_ = arena_.root_context();
   }
 
@@ -527,12 +499,9 @@ class TwinArena {
             ? ContextArena::kNoCtx
             : arena_.find_item_context(last_[user]);
     if (ctx == ContextArena::kNoCtx) return out;
-    const double denom =
-        static_cast<double>(arena_.total(ctx)) +
-        laplace_ * static_cast<double>(arena_.distinct(ctx));
+    const double total = static_cast<double>(arena_.total(ctx));
     arena_.for_each_successor(ctx, [&](std::uint64_t item, std::uint16_t c) {
-      out.push_back(
-          Candidate{item, (static_cast<double>(c) + laplace_) / denom});
+      out.push_back(Candidate{item, static_cast<double>(c) / total});
     });
     std::sort(out.begin(), out.end(),
               [](const Candidate& a, const Candidate& b) {
@@ -549,7 +518,6 @@ class TwinArena {
 
  private:
   PredictorKind kind_;
-  double laplace_;
   ContextArena arena_;
   ContextArena::CtxId root_ = ContextArena::kNoCtx;
   std::vector<std::uint32_t> last_;  ///< item ids, kNoItem before any
@@ -558,14 +526,13 @@ class TwinArena {
 /// Feeds `stream` to a plane and its twin, comparing predict_into against
 /// the brute-force ranking after every observation; returns the halvings.
 std::uint64_t expect_matches_twin(
-    PredictorKind kind, std::size_t users, double laplace,
+    PredictorKind kind, std::size_t users,
     const std::vector<std::pair<UserId, std::uint64_t>>& stream,
     const std::vector<std::size_t>& limits) {
   PredictorPlaneConfig cfg;
   cfg.num_users = users;
-  cfg.markov_laplace = laplace;
   auto plane = make_predictor_plane(kind, cfg);
-  TwinArena twin(kind, users, laplace);
+  TwinArena twin(kind, users);
   std::vector<Candidate> got;
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const auto [user, item] = stream[i];
@@ -600,7 +567,7 @@ TEST(PredictPlaneSaturation, HalvingTieReordersTopKExactly) {
     for (int i = 0; i < 4; ++i) follow(50);
     for (int i = 0; i < 3; ++i) follow(10);
     for (std::uint32_t i = 0; i <= ContextArena::kCounterMax; ++i) follow(7);
-    EXPECT_GE(expect_matches_twin(kind, 1, 0.0, stream, {2}), 1u)
+    EXPECT_GE(expect_matches_twin(kind, 1, stream, {2}), 1u)
         << predictor_kind_name(kind);
 
     PredictorPlaneConfig cfg;
@@ -620,21 +587,17 @@ TEST(PredictPlaneSaturation, SkewedStreamMatchesBruteForceAcrossHalvings) {
   // rest spread over 14 items, whose mid-sized counts collide when aged.
   for (const PredictorKind kind :
        {PredictorKind::kMarkov, PredictorKind::kFrequency}) {
-    for (const double laplace : {0.0, 0.5}) {
-      if (kind == PredictorKind::kFrequency && laplace != 0.0) continue;
-      Rng rng(41);
-      std::vector<std::uint64_t> cursor = {1, 2};
-      std::vector<std::pair<UserId, std::uint64_t>> stream;
-      for (int i = 0; i < 320000; ++i) {
-        const UserId user = static_cast<UserId>(rng.next_u64() % 2);
-        std::uint64_t item = rng.next_u64() % 14;
-        if (rng.next_u64() % 10 != 0) item = cursor[user] = 3 - cursor[user];
-        stream.push_back({user, item});
-      }
-      EXPECT_GE(expect_matches_twin(kind, 2, laplace, stream, {1, 4, 2, 8}),
-                2u)
-          << predictor_kind_name(kind);
+    Rng rng(41);
+    std::vector<std::uint64_t> cursor = {1, 2};
+    std::vector<std::pair<UserId, std::uint64_t>> stream;
+    for (int i = 0; i < 320000; ++i) {
+      const UserId user = static_cast<UserId>(rng.next_u64() % 2);
+      std::uint64_t item = rng.next_u64() % 14;
+      if (rng.next_u64() % 10 != 0) item = cursor[user] = 3 - cursor[user];
+      stream.push_back({user, item});
     }
+    EXPECT_GE(expect_matches_twin(kind, 2, stream, {1, 4, 2, 8}), 2u)
+        << predictor_kind_name(kind);
   }
 }
 

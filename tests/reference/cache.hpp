@@ -1,6 +1,7 @@
-// Client cache interface. Capacity is counted in items, matching the
-// paper's n̄(C) (the analysis never needs byte capacities; byte-capacity
-// variants can wrap these policies).
+// Per-client cache interface of the pre-arena caches kept here as test
+// oracles. Capacity is counted in items, matching the paper's n̄(C) (the
+// analysis never needs byte capacities; byte-capacity variants can wrap
+// these policies).
 //
 // Every entry carries an EntryTag so the §4 hit-ratio estimation protocol
 // (tagged/untagged) composes with any eviction policy.
@@ -11,10 +12,10 @@
 
 #include "core/hit_ratio_estimator.hpp"
 #include "des/inline_function.hpp"
+#include "util/ids.hpp"
 
 namespace specpf {
 
-using ItemId = std::uint64_t;
 using core::EntryTag;
 
 /// Statistics every cache keeps.

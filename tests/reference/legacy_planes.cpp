@@ -150,7 +150,7 @@ std::unique_ptr<Predictor> make_legacy_predictor(
     PredictorKind kind, const PredictorPlaneConfig& config) {
   switch (kind) {
     case PredictorKind::kMarkov:
-      return std::make_unique<MarkovPredictor>(config.markov_laplace);
+      return std::make_unique<MarkovPredictor>();
     case PredictorKind::kPpm:
       return std::make_unique<PpmPredictor>(config.ppm_order);
     case PredictorKind::kDependencyGraph:

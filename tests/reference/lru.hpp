@@ -6,7 +6,7 @@
 #include <list>
 #include <unordered_map>
 
-#include "cache/cache.hpp"
+#include "reference/cache.hpp"
 
 namespace specpf {
 

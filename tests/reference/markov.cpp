@@ -2,13 +2,7 @@
 
 #include <algorithm>
 
-#include "util/contract.hpp"
-
 namespace specpf {
-
-MarkovPredictor::MarkovPredictor(double laplace) : laplace_(laplace) {
-  SPECPF_EXPECTS(laplace >= 0.0);
-}
 
 void MarkovPredictor::observe(UserId user, std::uint64_t item) {
   ++observations_;
@@ -27,14 +21,11 @@ std::vector<Candidate> MarkovPredictor::predict(
   const NodeCounts* node = counts_.find(*last);
   if (!node || node->total == 0) return {};
 
-  const double denom =
-      static_cast<double>(node->total) +
-      laplace_ * static_cast<double>(node->successors.size());
+  const double total = static_cast<double>(node->total);
   std::vector<Candidate> out;
   out.reserve(node->successors.size());
   for (const auto& [item, count] : node->successors) {
-    out.push_back(
-        Candidate{item, (static_cast<double>(count) + laplace_) / denom});
+    out.push_back(Candidate{item, static_cast<double>(count) / total});
   }
   std::sort(out.begin(), out.end(), [](const Candidate& a, const Candidate& b) {
     if (a.probability != b.probability) return a.probability > b.probability;

@@ -10,10 +10,6 @@ namespace specpf {
 
 class MarkovPredictor final : public Predictor {
  public:
-  /// `laplace` adds-α smoothing mass spread over seen successors; 0 gives
-  /// pure maximum-likelihood estimates.
-  explicit MarkovPredictor(double laplace = 0.0);
-
   void observe(UserId user, std::uint64_t item) override;
   std::vector<Candidate> predict(UserId user,
                                  std::size_t max_candidates) const override;
@@ -30,7 +26,6 @@ class MarkovPredictor final : public Predictor {
     std::uint64_t total = 0;
   };
 
-  double laplace_;
   FlatHashMap<NodeCounts> counts_;
   /// Most recent item per user; presence in the table *is* the "has a last
   /// item" bit (one probe where the old parallel last_item_/has_last_

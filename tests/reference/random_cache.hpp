@@ -7,7 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/cache.hpp"
+#include "reference/cache.hpp"
 #include "util/rng.hpp"
 
 namespace specpf {

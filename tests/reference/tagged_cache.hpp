@@ -14,9 +14,9 @@
 
 #include <memory>
 
-#include "cache/cache.hpp"
 #include "cache/tag_protocol.hpp"
 #include "core/hit_ratio_estimator.hpp"
+#include "reference/cache.hpp"
 
 namespace specpf {
 

@@ -12,6 +12,7 @@
 #include "obs/divergence.hpp"
 #include "obs/telemetry.hpp"
 #include "policy/policies.hpp"
+#include "reference/trace_partition.hpp"
 #include "shard/sharded_sim.hpp"
 #include "sim/trace_replay.hpp"
 #include "util/contract.hpp"
@@ -274,7 +275,7 @@ TEST(ShardedSim, RejectsItemIdsBeyondTheInflightKey) {
 
 TEST(TracePartition, PartitionByUserPreservesOrderAndCoverage) {
   const Trace trace = make_trace(64, 5000, 21);
-  const auto parts = trace.partition_by_user(8);
+  const auto parts = partition_by_user(trace, 8);
   ASSERT_EQ(parts.size(), 8u);
   std::size_t total = 0;
   for (std::size_t s = 0; s < parts.size(); ++s) {
@@ -283,13 +284,10 @@ TEST(TracePartition, PartitionByUserPreservesOrderAndCoverage) {
     for (const auto& r : parts[s].records()) {
       EXPECT_EQ(r.user % 8, s);
     }
-    // The non-copying view agrees with the copying partition.
-    EXPECT_EQ(TraceShardView(trace, static_cast<std::uint32_t>(s), 8).count(),
-              parts[s].size());
   }
   EXPECT_EQ(total, trace.size());
 
-  const auto whole = trace.partition_by_user(1);
+  const auto whole = partition_by_user(trace, 1);
   ASSERT_EQ(whole.size(), 1u);
   ASSERT_EQ(whole[0].size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {

@@ -32,9 +32,12 @@ Trace make_session_trace(std::size_t sessions, std::uint64_t seed) {
   double t = 0.0;
   for (std::size_t s = 0; s < sessions; ++s) {
     t += 0.8;
-    for (std::uint64_t page : graph.sample_session(rng)) {
+    // One session: an entry page, then links until exit, at most 256 pages.
+    std::uint64_t page = graph.sample_entry(rng);
+    for (std::size_t length = 1;; ++length) {
       trace.append({t, static_cast<std::uint32_t>(s % 5), page});
       t += 0.3;
+      if (length == 256 || !graph.sample_next(page, rng, &page)) break;
     }
   }
   return trace;
@@ -205,6 +208,9 @@ TEST(ConfigCheck, EachRuleNamesItsField) {
   // The shared StackConfig rules hold in every driver config.
   std::vector<BadField<StackConfig>> shared = {
       {"cache_capacity", [](StackConfig& c) { c.cache_capacity = 0; }},
+      // The arenas store capacity in 32 bits; 2^32 would truncate to 0.
+      {"cache_capacity",
+       [](StackConfig& c) { c.cache_capacity = std::size_t{1} << 32; }},
       {"max_prefetch_per_request",
        [](StackConfig& c) { c.max_prefetch_per_request = 0; }},
   };

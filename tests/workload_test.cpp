@@ -9,9 +9,22 @@
 #include "workload/session_source.hpp"
 #include "workload/synthetic_trace.hpp"
 #include "workload/trace.hpp"
+#include "workload/trace_stream.hpp"
 
 namespace specpf {
 namespace {
+
+/// One session of at most 256 pages: an entry page, then links until the
+/// walk exits — the sample_entry/sample_next calls SessionStream makes.
+std::vector<std::uint64_t> walk_session(const SessionGraph& graph, Rng& rng) {
+  std::vector<std::uint64_t> session = {graph.sample_entry(rng)};
+  std::uint64_t next = 0;
+  while (session.size() < 256 &&
+         graph.sample_next(session.back(), rng, &next)) {
+    session.push_back(next);
+  }
+  return session;
+}
 
 TEST(SessionGraph, LinkProbabilitiesSumToOne) {
   SessionGraphConfig cfg;
@@ -47,7 +60,7 @@ TEST(SessionGraph, SessionLengthIsGeometric) {
   double total_length = 0.0;
   constexpr int kSessions = 20000;
   for (int i = 0; i < kSessions; ++i) {
-    total_length += static_cast<double>(graph.sample_session(rng).size());
+    total_length += static_cast<double>(walk_session(graph, rng).size());
   }
   EXPECT_NEAR(total_length / kSessions, 5.0, 0.15);
 }
@@ -58,7 +71,7 @@ TEST(SessionGraph, SessionsFollowEdges) {
   SessionGraph graph(cfg, 23);
   Rng rng(25);
   for (int s = 0; s < 200; ++s) {
-    const auto session = graph.sample_session(rng);
+    const auto session = walk_session(graph, rng);
     for (std::size_t i = 1; i < session.size(); ++i) {
       const auto& links = graph.links(session[i - 1]);
       const bool is_neighbor =
@@ -149,7 +162,8 @@ TEST(Trace, CsvRoundTrip) {
   trace.append({1.25, 2, 200});
   trace.append({2.0, 1, 100});
   std::stringstream ss;
-  trace.save_csv(ss);
+  TraceVectorSource source(trace);
+  save_csv(ss, source);
   const Trace loaded = Trace::load_csv(ss);
   ASSERT_EQ(loaded.size(), 3u);
   EXPECT_DOUBLE_EQ(loaded.records()[1].time, 1.25);
@@ -193,38 +207,6 @@ TEST(Trace, LoadCsvRejectsMalformedLinesWithLineNumbers) {
   EXPECT_EQ(Trace::load_csv(ties).size(), 2u);
 }
 
-TEST(TraceShardViewTest, MatchesPartitionByUser) {
-  Trace trace;
-  Rng rng(41);
-  double t = 0.0;
-  for (int i = 0; i < 2000; ++i) {
-    t += rng.next_double() * 0.1;
-    trace.append({t, static_cast<std::uint32_t>(rng.next_u64() % 50),
-                  rng.next_u64() % 200});
-  }
-  constexpr std::size_t kShards = 7;
-  const auto parts = trace.partition_by_user(kShards);
-  std::size_t total = 0;
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    const TraceShardView view(trace, s, kShards);
-    EXPECT_EQ(view.count(), parts[s].size()) << "shard " << s;
-    total += view.count();
-    std::size_t i = 0;
-    for (const TraceRecord& r : view) {
-      ASSERT_LT(i, parts[s].size()) << "shard " << s;
-      EXPECT_DOUBLE_EQ(r.time, parts[s].records()[i].time);
-      EXPECT_EQ(r.user, parts[s].records()[i].user);
-      EXPECT_EQ(r.item, parts[s].records()[i].item);
-      ++i;
-    }
-    EXPECT_EQ(i, parts[s].size()) << "shard " << s;
-  }
-  EXPECT_EQ(total, trace.size());
-  // A 1-way view walks the whole trace.
-  const TraceShardView whole(trace, 0, 1);
-  EXPECT_EQ(whole.count(), trace.size());
-}
-
 TEST(Trace, Statistics) {
   Trace trace;
   trace.append({0.0, 0, 5});
@@ -234,19 +216,9 @@ TEST(Trace, Statistics) {
   EXPECT_EQ(trace.unique_users(), 2u);
   EXPECT_DOUBLE_EQ(trace.duration(), 4.0);
   EXPECT_DOUBLE_EQ(trace.mean_request_rate(), 0.75);
-  const auto counts = trace.item_counts();
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[0].second, 2u);  // item 5 twice
-}
-
-TEST(Trace, SortByTime) {
-  Trace trace;
-  trace.append({3.0, 0, 1});
-  trace.append({1.0, 0, 2});
-  EXPECT_FALSE(trace.is_time_ordered());
-  trace.sort_by_time();
   EXPECT_TRUE(trace.is_time_ordered());
-  EXPECT_EQ(trace.records()[0].item, 2u);
+  trace.append({3.0, 1, 5});
+  EXPECT_FALSE(trace.is_time_ordered());
 }
 
 TEST(SyntheticTrace, TimeOrderedAndSized) {

@@ -1,8 +1,8 @@
 // Binary .spt trace format tests: round-trip exactness on the microsecond
 // grid, quantization bounds off it, cursor/chunk edge cases, shard-filtered
-// cursors against partition_by_user, and loud rejection of truncated or
-// bit-flipped files. The replay differential tests lean on the canonical-
-// decode property proven here.
+// cursors against the partition_by_user oracle, and loud rejection of
+// truncated or bit-flipped files. The replay differential tests lean on the
+// canonical-decode property proven here.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "reference/trace_partition.hpp"
 #include "util/rng.hpp"
 #include "workload/synthetic_trace.hpp"
 #include "workload/trace.hpp"
@@ -148,7 +149,7 @@ TEST(TraceFileFormat, ShardFilteredCursorMatchesPartitionByUser) {
   const std::string path = write_tmp("shards.spt", trace, 512);
   const TraceFile file(path);
   constexpr std::uint32_t kShards = 5;
-  const auto parts = trace.partition_by_user(kShards);
+  const auto parts = partition_by_user(trace, kShards);
   for (std::uint32_t s = 0; s < kShards; ++s) {
     TraceCursor cursor(file, s, kShards);
     TraceRecord r;
