@@ -163,8 +163,23 @@ int main(int argc, char** argv) {
     replay_cfg.governor = gov == "none" ? "" : gov;
     args.require_valid(sharded_cfg.check());
   }
+  // The exports are written after each run: probe every one now.
+  const std::vector<std::string> scenarios =
+      split_csv(args.get_string("scenarios"));
+  for (const std::string& scenario : scenarios) {
+    for (const std::string& gov : governors) {
+      if (!trace_path.empty()) {
+        args.require_writable("trace",
+                              run_output_path(trace_path, scenario, gov));
+      }
+      if (!series_path.empty()) {
+        args.require_writable("timeseries",
+                              run_output_path(series_path, scenario, gov));
+      }
+    }
+  }
 
-  for (const std::string& scenario : split_csv(args.get_string("scenarios"))) {
+  for (const std::string& scenario : scenarios) {
     if (!make_scenario_modulation(scenario, span, sharded_cfg.num_shards,
                                   &trace_cfg.modulation)) {
       std::fprintf(stderr, "unknown scenario '%s', skipping\n",

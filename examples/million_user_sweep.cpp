@@ -189,6 +189,16 @@ int main(int argc, char** argv) {
   replay_cfg.stream_window =
       static_cast<std::size_t>(args.get_positive_uint("stream-window"));
   args.require_valid(sharded_cfg.check());
+  // The exports are written after each policy's run: probe every one now.
+  const std::vector<std::string> policies = split_csv(args.get_string("policy"));
+  for (const std::string& name : policies) {
+    if (!trace_path.empty()) {
+      args.require_writable("trace", suffixed_path(trace_path, name));
+    }
+    if (!series_path.empty()) {
+      args.require_writable("timeseries", suffixed_path(series_path, name));
+    }
+  }
 
   // ---- Request-supply selection -------------------------------------
   // Exactly one of `ram` (in-RAM trace) or `stream` (bounded-RSS source)
@@ -202,7 +212,12 @@ int main(int argc, char** argv) {
   const std::string csv_path = args.get_string("from-csv");
   auto t0 = Clock::now();
   if (!file_path.empty()) {
-    file = std::make_unique<TraceFile>(file_path);
+    try {
+      file = std::make_unique<TraceFile>(file_path);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      args.reject_value("trace-file", "readable .spt trace", file_path);
+    }
     const TraceFileHeader& h = file->header();
     population = h.unique_users;
     std::printf(
@@ -219,7 +234,12 @@ int main(int argc, char** argv) {
       stream = std::make_unique<TraceCursor>(*file);
     }
   } else if (!csv_path.empty()) {
-    ram = std::make_unique<Trace>(Trace::load_csv_file(csv_path));
+    try {
+      ram = std::make_unique<Trace>(Trace::load_csv_file(csv_path));
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      args.reject_value("from-csv", "readable CSV trace", csv_path);
+    }
     population = ram->unique_users();
     std::printf("CSV trace %s: %zu records, %zu users, %.0fs span\n",
                 csv_path.c_str(), ram->size(), ram->unique_users(),
@@ -302,7 +322,7 @@ int main(int argc, char** argv) {
                "wall s", "req/s", "peak MB", "B/user", "threads"});
   table.set_precision(4);
   bool identical = true;
-  for (const std::string& name : split_csv(args.get_string("policy"))) {
+  for (const std::string& name : policies) {
     const PolicyFactory factory = policy_factory(name);
     ShardedReplayResult first;
     for (std::size_t k = 0; k < thread_counts.size(); ++k) {

@@ -10,11 +10,12 @@
 //
 //     item_index_: FlatHashMap<u32>  item value   -> u32 dense item id
 //     item_ctx_  : per item id    the item's context id, or kNoCtx
-//     context columns (SoA)       offset / distinct / class / total
+//     context columns (SoA)       offset / distinct / total
 //     successor pool (SoA)        item id (u32) / quantized count (u16)
 //                                 / child context id (u32, PPM's arena only)
 //     succ_index_: FlatHashMap<u32>  (ctx id << 32 | item id) -> position of
-//                                 the successor inside its context's block
+//                                 the successor inside its context's block,
+//                                 for blocks above kScanCapacity only
 //
 // A context is named by structure, never by a hashed key, and each context
 // by exactly one name:
@@ -34,16 +35,25 @@
 //             ^ offset_[3], distinct 3, capacity 4 (class 2)
 //
 // A block's capacity is 2^class, the smallest power of two >= distinct
-// (a context without successors has no block). A new successor goes to
-// position `distinct`; when the block is full, the whole block moves into
-// one twice its size — popped from that size class's free list of
-// outgrown blocks, or appended to the pool — and the outgrown block goes
-// onto its own class's free list. A move keeps every position, so neither
-// succ_index_ nor a (parent, slot) ref is ever rewritten. Reading a context
-// is one linear scan of a block rather than one dependent load per
-// successor. Iteration order is insertion order; every consumer either
-// ranks by a strict total order or sums per item, so the order never shows
-// in a prediction.
+// (a context without successors has no block), so both are derived from
+// `distinct` and not stored. A new successor goes to position `distinct`;
+// when the block is full, the whole block moves into one twice its size —
+// popped from that size class's free list of outgrown blocks, or appended
+// to the pool — and the outgrown block goes onto its own class's free
+// list. A move keeps every position, so neither succ_index_ nor a
+// (parent, slot) ref is ever rewritten. Reading a context is one linear
+// scan of a block rather than one dependent load per successor. Iteration
+// order is insertion order; every consumer either ranks by a strict total
+// order or sums per item, so the order never shows in a prediction.
+//
+// Most contexts are small (a PPM trie's deep contexts hold about two
+// successors each), so add() finds an item in a block of at most
+// kScanCapacity successors by scanning its item ids — one cache line —
+// and only larger blocks (Markov's cross-session item contexts,
+// frequency's root) keep (ctx, item) -> position entries in succ_index_.
+// The block that grows past kScanCapacity indexes all its successors
+// once; from then on each add is one probe. The index thus holds only the
+// successors of large blocks instead of one entry per successor fleet-wide.
 //
 // Successor counts are quantized saturating u16 counters: when a counter
 // is about to overflow, every counter in that context is halved in place
@@ -60,6 +70,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -76,6 +87,12 @@ class ContextArena {
   /// Never a valid item id: the "no item yet" sentinel for per-user state.
   static constexpr std::uint32_t kNoItem = 0xFFFFFFFFu;
   static constexpr std::uint16_t kCounterMax = 0xFFFFu;
+  /// Blocks of up to this many successors find an item by a linear scan
+  /// (16 u32 item ids fill one 64-byte line); only larger blocks keep
+  /// their successors in the fleet-wide index. A power of two, so the
+  /// scan/index boundary is a block-size boundary.
+  static constexpr std::uint32_t kScanCapacity = 16;
+  static_assert(std::has_single_bit(kScanCapacity));
 
   /// Where add() counted a successor: its position in the context's block,
   /// which it keeps for good, and its new count.
@@ -140,22 +157,38 @@ class ContextArena {
   /// quantized counter (halving the context first when it would saturate)
   /// and the context total. Returns the successor's slot and new count.
   Added add(CtxId ctx, std::uint32_t item_id) {
-    // One probe finds the successor or makes its index entry.
-    const std::size_t indexed = succ_index_.size();
-    std::uint32_t& slot = succ_index_[succ_key(ctx, item_id)];
+    const std::uint32_t distinct = distinct_[ctx];
+    std::uint32_t slot;
+    if (distinct <= kScanCapacity) {
+      // A small block is at most one cache line of item ids: scan it.
+      const std::uint32_t* items = item_.data() + offset_[ctx];
+      slot = static_cast<std::uint32_t>(
+          std::find(items, items + distinct, item_id) - items);
+    } else {
+      // One probe finds the successor or makes its index entry.
+      const std::size_t indexed = succ_index_.size();
+      std::uint32_t& entry = succ_index_[succ_key(ctx, item_id)];
+      if (succ_index_.size() != indexed) entry = distinct;
+      slot = entry;
+    }
     Added added{slot, 1};
-    if (succ_index_.size() == indexed) {
-      std::uint16_t& c = count_[offset_[ctx] + added.slot];
+    if (slot < distinct) {
+      std::uint16_t& c = count_[offset_[ctx] + slot];
       if (c == kCounterMax) halve(ctx);
       added.count = ++c;
     } else {
-      slot = added.slot = distinct_[ctx];
-      if (added.slot == capacity(ctx)) grow(ctx);
-      const std::uint32_t at = offset_[ctx] + added.slot;
+      if (distinct == capacity(ctx)) grow(ctx);
+      const std::uint32_t at = offset_[ctx] + slot;
       item_[at] = item_id;
       count_[at] = 1;
       if (children_) child_[at] = kNoCtx;
-      distinct_[ctx] = added.slot + 1;
+      distinct_[ctx] = distinct + 1;
+      // The block just outgrew the scan: index all its successors, once.
+      if (distinct == kScanCapacity) {
+        for (std::uint32_t pos = 0; pos <= distinct; ++pos) {
+          succ_index_[succ_key(ctx, item_[offset_[ctx] + pos])] = pos;
+        }
+      }
     }
     ++total_[ctx];
     return added;
@@ -195,7 +228,9 @@ class ContextArena {
   }
 
   std::size_t context_count() const { return offset_.size(); }
-  std::size_t successor_count() const { return succ_index_.size(); }
+  std::size_t successor_count() const {
+    return std::accumulate(distinct_.begin(), distinct_.end(), std::size_t{0});
+  }
   std::size_t item_count() const { return item_value_.size(); }
   /// Successor-pool slots, live blocks and free-listed ones together.
   std::size_t pool_size() const { return item_.size(); }
@@ -206,18 +241,18 @@ class ContextArena {
   /// Deep-invariant walker (util/audit.hpp): column-length agreement
   /// across the SoA columns; every live block and every free-listed block
   /// inside the pool, no two of them overlapping, and live plus free
-  /// capacity accounting for the whole pool; each context's capacity the
-  /// smallest power of two holding its successors; per-context
-  /// conservation (sum of counts == total, counts >= 1); successor-index
-  /// round-trips ((ctx, item) <-> block position both ways); naming (every
+  /// capacity accounting for the whole pool; per-context conservation
+  /// (sum of counts == total, counts >= 1); successor-index round-trips
+  /// ((ctx, item) <-> block position both ways) for every block above
+  /// kScanCapacity, no index entry for a scanned block, and no index entry
+  /// without a successor behind it; naming (every
   /// context named exactly once — by an item, by one child slot, or as the
   /// root — and every child created after its parent); and item interning
   /// round-trips.
   void audit(AuditReport& report) const {
     const AuditScope scope(report, "ContextArena");
     const std::size_t ctxs = offset_.size();
-    report.check(distinct_.size() == ctxs && class_.size() == ctxs &&
-                     total_.size() == ctxs,
+    report.check(distinct_.size() == ctxs && total_.size() == ctxs,
                  "context SoA columns disagree on length");
     const std::size_t pool = item_.size();
     report.check(count_.size() == pool &&
@@ -269,26 +304,13 @@ class ContextArena {
       return true;
     };
 
-    std::uint64_t successors = 0;
+    std::uint64_t indexed_successors = 0;
     for (CtxId ctx = 0; ctx < ctxs; ++ctx) {
       const std::string who = "ctx " + std::to_string(ctx);
-      if (!report.check(class_[ctx] == kNoBlock || class_[ctx] < kClasses,
-                        who + ": size class out of range")) {
-        continue;
-      }
       const std::uint32_t distinct = distinct_[ctx];
       const std::uint64_t cap = capacity(ctx);
-      if (!report.check(distinct <= cap,
-                        who + ": " + std::to_string(distinct) +
-                            " successors exceed its block capacity " +
-                            std::to_string(cap))) {
-        continue;
-      }
-      report.check(cap == (distinct == 0 ? 0 : std::bit_ceil(distinct)),
-                   who + ": block capacity " + std::to_string(cap) +
-                       " is not the smallest power of two holding " +
-                       std::to_string(distinct) + " successors");
       if (cap == 0 || !claim(offset_[ctx], cap, 1, who)) continue;
+      const bool indexed = distinct > kScanCapacity;
       std::uint64_t sum = 0;
       for (std::uint32_t pos = 0; pos < distinct; ++pos) {
         const std::string where =
@@ -300,8 +322,13 @@ class ContextArena {
                      where + "names an uninterned item id");
         const std::uint32_t* found =
             succ_index_.find(succ_key(ctx, item_id));
-        report.check(found != nullptr && *found == pos,
-                     where + "failed the successor index round-trip");
+        if (indexed) {
+          report.check(found != nullptr && *found == pos,
+                       where + "failed the successor index round-trip");
+        } else {
+          report.check(found == nullptr,
+                       where + "has an index entry in a scanned block");
+        }
         const CtxId child =
             children_ && offset_[ctx] + pos < child_.size()
                 ? child_[offset_[ctx] + pos]
@@ -318,15 +345,15 @@ class ContextArena {
       report.check(sum == total_[ctx],
                    who + ": successor counts sum to " + std::to_string(sum) +
                        " but total() says " + std::to_string(total_[ctx]));
-      successors += distinct;
+      if (indexed) indexed_successors += distinct;
     }
-    // Each context's successors round-trip through the index, so equal
-    // sizes leave no index entry without a successor behind it.
-    report.check(succ_index_.size() == successors,
+    // Each indexed block's successors round-trip through the index, so
+    // equal sizes leave no index entry without a successor behind it.
+    report.check(succ_index_.size() == indexed_successors,
                  "successor index holds " +
                      std::to_string(succ_index_.size()) +
-                     " entries, contexts hold " + std::to_string(successors) +
-                     " successors");
+                     " entries, indexed blocks hold " +
+                     std::to_string(indexed_successors) + " successors");
 
     for (std::size_t cls = 0; cls < kClasses; ++cls) {
       for (const std::uint32_t offset : free_[cls]) {
@@ -378,16 +405,14 @@ class ContextArena {
   friend struct AuditPeer;  // corruption-injection tests only
 
   /// Size classes 0..31: capacities 1 .. 2^31, enough for any u32
-  /// successor count. kNoBlock marks a context that has no block yet.
+  /// successor count.
   static constexpr std::size_t kClasses = 32;
-  static constexpr std::uint8_t kNoBlock = 0xFF;
 
   CtxId new_context() {
     const CtxId id = static_cast<CtxId>(offset_.size());
     SPECPF_ASSERT(id != kNoCtx);
     offset_.push_back(0);
     distinct_.push_back(0);
-    class_.push_back(kNoBlock);
     total_.push_back(0);
     return id;
   }
@@ -396,19 +421,22 @@ class ContextArena {
     return (static_cast<std::uint64_t>(ctx) << 32) | item_id;
   }
 
+  /// The block's capacity: the smallest power of two holding its
+  /// successors, or 0 for a context without successors.
   std::uint32_t capacity(CtxId ctx) const {
-    return class_[ctx] == kNoBlock ? 0 : std::uint32_t{1} << class_[ctx];
+    const std::uint32_t distinct = distinct_[ctx];
+    return distinct == 0 ? 0 : std::bit_ceil(distinct);
   }
 
   /// Moves a full context into a block twice its size (or gives an empty
   /// context its first, one-slot block), reusing an outgrown block of that
   /// class when one is free. Positions are kept, so the index and every
-  /// (parent, slot) ref stay valid.
+  /// (parent, slot) ref stay valid. Called before the new successor is
+  /// counted, so the old capacity is still derived from `distinct`.
   void grow(CtxId ctx) {
     const std::uint32_t old_capacity = capacity(ctx);
-    const std::uint8_t cls = class_[ctx] == kNoBlock
-                                 ? 0
-                                 : static_cast<std::uint8_t>(class_[ctx] + 1);
+    const std::size_t cls =
+        old_capacity == 0 ? 0 : std::countr_zero(old_capacity) + 1;
     SPECPF_ASSERT(cls < kClasses);
     const std::uint32_t new_capacity = std::uint32_t{1} << cls;
     std::uint32_t fresh;
@@ -430,10 +458,9 @@ class ContextArena {
         std::copy_n(child_.begin() + old, old_capacity,
                     child_.begin() + fresh);
       }
-      free_[class_[ctx]].push_back(old);
+      free_[cls - 1].push_back(old);
     }
     offset_[ctx] = fresh;
-    class_[ctx] = cls;
   }
 
   /// Ages every counter in `ctx`: c -> ceil(c/2), so counts stay >= 1 and
@@ -460,7 +487,6 @@ class ContextArena {
   // Context columns.
   std::vector<std::uint32_t> offset_;  ///< block start in the pool
   std::vector<std::uint32_t> distinct_;
-  std::vector<std::uint8_t> class_;    ///< log2 capacity, or kNoBlock
   std::vector<std::uint64_t> total_;
 
   // Successor pool: live blocks and free-listed outgrown blocks.

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <type_traits>
 
@@ -167,6 +169,15 @@ void ArgParser::reject_value(const std::string& name, const std::string& type,
   std::fprintf(stderr, "--%s: expected %s, got '%s'\n%s", name.c_str(),
                type.c_str(), value.c_str(), usage().c_str());
   std::exit(2);
+}
+
+void ArgParser::require_writable(const std::string& name,
+                                 const std::string& path) const {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  const bool writable = std::ofstream(path, std::ios::app).good();
+  if (writable && !existed) std::filesystem::remove(path, ec);
+  if (!writable) reject_value(name, "writable path", path);
 }
 
 void ArgParser::require_valid(const std::string& error) const {

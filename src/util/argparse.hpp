@@ -54,6 +54,13 @@ class ArgParser {
   /// usage to stderr and exits with status 2, as a bad flag value does.
   void require_valid(const std::string& error) const;
 
+  /// Rejects `path` as `--<flag>: expected writable path, got '<path>'`
+  /// plus usage, exit status 2, unless it opens for writing: for exports
+  /// written only after a long run. The probe leaves no file where there
+  /// was none.
+  void require_writable(const std::string& name,
+                        const std::string& path) const;
+
   /// Prints `--<flag>: expected <type>, got '<value>'` plus usage to stderr
   /// and exits with status 2: the typed accessors' rejection, for a value
   /// that parsed but falls outside a domain only the caller knows.

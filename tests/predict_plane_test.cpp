@@ -4,8 +4,11 @@
 //     load, the quantized-counter edge cases (saturation, halving) do
 //     the exact ceil(c/2) aging the header promises, the successor
 //     blocks grow through size classes, reuse outgrown blocks and halve in
-//     place after a move, and item, child and root contexts are created
-//     once, on first need, with child slots that survive moves and halving.
+//     place after a move, blocks at, below and above kScanCapacity (scanned
+//     or indexed) find every successor at its slot, a block grown across
+//     that threshold halves exactly on both sides of it, and item, child
+//     and root contexts are created once, on first need, with child slots
+//     that survive moves and halving.
 //  2. HistoryRing preserves order across wraparound.
 //  3. Fuzz differential: every arena plane predicts bit-identically to its
 //     pre-arena virtual Predictor table (tests/reference/) across orders x
@@ -308,6 +311,95 @@ TEST(ContextArena, HalvingInsideARelocatedBlock) {
   AuditReport report;
   arena.audit(report);
   EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST(ContextArena, BlocksAroundTheScanThresholdMatchReference) {
+  // One context per block size around kScanCapacity: at and below it the
+  // block is scanned, above it its successors are indexed. Every repeat
+  // must find its successor at the slot it was first counted at.
+  constexpr std::uint32_t kScan = ContextArena::kScanCapacity;
+  const std::vector<std::uint32_t> sizes = {
+      1, kScan / 2, kScan - 1, kScan, kScan + 1, 2 * kScan, 2 * kScan + 1};
+  ContextArena arena;
+  std::map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>> reference;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> slots;
+  Rng rng(5);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t which = rng.next_u64() % sizes.size();
+    const std::uint64_t item = 1000 + rng.next_u64() % sizes[which];
+    const ContextArena::Added added =
+        arena.add(item_ctx(arena, which), arena.intern_item(item));
+    const auto [slot, fresh] = slots.try_emplace({which, item}, added.slot);
+    ASSERT_EQ(added.slot, slot->second) << which << " " << item;
+    ASSERT_EQ(added.count, ++reference[which][item]) << which << " " << item;
+  }
+  std::size_t successors = 0;
+  for (std::uint64_t which = 0; which < sizes.size(); ++which) {
+    const ContextArena::CtxId ctx =
+        arena.find_item_context(arena.intern_item(which));
+    ASSERT_NE(ctx, ContextArena::kNoCtx);
+    EXPECT_EQ(arena.distinct(ctx), sizes[which]) << which;
+    std::map<std::uint64_t, std::uint64_t> got;
+    arena.for_each_successor(ctx, [&](std::uint64_t item, std::uint16_t c) {
+      got[item] = c;
+    });
+    EXPECT_EQ(got, reference[which]) << which;
+    successors += sizes[which];
+  }
+  EXPECT_EQ(arena.successor_count(), successors);
+  AuditReport report;
+  arena.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST(ContextArena, GrowsAcrossTheScanThresholdAndHalvesOnBothSides) {
+  // A block filled to exactly kScanCapacity is halved while scanned, then
+  // grows past the threshold (indexing its successors) and is halved
+  // again while indexed. A reference map ages its counts the same way.
+  constexpr std::uint32_t kScan = ContextArena::kScanCapacity;
+  ContextArena arena;
+  const ContextArena::CtxId ctx = arena.root_context();
+  std::map<std::uint64_t, std::uint64_t> reference;
+  auto add = [&](std::uint64_t item) {
+    const auto it = reference.find(item);
+    if (it != reference.end() && it->second == ContextArena::kCounterMax) {
+      for (auto& [succ, c] : reference) c = (c + 1) / 2;
+    }
+    ++reference[item];
+    arena.add(ctx, arena.intern_item(item));
+  };
+  auto expect_matches = [&](const char* when) {
+    std::map<std::uint64_t, std::uint64_t> got;
+    arena.for_each_successor(ctx, [&](std::uint64_t item, std::uint16_t c) {
+      got[item] = c;
+    });
+    EXPECT_EQ(got, reference) << when;
+    std::uint64_t total = 0;
+    for (const auto& [item, c] : reference) total += c;
+    EXPECT_EQ(arena.total(ctx), total) << when;
+    AuditReport report;
+    arena.audit(report);
+    EXPECT_TRUE(report.ok()) << when << ": " << report.summary();
+  };
+
+  for (std::uint64_t item = 0; item < kScan; ++item) {
+    for (std::uint64_t rep = 0; rep <= item; ++rep) add(item);
+  }
+  ASSERT_EQ(arena.distinct(ctx), kScan);
+  while (arena.halvings() == 0) add(0);
+  ASSERT_EQ(arena.distinct(ctx), kScan);
+  expect_matches("halved while scanned");
+
+  for (std::uint64_t item = kScan; item <= 2 * kScan; ++item) add(item);
+  ASSERT_EQ(arena.distinct(ctx), 2 * kScan + 1);
+  expect_matches("grown past the scan");
+  while (arena.halvings() == 1) add(kScan + 3);
+  expect_matches("halved while indexed");
+
+  // Neither growth nor halving moved a successor off its first slot.
+  for (std::uint32_t slot = 0; slot < arena.distinct(ctx); ++slot) {
+    EXPECT_EQ(arena.item_value(arena.successor_id(ctx, slot)), slot);
+  }
 }
 
 TEST(HistoryRing, PreservesOrderAcrossWraparound) {

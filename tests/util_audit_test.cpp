@@ -8,14 +8,16 @@
 // sharing a seq with a queued node, a misordered heap,
 // leaked slot or lost job in the PS link, a broken intrusive
 // chain or desynced residency entry in the cache arenas, a free-list cycle,
-// successor-total drift, a doubly named context or a trie ref past its
-// parent's successors in the context arena, a misranked or stale entry
+// successor-total drift, a doubly named context, a stray or missing
+// successor-index entry or a trie ref past its parent's successors in the
+// context arena, a misranked or stale entry
 // in a ranked successor prefix, metadata corruption in the
 // robin-hood tables, a demand-count desync in the stack — and asserts the
 // sweep fails with a message naming the defect.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -91,10 +93,20 @@ struct AuditPeer {
   static void stale_offset(ContextArena& a, ContextArena::CtxId c) {
     // Point the context at the most recently outgrown block of the class
     // below its own — its own old block when it was the last to grow.
-    a.offset_[c] = a.free_[a.class_[c] - 1].back();
+    const int cls = std::countr_zero(a.capacity(c));
+    a.offset_[c] = a.free_[cls - 1].back();
   }
   static void over_capacity(ContextArena& a, ContextArena::CtxId c) {
     a.distinct_[c] = a.capacity(c) + 1;  // one successor past the block
+  }
+  static void index_scanned_block(ContextArena& a, ContextArena::CtxId c) {
+    // A scanned block's first successor gains an index entry.
+    a.succ_index_[ContextArena::succ_key(c, a.successor_id(c, 0))] = 0;
+  }
+  static void unindex_large_block(ContextArena& a, ContextArena::CtxId c) {
+    // An indexed block's last successor loses its index entry.
+    a.succ_index_.erase(
+        ContextArena::succ_key(c, a.successor_id(c, a.distinct(c) - 1)));
   }
   static void alias_child(ContextArena& a, ContextArena::CtxId parent,
                           std::uint32_t slot, ContextArena::CtxId named) {
@@ -511,11 +523,39 @@ TEST(AuditInjection, ContextArenaStaleOffset) {
 }
 
 TEST(AuditInjection, ContextArenaOverCapacity) {
+  // The capacity is derived from the successor count, so one successor
+  // too many doubles the block the context claims: b's block is the last
+  // in the pool, and its doubled claim runs past the end.
   GrownArena g;
-  AuditPeer::over_capacity(g.arena, g.a);
+  AuditPeer::over_capacity(g.arena, g.b);
   AuditReport report;
   g.arena.audit(report);
-  expect_failure_containing(report, "exceed its block capacity");
+  expect_failure_containing(report, "runs past the pool");
+}
+
+TEST(AuditInjection, ContextArenaIndexEntryForScannedBlock) {
+  GrownArena g;  // both blocks hold 8 <= kScanCapacity successors
+  static_assert(8 <= ContextArena::kScanCapacity);
+  AuditPeer::index_scanned_block(g.arena, g.a);
+  AuditReport report;
+  g.arena.audit(report);
+  expect_failure_containing(report, "has an index entry in a scanned block");
+}
+
+TEST(AuditInjection, ContextArenaMissingIndexEntryForLargeBlock) {
+  ContextArena arena;
+  const ContextArena::CtxId ctx = arena.root_context();
+  for (std::uint32_t item = 0; item <= ContextArena::kScanCapacity; ++item) {
+    arena.add(ctx, arena.intern_item(item));
+  }
+  AuditReport clean;
+  arena.audit(clean);
+  ASSERT_TRUE(clean.ok()) << clean.summary();
+
+  AuditPeer::unindex_large_block(arena, ctx);
+  AuditReport report;
+  arena.audit(report);
+  expect_failure_containing(report, "failed the successor index round-trip");
 }
 
 /// An order-3 PPM trie: users walk short overlapping item cycles, so the

@@ -3,10 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <numeric>
 #include <sstream>
-#include <vector>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/argparse.hpp"
 #include "util/chunked_slab.hpp"
@@ -317,6 +320,31 @@ TEST(ArgParserDeathTest, UnknownBoolSpellingExitsTwo) {
   EXPECT_EXIT(parsed_with("--stream", "maybe").get_bool("stream"),
               ::testing::ExitedWithCode(2),
               "--stream: expected boolean, got 'maybe'");
+}
+
+TEST(ArgParser, WritableProbeLeavesFilesAsItFoundThem) {
+  const ArgParser p = parsed_with("--users", "1");
+  const std::string fresh = ::testing::TempDir() + "argparse_probe_fresh";
+  std::remove(fresh.c_str());
+  p.require_writable("users", fresh);
+  EXPECT_FALSE(std::ifstream(fresh).good()) << "the probe left a file";
+
+  const std::string kept = ::testing::TempDir() + "argparse_probe_kept";
+  std::ofstream(kept) << "contents";
+  p.require_writable("users", kept);
+  std::string got;
+  std::getline(std::ifstream(kept), got);
+  EXPECT_EQ(got, "contents");
+  std::remove(kept.c_str());
+}
+
+TEST(ArgParserDeathTest, UnwritablePathExitsTwo) {
+  // An export path in a missing directory used to be found unwritable
+  // only after the whole run, which then exited 0.
+  EXPECT_EXIT(parsed_with("--users", "1")
+                  .require_writable("users", "/nonexistent/dir/t.json"),
+              ::testing::ExitedWithCode(2),
+              "--users: expected writable path, got '/nonexistent/dir/t.json'");
 }
 
 TEST(Contract, ViolationMessageNamesKindAndExpression) {
