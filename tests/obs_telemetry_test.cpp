@@ -5,12 +5,15 @@
 // trace-event JSON and time-series CSV exports.
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstdio>
 #include <algorithm>
+#include <bit>
+#include <cctype>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -299,6 +302,76 @@ TEST(TraceExport, TimeseriesCsvHasHeaderAndRows) {
     if (!line.empty()) ++rows;
   }
   EXPECT_EQ(rows, plane.series().size());
+}
+
+// --- frozen export digests --------------------------------------------------
+//
+// FNV-1a digests of what the export fixture hands its exporters: the
+// time-series CSV byte for byte, and the multiset of exported spans
+// (kind, start, end, user, item), sorted so the digest does not depend on
+// the order the tracer lists them in. The fixture records far fewer spans
+// than the ring holds, so every span it records is exported.
+
+class Fnv1a {
+ public:
+  void add_byte(unsigned char b) {
+    h_ ^= b;
+    h_ *= 1099511628211ULL;
+  }
+  void add(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      add_byte(static_cast<unsigned char>(v >> (8 * byte)));
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ULL;
+};
+
+constexpr std::uint64_t kFixtureCsvDigest = 0x78b643b524b9b0dfULL;
+constexpr std::uint64_t kFixtureSpanDigest = 0x7f99774cf06ffcd8ULL;
+
+using SpanKey = std::tuple<std::uint16_t, std::uint64_t, std::uint64_t,
+                           std::uint32_t, std::uint64_t>;
+
+std::vector<SpanKey> exported_spans(const SpanTracer& spans) {
+  std::vector<SpanKey> out;
+  spans.for_each_closed([&](const SpanTracer::SpanRecord& rec) {
+    out.emplace_back(rec.kind, std::bit_cast<std::uint64_t>(rec.t_start),
+                     std::bit_cast<std::uint64_t>(rec.t_end), rec.user,
+                     rec.item);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(TraceExport, FixtureExportsMatchFrozenDigests) {
+  TelemetryPlane plane;
+  run_replay_with_telemetry(plane);
+
+  const std::string path = "obs_test_digest.csv";
+  ASSERT_TRUE(write_timeseries_csv(path, plane));
+  const std::string csv = slurp(path);
+  std::remove(path.c_str());
+  Fnv1a csv_hash;
+  for (const char c : csv) csv_hash.add_byte(static_cast<unsigned char>(c));
+
+  const std::vector<SpanKey> spans = exported_spans(plane.spans());
+  ASSERT_EQ(spans.size(), plane.spans().closes());
+  ASSERT_LT(spans.size(), std::size_t{1} << 16);
+  Fnv1a span_hash;
+  for (const auto& [kind, t0, t1, user, item] : spans) {
+    span_hash.add(kind);
+    span_hash.add(t0);
+    span_hash.add(t1);
+    span_hash.add(user);
+    span_hash.add(item);
+  }
+  EXPECT_EQ(csv_hash.value(), kFixtureCsvDigest)
+      << std::hex << "csv digest 0x" << csv_hash.value();
+  EXPECT_EQ(span_hash.value(), kFixtureSpanDigest)
+      << std::hex << "span digest 0x" << span_hash.value();
 }
 
 TEST(TraceExport, FleetExportCoversEveryShard) {

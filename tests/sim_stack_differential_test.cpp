@@ -53,12 +53,14 @@ void expect_identical(const ProxySimResult& a, const ProxySimResult& b) {
 // --- frozen result digests ---------------------------------------------------
 //
 // One u64 FNV-1a digest per cell of the stack matrix (proxy sim: 5
-// predictors x 5 cache kinds; trace replay: 5 cache kinds x capacity {8, 24}
-// plus the other 3 replayable predictor kinds, then stream windows
-// {1, 97, 250, 1024}, a governed multi-window run and an armed divergence
-// abort; 3-shard replay: 5 cache kinds plus PPM). Each digest covers the bit pattern of every numeric
-// ProxySimResult field, so any change to simulated behaviour, however
-// small, changes the table. Regenerating is deliberate (one command line):
+// predictors x 5 cache kinds; trace replay: 5 cache kinds x capacity
+// {8, 24, 48} plus the other 3 replayable predictor kinds, then stream
+// windows {1, 97, 250, 1024}, a governed multi-window run and an armed
+// divergence abort; 3-shard replay: 5 cache kinds plus PPM). Capacity 48
+// is above arena::kInlineResidencyCapacity, so those cells run the slab
+// and indexed arenas; 8 and 24 run the inline ones. Each digest covers the
+// bit pattern of every numeric ProxySimResult field, so any change to
+// simulated behaviour, however small, changes the table. Regenerating is deliberate (one command line):
 //
 //   ./build/sim_stack_differential_test --gtest_also_run_disabled_tests
 //       --gtest_filter='StackDigests.DISABLED_PrintDigests'
@@ -153,7 +155,8 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_matrix_digests() {
   replay_trace_cfg.seed = 21;
   const Trace replay_trace = generate_synthetic_trace(replay_trace_cfg);
   for (CacheKind cache : kDigestCaches) {
-    for (std::size_t capacity : {std::size_t{8}, std::size_t{24}}) {
+    for (std::size_t capacity :
+         {std::size_t{8}, std::size_t{24}, std::size_t{48}}) {
       TraceReplayConfig cfg;
       cfg.bandwidth = 60.0;
       cfg.cache_capacity = capacity;
@@ -164,6 +167,24 @@ std::vector<std::pair<std::string, std::uint64_t>> compute_matrix_digests() {
                        result_digest(run_trace_replay(replay_trace, cfg,
                                                       policy)));
     }
+  }
+  // The replay trace averages 10 requests a user, so no cache above 24
+  // items ever evicts and the /24 and /48 cells agree. A dense trace (200
+  // requests a user over 200 pages) makes the capacity-48 arenas evict.
+  SyntheticTraceConfig dense_trace_cfg = replay_trace_cfg;
+  dense_trace_cfg.num_users = 20;
+  dense_trace_cfg.num_requests = 4000;
+  dense_trace_cfg.graph.num_pages = 200;
+  const Trace dense_trace = generate_synthetic_trace(dense_trace_cfg);
+  for (CacheKind cache : kDigestCaches) {
+    TraceReplayConfig cfg;
+    cfg.bandwidth = 60.0;
+    cfg.cache_capacity = 48;
+    cfg.cache_kind = cache;
+    ThresholdPolicy policy(core::InteractionModel::kModelA);
+    out.emplace_back(std::string("replay-dense/markov/") +
+                         cache_kind_name(cache) + "/48",
+                     result_digest(run_trace_replay(dense_trace, cfg, policy)));
   }
   for (auto predictor : {PredictorKind::kPpm, PredictorKind::kDependencyGraph,
                          PredictorKind::kFrequency}) {
