@@ -6,8 +6,8 @@
 // and reported as ratios to the first (replay throughput itself is
 // bench/e2e's):
 //   * baseline — telemetry pointer null (the shipping default),
-//   * enabled  — a full TelemetryPlane installed (counters, gauges,
-//     sampling, span tracing),
+//   * enabled  — a full TelemetryPlane installed (gauges, sampling, span
+//     tracing),
 //   * disabled — telemetry pointer null again, timed after the enabled
 //     leg in every round, so the gate compares two independent
 //     measurements of the null-hook path bracketing the run that
@@ -107,36 +107,22 @@ int main(int argc, char** argv) {
   metrics.push_back(
       bench::ratio("obs.trace_replay.enabled_overhead", t[1], t[0]));
 
-  // Microbenches for the three hot primitives, so a regression names the
+  // Microbenches for the two hot primitives, so a regression names the
   // primitive and not just the end-to-end loop. bench::clobber() in every
-  // iteration keeps each add/pair/row an observable store, so the loop
-  // cannot fold into one.
+  // iteration keeps each span/row an observable store, so the loop cannot
+  // fold into one.
   {
-    TelemetryRegistry reg;
-    const auto c = reg.register_counter("bench.counter");
-    constexpr std::size_t kAdds = 1 << 22;
-    const bench::Timing add_t = bench::time_call([&] {
-      for (std::size_t i = 0; i < kAdds; ++i) {
-        reg.add(c);
-        bench::clobber();
-      }
-    });
-    metrics.push_back(bench::rate("obs.registry.counter_adds_per_sec",
-                                  static_cast<double>(kAdds), add_t, "ops/s"));
-  }
-  {
-    SpanTracer spans;
-    spans.configure(1 << 16);
+    SpanTracer spans(TelemetryPlane::kSpanCapacity);
     constexpr std::size_t kSpans = 1 << 20;
     const bench::Timing span_t = bench::time_call([&] {
       for (std::size_t i = 0; i < kSpans; ++i) {
-        const auto ref = spans.open(SpanTracer::SpanKind::kDemandFetch,
-                                    static_cast<double>(i), 1, i);
-        spans.close(ref, static_cast<double>(i) + 0.5);
+        spans.record(SpanTracer::SpanKind::kDemandFetch,
+                     static_cast<double>(i), static_cast<double>(i) + 0.5, 1,
+                     i);
         bench::clobber();
       }
     });
-    metrics.push_back(bench::rate("obs.spans.open_close_pairs_per_sec",
+    metrics.push_back(bench::rate("obs.spans.records_per_sec",
                                   static_cast<double>(kSpans), span_t,
                                   "ops/s"));
   }
@@ -146,7 +132,7 @@ int main(int argc, char** argv) {
       reg.register_gauge("bench.gauge." + std::to_string(g));
     }
     TimeSeriesRecorder rec;
-    rec.configure(reg.gauge_count(), 4096, 0.25);
+    rec.configure(reg.gauge_count(), TelemetryPlane::kSeriesCapacity, 0.25);
     constexpr std::size_t kRows = 1 << 18;
     const bench::Timing row_t = bench::time_call([&] {
       for (std::size_t i = 0; i < kRows; ++i) {

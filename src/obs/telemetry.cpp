@@ -7,33 +7,10 @@ namespace specpf {
 
 // --- TelemetryRegistry ------------------------------------------------------
 
-namespace {
-
-/// Linear name lookup; registries hold a few dozen entries and every call
-/// site is setup or end-of-run merge.
-std::size_t find_name(const std::vector<std::string>& names,
-                      const std::string& name) {
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return i;
-  }
-  return names.size();
-}
-
-}  // namespace
-
-TelemetryRegistry::CounterId TelemetryRegistry::register_counter(
-    std::string name) {
-  SPECPF_EXPECTS(!name.empty());
-  SPECPF_EXPECTS(find_name(counter_names_, name) == counter_names_.size());
-  counter_names_.push_back(std::move(name));
-  counters_.emplace_back();
-  return static_cast<CounterId>(counters_.size() - 1);
-}
-
 TelemetryRegistry::GaugeId TelemetryRegistry::register_gauge(
     std::string name, std::string unit) {
   SPECPF_EXPECTS(!name.empty());
-  SPECPF_EXPECTS(find_name(gauge_names_, name) == gauge_names_.size());
+  SPECPF_EXPECTS(find_gauge(name) == gauge_names_.size());
   gauge_names_.push_back(std::move(name));
   gauge_units_.push_back(std::move(unit));
   gauges_.push_back(0.0);
@@ -41,15 +18,16 @@ TelemetryRegistry::GaugeId TelemetryRegistry::register_gauge(
 }
 
 std::size_t TelemetryRegistry::find_gauge(const std::string& name) const {
-  return find_name(gauge_names_, name);
+  // Linear lookup: a registry holds a dozen gauges and every caller is
+  // setup or export.
+  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
+    if (gauge_names_[i] == name) return i;
+  }
+  return gauge_names_.size();
 }
 
 void TelemetryRegistry::audit(AuditReport& report) const {
   const AuditScope scope(report, "TelemetryRegistry");
-  report.check(counters_.size() == counter_names_.size(),
-               "counter slots (" + std::to_string(counters_.size()) +
-                   ") and names (" + std::to_string(counter_names_.size()) +
-                   ") desynced");
   report.check(gauges_.size() == gauge_names_.size(),
                "gauge slots (" + std::to_string(gauges_.size()) +
                    ") and names (" + std::to_string(gauge_names_.size()) +
@@ -58,16 +36,10 @@ void TelemetryRegistry::audit(AuditReport& report) const {
                "gauge units (" + std::to_string(gauge_units_.size()) +
                    ") and names (" + std::to_string(gauge_names_.size()) +
                    ") desynced");
-  for (std::size_t i = 0; i < counter_names_.size(); ++i) {
-    report.check(!counter_names_[i].empty(),
-                 "counter " + std::to_string(i) + " has an empty name");
-    report.check(find_name(counter_names_, counter_names_[i]) == i,
-                 "duplicate counter name '" + counter_names_[i] + "'");
-  }
   for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
     report.check(!gauge_names_[i].empty(),
                  "gauge " + std::to_string(i) + " has an empty name");
-    report.check(find_name(gauge_names_, gauge_names_[i]) == i,
+    report.check(find_gauge(gauge_names_[i]) == i,
                  "duplicate gauge name '" + gauge_names_[i] + "'");
   }
 }
@@ -170,74 +142,21 @@ std::uint32_t SpanTracer::kind_track(SpanKind kind) noexcept {
   return 0;
 }
 
-void SpanTracer::configure(std::size_t capacity) {
-  capacity_ = capacity;
-  ring_.assign(capacity, SpanRecord{});
-  next_ = opens_ = closes_ = overwritten_ = stale_closes_ = 0;
-}
-
-SpanTracer::SpanRef SpanTracer::open(SpanKind kind, double t,
-                                     std::uint32_t user,
-                                     std::uint64_t item) noexcept {
-  if (capacity_ == 0) return SpanRef{};
-  const std::uint32_t slot = static_cast<std::uint32_t>(next_ % capacity_);
-  SpanRecord& rec = ring_[slot];
-  if (next_ >= capacity_ && !rec.closed()) ++overwritten_;
-  rec.t_start = t;
-  rec.t_end = t - 1.0;  // open marker: strictly before t_start
-  rec.user = user;
-  rec.item = item;
-  rec.kind = static_cast<std::uint16_t>(kind);
-  rec.generation = static_cast<std::uint16_t>(next_ / capacity_);
-  ++next_;
-  ++opens_;
-  return SpanRef{slot, rec.generation};
-}
-
-void SpanTracer::close(SpanRef ref, double t) noexcept {
-  if (!ref.valid() || capacity_ == 0) return;
-  SpanRecord& rec = ring_[ref.slot];
-  if (rec.generation != ref.generation || rec.closed()) {
-    ++stale_closes_;
-    return;
-  }
-  rec.t_end = t;
-  ++closes_;
-}
-
 void SpanTracer::audit(AuditReport& report) const {
   const AuditScope scope(report, "SpanTracer");
-  if (capacity_ == 0) {
-    report.check(opens_ == 0 && closes_ == 0, "disabled tracer saw spans");
-    return;
-  }
-  report.check(ring_.size() == capacity_, "ring not sized to capacity");
-  std::uint64_t live_open = 0;
-  const std::size_t filled =
-      next_ < capacity_ ? static_cast<std::size_t>(next_) : capacity_;
-  for (std::size_t i = 0; i < filled; ++i) {
-    const SpanRecord& rec = ring_[i];
-    if (!rec.closed()) {
-      ++live_open;
-    } else {
-      report.check(rec.t_end >= rec.t_start,
-                   "closed span at slot " + std::to_string(i) +
-                       " has negative duration");
-    }
-  }
-  report.check(opens_ == next_, "open total desynced from ring cursor");
-  report.check(opens_ == closes_ + overwritten_ + live_open,
-               "span balance broken: " + std::to_string(opens_) +
-                   " opens vs " + std::to_string(closes_) + " closes + " +
-                   std::to_string(overwritten_) + " overwritten + " +
-                   std::to_string(live_open) + " live");
+  std::size_t negative = 0;
+  for_each([&](const SpanRecord& rec) {
+    if (rec.t_end < rec.t_start) ++negative;
+  });
+  report.check(negative == 0, std::to_string(negative) +
+                                  " retained spans have negative duration");
 }
 
 // --- TelemetryPlane ---------------------------------------------------------
 
 void TelemetryPlane::seal() {
   SPECPF_EXPECTS(!sealed_);
-  series_.configure(registry_.gauge_count(), config_.series_capacity,
+  series_.configure(registry_.gauge_count(), kSeriesCapacity,
                     config_.sample_interval);
   sealed_ = true;
 }

@@ -2,18 +2,17 @@
 //
 // Three preallocated pieces, built in the same style as the slab planes:
 //
-//   * TelemetryRegistry    — flat counter/gauge slots registered by name at
-//                            setup (cache-aligned u64 counters, double
-//                            gauges). One registry per shard; the
-//                            exporters read them in shard order.
+//   * TelemetryRegistry    — flat gauge slots registered by name at setup.
+//                            One registry per shard; the exporters and the
+//                            divergence detector read them in shard order.
 //   * TimeSeriesRecorder   — samples every registered gauge into a flat
 //                            preallocated ring at fixed sim-time intervals
 //                            (and at sharded epoch barriers). When full it
 //                            downsamples in place (keep-every-2nd, double
 //                            the interval) so million-user runs stay
 //                            bounded without reallocating.
-//   * SpanTracer           — fixed-size request-lifecycle span records
-//                            ({slot, generation} refs, ring storage):
+//   * SpanTracer           — a ring of finished request-lifecycle spans,
+//                            each written once, at completion:
 //                            demand/prefetch link transits and the waits
 //                            blocked on them, tagged with user/item.
 //
@@ -39,48 +38,25 @@ struct TelemetryConfig {
   /// Sim-seconds between gauge samples (the recorder's *initial* cadence;
   /// downsampling doubles it as the ring fills).
   double sample_interval = 0.25;
-  /// Samples retained per shard. When the ring is full, every second
-  /// sample is dropped in place and the interval doubles.
-  std::size_t series_capacity = 4096;
-  /// Span records per shard; 0 disables the span tracer entirely.
-  std::size_t span_capacity = 1 << 16;
 
-  void validate() const {
-    SPECPF_EXPECTS(sample_interval > 0.0);
-    SPECPF_EXPECTS(series_capacity >= 2);
-  }
+  void validate() const { SPECPF_EXPECTS(sample_interval > 0.0); }
 };
 
-/// Flat named counters (monotonic u64) and gauges (instantaneous double).
-/// Registration happens once at setup; the hot path touches slots by id
-/// only. Counter slots are cache-line sized so two counters never share a
-/// line (shards each own a registry, so this is about intra-shard
-/// store-forwarding, not false sharing).
+/// Flat named gauges (instantaneous doubles). Registration happens once at
+/// setup; the gauge source stores into slots by id at sample instants.
 class TelemetryRegistry {
  public:
-  using CounterId = std::uint32_t;
   using GaugeId = std::uint32_t;
 
-  /// Setup only (allocates). Names must be unique within their kind.
-  /// `unit` annotates a gauge for exporters ("jobs", "ratio", "items");
-  /// empty is allowed but the stack registers every gauge with one.
-  CounterId register_counter(std::string name);
+  /// Setup only (allocates). Names must be unique. `unit` annotates a
+  /// gauge for exporters ("jobs", "ratio", "items"); empty is allowed but
+  /// the stack registers every gauge with one.
   GaugeId register_gauge(std::string name, std::string unit = {});
 
-  /// Hot path: one indexed add / store into preallocated slots.
-  void add(CounterId id, std::uint64_t n = 1) noexcept {
-    counters_[id].value += n;
-  }
   void set_gauge(GaugeId id, double value) noexcept { gauges_[id] = value; }
-
-  std::uint64_t counter(CounterId id) const { return counters_[id].value; }
   double gauge(GaugeId id) const { return gauges_[id]; }
 
-  std::size_t counter_count() const noexcept { return counters_.size(); }
   std::size_t gauge_count() const noexcept { return gauges_.size(); }
-  const std::string& counter_name(std::size_t i) const {
-    return counter_names_[i];
-  }
   const std::string& gauge_name(std::size_t i) const { return gauge_names_[i]; }
   const std::string& gauge_unit(std::size_t i) const { return gauge_units_[i]; }
   /// Gauge index for `name`, or gauge_count() when unregistered (cold
@@ -95,13 +71,7 @@ class TelemetryRegistry {
  private:
   friend struct AuditPeer;  // corruption-injection tests only
 
-  struct alignas(64) CounterSlot {
-    std::uint64_t value = 0;
-  };
-
-  std::vector<CounterSlot> counters_;
   std::vector<double> gauges_;
-  std::vector<std::string> counter_names_;
   std::vector<std::string> gauge_names_;
   std::vector<std::string> gauge_units_;
 };
@@ -153,10 +123,10 @@ class TimeSeriesRecorder {
   std::uint64_t recorded_ = 0;
 };
 
-/// Request-lifecycle spans in a fixed ring of POD records. open() hands
-/// back a {slot, generation} ref (the engine's handle idiom): closing a
-/// ref whose slot was since recycled is a counted no-op, never a write
-/// into someone else's span.
+/// Request-lifecycle spans in a fixed ring of POD records. Each span is
+/// written once, when it finishes, so the ring holds only finished spans;
+/// once full, every record() replaces the oldest, so the ring keeps the
+/// last `capacity` spans in completion order.
 class SpanTracer {
  public:
   enum class SpanKind : std::uint16_t {
@@ -171,96 +141,74 @@ class SpanTracer {
 
   struct SpanRecord {
     double t_start = 0.0;
-    double t_end = -1.0;  ///< < t_start means still open
+    double t_end = 0.0;
     std::uint64_t item = 0;
     std::uint32_t user = 0;
     std::uint16_t kind = 0;
-    std::uint16_t generation = 0;
-
-    bool closed() const noexcept { return t_end >= t_start; }
   };
 
-  /// Stale-proof handle to an open span. Default-constructed = null.
-  struct SpanRef {
-    std::uint32_t slot = kNullSlot;
-    std::uint16_t generation = 0;
-
-    bool valid() const noexcept { return slot != kNullSlot; }
-  };
-  static constexpr std::uint32_t kNullSlot = 0xffffffffu;
-
-  /// Setup only (allocates). Capacity 0 disables the tracer: open()
-  /// returns null refs and close() ignores them.
-  void configure(std::size_t capacity);
-
-  bool enabled() const noexcept { return capacity_ != 0; }
-
-  /// Hot path: writes one ring record, no allocation.
-  SpanRef open(SpanKind kind, double t, std::uint32_t user,
-               std::uint64_t item) noexcept;
-  /// Hot path: generation-checked close; stale refs are counted no-ops.
-  void close(SpanRef ref, double t) noexcept;
-  /// Emits an already-finished span (e.g. a wait reconstructed at
-  /// completion time from its recorded start instant).
-  void complete(SpanKind kind, double t0, double t1, std::uint32_t user,
-                std::uint64_t item) noexcept {
-    close(open(kind, t0, user, item), t1);
+  /// Setup only (allocates the ring).
+  explicit SpanTracer(std::size_t capacity) : ring_(capacity) {
+    SPECPF_EXPECTS(capacity >= 1);
   }
 
-  std::uint64_t opens() const noexcept { return opens_; }
-  std::uint64_t closes() const noexcept { return closes_; }
-  /// Opens whose slot was recycled before they closed (ring overflow).
-  std::uint64_t overwritten() const noexcept { return overwritten_; }
-  /// close() calls that arrived after their slot was recycled.
-  std::uint64_t stale_closes() const noexcept { return stale_closes_; }
+  /// Hot path: writes one finished span over the oldest slot, no
+  /// allocation.
+  void record(SpanKind kind, double t0, double t1, std::uint32_t user,
+              std::uint64_t item) noexcept {
+    ring_[recorded_ % ring_.size()] =
+        SpanRecord{t0, t1, item, user, static_cast<std::uint16_t>(kind)};
+    ++recorded_;
+  }
 
-  /// Visits retained *closed* spans oldest-first (cold path: export).
+  /// Total record() calls (more than the ring holds once it wrapped).
+  std::uint64_t recorded() const noexcept { return recorded_; }
+
+  /// Visits the retained spans oldest-first (cold path: export).
   template <typename Fn>
-  void for_each_closed(Fn&& fn) const {
-    if (capacity_ == 0) return;
+  void for_each(Fn&& fn) const {
+    const std::size_t capacity = ring_.size();
+    const bool wrapped = recorded_ >= capacity;
     const std::size_t filled =
-        next_ < capacity_ ? static_cast<std::size_t>(next_) : capacity_;
+        wrapped ? capacity : static_cast<std::size_t>(recorded_);
     const std::size_t start =
-        next_ < capacity_ ? 0 : static_cast<std::size_t>(next_ % capacity_);
+        wrapped ? static_cast<std::size_t>(recorded_ % capacity) : 0;
     for (std::size_t i = 0; i < filled; ++i) {
-      const SpanRecord& rec = ring_[(start + i) % capacity_];
-      if (rec.closed()) fn(rec);
+      fn(ring_[(start + i) % capacity]);
     }
   }
 
-  /// Invariants: span balance (opens = closes + overwrites + still-open
-  /// records in the ring), closed spans have non-negative duration.
+  /// Invariant: every retained span has non-negative duration.
   void audit(AuditReport& report) const;
 
  private:
   friend struct AuditPeer;  // corruption-injection tests only
 
   std::vector<SpanRecord> ring_;
-  std::size_t capacity_ = 0;
-  std::uint64_t next_ = 0;  ///< total opens; slot = next_ % capacity
-  std::uint64_t opens_ = 0;
-  std::uint64_t closes_ = 0;
-  std::uint64_t overwritten_ = 0;
-  std::uint64_t stale_closes_ = 0;
+  std::uint64_t recorded_ = 0;
 };
 
 /// One shard's telemetry bundle: registry + recorder + tracer plus the
 /// sampling cadence. The owner (an example binary or a test) constructs
-/// it; the StackRuntime borrows it, registers its counters/gauges, installs
-/// a gauge-refresh source, and calls seal(). After seal() the hot path is:
-/// maybe_sample() = one double compare; counter add = one indexed add;
-/// span open/close = one ring write.
+/// it; the StackRuntime borrows it, registers its gauges, installs a
+/// gauge-refresh source, and calls seal(). After seal() the hot path is:
+/// maybe_sample() = one double compare; span record = one ring write.
 class TelemetryPlane {
  public:
+  /// Samples retained per shard. When the ring is full, every second
+  /// sample is dropped in place and the interval doubles.
+  static constexpr std::size_t kSeriesCapacity = 4096;
+  /// Finished spans retained per shard (the most recent ones).
+  static constexpr std::size_t kSpanCapacity = std::size_t{1} << 16;
+
   /// Refreshes gauge slots just before a sample row is taken. Installed by
   /// the runtime (captures only `this`-sized state; never allocates).
   using GaugeSource = InlineFunction<void(TelemetryRegistry&), 48>;
 
   explicit TelemetryPlane(const TelemetryConfig& config = {},
                           std::uint32_t shard = 0)
-      : config_(config), shard_(shard) {
+      : config_(config), shard_(shard), spans_(kSpanCapacity) {
     config_.validate();
-    spans_.configure(config_.span_capacity);
   }
 
   TelemetryRegistry& registry() noexcept { return registry_; }

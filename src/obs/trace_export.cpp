@@ -94,8 +94,9 @@ bool write_chrome_trace(const std::string& path,
     write_metadata(f, events, pid, "thread_name", 1, "link");
     write_metadata(f, events, pid, "thread_name", 2, "waits");
 
-    // Spans: complete ("X") events, one per retained closed span.
-    plane.spans().for_each_closed([&](const SpanTracer::SpanRecord& rec) {
+    // Spans: complete ("X") events, one per retained span, in completion
+    // order.
+    plane.spans().for_each([&](const SpanTracer::SpanRecord& rec) {
       const auto kind = static_cast<SpanTracer::SpanKind>(rec.kind);
       events.begin();
       std::fprintf(f, "\"name\":\"%s\",\"ph\":\"X\",\"pid\":%u,\"tid\":%u",

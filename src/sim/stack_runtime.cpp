@@ -55,7 +55,6 @@ StackRuntime::StackRuntime(Simulator& sim, PredictorPlane& predictor,
     if (tag == core::EntryTag::kUntagged) {
       ++wasted_evictions_;
       if (measuring_) metrics_.record_wasted_prefetch();
-      if (telemetry_) telemetry_->registry().add(tele_.wasted_evictions);
       // Waste feedback is dynamics, not just metrics: the governor learns
       // from warmup evictions too.
       if (config_.governor) config_.governor->on_prefetch_wasted();
@@ -69,15 +68,6 @@ StackRuntime::StackRuntime(Simulator& sim, PredictorPlane& predictor,
 
 void StackRuntime::setup_telemetry() {
   TelemetryRegistry& reg = telemetry_->registry();
-  tele_.requests = reg.register_counter("req.count");
-  tele_.hits = reg.register_counter("req.hit");
-  tele_.misses = reg.register_counter("req.miss");
-  tele_.inflight_attaches = reg.register_counter("req.inflight_attach");
-  tele_.demand_fetches = reg.register_counter("fetch.demand");
-  tele_.prefetch_fetches = reg.register_counter("fetch.prefetch");
-  tele_.prefetch_deferred = reg.register_counter("pf.deferred");
-  tele_.prefetch_throttled = reg.register_counter("pf.throttled");
-  tele_.wasted_evictions = reg.register_counter("cache.wasted_evictions");
   tele_.link_queue = reg.register_gauge("link.queue_depth", "jobs");
   tele_.link_util = reg.register_gauge("link.util_ewma", "ratio");
   tele_.link_depth_ewma = reg.register_gauge("link.depth_ewma", "jobs");
@@ -180,14 +170,6 @@ void StackRuntime::submit_retrieval(UserId user, ItemId item,
   } else {
     ++inflight_demand_total_;
   }
-  if (telemetry_) {
-    telemetry_->registry().add(is_prefetch ? tele_.prefetch_fetches
-                                           : tele_.demand_fetches);
-    entry.span = telemetry_->spans().open(
-        is_prefetch ? SpanTracer::SpanKind::kPrefetchFetch
-                    : SpanTracer::SpanKind::kDemandFetch,
-        sim_.now(), user, item);
-  }
   server_.submit(config_.item_size, [this, user, item,
                                      is_prefetch](const TransferResult& r) {
     if (sense_) {
@@ -233,15 +215,18 @@ void StackRuntime::submit_retrieval(UserId user, ItemId item,
       }
     }
     if (telemetry_) {
-      SpanTracer& spans = telemetry_->spans();
-      spans.close(info.span, sim_.now());
-      // Waits are reconstructed here from their recorded start instants
+      // Every span is written here, whole: the transit from the job's
+      // submit instant, then the waits from their recorded start instants
       // (waiter_times only accumulates inside the measurement window, so
       // wait spans cover the measured run, like the wait metrics).
+      SpanTracer& spans = telemetry_->spans();
+      spans.record(is_prefetch ? SpanTracer::SpanKind::kPrefetchFetch
+                               : SpanTracer::SpanKind::kDemandFetch,
+                   r.submit_time, sim_.now(), user, item);
       for (double t0 : info.waiter_times) {
-        spans.complete(is_prefetch ? SpanTracer::SpanKind::kInflightWait
-                                   : SpanTracer::SpanKind::kDemandWait,
-                       t0, sim_.now(), user, item);
+        spans.record(is_prefetch ? SpanTracer::SpanKind::kInflightWait
+                                 : SpanTracer::SpanKind::kDemandWait,
+                     t0, sim_.now(), user, item);
       }
       // Completions also advance the sampling clock: the drain tail after
       // the last request still produces queue-depth samples.
@@ -262,7 +247,6 @@ void StackRuntime::handle_request(UserId user, ItemId item) {
   SPECPF_EXPECTS(user < config_.num_users);
   ++total_requests_;
   if (telemetry_) {
-    telemetry_->registry().add(tele_.requests);
     // The sampling clock piggybacks on instants the runtime already
     // visits — never its own events — so the cadence is "the first
     // arrival/completion at-or-after each interval boundary".
@@ -271,20 +255,16 @@ void StackRuntime::handle_request(UserId user, ItemId item) {
   switch (caches_->access(user, item)) {
     case AccessOutcome::kHitTagged:
       if (measuring_) metrics_.record_hit();
-      if (telemetry_) telemetry_->registry().add(tele_.hits);
       break;
     case AccessOutcome::kHitUntagged:
       // First touch of a landed prefetch — the precision signal the
       // confidence governor learns from.
       if (config_.governor) config_.governor->on_prefetch_useful();
       if (measuring_) metrics_.record_hit();
-      if (telemetry_) telemetry_->registry().add(tele_.hits);
       break;
     case AccessOutcome::kMiss: {
-      if (telemetry_) telemetry_->registry().add(tele_.misses);
       if (Inflight* fl = inflight_.find(inflight_key(user, item))) {
         if (measuring_) fl->waiter_times.push_back(sim_.now());
-        if (telemetry_) telemetry_->registry().add(tele_.inflight_attaches);
         if (fl->is_prefetch && !fl->demand_promoted &&
             config_.governor) {
           // The demand stream caught up with a live prefetch: useful.
@@ -346,14 +326,12 @@ void StackRuntime::handle_request(UserId user, ItemId item) {
           !governor->admit(sim_.now(), user, c, config_.item_size,
                            sensor_.signals())) {
         ++throttled_prefetches_;
-        if (telemetry_) telemetry_->registry().add(tele_.prefetch_throttled);
         continue;
       }
     }
     ++admitted;
     if (demand_inflight_[user] > 0) {
       pending_prefetches_[user].push_back(c.item);
-      if (telemetry_) telemetry_->registry().add(tele_.prefetch_deferred);
     } else {
       submit_retrieval(user, c.item, /*is_prefetch=*/true);
     }

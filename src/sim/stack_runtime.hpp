@@ -55,7 +55,7 @@ struct StackConfig {
   /// workload streams).
   std::uint64_t seed = 1;
   /// Telemetry plane to record into (borrowed; must outlive the run). The
-  /// runtime registers its counters/gauges, installs the gauge-refresh
+  /// runtime registers its gauges, installs the gauge-refresh
   /// source, and seals the plane at construction — so register any extra
   /// gauges (e.g. the sharded driver's origin-link set) *before* building
   /// the runtime. Same purity contract as the load sensor: hooks observe
@@ -194,9 +194,6 @@ class StackRuntime {
     /// user is blocked on it, so it holds the link like a demand fetch and
     /// defers further prefetch dispatch until it lands.
     bool demand_promoted = false;
-    /// Link-transit span opened at submission (null when telemetry is off
-    /// or the span ring is disabled); closed at completion.
-    SpanTracer::SpanRef span;
     std::vector<double> waiter_times;
   };
 
@@ -212,7 +209,7 @@ class StackRuntime {
   PolicyContext current_context() const;
   void submit_retrieval(UserId user, ItemId item, bool is_prefetch);
   void flush_pending_prefetches(UserId user);
-  /// Registers this runtime's counters/gauges on the telemetry plane,
+  /// Registers this runtime's gauges on the telemetry plane,
   /// installs the gauge source, and seals it (constructor only).
   void setup_telemetry();
   /// Refreshes the cached ĥ' contribution of `user` after a cache mutation.
@@ -259,17 +256,8 @@ class StackRuntime {
   std::uint64_t cache_residents_ = 0;
   std::uint64_t inflight_demand_total_ = 0;
   std::uint64_t inflight_prefetch_total_ = 0;
-  /// Telemetry slot ids (valid only when telemetry_ != nullptr).
+  /// Telemetry gauge ids (valid only when telemetry_ != nullptr).
   struct TelemetryIds {
-    TelemetryRegistry::CounterId requests = 0;
-    TelemetryRegistry::CounterId hits = 0;
-    TelemetryRegistry::CounterId misses = 0;
-    TelemetryRegistry::CounterId inflight_attaches = 0;
-    TelemetryRegistry::CounterId demand_fetches = 0;
-    TelemetryRegistry::CounterId prefetch_fetches = 0;
-    TelemetryRegistry::CounterId prefetch_deferred = 0;
-    TelemetryRegistry::CounterId prefetch_throttled = 0;
-    TelemetryRegistry::CounterId wasted_evictions = 0;
     TelemetryRegistry::GaugeId link_queue = 0;
     TelemetryRegistry::GaugeId link_util = 0;
     TelemetryRegistry::GaugeId link_depth_ewma = 0;

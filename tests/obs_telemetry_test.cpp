@@ -1,13 +1,15 @@
 // Telemetry-plane unit tests: registry registration semantics, the
-// recorder's ring wraparound + keep-every-2nd downsampling, span tracer
-// open/close pairing (including stale closes and ring overwrites), plane
-// seal/sampling mechanics, and structural well-formedness of the Chrome
-// trace-event JSON and time-series CSV exports.
+// recorder's ring wraparound + keep-every-2nd downsampling, the span ring
+// (completion order, keeping the last N spans once it wraps), plane
+// seal/sampling mechanics, structural well-formedness of the Chrome
+// trace-event JSON and time-series CSV exports, and frozen digests of what
+// a small replay exports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cctype>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -28,23 +30,20 @@ namespace {
 
 // --- registry ---------------------------------------------------------------
 
-TEST(TelemetryRegistry, RegisterAddAndRead) {
+TEST(TelemetryRegistry, RegisterSetAndRead) {
   TelemetryRegistry reg;
-  const auto c0 = reg.register_counter("req.count");
-  const auto c1 = reg.register_counter("req.hit");
-  const auto g0 = reg.register_gauge("link.queue_depth");
-  EXPECT_EQ(reg.counter_count(), 2u);
-  EXPECT_EQ(reg.gauge_count(), 1u);
+  const auto g0 = reg.register_gauge("link.queue_depth", "jobs");
+  const auto g1 = reg.register_gauge("link.util_ewma", "ratio");
+  EXPECT_EQ(reg.gauge_count(), 2u);
 
-  reg.add(c0);
-  reg.add(c0, 41);
-  reg.add(c1);
   reg.set_gauge(g0, 3.5);
-  EXPECT_EQ(reg.counter(c0), 42u);
-  EXPECT_EQ(reg.counter(c1), 1u);
+  reg.set_gauge(g1, 0.25);
   EXPECT_DOUBLE_EQ(reg.gauge(g0), 3.5);
-  EXPECT_EQ(reg.counter_name(c0), "req.count");
+  EXPECT_DOUBLE_EQ(reg.gauge(g1), 0.25);
   EXPECT_EQ(reg.gauge_name(g0), "link.queue_depth");
+  EXPECT_EQ(reg.gauge_unit(g1), "ratio");
+  EXPECT_EQ(reg.find_gauge("link.util_ewma"), g1);
+  EXPECT_EQ(reg.find_gauge("req.count"), reg.gauge_count());
 }
 
 // --- recorder ---------------------------------------------------------------
@@ -93,67 +92,61 @@ TEST(TimeSeriesRecorder, RecordsUntilCapacityThenDownsamples) {
 
 // --- span tracer ------------------------------------------------------------
 
-TEST(SpanTracer, OpenClosePairingAndKindMetadata) {
-  SpanTracer spans;
-  spans.configure(16);
-  ASSERT_TRUE(spans.enabled());
+using SpanKind = SpanTracer::SpanKind;
 
-  const auto ref = spans.open(SpanTracer::SpanKind::kDemandFetch, 1.0, 7, 42);
-  ASSERT_TRUE(ref.valid());
-  EXPECT_EQ(spans.opens(), 1u);
-  EXPECT_EQ(spans.closes(), 0u);
-  spans.close(ref, 2.5);
-  EXPECT_EQ(spans.closes(), 1u);
-
-  spans.complete(SpanTracer::SpanKind::kInflightWait, 3.0, 3.25, 8, 43);
-  EXPECT_EQ(spans.opens(), 2u);
-  EXPECT_EQ(spans.closes(), 2u);
-
-  int seen = 0;
-  spans.for_each_closed([&](const SpanTracer::SpanRecord& rec) {
-    ++seen;
-    EXPECT_GE(rec.t_end, rec.t_start);
+/// (kind, start, user) of every retained span, oldest first.
+std::vector<std::tuple<SpanKind, double, std::uint32_t>> retained(
+    const SpanTracer& spans) {
+  std::vector<std::tuple<SpanKind, double, std::uint32_t>> out;
+  spans.for_each([&](const SpanTracer::SpanRecord& rec) {
+    out.emplace_back(static_cast<SpanKind>(rec.kind), rec.t_start, rec.user);
   });
-  EXPECT_EQ(seen, 2);
-
-  EXPECT_STREQ(SpanTracer::kind_name(SpanTracer::SpanKind::kPrefetchFetch),
-               "prefetch_fetch");
-  EXPECT_EQ(SpanTracer::kind_track(SpanTracer::SpanKind::kPrefetchFetch), 1u);
-  EXPECT_EQ(SpanTracer::kind_track(SpanTracer::SpanKind::kDemandWait), 2u);
+  return out;
 }
 
-TEST(SpanTracer, StaleCloseAfterRingWraparoundIsCountedNoOp) {
-  SpanTracer spans;
-  spans.configure(4);
-  const auto early = spans.open(SpanTracer::SpanKind::kDemandFetch, 0.0, 1, 1);
-  // Wrap the ring: the early span's slot is recycled while still open, so
-  // it is counted overwritten and its ref goes stale.
-  for (int i = 0; i < 4; ++i) {
-    spans.complete(SpanTracer::SpanKind::kPrefetchFetch, 1.0 + i, 1.5 + i, 2,
-                   10 + i);
-  }
-  EXPECT_EQ(spans.overwritten(), 1u);
+TEST(SpanTracer, RecordsInCompletionOrderWithKindMetadata) {
+  SpanTracer spans(16);
+  spans.record(SpanKind::kDemandFetch, 1.0, 2.5, 7, 42);
+  spans.record(SpanKind::kInflightWait, 3.0, 3.25, 8, 43);
+  EXPECT_EQ(spans.recorded(), 2u);
 
-  spans.close(early, 9.0);  // must not scribble over the newer span
-  EXPECT_EQ(spans.stale_closes(), 1u);
-  spans.for_each_closed([&](const SpanTracer::SpanRecord& rec) {
-    EXPECT_EQ(static_cast<SpanTracer::SpanKind>(rec.kind),
-              SpanTracer::SpanKind::kPrefetchFetch);
-  });
+  std::vector<SpanTracer::SpanRecord> seen;
+  spans.for_each(
+      [&](const SpanTracer::SpanRecord& rec) { seen.push_back(rec); });
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(static_cast<SpanKind>(seen[0].kind), SpanKind::kDemandFetch);
+  EXPECT_DOUBLE_EQ(seen[0].t_start, 1.0);
+  EXPECT_DOUBLE_EQ(seen[0].t_end, 2.5);
+  EXPECT_EQ(seen[0].user, 7u);
+  EXPECT_EQ(seen[0].item, 42u);
+  EXPECT_EQ(static_cast<SpanKind>(seen[1].kind), SpanKind::kInflightWait);
+
+  EXPECT_STREQ(SpanTracer::kind_name(SpanKind::kPrefetchFetch),
+               "prefetch_fetch");
+  EXPECT_EQ(SpanTracer::kind_track(SpanKind::kPrefetchFetch), 1u);
+  EXPECT_EQ(SpanTracer::kind_track(SpanKind::kDemandWait), 2u);
+}
+
+TEST(SpanTracer, WrappedRingKeepsExactlyTheLastNSpans) {
+  constexpr std::size_t kCapacity = 5;
+  SpanTracer spans(kCapacity);
+  std::vector<std::tuple<SpanKind, double, std::uint32_t>> all;
+  for (std::uint32_t i = 0; i < 23; ++i) {
+    const auto kind = static_cast<SpanKind>(i % 4);
+    spans.record(kind, static_cast<double>(i), i + 0.5, i, 100 + i);
+    all.emplace_back(kind, static_cast<double>(i), i);
+    // After every record the ring holds the last min(i + 1, N) spans,
+    // oldest first: through the first fill, at exactly N, and across
+    // every later wrap.
+    const std::size_t kept = std::min<std::size_t>(all.size(), kCapacity);
+    const std::vector<std::tuple<SpanKind, double, std::uint32_t>> expect(
+        all.end() - static_cast<std::ptrdiff_t>(kept), all.end());
+    ASSERT_EQ(retained(spans), expect) << "after " << i + 1 << " records";
+  }
+  EXPECT_EQ(spans.recorded(), 23u);
   AuditReport report;
   spans.audit(report);
   EXPECT_TRUE(report.ok()) << report.summary();
-}
-
-TEST(SpanTracer, ZeroCapacityDisablesTracing) {
-  SpanTracer spans;
-  spans.configure(0);
-  EXPECT_FALSE(spans.enabled());
-  const auto ref = spans.open(SpanTracer::SpanKind::kDemandFetch, 0.0, 1, 1);
-  EXPECT_FALSE(ref.valid());
-  spans.close(ref, 1.0);
-  EXPECT_EQ(spans.opens(), 0u);
-  EXPECT_EQ(spans.stale_closes(), 0u);
 }
 
 // --- plane ------------------------------------------------------------------
@@ -255,7 +248,7 @@ TEST(TraceExport, ChromeTraceIsStructurallyWellFormed) {
   TelemetryPlane plane;
   run_replay_with_telemetry(plane);
   ASSERT_GT(plane.series().size(), 0u);
-  ASSERT_GT(plane.spans().closes(), 0u);
+  ASSERT_GT(plane.spans().recorded(), 0u);
 
   const std::string path = "obs_test_trace.json";
   ASSERT_TRUE(write_chrome_trace(path, plane));
@@ -337,7 +330,7 @@ using SpanKey = std::tuple<std::uint16_t, std::uint64_t, std::uint64_t,
 
 std::vector<SpanKey> exported_spans(const SpanTracer& spans) {
   std::vector<SpanKey> out;
-  spans.for_each_closed([&](const SpanTracer::SpanRecord& rec) {
+  spans.for_each([&](const SpanTracer::SpanRecord& rec) {
     out.emplace_back(rec.kind, std::bit_cast<std::uint64_t>(rec.t_start),
                      std::bit_cast<std::uint64_t>(rec.t_end), rec.user,
                      rec.item);
@@ -358,7 +351,7 @@ TEST(TraceExport, FixtureExportsMatchFrozenDigests) {
   for (const char c : csv) csv_hash.add_byte(static_cast<unsigned char>(c));
 
   const std::vector<SpanKey> spans = exported_spans(plane.spans());
-  ASSERT_EQ(spans.size(), plane.spans().closes());
+  ASSERT_EQ(spans.size(), plane.spans().recorded());
   ASSERT_LT(spans.size(), std::size_t{1} << 16);
   Fnv1a span_hash;
   for (const auto& [kind, t0, t1, user, item] : spans) {

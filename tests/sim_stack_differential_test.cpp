@@ -327,11 +327,9 @@ TEST(StackDifferential, ProxySimTelemetryOnMatchesOff) {
 
   expect_identical(on, off);
   EXPECT_GT(on.requests, 0u);
-  // Telemetry actually recorded: rows sampled, spans opened and closed.
+  // Telemetry actually recorded: rows sampled, spans written.
   EXPECT_GT(plane.series().size(), 0u);
-  EXPECT_GT(plane.spans().opens(), 0u);
-  EXPECT_GT(plane.spans().closes(), 0u);
-  EXPECT_GT(plane.registry().counter(0), 0u);  // "req.count"
+  EXPECT_GT(plane.spans().recorded(), 0u);
 }
 
 // --- one driver: the proxy sim is a replay of its session source -----------
@@ -398,7 +396,7 @@ TEST(StackDifferential, TraceReplayTelemetryOnMatchesOff) {
   expect_identical(on, off);
   EXPECT_GT(on.requests, 0u);
   EXPECT_GT(plane.series().size(), 0u);
-  EXPECT_GT(plane.spans().opens(), 0u);
+  EXPECT_GT(plane.spans().recorded(), 0u);
 
   AuditReport report;
   plane.audit(report);

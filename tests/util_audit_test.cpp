@@ -234,11 +234,13 @@ struct AuditPeer {
     // outside the engine's time order.
     r.times_[1] = r.times_[0] - 1.0;
   }
-  static void unbalance_span_counters(SpanTracer& t) {
-    ++t.closes_;  // closes no longer reconcile with opens/overwrites
+  static void end_span_before_start(SpanTracer& t) {
+    // A span that ends before it starts: the signature of a record built
+    // from the wrong instants.
+    t.ring_[2].t_end = t.ring_[2].t_start - 1.0;
   }
   static void desync_registry_names(TelemetryRegistry& r) {
-    r.counter_names_.pop_back();  // slot with no name
+    r.gauge_names_.pop_back();  // slot with no name
   }
 
   // --- divergence detector ------------------------------------------------
@@ -888,29 +890,26 @@ TEST(AuditInjection, TelemetryRecorderTimestampReversal) {
   expect_failure_containing(report, "monotone");
 }
 
-TEST(AuditInjection, TelemetrySpanBalanceBroken) {
-  SpanTracer spans;
-  spans.configure(8);
+TEST(AuditInjection, TelemetrySpanEndsBeforeItStarts) {
+  SpanTracer spans(8);
   for (int i = 0; i < 5; ++i) {
-    const auto ref = spans.open(SpanTracer::SpanKind::kDemandFetch,
-                                0.1 * i, /*user=*/1, /*item=*/i);
-    spans.close(ref, 0.1 * i + 0.05);
+    spans.record(SpanTracer::SpanKind::kDemandFetch, 0.1 * i,
+                 0.1 * i + 0.05, /*user=*/1, /*item=*/i);
   }
   AuditReport clean;
   spans.audit(clean);
   ASSERT_TRUE(clean.ok()) << clean.summary();
 
-  AuditPeer::unbalance_span_counters(spans);
+  AuditPeer::end_span_before_start(spans);
   AuditReport report;
   spans.audit(report);
-  expect_failure_containing(report, "span balance");
+  expect_failure_containing(report, "negative duration");
 }
 
 TEST(AuditInjection, TelemetryRegistryNameSlotDesync) {
   TelemetryRegistry reg;
-  reg.register_counter("req.count");
-  reg.register_counter("req.hit");
   reg.register_gauge("link.queue_depth");
+  reg.register_gauge("link.util_ewma");
   AuditReport clean;
   reg.audit(clean);
   ASSERT_TRUE(clean.ok()) << clean.summary();
