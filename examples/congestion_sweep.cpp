@@ -128,10 +128,13 @@ int main(int argc, char** argv) {
   tele_cfg.sample_interval = args.get_positive_double("sample-interval");
 
   SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
-  trace_cfg.num_requests = static_cast<std::size_t>(args.get_uint("requests"));
+  trace_cfg.num_users =
+      static_cast<std::size_t>(args.get_positive_uint("users"));
+  trace_cfg.num_requests =
+      static_cast<std::size_t>(args.get_positive_uint("requests"));
   trace_cfg.request_rate = args.get_positive_double("rate");
-  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
+  trace_cfg.graph.num_pages =
+      static_cast<std::size_t>(args.get_positive_uint("pages"));
   trace_cfg.graph.out_degree = 3;
   trace_cfg.graph.exit_probability = 0.25;
   trace_cfg.graph.link_skew = 1.6;

@@ -148,8 +148,7 @@ int main(int argc, char** argv) {
   const std::string family = args.get_string("family");
   if (family != "fixed" && family != "token" && family != "aimd" &&
       family != "conf") {
-    std::fprintf(stderr, "unknown family '%s'\n", family.c_str());
-    return 1;
+    args.reject_value("family", "fixed|token|aimd|conf", family);
   }
   const std::string base_policy = args.get_string("base-policy");
   if (family != "fixed" && !make_policy_by_name(base_policy)) {
@@ -188,7 +187,17 @@ int main(int argc, char** argv) {
   const double base_rate = args.get_positive_double("rate");
   const double bandwidth = args.get_double("bandwidth");
   const auto base_requests =
-      static_cast<std::size_t>(args.get_uint("requests"));
+      static_cast<std::size_t>(args.get_positive_uint("requests"));
+  // Each cell's trace holds requests x multiplier records; none may be empty.
+  for (const double mult : rate_mults) {
+    if (static_cast<std::size_t>(static_cast<double>(base_requests) * mult) ==
+        0) {
+      args.reject_value("requests",
+                        "count that stays positive at every --rates "
+                        "multiplier",
+                        std::to_string(base_requests));
+    }
+  }
 
   TelemetryConfig tele_cfg;
   tele_cfg.sample_interval = args.get_positive_double("sample-interval");
@@ -201,8 +210,10 @@ int main(int argc, char** argv) {
   det_cfg.depth_level = args.get_positive_double("depth-level");
 
   SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
-  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
+  trace_cfg.num_users =
+      static_cast<std::size_t>(args.get_positive_uint("users"));
+  trace_cfg.graph.num_pages =
+      static_cast<std::size_t>(args.get_positive_uint("pages"));
   trace_cfg.graph.out_degree = 3;
   trace_cfg.graph.exit_probability = 0.25;
   trace_cfg.graph.link_skew = 1.6;
@@ -228,7 +239,7 @@ int main(int argc, char** argv) {
   // untrained predictor make the opening seconds look like sustained queue
   // growth in every cell, which is a cold-start artifact, not divergence.
   det_cfg.settle_time = replay_base.warmup_fraction * span;
-  det_cfg.validate();
+  args.require_valid(det_cfg.check());
 
   // One cell: fresh trace slice config, fresh plane(s), fresh detector.
   // Returns the run's wall-clock through cell.wall_s.

@@ -16,18 +16,40 @@ const char* verdict_name(StabilityVerdict verdict) noexcept {
   return "stable";
 }
 
-void DivergenceConfig::validate() const {
-  SPECPF_EXPECTS(window >= 4);
-  SPECPF_EXPECTS(min_samples >= 4);
-  SPECPF_EXPECTS(slope_threshold > 0.0);
-  SPECPF_EXPECTS(min_growth_run >= 2);
-  SPECPF_EXPECTS(dip_tolerance >= 0.0 && dip_tolerance < 1.0);
-  SPECPF_EXPECTS(depth_level > 0.0);
-  SPECPF_EXPECTS(slowdown_level > 0.0);
-  SPECPF_EXPECTS(utilization_level > 0.0);
-  SPECPF_EXPECTS(drain_ratio > 0.0 && drain_ratio <= 1.0);
-  SPECPF_EXPECTS(settle_time >= 0.0);
+std::string DivergenceConfig::check() const {
+  if (window < 4) return config_error("window", "must be >= 4", window);
+  if (min_samples < 4) {
+    return config_error("min_samples", "must be >= 4", min_samples);
+  }
+  if (!(slope_threshold > 0.0)) {
+    return config_error("slope_threshold", "must be > 0", slope_threshold);
+  }
+  if (min_growth_run < 2) {
+    return config_error("min_growth_run", "must be >= 2", min_growth_run);
+  }
+  if (!(dip_tolerance >= 0.0 && dip_tolerance < 1.0)) {
+    return config_error("dip_tolerance", "must be in [0, 1)", dip_tolerance);
+  }
+  if (!(depth_level > 0.0)) {
+    return config_error("depth_level", "must be > 0", depth_level);
+  }
+  if (!(slowdown_level > 0.0)) {
+    return config_error("slowdown_level", "must be > 0", slowdown_level);
+  }
+  if (!(utilization_level > 0.0)) {
+    return config_error("utilization_level", "must be > 0",
+                        utilization_level);
+  }
+  if (!(drain_ratio > 0.0 && drain_ratio <= 1.0)) {
+    return config_error("drain_ratio", "must be in (0, 1]", drain_ratio);
+  }
+  if (!(settle_time >= 0.0)) {
+    return config_error("settle_time", "must be >= 0", settle_time);
+  }
+  return {};
 }
+
+void DivergenceConfig::validate() const { expect_valid(check()); }
 
 void DivergenceDetector::configure(const DivergenceConfig& config) {
   SPECPF_EXPECTS(!configured_);

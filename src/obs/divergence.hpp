@@ -81,6 +81,11 @@ struct DivergenceConfig {
   /// to the replay's warmup boundary.
   double settle_time = 0.0;
 
+  /// "" when every field is in range, else "<field>: <rule>, got <value>"
+  /// for the first that is not. The stability-map sweep calls it at the
+  /// edge and exits 2 on a message.
+  std::string check() const;
+  /// Throws ContractViolation carrying check()'s message.
   void validate() const;
 };
 

@@ -12,7 +12,7 @@
 //
 // Plus the aggregation/wiring contracts: worst-signal-wins across watched
 // gauges, watch_plane() attachment by gauge name on a sealed plane, the
-// settle-time cutoff, and the min-samples gate.
+// settle-time cutoff, the min-samples gate, and the config's check().
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +20,7 @@
 
 #include "obs/divergence.hpp"
 #include "obs/telemetry.hpp"
+#include "util/contract.hpp"
 
 namespace specpf {
 namespace {
@@ -213,6 +214,40 @@ TEST(DivergenceDetector, WatchPlaneAttachesRegisteredGaugesOnly) {
   EXPECT_EQ(det.verdict(), StabilityVerdict::kDivergent);
   EXPECT_EQ(det.onset_signal(), "shard0/link.depth_ewma");
   EXPECT_EQ(det.signal_verdict(1), StabilityVerdict::kStable);  // util at 0.2
+}
+
+TEST(DivergenceConfig, CheckNamesTheFirstFieldOutOfRange) {
+  EXPECT_EQ(DivergenceConfig{}.check(), "");
+  const auto message = [](auto mutate) {
+    DivergenceConfig cfg;
+    mutate(cfg);
+    return cfg.check();
+  };
+  EXPECT_EQ(message([](DivergenceConfig& c) { c.window = 3; }).rfind(
+                "window: ", 0),
+            0u);
+  EXPECT_EQ(message([](DivergenceConfig& c) { c.min_growth_run = 1; })
+                .rfind("min_growth_run: ", 0),
+            0u);
+  EXPECT_EQ(message([](DivergenceConfig& c) {
+              c.slope_threshold = std::nan("");
+            }).rfind("slope_threshold: ", 0),
+            0u);
+  EXPECT_EQ(message([](DivergenceConfig& c) { c.drain_ratio = 1.5; })
+                .rfind("drain_ratio: ", 0),
+            0u);
+  // The first bad field wins, in declaration order.
+  EXPECT_EQ(message([](DivergenceConfig& c) {
+              c.window = 0;
+              c.settle_time = -1.0;
+            }).rfind("window: ", 0),
+            0u);
+
+  DivergenceConfig bad;
+  bad.min_samples = 2;
+  EXPECT_THROW(bad.validate(), ContractViolation);
+  DivergenceDetector det;
+  EXPECT_THROW(det.configure(bad), ContractViolation);
 }
 
 }  // namespace
