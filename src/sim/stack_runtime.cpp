@@ -162,8 +162,7 @@ void StackRuntime::submit_retrieval(UserId user, ItemId item,
   if (config_.retrieval_observer) {
     config_.retrieval_observer(user, item, is_prefetch);
   }
-  Inflight& entry = inflight_.get_or_insert(inflight_key(user, item));
-  entry.is_prefetch = is_prefetch;
+  inflight_.get_or_insert(inflight_key(user, item)).is_prefetch = is_prefetch;
   if (!is_prefetch) ++demand_inflight_[user];
   if (is_prefetch) {
     ++inflight_prefetch_total_;
