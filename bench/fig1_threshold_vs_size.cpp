@@ -52,11 +52,15 @@ void panel(double hit_ratio, double lambda, bool csv) {
 int main(int argc, char** argv) {
   specpf::ArgParser args("fig1_threshold_vs_size",
                          "Reproduces paper Fig. 1 (p_th vs s)");
-  args.add_flag("lambda", "30", "request rate");
-  args.add_flag("csv", "false", "emit CSV instead of markdown");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("lambda", specpf::flag::kNumber, "30", "request rate");
+  args.add_flag("csv", specpf::flag::kBool, "false",
+                "emit CSV instead of markdown");
+  args.parse(argc, argv);
 
   const double lambda = args.get_double("lambda");
+  specpf::core::SystemParams params;
+  params.request_rate = lambda;
+  args.require_valid(params.check());
   const bool csv = args.get_bool("csv");
   panel(0.0, lambda, csv);
   panel(0.3, lambda, csv);

@@ -64,8 +64,9 @@ void panel(double hit_ratio, bool csv) {
 int main(int argc, char** argv) {
   specpf::ArgParser args("fig2_gain_vs_prefetch_rate",
                          "Reproduces paper Fig. 2 (G vs n̄(F))");
-  args.add_flag("csv", "false", "emit CSV instead of markdown");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("csv", specpf::flag::kBool, "false",
+                "emit CSV instead of markdown");
+  args.parse(argc, argv);
   panel(0.0, args.get_bool("csv"));
   panel(0.3, args.get_bool("csv"));
   return 0;

@@ -61,8 +61,9 @@ void panel(double hit_ratio, bool csv) {
 int main(int argc, char** argv) {
   specpf::ArgParser args("fig3_excess_cost_vs_prefetch_rate",
                          "Reproduces paper Fig. 3 (C vs n̄(F))");
-  args.add_flag("csv", "false", "emit CSV instead of markdown");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("csv", specpf::flag::kBool, "false",
+                "emit CSV instead of markdown");
+  args.parse(argc, argv);
   panel(0.0, args.get_bool("csv"));
   panel(0.3, args.get_bool("csv"));
   return 0;

@@ -51,9 +51,9 @@ double run_server(bool ps, const Distribution& sizes, double lambda,
 int main(int argc, char** argv) {
   ArgParser args("table_discipline_ablation",
                  "PS vs FIFO under different size distributions");
-  args.add_flag("horizon", "6000", "simulated seconds per run");
-  args.add_flag("csv", "false", "emit CSV instead of markdown");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("horizon", flag::kNumber, "6000", "simulated seconds per run");
+  args.add_flag("csv", flag::kBool, "false", "emit CSV instead of markdown");
+  args.parse(argc, argv);
   const double horizon = args.get_double("horizon");
 
   const double bandwidth = 10.0;

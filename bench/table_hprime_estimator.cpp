@@ -17,9 +17,10 @@ int main(int argc, char** argv) {
   using namespace specpf;
   ArgParser args("table_hprime_estimator",
                  "Accuracy of the §4 online h' estimator");
-  args.add_flag("duration", "1200", "measured seconds per run");
-  args.add_flag("csv", "false", "emit CSV instead of markdown");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("duration", flag::kPositiveNumber, "1200",
+                "measured seconds per run");
+  args.add_flag("csv", flag::kBool, "false", "emit CSV instead of markdown");
+  args.parse(argc, argv);
 
   Table table({"cache cap", "pages", "truth h'", "est A", "est B", "bias A",
                "bias B", "prefetch/req"});

@@ -17,14 +17,19 @@ int main(int argc, char** argv) {
   using namespace specpf;
   ArgParser args("table_model_comparison",
                  "Section 6: Model A vs B vs AB across cache sizes");
-  args.add_flag("hprime", "0.3", "no-prefetch hit ratio h'");
-  args.add_flag("p", "0.7", "access probability of prefetched items");
-  args.add_flag("nf", "1.0", "prefetch rate n̄(F)");
-  args.add_flag("csv", "false", "emit CSV instead of markdown");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("hprime", flag::kNumber, "0.3", "no-prefetch hit ratio h'");
+  args.add_flag("p", flag::kNumber, "0.7",
+                "access probability of prefetched items");
+  args.add_flag("nf", flag::kNumber, "1.0", "prefetch rate n̄(F)");
+  args.add_flag("csv", flag::kBool, "false", "emit CSV instead of markdown");
+  args.parse(argc, argv);
 
   const double hprime = args.get_double("hprime");
   const core::OperatingPoint op{args.get_double("p"), args.get_double("nf")};
+  // The rows vary n̄(C) only, so h' is checked once, before any row.
+  core::SystemParams checked;
+  checked.hit_ratio = hprime;
+  args.require_valid(checked.check());
 
   Table table({"nC", "pth_A", "pth_B", "gap", "h_A", "h_B", "G_A", "G_B",
                "G_AB", "C_A", "C_B", "|G_A-G_B|"});

@@ -52,16 +52,23 @@ constexpr std::size_t kNumPolicies = 8;
 int main(int argc, char** argv) {
   ArgParser args("table_policy_shootout",
                  "Prefetch policies on the full-stack proxy simulation");
-  args.add_flag("users", "60", "client population (seed paper setup was 6)");
-  args.add_flag("duration", "15000", "measured seconds per run");
-  args.add_flag("replications", "8",
+  args.add_flag("users", flag::kPositiveUint, "60",
+                "client population (seed paper setup was 6)");
+  args.add_flag("duration", flag::kPositiveNumber, "15000",
+                "measured seconds per run");
+  args.add_flag("replications", flag::kPositiveUint, "8",
                 "independent replications per cell (t-based 95% CIs)");
-  args.add_flag("threads", "0",
+  args.add_flag("threads", flag::kUint, "0",
                 "worker threads for replications (0 = hardware)");
-  args.add_flag("predictor", "oracle",
-                "predictor: oracle|markov|ppm|depgraph|frequency");
-  args.add_flag("csv", "false", "emit CSV instead of markdown");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("predictor",
+                flag::name("markov|ppm|depgraph|frequency|oracle",
+                           [](const std::string& name) {
+                             PredictorKind kind{};
+                             return parse_predictor_kind(name, &kind);
+                           }),
+                "oracle", "access predictor");
+  args.add_flag("csv", flag::kBool, "false", "emit CSV instead of markdown");
+  args.parse(argc, argv);
 
   ProxySimConfig base;
   base.num_users = static_cast<std::size_t>(args.get_uint("users"));
@@ -77,10 +84,8 @@ int main(int argc, char** argv) {
   base.seed = 42;
 
   const std::string predictor = args.get_string("predictor");
-  if (!parse_predictor_kind(predictor, &base.predictor_kind)) {
-    args.reject_value("predictor", "markov|ppm|depgraph|frequency|oracle",
-                      predictor);
-  }
+  parse_predictor_kind(predictor, &base.predictor_kind);
+  args.require_valid(base.check());
 
   // The paper's single shared link scales with the population: keep the
   // per-user bandwidth of the original 6-user setup at each load level.
@@ -88,9 +93,9 @@ int main(int argc, char** argv) {
   const auto replications =
       static_cast<std::size_t>(args.get_uint("replications"));
   if (replications < 2) {
-    std::cerr << "--replications must be >= 2 (t-based CIs need at least "
-                 "two independent runs)\n";
-    return 1;
+    // t-based CIs need at least two independent runs.
+    args.reject_value("replications", "integer >= 2",
+                      std::to_string(replications));
   }
   ThreadPool pool(static_cast<std::size_t>(args.get_uint("threads")));
 

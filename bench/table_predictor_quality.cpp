@@ -68,9 +68,9 @@ Calibration evaluate(PredictorPlane& predictor, const SessionGraph& graph,
 int main(int argc, char** argv) {
   ArgParser args("table_predictor_quality",
                  "Calibration of the access predictors");
-  args.add_flag("requests", "40000", "workload length");
-  args.add_flag("csv", "false", "emit CSV instead of markdown");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("requests", flag::kUint, "40000", "workload length");
+  args.add_flag("csv", flag::kBool, "false", "emit CSV instead of markdown");
+  args.parse(argc, argv);
   const auto requests = static_cast<std::size_t>(args.get_uint("requests"));
 
   SessionGraphConfig gcfg;

@@ -15,10 +15,12 @@ int main(int argc, char** argv) {
   using namespace specpf;
   ArgParser args("table_sim_vs_analytic",
                  "Discrete-event simulation vs closed forms");
-  args.add_flag("replications", "8", "independent replications per point");
-  args.add_flag("duration", "1200", "measured seconds per replication");
-  args.add_flag("csv", "false", "emit CSV instead of markdown");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("replications", flag::kPositiveUint, "8",
+                "independent replications per point");
+  args.add_flag("duration", flag::kPositiveNumber, "1200",
+                "measured seconds per replication");
+  args.add_flag("csv", flag::kBool, "false", "emit CSV instead of markdown");
+  args.parse(argc, argv);
 
   ValidationOptions opt;
   opt.replications = static_cast<std::size_t>(args.get_uint("replications"));

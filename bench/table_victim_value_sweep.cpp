@@ -15,12 +15,13 @@ int main(int argc, char** argv) {
   ArgParser args("table_victim_value_sweep",
                  "Model AB: sweep the eviction-victim value q");
   // Defaults satisfy eq. (6): n̄(F)·p ≤ f' (0.8·0.7 = 0.56 ≤ 0.7).
-  args.add_flag("hprime", "0.3", "no-prefetch hit ratio h'");
-  args.add_flag("cache-items", "20", "n̄(C) (small to magnify the sweep)");
-  args.add_flag("p", "0.7", "access probability");
-  args.add_flag("nf", "0.8", "prefetch rate n̄(F)");
-  args.add_flag("csv", "false", "emit CSV instead of markdown");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("hprime", flag::kNumber, "0.3", "no-prefetch hit ratio h'");
+  args.add_flag("cache-items", flag::kPositiveNumber, "20",
+                "n̄(C) (small to magnify the sweep)");
+  args.add_flag("p", flag::kNumber, "0.7", "access probability");
+  args.add_flag("nf", flag::kNumber, "0.8", "prefetch rate n̄(F)");
+  args.add_flag("csv", flag::kBool, "false", "emit CSV instead of markdown");
+  args.parse(argc, argv);
 
   core::SystemParams params;
   params.bandwidth = 50.0;
@@ -28,6 +29,7 @@ int main(int argc, char** argv) {
   params.mean_item_size = 1.0;
   params.hit_ratio = args.get_double("hprime");
   params.cache_items = args.get_double("cache-items");
+  args.require_valid(params.check());
   const core::OperatingPoint op{args.get_double("p"), args.get_double("nf")};
 
   const double q_model_b =

@@ -15,12 +15,17 @@ int main(int argc, char** argv) {
   using namespace specpf;
   ArgParser args("capacity_planner",
                  "Prefetch feasibility envelope for a shared link");
-  args.add_flag("bandwidth", "100", "link bandwidth b (units/s)");
-  args.add_flag("size", "2", "mean item size s̄ (units)");
-  args.add_flag("hprime", "0.4", "cache hit ratio without prefetching");
-  args.add_flag("cache-items", "200", "average cache occupancy n̄(C)");
-  args.add_flag("p", "0.6", "access probability of prefetch candidates");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("bandwidth", flag::kPositiveNumber, "100",
+                "link bandwidth b (units/s)");
+  args.add_flag("size", flag::kPositiveNumber, "2",
+                "mean item size s̄ (units)");
+  args.add_flag("hprime", flag::kNumber, "0.4",
+                "cache hit ratio without prefetching");
+  args.add_flag("cache-items", flag::kPositiveNumber, "200",
+                "average cache occupancy n̄(C)");
+  args.add_flag("p", flag::kNumber, "0.6",
+                "access probability of prefetch candidates");
+  args.parse(argc, argv);
 
   core::SystemParams params;
   params.bandwidth = args.get_double("bandwidth");

@@ -34,15 +34,6 @@ namespace {
 using namespace specpf;
 using Clock = std::chrono::steady_clock;
 
-PolicyFactory policy_factory(std::string name) {
-  if (!make_policy_by_name(name)) {
-    std::fprintf(stderr, "unknown policy '%s', using fixed-0.05\n",
-                 name.c_str());
-    name = "fixed-0.05";
-  }
-  return [name] { return make_policy_by_name(name); };
-}
-
 /// Telemetry output path for one scenario x governor run: inserts
 /// "-<scenario>-<gov>" before the extension so a sweep never overwrites
 /// its own exports ("out.json" -> "out-flash-token-200.json").
@@ -84,57 +75,77 @@ int main(int argc, char** argv) {
   ArgParser args("congestion_sweep",
                  "Governed vs ungoverned prefetching under nonstationary "
                  "load");
-  args.add_flag("users", "100000", "population size");
-  args.add_flag("requests", "400000", "trace length per scenario");
-  args.add_flag("rate", "4000", "base aggregate request rate (req/s)");
-  args.add_flag("pages", "400", "site size (pages)");
-  args.add_flag("cache", "8", "per-user cache capacity (pages)");
-  args.add_flag("bandwidth", "23000", "per-region link bandwidth (pages/s)");
-  args.add_flag("prefetch", "4", "max prefetch candidates per request");
-  args.add_flag("policy", "fixed-0.05",
+  args.add_flag("users", flag::kPositiveUint, "100000", "population size");
+  args.add_flag("requests", flag::kPositiveUint, "400000",
+                "trace length per scenario");
+  args.add_flag("rate", flag::kPositiveNumber, "4000",
+                "base aggregate request rate (req/s)");
+  args.add_flag("pages", flag::kPositiveUint, "400", "site size (pages)");
+  args.add_flag("cache", flag::kPositiveUint, "8",
+                "per-user cache capacity (pages)");
+  args.add_flag("bandwidth", flag::kPositiveNumber, "23000",
+                "per-region link bandwidth (pages/s)");
+  args.add_flag("prefetch", flag::kPositiveUint, "4",
+                "max prefetch candidates per request");
+  args.add_flag("policy",
+                flag::name("policy name",
+                           [](const std::string& name) {
+                             return make_policy_by_name(name) != nullptr;
+                           }),
+                "fixed-0.05",
                 "prefetch policy (an aggressive open-loop heuristic shows "
                 "the governors best)");
-  args.add_flag("governors", "none,token-200,aimd-3,conf-0.35",
-                "comma-separated: none|noop|token-<rate>|aimd-<setpoint>|"
-                "conf-<precision>");
-  args.add_flag("scenarios", "stationary,diurnal,flash,hotspot",
-                "comma-separated scenario names");
-  args.add_flag("shards", "1", "number of regional shards");
-  args.add_flag("threads", "1",
+  args.add_flag("governors",
+                flag::list(flag::name("governor name",
+                                      [](const std::string& name) {
+                                        return name == "none" ||
+                                               is_governor_name(name);
+                                      })),
+                "none,token-200,aimd-3,conf-0.35",
+                "none|noop|token-<rate>|aimd-<setpoint>|conf-<precision>");
+  args.add_flag("scenarios",
+                flag::list(flag::name("scenario name",
+                                      [](const std::string& name) {
+                                        ArrivalModulation mod;
+                                        return make_scenario_modulation(
+                                            name, 1.0, 1, &mod);
+                                      })),
+                "stationary,diurnal,flash,hotspot",
+                "stationary|diurnal|flash|hotspot");
+  args.add_flag("shards", flag::kPositiveUint, "1",
+                "number of regional shards");
+  args.add_flag("threads", flag::kUint, "1",
                 "worker threads for the shard driver (0 = hardware)");
-  args.add_flag("backbone-bandwidth", "46000",
+  args.add_flag("backbone-bandwidth", flag::kPositiveNumber, "46000",
                 "per-region origin uplink bandwidth (pages/s)");
-  args.add_flag("backbone-latency", "0.05",
+  args.add_flag("backbone-latency", flag::kPositiveNumber, "0.05",
                 "cross-shard latency = epoch lookahead (s)");
-  args.add_flag("seed", "2001", "random seed");
-  args.add_flag("trace", "",
+  args.add_flag("seed", flag::kUint, "2001", "random seed");
+  args.add_flag("trace", flag::kOutputPath, "",
                 "export a Chrome trace-event JSON (Perfetto-loadable) per "
                 "run; '-<scenario>-<governor>' is inserted before the "
                 "extension");
-  args.add_flag("timeseries", "",
+  args.add_flag("timeseries", flag::kOutputPath, "",
                 "export the sampled gauge time series as CSV per run (same "
                 "suffix rule as --trace)");
-  args.add_flag("sample-interval", "0.25",
+  args.add_flag("sample-interval", flag::kPositiveNumber, "0.25",
                 "telemetry gauge sampling cadence (sim-seconds)");
-  args.add_flag("per-shard-stats", "false",
+  args.add_flag("per-shard-stats", flag::kBool, "false",
                 "print the per-shard event/mailbox breakdown (sharded runs)");
-  if (!args.parse(argc, argv)) return 1;
+  args.parse(argc, argv);
 
   const std::string trace_path = args.get_string("trace");
   const std::string series_path = args.get_string("timeseries");
   const bool telemetry_on = !trace_path.empty() || !series_path.empty();
   const bool per_shard_stats = args.get_bool("per-shard-stats");
   TelemetryConfig tele_cfg;
-  tele_cfg.sample_interval = args.get_positive_double("sample-interval");
+  tele_cfg.sample_interval = args.get_double("sample-interval");
 
   SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users =
-      static_cast<std::size_t>(args.get_positive_uint("users"));
-  trace_cfg.num_requests =
-      static_cast<std::size_t>(args.get_positive_uint("requests"));
-  trace_cfg.request_rate = args.get_positive_double("rate");
-  trace_cfg.graph.num_pages =
-      static_cast<std::size_t>(args.get_positive_uint("pages"));
+  trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
+  trace_cfg.num_requests = static_cast<std::size_t>(args.get_uint("requests"));
+  trace_cfg.request_rate = args.get_double("rate");
+  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
   trace_cfg.graph.out_degree = 3;
   trace_cfg.graph.exit_probability = 0.25;
   trace_cfg.graph.link_skew = 1.6;
@@ -142,15 +153,16 @@ int main(int argc, char** argv) {
   const double span = static_cast<double>(trace_cfg.num_requests) /
                       trace_cfg.request_rate;
 
-  const PolicyFactory factory = policy_factory(args.get_string("policy"));
+  const std::string policy = args.get_string("policy");
+  const PolicyFactory factory = [policy] {
+    return make_policy_by_name(policy);
+  };
 
   ShardedReplayConfig sharded_cfg;
-  sharded_cfg.num_shards =
-      static_cast<std::size_t>(args.get_positive_uint("shards"));
+  sharded_cfg.num_shards = static_cast<std::size_t>(args.get_uint("shards"));
   sharded_cfg.num_threads = static_cast<std::size_t>(args.get_uint("threads"));
-  sharded_cfg.backbone_bandwidth =
-      args.get_positive_double("backbone-bandwidth");
-  sharded_cfg.backbone_latency = args.get_positive_double("backbone-latency");
+  sharded_cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
+  sharded_cfg.backbone_latency = args.get_double("backbone-latency");
   TraceReplayConfig& replay_cfg = sharded_cfg.stack;
   replay_cfg.bandwidth = args.get_double("bandwidth");
   replay_cfg.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
@@ -161,34 +173,15 @@ int main(int argc, char** argv) {
   replay_cfg.enable_load_sensor = true;  // baselines report peaks too
   // Check the config of every run up front, before any trace is built.
   const std::vector<std::string> governors =
-      split_csv(args.get_string("governors"));
+      args.get_list<std::string>("governors");
   for (const std::string& gov : governors) {
     replay_cfg.governor = gov == "none" ? "" : gov;
     args.require_valid(sharded_cfg.check());
   }
-  // The exports are written after each run: probe every one now.
-  const std::vector<std::string> scenarios =
-      split_csv(args.get_string("scenarios"));
-  for (const std::string& scenario : scenarios) {
-    for (const std::string& gov : governors) {
-      if (!trace_path.empty()) {
-        args.require_writable("trace",
-                              run_output_path(trace_path, scenario, gov));
-      }
-      if (!series_path.empty()) {
-        args.require_writable("timeseries",
-                              run_output_path(series_path, scenario, gov));
-      }
-    }
-  }
 
-  for (const std::string& scenario : scenarios) {
-    if (!make_scenario_modulation(scenario, span, sharded_cfg.num_shards,
-                                  &trace_cfg.modulation)) {
-      std::fprintf(stderr, "unknown scenario '%s', skipping\n",
-                   scenario.c_str());
-      continue;
-    }
+  for (const std::string& scenario : args.get_list<std::string>("scenarios")) {
+    make_scenario_modulation(scenario, span, sharded_cfg.num_shards,
+                             &trace_cfg.modulation);
     const Trace trace = generate_synthetic_trace(trace_cfg);
     Table table({"governor", "peak depth", "peak slowdown", "access time",
                  "p50", "p95", "p99", "hit ratio", "instant hit", "rho",

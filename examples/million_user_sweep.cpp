@@ -56,17 +56,6 @@ namespace {
 
 using namespace specpf;
 
-/// Fresh-instance factory (shards need one instance each) over the
-/// library's name→policy mapping; unknown names fall back to threshold-a.
-PolicyFactory policy_factory(std::string name) {
-  if (!make_policy_by_name(name)) {
-    std::fprintf(stderr, "unknown policy '%s', using threshold-a\n",
-                 name.c_str());
-    name = "threshold-a";
-  }
-  return [name] { return make_policy_by_name(name); };
-}
-
 /// Bit-identity of two runs at different thread counts.
 bool same_run(const ShardedReplayResult& a, const ShardedReplayResult& b) {
   const ProxySimResult& x = a.merged;
@@ -98,107 +87,108 @@ int main(int argc, char** argv) {
 
   ArgParser args("million_user_sweep",
                  "Trace-driven sweep over a million-user population");
-  args.add_flag("users", "1000000", "population size");
-  args.add_flag("requests", "3000000", "total trace length");
-  args.add_flag("rate", "10000", "aggregate request rate (req/s)");
-  args.add_flag("pages", "400", "site size (pages)");
-  args.add_flag("cache", "8", "per-user cache capacity (pages)");
-  args.add_flag("bandwidth", "20000", "per-region link bandwidth (pages/s)");
-  args.add_flag("shards", "1", "number of shards (1 = single region)");
-  args.add_flag("threads", "1",
-                "comma-separated worker-thread counts for the shard driver, "
-                "each run per policy (0 = hardware)");
-  args.add_flag("policy", "none,threshold-a",
-                "comma-separated policies: none|threshold-a|threshold-b|"
-                "fixed-<theta>|topk-<k>|adaptive-<w>|qos-<rho>");
-  args.add_flag("backbone-bandwidth", "40000",
+  args.add_flag("users", flag::kPositiveUint, "1000000", "population size");
+  args.add_flag("requests", flag::kPositiveUint, "3000000",
+                "total trace length");
+  args.add_flag("rate", flag::kPositiveNumber, "10000",
+                "aggregate request rate (req/s)");
+  args.add_flag("pages", flag::kPositiveUint, "400", "site size (pages)");
+  args.add_flag("cache", flag::kPositiveUint, "8",
+                "per-user cache capacity (pages)");
+  args.add_flag("bandwidth", flag::kPositiveNumber, "20000",
+                "per-region link bandwidth (pages/s)");
+  args.add_flag("shards", flag::kPositiveUint, "1",
+                "number of shards (1 = single region)");
+  args.add_flag("threads", flag::list(flag::kUint), "1",
+                "worker-thread counts for the shard driver, each run per "
+                "policy (0 = hardware)");
+  args.add_flag("policy",
+                flag::list(flag::name("policy name",
+                                      [](const std::string& name) {
+                                        return make_policy_by_name(name) !=
+                                               nullptr;
+                                      })),
+                "none,threshold-a",
+                "none|threshold-a|threshold-b|fixed-<theta>|topk-<k>|"
+                "adaptive-<w>|qos-<rho>");
+  args.add_flag("backbone-bandwidth", flag::kPositiveNumber, "40000",
                 "per-region origin uplink bandwidth (pages/s)");
-  args.add_flag("backbone-latency", "0.05",
+  args.add_flag("backbone-latency", flag::kPositiveNumber, "0.05",
                 "cross-shard latency = epoch lookahead (s)");
-  args.add_flag("seed", "2001", "random seed");
-  args.add_flag("governor", "",
+  args.add_flag("seed", flag::kUint, "2001", "random seed");
+  args.add_flag("governor",
+                flag::name("governor name",
+                           [](const std::string& name) {
+                             return name.empty() || is_governor_name(name);
+                           }),
+                "",
                 "prefetch governor: noop|token-<rate>|aimd-<setpoint>|"
                 "conf-<precision> (empty = ungoverned)");
-  args.add_flag("trace", "",
+  args.add_flag("trace", flag::kOutputPath, "",
                 "export a Chrome trace-event JSON (Perfetto-loadable) per "
                 "policy; '-<policy>' is inserted before the extension");
-  args.add_flag("timeseries", "",
+  args.add_flag("timeseries", flag::kOutputPath, "",
                 "export the sampled gauge time series as CSV per policy "
                 "(same suffix rule as --trace)");
-  args.add_flag("sample-interval", "0.25",
+  args.add_flag("sample-interval", flag::kPositiveNumber, "0.25",
                 "telemetry gauge sampling cadence (sim-seconds)");
-  args.add_flag("per-shard-stats", "false",
+  args.add_flag("per-shard-stats", flag::kBool, "false",
                 "print the per-shard event/mailbox breakdown (sharded runs)");
-  args.add_flag("stream", "false",
+  args.add_flag("stream", flag::kBool, "false",
                 "stream the synthetic generator straight into the replay "
                 "(no in-RAM trace; RSS stays bounded at any --requests)");
-  args.add_flag("trace-file", "",
+  args.add_flag("trace-file", flag::kInputPath, "",
                 "replay a binary .spt trace via the mmap'd cursor instead "
                 "of generating one");
-  args.add_flag("from-csv", "", "load the trace from a CSV file (in RAM)");
-  args.add_flag("in-ram", "false",
+  args.add_flag("from-csv", flag::kInputPath, "",
+                "load the trace from a CSV file (in RAM)");
+  args.add_flag("in-ram", flag::kBool, "false",
                 "with --trace-file: decode the whole file into RAM first "
                 "(baseline for streamed-vs-in-RAM comparisons)");
-  args.add_flag("convert", "",
+  args.add_flag("convert", flag::kOutputPath, "",
                 "write the selected source to this .spt path and exit");
-  args.add_flag("save-csv", "",
+  args.add_flag("save-csv", flag::kOutputPath, "",
                 "write the selected source to this CSV path and exit");
-  args.add_flag("stream-window", "65536",
+  args.add_flag("stream-window", flag::kPositiveUint, "65536",
                 "max records fed to the engines per epoch");
-  args.add_flag("progress", "false",
+  args.add_flag("progress", flag::kBool, "false",
                 "print a wall-clock heartbeat (records fed, req/s, peak RSS) "
                 "to stderr while the replay streams");
-  if (!args.parse(argc, argv)) return 1;
+  args.parse(argc, argv);
 
   const std::string trace_path = args.get_string("trace");
   const std::string series_path = args.get_string("timeseries");
   const bool telemetry_on = !trace_path.empty() || !series_path.empty();
   TelemetryConfig tele_cfg;
-  tele_cfg.sample_interval = args.get_positive_double("sample-interval");
+  tele_cfg.sample_interval = args.get_double("sample-interval");
 
   ShardedReplayConfig sharded_cfg;
-  sharded_cfg.num_shards =
-      static_cast<std::size_t>(args.get_positive_uint("shards"));
+  sharded_cfg.num_shards = static_cast<std::size_t>(args.get_uint("shards"));
   const std::vector<std::uint64_t> thread_counts =
       args.get_list<std::uint64_t>("threads");
-  sharded_cfg.backbone_bandwidth =
-      args.get_positive_double("backbone-bandwidth");
-  sharded_cfg.backbone_latency = args.get_positive_double("backbone-latency");
+  sharded_cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
+  sharded_cfg.backbone_latency = args.get_double("backbone-latency");
 
   SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users =
-      static_cast<std::size_t>(args.get_positive_uint("users"));
-  trace_cfg.num_requests =
-      static_cast<std::size_t>(args.get_positive_uint("requests"));
-  trace_cfg.request_rate = args.get_positive_double("rate");
-  trace_cfg.graph.num_pages =
-      static_cast<std::size_t>(args.get_positive_uint("pages"));
+  trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
+  trace_cfg.num_requests = static_cast<std::size_t>(args.get_uint("requests"));
+  trace_cfg.request_rate = args.get_double("rate");
+  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
   trace_cfg.graph.out_degree = 3;
   trace_cfg.graph.exit_probability = 0.25;
   trace_cfg.graph.link_skew = 1.6;
   trace_cfg.seed = args.get_uint("seed");
 
   TraceReplayConfig& replay_cfg = sharded_cfg.stack;
-  replay_cfg.bandwidth = args.get_positive_double("bandwidth");
-  replay_cfg.cache_capacity =
-      static_cast<std::size_t>(args.get_positive_uint("cache"));
+  replay_cfg.bandwidth = args.get_double("bandwidth");
+  replay_cfg.cache_capacity = static_cast<std::size_t>(args.get_uint("cache"));
   replay_cfg.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
   replay_cfg.max_prefetch_per_request = 4;
   replay_cfg.seed = trace_cfg.seed;
   replay_cfg.governor = args.get_string("governor");
   replay_cfg.stream_window =
-      static_cast<std::size_t>(args.get_positive_uint("stream-window"));
+      static_cast<std::size_t>(args.get_uint("stream-window"));
   args.require_valid(sharded_cfg.check());
-  // The exports are written after each policy's run: probe every one now.
-  const std::vector<std::string> policies = split_csv(args.get_string("policy"));
-  for (const std::string& name : policies) {
-    if (!trace_path.empty()) {
-      args.require_writable("trace", suffixed_path(trace_path, name));
-    }
-    if (!series_path.empty()) {
-      args.require_writable("timeseries", suffixed_path(series_path, name));
-    }
-  }
 
   // ---- Request-supply selection -------------------------------------
   // Exactly one of `ram` (in-RAM trace) or `stream` (bounded-RSS source)
@@ -322,8 +312,8 @@ int main(int argc, char** argv) {
                "wall s", "req/s", "peak MB", "B/user", "threads"});
   table.set_precision(4);
   bool identical = true;
-  for (const std::string& name : policies) {
-    const PolicyFactory factory = policy_factory(name);
+  for (const std::string& name : args.get_list<std::string>("policy")) {
+    const PolicyFactory factory = [name] { return make_policy_by_name(name); };
     ShardedReplayResult first;
     for (std::size_t k = 0; k < thread_counts.size(); ++k) {
       sharded_cfg.num_threads = static_cast<std::size_t>(thread_counts[k]);

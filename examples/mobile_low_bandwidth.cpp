@@ -23,16 +23,18 @@ int main(int argc, char** argv) {
   using namespace specpf;
   ArgParser args("mobile_low_bandwidth",
                  "Bandwidth sweep: when does prefetching stop paying?");
-  args.add_flag("duration", "900", "measured seconds per run");
-  args.add_flag("users", "6", "number of mobile clients");
-  args.add_flag("bandwidths", "80,40,25,18,14,11",
-                "comma-separated bandwidths to sweep (pages/s)");
-  args.add_flag("pages", "80", "site size (pages)");
-  args.add_flag("cache", "24", "per-client cache capacity (pages)");
-  args.add_flag("aggressive-theta", "0.02",
+  args.add_flag("duration", flag::kPositiveNumber, "900",
+                "measured seconds per run");
+  args.add_flag("users", flag::kPositiveUint, "6", "number of mobile clients");
+  args.add_flag("bandwidths", flag::list(flag::kPositiveNumber),
+                "80,40,25,18,14,11", "bandwidths to sweep (pages/s)");
+  args.add_flag("pages", flag::kPositiveUint, "80", "site size (pages)");
+  args.add_flag("cache", flag::kPositiveUint, "24",
+                "per-client cache capacity (pages)");
+  args.add_flag("aggressive-theta", flag::kNumber, "0.02",
                 "fixed threshold of the aggressive baseline prefetcher");
-  args.add_flag("seed", "17", "random seed");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("seed", flag::kUint, "17", "random seed");
+  args.parse(argc, argv);
 
   ProxySimConfig base;
   base.num_users = static_cast<std::size_t>(args.get_uint("users"));
@@ -57,7 +59,7 @@ int main(int argc, char** argv) {
                "t aggressive", "threshold vs none", "aggressive vs none"});
   table.set_precision(4);
 
-  for (double bandwidth : args.get_positive_list("bandwidths")) {
+  for (double bandwidth : args.get_list<double>("bandwidths")) {
     ProxySimConfig cfg = base;
     cfg.bandwidth = bandwidth;
 

@@ -21,20 +21,25 @@ int main(int argc, char** argv) {
   ArgParser args("newspaper_sessions",
                  "Patterned newspaper browsing with dependency-graph "
                  "prediction");
-  args.add_flag("duration", "1200", "measured seconds per run");
-  args.add_flag("users", "8", "number of concurrent readers");
-  args.add_flag("bandwidth", "45", "shared link bandwidth (pages/s)");
-  args.add_flag("pages", "200", "site size (pages)");
-  args.add_flag("cache", "40", "per-reader cache capacity (pages)");
-  args.add_flag("link-skew", "2.0",
+  args.add_flag("duration", flag::kPositiveNumber, "1200",
+                "measured seconds per run");
+  args.add_flag("users", flag::kPositiveUint, "8",
+                "number of concurrent readers");
+  args.add_flag("bandwidth", flag::kPositiveNumber, "45",
+                "shared link bandwidth (pages/s)");
+  args.add_flag("pages", flag::kPositiveUint, "200", "site size (pages)");
+  args.add_flag("cache", flag::kPositiveUint, "40",
+                "per-reader cache capacity (pages)");
+  args.add_flag("link-skew", flag::kNumber, "2.0",
                 "Zipf skew across a page's links (readers follow the lead "
                 "story)");
-  args.add_flag("entry-skew", "1.5",
+  args.add_flag("entry-skew", flag::kPositiveNumber, "1.5",
                 "Zipf skew of session entries (front page dominates)");
-  args.add_flag("seed", "1997", "random seed (default: the ETEL year)");
-  args.add_flag("trace", "",
+  args.add_flag("seed", flag::kUint, "1997",
+                "random seed (default: the ETEL year)");
+  args.add_flag("trace", flag::kOutputPath, "",
                 "optional path to write the replayed workload as trace CSV");
-  if (!args.parse(argc, argv)) return 1;
+  args.parse(argc, argv);
 
   // A newspaper: few entry pages (front page dominates via entry_skew),
   // heavily skewed link choices (lead story first).

@@ -12,11 +12,15 @@
 int main(int argc, char** argv) {
   using namespace specpf;
   ArgParser args("quickstart", "Threshold rule in a nutshell");
-  args.add_flag("bandwidth", "50", "shared link bandwidth b (units/s)");
-  args.add_flag("lambda", "30", "aggregate request rate (req/s)");
-  args.add_flag("size", "1", "mean item size s̄ (units)");
-  args.add_flag("hprime", "0.3", "cache hit ratio without prefetching");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("bandwidth", flag::kPositiveNumber, "50",
+                "shared link bandwidth b (units/s)");
+  args.add_flag("lambda", flag::kNumber, "30",
+                "aggregate request rate (req/s)");
+  args.add_flag("size", flag::kPositiveNumber, "1",
+                "mean item size s̄ (units)");
+  args.add_flag("hprime", flag::kNumber, "0.3",
+                "cache hit ratio without prefetching");
+  args.parse(argc, argv);
 
   // 1. Describe the system (paper §2).
   core::SystemParams params;

@@ -82,79 +82,94 @@ int main(int argc, char** argv) {
   ArgParser args("stability_map",
                  "Empirical stability frontier: arrival rate x prefetch "
                  "aggressiveness, classified by the divergence detector");
-  args.add_flag("users", "20000", "population size");
-  args.add_flag("requests", "150000", "trace length at rate multiplier 1.0");
-  args.add_flag("rate", "2000", "base aggregate request rate (req/s)");
-  args.add_flag("pages", "400", "site size (pages)");
-  args.add_flag("cache", "8", "per-user cache capacity (pages)");
-  args.add_flag("bandwidth", "3000", "per-region link bandwidth (pages/s)");
-  args.add_flag("prefetch", "4", "max prefetch candidates per request");
-  args.add_flag("rates", "0.5,0.7,0.82,1.0",
+  args.add_flag("users", flag::kPositiveUint, "20000", "population size");
+  args.add_flag("requests", flag::kPositiveUint, "150000",
+                "trace length at rate multiplier 1.0");
+  args.add_flag("rate", flag::kPositiveNumber, "2000",
+                "base aggregate request rate (req/s)");
+  args.add_flag("pages", flag::kPositiveUint, "400", "site size (pages)");
+  args.add_flag("cache", flag::kPositiveUint, "8",
+                "per-user cache capacity (pages)");
+  args.add_flag("bandwidth", flag::kPositiveNumber, "3000",
+                "per-region link bandwidth (pages/s)");
+  args.add_flag("prefetch", flag::kPositiveUint, "4",
+                "max prefetch candidates per request");
+  args.add_flag("rates", flag::list(flag::kPositiveNumber), "0.5,0.7,0.82,1.0",
                 "arrival-rate multipliers (trace length scales with the "
                 "multiplier so the simulated span stays constant)");
-  args.add_flag("family", "fixed",
+  args.add_flag("family",
+                flag::name("fixed|token|aimd|conf",
+                           [](const std::string& name) {
+                             return name == "fixed" || name == "token" ||
+                                    name == "aimd" || name == "conf";
+                           }),
+                "fixed",
                 "aggressiveness axis: fixed (open-loop fixed-<theta> "
                 "policy) | token | aimd | conf (aggressive fixed policy "
                 "behind the named governor)");
-  args.add_flag("aggressiveness", "0.4,0.35,0.2",
-                "comma-separated values for the family's primary knob");
-  args.add_flag("base-policy", "fixed-0.02",
+  args.add_flag("aggressiveness", flag::list(flag::kNumber), "0.4,0.35,0.2",
+                "values for the family's primary knob");
+  args.add_flag("base-policy",
+                flag::name("policy name",
+                           [](const std::string& name) {
+                             return make_policy_by_name(name) != nullptr;
+                           }),
+                "fixed-0.02",
                 "open-loop policy governed runs use (families != fixed)");
-  args.add_flag("scenarios", "stationary,flash",
-                "comma-separated scenario names "
-                "(stationary|diurnal|flash|hotspot)");
-  args.add_flag("shards", "1", "number of regional shards");
-  args.add_flag("threads", "1",
+  args.add_flag("scenarios",
+                flag::list(flag::name("scenario name",
+                                      [](const std::string& name) {
+                                        ArrivalModulation mod;
+                                        return make_scenario_modulation(
+                                            name, 1.0, 1, &mod);
+                                      })),
+                "stationary,flash", "stationary|diurnal|flash|hotspot");
+  args.add_flag("shards", flag::kPositiveUint, "1",
+                "number of regional shards");
+  args.add_flag("threads", flag::kUint, "1",
                 "worker threads for the shard driver (0 = hardware)");
-  args.add_flag("backbone-bandwidth", "46000",
+  args.add_flag("backbone-bandwidth", flag::kPositiveNumber, "46000",
                 "per-region origin uplink bandwidth (pages/s)");
-  args.add_flag("backbone-latency", "0.05",
+  args.add_flag("backbone-latency", flag::kPositiveNumber, "0.05",
                 "cross-shard latency = epoch lookahead (s)");
-  args.add_flag("seed", "2001", "random seed");
-  args.add_flag("sample-interval", "0.25",
+  args.add_flag("seed", flag::kUint, "2001", "random seed");
+  args.add_flag("sample-interval", flag::kPositiveNumber, "0.25",
                 "telemetry gauge sampling cadence (sim-seconds)");
-  args.add_flag("stream-window", "2048",
+  args.add_flag("stream-window", flag::kPositiveUint, "2048",
                 "max records per engine batch — at --shards 1 also the "
                 "detector's evaluation cadence, so it stays well below the "
                 "trace");
-  args.add_flag("window", "32", "detector trend window (rows)");
-  args.add_flag("growth-run", "6",
+  args.add_flag("window", flag::kPositiveUint, "32",
+                "detector trend window (rows)");
+  args.add_flag("growth-run", flag::kPositiveUint, "6",
                 "detector sustained-growth run length (steps)");
-  args.add_flag("slope-threshold", "0.05",
+  args.add_flag("slope-threshold", flag::kPositiveNumber, "0.05",
                 "detector Theil-Sen slope threshold (units/s)");
-  args.add_flag("depth-level", "8",
+  args.add_flag("depth-level", flag::kPositiveNumber, "8",
                 "detector elevated-plateau depth threshold (jobs)");
-  args.add_flag("abort", "true",
+  args.add_flag("abort", flag::kBool, "true",
                 "terminate divergent cells at verdict time instead of "
                 "simulating the exploding queue to the horizon");
-  args.add_flag("out", "BENCH_stability.json",
+  args.add_flag("out", flag::kOutputPath, "BENCH_stability.json",
                 "benchmark-JSON output path (empty = skip)");
-  args.add_flag("csv", "",
+  args.add_flag("csv", flag::kOutputPath, "",
                 "frontier heatmap CSV output path (empty = skip)");
-  args.add_flag("smoke", "false",
+  args.add_flag("smoke", flag::kBool, "false",
                 "CI gate: fail unless the grid shows >=1 stable and >=1 "
                 "divergent cell, with >=1 early abort when --abort is on");
-  args.add_flag("check-abort-speedup", "false",
+  args.add_flag("check-abort-speedup", flag::kBool, "false",
                 "rerun the deepest aborted cell with the abort disarmed "
                 "and fail unless aborting saved >= --min-abort-speedup x "
                 "wall-clock");
-  args.add_flag("min-abort-speedup", "2.0",
+  args.add_flag("min-abort-speedup", flag::kPositiveNumber, "2.0",
                 "wall-clock ratio --check-abort-speedup requires");
-  if (!args.parse(argc, argv)) return 1;
+  args.parse(argc, argv);
 
-  const std::vector<double> rate_mults = args.get_positive_list("rates");
+  const std::vector<double> rate_mults = args.get_list<double>("rates");
   const std::vector<double> aggr_values =
       args.get_list<double>("aggressiveness");
   const std::string family = args.get_string("family");
-  if (family != "fixed" && family != "token" && family != "aimd" &&
-      family != "conf") {
-    args.reject_value("family", "fixed|token|aimd|conf", family);
-  }
   const std::string base_policy = args.get_string("base-policy");
-  if (family != "fixed" && !make_policy_by_name(base_policy)) {
-    std::fprintf(stderr, "unknown base policy '%s'\n", base_policy.c_str());
-    return 1;
-  }
   // Every value names a cell, fixed-<theta> or <family>-<knob>; refuse one
   // the factories would not build here, before any cell runs. The sweep
   // builds governors from the default GovernorConfig, so a conf bound must
@@ -175,19 +190,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto shards =
-      static_cast<std::size_t>(args.get_positive_uint("shards"));
+  const auto shards = static_cast<std::size_t>(args.get_uint("shards"));
   const auto threads = static_cast<std::size_t>(args.get_uint("threads"));
-  const double backbone_bandwidth =
-      args.get_positive_double("backbone-bandwidth");
-  const double backbone_latency = args.get_positive_double("backbone-latency");
+  const double backbone_bandwidth = args.get_double("backbone-bandwidth");
+  const double backbone_latency = args.get_double("backbone-latency");
   const bool abort_on = args.get_bool("abort");
-  const double min_abort_speedup =
-      args.get_positive_double("min-abort-speedup");
-  const double base_rate = args.get_positive_double("rate");
+  const double min_abort_speedup = args.get_double("min-abort-speedup");
+  const double base_rate = args.get_double("rate");
   const double bandwidth = args.get_double("bandwidth");
   const auto base_requests =
-      static_cast<std::size_t>(args.get_positive_uint("requests"));
+      static_cast<std::size_t>(args.get_uint("requests"));
   // Each cell's trace holds requests x multiplier records; none may be empty.
   for (const double mult : rate_mults) {
     if (static_cast<std::size_t>(static_cast<double>(base_requests) * mult) ==
@@ -200,20 +212,18 @@ int main(int argc, char** argv) {
   }
 
   TelemetryConfig tele_cfg;
-  tele_cfg.sample_interval = args.get_positive_double("sample-interval");
+  tele_cfg.sample_interval = args.get_double("sample-interval");
 
   DivergenceConfig det_cfg;
   det_cfg.window = static_cast<std::size_t>(args.get_uint("window"));
   det_cfg.min_growth_run =
       static_cast<std::size_t>(args.get_uint("growth-run"));
-  det_cfg.slope_threshold = args.get_positive_double("slope-threshold");
-  det_cfg.depth_level = args.get_positive_double("depth-level");
+  det_cfg.slope_threshold = args.get_double("slope-threshold");
+  det_cfg.depth_level = args.get_double("depth-level");
 
   SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users =
-      static_cast<std::size_t>(args.get_positive_uint("users"));
-  trace_cfg.graph.num_pages =
-      static_cast<std::size_t>(args.get_positive_uint("pages"));
+  trace_cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
+  trace_cfg.graph.num_pages = static_cast<std::size_t>(args.get_uint("pages"));
   trace_cfg.graph.out_degree = 3;
   trace_cfg.graph.exit_probability = 0.25;
   trace_cfg.graph.link_skew = 1.6;
@@ -322,14 +332,7 @@ int main(int argc, char** argv) {
   };
 
   std::vector<GridCell> cells;
-  for (const std::string& scenario :
-       split_csv(args.get_string("scenarios"))) {
-    ArrivalModulation probe;
-    if (!make_scenario_modulation(scenario, span, shards, &probe)) {
-      std::fprintf(stderr, "unknown scenario '%s', skipping\n",
-                   scenario.c_str());
-      continue;
-    }
+  for (const std::string& scenario : args.get_list<std::string>("scenarios")) {
     Table table({"rate x", "cell", "verdict", "onset s", "peak depth",
                  "instant hit", "analytic rho", "aborted", "wall s"});
     table.set_title("scenario: " + scenario + "  (family " + family +

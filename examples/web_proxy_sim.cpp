@@ -16,17 +16,29 @@ int main(int argc, char** argv) {
   using namespace specpf;
   ArgParser args("web_proxy_sim",
                  "Multi-user proxy with learned prediction + threshold rule");
-  args.add_flag("users", "8", "number of browsing clients");
-  args.add_flag("bandwidth", "40", "shared link bandwidth (pages/s)");
-  args.add_flag("pages", "120", "site size (pages)");
-  args.add_flag("cache", "32", "per-client cache capacity (pages)");
-  args.add_flag("duration", "1200", "measured seconds");
-  args.add_flag("session-rate", "0.7", "session starts per client per second");
-  args.add_flag("think", "0.5", "mean think time between clicks (s)");
-  args.add_flag("link-skew", "1.4", "Zipf skew across a page's links");
-  args.add_flag("seed", "2001", "random seed");
-  args.add_flag("predictor", "markov", "markov|ppm|depgraph|frequency|oracle");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("users", flag::kPositiveUint, "8",
+                "number of browsing clients");
+  args.add_flag("bandwidth", flag::kPositiveNumber, "40",
+                "shared link bandwidth (pages/s)");
+  args.add_flag("pages", flag::kPositiveUint, "120", "site size (pages)");
+  args.add_flag("cache", flag::kPositiveUint, "32",
+                "per-client cache capacity (pages)");
+  args.add_flag("duration", flag::kPositiveNumber, "1200", "measured seconds");
+  args.add_flag("session-rate", flag::kPositiveNumber, "0.7",
+                "session starts per client per second");
+  args.add_flag("think", flag::kPositiveNumber, "0.5",
+                "mean think time between clicks (s)");
+  args.add_flag("link-skew", flag::kNumber, "1.4",
+                "Zipf skew across a page's links");
+  args.add_flag("seed", flag::kUint, "2001", "random seed");
+  args.add_flag("predictor",
+                flag::name("markov|ppm|depgraph|frequency|oracle",
+                           [](const std::string& name) {
+                             PredictorKind kind{};
+                             return parse_predictor_kind(name, &kind);
+                           }),
+                "markov", "access predictor");
+  args.parse(argc, argv);
 
   ProxySimConfig cfg;
   cfg.num_users = static_cast<std::size_t>(args.get_uint("users"));
@@ -43,10 +55,7 @@ int main(int argc, char** argv) {
   cfg.seed = args.get_uint("seed");
 
   const std::string predictor = args.get_string("predictor");
-  if (!parse_predictor_kind(predictor, &cfg.predictor_kind)) {
-    args.reject_value("predictor", "markov|ppm|depgraph|frequency|oracle",
-                      predictor);
-  }
+  parse_predictor_kind(predictor, &cfg.predictor_kind);
   args.require_valid(cfg.check());
 
   std::printf("web proxy: %zu clients, b=%.0f, %zu pages, predictor=%s\n\n",

@@ -22,19 +22,27 @@
 int main(int argc, char** argv) {
   using namespace specpf;
   ArgParser args("wireless_qos", "QoS provisioning with the closed forms");
-  args.add_flag("slo", "0.03", "access-time SLO (seconds)");
-  args.add_flag("lambda", "30", "aggregate request rate (req/s)");
-  args.add_flag("hprime", "0.3", "cache hit ratio without prefetching");
-  args.add_flag("duration", "900", "simulated seconds for the check");
-  args.add_flag("users", "6", "clients in the simulated check");
-  args.add_flag("cache", "32", "per-client cache capacity (pages)");
-  args.add_flag("pages", "100", "site size in the simulated check");
-  args.add_flag("utilization-cap", "0.85",
+  args.add_flag("slo", flag::kPositiveNumber, "0.03",
+                "access-time SLO (seconds)");
+  args.add_flag("lambda", flag::kNumber, "30",
+                "aggregate request rate (req/s)");
+  args.add_flag("hprime", flag::kNumber, "0.3",
+                "cache hit ratio without prefetching");
+  args.add_flag("duration", flag::kPositiveNumber, "900",
+                "simulated seconds for the check");
+  args.add_flag("users", flag::kPositiveUint, "6",
+                "clients in the simulated check");
+  args.add_flag("cache", flag::kPositiveUint, "32",
+                "per-client cache capacity (pages)");
+  args.add_flag("pages", flag::kPositiveUint, "100",
+                "site size in the simulated check");
+  args.add_flag("utilization-cap", flag::kNumber, "0.85",
                 "QoS policy's utilisation cap (capacity headroom)");
-  args.add_flag("seed", "4", "random seed for the simulated check");
-  if (!args.parse(argc, argv)) return 1;
+  args.add_flag("seed", flag::kUint, "4",
+                "random seed for the simulated check");
+  args.parse(argc, argv);
 
-  const double slo = args.get_positive_double("slo");
+  const double slo = args.get_double("slo");
   const double utilization_cap = args.get_double("utilization-cap");
   if (!(utilization_cap > 0.0 && utilization_cap < 1.0)) {
     args.reject_value("utilization-cap", "number in (0, 1)",

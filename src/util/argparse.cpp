@@ -1,11 +1,14 @@
 #include "util/argparse.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 
 #include "util/contract.hpp"
@@ -13,176 +16,231 @@
 
 namespace specpf {
 
-ArgParser::ArgParser(std::string program, std::string description)
-    : program_(std::move(program)), description_(std::move(description)) {}
+namespace {
 
-ArgParser& ArgParser::add_flag(const std::string& name,
-                               const std::string& default_value,
-                               const std::string& help) {
-  SPECPF_EXPECTS(!name.empty());
-  SPECPF_EXPECTS(flags_.find(name) == flags_.end());
-  flags_[name] = Flag{default_value, help, default_value, false};
-  order_.push_back(name);
-  return *this;
-}
+using Base = FlagKind::Base;
 
-bool ArgParser::parse(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::fputs(usage().c_str(), stdout);
-      return false;
-    }
-    if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
-    }
-    std::string name = arg.substr(2);
-    std::string value;
-    bool have_value = false;
-    if (auto eq = name.find('='); eq != std::string::npos) {
-      value = name.substr(eq + 1);
-      name = name.substr(0, eq);
-      have_value = true;
-    }
-    auto it = flags_.find(name);
-    if (it == flags_.end()) {
-      std::fprintf(stderr, "unknown flag --%s\n%s", name.c_str(),
-                   usage().c_str());
-      return false;
-    }
-    if (!have_value) {
-      // Boolean-style defaults can be toggled without a value; otherwise the
-      // next argv entry is consumed as the value.
-      const bool is_bool = it->second.default_value == "true" ||
-                           it->second.default_value == "false";
-      if (is_bool) {
-        value = "true";
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        std::fprintf(stderr, "flag --%s needs a value\n", name.c_str());
-        return false;
-      }
-    }
-    it->second.value = value;
-    it->second.set = true;
+bool parse_bool(const std::string& v, bool* out) {
+  if (v == "true" || v == "1" || v == "yes" || v == "on") {
+    *out = true;
+  } else if (v == "false" || v == "0" || v == "no" || v == "off") {
+    *out = false;
+  } else {
+    return false;
   }
   return true;
 }
 
-std::string ArgParser::get_string(const std::string& name) const {
-  auto it = flags_.find(name);
-  SPECPF_EXPECTS(it != flags_.end());
-  return it->second.value;
+bool is_path(Base base) {
+  return base == Base::kInputPath || base == Base::kOutputPath;
 }
 
-double ArgParser::get_double(const std::string& name) const {
-  const std::string v = get_string(name);
-  double out = 0.0;
-  if (!parse_exact(v, &out)) reject_value(name, "number", v);
-  return out;
+/// Opens `path` for appending; a file the probe created is removed again.
+bool writable(const std::string& path) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  const bool ok = std::ofstream(path, std::ios::app).good();
+  if (ok && !existed) std::filesystem::remove(path, ec);
+  return ok;
 }
 
-std::int64_t ArgParser::get_int(const std::string& name) const {
-  const std::string v = get_string(name);
-  std::int64_t out = 0;
-  if (!parse_exact(v, &out)) reject_value(name, "integer", v);
-  return out;
-}
-
-std::uint64_t ArgParser::get_uint(const std::string& name) const {
-  const std::string v = get_string(name);
-  std::uint64_t out = 0;
-  if (!parse_exact(v, &out)) reject_value(name, "non-negative integer", v);
-  return out;
-}
-
-bool ArgParser::get_bool(const std::string& name) const {
-  const std::string v = get_string(name);
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  reject_value(name, "boolean", v);
-}
-
-double ArgParser::get_positive_double(const std::string& name) const {
-  const std::string v = get_string(name);
-  double out = 0.0;
-  if (!parse_exact(v, &out) || !std::isfinite(out) || out <= 0.0) {
-    reject_value(name, "positive finite number", v);
+/// Whether one token is a value of `kind`'s base.
+bool token_ok(const FlagKind& kind, const std::string& v) {
+  bool b = false;
+  std::uint64_t u = 0;
+  double d = 0.0;
+  switch (kind.base) {
+    case Base::kBool:
+      return parse_bool(v, &b);
+    case Base::kUint:
+      return parse_exact(v, &u);
+    case Base::kPositiveUint:
+      return parse_exact(v, &u) && u > 0;
+    case Base::kNumber:
+      return parse_exact(v, &d) && std::isfinite(d);
+    case Base::kPositiveNumber:
+      return parse_exact(v, &d) && std::isfinite(d) && d > 0.0;
+    case Base::kName:
+      return kind.known(v);
+    case Base::kInputPath:
+      return v.empty() || std::ifstream(v).good();
+    case Base::kOutputPath:
+      return v.empty() || writable(v);
   }
-  return out;
+  return false;
 }
 
-std::uint64_t ArgParser::get_positive_uint(const std::string& name) const {
-  const std::string v = get_string(name);
-  std::uint64_t out = 0;
-  if (!parse_exact(v, &out) || out == 0) {
-    reject_value(name, "positive integer", v);
-  }
-  return out;
-}
-
-template <typename T, typename Accept>
-std::vector<T> ArgParser::parse_list(const std::string& name, const char* type,
-                                     Accept accept) const {
-  const std::string v = get_string(name);
-  std::vector<T> out;
+/// Splits on every comma, keeping empty tokens.
+std::vector<std::string> split(const std::string& v) {
+  std::vector<std::string> out;
   for (std::size_t start = 0;;) {
     const std::size_t comma = v.find(',', start);
-    const std::string tok = v.substr(start, comma - start);
-    T value{};
-    if (!parse_exact(tok, &value) || !accept(value)) {
-      reject_value(name, type, tok);
-    }
-    out.push_back(value);
+    out.push_back(v.substr(start, comma - start));
     if (comma == std::string::npos) return out;
     start = comma + 1;
   }
 }
 
-template <typename T>
-std::vector<T> ArgParser::get_list(const std::string& name) const {
-  static_assert(std::is_same_v<T, double> || std::is_same_v<T, std::uint64_t>);
-  if constexpr (std::is_same_v<T, double>) {
-    return parse_list<double>(name, "finite number",
-                              [](double x) { return std::isfinite(x); });
-  } else {
-    return parse_list<T>(name, "non-negative integer", [](T) { return true; });
+/// The first token of `value` that is not of `kind`, if any.
+std::optional<std::string> bad_token(const FlagKind& kind,
+                                     const std::string& value) {
+  if (!kind.list) {
+    if (token_ok(kind, value)) return std::nullopt;
+    return value;
+  }
+  for (const std::string& tok : split(value)) {
+    if (tok.empty() && kind.base == Base::kName) continue;
+    if (!token_ok(kind, tok)) return tok;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+namespace flag {
+
+FlagKind name(std::string label,
+              std::function<bool(const std::string&)> known) {
+  SPECPF_EXPECTS(known);
+  return {Base::kName, std::move(label), false, std::move(known)};
+}
+
+FlagKind list(FlagKind element) {
+  SPECPF_EXPECTS(element.base != Base::kBool && !is_path(element.base));
+  element.list = true;
+  return element;
+}
+
+}  // namespace flag
+
+ArgParser::ArgParser(std::string program, std::string description)
+    : program_(std::move(program)), description_(std::move(description)) {}
+
+ArgParser& ArgParser::add_flag(const std::string& name, FlagKind kind,
+                               const std::string& default_value,
+                               const std::string& help) {
+  SPECPF_EXPECTS(!name.empty());
+  SPECPF_EXPECTS(flags_.find(name) == flags_.end());
+  SPECPF_EXPECTS(is_path(kind.base) || !bad_token(kind, default_value));
+  flags_[name] = Flag{std::move(kind), default_value, help, default_value};
+  order_.push_back(name);
+  return *this;
+}
+
+void ArgParser::parse(int argc, const char* const* argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(usage().c_str(), stdout);
+      std::exit(0);
+    }
+    if (!arg.starts_with("--")) fail({"unexpected argument '", arg, "'"});
+    const std::size_t eq = arg.find('=');
+    const std::string name =
+        arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    const auto it = flags_.find(name);
+    if (it == flags_.end()) fail({"--", name, ": unknown flag"});
+    Flag& flag = it->second;
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (flag.kind.base == Base::kBool) {
+      // A bare bool flag is true; a following word that is no flag is its
+      // value, so `--smoke false` reads false.
+      const bool word =
+          i + 1 < argc && !std::string_view(argv[i + 1]).starts_with("--");
+      value = word ? argv[++i] : "true";
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      fail({"--", name, ": missing value"});
+    }
+    if (const auto bad = bad_token(flag.kind, value)) {
+      reject_value(name, flag.kind.label, *bad);
+    }
+    flag.value = std::move(value);
   }
 }
 
-std::vector<double> ArgParser::get_positive_list(
-    const std::string& name) const {
-  return parse_list<double>(name, "positive finite number", [](double x) {
-    return std::isfinite(x) && x > 0.0;
-  });
+const ArgParser::Flag& ArgParser::typed(
+    const std::string& name, bool list,
+    std::initializer_list<FlagKind::Base> bases) const {
+  const auto it = flags_.find(name);
+  SPECPF_EXPECTS(it != flags_.end());
+  SPECPF_EXPECTS(it->second.kind.list == list);
+  SPECPF_EXPECTS(std::find(bases.begin(), bases.end(),
+                           it->second.kind.base) != bases.end());
+  return it->second;
+}
+
+std::string ArgParser::get_string(const std::string& name) const {
+  const auto it = flags_.find(name);
+  SPECPF_EXPECTS(it != flags_.end());
+  return it->second.value;
+}
+
+double ArgParser::get_double(const std::string& name) const {
+  double out = 0.0;
+  parse_exact(
+      typed(name, false, {Base::kNumber, Base::kPositiveNumber}).value, &out);
+  return out;
+}
+
+std::uint64_t ArgParser::get_uint(const std::string& name) const {
+  std::uint64_t out = 0;
+  parse_exact(typed(name, false, {Base::kUint, Base::kPositiveUint}).value,
+              &out);
+  return out;
+}
+
+bool ArgParser::get_bool(const std::string& name) const {
+  bool out = false;
+  parse_bool(typed(name, false, {Base::kBool}).value, &out);
+  return out;
+}
+
+template <typename T>
+std::vector<T> ArgParser::get_list(const std::string& name) const {
+  std::vector<T> out;
+  if constexpr (std::is_same_v<T, std::string>) {
+    for (std::string& tok : split(typed(name, true, {Base::kName}).value)) {
+      if (!tok.empty()) out.push_back(std::move(tok));
+    }
+  } else {
+    static_assert(std::is_same_v<T, double> ||
+                  std::is_same_v<T, std::uint64_t>);
+    const Flag& flag =
+        std::is_same_v<T, double>
+            ? typed(name, true, {Base::kNumber, Base::kPositiveNumber})
+            : typed(name, true, {Base::kUint, Base::kPositiveUint});
+    for (const std::string& tok : split(flag.value)) {
+      parse_exact(tok, &out.emplace_back());
+    }
+  }
+  return out;
 }
 
 template std::vector<double> ArgParser::get_list<double>(
     const std::string& name) const;
 template std::vector<std::uint64_t> ArgParser::get_list<std::uint64_t>(
     const std::string& name) const;
+template std::vector<std::string> ArgParser::get_list<std::string>(
+    const std::string& name) const;
 
 void ArgParser::reject_value(const std::string& name, const std::string& type,
                              const std::string& value) const {
-  std::fprintf(stderr, "--%s: expected %s, got '%s'\n%s", name.c_str(),
-               type.c_str(), value.c_str(), usage().c_str());
-  std::exit(2);
-}
-
-void ArgParser::require_writable(const std::string& name,
-                                 const std::string& path) const {
-  std::error_code ec;
-  const bool existed = std::filesystem::exists(path, ec);
-  const bool writable = std::ofstream(path, std::ios::app).good();
-  if (writable && !existed) std::filesystem::remove(path, ec);
-  if (!writable) reject_value(name, "writable path", path);
+  fail({"--", name, ": expected ", type, ", got '", value, "'"});
 }
 
 void ArgParser::require_valid(const std::string& error) const {
-  if (error.empty()) return;
-  std::fprintf(stderr, "%s\n%s", error.c_str(), usage().c_str());
+  if (!error.empty()) fail({error});
+}
+
+void ArgParser::fail(std::initializer_list<std::string_view> error) const {
+  for (const std::string_view part : error) {
+    std::fwrite(part.data(), 1, part.size(), stderr);
+  }
+  std::fprintf(stderr, "\n%s", usage().c_str());
   std::exit(2);
 }
 
@@ -191,20 +249,12 @@ std::string ArgParser::usage() const {
   os << program_ << " — " << description_ << "\n\nflags:\n";
   for (const auto& name : order_) {
     const Flag& flag = flags_.at(name);
-    os << "  --" << name << " (default: " << flag.default_value << ")\n      "
-       << flag.help << "\n";
+    os << "  --" << name << " <" << flag.kind.label
+       << (flag.kind.list ? ",..." : "") << "> (default: "
+       << (flag.default_value.empty() ? "\"\"" : flag.default_value)
+       << ")\n      " << flag.help << "\n";
   }
   return os.str();
-}
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::istringstream ss(csv);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(tok);
-  }
-  return out;
 }
 
 }  // namespace specpf

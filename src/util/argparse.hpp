@@ -1,102 +1,123 @@
-// Minimal command-line flag parser for examples and bench binaries.
-// Supports --name=value, --name value, and boolean --flag forms, typed
-// accessors with defaults, and auto-generated --help.
+// Command-line flags for the example and report binaries. Every flag is
+// declared with a kind, and parse() checks each value given against its
+// kind before main reads any: a value is read exactly as typed, or the
+// binary exits 2 naming the flag. The typed getters then only convert.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace specpf {
+
+/// What a flag's value must be. `--help` prints each flag's `label`.
+struct FlagKind {
+  enum class Base : std::uint8_t {
+    kBool,            ///< true|false (also 1|0, yes|no, on|off)
+    kUint,            ///< non-negative integer
+    kPositiveUint,    ///< positive integer
+    kNumber,          ///< finite number
+    kPositiveNumber,  ///< positive finite number
+    kName,            ///< a name `known` accepts
+    kInputPath,       ///< a file that opens for reading; "" = off
+    kOutputPath,      ///< a file that opens for writing; "" = off
+  };
+  Base base;
+  /// What one value must be, as `--help` and the errors show it.
+  std::string label;
+  /// A comma-separated list of `base` values. A number list rejects an
+  /// empty token; a name list skips one.
+  bool list = false;
+  /// kName only: whether a token names something.
+  std::function<bool(const std::string&)> known = {};
+};
+
+namespace flag {
+inline const FlagKind kBool{FlagKind::Base::kBool, "boolean"};
+inline const FlagKind kUint{FlagKind::Base::kUint, "non-negative integer"};
+inline const FlagKind kPositiveUint{FlagKind::Base::kPositiveUint,
+                                    "positive integer"};
+inline const FlagKind kNumber{FlagKind::Base::kNumber, "finite number"};
+inline const FlagKind kPositiveNumber{FlagKind::Base::kPositiveNumber,
+                                      "positive finite number"};
+inline const FlagKind kInputPath{FlagKind::Base::kInputPath, "readable path"};
+inline const FlagKind kOutputPath{FlagKind::Base::kOutputPath,
+                                  "writable path"};
+
+/// One name that `known` accepts, shown as `label` ("policy name").
+FlagKind name(std::string label,
+              std::function<bool(const std::string&)> known);
+/// A comma-separated list of `element` values (numbers or names).
+FlagKind list(FlagKind element);
+}  // namespace flag
 
 class ArgParser {
  public:
   ArgParser(std::string program, std::string description);
 
-  /// Registers a flag with a default value (all values stored as strings).
-  ArgParser& add_flag(const std::string& name, const std::string& default_value,
+  /// Declares --<name> of `kind`. The default must be a value of the kind
+  /// (a path kind takes any default; "" means off): one that is not is a
+  /// bug and trips SPECPF_EXPECTS.
+  ArgParser& add_flag(const std::string& name, FlagKind kind,
+                      const std::string& default_value,
                       const std::string& help);
 
-  /// Parses argv. Returns false (after printing usage) on --help or on an
-  /// unknown/malformed flag.
-  bool parse(int argc, const char* const* argv);
+  /// Reads argv as --name=value or --name value; a bool flag also stands
+  /// bare, or takes a following true/false word. Every value is checked
+  /// against its flag's kind here, a path kind's by opening the file (an
+  /// output probe leaves no file where there was none). --help or -h
+  /// prints usage to stdout and exits 0. An unknown flag, a missing or bad
+  /// value, or a leftover positional prints the error plus usage to stderr
+  /// and exits 2; a flag's error begins `--<flag>: `.
+  void parse(int argc, const char* const* argv);
 
-  /// Typed accessors. A value that does not parse as a whole — `10x` or
-  /// `abc` for an integer, `-5` for an unsigned one, an out-of-range
-  /// number, a boolean spelled other than true/false/1/0/yes/no/on/off —
-  /// prints `--<flag>: expected <type>, got '<value>'` plus usage to stderr
-  /// and exits with status 2. Counts, sizes and seeds use get_uint.
+  /// The flag's value. parse() has checked it against the flag's kind, so
+  /// these only convert; asking a flag for a type its kind is not is a bug.
+  /// get_string returns any flag's text as typed.
   std::string get_string(const std::string& name) const;
   double get_double(const std::string& name) const;
-  std::int64_t get_int(const std::string& name) const;
   std::uint64_t get_uint(const std::string& name) const;
   bool get_bool(const std::string& name) const;
-  /// get_double / get_uint that also reject zero, negatives and (for the
-  /// double) non-finite values, for rates, latencies and shard counts.
-  double get_positive_double(const std::string& name) const;
-  std::uint64_t get_positive_uint(const std::string& name) const;
-
-  /// A comma-separated list flag, every token read whole as T (double or
-  /// std::uint64_t) under the same rules as get_double / get_uint, and a
-  /// double also finite. An empty token (`1,,2`, a trailing comma, an
-  /// empty value) or a bad one prints `--<flag>: expected <type>, got
-  /// '<token>'` plus usage and exits with status 2.
+  /// A list flag's tokens as double, std::uint64_t or (names) std::string.
   template <typename T>
   std::vector<T> get_list(const std::string& name) const;
-  /// get_list<double> that also rejects zero and negative tokens, for
-  /// bandwidth and rate sweeps: `--<flag>: expected positive finite
-  /// number, got '<token>'` plus usage, exit status 2.
-  std::vector<double> get_positive_list(const std::string& name) const;
 
   /// The edge check for a driver config: a non-empty `error` (the config's
   /// check() message, `<field>: <rule>, got <value>`) is printed with
   /// usage to stderr and exits with status 2, as a bad flag value does.
   void require_valid(const std::string& error) const;
 
-  /// Rejects `path` as `--<flag>: expected writable path, got '<path>'`
-  /// plus usage, exit status 2, unless it opens for writing: for exports
-  /// written only after a long run. The probe leaves no file where there
-  /// was none.
-  void require_writable(const std::string& name,
-                        const std::string& path) const;
-
   /// Prints `--<flag>: expected <type>, got '<value>'` plus usage to stderr
-  /// and exits with status 2: the typed accessors' rejection, for a value
-  /// that parsed but falls outside a domain only the caller knows.
+  /// and exits with status 2: parse()'s rejection, for a value of the
+  /// flag's kind that falls outside a domain only the caller knows.
   [[noreturn]] void reject_value(const std::string& name,
                                  const std::string& type,
                                  const std::string& value) const;
 
-  /// Positional arguments left over after flag parsing.
-  const std::vector<std::string>& positional() const { return positional_; }
-
   std::string usage() const;
 
  private:
-  /// Splits the flag on commas and reads every token whole as T; a token
-  /// that fails to parse or that `accept` refuses is rejected as `type`.
-  template <typename T, typename Accept>
-  std::vector<T> parse_list(const std::string& name, const char* type,
-                            Accept accept) const;
-
   struct Flag {
+    FlagKind kind;
     std::string default_value;
     std::string help;
     std::string value;
-    bool set = false;
   };
+
+  /// Prints the concatenated `error` plus usage to stderr and exits 2.
+  [[noreturn]] void fail(std::initializer_list<std::string_view> error) const;
+  /// The flag, asserted to be of one of `bases` and to be a list or not.
+  const Flag& typed(const std::string& name, bool list,
+                    std::initializer_list<FlagKind::Base> bases) const;
 
   std::string program_;
   std::string description_;
   std::map<std::string, Flag> flags_;
   std::vector<std::string> order_;
-  std::vector<std::string> positional_;
 };
-
-/// Splits a comma-separated flag value into its non-empty tokens — the
-/// shared helper behind the name-list example flags (policies, governors,
-/// scenarios); numeric lists use ArgParser::get_list.
-std::vector<std::string> split_csv(const std::string& csv);
 
 }  // namespace specpf

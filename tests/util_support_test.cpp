@@ -103,248 +103,203 @@ TEST(Table, RowAccessors) {
   EXPECT_EQ(t.column_count(), 1u);
 }
 
-TEST(ArgParser, ParsesEqualsAndSpaceForms) {
+/// A parser with a flag of every kind, fed `args` after the program name.
+ArgParser parsed(std::vector<const char*> args) {
+  const auto is_family = [](const std::string& name) {
+    return name == "fixed" || name == "token";
+  };
   ArgParser p("prog", "test");
-  p.add_flag("alpha", "1.0", "");
-  p.add_flag("name", "x", "");
-  const char* argv[] = {"prog", "--alpha=2.5", "--name", "web"};
-  ASSERT_TRUE(p.parse(4, argv));
-  EXPECT_DOUBLE_EQ(p.get_double("alpha"), 2.5);
-  EXPECT_EQ(p.get_string("name"), "web");
-}
-
-TEST(ArgParser, DefaultsApply) {
-  ArgParser p("prog", "test");
-  p.add_flag("count", "7", "");
-  const char* argv[] = {"prog"};
-  ASSERT_TRUE(p.parse(1, argv));
-  EXPECT_EQ(p.get_int("count"), 7);
-}
-
-TEST(ArgParser, BooleanToggle) {
-  ArgParser p("prog", "test");
-  p.add_flag("verbose", "false", "");
-  const char* argv[] = {"prog", "--verbose"};
-  ASSERT_TRUE(p.parse(2, argv));
-  EXPECT_TRUE(p.get_bool("verbose"));
-}
-
-TEST(ArgParser, UnknownFlagFails) {
-  ArgParser p("prog", "test");
-  const char* argv[] = {"prog", "--nope=1"};
-  EXPECT_FALSE(p.parse(2, argv));
-}
-
-TEST(ArgParser, PositionalCollected) {
-  ArgParser p("prog", "test");
-  const char* argv[] = {"prog", "file1", "file2"};
-  ASSERT_TRUE(p.parse(3, argv));
-  ASSERT_EQ(p.positional().size(), 2u);
-  EXPECT_EQ(p.positional()[0], "file1");
-}
-
-/// A parser with one flag of each type, fed `<flag>=<value>` (the `=` form
-/// keeps a boolean flag from toggling and leaving the value positional).
-ArgParser parsed_with(const char* flag, const char* value) {
-  ArgParser p("prog", "test");
-  p.add_flag("users", "10", "");
-  p.add_flag("rate", "1.5", "");
-  p.add_flag("stream", "false", "");
-  const std::string arg = std::string(flag) + "=" + value;
-  const char* argv[] = {"prog", arg.c_str()};
-  EXPECT_TRUE(p.parse(2, argv));
+  p.add_flag("users", flag::kPositiveUint, "10", "");
+  p.add_flag("seed", flag::kUint, "7", "");
+  p.add_flag("rate", flag::kPositiveNumber, "1.5", "");
+  p.add_flag("skew", flag::kNumber, "-0.5", "");
+  p.add_flag("smoke", flag::kBool, "false", "");
+  p.add_flag("abort", flag::kBool, "true", "");
+  p.add_flag("threads", flag::list(flag::kUint), "1", "");
+  p.add_flag("shards", flag::list(flag::kPositiveUint), "1,2", "");
+  p.add_flag("rates", flag::list(flag::kPositiveNumber), "0.5", "");
+  p.add_flag("knobs", flag::list(flag::kNumber), "0.4,-1", "");
+  p.add_flag("family", flag::name("family name", is_family), "fixed", "");
+  p.add_flag("families", flag::list(flag::name("family name", is_family)),
+             "fixed,token", "");
+  p.add_flag("in", flag::kInputPath, "", "");
+  p.add_flag("out", flag::kOutputPath, "", "");
+  args.insert(args.begin(), "prog");
+  p.parse(static_cast<int>(args.size()), args.data());
   return p;
 }
 
-TEST(ArgParser, NumbersParseAsWholeStrings) {
-  EXPECT_EQ(parsed_with("--users", "-3").get_int("users"), -3);
-  EXPECT_EQ(parsed_with("--users", "9223372036854775807").get_int("users"),
-            INT64_MAX);
-  EXPECT_DOUBLE_EQ(parsed_with("--rate", "2.5e3").get_double("rate"), 2500.0);
-  EXPECT_DOUBLE_EQ(parsed_with("--rate", "7").get_double("rate"), 7.0);
+TEST(ArgParser, ParsesEqualsAndSpaceForms) {
+  const ArgParser p = parsed({"--rate=2.5", "--family", "token"});
+  EXPECT_DOUBLE_EQ(p.get_double("rate"), 2.5);
+  EXPECT_EQ(p.get_string("family"), "token");
 }
 
-TEST(ArgParser, UnsignedParsesTheFullRange) {
-  EXPECT_EQ(parsed_with("--users", "0").get_uint("users"), 0u);
-  EXPECT_EQ(parsed_with("--users", "18446744073709551615").get_uint("users"),
-            UINT64_MAX);
+TEST(ArgParser, DefaultsApply) {
+  const ArgParser p = parsed({});
+  EXPECT_EQ(p.get_uint("users"), 10u);
+  EXPECT_DOUBLE_EQ(p.get_double("skew"), -0.5);
+  EXPECT_TRUE(p.get_bool("abort"));
+  EXPECT_EQ(p.get_list<std::uint64_t>("shards"),
+            (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(p.get_list<std::string>("families"),
+            (std::vector<std::string>{"fixed", "token"}));
+  EXPECT_EQ(p.get_string("out"), "");
 }
 
-TEST(ArgParser, BoolAcceptsEightSpellings) {
+TEST(ArgParser, BoolFlagsReadAsTyped) {
+  // A following true/false word is the flag's value: `--smoke false` used
+  // to toggle the gate on and leave `false` behind as a positional.
+  EXPECT_FALSE(parsed({"--smoke", "false"}).get_bool("smoke"));
+  EXPECT_TRUE(parsed({"--smoke"}).get_bool("smoke"));
+  EXPECT_TRUE(parsed({"--smoke=true"}).get_bool("smoke"));
+  const ArgParser p = parsed({"--smoke", "--abort", "false"});
+  EXPECT_TRUE(p.get_bool("smoke"));
+  EXPECT_FALSE(p.get_bool("abort"));
   for (const char* yes : {"true", "1", "yes", "on"}) {
-    EXPECT_TRUE(parsed_with("--stream", yes).get_bool("stream")) << yes;
+    EXPECT_TRUE(parsed({"--smoke", yes}).get_bool("smoke")) << yes;
   }
   for (const char* no : {"false", "0", "no", "off"}) {
-    EXPECT_FALSE(parsed_with("--stream", no).get_bool("stream")) << no;
+    EXPECT_FALSE(parsed({"--abort", no}).get_bool("abort")) << no;
   }
 }
 
-TEST(ArgParserDeathTest, TrailingGarbageInIntegerExitsTwo) {
-  EXPECT_EXIT(parsed_with("--users", "10x").get_int("users"),
-              ::testing::ExitedWithCode(2),
-              "--users: expected integer, got '10x'");
-}
-
-TEST(ArgParserDeathTest, NonNumericIntegerExitsTwoWithUsage) {
-  EXPECT_EXIT(parsed_with("--users", "abc").get_int("users"),
-              ::testing::ExitedWithCode(2),
-              "--users: expected integer, got 'abc'(.|\n)*flags:");
-}
-
-TEST(ArgParserDeathTest, OutOfRangeIntegerExitsTwo) {
-  EXPECT_EXIT(parsed_with("--users", "9223372036854775808").get_int("users"),
-              ::testing::ExitedWithCode(2), "expected integer");
-}
-
-TEST(ArgParserDeathTest, EmptyIntegerExitsTwo) {
-  EXPECT_EXIT(parsed_with("--users", "").get_int("users"),
-              ::testing::ExitedWithCode(2), "--users: expected integer, got ''");
-}
-
-TEST(ArgParserDeathTest, BadDoubleExitsTwo) {
-  EXPECT_EXIT(parsed_with("--rate", "1.5.2").get_double("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected number, got '1.5.2'");
-  EXPECT_EXIT(parsed_with("--rate", "1e999").get_double("rate"),
-              ::testing::ExitedWithCode(2), "--rate: expected number");
-}
-
-TEST(ArgParserDeathTest, NegativeUnsignedExitsTwo) {
-  // Read as -5 and cast, this used to become a 2^64 - 5 user count.
-  EXPECT_EXIT(parsed_with("--users", "-5").get_uint("users"),
-              ::testing::ExitedWithCode(2),
-              "--users: expected non-negative integer, got '-5'");
-  EXPECT_EXIT(parsed_with("--users", "18446744073709551616").get_uint("users"),
-              ::testing::ExitedWithCode(2), "expected non-negative integer");
-  EXPECT_EXIT(parsed_with("--users", "7x").get_uint("users"),
-              ::testing::ExitedWithCode(2),
-              "--users: expected non-negative integer, got '7x'");
-}
-
-TEST(ArgParser, PositiveAccessorsAcceptPositiveValues) {
-  EXPECT_EQ(parsed_with("--rate", "0.05").get_positive_double("rate"), 0.05);
-  EXPECT_EQ(parsed_with("--users", "2").get_positive_uint("users"), 2u);
-}
-
-TEST(ArgParserDeathTest, NonPositiveOrNonFiniteValueExitsTwo) {
-  // A zero backbone latency used to reach ShardedSim's contract
-  // check and end in an uncaught ContractViolation.
-  EXPECT_EXIT(parsed_with("--rate", "0").get_positive_double("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected positive finite number, got '0'(.|\n)*flags:");
-  EXPECT_EXIT(parsed_with("--rate", "-0.5").get_positive_double("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected positive finite number, got '-0.5'");
-  EXPECT_EXIT(parsed_with("--rate", "inf").get_positive_double("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected positive finite number, got 'inf'");
-  EXPECT_EXIT(parsed_with("--rate", "nan").get_positive_double("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected positive finite number, got 'nan'");
-  EXPECT_EXIT(parsed_with("--users", "0").get_positive_uint("users"),
-              ::testing::ExitedWithCode(2),
-              "--users: expected positive integer, got '0'");
-  EXPECT_EXIT(parsed_with("--users", "-1").get_positive_uint("users"),
-              ::testing::ExitedWithCode(2),
-              "--users: expected positive integer, got '-1'");
-}
-
-TEST(ArgParser, ListsParseEveryToken) {
-  EXPECT_EQ(parsed_with("--rate", "80,2.5e1,0.5").get_list<double>("rate"),
+TEST(ArgParser, GoodValuesOfEveryKindParse) {
+  EXPECT_EQ(parsed({"--users", "2"}).get_uint("users"), 2u);
+  EXPECT_EQ(parsed({"--seed", "0"}).get_uint("seed"), 0u);
+  EXPECT_EQ(parsed({"--seed", "18446744073709551615"}).get_uint("seed"),
+            UINT64_MAX);
+  EXPECT_DOUBLE_EQ(parsed({"--rate", "2.5e3"}).get_double("rate"), 2500.0);
+  EXPECT_DOUBLE_EQ(parsed({"--skew", "-3"}).get_double("skew"), -3.0);
+  EXPECT_DOUBLE_EQ(parsed({"--skew", "0"}).get_double("skew"), 0.0);
+  EXPECT_EQ(parsed({"--threads", "0,2,8"}).get_list<std::uint64_t>("threads"),
+            (std::vector<std::uint64_t>{0, 2, 8}));
+  EXPECT_EQ(parsed({"--shards", "4"}).get_list<std::uint64_t>("shards"),
+            (std::vector<std::uint64_t>{4}));
+  EXPECT_EQ(parsed({"--rates", "80,2.5e1,0.5"}).get_list<double>("rates"),
             (std::vector<double>{80.0, 25.0, 0.5}));
-  EXPECT_EQ(parsed_with("--rate", "-1").get_list<double>("rate"),
+  EXPECT_EQ(parsed({"--knobs", "-1"}).get_list<double>("knobs"),
             (std::vector<double>{-1.0}));
-  EXPECT_EQ(parsed_with("--users", "1,2,8").get_list<std::uint64_t>("users"),
-            (std::vector<std::uint64_t>{1, 2, 8}));
+  // A name list skips empty tokens, as the sweeps always have.
+  EXPECT_EQ(parsed({"--families", "token,,fixed,"})
+                .get_list<std::string>("families"),
+            (std::vector<std::string>{"token", "fixed"}));
+  const std::string readable = ::testing::TempDir() + "argparse_readable";
+  std::ofstream(readable) << "x";
+  EXPECT_EQ(parsed({"--in", readable.c_str()}).get_string("in"), readable);
+  std::remove(readable.c_str());
 }
 
-TEST(ArgParserDeathTest, BadListTokenExitsTwo) {
-  // Each of these used to be wrapped, read as a prefix, or silently
-  // dropped by a bare std::stoul / std::stod.
-  EXPECT_EXIT(parsed_with("--users", "1,-1").get_list<std::uint64_t>("users"),
-              ::testing::ExitedWithCode(2),
-              "--users: expected non-negative integer, got '-1'");
-  EXPECT_EXIT(parsed_with("--users", "2,10x").get_list<std::uint64_t>("users"),
-              ::testing::ExitedWithCode(2),
-              "--users: expected non-negative integer, got '10x'(.|\n)*flags:");
-  EXPECT_EXIT(parsed_with("--rate", "0.5,nan").get_list<double>("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected finite number, got 'nan'");
-  EXPECT_EXIT(parsed_with("--rate", "inf").get_list<double>("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected finite number, got 'inf'");
-  EXPECT_EXIT(parsed_with("--rate", "abc,1").get_list<double>("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected finite number, got 'abc'");
+TEST(ArgParserDeathTest, BadValueOfEveryKindExitsTwoNamingTheFlag) {
+  struct Case {
+    const char* flag;
+    const char* value;
+    const char* expected;  ///< the kind, then the offending token
+  };
+  for (const Case& c : std::vector<Case>{
+           {"--users", "0", "positive integer, got '0'"},
+           {"--users", "-1", "positive integer, got '-1'"},
+           {"--seed", "-5", "non-negative integer, got '-5'"},
+           {"--seed", "10x", "non-negative integer, got '10x'"},
+           {"--seed", "1e3", "non-negative integer, got '1e3'"},
+           {"--seed", "18446744073709551616", "non-negative integer"},
+           {"--seed", "", "non-negative integer, got ''"},
+           {"--rate", "0", "positive finite number, got '0'"},
+           {"--rate", "-0.5", "positive finite number, got '-0.5'"},
+           {"--rate", "inf", "positive finite number, got 'inf'"},
+           {"--skew", "nan", "finite number, got 'nan'"},
+           {"--skew", "1.5.2", "finite number, got '1.5.2'"},
+           {"--skew", "1e999", "finite number, got '1e999'"},
+           {"--smoke", "maybe", "boolean, got 'maybe'"},
+           {"--threads", "1,-1", "non-negative integer, got '-1'"},
+           {"--threads", "4,", "non-negative integer, got ''"},
+           {"--shards", "2,0", "positive integer, got '0'"},
+           {"--rates", "1,,2", "positive finite number, got ''"},
+           {"--rates", "80,0", "positive finite number, got '0'"},
+           {"--knobs", "0.5,nan", "finite number, got 'nan'"},
+           {"--knobs", "abc,1", "finite number, got 'abc'"},
+           {"--family", "bogus", "family name, got 'bogus'"},
+           {"--families", "fixed,bogus", "family name, got 'bogus'"},
+           {"--in", "/nonexistent/x", "readable path, got '/nonexistent/x'"},
+           {"--out", "/nonexistent/d/x",
+            "writable path, got '/nonexistent/d/x'"},
+       }) {
+    EXPECT_EXIT(parsed({c.flag, c.value}), ::testing::ExitedWithCode(2),
+                std::string("^") + c.flag + ": expected " + c.expected +
+                    "(.|\n)*flags:")
+        << c.flag << " " << c.value;
+  }
 }
 
-TEST(ArgParserDeathTest, EmptyListTokenExitsTwo) {
-  EXPECT_EXIT(parsed_with("--rate", "").get_list<double>("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected finite number, got ''");
-  EXPECT_EXIT(parsed_with("--rate", "1,,2").get_list<double>("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected finite number, got ''");
-  EXPECT_EXIT(parsed_with("--users", "4,").get_list<std::uint64_t>("users"),
-              ::testing::ExitedWithCode(2),
-              "--users: expected non-negative integer, got ''");
+TEST(ArgParserDeathTest, ArgvErrorsExitTwoAndHelpExitsZero) {
+  EXPECT_EXIT(parsed({"--users", "3", "file1"}), ::testing::ExitedWithCode(2),
+              "^unexpected argument 'file1'(.|\n)*flags:");
+  EXPECT_EXIT(parsed({"--nope=1"}), ::testing::ExitedWithCode(2),
+              "^--nope: unknown flag");
+  EXPECT_EXIT(parsed({"--users"}), ::testing::ExitedWithCode(2),
+              "^--users: missing value");
+  EXPECT_EXIT(parsed({"--help"}), ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(parsed({"-h"}), ::testing::ExitedWithCode(0), "");
 }
 
-TEST(ArgParser, PositiveListsAcceptPositiveValues) {
-  EXPECT_EQ(parsed_with("--rate", "80,2.5e1,0.5").get_positive_list("rate"),
-            (std::vector<double>{80.0, 25.0, 0.5}));
+TEST(ArgParser, UsageShowsEveryFlagsKind) {
+  const std::string usage = parsed({}).usage();
+  for (const char* line :
+       {"--users <positive integer> (default: 10)",
+        "--smoke <boolean> (default: false)",
+        "--rates <positive finite number,...> (default: 0.5)",
+        "--families <family name,...> (default: fixed,token)",
+        "--out <writable path> (default: \"\")"}) {
+    EXPECT_NE(usage.find(line), std::string::npos) << line;
+  }
 }
 
-TEST(ArgParserDeathTest, NonPositiveListTokenExitsTwo) {
-  // A bandwidth sweep reading -1 or 0 through get_list used to reach the
-  // server's bandwidth contract and abort with an uncaught
-  // ContractViolation.
-  EXPECT_EXIT(parsed_with("--rate", "-1").get_positive_list("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected positive finite number, got '-1'(.|\n)*flags:");
-  EXPECT_EXIT(parsed_with("--rate", "80,0").get_positive_list("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected positive finite number, got '0'");
-  EXPECT_EXIT(parsed_with("--rate", "1,inf").get_positive_list("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected positive finite number, got 'inf'");
-  EXPECT_EXIT(parsed_with("--rate", "1,,2").get_positive_list("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected positive finite number, got ''");
-  EXPECT_EXIT(parsed_with("--rate", "2,x").get_positive_list("rate"),
-              ::testing::ExitedWithCode(2),
-              "--rate: expected positive finite number, got 'x'");
-}
-
-TEST(ArgParserDeathTest, UnknownBoolSpellingExitsTwo) {
-  EXPECT_EXIT(parsed_with("--stream", "maybe").get_bool("stream"),
-              ::testing::ExitedWithCode(2),
-              "--stream: expected boolean, got 'maybe'");
-}
-
-TEST(ArgParser, WritableProbeLeavesFilesAsItFoundThem) {
-  const ArgParser p = parsed_with("--users", "1");
+TEST(ArgParser, OutputProbeLeavesFilesAsItFoundThem) {
   const std::string fresh = ::testing::TempDir() + "argparse_probe_fresh";
   std::remove(fresh.c_str());
-  p.require_writable("users", fresh);
+  parsed({"--out", fresh.c_str()});
   EXPECT_FALSE(std::ifstream(fresh).good()) << "the probe left a file";
 
   const std::string kept = ::testing::TempDir() + "argparse_probe_kept";
   std::ofstream(kept) << "contents";
-  p.require_writable("users", kept);
+  parsed({"--out", kept.c_str()});
   std::string got;
   std::getline(std::ifstream(kept), got);
   EXPECT_EQ(got, "contents");
   std::remove(kept.c_str());
 }
 
-TEST(ArgParserDeathTest, UnwritablePathExitsTwo) {
-  // An export path in a missing directory used to be found unwritable
-  // only after the whole run, which then exited 0.
-  EXPECT_EXIT(parsed_with("--users", "1")
-                  .require_writable("users", "/nonexistent/dir/t.json"),
+TEST(ArgParser, DeclarationBugsTripContracts) {
+  ArgParser p("prog", "test");
+  EXPECT_THROW(p.add_flag("users", flag::kPositiveUint, "0", ""),
+               ContractViolation);
+  EXPECT_THROW(p.add_flag("rate", flag::kNumber, "nan", ""),
+               ContractViolation);
+  EXPECT_THROW(p.add_flag("smoke", flag::kBool, "", ""), ContractViolation);
+  EXPECT_THROW(p.add_flag("rates", flag::list(flag::kPositiveNumber), "1,,2",
+                          ""),
+               ContractViolation);
+  EXPECT_THROW(
+      p.add_flag("family",
+                 flag::name("family name",
+                            [](const std::string& name) {
+                              return name == "fixed";
+                            }),
+                 "token", ""),
+      ContractViolation);
+  // A getter of another kind's type is a bug too.
+  EXPECT_THROW(parsed({}).get_double("users"), ContractViolation);
+  EXPECT_THROW(parsed({}).get_list<double>("rate"), ContractViolation);
+}
+
+TEST(ArgParserDeathTest, DomainRejectionsExitTwo) {
+  const ArgParser p = parsed({});
+  EXPECT_EXIT(p.reject_value("users", "integer >= 2", "1"),
               ::testing::ExitedWithCode(2),
-              "--users: expected writable path, got '/nonexistent/dir/t.json'");
+              "^--users: expected integer >= 2, got '1'(.|\n)*flags:");
+  EXPECT_EXIT(p.require_valid("hit_ratio: must be in [0, 1], got 2"),
+              ::testing::ExitedWithCode(2), "^hit_ratio: must be in");
+  p.require_valid("");  // an empty check() message passes
 }
 
 TEST(Contract, ViolationMessageNamesKindAndExpression) {
