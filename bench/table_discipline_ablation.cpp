@@ -51,7 +51,8 @@ double run_server(bool ps, const Distribution& sizes, double lambda,
 int main(int argc, char** argv) {
   ArgParser args("table_discipline_ablation",
                  "PS vs FIFO under different size distributions");
-  args.add_flag("horizon", flag::kNumber, "6000", "simulated seconds per run");
+  args.add_flag("horizon", flag::kPositiveNumber, "6000",
+                "simulated seconds per run");
   args.add_flag("csv", flag::kBool, "false", "emit CSV instead of markdown");
   args.parse(argc, argv);
   const double horizon = args.get_double("horizon");

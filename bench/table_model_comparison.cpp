@@ -26,10 +26,30 @@ int main(int argc, char** argv) {
 
   const double hprime = args.get_double("hprime");
   const core::OperatingPoint op{args.get_double("p"), args.get_double("nf")};
-  // The rows vary n̄(C) only, so h' is checked once, before any row.
-  core::SystemParams checked;
-  checked.hit_ratio = hprime;
-  args.require_valid(checked.check());
+  const auto params_at = [hprime](double nc) {
+    core::SystemParams params;
+    params.bandwidth = 50.0;
+    params.request_rate = 30.0;
+    params.mean_item_size = 1.0;
+    params.hit_ratio = hprime;
+    params.cache_items = nc;
+    return params;
+  };
+  constexpr double kCacheSizes[] = {2.0,   5.0,   10.0,   20.0,
+                                    50.0,  100.0, 1000.0, 10000.0};
+  // The rows vary n̄(C) only, so h' and the point are checked once, before
+  // any row. The load is highest under Model B at the smallest n̄(C), where
+  // its victim value h'/n̄(C) is largest.
+  const core::SystemParams strictest = params_at(kCacheSizes[0]);
+  args.require_valid(strictest.check());
+  const ArgParser::FieldFlags op_flags = {{"access_probability", "p"},
+                                          {"prefetch_rate", "nf"},
+                                          {"utilization", "nf"}};
+  args.require_valid(op.check(), op_flags);
+  args.require_valid(
+      core::analyze(strictest, op, core::InteractionModel::kModelB)
+          .check_stable(),
+      op_flags);
 
   Table table({"nC", "pth_A", "pth_B", "gap", "h_A", "h_B", "G_A", "G_B",
                "G_AB", "C_A", "C_B", "|G_A-G_B|"});
@@ -39,13 +59,8 @@ int main(int argc, char** argv) {
                   ", nF=" + std::to_string(op.prefetch_rate).substr(0, 4) + ")");
   table.set_precision(5);
 
-  for (double nc : {2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0, 10000.0}) {
-    core::SystemParams params;
-    params.bandwidth = 50.0;
-    params.request_rate = 30.0;
-    params.mean_item_size = 1.0;
-    params.hit_ratio = hprime;
-    params.cache_items = nc;
+  for (double nc : kCacheSizes) {
+    const core::SystemParams params = params_at(nc);
 
     const auto a = core::analyze(params, op, core::InteractionModel::kModelA);
     const auto b = core::analyze(params, op, core::InteractionModel::kModelB);

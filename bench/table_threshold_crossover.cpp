@@ -4,6 +4,7 @@
 // 0.6 for h'=0 and 0.42 for h'=0.3 at the reference parameters.
 #include <iostream>
 
+#include "core/interaction.hpp"
 #include "sim/validation.hpp"
 #include "util/argparse.hpp"
 #include "util/table.hpp"
@@ -25,14 +26,29 @@ int main(int argc, char** argv) {
   opt.duration = args.get_double("duration");
   opt.warmup = opt.duration / 10.0;
   const double nf = args.get_double("nf");
-
-  for (double hprime : {0.0, 0.3}) {
+  const auto params_at = [](double hprime) {
     core::SystemParams params;
     params.bandwidth = 50.0;
     params.request_rate = 30.0;
     params.mean_item_size = 1.0;
     params.hit_ratio = hprime;
     params.cache_items = 100.0;
+    return params;
+  };
+  constexpr double kFirstP = 0.1;
+  // The sweep's load is highest at its first point (p = 0.1) with h' = 0,
+  // so that point is checked before any replication runs.
+  const core::OperatingPoint first{kFirstP, nf};
+  const ArgParser::FieldFlags op_flags = {{"prefetch_rate", "nf"},
+                                          {"utilization", "nf"}};
+  args.require_valid(first.check(), op_flags);
+  args.require_valid(
+      core::analyze(params_at(0.0), first, core::InteractionModel::kModelA)
+          .check_stable(),
+      op_flags);
+
+  for (double hprime : {0.0, 0.3}) {
+    const core::SystemParams params = params_at(hprime);
     const double pth =
         core::threshold(params, core::InteractionModel::kModelA);
 
@@ -44,7 +60,7 @@ int main(int argc, char** argv) {
                     ", analytic p_th=" + std::to_string(pth).substr(0, 4) + ")");
     table.set_precision(5);
 
-    for (double p = 0.1; p <= 0.95; p += 0.1) {
+    for (double p = kFirstP; p <= 0.95; p += 0.1) {
       if (nf * p > params.fault_ratio()) break;  // eq. (6) consistency
       const auto row = validate_point(params, {p, nf},
                                       core::InteractionModel::kModelA, opt);

@@ -31,9 +31,17 @@ int main(int argc, char** argv) {
   params.cache_items = args.get_double("cache-items");
   args.require_valid(params.check());
   const core::OperatingPoint op{args.get_double("p"), args.get_double("nf")};
+  const ArgParser::FieldFlags op_flags = {{"access_probability", "p"},
+                                          {"prefetch_rate", "nf"},
+                                          {"utilization", "nf"}};
+  args.require_valid(op.check(), op_flags);
 
   const double q_model_b =
       core::victim_value(params, core::InteractionModel::kModelB);
+  // The load grows with q, so the sweep's last row (Model B) bounds it.
+  args.require_valid(
+      core::analyze_with_victim_value(params, op, q_model_b).check_stable(),
+      op_flags);
 
   Table table({"q/q_B", "q", "p_th", "h", "rho", "t", "G", "C"});
   table.set_title("Model AB sweep: victim value q from Model A (0) to Model "
@@ -43,11 +51,8 @@ int main(int argc, char** argv) {
   for (double frac = 0.0; frac <= 1.0 + 1e-9; frac += 0.125) {
     const double q = frac * q_model_b;
     const auto a = core::analyze_with_victim_value(params, op, q);
-    const double c =
-        a.conditions.total_within_capacity && a.utilization < 1.0
-            ? core::excess_cost(a.utilization, a.baseline.utilization,
-                                params.request_rate)
-            : 0.0;
+    const double c = core::excess_cost(a.utilization, a.baseline.utilization,
+                                       params.request_rate);
     table.add_row({frac, q, a.threshold, a.hit_ratio, a.utilization,
                    a.access_time, a.gain, c});
   }

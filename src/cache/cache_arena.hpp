@@ -11,7 +11,9 @@
 //     item, tag and policy metadata folded into the node, free-list reuse),
 //   * intrusive doubly-linked LRU/FIFO chains and flat LFU frequency
 //     buckets threaded through that slab,
-//   * fixed per-user frame/slot blocks for CLOCK and random replacement,
+//   * fixed per-user blocks for CLOCK and random replacement at every
+//     capacity, as a u32 item column plus a one-byte flag column (5 bytes
+//     a frame),
 //   * residency resolved by ONE flat hash index keyed (user << 32) | item
 //     for the entire fleet (a FlatHashMap<std::uint32_t>, whose parallel
 //     key, value and metadata arrays cost 13 bytes per slot), grown with
@@ -29,9 +31,10 @@
 // scan collapses to a counter).
 //
 // Capacities up to kInlineResidencyCapacity skip the slab and the index
-// altogether: each user owns a fixed block of packed entries, residency is
-// a scan of that block, and the blocks are allocated unwritten so a user's
-// pages are touched only when the user first fills them.
+// altogether: each user owns a fixed block of packed entries and residency
+// is a scan of that block. Every per-user block (these, and CLOCK's and
+// random's at any capacity) is allocated unwritten, so a user's pages are
+// touched only when the user first fills them.
 //
 // Eviction policy is a compile-time template parameter of the plane built
 // on top of these arenas (cache/cache_plane.hpp), dispatched once per run.
@@ -83,7 +86,8 @@ inline std::uint32_t checked_capacity(std::size_t capacity) {
 
 /// Capacities up to this use the small-cache arenas: per-user fixed blocks
 /// with inline residency (a linear scan of at most 32 packed entries — up
-/// to seven cache lines of 12-byte list nodes, eight of 16-byte LFU nodes),
+/// to seven cache lines of 12-byte list nodes, eight of 16-byte LFU nodes,
+/// two of CLOCK's or random's u32 item column),
 /// no hash index at all. Larger capacities use the slab + fleet hash index
 /// arenas. Both variants of every policy are bit-identical to the legacy
 /// caches; the dispatch happens once per run in make_cache_plane next to
@@ -94,11 +98,12 @@ inline constexpr std::size_t kInlineResidencyCapacity = 32;
 /// builds (the engine poisons freed slots with the same byte).
 inline constexpr unsigned char kUnwrittenByte = 0xDD;
 
-/// Node storage for the per-user-block arenas, allocated but not written.
-/// Each node is written whole before it is linked, and no slot at or past
-/// a user's size is ever read, so a block's pages stay untouched until its
-/// user fills them. Audit builds fill the storage with kUnwrittenByte so a
-/// read of a never-written slot yields poisoned items and links.
+/// Node or column storage for the per-user-block arenas, allocated but not
+/// written. Each slot is written whole before it is linked or counted
+/// live, and no slot at or past a user's size is ever read, so a block's
+/// pages stay untouched until its user fills them. Audit builds fill the
+/// storage with kUnwrittenByte so a read of a never-written slot yields
+/// poisoned items, links and flags.
 template <typename Node>
 std::unique_ptr<Node[]> unwritten_block(std::size_t n) {
   static_assert(std::is_trivially_default_constructible_v<Node>);
@@ -677,30 +682,53 @@ class LfuArena {
 };
 
 // ---------------------------------------------------------------------------
-// CLOCK arena: fixed per-user frame blocks in one flat array
+// Fixed-block arenas (CLOCK, random): per-user blocks as two columns
 // ---------------------------------------------------------------------------
 
+/// Flag-column bits of the fixed-block arenas: the §4 tag (EntryTag's own
+/// value) and CLOCK's reference bit. A live frame's flag byte holds no
+/// other bit, so the audit builds' kUnwrittenByte marks a never-written
+/// frame.
+inline constexpr std::uint8_t kTagBit = 0x01;
+inline constexpr std::uint8_t kRefBit = 0x02;
+static_assert(static_cast<std::uint8_t>(EntryTag::kTagged) == kTagBit &&
+              static_cast<std::uint8_t>(EntryTag::kUntagged) == 0);
+
+inline EntryTag tag_of(std::uint8_t flags) {
+  return static_cast<EntryTag>(flags & kTagBit);
+}
+
+/// Frames of `num_users` blocks of `capacity`, after checking that every
+/// frame index fits a NodeIndex.
+inline std::size_t frame_count(std::size_t num_users, std::size_t capacity) {
+  SPECPF_EXPECTS(num_users * capacity < kNull);
+  return num_users * capacity;
+}
+
 /// CLOCK (second chance) with each user owning a fixed block of `capacity`
-/// 8-byte frames at frames_[user * capacity]. Without erase, occupied
-/// frames are a dense prefix, so the legacy "first unoccupied frame" scan
-/// reduces to the live counter; once full, the hand sweep is identical to
-/// the legacy ClockCache's. Residency: inline block scan below
+/// 5-byte frames at [user * capacity, +capacity): a u32 item column and a
+/// flag column (tag and reference bits), both allocated unwritten. Without
+/// erase, the occupied frames are the dense prefix below `live`, so the
+/// legacy "first unoccupied frame" scan reduces to the counter and no
+/// frame needs an occupied bit; once full, the hand sweep is identical to
+/// the legacy ClockCache's. Residency: inline scan of the item column up to
 /// kInlineResidencyCapacity, the fleet hash index above.
 template <bool kInlineResidency>
 class ClockArenaT {
  public:
   ClockArenaT(std::size_t num_users, std::size_t capacity,
               std::uint64_t /*seed*/)
-      : capacity_(checked_capacity(capacity)), users_(num_users) {
-    SPECPF_EXPECTS(num_users * capacity < kNull);
-    frames_.resize(num_users * capacity);
-  }
+      : capacity_(checked_capacity(capacity)),
+        items_(unwritten_block<std::uint32_t>(
+            frame_count(num_users, capacity))),
+        flags_(unwritten_block<std::uint8_t>(num_users * capacity)),
+        users_(num_users) {}
 
   std::optional<EntryTag> lookup(std::uint32_t user, ItemId item) {
     const NodeIndex idx = find_frame(user, item);
     if (idx == kNull) return std::nullopt;
-    frames_[idx].referenced = true;
-    return frames_[idx].tag;
+    flags_[idx] |= kRefBit;
+    return tag_of(flags_[idx]);
   }
 
   bool contains(std::uint32_t user, ItemId item) const {
@@ -710,7 +738,7 @@ class ClockArenaT {
   bool set_tag(std::uint32_t user, ItemId item, EntryTag tag) {
     const NodeIndex idx = find_frame(user, item);
     if (idx == kNull) return false;
-    frames_[idx].tag = tag;
+    flags_[idx] = (flags_[idx] & kRefBit) | static_cast<std::uint8_t>(tag);
     return true;
   }
 
@@ -720,8 +748,7 @@ class ClockArenaT {
   void insert(std::uint32_t user, ItemId item, EntryTag tag,
               OnEvict&& on_evict) {
     if (const NodeIndex idx = find_frame(user, item); idx != kNull) {
-      frames_[idx].tag = tag;
-      frames_[idx].referenced = true;
+      flags_[idx] = static_cast<std::uint8_t>(tag) | kRefBit;
       return;
     }
     UserClockView& u = users_[user];
@@ -734,35 +761,34 @@ class ClockArenaT {
       // Sweep, clearing reference bits, until an unreferenced frame —
       // terminates within two passes.
       for (;;) {
-        Frame& f = frames_[base + u.hand];
+        std::uint8_t& flags = flags_[base + u.hand];
         const std::uint32_t cur = u.hand;
         u.hand = (u.hand + 1) % capacity_;
-        if (!f.referenced) {
+        if ((flags & kRefBit) == 0) {
           frame = cur;
           break;
         }
-        f.referenced = false;
+        flags &= static_cast<std::uint8_t>(~kRefBit);
       }
-    }
-    Frame& f = frames_[base + frame];
-    if (f.occupied) {
+      const std::uint32_t victim = items_[base + frame];
       if constexpr (!kInlineResidency) {
-        map_.erase(residency_key(user, f.item));
+        map_.erase(residency_key(user, victim));
       }
       --u.live;
-      on_evict(static_cast<ItemId>(f.item), f.tag);
+      on_evict(static_cast<ItemId>(victim), tag_of(flags_[base + frame]));
     }
-    f = Frame{static_cast<std::uint32_t>(item), tag, /*referenced=*/true,
-              /*occupied=*/true};
+    items_[base + frame] = static_cast<std::uint32_t>(item);
+    flags_[base + frame] = static_cast<std::uint8_t>(tag) | kRefBit;
     if constexpr (!kInlineResidency) {
       map_[residency_key(user, item)] = base + frame;
     }
     ++u.live;
   }
 
-  /// Deep-invariant walker: occupied frames form a dense prefix of each
-  /// user's block, hand stays in range, and (in indexed mode) every
-  /// occupied frame agrees with the fleet residency index.
+  /// Deep-invariant walker: live counts and hands in range, every live
+  /// frame's flag byte within tag|ref (so a read of a never-written frame
+  /// shows in SPECPF_AUDIT builds), and (in indexed mode) every live frame
+  /// agrees with the fleet residency index.
   void audit(AuditReport& report) const {
     const AuditScope scope(report, "ClockArena");
     std::uint64_t live_total = 0;
@@ -773,25 +799,24 @@ class ClockArenaT {
       report.check(u.hand < capacity_, who + " hand out of range");
       const std::size_t base = static_cast<std::size_t>(user) * capacity_;
       const std::uint32_t live = std::min(u.live, capacity_);
-      for (std::uint32_t i = 0; i < capacity_; ++i) {
-        const Frame& f = frames_[base + i];
-        report.check(f.occupied == (i < live),
+      for (std::uint32_t i = 0; i < live; ++i) {
+        report.check((flags_[base + i] & ~(kTagBit | kRefBit)) == 0,
                      who + ": frame " + std::to_string(i) +
-                         " breaks the dense occupied prefix");
+                         " has flag bits outside tag|ref (" +
+                         std::to_string(flags_[base + i]) + ")");
         if constexpr (!kInlineResidency) {
-          if (f.occupied) {
-            const NodeIndex* idx = map_.find(residency_key(user, f.item));
-            report.check(idx != nullptr && *idx == base + i,
-                         who + ": occupied frame " + std::to_string(i) +
-                             " missing or desynced in the residency index");
-          }
+          const NodeIndex* idx =
+              map_.find(residency_key(user, items_[base + i]));
+          report.check(idx != nullptr && *idx == base + i,
+                       who + ": live frame " + std::to_string(i) +
+                           " missing or desynced in the residency index");
         }
       }
       live_total += live;
     }
     if constexpr (!kInlineResidency) {
       report.check(live_total == map_.size(),
-                   "residency index size != total occupied frames");
+                   "residency index size != total live frames");
       map_.audit(report);
     }
   }
@@ -799,12 +824,6 @@ class ClockArenaT {
  private:
   friend struct specpf::AuditPeer;  // corruption-injection tests only
 
-  struct Frame {
-    std::uint32_t item = 0;
-    EntryTag tag = EntryTag::kUntagged;
-    bool referenced = false;
-    bool occupied = false;
-  };
   struct UserClockView {
     std::uint32_t hand = 0;
     std::uint32_t live = 0;
@@ -817,8 +836,9 @@ class ClockArenaT {
       const std::uint32_t live = users_[user].live;
       const auto item32 = static_cast<std::uint32_t>(item);
       SPECPF_DCHECK((item >> 32) == 0);
+      const std::uint32_t* block = &items_[base];
       for (std::uint32_t i = 0; i < live; ++i) {
-        if (frames_[base + i].item == item32) return base + i;
+        if (block[i] == item32) return base + i;
       }
       return kNull;
     } else {
@@ -829,29 +849,30 @@ class ClockArenaT {
 
   std::uint32_t capacity_;
   FlatHashMap<std::uint32_t> map_;  // empty in inline-residency mode
-  std::vector<Frame> frames_;
+  std::unique_ptr<std::uint32_t[]> items_;  // frame items
+  std::unique_ptr<std::uint8_t[]> flags_;   // frame tag | ref bits
   std::vector<UserClockView> users_;
 };
 
 using ClockArena = ClockArenaT<false>;
 using SmallClockArena = ClockArenaT<true>;
 
-// ---------------------------------------------------------------------------
-// Random arena: fixed per-user slot blocks, per-user RNG streams
-// ---------------------------------------------------------------------------
-
 /// Random replacement with each user owning a dense block of `capacity`
-/// 8-byte slots (swap-with-last removal) and its own Xoshiro stream seeded
-/// exactly like the legacy plane (root.substream(100 + user)), so victim
-/// draws are bit-identical to a fleet of legacy RandomCaches. Residency:
-/// inline block scan below kInlineResidencyCapacity, else the fleet map.
+/// 5-byte slots laid out as CLOCK's are (a u32 item column and a tag
+/// column, both allocated unwritten; swap-with-last removal), and its own
+/// Xoshiro stream seeded exactly like the legacy plane
+/// (root.substream(100 + user)), so victim draws are bit-identical to a
+/// fleet of legacy RandomCaches. Residency: inline scan of the item column
+/// up to kInlineResidencyCapacity, else the fleet map.
 template <bool kInlineResidency>
 class RandomArenaT {
  public:
   RandomArenaT(std::size_t num_users, std::size_t capacity, std::uint64_t seed)
-      : capacity_(checked_capacity(capacity)), users_(num_users) {
-    SPECPF_EXPECTS(num_users * capacity < kNull);
-    slots_.resize(num_users * capacity);
+      : capacity_(checked_capacity(capacity)),
+        items_(unwritten_block<std::uint32_t>(
+            frame_count(num_users, capacity))),
+        tags_(unwritten_block<std::uint8_t>(num_users * capacity)),
+        users_(num_users) {
     const Rng root(seed);
     rngs_.reserve(num_users);
     for (std::size_t u = 0; u < num_users; ++u) {
@@ -862,7 +883,7 @@ class RandomArenaT {
   std::optional<EntryTag> lookup(std::uint32_t user, ItemId item) {
     const NodeIndex idx = find_slot(user, item);
     if (idx == kNull) return std::nullopt;
-    return slots_[idx].tag;
+    return tag_of(tags_[idx]);
   }
 
   bool contains(std::uint32_t user, ItemId item) const {
@@ -872,7 +893,7 @@ class RandomArenaT {
   bool set_tag(std::uint32_t user, ItemId item, EntryTag tag) {
     const NodeIndex idx = find_slot(user, item);
     if (idx == kNull) return false;
-    slots_[idx].tag = tag;
+    tags_[idx] = static_cast<std::uint8_t>(tag);
     return true;
   }
 
@@ -882,29 +903,33 @@ class RandomArenaT {
   void insert(std::uint32_t user, ItemId item, EntryTag tag,
               OnEvict&& on_evict) {
     if (const NodeIndex idx = find_slot(user, item); idx != kNull) {
-      slots_[idx].tag = tag;
+      tags_[idx] = static_cast<std::uint8_t>(tag);
       return;
     }
     UserRandomView& u = users_[user];
     const NodeIndex base = static_cast<NodeIndex>(
         static_cast<std::size_t>(user) * capacity_);
     if (u.size >= capacity_) {
-      const std::uint32_t pos =
-          static_cast<std::uint32_t>(rngs_[user].next_below(u.size));
-      const Slot victim = slots_[base + pos];
+      const NodeIndex pos =
+          base + static_cast<std::uint32_t>(rngs_[user].next_below(u.size));
+      const NodeIndex last = base + u.size - 1;
+      const std::uint32_t victim = items_[pos];
+      const EntryTag victim_tag = tag_of(tags_[pos]);
       if constexpr (!kInlineResidency) {
-        map_.erase(residency_key(user, victim.item));
+        map_.erase(residency_key(user, victim));
       }
-      if (pos != u.size - 1) {  // swap-with-last removal
-        slots_[base + pos] = slots_[base + u.size - 1];
+      if (pos != last) {  // swap-with-last removal
+        items_[pos] = items_[last];
+        tags_[pos] = tags_[last];
         if constexpr (!kInlineResidency) {
-          map_[residency_key(user, slots_[base + pos].item)] = base + pos;
+          map_[residency_key(user, items_[pos])] = pos;
         }
       }
       --u.size;
-      on_evict(static_cast<ItemId>(victim.item), victim.tag);
+      on_evict(static_cast<ItemId>(victim), victim_tag);
     }
-    slots_[base + u.size] = Slot{static_cast<std::uint32_t>(item), tag};
+    items_[base + u.size] = static_cast<std::uint32_t>(item);
+    tags_[base + u.size] = static_cast<std::uint8_t>(tag);
     if constexpr (!kInlineResidency) {
       map_[residency_key(user, item)] = base + u.size;
     }
@@ -912,8 +937,8 @@ class RandomArenaT {
   }
 
   /// Deep-invariant walker: per-user sizes in range, one RNG stream per
-  /// user, and (in indexed mode) every live slot agrees with the fleet
-  /// residency index.
+  /// user, every live slot's tag byte within the tag bit, and (in indexed
+  /// mode) every live slot agrees with the fleet residency index.
   void audit(AuditReport& report) const {
     const AuditScope scope(report, "RandomArena");
     report.check(rngs_.size() == users_.size(),
@@ -925,10 +950,14 @@ class RandomArenaT {
       report.check(u.size <= capacity_, who + " exceeds capacity");
       const std::size_t base = static_cast<std::size_t>(user) * capacity_;
       const std::uint32_t live = std::min(u.size, capacity_);
-      if constexpr (!kInlineResidency) {
-        for (std::uint32_t i = 0; i < live; ++i) {
+      for (std::uint32_t i = 0; i < live; ++i) {
+        report.check((tags_[base + i] & ~kTagBit) == 0,
+                     who + ": slot " + std::to_string(i) +
+                         " has flag bits outside the tag (" +
+                         std::to_string(tags_[base + i]) + ")");
+        if constexpr (!kInlineResidency) {
           const NodeIndex* idx =
-              map_.find(residency_key(user, slots_[base + i].item));
+              map_.find(residency_key(user, items_[base + i]));
           report.check(idx != nullptr && *idx == base + i,
                        who + ": live slot " + std::to_string(i) +
                            " missing or desynced in the residency index");
@@ -946,10 +975,6 @@ class RandomArenaT {
  private:
   friend struct specpf::AuditPeer;  // corruption-injection tests only
 
-  struct Slot {
-    std::uint32_t item = 0;
-    EntryTag tag = EntryTag::kUntagged;
-  };
   struct UserRandomView {
     std::uint32_t size = 0;
   };
@@ -961,8 +986,9 @@ class RandomArenaT {
       const std::uint32_t live = users_[user].size;
       const auto item32 = static_cast<std::uint32_t>(item);
       SPECPF_DCHECK((item >> 32) == 0);
+      const std::uint32_t* block = &items_[base];
       for (std::uint32_t i = 0; i < live; ++i) {
-        if (slots_[base + i].item == item32) return base + i;
+        if (block[i] == item32) return base + i;
       }
       return kNull;
     } else {
@@ -973,7 +999,8 @@ class RandomArenaT {
 
   std::uint32_t capacity_;
   FlatHashMap<std::uint32_t> map_;  // empty in inline-residency mode
-  std::vector<Slot> slots_;
+  std::unique_ptr<std::uint32_t[]> items_;  // slot items
+  std::unique_ptr<std::uint8_t[]> tags_;    // slot tags
   std::vector<Rng> rngs_;
   std::vector<UserRandomView> users_;
 };

@@ -1,10 +1,31 @@
 #include "core/interaction.hpp"
 
+#include <cmath>
 #include <limits>
 
 #include "util/contract.hpp"
 
 namespace specpf::core {
+
+std::string OperatingPoint::check() const {
+  if (!(access_probability > 0.0 && access_probability <= 1.0)) {
+    return config_error("access_probability", "must be in (0, 1]",
+                        access_probability);
+  }
+  if (!(prefetch_rate >= 0.0 && std::isfinite(prefetch_rate))) {
+    return config_error("prefetch_rate", "must be non-negative and finite",
+                        prefetch_rate);
+  }
+  return {};
+}
+
+std::string PrefetchAnalysis::check_stable() const {
+  if (utilization < 1.0) return {};
+  return config_error("utilization",
+                      "must be below 1 (demand plus prefetch traffic "
+                      "(1-h+nF)*lambda*s/b saturates the link)",
+                      utilization);
+}
 
 double victim_value(const SystemParams& params, InteractionModel model) {
   switch (model) {
@@ -21,8 +42,7 @@ PrefetchAnalysis analyze_with_victim_value(const SystemParams& params,
                                            const OperatingPoint& op,
                                            double q) {
   params.validate();
-  SPECPF_EXPECTS(op.access_probability > 0.0 && op.access_probability <= 1.0);
-  SPECPF_EXPECTS(op.prefetch_rate >= 0.0);
+  expect_valid(op.check());
   SPECPF_EXPECTS(q >= 0.0 && q <= 1.0);
 
   PrefetchAnalysis out;

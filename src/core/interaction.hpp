@@ -23,6 +23,8 @@
 // independently coded per-model formulas in model_a.hpp / model_b.hpp.
 #pragma once
 
+#include <string>
+
 #include "core/no_prefetch.hpp"
 #include "core/params.hpp"
 
@@ -43,6 +45,12 @@ double victim_value(const SystemParams& params, InteractionModel model);
 struct OperatingPoint {
   double access_probability = 0.5;  ///< p in (0, 1]
   double prefetch_rate = 0.0;       ///< n̄(F) >= 0
+
+  /// "" when p is in (0, 1] and n̄(F) is finite and >= 0, else
+  /// "<field>: <rule>, got <value>" for the first that is not: the domain
+  /// `analyze` requires. Frontends call it at the edge and exit 2 on a
+  /// message.
+  std::string check() const;
 };
 
 /// Positivity conditions (12)/(20) for the gain G.
@@ -67,6 +75,11 @@ struct PrefetchAnalysis {
   double threshold = 0.0;       ///< p_th = ρ' + q
   GainConditions conditions;
   NoPrefetchResult baseline;    ///< ρ', r̄', t̄'
+
+  /// "" when the link is within capacity with prefetching (ρ < 1,
+  /// condition 3), else "utilization: <rule>, got <ρ>": the sojourn-time
+  /// forms and the excess cost hold only below it.
+  std::string check_stable() const;
 };
 
 /// Generalised interaction analysis with explicit victim value q.

@@ -37,8 +37,6 @@ StackRuntime::StackRuntime(Simulator& sim, PredictorPlane& predictor,
       config_(std::move(config)),
       server_(sim, config_.bandwidth),
       estimate_cache_(config_.num_users, 0.0),
-      demand_inflight_(config_.num_users, 0),
-      pending_prefetches_(config_.num_users),
       sensor_(config_.sensor),
       sense_(config_.enable_load_sensor || config_.governor != nullptr),
       measuring_(false),
@@ -147,23 +145,26 @@ PolicyContext StackRuntime::current_context() const {
   return ctx;
 }
 
-void StackRuntime::flush_pending_prefetches(UserId user) {
-  std::vector<ItemId> batch = std::move(pending_prefetches_[user]);
-  pending_prefetches_[user].clear();
+void StackRuntime::release_link(UserId user) {
+  Blocked* blocked = blocked_.find(user);
+  SPECPF_DCHECK(blocked != nullptr && blocked->holding > 0);
+  if (--blocked->holding > 0) return;
+  const std::vector<ItemId> batch = blocked_.take(user).deferred;
   for (ItemId item : batch) {
     if (caches_->contains(user, item)) continue;
-    if (inflight_.contains(inflight_key(user, item))) continue;
-    submit_retrieval(user, item, /*is_prefetch=*/true);
+    bool fresh = false;
+    Inflight& entry = inflight_.get_or_insert(inflight_key(user, item), &fresh);
+    if (fresh) submit_retrieval(user, item, entry, /*is_prefetch=*/true);
   }
 }
 
-void StackRuntime::submit_retrieval(UserId user, ItemId item,
+void StackRuntime::submit_retrieval(UserId user, ItemId item, Inflight& entry,
                                     bool is_prefetch) {
+  entry.is_prefetch = is_prefetch;
   if (config_.retrieval_observer) {
     config_.retrieval_observer(user, item, is_prefetch);
   }
-  inflight_.get_or_insert(inflight_key(user, item)).is_prefetch = is_prefetch;
-  if (!is_prefetch) ++demand_inflight_[user];
+  if (!is_prefetch) ++blocked_[user].holding;
   if (is_prefetch) {
     ++inflight_prefetch_total_;
   } else {
@@ -234,9 +235,7 @@ void StackRuntime::submit_retrieval(UserId user, ItemId item,
     // A prefetch that a demand miss attached to holds the link like a
     // demand fetch (the user is blocked on it).
     const bool held_link = !is_prefetch || info.demand_promoted;
-    if (held_link && --demand_inflight_[user] == 0) {
-      flush_pending_prefetches(user);
-    }
+    if (held_link) release_link(user);
   });
   // Observe the arrival after the job entered the link (busy for sure).
   if (sense_) sensor_.observe_queue(sim_.now(), server_.active_jobs());
@@ -262,27 +261,20 @@ void StackRuntime::handle_request(UserId user, ItemId item) {
       if (measuring_) metrics_.record_hit();
       break;
     case AccessOutcome::kMiss: {
-      if (Inflight* fl = inflight_.find(inflight_key(user, item))) {
-        if (measuring_) fl->waiter_times.push_back(sim_.now());
-        if (fl->is_prefetch && !fl->demand_promoted &&
-            config_.governor) {
-          // The demand stream caught up with a live prefetch: useful.
-          config_.governor->on_prefetch_useful();
-        }
-        if (fl->is_prefetch && !fl->demand_promoted) {
-          // Promote: the user now waits on this transfer, so it must defer
-          // prefetch dispatch exactly like a demand fetch (paper §1's
-          // idle-link rule). Promotion is independent of measuring_ — it
-          // changes dynamics, not just metrics.
-          fl->demand_promoted = true;
-          ++demand_inflight_[user];
-        }
-      } else {
-        submit_retrieval(user, item, /*is_prefetch=*/false);
-        if (measuring_) {
-          inflight_.get_or_insert(inflight_key(user, item))
-              .waiter_times.push_back(sim_.now());
-        }
+      bool fresh = false;
+      Inflight& fl = inflight_.get_or_insert(inflight_key(user, item), &fresh);
+      if (measuring_) fl.waiter_times.push_back(sim_.now());
+      if (fresh) {
+        submit_retrieval(user, item, fl, /*is_prefetch=*/false);
+      } else if (fl.is_prefetch && !fl.demand_promoted) {
+        // The demand stream caught up with a live prefetch: useful.
+        if (config_.governor) config_.governor->on_prefetch_useful();
+        // Promote: the user now waits on this transfer, so it must defer
+        // prefetch dispatch exactly like a demand fetch (paper §1's
+        // idle-link rule). Promotion is independent of measuring_ — it
+        // changes dynamics, not just metrics.
+        fl.demand_promoted = true;
+        ++blocked_[user].holding;
       }
       break;
     }
@@ -319,6 +311,10 @@ void StackRuntime::handle_request(UserId user, ItemId item) {
         depth_budget, governor->depth_limit(config_.max_prefetch_per_request));
   }
   std::size_t admitted = 0;
+  // Probed at the first admitted candidate. Prefetch submissions neither
+  // block nor unblock the user, so the answer (and the entry's address)
+  // holds for the whole batch.
+  Blocked* blocked = nullptr;
   for (const auto& c : selected) {
     if (governor) {
       if (admitted >= depth_budget ||
@@ -328,11 +324,13 @@ void StackRuntime::handle_request(UserId user, ItemId item) {
         continue;
       }
     }
-    ++admitted;
-    if (demand_inflight_[user] > 0) {
-      pending_prefetches_[user].push_back(c.item);
+    if (admitted++ == 0) blocked = blocked_.find(user);
+    if (blocked != nullptr) {
+      blocked->deferred.push_back(c.item);
     } else {
-      submit_retrieval(user, c.item, /*is_prefetch=*/true);
+      submit_retrieval(user, c.item,
+                       inflight_.get_or_insert(inflight_key(user, c.item)),
+                       /*is_prefetch=*/true);
     }
   }
 }
@@ -402,8 +400,8 @@ ProxySimResult StackRuntime::finalize(const ServerStats& horizon_stats,
 void StackRuntime::audit(AuditReport& report) const {
   const AuditScope scope(report, "StackRuntime");
   // In-flight bookkeeping: keys well-formed, promotion flags consistent,
-  // and per-user demand counts re-derived from scratch.
-  std::vector<int> derived_demand(config_.num_users, 0);
+  // and per-user link-holding counts re-derived from scratch.
+  FlatHashMap<std::uint32_t> derived_holding;
   inflight_.for_each([&](std::uint64_t key, const Inflight& fl) {
     const auto user = static_cast<std::uint32_t>(key >> 32);
     if (!report.check(user < config_.num_users,
@@ -418,19 +416,31 @@ void StackRuntime::audit(AuditReport& report) const {
                      fl.demand_promoted,
                  "prefetch with waiters was never promoted (user " +
                      std::to_string(user) + ")");
-    if (!fl.is_prefetch || fl.demand_promoted) ++derived_demand[user];
+    if (!fl.is_prefetch || fl.demand_promoted) ++derived_holding[user];
   });
-  for (std::uint32_t u = 0; u < config_.num_users; ++u) {
-    report.check(demand_inflight_[u] == derived_demand[u],
-                 "user " + std::to_string(u) + ": demand_inflight_ says " +
-                     std::to_string(demand_inflight_[u]) +
-                     " but the in-flight index holds " +
-                     std::to_string(derived_demand[u]) +
-                     " link-holding transfers");
-    report.check(pending_prefetches_[u].empty() || demand_inflight_[u] > 0,
-                 "user " + std::to_string(u) +
-                     " defers prefetches with no blocking demand fetch");
-  }
+  // The blocked-user table: one entry for each user with link-holding
+  // transfers in flight, counting them, and no entry left at count 0
+  // (its deferred prefetches would never dispatch).
+  blocked_.for_each([&](std::uint64_t user, const Blocked& b) {
+    const std::string who = "user " + std::to_string(user);
+    report.check(b.holding > 0, who + ": blocked-user entry left at count 0 (" +
+                                    std::to_string(b.deferred.size()) +
+                                    " deferred prefetches)");
+    const std::uint32_t* derived = derived_holding.find(user);
+    const std::uint32_t held = derived == nullptr ? 0 : *derived;
+    report.check(b.holding == held,
+                 who + ": blocked-user entry counts " +
+                     std::to_string(b.holding) +
+                     " link-holding transfers but the in-flight index holds " +
+                     std::to_string(held));
+  });
+  derived_holding.for_each([&](std::uint64_t user, std::uint32_t held) {
+    report.check(blocked_.contains(user),
+                 "user " + std::to_string(user) + " has " +
+                     std::to_string(held) +
+                     " link-holding transfers in flight but no blocked-user "
+                     "entry");
+  });
   // Cached ĥ' estimates: each user's cache must be bit-equal to a fresh
   // recomputation (refresh_estimate runs after every mutation), and the
   // incrementally-maintained sum within accumulation tolerance of the
@@ -478,6 +488,7 @@ void StackRuntime::audit(AuditReport& report) const {
                    std::to_string(derived_residents) + " entries");
   // Structural sweeps of the planes and the engine this slice runs on.
   inflight_.audit(report);
+  blocked_.audit(report);
   caches_->audit(report);
   predictor_.audit(report);
   server_.audit(report);

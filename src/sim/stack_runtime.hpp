@@ -174,12 +174,16 @@ class StackRuntime {
   /// Cache-derived sums for result assembly and cross-shard merging.
   StackAggregates aggregates() const;
 
+  /// Users with a link-holding fetch in flight: the blocked-user table's
+  /// entry count.
+  std::size_t blocked_users() const { return blocked_.size(); }
+
   /// Deep-invariant sweep (util/audit.hpp) across the whole stack slice:
   /// the cache plane's arenas, the predictor plane's ContextArena, the
   /// proxy link's job queue, the in-flight index (every entry has a waiter
-  /// unless it is an untouched prefetch, demand counts conserve, deferred
-  /// prefetches imply a blocked demand), and the cached ĥ' estimates
-  /// against fresh recomputation.
+  /// unless it is an untouched prefetch), the blocked-user table (an entry
+  /// exactly for each user with link-holding fetches in flight, counting
+  /// them), and the cached ĥ' estimates against fresh recomputation.
   /// Runs automatically at begin_measurement/finalize in SPECPF_AUDIT
   /// builds (throwing ContractViolation on failure); callable from tests in
   /// any build.
@@ -197,6 +201,15 @@ class StackRuntime {
     std::vector<double> waiter_times;
   };
 
+  /// The idle-link rule's state for one blocked user: how many of its
+  /// fetches in flight hold the link (demand fetches, and prefetches a
+  /// demand miss attached to), and the prefetches deferred until the last
+  /// of them lands, in selection order.
+  struct Blocked {
+    std::uint32_t holding = 0;
+    std::vector<ItemId> deferred;
+  };
+
   static std::uint64_t inflight_key(UserId user, ItemId item) {
     // Single choke point for the packing contract: every path that touches
     // in-flight state (demand misses, predictor candidates, deferred
@@ -207,8 +220,14 @@ class StackRuntime {
   }
 
   PolicyContext current_context() const;
-  void submit_retrieval(UserId user, ItemId item, bool is_prefetch);
-  void flush_pending_prefetches(UserId user);
+  /// Sends `item` to `user` over the link; `entry` is the transfer's
+  /// in-flight record, inserted by the caller's probe of the index.
+  void submit_retrieval(UserId user, ItemId item, Inflight& entry,
+                        bool is_prefetch);
+  /// A link-holding fetch of `user` landed: when it was the last, the
+  /// user's entry leaves the blocked-user table and its deferred
+  /// prefetches dispatch.
+  void release_link(UserId user);
   /// Registers this runtime's gauges on the telemetry plane,
   /// installs the gauge source, and seals it (constructor only).
   void setup_telemetry();
@@ -231,8 +250,10 @@ class StackRuntime {
   double estimate_sum_ = 0.0;
   /// In-flight transfers keyed by (user << 32) | item.
   FlatHashMap<Inflight> inflight_;
-  std::vector<int> demand_inflight_;
-  std::vector<std::vector<ItemId>> pending_prefetches_;
+  /// Blocked users keyed by user id, and only those: the first
+  /// link-holding fetch in flight makes a user's entry, and the last one
+  /// to land takes it. So the rule holds no per-user state for the fleet.
+  FlatHashMap<Blocked> blocked_;
   /// Reused per-request scratch for the predictor plane's predict_into and
   /// the policy's viable-candidate filter: the predict hot path allocates
   /// nothing once the buffers reach steady-state capacity.

@@ -236,6 +236,17 @@ void ArgParser::require_valid(const std::string& error) const {
   if (!error.empty()) fail({error});
 }
 
+void ArgParser::require_valid(const std::string& error,
+                              FieldFlags flags) const {
+  if (error.empty()) return;
+  const std::string_view field =
+      std::string_view(error).substr(0, error.find(':'));
+  for (const auto& [name, flag] : flags) {
+    if (name == field) fail({"--", flag, ": ", error});
+  }
+  fail({error});
+}
+
 void ArgParser::fail(std::initializer_list<std::string_view> error) const {
   for (const std::string_view part : error) {
     std::fwrite(part.data(), 1, part.size(), stderr);

@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace specpf {
@@ -90,6 +91,15 @@ class ArgParser {
   /// check() message, `<field>: <rule>, got <value>`) is printed with
   /// usage to stderr and exits with status 2, as a bad flag value does.
   void require_valid(const std::string& error) const;
+
+  /// (field, flag) pairs: which flag sets each field of a check.
+  using FieldFlags =
+      std::initializer_list<std::pair<std::string_view, std::string_view>>;
+
+  /// require_valid for a check whose fields flags set: an `error` on a
+  /// field listed in `flags` begins `--<flag>: `, so the message names what
+  /// was typed.
+  void require_valid(const std::string& error, FieldFlags flags) const;
 
   /// Prints `--<flag>: expected <type>, got '<value>'` plus usage to stderr
   /// and exits with status 2: parse()'s rejection, for a value of the

@@ -8,8 +8,12 @@
 //  3. A retrieval submitted during warmup but completing inside the
 //     measurement window is counted in retrieval metrics (measuring_ is
 //     re-read at completion).
+//  4. A user with two demand fetches in flight defers the prefetches of
+//     both requests until the second lands, then dispatches them in
+//     selection order and leaves the blocked-user table.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "policy/policies.hpp"
 #include "sim/proxy_sim.hpp"
 #include "sim/stack_runtime.hpp"
+#include "util/audit.hpp"
 
 namespace specpf {
 namespace {
@@ -137,6 +142,58 @@ TEST(StackAccounting, WarmupSubmittedRetrievalCompletingInWindowIsCounted) {
   // The request itself fired pre-window, so it is (correctly) not a
   // measured access.
   EXPECT_EQ(r.requests, 0u);
+}
+
+TEST(StackAccounting, TwoBlockingDemandsDeferPrefetchesUntilTheLastLands) {
+  // bandwidth 1, item size 1: demand 1 (t=0) runs alone until t=0.5, then
+  // shares the PS link with demand 2 and lands at t=1.5; demand 2 then
+  // runs alone and lands at t=2.0.
+  Simulator sim;
+  ScriptedPredictor predictor;
+  FixedThresholdPolicy policy(0.01);
+  StackRuntimeConfig cfg;
+  cfg.bandwidth = 1.0;
+  cfg.item_size = 1.0;
+  cfg.num_users = 1;
+  cfg.cache_capacity = 8;
+  // (item, is_prefetch, submit instant) of every retrieval.
+  std::vector<std::tuple<ItemId, bool, double>> submitted;
+  cfg.retrieval_observer = [&submitted, &sim](UserId, ItemId item,
+                                              bool is_prefetch) {
+    submitted.emplace_back(item, is_prefetch, sim.now());
+  };
+  StackRuntime runtime(sim, predictor, policy, std::move(cfg));
+  runtime.begin_measurement();
+
+  // Selection keeps the predictor's order, which is not the item order.
+  sim.schedule_at(0.0, [&] {
+    predictor.set({Candidate{11, 0.9}, Candidate{10, 0.8}});
+    runtime.handle_request(0, 1);
+  });
+  sim.schedule_at(0.5, [&] {
+    predictor.set({Candidate{13, 0.9}, Candidate{12, 0.8}});
+    runtime.handle_request(0, 2);
+    EXPECT_EQ(runtime.blocked_users(), 1u);
+  });
+  // Demand 1 has landed; demand 2 still holds the link.
+  sim.schedule_at(1.75, [&] {
+    EXPECT_EQ(submitted.size(), 2u);
+    EXPECT_EQ(runtime.blocked_users(), 1u);
+  });
+  sim.run();
+
+  const std::vector<std::tuple<ItemId, bool, double>> expected = {
+      {1, false, 0.0},  {2, false, 0.5}, {11, true, 2.0},
+      {10, true, 2.0},  {13, true, 2.0}, {12, true, 2.0}};
+  EXPECT_EQ(submitted, expected);
+  EXPECT_EQ(runtime.blocked_users(), 0u);
+  const ProxySimResult r = runtime.finalize(runtime.snapshot_server(),
+                                            "scripted");
+  EXPECT_EQ(r.demand_jobs, 2u);
+  EXPECT_EQ(r.prefetch_jobs, 4u);
+  AuditReport report;
+  runtime.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 }  // namespace

@@ -7,13 +7,15 @@
 // sharing a seq with a pending entry, swapped arrivals or an arrival
 // sharing a seq with a queued node, a misordered heap,
 // leaked slot or lost job in the PS link, a broken intrusive
-// chain or desynced residency entry in the cache arenas, a free-list cycle,
+// chain, desynced residency entry or CLOCK flag byte outside tag|ref in
+// the cache arenas, a free-list cycle,
 // successor-total drift, a doubly named context, a stray or missing
 // successor-index entry or a trie ref past its parent's successors in the
 // context arena, a misranked or stale entry
 // in a ranked successor prefix, metadata corruption in the
-// robin-hood tables, a demand-count desync in the stack — and asserts the
-// sweep fails with a message naming the defect.
+// robin-hood tables, a blocked-user entry whose count disagrees with the
+// in-flight index or is left at 0 in the stack — and asserts the sweep
+// fails with a message naming the defect.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,6 +82,20 @@ struct AuditPeer {
     using Node = std::remove_reference_t<decltype(a.nodes_[0])>;
     return {block + a.users_[user].size * sizeof(Node),
             block + a.capacity_ * sizeof(Node)};
+  }
+
+  /// Writes a live CLOCK frame's flag byte.
+  template <bool kInline>
+  static void set_clock_flags(arena::ClockArenaT<kInline>& a,
+                              std::uint32_t user, std::uint32_t frame,
+                              std::uint8_t flags) {
+    a.flags_[static_cast<std::size_t>(user) * a.capacity_ + frame] = flags;
+  }
+  /// Counts the user's first never-written frame as live.
+  template <bool kInline>
+  static void count_unwritten_frame(arena::ClockArenaT<kInline>& a,
+                                    std::uint32_t user) {
+    ++a.users_[user].live;
   }
 
   // --- context arena ------------------------------------------------------
@@ -221,8 +237,19 @@ struct AuditPeer {
   static void advance_virtual_clock(PsServer& s) { s.virtual_time_ += 1e6; }
 
   // --- stack runtime ------------------------------------------------------
-  static void desync_demand_count(StackRuntime& rt) {
-    ++rt.demand_inflight_[0];
+  static std::uint32_t blocked_count(const StackRuntime& rt, UserId user) {
+    const StackRuntime::Blocked* b = rt.blocked_.find(user);
+    return b == nullptr ? 0 : b->holding;
+  }
+  static void skew_blocked_count(StackRuntime& rt, UserId user) {
+    ++rt.blocked_[user].holding;  // one more than the in-flight index holds
+  }
+  static void zero_blocked_count(StackRuntime& rt, UserId user) {
+    // A blocked user whose count reached 0 without the entry being taken:
+    // its deferred prefetches would never dispatch.
+    StackRuntime::Blocked& b = rt.blocked_[user];
+    b.holding = 0;
+    b.deferred.push_back(3);
   }
   static void drift_estimate_sum(StackRuntime& rt) {
     rt.estimate_sum_ += 0.5;
@@ -472,6 +499,54 @@ TEST(AuditInjection, SmallCacheArenaUnwrittenSlotsCarryPoison) {
   lru.audit(report);
   lfu.audit(report);
   EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+/// A CLOCK flag byte holds only the tag and reference bits; any other bit
+/// in a live frame is reported, in both residency modes.
+template <bool kInline>
+void expect_clock_flag_corruption_caught(std::size_t capacity) {
+  arena::ClockArenaT<kInline> a(/*num_users=*/2, capacity, /*seed=*/1);
+  const auto no_eviction = [](ItemId, arena::EntryTag) {};
+  for (ItemId item = 0; item < 3; ++item) {
+    a.insert(0, item, arena::EntryTag::kTagged, no_eviction);
+  }
+  AuditReport clean;
+  a.audit(clean);
+  ASSERT_TRUE(clean.ok()) << clean.summary();
+
+  AuditPeer::set_clock_flags(a, 0, 1, arena::kRefBit | 0x04);
+  AuditReport report;
+  a.audit(report);
+  expect_failure_containing(report, "user 0: frame 1 has flag bits outside "
+                                    "tag|ref (6)");
+}
+
+TEST(AuditInjection, ClockArenaFlagBitOutsideTagAndRef) {
+  expect_clock_flag_corruption_caught<true>(arena::kInlineResidencyCapacity);
+  expect_clock_flag_corruption_caught<false>(
+      arena::kInlineResidencyCapacity + 1);
+}
+
+/// Audit builds fill CLOCK's flag column with 0xDD, which has bits outside
+/// tag|ref: a frame counted live before it was written fails the same
+/// check.
+TEST(AuditInjection, ClockArenaNeverWrittenFrameReadAsLive) {
+  if constexpr (!kAuditBuild) {
+    GTEST_SKIP() << "unwritten block storage is poisoned in SPECPF_AUDIT "
+                    "builds only";
+  }
+  static_assert((arena::kUnwrittenByte & ~(arena::kTagBit | arena::kRefBit)) !=
+                0);
+  arena::SmallClockArena a(/*num_users=*/2, /*capacity=*/16, /*seed=*/1);
+  const auto no_eviction = [](ItemId, arena::EntryTag) {};
+  for (ItemId item = 0; item < 3; ++item) {
+    a.insert(0, item, arena::EntryTag::kTagged, no_eviction);
+  }
+  AuditPeer::count_unwritten_frame(a, 0);
+  AuditReport report;
+  a.audit(report);
+  expect_failure_containing(report, "user 0: frame 3 has flag bits outside "
+                                    "tag|ref (221)");
 }
 
 TEST(AuditInjection, ContextArenaSuccessorTotalDrift) {
@@ -823,32 +898,57 @@ TEST(AuditInjection, PsServerKeyBelowVirtualClock) {
   expect_failure_containing(report, "below the virtual clock");
 }
 
-TEST(AuditInjection, StackRuntimeDemandCountDesync) {
+/// A two-user stack stopped at t = 0.105, while user 0's demand fetch of
+/// the request at t = 0.1 (0.01 s on the link) is in flight.
+struct BlockedStack {
   Simulator sim;
-  PredictorPlaneConfig pcfg;
-  pcfg.num_users = 2;
-  auto predictor = make_predictor_plane(PredictorKind::kFrequency, pcfg);
-  FixedThresholdPolicy policy(0.05);
-  StackRuntimeConfig cfg;
-  cfg.num_users = 2;
-  cfg.cache_capacity = 4;
-  cfg.bandwidth = 100.0;
-  StackRuntime runtime(sim, *predictor, policy, std::move(cfg));
-  for (int i = 0; i < 40; ++i) {
-    sim.schedule_at(0.1 * (i + 1), [&runtime, i] {
-      runtime.handle_request(static_cast<UserId>(i % 2),
-                             static_cast<ItemId>(i % 7));
-    });
+  std::unique_ptr<PredictorPlane> predictor;
+  FixedThresholdPolicy policy{0.05};
+  std::unique_ptr<StackRuntime> runtime;
+
+  BlockedStack() {
+    PredictorPlaneConfig pcfg;
+    pcfg.num_users = 2;
+    predictor = make_predictor_plane(PredictorKind::kFrequency, pcfg);
+    StackRuntimeConfig cfg;
+    cfg.num_users = 2;
+    cfg.cache_capacity = 4;
+    cfg.bandwidth = 100.0;
+    runtime = std::make_unique<StackRuntime>(sim, *predictor, policy,
+                                             std::move(cfg));
+    for (int i = 0; i < 40; ++i) {
+      sim.schedule_at(0.1 * (i + 1), [this, i] {
+        runtime->handle_request(static_cast<UserId>(i % 2),
+                                static_cast<ItemId>(i % 7));
+      });
+    }
+    sim.run_until(0.105);
   }
-  sim.run();
+};
+
+TEST(AuditInjection, StackRuntimeBlockedCountDisagreesWithInflightIndex) {
+  BlockedStack s;
+  ASSERT_EQ(AuditPeer::blocked_count(*s.runtime, 0), 1u);
   AuditReport clean;
-  runtime.audit(clean);
+  s.runtime->audit(clean);
   ASSERT_TRUE(clean.ok()) << clean.summary();
 
-  AuditPeer::desync_demand_count(runtime);
+  AuditPeer::skew_blocked_count(*s.runtime, 0);
   AuditReport report;
-  runtime.audit(report);
-  expect_failure_containing(report, "demand");
+  s.runtime->audit(report);
+  expect_failure_containing(report, "counts 2 link-holding transfers but "
+                                    "the in-flight index holds 1");
+}
+
+TEST(AuditInjection, StackRuntimeBlockedEntryLeftAtCountZero) {
+  BlockedStack s;
+  s.sim.run();  // every fetch has landed: no user is blocked
+  ASSERT_EQ(s.runtime->blocked_users(), 0u);
+  AuditPeer::zero_blocked_count(*s.runtime, 1);
+  AuditReport report;
+  s.runtime->audit(report);
+  expect_failure_containing(report, "user 1: blocked-user entry left at "
+                                    "count 0 (1 deferred prefetches)");
 }
 
 TEST(AuditInjection, StackRuntimeEstimateSumDrift) {
