@@ -37,15 +37,16 @@ int main(int argc, char** argv) {
   };
   constexpr double kCacheSizes[] = {2.0,   5.0,   10.0,   20.0,
                                     50.0,  100.0, 1000.0, 10000.0};
-  // The rows vary n̄(C) only, so h' and the point are checked once, before
-  // any row. The load is highest under Model B at the smallest n̄(C), where
-  // its victim value h'/n̄(C) is largest.
+  // The rows vary n̄(C) only, so h', the point and its eq. (6) bound are
+  // checked once, before any row. The load is highest under Model B at the
+  // smallest n̄(C), where its victim value h'/n̄(C) is largest.
   const core::SystemParams strictest = params_at(kCacheSizes[0]);
   args.require_valid(strictest.check());
   const ArgParser::FieldFlags op_flags = {{"access_probability", "p"},
                                           {"prefetch_rate", "nf"},
                                           {"utilization", "nf"}};
   args.require_valid(op.check(), op_flags);
+  args.require_valid(op.check_candidates(strictest), op_flags);
   args.require_valid(
       core::analyze(strictest, op, core::InteractionModel::kModelB)
           .check_stable(),

@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
                                           {"prefetch_rate", "nf"},
                                           {"utilization", "nf"}};
   args.require_valid(op.check(), op_flags);
+  args.require_valid(op.check_candidates(params), op_flags);
 
   const double q_model_b =
       core::victim_value(params, core::InteractionModel::kModelB);

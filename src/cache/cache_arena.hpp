@@ -11,9 +11,11 @@
 //     item, tag and policy metadata folded into the node, free-list reuse),
 //   * intrusive doubly-linked LRU/FIFO chains and flat LFU frequency
 //     buckets threaded through that slab,
-//   * fixed per-user blocks for CLOCK and random replacement at every
-//     capacity, as a u32 item column plus a one-byte flag column (5 bytes
-//     a frame),
+//   * per-user frames for CLOCK and random replacement at every capacity,
+//     as a u32 item column plus a one-byte flag column (5 bytes a frame):
+//     a four-frame head each user owns, plus one overflow block of
+//     capacity − 4 frames from a chunked pool, taken only by a user who
+//     outgrows its head and never freed or moved,
 //   * residency resolved by ONE flat hash index keyed (user << 32) | item
 //     for the entire fleet (a FlatHashMap<std::uint32_t>, whose parallel
 //     key, value and metadata arrays cost 13 bytes per slot), grown with
@@ -31,15 +33,17 @@
 // scan collapses to a counter).
 //
 // Capacities up to kInlineResidencyCapacity skip the slab and the index
-// altogether: each user owns a fixed block of packed entries and residency
-// is a scan of that block. Every per-user block (these, and CLOCK's and
-// random's at any capacity) is allocated unwritten, so a user's pages are
-// touched only when the user first fills them.
+// altogether: each user owns a fixed block of packed entries (CLOCK and
+// random: its head and overflow block) and residency is a scan of it.
+// Every per-user block and pool chunk is allocated unwritten, so a user's
+// pages are touched only when the user first fills them.
 //
 // Eviction policy is a compile-time template parameter of the plane built
 // on top of these arenas (cache/cache_plane.hpp), dispatched once per run.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -87,7 +91,8 @@ inline std::uint32_t checked_capacity(std::size_t capacity) {
 /// Capacities up to this use the small-cache arenas: per-user fixed blocks
 /// with inline residency (a linear scan of at most 32 packed entries — up
 /// to seven cache lines of 12-byte list nodes, eight of 16-byte LFU nodes,
-/// two of CLOCK's or random's u32 item column),
+/// or CLOCK's and random's 16-byte item head plus at most 112 bytes of
+/// their overflow block),
 /// no hash index at all. Larger capacities use the slab + fleet hash index
 /// arenas. Both variants of every policy are bit-identical to the legacy
 /// caches; the dispatch happens once per run in make_cache_plane next to
@@ -682,7 +687,8 @@ class LfuArena {
 };
 
 // ---------------------------------------------------------------------------
-// Fixed-block arenas (CLOCK, random): per-user blocks as two columns
+// Fixed-block arenas (CLOCK, random): a four-frame head per user, plus one
+// overflow block for each user who outgrows it
 // ---------------------------------------------------------------------------
 
 /// Flag-column bits of the fixed-block arenas: the §4 tag (EntryTag's own
@@ -705,55 +711,358 @@ inline std::size_t frame_count(std::size_t num_users, std::size_t capacity) {
   return num_users * capacity;
 }
 
-/// CLOCK (second chance) with each user owning a fixed block of `capacity`
-/// 5-byte frames at [user * capacity, +capacity): a u32 item column and a
-/// flag column (tag and reference bits), both allocated unwritten. Without
-/// erase, the occupied frames are the dense prefix below `live`, so the
-/// legacy "first unoccupied frame" scan reduces to the counter and no
-/// frame needs an occupied bit; once full, the hand sweep is identical to
-/// the legacy ClockCache's. Residency: inline scan of the item column up to
-/// kInlineResidencyCapacity, the fleet hash index above.
-template <bool kInlineResidency>
-class ClockArenaT {
+/// Frames each user of a fixed-block arena owns from construction: one
+/// 16-byte run of items. A session of the canonical trace averages four
+/// pages, so most users never hold more.
+inline constexpr std::uint32_t kHeadFrames = 4;
+
+/// Frame storage of the fixed-block arenas: a u32 item column and a u8
+/// flag column, 5 bytes a frame. Frame i of a user lives in the user's head
+/// (min(capacity, kHeadFrames) frames, owned from construction) when
+/// i < kHeadFrames, else at offset i − kHeadFrames of the user's overflow
+/// block: capacity − kHeadFrames frames, taken from a chunked pool when the
+/// user first needs frame kHeadFrames. Blocks are never freed (the §4
+/// protocol has no erase), moved or copied, so frame addresses are stable
+/// and a population that fills every block holds exactly
+/// num_users × capacity frames. The head columns and every pool chunk are
+/// allocated unwritten.
+///
+/// A NodeIndex names frame i of a user as user·head + i in the head and
+/// num_users·head + handle·(capacity − head) + (i − head) in the pool:
+/// dense, below num_users × capacity, and fixed once handed out, so the
+/// fleet index of the indexed arenas can hold it.
+class FrameBlocks {
  public:
-  ClockArenaT(std::size_t num_users, std::size_t capacity,
-              std::uint64_t /*seed*/)
-      : capacity_(checked_capacity(capacity)),
-        items_(unwritten_block<std::uint32_t>(
-            frame_count(num_users, capacity))),
-        flags_(unwritten_block<std::uint8_t>(num_users * capacity)),
-        users_(num_users) {}
+  /// Pointers to one frame's item and flag byte.
+  struct Frame {
+    std::uint32_t* item;
+    std::uint8_t* flags;
+  };
 
-  std::optional<EntryTag> lookup(std::uint32_t user, ItemId item) {
-    const NodeIndex idx = find_frame(user, item);
-    if (idx == kNull) return std::nullopt;
-    flags_[idx] |= kRefBit;
-    return tag_of(flags_[idx]);
+  FrameBlocks(std::size_t num_users, std::uint32_t capacity)
+      : head_(std::min(capacity, kHeadFrames)),
+        overflow_(capacity - head_),
+        head_frames_(head_frame_count(num_users, capacity)),
+        chunk_shift_(chunk_shift(num_users, overflow_)),
+        chunk_frames_((NodeIndex{1} << chunk_shift_) * overflow_),
+        head_items_(unwritten_block<std::uint32_t>(head_frames_)),
+        head_flags_(unwritten_block<std::uint8_t>(head_frames_)) {}
+
+  /// Frames of each user's head: min(capacity, kHeadFrames).
+  std::uint32_t head() const { return head_; }
+
+  /// Overflow blocks handed out so far.
+  std::uint32_t blocks() const { return blocks_; }
+
+  /// Frames held: every head, plus the overflow blocks handed out so far.
+  std::uint64_t held_frames() const {
+    return std::uint64_t{head_frames_} + std::uint64_t{blocks_} * overflow_;
   }
 
+  /// Gives `overflow` (a user's handle, kNull while it has none) a fresh
+  /// block when `frame` is past the head.
+  void ensure_frame(std::uint32_t& overflow, std::uint32_t frame) {
+    if (frame < head_ || overflow != kNull) return;
+    overflow = blocks_++;
+    if ((overflow & ((1u << chunk_shift_) - 1)) == 0) {
+      item_chunks_.push_back(unwritten_block<std::uint32_t>(chunk_frames_));
+      flag_chunks_.push_back(unwritten_block<std::uint8_t>(chunk_frames_));
+    }
+  }
+
+  /// Frame i of the user whose overflow handle is `overflow`.
+  Frame frame(std::uint32_t user, std::uint32_t overflow, std::uint32_t i) {
+    return locate(user, overflow, i);
+  }
+
+  /// Flag byte of the frame a NodeIndex names.
+  std::uint8_t& flags_at(NodeIndex index) {
+    if (index < head_frames_) return head_flags_[index];
+    const NodeIndex at = index - head_frames_;
+    return flag_chunks_[at / chunk_frames_][at % chunk_frames_];
+  }
+
+  /// NodeIndex of frame i of the user whose overflow handle is `overflow`.
+  NodeIndex index(std::uint32_t user, std::uint32_t overflow,
+                  std::uint32_t i) const {
+    if (i < head_) return user * head_ + i;
+    return head_frames_ + overflow * overflow_ + (i - head_);
+  }
+
+  /// Frame of `item` among a user's first `live` frames (head first, then
+  /// the overflow block), or kNull.
+  std::uint32_t find(std::uint32_t user, std::uint32_t overflow,
+                     std::uint32_t live, std::uint32_t item) const {
+    const std::uint32_t* head = &head_items_[std::size_t{user} * head_];
+    const std::uint32_t in_head = std::min(live, head_);
+    for (std::uint32_t i = 0; i < in_head; ++i) {
+      if (head[i] == item) return i;
+    }
+    if (live <= head_) return kNull;
+    const std::uint32_t* block = locate(user, overflow, head_).item;
+    for (std::uint32_t i = 0; i < live - head_; ++i) {
+      if (block[i] == item) return head_ + i;
+    }
+    return kNull;
+  }
+
+  /// Calls fn(i, item, flags) for a user's first `live` frames.
+  template <typename Fn>
+  void for_each_frame(std::uint32_t user, std::uint32_t overflow,
+                      std::uint32_t live, Fn&& fn) const {
+    for (std::uint32_t i = 0; i < live; ++i) {
+      const Frame f = locate(user, overflow, i);
+      fn(i, *f.item, *f.flags);
+    }
+  }
+
+ private:
+  /// Pool chunks near this many frames, so that a chunk is a few hundred
+  /// kilobytes at the capacities the sweeps run.
+  static constexpr std::size_t kChunkFrames = std::size_t{1} << 16;
+
+  static NodeIndex head_frame_count(std::size_t num_users,
+                                    std::uint32_t capacity) {
+    frame_count(num_users, capacity);  // every frame must have a NodeIndex
+    return static_cast<NodeIndex>(num_users *
+                                  std::min(capacity, kHeadFrames));
+  }
+
+  /// log2 of the blocks in one pool chunk: a power of two near
+  /// kChunkFrames frames, and no more blocks than there are users.
+  static std::uint32_t chunk_shift(std::size_t num_users,
+                                   std::uint32_t overflow) {
+    if (overflow == 0) return 0;
+    const std::size_t by_frames =
+        std::bit_floor(std::max<std::size_t>(1, kChunkFrames / overflow));
+    return static_cast<std::uint32_t>(std::countr_zero(
+        std::min(by_frames, std::bit_ceil(std::max<std::size_t>(
+                                1, num_users)))));
+  }
+
+  Frame locate(std::uint32_t user, std::uint32_t overflow,
+               std::uint32_t i) const {
+    if (i < head_) {
+      const std::size_t at = std::size_t{user} * head_ + i;
+      return {&head_items_[at], &head_flags_[at]};
+    }
+    const std::size_t chunk = overflow >> chunk_shift_;
+    const std::size_t at =
+        std::size_t{overflow & ((1u << chunk_shift_) - 1)} * overflow_ +
+        (i - head_);
+    return {&item_chunks_[chunk][at], &flag_chunks_[chunk][at]};
+  }
+
+  std::uint32_t head_;
+  std::uint32_t overflow_;  // frames of one overflow block
+  NodeIndex head_frames_;   // num_users · head_
+  std::uint32_t chunk_shift_;
+  NodeIndex chunk_frames_;  // frames of one pool chunk
+  std::uint32_t blocks_ = 0;
+  std::unique_ptr<std::uint32_t[]> head_items_;  // user u: [u·head_, +head_)
+  std::unique_ptr<std::uint8_t[]> head_flags_;
+  std::vector<std::unique_ptr<std::uint32_t[]>> item_chunks_;
+  std::vector<std::unique_ptr<std::uint8_t[]>> flag_chunks_;
+};
+
+/// A fixed-block arena's per-user counts: u16 in inline-residency mode
+/// (capacity ≤ kInlineResidencyCapacity), u32 above it.
+template <bool kInlineResidency>
+using FrameCount =
+    std::conditional_t<kInlineResidency, std::uint16_t, std::uint32_t>;
+
+/// What CLOCK and random share: the frame blocks, residency (an inline scan
+/// of the user's frames up to kInlineResidencyCapacity, the fleet hash index
+/// above) and the audit walk. `View` is the per-user state; it has a u32
+/// `overflow` handle (kNull while the user has no block) and a `live`
+/// count. Without erase, a user's occupied frames are the dense prefix
+/// below `live`, so no frame needs an occupied bit.
+template <bool kInlineResidency, typename View>
+class FrameBlockArena {
+ public:
   bool contains(std::uint32_t user, ItemId item) const {
-    return find_frame(user, item) != kNull;
-  }
-
-  bool set_tag(std::uint32_t user, ItemId item, EntryTag tag) {
-    const NodeIndex idx = find_frame(user, item);
-    if (idx == kNull) return false;
-    flags_[idx] = (flags_[idx] & kRefBit) | static_cast<std::uint8_t>(tag);
-    return true;
+    if constexpr (kInlineResidency) {
+      const View& u = users_[user];
+      return frames_.find(user, u.overflow, u.live, item32(item)) != kNull;
+    } else {
+      return map_.contains(residency_key(user, item));
+    }
   }
 
   std::uint32_t size(std::uint32_t user) const { return users_[user].live; }
 
+  /// Frames held: every user's head plus the overflow blocks handed out.
+  std::uint64_t held_frames() const { return frames_.held_frames(); }
+
+ protected:
+  friend struct specpf::AuditPeer;  // corruption-injection tests only
+
+  FrameBlockArena(std::size_t num_users, std::size_t capacity)
+      : capacity_(checked_capacity(capacity)),
+        frames_(num_users, capacity_),
+        users_(num_users) {}
+
+  static std::uint32_t item32(ItemId item) {
+    SPECPF_DCHECK((item >> 32) == 0);
+    return static_cast<std::uint32_t>(item);
+  }
+
+  /// Flag byte of `item`'s frame, or nullptr when it is not resident.
+  std::uint8_t* find_flags(std::uint32_t user, ItemId item) {
+    if constexpr (kInlineResidency) {
+      const View& u = users_[user];
+      const std::uint32_t i =
+          frames_.find(user, u.overflow, u.live, item32(item));
+      return i == kNull ? nullptr : frames_.frame(user, u.overflow, i).flags;
+    } else {
+      const NodeIndex* idx = map_.find(residency_key(user, item));
+      return idx == nullptr ? nullptr : &frames_.flags_at(*idx);
+    }
+  }
+
+  /// Writes `item` with `flags` into frame i of `user`, taking the user's
+  /// overflow block first if frame i is its first past the head.
+  void write(std::uint32_t user, std::uint32_t i, ItemId item,
+             std::uint8_t flags) {
+    View& u = users_[user];
+    frames_.ensure_frame(u.overflow, i);
+    const FrameBlocks::Frame f = frames_.frame(user, u.overflow, i);
+    *f.item = item32(item);
+    *f.flags = flags;
+    if constexpr (!kInlineResidency) {
+      map_[residency_key(user, item)] = frames_.index(user, u.overflow, i);
+    }
+  }
+
+  /// Deep-invariant walk: live counts within capacity; each overflow handle
+  /// in range, owned by one user, and held exactly by the users past their
+  /// head; every allocated block owned; every live frame's flag byte within
+  /// `flag_bits` (so a read of a never-written frame shows in SPECPF_AUDIT
+  /// builds); and (in indexed mode) every live frame agreeing with the
+  /// fleet residency index.
+  void audit_frames(AuditReport& report, std::uint8_t flag_bits,
+                    const std::string& bits_name,
+                    const std::string& noun) const {
+    const std::uint32_t head = frames_.head();
+    const std::uint32_t blocks = frames_.blocks();
+    std::vector<std::uint32_t> owner(blocks, kNull);
+    std::uint32_t owned = 0;
+    std::uint64_t live_total = 0;
+    for (std::uint32_t user = 0; user < users_.size(); ++user) {
+      const View& u = users_[user];
+      const std::string who = "user " + std::to_string(user);
+      const std::uint32_t h = u.overflow;
+      report.check(u.live <= capacity_, who + " exceeds capacity");
+      std::uint32_t live = std::min<std::uint32_t>(u.live, capacity_);
+      bool block_ok = false;
+      if (h != kNull) {
+        ++owned;
+        block_ok = report.check(h < blocks, who + ": overflow handle " +
+                                                std::to_string(h) +
+                                                " out of range (" +
+                                                std::to_string(blocks) +
+                                                " blocks)");
+        if (block_ok) {
+          report.check(owner[h] == kNull,
+                       who + ": overflow block " + std::to_string(h) +
+                           " is also user " + std::to_string(owner[h]) + "'s");
+          if (owner[h] == kNull) owner[h] = user;
+        }
+        report.check(u.live > head, who + " holds " + std::to_string(u.live) +
+                                        " entries, within its head, but owns "
+                                        "overflow block " +
+                                        std::to_string(h));
+      } else {
+        report.check(u.live <= head, who + " holds " + std::to_string(u.live) +
+                                         " entries but no overflow block");
+      }
+      if (!block_ok) live = std::min(live, head);  // no frame past the head
+      frames_.for_each_frame(
+          user, h, live,
+          [&](std::uint32_t i, std::uint32_t item, std::uint8_t flags) {
+            report.check((flags & ~flag_bits) == 0,
+                         who + ": " + noun + " " + std::to_string(i) +
+                             " has flag bits outside " + bits_name + " (" +
+                             std::to_string(flags) + ")");
+            if constexpr (!kInlineResidency) {
+              const NodeIndex* idx = map_.find(residency_key(user, item));
+              report.check(idx != nullptr && *idx == frames_.index(user, h, i),
+                           who + ": live " + noun + " " + std::to_string(i) +
+                               " missing or desynced in the residency index");
+            }
+          });
+      live_total += live;
+    }
+    report.check(owned == blocks,
+                 "overflow pool holds " + std::to_string(blocks) +
+                     " blocks but " + std::to_string(owned) +
+                     " users own one");
+    if constexpr (!kInlineResidency) {
+      report.check(live_total == map_.size(),
+                   "residency index size != total live " + noun + "s");
+      map_.audit(report);
+    }
+  }
+
+  std::uint32_t capacity_;
+  FlatHashMap<std::uint32_t> map_;  // empty in inline-residency mode
+  FrameBlocks frames_;
+  std::vector<View> users_;
+};
+
+/// Per-user state of CLOCK: overflow handle, hand and live count (8 bytes
+/// in inline-residency mode, 12 above it).
+template <bool kInlineResidency>
+struct UserClockView {
+  std::uint32_t overflow = kNull;
+  FrameCount<kInlineResidency> hand = 0;
+  FrameCount<kInlineResidency> live = 0;
+};
+
+/// CLOCK (second chance) over FrameBlocks, with the tag and reference bits
+/// in the flag column. While a user fills up, its next frame is the first
+/// unoccupied one (the counter); once full, the hand sweep over frames
+/// 0 … capacity − 1 is identical to the legacy ClockCache's.
+template <bool kInlineResidency>
+class ClockArenaT
+    : public FrameBlockArena<kInlineResidency,
+                             UserClockView<kInlineResidency>> {
+  friend struct specpf::AuditPeer;  // corruption-injection tests only
+
+  using Base =
+      FrameBlockArena<kInlineResidency, UserClockView<kInlineResidency>>;
+  using Base::capacity_;
+  using Base::frames_;
+  using Base::map_;
+  using Base::users_;
+
+ public:
+  ClockArenaT(std::size_t num_users, std::size_t capacity,
+              std::uint64_t /*seed*/)
+      : Base(num_users, capacity) {}
+
+  std::optional<EntryTag> lookup(std::uint32_t user, ItemId item) {
+    std::uint8_t* flags = this->find_flags(user, item);
+    if (flags == nullptr) return std::nullopt;
+    *flags |= kRefBit;
+    return tag_of(*flags);
+  }
+
+  bool set_tag(std::uint32_t user, ItemId item, EntryTag tag) {
+    std::uint8_t* flags = this->find_flags(user, item);
+    if (flags == nullptr) return false;
+    *flags = (*flags & kRefBit) | static_cast<std::uint8_t>(tag);
+    return true;
+  }
+
   template <typename OnEvict>
   void insert(std::uint32_t user, ItemId item, EntryTag tag,
               OnEvict&& on_evict) {
-    if (const NodeIndex idx = find_frame(user, item); idx != kNull) {
-      flags_[idx] = static_cast<std::uint8_t>(tag) | kRefBit;
+    if (std::uint8_t* flags = this->find_flags(user, item)) {
+      *flags = static_cast<std::uint8_t>(tag) | kRefBit;
       return;
     }
-    UserClockView& u = users_[user];
-    const NodeIndex base = static_cast<NodeIndex>(
-        static_cast<std::size_t>(user) * capacity_);
+    auto& u = users_[user];
     std::uint32_t frame;
     if (u.live < capacity_) {
       frame = u.live;  // dense prefix: the first unoccupied frame
@@ -761,118 +1070,68 @@ class ClockArenaT {
       // Sweep, clearing reference bits, until an unreferenced frame —
       // terminates within two passes.
       for (;;) {
-        std::uint8_t& flags = flags_[base + u.hand];
         const std::uint32_t cur = u.hand;
-        u.hand = (u.hand + 1) % capacity_;
+        std::uint8_t& flags = *frames_.frame(user, u.overflow, cur).flags;
+        u.hand = static_cast<decltype(u.hand)>((cur + 1) % capacity_);
         if ((flags & kRefBit) == 0) {
           frame = cur;
           break;
         }
         flags &= static_cast<std::uint8_t>(~kRefBit);
       }
-      const std::uint32_t victim = items_[base + frame];
+      const FrameBlocks::Frame victim = frames_.frame(user, u.overflow, frame);
       if constexpr (!kInlineResidency) {
-        map_.erase(residency_key(user, victim));
+        map_.erase(residency_key(user, *victim.item));
       }
       --u.live;
-      on_evict(static_cast<ItemId>(victim), tag_of(flags_[base + frame]));
+      on_evict(static_cast<ItemId>(*victim.item), tag_of(*victim.flags));
     }
-    items_[base + frame] = static_cast<std::uint32_t>(item);
-    flags_[base + frame] = static_cast<std::uint8_t>(tag) | kRefBit;
-    if constexpr (!kInlineResidency) {
-      map_[residency_key(user, item)] = base + frame;
-    }
+    this->write(user, frame, item, static_cast<std::uint8_t>(tag) | kRefBit);
     ++u.live;
   }
 
-  /// Deep-invariant walker: live counts and hands in range, every live
-  /// frame's flag byte within tag|ref (so a read of a never-written frame
-  /// shows in SPECPF_AUDIT builds), and (in indexed mode) every live frame
-  /// agrees with the fleet residency index.
+  /// Deep-invariant walker: FrameBlockArena's walk, with hands in range
+  /// and every live flag byte within tag|ref.
   void audit(AuditReport& report) const {
     const AuditScope scope(report, "ClockArena");
-    std::uint64_t live_total = 0;
     for (std::uint32_t user = 0; user < users_.size(); ++user) {
-      const UserClockView& u = users_[user];
-      const std::string who = "user " + std::to_string(user);
-      report.check(u.live <= capacity_, who + " exceeds capacity");
-      report.check(u.hand < capacity_, who + " hand out of range");
-      const std::size_t base = static_cast<std::size_t>(user) * capacity_;
-      const std::uint32_t live = std::min(u.live, capacity_);
-      for (std::uint32_t i = 0; i < live; ++i) {
-        report.check((flags_[base + i] & ~(kTagBit | kRefBit)) == 0,
-                     who + ": frame " + std::to_string(i) +
-                         " has flag bits outside tag|ref (" +
-                         std::to_string(flags_[base + i]) + ")");
-        if constexpr (!kInlineResidency) {
-          const NodeIndex* idx =
-              map_.find(residency_key(user, items_[base + i]));
-          report.check(idx != nullptr && *idx == base + i,
-                       who + ": live frame " + std::to_string(i) +
-                           " missing or desynced in the residency index");
-        }
-      }
-      live_total += live;
+      report.check(users_[user].hand < capacity_,
+                   "user " + std::to_string(user) + " hand out of range");
     }
-    if constexpr (!kInlineResidency) {
-      report.check(live_total == map_.size(),
-                   "residency index size != total live frames");
-      map_.audit(report);
-    }
+    this->audit_frames(report, kTagBit | kRefBit, "tag|ref", "frame");
   }
-
- private:
-  friend struct specpf::AuditPeer;  // corruption-injection tests only
-
-  struct UserClockView {
-    std::uint32_t hand = 0;
-    std::uint32_t live = 0;
-  };
-
-  NodeIndex find_frame(std::uint32_t user, ItemId item) const {
-    if constexpr (kInlineResidency) {
-      const auto base = static_cast<NodeIndex>(
-          static_cast<std::size_t>(user) * capacity_);
-      const std::uint32_t live = users_[user].live;
-      const auto item32 = static_cast<std::uint32_t>(item);
-      SPECPF_DCHECK((item >> 32) == 0);
-      const std::uint32_t* block = &items_[base];
-      for (std::uint32_t i = 0; i < live; ++i) {
-        if (block[i] == item32) return base + i;
-      }
-      return kNull;
-    } else {
-      const NodeIndex* idx = map_.find(residency_key(user, item));
-      return idx == nullptr ? kNull : *idx;
-    }
-  }
-
-  std::uint32_t capacity_;
-  FlatHashMap<std::uint32_t> map_;  // empty in inline-residency mode
-  std::unique_ptr<std::uint32_t[]> items_;  // frame items
-  std::unique_ptr<std::uint8_t[]> flags_;   // frame tag | ref bits
-  std::vector<UserClockView> users_;
 };
 
 using ClockArena = ClockArenaT<false>;
 using SmallClockArena = ClockArenaT<true>;
 
-/// Random replacement with each user owning a dense block of `capacity`
-/// 5-byte slots laid out as CLOCK's are (a u32 item column and a tag
-/// column, both allocated unwritten; swap-with-last removal), and its own
-/// Xoshiro stream seeded exactly like the legacy plane
-/// (root.substream(100 + user)), so victim draws are bit-identical to a
-/// fleet of legacy RandomCaches. Residency: inline scan of the item column
-/// up to kInlineResidencyCapacity, else the fleet map.
+/// Per-user state of random: overflow handle and live count.
 template <bool kInlineResidency>
-class RandomArenaT {
+struct UserRandomView {
+  std::uint32_t overflow = kNull;
+  FrameCount<kInlineResidency> live = 0;
+};
+
+/// Random replacement over FrameBlocks, with the tag in the flag column
+/// and swap-with-last removal, and each user's own Xoshiro stream seeded
+/// exactly like the legacy plane (root.substream(100 + user)), so victim
+/// draws are bit-identical to a fleet of legacy RandomCaches.
+template <bool kInlineResidency>
+class RandomArenaT
+    : public FrameBlockArena<kInlineResidency,
+                             UserRandomView<kInlineResidency>> {
+  friend struct specpf::AuditPeer;  // corruption-injection tests only
+
+  using Base =
+      FrameBlockArena<kInlineResidency, UserRandomView<kInlineResidency>>;
+  using Base::capacity_;
+  using Base::frames_;
+  using Base::map_;
+  using Base::users_;
+
  public:
   RandomArenaT(std::size_t num_users, std::size_t capacity, std::uint64_t seed)
-      : capacity_(checked_capacity(capacity)),
-        items_(unwritten_block<std::uint32_t>(
-            frame_count(num_users, capacity))),
-        tags_(unwritten_block<std::uint8_t>(num_users * capacity)),
-        users_(num_users) {
+      : Base(num_users, capacity) {
     const Rng root(seed);
     rngs_.reserve(num_users);
     for (std::size_t u = 0; u < num_users; ++u) {
@@ -881,128 +1140,63 @@ class RandomArenaT {
   }
 
   std::optional<EntryTag> lookup(std::uint32_t user, ItemId item) {
-    const NodeIndex idx = find_slot(user, item);
-    if (idx == kNull) return std::nullopt;
-    return tag_of(tags_[idx]);
-  }
-
-  bool contains(std::uint32_t user, ItemId item) const {
-    return find_slot(user, item) != kNull;
+    const std::uint8_t* flags = this->find_flags(user, item);
+    if (flags == nullptr) return std::nullopt;
+    return tag_of(*flags);
   }
 
   bool set_tag(std::uint32_t user, ItemId item, EntryTag tag) {
-    const NodeIndex idx = find_slot(user, item);
-    if (idx == kNull) return false;
-    tags_[idx] = static_cast<std::uint8_t>(tag);
+    std::uint8_t* flags = this->find_flags(user, item);
+    if (flags == nullptr) return false;
+    *flags = static_cast<std::uint8_t>(tag);
     return true;
   }
-
-  std::uint32_t size(std::uint32_t user) const { return users_[user].size; }
 
   template <typename OnEvict>
   void insert(std::uint32_t user, ItemId item, EntryTag tag,
               OnEvict&& on_evict) {
-    if (const NodeIndex idx = find_slot(user, item); idx != kNull) {
-      tags_[idx] = static_cast<std::uint8_t>(tag);
+    if (std::uint8_t* flags = this->find_flags(user, item)) {
+      *flags = static_cast<std::uint8_t>(tag);
       return;
     }
-    UserRandomView& u = users_[user];
-    const NodeIndex base = static_cast<NodeIndex>(
-        static_cast<std::size_t>(user) * capacity_);
-    if (u.size >= capacity_) {
-      const NodeIndex pos =
-          base + static_cast<std::uint32_t>(rngs_[user].next_below(u.size));
-      const NodeIndex last = base + u.size - 1;
-      const std::uint32_t victim = items_[pos];
-      const EntryTag victim_tag = tag_of(tags_[pos]);
+    auto& u = users_[user];
+    if (u.live >= capacity_) {
+      const auto pos =
+          static_cast<std::uint32_t>(rngs_[user].next_below(u.live));
+      const std::uint32_t last = u.live - 1;
+      const FrameBlocks::Frame victim = frames_.frame(user, u.overflow, pos);
+      const std::uint32_t victim_item = *victim.item;
+      const EntryTag victim_tag = tag_of(*victim.flags);
       if constexpr (!kInlineResidency) {
-        map_.erase(residency_key(user, victim));
+        map_.erase(residency_key(user, victim_item));
       }
       if (pos != last) {  // swap-with-last removal
-        items_[pos] = items_[last];
-        tags_[pos] = tags_[last];
+        const FrameBlocks::Frame moved = frames_.frame(user, u.overflow, last);
+        *victim.item = *moved.item;
+        *victim.flags = *moved.flags;
         if constexpr (!kInlineResidency) {
-          map_[residency_key(user, items_[pos])] = pos;
+          map_[residency_key(user, *victim.item)] =
+              frames_.index(user, u.overflow, pos);
         }
       }
-      --u.size;
-      on_evict(static_cast<ItemId>(victim), victim_tag);
+      --u.live;
+      on_evict(static_cast<ItemId>(victim_item), victim_tag);
     }
-    items_[base + u.size] = static_cast<std::uint32_t>(item);
-    tags_[base + u.size] = static_cast<std::uint8_t>(tag);
-    if constexpr (!kInlineResidency) {
-      map_[residency_key(user, item)] = base + u.size;
-    }
-    ++u.size;
+    this->write(user, u.live, item, static_cast<std::uint8_t>(tag));
+    ++u.live;
   }
 
-  /// Deep-invariant walker: per-user sizes in range, one RNG stream per
-  /// user, every live slot's tag byte within the tag bit, and (in indexed
-  /// mode) every live slot agrees with the fleet residency index.
+  /// Deep-invariant walker: FrameBlockArena's walk, with one RNG stream
+  /// per user and every live flag byte within the tag bit.
   void audit(AuditReport& report) const {
     const AuditScope scope(report, "RandomArena");
     report.check(rngs_.size() == users_.size(),
                  "RNG stream count != user count");
-    std::uint64_t live_total = 0;
-    for (std::uint32_t user = 0; user < users_.size(); ++user) {
-      const UserRandomView& u = users_[user];
-      const std::string who = "user " + std::to_string(user);
-      report.check(u.size <= capacity_, who + " exceeds capacity");
-      const std::size_t base = static_cast<std::size_t>(user) * capacity_;
-      const std::uint32_t live = std::min(u.size, capacity_);
-      for (std::uint32_t i = 0; i < live; ++i) {
-        report.check((tags_[base + i] & ~kTagBit) == 0,
-                     who + ": slot " + std::to_string(i) +
-                         " has flag bits outside the tag (" +
-                         std::to_string(tags_[base + i]) + ")");
-        if constexpr (!kInlineResidency) {
-          const NodeIndex* idx =
-              map_.find(residency_key(user, items_[base + i]));
-          report.check(idx != nullptr && *idx == base + i,
-                       who + ": live slot " + std::to_string(i) +
-                           " missing or desynced in the residency index");
-        }
-      }
-      live_total += live;
-    }
-    if constexpr (!kInlineResidency) {
-      report.check(live_total == map_.size(),
-                   "residency index size != total live slots");
-      map_.audit(report);
-    }
+    this->audit_frames(report, kTagBit, "the tag", "slot");
   }
 
  private:
-  friend struct specpf::AuditPeer;  // corruption-injection tests only
-
-  struct UserRandomView {
-    std::uint32_t size = 0;
-  };
-
-  NodeIndex find_slot(std::uint32_t user, ItemId item) const {
-    if constexpr (kInlineResidency) {
-      const auto base = static_cast<NodeIndex>(
-          static_cast<std::size_t>(user) * capacity_);
-      const std::uint32_t live = users_[user].size;
-      const auto item32 = static_cast<std::uint32_t>(item);
-      SPECPF_DCHECK((item >> 32) == 0);
-      const std::uint32_t* block = &items_[base];
-      for (std::uint32_t i = 0; i < live; ++i) {
-        if (block[i] == item32) return base + i;
-      }
-      return kNull;
-    } else {
-      const NodeIndex* idx = map_.find(residency_key(user, item));
-      return idx == nullptr ? kNull : *idx;
-    }
-  }
-
-  std::uint32_t capacity_;
-  FlatHashMap<std::uint32_t> map_;  // empty in inline-residency mode
-  std::unique_ptr<std::uint32_t[]> items_;  // slot items
-  std::unique_ptr<std::uint8_t[]> tags_;    // slot tags
   std::vector<Rng> rngs_;
-  std::vector<UserRandomView> users_;
 };
 
 using RandomArena = RandomArenaT<false>;

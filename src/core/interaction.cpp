@@ -19,6 +19,15 @@ std::string OperatingPoint::check() const {
   return {};
 }
 
+std::string OperatingPoint::check_candidates(
+    const SystemParams& params) const {
+  if (prefetch_rate <= max_candidates(params, access_probability)) return {};
+  return config_error("prefetch_rate",
+                      "must be at most f'/p = (1-h')/p, the most items that "
+                      "can have access probability p (eq. (6))",
+                      prefetch_rate);
+}
+
 std::string PrefetchAnalysis::check_stable() const {
   if (utilization < 1.0) return {};
   return config_error("utilization",

@@ -51,6 +51,12 @@ struct OperatingPoint {
   /// `analyze` requires. Frontends call it at the edge and exit 2 on a
   /// message.
   std::string check() const;
+
+  /// "" when n̄(F) is at most max_candidates(params, p) = f'/p, else
+  /// "prefetch_rate: <rule>, got <n̄(F)>": eq. (6) bounds how many items
+  /// can have access probability p at once, and past it h exceeds 1.
+  /// Requires check() to pass.
+  std::string check_candidates(const SystemParams& params) const;
 };
 
 /// Positivity conditions (12)/(20) for the gain G.

@@ -112,9 +112,13 @@ void run_differential(CacheKind kind, std::size_t capacity,
 class CachePlaneDifferential : public ::testing::TestWithParam<CacheKind> {};
 
 /// Each side of the dispatch runs at its edge too: a per-user block at
-/// exactly the ceiling, and the smallest capacity above it.
+/// exactly the ceiling, and the smallest capacity above it. Capacities 1,
+/// 4 and 5 are CLOCK's and random's head-only, exactly-full-head and
+/// first-overflow-block cases (arena::kHeadFrames is 4).
 TEST_P(CachePlaneDifferential, SmallArenaMatchesLegacyOnRandomProtocolOps) {
-  for (std::size_t capacity : {std::size_t{6}, kInline}) {
+  static_assert(arena::kHeadFrames == 4);
+  for (std::size_t capacity : {std::size_t{1}, std::size_t{4}, std::size_t{5},
+                               std::size_t{6}, kInline}) {
     for (std::uint64_t seed : {11ULL, 1111ULL}) {
       run_differential(GetParam(), capacity, seed);
     }
@@ -219,6 +223,66 @@ TEST(InlineResidencyCeiling, FullBlockMatchesSlabArenaForEveryPolicy) {
   run_full_block<arena::SmallLfuArena, arena::LfuArena>(5);
   run_full_block<arena::SmallClockArena, arena::ClockArena>(5);
   run_full_block<arena::SmallRandomArena, arena::RandomArena>(5);
+}
+
+// --- frames held by CLOCK and random: heads plus overflow blocks ---
+
+/// Three users at capacity 10 own 4-frame heads from the start. Users that
+/// stay within their heads take no overflow block; a user's fifth entry
+/// takes one block of 6 frames, and later inserts and evictions take no
+/// more. Once every user is full, the arena holds exactly users × capacity
+/// frames. Below the head size, the heads are the whole cache.
+template <typename Arena>
+void expect_held_frames_follow_occupancy() {
+  constexpr std::uint32_t kUsers = 3;
+  constexpr std::size_t kCapacity = 10;
+  const auto no_eviction = [](ItemId, EntryTag) {};
+  Arena a(kUsers, kCapacity, /*seed=*/3);
+  EXPECT_EQ(a.held_frames(), kUsers * arena::kHeadFrames);
+  for (std::uint32_t user = 0; user < kUsers; ++user) {
+    for (ItemId item = 0; item < arena::kHeadFrames; ++item) {
+      a.insert(user, item, EntryTag::kTagged, no_eviction);
+      a.insert(user, item, EntryTag::kUntagged, no_eviction);  // resident
+    }
+  }
+  EXPECT_EQ(a.held_frames(), kUsers * arena::kHeadFrames);
+
+  a.insert(1, arena::kHeadFrames, EntryTag::kTagged, no_eviction);
+  const std::uint64_t one_block = kUsers * arena::kHeadFrames +
+                                  (kCapacity - arena::kHeadFrames);
+  EXPECT_EQ(a.held_frames(), one_block);
+  std::size_t evictions = 0;
+  for (ItemId item = arena::kHeadFrames + 1; item < 4 * kCapacity; ++item) {
+    a.insert(1, item, EntryTag::kTagged,
+             [&](ItemId, EntryTag) { ++evictions; });
+  }
+  EXPECT_EQ(evictions, 3 * kCapacity);
+  EXPECT_EQ(a.held_frames(), one_block);
+
+  for (const std::uint32_t user : {0u, 2u}) {
+    for (ItemId item = arena::kHeadFrames; item < 2 * kCapacity; ++item) {
+      a.insert(user, item, EntryTag::kTagged, no_eviction);
+    }
+  }
+  EXPECT_EQ(a.held_frames(), kUsers * kCapacity);
+  AuditReport report;
+  a.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+
+  constexpr std::size_t kBelowHead = arena::kHeadFrames - 1;
+  Arena small(kUsers, kBelowHead, /*seed=*/3);
+  for (ItemId item = 0; item < 3 * kBelowHead; ++item) {
+    small.insert(0, item, EntryTag::kTagged, no_eviction);
+  }
+  EXPECT_EQ(small.size(0), kBelowHead);
+  EXPECT_EQ(small.held_frames(), kUsers * kBelowHead);
+}
+
+TEST(FrameBlocks, HeldFramesCountHeadsPlusOverflowBlocksHandedOut) {
+  expect_held_frames_follow_occupancy<arena::SmallClockArena>();
+  expect_held_frames_follow_occupancy<arena::ClockArena>();
+  expect_held_frames_follow_occupancy<arena::SmallRandomArena>();
+  expect_held_frames_follow_occupancy<arena::RandomArena>();
 }
 
 TEST(CapacityBound, CapacityPastU32IsRejectedNotTruncated) {

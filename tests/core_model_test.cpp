@@ -116,6 +116,22 @@ TEST(SystemParams, CheckStableNamesTheSaturatedDemandLoad) {
   EXPECT_THROW(analyze_no_prefetch(p), ContractViolation);
 }
 
+// Eq. (6): at most f'/p items can have access probability p at once, so
+// n̄(F) past it is refused by name; at the bound h reaches exactly 1 under
+// Model A.
+TEST(OperatingPoint, CheckCandidatesCapsThePrefetchRateAtEq6) {
+  const SystemParams params = paper_params(0.3);  // f' = 0.7
+  EXPECT_EQ((OperatingPoint{1.0, 0.0}).check_candidates(params), "");
+  EXPECT_EQ((OperatingPoint{0.7, 1.0}).check_candidates(params), "");
+  EXPECT_EQ((OperatingPoint{1.0, 0.7}).check_candidates(params), "");
+  const std::string error = (OperatingPoint{1.0, 1.5}).check_candidates(params);
+  EXPECT_EQ(error.substr(0, error.find(':')), "prefetch_rate");
+  EXPECT_NE(error.find("got 1.5"), std::string::npos) << error;
+  EXPECT_NE((OperatingPoint{0.5, 1.5}).check_candidates(params), "");
+  EXPECT_DOUBLE_EQ(
+      analyze(params, {1.0, 0.7}, InteractionModel::kModelA).hit_ratio, 1.0);
+}
+
 // ---------------------------------------------------------------------------
 // Model A explicit formulas vs generalised implementation
 // ---------------------------------------------------------------------------

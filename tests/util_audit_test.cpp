@@ -7,8 +7,9 @@
 // sharing a seq with a pending entry, swapped arrivals or an arrival
 // sharing a seq with a queued node, a misordered heap,
 // leaked slot or lost job in the PS link, a broken intrusive
-// chain, desynced residency entry or CLOCK flag byte outside tag|ref in
-// the cache arenas, a free-list cycle,
+// chain, desynced residency entry, CLOCK flag byte outside tag|ref or
+// stray, shared or missing CLOCK overflow handle in the cache arenas, a
+// free-list cycle,
 // successor-total drift, a doubly named context, a stray or missing
 // successor-index entry or a trie ref past its parent's successors in the
 // context arena, a misranked or stale entry
@@ -84,12 +85,25 @@ struct AuditPeer {
             block + a.capacity_ * sizeof(Node)};
   }
 
-  /// Writes a live CLOCK frame's flag byte.
+  /// Writes a live CLOCK frame's flag byte, in the head or the user's
+  /// overflow block.
   template <bool kInline>
   static void set_clock_flags(arena::ClockArenaT<kInline>& a,
                               std::uint32_t user, std::uint32_t frame,
                               std::uint8_t flags) {
-    a.flags_[static_cast<std::size_t>(user) * a.capacity_ + frame] = flags;
+    *a.frames_.frame(user, a.users_[user].overflow, frame).flags = flags;
+  }
+  /// The user's overflow handle, kNull when it has none.
+  template <bool kInline>
+  static std::uint32_t clock_overflow(const arena::ClockArenaT<kInline>& a,
+                                     std::uint32_t user) {
+    return a.users_[user].overflow;
+  }
+  /// Points the user's overflow handle elsewhere (kNull drops it).
+  template <bool kInline>
+  static void set_clock_overflow(arena::ClockArenaT<kInline>& a,
+                                 std::uint32_t user, std::uint32_t handle) {
+    a.users_[user].overflow = handle;
   }
   /// Counts the user's first never-written frame as live.
   template <bool kInline>
@@ -502,34 +516,39 @@ TEST(AuditInjection, SmallCacheArenaUnwrittenSlotsCarryPoison) {
 }
 
 /// A CLOCK flag byte holds only the tag and reference bits; any other bit
-/// in a live frame is reported, in both residency modes.
+/// in a live frame is reported, in the head or the overflow block, in both
+/// residency modes.
 template <bool kInline>
-void expect_clock_flag_corruption_caught(std::size_t capacity) {
+void expect_clock_flag_corruption_caught(std::size_t capacity,
+                                         std::uint32_t frame) {
   arena::ClockArenaT<kInline> a(/*num_users=*/2, capacity, /*seed=*/1);
   const auto no_eviction = [](ItemId, arena::EntryTag) {};
-  for (ItemId item = 0; item < 3; ++item) {
+  for (ItemId item = 0; item < arena::kHeadFrames + 2; ++item) {
     a.insert(0, item, arena::EntryTag::kTagged, no_eviction);
   }
   AuditReport clean;
   a.audit(clean);
   ASSERT_TRUE(clean.ok()) << clean.summary();
 
-  AuditPeer::set_clock_flags(a, 0, 1, arena::kRefBit | 0x04);
+  AuditPeer::set_clock_flags(a, 0, frame, arena::kRefBit | 0x04);
   AuditReport report;
   a.audit(report);
-  expect_failure_containing(report, "user 0: frame 1 has flag bits outside "
-                                    "tag|ref (6)");
+  expect_failure_containing(report, "user 0: frame " + std::to_string(frame) +
+                                        " has flag bits outside tag|ref (6)");
 }
 
 TEST(AuditInjection, ClockArenaFlagBitOutsideTagAndRef) {
-  expect_clock_flag_corruption_caught<true>(arena::kInlineResidencyCapacity);
-  expect_clock_flag_corruption_caught<false>(
-      arena::kInlineResidencyCapacity + 1);
+  for (const std::uint32_t frame : {1u, arena::kHeadFrames + 1}) {
+    expect_clock_flag_corruption_caught<true>(arena::kInlineResidencyCapacity,
+                                              frame);
+    expect_clock_flag_corruption_caught<false>(
+        arena::kInlineResidencyCapacity + 1, frame);
+  }
 }
 
-/// Audit builds fill CLOCK's flag column with 0xDD, which has bits outside
+/// Audit builds fill CLOCK's flag columns with 0xDD, which has bits outside
 /// tag|ref: a frame counted live before it was written fails the same
-/// check.
+/// check, in the head and in the overflow block.
 TEST(AuditInjection, ClockArenaNeverWrittenFrameReadAsLive) {
   if constexpr (!kAuditBuild) {
     GTEST_SKIP() << "unwritten block storage is poisoned in SPECPF_AUDIT "
@@ -537,16 +556,70 @@ TEST(AuditInjection, ClockArenaNeverWrittenFrameReadAsLive) {
   }
   static_assert((arena::kUnwrittenByte & ~(arena::kTagBit | arena::kRefBit)) !=
                 0);
-  arena::SmallClockArena a(/*num_users=*/2, /*capacity=*/16, /*seed=*/1);
-  const auto no_eviction = [](ItemId, arena::EntryTag) {};
-  for (ItemId item = 0; item < 3; ++item) {
-    a.insert(0, item, arena::EntryTag::kTagged, no_eviction);
+  for (const std::uint32_t live : {3u, arena::kHeadFrames + 2}) {
+    arena::SmallClockArena a(/*num_users=*/2, /*capacity=*/16, /*seed=*/1);
+    const auto no_eviction = [](ItemId, arena::EntryTag) {};
+    for (ItemId item = 0; item < live; ++item) {
+      a.insert(0, item, arena::EntryTag::kTagged, no_eviction);
+    }
+    AuditPeer::count_unwritten_frame(a, 0);
+    AuditReport report;
+    a.audit(report);
+    expect_failure_containing(report, "user 0: frame " + std::to_string(live) +
+                                          " has flag bits outside tag|ref "
+                                          "(221)");
   }
-  AuditPeer::count_unwritten_frame(a, 0);
+}
+
+/// Users 0 and 1 hold six entries each (overflow blocks 0 and 1), user 2
+/// holds two (no block); `corrupt` then breaks one overflow handle.
+template <bool kInline, typename Corrupt>
+void expect_clock_overflow_corruption_caught(std::size_t capacity,
+                                             Corrupt&& corrupt,
+                                             const std::string& expected) {
+  arena::ClockArenaT<kInline> a(/*num_users=*/3, capacity, /*seed=*/1);
+  const auto no_eviction = [](ItemId, arena::EntryTag) {};
+  for (std::uint32_t user = 0; user < 3; ++user) {
+    const ItemId count = user == 2 ? 2 : arena::kHeadFrames + 2;
+    for (ItemId item = 0; item < count; ++item) {
+      a.insert(user, item, arena::EntryTag::kTagged, no_eviction);
+    }
+  }
+  ASSERT_EQ(AuditPeer::clock_overflow(a, 0), 0u);
+  ASSERT_EQ(AuditPeer::clock_overflow(a, 1), 1u);
+  ASSERT_EQ(AuditPeer::clock_overflow(a, 2), arena::kNull);
+  AuditReport clean;
+  a.audit(clean);
+  ASSERT_TRUE(clean.ok()) << clean.summary();
+
+  corrupt(a);
   AuditReport report;
   a.audit(report);
-  expect_failure_containing(report, "user 0: frame 3 has flag bits outside "
-                                    "tag|ref (221)");
+  expect_failure_containing(report, expected);
+}
+
+template <bool kInline>
+void expect_clock_overflow_handles_audited(std::size_t capacity) {
+  using Arena = arena::ClockArenaT<kInline>;
+  expect_clock_overflow_corruption_caught<kInline>(
+      capacity, [](Arena& a) { AuditPeer::set_clock_overflow(a, 0, 7); },
+      "user 0: overflow handle 7 out of range (2 blocks)");
+  expect_clock_overflow_corruption_caught<kInline>(
+      capacity, [](Arena& a) { AuditPeer::set_clock_overflow(a, 1, 0); },
+      "user 1: overflow block 0 is also user 0's");
+  expect_clock_overflow_corruption_caught<kInline>(
+      capacity,
+      [](Arena& a) { AuditPeer::set_clock_overflow(a, 0, arena::kNull); },
+      "user 0 holds 6 entries but no overflow block");
+  expect_clock_overflow_corruption_caught<kInline>(
+      capacity, [](Arena& a) { AuditPeer::set_clock_overflow(a, 2, 1); },
+      "user 2 holds 2 entries, within its head, but owns overflow block 1");
+}
+
+TEST(AuditInjection, ClockArenaOverflowHandleCorruption) {
+  expect_clock_overflow_handles_audited<true>(arena::kInlineResidencyCapacity);
+  expect_clock_overflow_handles_audited<false>(
+      arena::kInlineResidencyCapacity + 1);
 }
 
 TEST(AuditInjection, ContextArenaSuccessorTotalDrift) {
