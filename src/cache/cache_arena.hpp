@@ -90,7 +90,7 @@ inline std::uint32_t checked_capacity(std::size_t capacity) {
 
 /// Capacities up to this use the small-cache arenas: per-user fixed blocks
 /// with inline residency (a linear scan of at most 32 packed entries — up
-/// to seven cache lines of 12-byte list nodes, eight of 16-byte LFU nodes,
+/// to four cache lines of 8-byte list nodes, six of 12-byte LFU nodes,
 /// or CLOCK's and random's 16-byte item head plus at most 112 bytes of
 /// their overflow block),
 /// no hash index at all. Larger capacities use the slab + fleet hash index
@@ -98,6 +98,13 @@ inline std::uint32_t checked_capacity(std::size_t capacity) {
 /// caches; the dispatch happens once per run in make_cache_plane next to
 /// the policy dispatch.
 inline constexpr std::size_t kInlineResidencyCapacity = 32;
+
+/// Slot index of the small-cache blocks: their slots, links, head, tail and
+/// size. A block holds at most kInlineResidencyCapacity slots, so one byte
+/// names every slot, with kNullSlot as the null link.
+using SlotIndex = std::uint8_t;
+inline constexpr SlotIndex kNullSlot = 0xFF;
+static_assert(kInlineResidencyCapacity < kNullSlot);
 
 /// Fill byte of never-written per-user block storage in SPECPF_AUDIT
 /// builds (the engine poisons freed slots with the same byte).
@@ -145,6 +152,14 @@ class ListArenaBase {
   }
 
   std::uint32_t size(std::uint32_t user) const { return users_[user].size; }
+
+  /// Bytes held: the node slab's capacity, the per-user views and the
+  /// fleet residency index.
+  std::uint64_t held_bytes() const {
+    return std::uint64_t{nodes_.capacity()} * sizeof(Node) +
+           std::uint64_t{users_.size()} * sizeof(UserCacheView) +
+           map_.held_bytes();
+  }
 
   /// Deep-invariant walk (util/audit.hpp): per-user chain integrity
   /// (links, acyclicity, size agreement), chain <-> residency-index
@@ -409,6 +424,15 @@ class LfuArena {
   }
 
   std::uint32_t size(std::uint32_t user) const { return users_[user].size; }
+
+  /// Bytes held: both slabs' capacities, the per-user views and the fleet
+  /// residency index.
+  std::uint64_t held_bytes() const {
+    return std::uint64_t{nodes_.capacity()} * sizeof(LfuNode) +
+           std::uint64_t{buckets_.capacity()} * sizeof(Bucket) +
+           std::uint64_t{users_.size()} * sizeof(UserLfuView) +
+           map_.held_bytes();
+  }
 
   /// Access count of a resident item (0 if absent); exposed for tests.
   /// Counts saturate only past 2^32 touches of one item by one user —
@@ -700,6 +724,10 @@ inline constexpr std::uint8_t kRefBit = 0x02;
 static_assert(static_cast<std::uint8_t>(EntryTag::kTagged) == kTagBit &&
               static_cast<std::uint8_t>(EntryTag::kUntagged) == 0);
 
+/// Bytes of one frame: its item and its flag byte.
+inline constexpr std::uint64_t kFrameBytes =
+    sizeof(std::uint32_t) + sizeof(std::uint8_t);
+
 inline EntryTag tag_of(std::uint8_t flags) {
   return static_cast<EntryTag>(flags & kTagBit);
 }
@@ -893,6 +921,13 @@ class FrameBlockArena {
 
   /// Frames held: every user's head plus the overflow blocks handed out.
   std::uint64_t held_frames() const { return frames_.held_frames(); }
+
+  /// Bytes held: the frames held (5 bytes each), the per-user views and,
+  /// in indexed mode, the fleet residency index.
+  std::uint64_t held_bytes() const {
+    return held_frames() * kFrameBytes +
+           std::uint64_t{users_.size()} * sizeof(View) + map_.held_bytes();
+  }
 
  protected:
   friend struct specpf::AuditPeer;  // corruption-injection tests only
@@ -1186,6 +1221,11 @@ class RandomArenaT
     ++u.live;
   }
 
+  /// Bytes held: FrameBlockArena's, plus each user's RNG stream.
+  std::uint64_t held_bytes() const {
+    return Base::held_bytes() + std::uint64_t{rngs_.size()} * sizeof(Rng);
+  }
+
   /// Deep-invariant walker: FrameBlockArena's walk, with one RNG stream
   /// per user and every live flag byte within the tag bit.
   void audit(AuditReport& report) const {
@@ -1207,16 +1247,16 @@ using SmallRandomArena = RandomArenaT<true>;
 // ---------------------------------------------------------------------------
 
 /// LRU/FIFO for capacities ≤ kInlineResidencyCapacity: each user owns a
-/// fixed block of `capacity` packed 12-byte nodes with 16-bit local links.
-/// Residency is a scan of the block's occupied prefix (the §4 protocol
-/// never erases, and eviction reuses the victim's slot in place, so
-/// occupied slots always form a prefix) — at most seven cache lines, and
-/// zero index bytes per entry.
+/// fixed block of `capacity` packed 8-byte nodes with one-byte local links
+/// (a capacity-8 block is 64 bytes, one cache line's worth). Residency is a scan of the
+/// block's occupied prefix (the §4 protocol never erases, and eviction
+/// reuses the victim's slot in place, so occupied slots always form a
+/// prefix) — at most four cache lines, and zero index bytes per entry.
 class SmallListArenaBase {
  public:
   SmallListArenaBase(std::size_t num_users, std::size_t capacity,
                      std::uint64_t /*seed*/)
-      : capacity_(static_cast<std::uint16_t>(capacity)),
+      : capacity_(static_cast<SlotIndex>(capacity)),
         nodes_(unwritten_block<Node>(num_users * capacity)),
         users_(num_users) {
     SPECPF_EXPECTS(capacity >= 1);
@@ -1224,17 +1264,23 @@ class SmallListArenaBase {
   }
 
   bool contains(std::uint32_t user, ItemId item) const {
-    return find_slot(user, item) != kNull16;
+    return find_slot(user, item) != kNullSlot;
   }
 
   bool set_tag(std::uint32_t user, ItemId item, EntryTag tag) {
-    const std::uint16_t slot = find_slot(user, item);
-    if (slot == kNull16) return false;
+    const SlotIndex slot = find_slot(user, item);
+    if (slot == kNullSlot) return false;
     node(user, slot).tag = tag;
     return true;
   }
 
   std::uint32_t size(std::uint32_t user) const { return users_[user].size; }
+
+  /// Bytes held: every user's block of nodes plus the per-user views.
+  std::uint64_t held_bytes() const {
+    return std::uint64_t{users_.size()} *
+           (std::uint64_t{capacity_} * sizeof(Node) + sizeof(UserCacheView));
+  }
 
   /// Deep-invariant walker: each user's chain covers exactly the occupied
   /// prefix [0, size) of its block, with intact back-links and no cycles.
@@ -1244,12 +1290,13 @@ class SmallListArenaBase {
       const UserCacheView& u = users_[user];
       const std::string who = "user " + std::to_string(user);
       report.check(u.size <= capacity_, who + " exceeds capacity");
+      const SlotIndex live = std::min(u.size, capacity_);
       std::uint32_t seen = 0;  // bitmap: capacity_ <= 32 slots
-      std::uint16_t prev = kNull16;
-      std::uint16_t slot = u.head;
-      std::uint16_t steps = 0;
-      while (slot != kNull16) {
-        if (!report.check(slot < u.size,
+      SlotIndex prev = kNullSlot;
+      SlotIndex slot = u.head;
+      SlotIndex steps = 0;
+      while (slot != kNullSlot) {
+        if (!report.check(slot < live,
                           who + ": chain slot " + std::to_string(slot) +
                               " outside the occupied prefix")) {
           break;
@@ -1263,7 +1310,8 @@ class SmallListArenaBase {
         const Node& n = node(user, slot);
         report.check(n.prev == prev,
                      who + ": broken prev link at slot " +
-                         std::to_string(slot));
+                         std::to_string(slot) + " (points at " +
+                         std::to_string(n.prev) + ")");
         prev = slot;
         slot = n.next;
         ++steps;
@@ -1278,71 +1326,71 @@ class SmallListArenaBase {
  protected:
   friend struct specpf::AuditPeer;  // corruption-injection tests only
 
-  static constexpr std::uint16_t kNull16 = 0xFFFF;
-
-  struct Node {  // 12 bytes; no initializers: see unwritten_block
+  struct Node {  // 8 bytes; no initializers: see unwritten_block
     std::uint32_t item;
-    std::uint16_t prev;  // local slot index within the block
-    std::uint16_t next;
+    SlotIndex prev;  // local slot index within the block
+    SlotIndex next;
     EntryTag tag;
   };
+  static_assert(sizeof(Node) == 8);
 
   /// Per-user chain view over the block.
   struct UserCacheView {
-    std::uint16_t head = kNull16;
-    std::uint16_t tail = kNull16;
-    std::uint16_t size = 0;
+    SlotIndex head = kNullSlot;
+    SlotIndex tail = kNullSlot;
+    SlotIndex size = 0;
   };
+  static_assert(sizeof(UserCacheView) == 3);
 
   std::size_t base(std::uint32_t user) const {
     return static_cast<std::size_t>(user) * capacity_;
   }
-  Node& node(std::uint32_t user, std::uint16_t slot) {
+  Node& node(std::uint32_t user, SlotIndex slot) {
     return nodes_[base(user) + slot];
   }
-  const Node& node(std::uint32_t user, std::uint16_t slot) const {
+  const Node& node(std::uint32_t user, SlotIndex slot) const {
     return nodes_[base(user) + slot];
   }
 
-  std::uint16_t find_slot(std::uint32_t user, ItemId item) const {
+  SlotIndex find_slot(std::uint32_t user, ItemId item) const {
     SPECPF_DCHECK((item >> 32) == 0);
     const auto item32 = static_cast<std::uint32_t>(item);
     const Node* block = &nodes_[base(user)];
-    const std::uint16_t live = users_[user].size;
-    for (std::uint16_t i = 0; i < live; ++i) {
+    const SlotIndex live = users_[user].size;
+    for (SlotIndex i = 0; i < live; ++i) {
       if (block[i].item == item32) return i;
     }
-    return kNull16;
+    return kNullSlot;
   }
 
-  void unlink(std::uint32_t user, UserCacheView& u, std::uint16_t slot) {
+  void unlink(std::uint32_t user, UserCacheView& u, SlotIndex slot) {
     Node& n = node(user, slot);
-    if (n.prev != kNull16) node(user, n.prev).next = n.next;
-    if (n.next != kNull16) node(user, n.next).prev = n.prev;
+    if (n.prev != kNullSlot) node(user, n.prev).next = n.next;
+    if (n.next != kNullSlot) node(user, n.next).prev = n.prev;
     if (u.head == slot) u.head = n.next;
     if (u.tail == slot) u.tail = n.prev;
-    n.prev = n.next = kNull16;
+    n.prev = n.next = kNullSlot;
   }
 
-  void push_front(std::uint32_t user, UserCacheView& u, std::uint16_t slot) {
+  void push_front(std::uint32_t user, UserCacheView& u, SlotIndex slot) {
     Node& n = node(user, slot);
-    n.prev = kNull16;
+    n.prev = kNullSlot;
     n.next = u.head;
-    if (u.head != kNull16) node(user, u.head).prev = slot;
+    if (u.head != kNullSlot) node(user, u.head).prev = slot;
     u.head = slot;
-    if (u.tail == kNull16) u.tail = slot;
+    if (u.tail == kNullSlot) u.tail = slot;
   }
 
-  void push_back(std::uint32_t user, UserCacheView& u, std::uint16_t slot) {
+  void push_back(std::uint32_t user, UserCacheView& u, SlotIndex slot) {
     Node& n = node(user, slot);
-    n.next = kNull16;
+    n.next = kNullSlot;
     n.prev = u.tail;
-    if (u.tail != kNull16) node(user, u.tail).next = slot;
+    if (u.tail != kNullSlot) node(user, u.tail).next = slot;
     u.tail = slot;
-    if (u.head == kNull16) u.head = slot;
+    if (u.head == kNullSlot) u.head = slot;
   }
 
-  std::uint16_t capacity_;
+  SlotIndex capacity_;
   std::unique_ptr<Node[]> nodes_;  // user u: [u * capacity_, +capacity_)
   std::vector<UserCacheView> users_;
 };
@@ -1352,8 +1400,8 @@ class SmallLruArena : public SmallListArenaBase {
   using SmallListArenaBase::SmallListArenaBase;
 
   std::optional<EntryTag> lookup(std::uint32_t user, ItemId item) {
-    const std::uint16_t slot = find_slot(user, item);
-    if (slot == kNull16) return std::nullopt;
+    const SlotIndex slot = find_slot(user, item);
+    if (slot == kNullSlot) return std::nullopt;
     move_to_front(user, slot);
     return node(user, slot).tag;
   }
@@ -1362,12 +1410,12 @@ class SmallLruArena : public SmallListArenaBase {
   void insert(std::uint32_t user, ItemId item, EntryTag tag,
               OnEvict&& on_evict) {
     UserCacheView& u = users_[user];
-    if (const std::uint16_t slot = find_slot(user, item); slot != kNull16) {
+    if (const SlotIndex slot = find_slot(user, item); slot != kNullSlot) {
       node(user, slot).tag = tag;
       move_to_front(user, slot);
       return;
     }
-    std::uint16_t slot;
+    SlotIndex slot;
     if (u.size >= capacity_) {
       slot = u.tail;  // victim's slot is reused in place
       const Node victim = node(user, slot);
@@ -1377,14 +1425,14 @@ class SmallLruArena : public SmallListArenaBase {
     } else {
       slot = u.size;  // occupied prefix grows
     }
-    node(user, slot) = Node{static_cast<std::uint32_t>(item), kNull16,
-                            kNull16, tag};
+    node(user, slot) = Node{static_cast<std::uint32_t>(item), kNullSlot,
+                            kNullSlot, tag};
     push_front(user, u, slot);
     ++u.size;
   }
 
  private:
-  void move_to_front(std::uint32_t user, std::uint16_t slot) {
+  void move_to_front(std::uint32_t user, SlotIndex slot) {
     UserCacheView& u = users_[user];
     if (u.head == slot) return;
     unlink(user, u, slot);
@@ -1397,8 +1445,8 @@ class SmallFifoArena : public SmallListArenaBase {
   using SmallListArenaBase::SmallListArenaBase;
 
   std::optional<EntryTag> lookup(std::uint32_t user, ItemId item) {
-    const std::uint16_t slot = find_slot(user, item);
-    if (slot == kNull16) return std::nullopt;
+    const SlotIndex slot = find_slot(user, item);
+    if (slot == kNullSlot) return std::nullopt;
     return node(user, slot).tag;
   }
 
@@ -1406,11 +1454,11 @@ class SmallFifoArena : public SmallListArenaBase {
   void insert(std::uint32_t user, ItemId item, EntryTag tag,
               OnEvict&& on_evict) {
     UserCacheView& u = users_[user];
-    if (const std::uint16_t slot = find_slot(user, item); slot != kNull16) {
+    if (const SlotIndex slot = find_slot(user, item); slot != kNullSlot) {
       node(user, slot).tag = tag;  // tag refresh only; position unchanged
       return;
     }
-    std::uint16_t slot;
+    SlotIndex slot;
     if (u.size >= capacity_) {
       slot = u.head;  // oldest entry; its slot is reused in place
       const Node victim = node(user, slot);
@@ -1420,29 +1468,29 @@ class SmallFifoArena : public SmallListArenaBase {
     } else {
       slot = u.size;
     }
-    node(user, slot) = Node{static_cast<std::uint32_t>(item), kNull16,
-                            kNull16, tag};
+    node(user, slot) = Node{static_cast<std::uint32_t>(item), kNullSlot,
+                            kNullSlot, tag};
     push_back(user, u, slot);
     ++u.size;
   }
 };
 
 /// LFU for capacities ≤ kInlineResidencyCapacity: per-user block of packed
-/// 16-byte nodes carrying their frequency, threaded into ONE chain kept in
-/// flattened bucket order — ascending frequency, most-recently-bumped first
-/// within a frequency. That ordering makes the legacy bucket structure's
-/// operations pure chain operations:
+/// 12-byte nodes carrying their frequency and one-byte links, threaded into
+/// ONE chain kept in flattened bucket order — ascending frequency,
+/// most-recently-bumped first within a frequency. That ordering makes the
+/// legacy bucket structure's operations pure chain operations:
 ///   * new item (freq 1)  -> push_front (front of the freq-1 bucket),
 ///   * bump f -> f+1      -> reinsert before the first node with freq > f
 ///                           (the front of the f+1 bucket),
 ///   * victim             -> last node of the head's equal-frequency run
 ///                           (LRU within the lowest bucket).
-/// Every walk is block-local (≤ 32 nodes in 8 cache lines).
+/// Every walk is block-local (≤ 32 nodes in 6 cache lines).
 class SmallLfuArena {
  public:
   SmallLfuArena(std::size_t num_users, std::size_t capacity,
                 std::uint64_t /*seed*/)
-      : capacity_(static_cast<std::uint16_t>(capacity)),
+      : capacity_(static_cast<SlotIndex>(capacity)),
         nodes_(unwritten_block<Node>(num_users * capacity)),
         users_(num_users) {
     SPECPF_EXPECTS(capacity >= 1);
@@ -1450,42 +1498,48 @@ class SmallLfuArena {
   }
 
   std::optional<EntryTag> lookup(std::uint32_t user, ItemId item) {
-    const std::uint16_t slot = find_slot(user, item);
-    if (slot == kNull16) return std::nullopt;
+    const SlotIndex slot = find_slot(user, item);
+    if (slot == kNullSlot) return std::nullopt;
     const EntryTag tag = node(user, slot).tag;
     bump(user, slot);
     return tag;
   }
 
   bool contains(std::uint32_t user, ItemId item) const {
-    return find_slot(user, item) != kNull16;
+    return find_slot(user, item) != kNullSlot;
   }
 
   bool set_tag(std::uint32_t user, ItemId item, EntryTag tag) {
-    const std::uint16_t slot = find_slot(user, item);
-    if (slot == kNull16) return false;
+    const SlotIndex slot = find_slot(user, item);
+    if (slot == kNullSlot) return false;
     node(user, slot).tag = tag;
     return true;
   }
 
   std::uint32_t size(std::uint32_t user) const { return users_[user].size; }
 
+  /// Bytes held: every user's block of nodes plus the per-user views.
+  std::uint64_t held_bytes() const {
+    return std::uint64_t{users_.size()} *
+           (std::uint64_t{capacity_} * sizeof(Node) + sizeof(UserLfuView));
+  }
+
   /// Access count of a resident item (0 if absent); exposed for tests.
   std::uint32_t frequency(std::uint32_t user, ItemId item) const {
-    const std::uint16_t slot = find_slot(user, item);
-    return slot == kNull16 ? 0 : node(user, slot).freq;
+    const SlotIndex slot = find_slot(user, item);
+    return slot == kNullSlot ? 0 : node(user, slot).freq;
   }
 
   template <typename OnEvict>
   void insert(std::uint32_t user, ItemId item, EntryTag tag,
               OnEvict&& on_evict) {
     UserLfuView& u = users_[user];
-    if (const std::uint16_t slot = find_slot(user, item); slot != kNull16) {
+    if (const SlotIndex slot = find_slot(user, item); slot != kNullSlot) {
       node(user, slot).tag = tag;
       bump(user, slot);
       return;
     }
-    std::uint16_t slot;
+    SlotIndex slot;
     if (u.size >= capacity_) {
       slot = victim_slot(user);
       const Node victim = node(user, slot);
@@ -1495,8 +1549,8 @@ class SmallLfuArena {
     } else {
       slot = u.size;
     }
-    node(user, slot) = Node{static_cast<std::uint32_t>(item), 1, kNull16,
-                            kNull16, tag};
+    node(user, slot) = Node{static_cast<std::uint32_t>(item), 1, kNullSlot,
+                            kNullSlot, tag};
     push_front(user, u, slot);  // front of the freq-1 bucket
     ++u.size;
   }
@@ -1511,13 +1565,14 @@ class SmallLfuArena {
       const UserLfuView& u = users_[user];
       const std::string who = "user " + std::to_string(user);
       report.check(u.size <= capacity_, who + " exceeds capacity");
+      const SlotIndex live = std::min(u.size, capacity_);
       std::uint32_t seen = 0;  // bitmap: capacity_ <= 32 slots
       std::uint32_t prev_freq = 1;
-      std::uint16_t prev = kNull16;
-      std::uint16_t slot = u.head;
-      std::uint16_t steps = 0;
-      while (slot != kNull16) {
-        if (!report.check(slot < u.size,
+      SlotIndex prev = kNullSlot;
+      SlotIndex slot = u.head;
+      SlotIndex steps = 0;
+      while (slot != kNullSlot) {
+        if (!report.check(slot < live,
                           who + ": chain slot " + std::to_string(slot) +
                               " outside the occupied prefix")) {
           break;
@@ -1531,7 +1586,8 @@ class SmallLfuArena {
         const Node& n = node(user, slot);
         report.check(n.prev == prev,
                      who + ": broken prev link at slot " +
-                         std::to_string(slot));
+                         std::to_string(slot) + " (points at " +
+                         std::to_string(n.prev) + ")");
         report.check(n.freq >= prev_freq,
                      who + ": frequencies not in flattened bucket order at "
                            "slot " +
@@ -1551,106 +1607,106 @@ class SmallLfuArena {
  private:
   friend struct specpf::AuditPeer;  // corruption-injection tests only
 
-  static constexpr std::uint16_t kNull16 = 0xFFFF;
-
-  struct Node {  // 16 bytes; no initializers: see unwritten_block
+  struct Node {  // 12 bytes; no initializers: see unwritten_block
     std::uint32_t item;
     std::uint32_t freq;
-    std::uint16_t prev;
-    std::uint16_t next;
+    SlotIndex prev;
+    SlotIndex next;
     EntryTag tag;
   };
+  static_assert(sizeof(Node) == 12);
   struct UserLfuView {
-    std::uint16_t head = kNull16;  // lowest freq, most recent within it
-    std::uint16_t tail = kNull16;
-    std::uint16_t size = 0;
+    SlotIndex head = kNullSlot;  // lowest freq, most recent within it
+    SlotIndex tail = kNullSlot;
+    SlotIndex size = 0;
   };
+  static_assert(sizeof(UserLfuView) == 3);
 
   std::size_t base(std::uint32_t user) const {
     return static_cast<std::size_t>(user) * capacity_;
   }
-  Node& node(std::uint32_t user, std::uint16_t slot) {
+  Node& node(std::uint32_t user, SlotIndex slot) {
     return nodes_[base(user) + slot];
   }
-  const Node& node(std::uint32_t user, std::uint16_t slot) const {
+  const Node& node(std::uint32_t user, SlotIndex slot) const {
     return nodes_[base(user) + slot];
   }
 
-  std::uint16_t find_slot(std::uint32_t user, ItemId item) const {
+  SlotIndex find_slot(std::uint32_t user, ItemId item) const {
     SPECPF_DCHECK((item >> 32) == 0);
     const auto item32 = static_cast<std::uint32_t>(item);
     const Node* block = &nodes_[base(user)];
-    const std::uint16_t live = users_[user].size;
-    for (std::uint16_t i = 0; i < live; ++i) {
+    const SlotIndex live = users_[user].size;
+    for (SlotIndex i = 0; i < live; ++i) {
       if (block[i].item == item32) return i;
     }
-    return kNull16;
+    return kNullSlot;
   }
 
   /// Last node of the head's equal-frequency run: LRU within the lowest
   /// frequency bucket.
-  std::uint16_t victim_slot(std::uint32_t user) const {
+  SlotIndex victim_slot(std::uint32_t user) const {
     const UserLfuView& u = users_[user];
-    SPECPF_DCHECK(u.head != kNull16);
-    std::uint16_t cur = u.head;
+    SPECPF_DCHECK(u.head != kNullSlot);
+    SlotIndex cur = u.head;
     const std::uint32_t freq = node(user, cur).freq;
-    while (node(user, cur).next != kNull16 &&
+    while (node(user, cur).next != kNullSlot &&
            node(user, node(user, cur).next).freq == freq) {
       cur = node(user, cur).next;
     }
     return cur;
   }
 
-  void unlink(std::uint32_t user, UserLfuView& u, std::uint16_t slot) {
+  void unlink(std::uint32_t user, UserLfuView& u, SlotIndex slot) {
     Node& n = node(user, slot);
-    if (n.prev != kNull16) node(user, n.prev).next = n.next;
-    if (n.next != kNull16) node(user, n.next).prev = n.prev;
+    if (n.prev != kNullSlot) node(user, n.prev).next = n.next;
+    if (n.next != kNullSlot) node(user, n.next).prev = n.prev;
     if (u.head == slot) u.head = n.next;
     if (u.tail == slot) u.tail = n.prev;
-    n.prev = n.next = kNull16;
+    n.prev = n.next = kNullSlot;
   }
 
-  void push_front(std::uint32_t user, UserLfuView& u, std::uint16_t slot) {
+  void push_front(std::uint32_t user, UserLfuView& u, SlotIndex slot) {
     Node& n = node(user, slot);
-    n.prev = kNull16;
+    n.prev = kNullSlot;
     n.next = u.head;
-    if (u.head != kNull16) node(user, u.head).prev = slot;
+    if (u.head != kNullSlot) node(user, u.head).prev = slot;
     u.head = slot;
-    if (u.tail == kNull16) u.tail = slot;
+    if (u.tail == kNullSlot) u.tail = slot;
   }
 
   /// Moves `slot` from frequency f to f + 1, keeping the chain in
   /// flattened bucket order: reinsert before the first node with
   /// freq > f (i.e. at the front of the f+1 bucket).
-  void bump(std::uint32_t user, std::uint16_t slot) {
+  void bump(std::uint32_t user, SlotIndex slot) {
     UserLfuView& u = users_[user];
     const std::uint32_t freq = node(user, slot).freq;
     unlink(user, u, slot);
     node(user, slot).freq = freq + 1;
-    std::uint16_t after = u.head;
-    while (after != kNull16 && node(user, after).freq <= freq) {
+    SlotIndex after = u.head;
+    while (after != kNullSlot && node(user, after).freq <= freq) {
       after = node(user, after).next;
     }
-    if (after == kNull16) {
+    if (after == kNullSlot) {
       // Highest frequency: append at the tail.
       Node& n = node(user, slot);
-      n.next = kNull16;
+      n.next = kNullSlot;
       n.prev = u.tail;
-      if (u.tail != kNull16) node(user, u.tail).next = slot;
+      if (u.tail != kNullSlot) node(user, u.tail).next = slot;
       u.tail = slot;
-      if (u.head == kNull16) u.head = slot;
+      if (u.head == kNullSlot) u.head = slot;
       return;
     }
     Node& n = node(user, slot);
     Node& succ = node(user, after);
     n.next = after;
     n.prev = succ.prev;
-    if (succ.prev != kNull16) node(user, succ.prev).next = slot;
+    if (succ.prev != kNullSlot) node(user, succ.prev).next = slot;
     succ.prev = slot;
     if (u.head == after) u.head = slot;
   }
 
-  std::uint16_t capacity_;
+  SlotIndex capacity_;
   std::unique_ptr<Node[]> nodes_;  // user u: [u * capacity_, +capacity_)
   std::vector<UserLfuView> users_;
 };

@@ -31,6 +31,7 @@ struct TaggedUserState {
     return estimate_model_a() * resident_items / (resident_items - nf);
   }
 };
+static_assert(sizeof(TaggedUserState) == 16);
 
 /// The arena backend: policy entries in shared slabs, protocol state in one
 /// flat vector. Policy is a compile-time parameter; every method below is
@@ -100,6 +101,11 @@ class ArenaCachePlane final : public CachePlane {
       out.prefetch_first_uses += users_[u].prefetch_first_uses;
     }
     return out;
+  }
+
+  std::uint64_t held_bytes() const override {
+    return policy_.held_bytes() +
+           std::uint64_t{users_.size()} * sizeof(TaggedUserState);
   }
 
   std::uint64_t prefetch_inserts(std::uint32_t user) const override {

@@ -77,6 +77,12 @@ class CachePlane {
   /// Fleet sums for result assembly / cross-shard merging.
   virtual CachePlaneTotals totals(core::InteractionModel model) const = 0;
 
+  /// Bytes the plane holds for the fleet: the policy arena's (entry nodes
+  /// or frames, per-user views, and the residency index in indexed mode)
+  /// plus the §4 counters, 16 bytes a user. Allocated element counts times
+  /// element sizes, so unlike RSS it does not depend on the allocator.
+  virtual std::uint64_t held_bytes() const = 0;
+
   virtual std::uint64_t prefetch_inserts(std::uint32_t user) const = 0;
   virtual std::uint64_t prefetch_first_uses(std::uint32_t user) const = 0;
 

@@ -36,7 +36,6 @@ StackRuntime::StackRuntime(Simulator& sim, PredictorPlane& predictor,
       policy_(policy),
       config_(std::move(config)),
       server_(sim, config_.bandwidth),
-      estimate_cache_(config_.num_users, 0.0),
       sensor_(config_.sensor),
       sense_(config_.enable_load_sensor || config_.governor != nullptr),
       measuring_(false),
@@ -58,9 +57,6 @@ StackRuntime::StackRuntime(Simulator& sim, PredictorPlane& predictor,
       if (config_.governor) config_.governor->on_prefetch_wasted();
     }
   });
-  for (std::size_t u = 0; u < config_.num_users; ++u) {
-    refresh_estimate(static_cast<UserId>(u));
-  }
   if (telemetry_) setup_telemetry();
 }
 
@@ -108,10 +104,8 @@ void StackRuntime::setup_telemetry() {
   telemetry_->seal();
 }
 
-void StackRuntime::refresh_estimate(UserId user) {
-  const double e = caches_->estimate(user, config_.estimator_model);
-  estimate_sum_ += e - estimate_cache_[user];
-  estimate_cache_[user] = e;
+double StackRuntime::estimate(UserId user) const {
+  return caches_->estimate(user, config_.estimator_model);
 }
 
 void StackRuntime::begin_measurement() {
@@ -194,6 +188,7 @@ void StackRuntime::submit_retrieval(UserId user, ItemId item, Inflight& entry,
     } else {
       --inflight_demand_total_;
     }
+    const double before = estimate(user);
     if (is_prefetch) {
       if (info.waiter_times.empty() && !info.demand_promoted) {
         caches_->admit_prefetch(user, item);
@@ -204,7 +199,7 @@ void StackRuntime::submit_retrieval(UserId user, ItemId item, Inflight& entry,
       caches_->admit_demand(user, item);
     }
     ++cache_residents_;
-    refresh_estimate(user);
+    estimate_sum_ += estimate(user) - before;
     if (measuring_) {
       for (double t0 : info.waiter_times) {
         if (is_prefetch) {
@@ -250,6 +245,7 @@ void StackRuntime::handle_request(UserId user, ItemId item) {
     // arrival/completion at-or-after each interval boundary".
     telemetry_->maybe_sample(sim_.now());
   }
+  const double before = estimate(user);
   switch (caches_->access(user, item)) {
     case AccessOutcome::kHitTagged:
       if (measuring_) metrics_.record_hit();
@@ -279,7 +275,7 @@ void StackRuntime::handle_request(UserId user, ItemId item) {
       break;
     }
   }
-  refresh_estimate(user);
+  estimate_sum_ += estimate(user) - before;
 
   predictor_.observe(user, item);
   predictor_.predict_into(user, config_.max_prefetch_per_request,
@@ -441,17 +437,11 @@ void StackRuntime::audit(AuditReport& report) const {
                      " link-holding transfers in flight but no blocked-user "
                      "entry");
   });
-  // Cached ĥ' estimates: each user's cache must be bit-equal to a fresh
-  // recomputation (refresh_estimate runs after every mutation), and the
-  // incrementally-maintained sum within accumulation tolerance of the
-  // exact one.
+  // The running ĥ' sum: within accumulation tolerance of the exact sum of
+  // the plane's per-user estimates.
   double exact_sum = 0.0;
   for (std::uint32_t u = 0; u < config_.num_users; ++u) {
-    const double fresh = caches_->estimate(u, config_.estimator_model);
-    report.check(estimate_cache_[u] == fresh,
-                 "user " + std::to_string(u) +
-                     ": cached h' estimate is stale");
-    exact_sum += estimate_cache_[u];
+    exact_sum += estimate(u);
   }
   const double tolerance =
       1e-7 * (1.0 + static_cast<double>(config_.num_users));

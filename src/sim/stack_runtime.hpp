@@ -183,7 +183,8 @@ class StackRuntime {
   /// proxy link's job queue, the in-flight index (every entry has a waiter
   /// unless it is an untouched prefetch), the blocked-user table (an entry
   /// exactly for each user with link-holding fetches in flight, counting
-  /// them), and the cached ĥ' estimates against fresh recomputation.
+  /// them), and the running ĥ' sum against the exact sum of the cache
+  /// plane's per-user estimates.
   /// Runs automatically at begin_measurement/finalize in SPECPF_AUDIT
   /// builds (throwing ContractViolation on failure); callable from tests in
   /// any build.
@@ -231,10 +232,12 @@ class StackRuntime {
   /// Registers this runtime's gauges on the telemetry plane,
   /// installs the gauge source, and seals it (constructor only).
   void setup_telemetry();
-  /// Refreshes the cached ĥ' contribution of `user` after a cache mutation.
-  /// Keeps current_context() O(1) instead of O(num_users) per request —
-  /// the difference between a million-user sweep finishing and not.
-  void refresh_estimate(UserId user);
+  /// ĥ' of `user` under the configured model, as the cache plane computes
+  /// it from its own counters. Each cache mutation adds the estimate after
+  /// it minus the one before it to estimate_sum_, which keeps
+  /// current_context() O(1) instead of O(num_users) per request — the
+  /// difference between a million-user sweep finishing and not.
+  double estimate(UserId user) const;
 
   Simulator& sim_;
   PredictorPlane& predictor_;
@@ -245,8 +248,8 @@ class StackRuntime {
   SimMetrics metrics_;
   /// The whole client-cache fleet (entries, policies, §4 estimator state).
   std::unique_ptr<CachePlane> caches_;
-  /// Per-user ĥ' estimates and their running sum; updated on mutation.
-  std::vector<double> estimate_cache_;
+  /// Running sum of the per-user ĥ' estimates; every user's starts at 0
+  /// (no accesses yet), so the sum starts at 0 too.
   double estimate_sum_ = 0.0;
   /// In-flight transfers keyed by (user << 32) | item.
   FlatHashMap<Inflight> inflight_;

@@ -74,6 +74,11 @@ class FlatHashMap {
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
 
+  /// Bytes of the three slot arrays: 8 + sizeof(V) + 1 per slot.
+  std::size_t held_bytes() const noexcept {
+    return capacity_ * (sizeof(std::uint64_t) + sizeof(V) + 1);
+  }
+
   /// Pointer to the value for `key`, or nullptr when absent.
   V* find(std::uint64_t key) noexcept {
     const std::size_t idx = find_index(key);

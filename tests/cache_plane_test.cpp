@@ -285,6 +285,82 @@ TEST(FrameBlocks, HeldFramesCountHeadsPlusOverflowBlocksHandedOut) {
   expect_held_frames_follow_occupancy<arena::RandomArena>();
 }
 
+// --- held bytes: nodes or frames plus per-user views ---
+
+/// Fills user 0 past its capacity and user 1 to two entries; users 2 and
+/// up stay empty.
+template <typename Arena>
+void populate_two_users(Arena& a, std::size_t capacity) {
+  const auto ignore = [](ItemId, EntryTag) {};
+  for (ItemId item = 0; item < 2 * capacity; ++item) {
+    a.insert(0, item, EntryTag::kTagged, ignore);
+  }
+  for (ItemId item = 0; item < 2; ++item) {
+    a.insert(1, item, EntryTag::kUntagged, ignore);
+  }
+}
+
+/// The list and LFU blocks are fixed, so what they hold does not follow
+/// occupancy: 8-byte list nodes and 12-byte LFU nodes for every slot of
+/// every block, plus a 3-byte view a user.
+TEST(HeldBytes, SmallListAndLfuArenasHoldWholeBlocksPlusViews) {
+  constexpr std::uint64_t kUsers = 5;
+  arena::SmallLruArena lru(kUsers, 8, /*seed=*/1);
+  arena::SmallFifoArena fifo(kUsers, 8, /*seed=*/1);
+  arena::SmallLfuArena lfu(kUsers, kInline, /*seed=*/1);
+  EXPECT_EQ(lru.held_bytes(), kUsers * 8 * 8 + kUsers * 3);
+  EXPECT_EQ(fifo.held_bytes(), kUsers * 8 * 8 + kUsers * 3);
+  EXPECT_EQ(lfu.held_bytes(), kUsers * kInline * 12 + kUsers * 3);
+  populate_two_users(lru, 8);
+  populate_two_users(fifo, 8);
+  populate_two_users(lfu, kInline);
+  EXPECT_EQ(lru.held_bytes(), kUsers * 8 * 8 + kUsers * 3);
+  EXPECT_EQ(fifo.held_bytes(), kUsers * 8 * 8 + kUsers * 3);
+  EXPECT_EQ(lfu.held_bytes(), kUsers * kInline * 12 + kUsers * 3);
+}
+
+/// CLOCK and random hold 5 bytes a frame held (every head, plus the
+/// overflow blocks handed out) and an 8-byte view a user; random also
+/// holds each user's RNG stream.
+TEST(HeldBytes, SmallClockAndRandomArenasHoldFramesPlusViews) {
+  constexpr std::uint64_t kUsers = 5;
+  constexpr std::uint64_t kCapacity = 16;
+  constexpr std::uint64_t kHeads = kUsers * arena::kHeadFrames;
+  constexpr std::uint64_t kBlock = kCapacity - arena::kHeadFrames;
+  arena::SmallClockArena clock(kUsers, kCapacity, /*seed=*/1);
+  arena::SmallRandomArena random(kUsers, kCapacity, /*seed=*/1);
+  const std::uint64_t rngs = kUsers * sizeof(Rng);
+  EXPECT_EQ(clock.held_bytes(), kHeads * 5 + kUsers * 8);
+  EXPECT_EQ(random.held_bytes(), kHeads * 5 + kUsers * 8 + rngs);
+  populate_two_users(clock, kCapacity);  // user 0 takes one overflow block
+  populate_two_users(random, kCapacity);
+  EXPECT_EQ(clock.held_bytes(), (kHeads + kBlock) * 5 + kUsers * 8);
+  EXPECT_EQ(random.held_bytes(), (kHeads + kBlock) * 5 + kUsers * 8 + rngs);
+  EXPECT_EQ(clock.held_bytes(), clock.held_frames() * 5 + kUsers * 8);
+}
+
+/// The plane adds the 16-byte §4 state of every user to its arena's bytes.
+TEST(HeldBytes, PlaneAddsSixteenBytesOfProtocolStateAUser) {
+  CachePlaneConfig config;
+  config.num_users = 7;
+  config.capacity = 8;
+  const std::uint64_t users = config.num_users;
+  auto lru = make_cache_plane(CacheKind::kLru, config);
+  EXPECT_EQ(lru->held_bytes(), users * (8 * 8 + 3) + users * 16);
+  for (ItemId item = 0; item < 20; ++item) lru->admit_demand(3, item);
+  EXPECT_EQ(lru->held_bytes(), users * (8 * 8 + 3) + users * 16);
+  auto clock = make_cache_plane(CacheKind::kClock, config);
+  EXPECT_EQ(clock->held_bytes(),
+            users * arena::kHeadFrames * 5 + users * 8 + users * 16);
+  // Indexed mode also counts the slab and the residency index, which grow
+  // with the residents.
+  config.capacity = kInline + 1;
+  auto slab = make_cache_plane(CacheKind::kLru, config);
+  const std::uint64_t empty = slab->held_bytes();
+  for (ItemId item = 0; item < 20; ++item) slab->admit_demand(3, item);
+  EXPECT_GT(slab->held_bytes(), empty);
+}
+
 TEST(CapacityBound, CapacityPastU32IsRejectedNotTruncated) {
   // The arenas store capacity in 32 bits, where 2^32 would narrow to a
   // capacity-0 cache: every policy must refuse it when the plane is built.

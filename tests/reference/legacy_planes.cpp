@@ -98,6 +98,10 @@ class LegacyCachePlane final : public CachePlane {
     return out;
   }
 
+  /// Not counted: the entries live in per-user heap nodes whose sizes the
+  /// standard library decides.
+  std::uint64_t held_bytes() const override { return 0; }
+
   std::uint64_t prefetch_inserts(std::uint32_t user) const override {
     return caches_[user]->prefetch_inserts();
   }

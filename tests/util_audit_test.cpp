@@ -7,7 +7,8 @@
 // sharing a seq with a pending entry, swapped arrivals or an arrival
 // sharing a seq with a queued node, a misordered heap,
 // leaked slot or lost job in the PS link, a broken intrusive
-// chain, desynced residency entry, CLOCK flag byte outside tag|ref or
+// chain, a list or LFU block link past the occupied prefix, a desynced
+// residency entry, CLOCK flag byte outside tag|ref or
 // stray, shared or missing CLOCK overflow handle in the cache arenas, a
 // free-list cycle,
 // successor-total drift, a doubly named context, a stray or missing
@@ -83,6 +84,18 @@ struct AuditPeer {
     using Node = std::remove_reference_t<decltype(a.nodes_[0])>;
     return {block + a.users_[user].size * sizeof(Node),
             block + a.capacity_ * sizeof(Node)};
+  }
+
+  /// The per-user view (head, tail, size) of a list or LFU block.
+  template <typename SmallArena>
+  static auto& small_view(SmallArena& a, std::uint32_t user) {
+    return a.users_[user];
+  }
+  /// Slot `slot` of `user`'s list or LFU block.
+  template <typename SmallArena>
+  static auto& small_node(SmallArena& a, std::uint32_t user,
+                          arena::SlotIndex slot) {
+    return a.node(user, slot);
   }
 
   /// Writes a live CLOCK frame's flag byte, in the head or the user's
@@ -482,9 +495,22 @@ TEST(AuditInjection, CacheArenaFreeListCycle) {
   expect_failure_containing(report, "cycle");
 }
 
+/// Links a never-written slot into user 0's chain as its new tail and
+/// counts it live: the walk then reads the slot's poisoned links.
+template <typename SmallArena>
+void link_unwritten_slot(SmallArena& a) {
+  auto& view = AuditPeer::small_view(a, 0);
+  const arena::SlotIndex fresh = view.size;
+  AuditPeer::small_node(a, 0, view.tail).next = fresh;
+  view.tail = fresh;
+  ++view.size;
+}
+
 /// Audit builds fill fresh per-user-block storage with 0xDD, so a read of
 /// a slot no insert has written yields poisoned items and links; other
 /// builds leave the storage unwritten, and its bytes are indeterminate.
+/// A poisoned link byte names slot 221, past every block, so the walk
+/// reports a never-written slot that is read as live.
 TEST(AuditInjection, SmallCacheArenaUnwrittenSlotsCarryPoison) {
   if constexpr (!kAuditBuild) {
     GTEST_SKIP() << "unwritten block storage is poisoned in SPECPF_AUDIT "
@@ -513,6 +539,61 @@ TEST(AuditInjection, SmallCacheArenaUnwrittenSlotsCarryPoison) {
   lru.audit(report);
   lfu.audit(report);
   EXPECT_TRUE(report.ok()) << report.summary();
+
+  static_assert(arena::kUnwrittenByte >= arena::kInlineResidencyCapacity &&
+                arena::kUnwrittenByte != arena::kNullSlot);
+  link_unwritten_slot(lru);
+  link_unwritten_slot(lfu);
+  AuditReport lru_report;
+  lru.audit(lru_report);
+  AuditReport lfu_report;
+  lfu.audit(lfu_report);
+  for (const AuditReport* r : {&lru_report, &lfu_report}) {
+    expect_failure_containing(*r, "user 0: broken prev link at slot 3 "
+                                  "(points at 221)");
+    expect_failure_containing(*r, "user 0: chain slot 221 outside the "
+                                  "occupied prefix");
+  }
+}
+
+/// A prev or next byte of a live slot that names a slot at or past the
+/// user's size (the first unwritten slot, the block's last slot, or the
+/// poison byte) is reported, in list and LFU blocks alike.
+template <typename SmallArena>
+void expect_small_link_corruption_caught(std::size_t capacity) {
+  constexpr ItemId kLive = 4;
+  const auto no_eviction = [](ItemId, arena::EntryTag) {};
+  for (const std::size_t bad : {std::size_t{kLive}, capacity - 1,
+                                std::size_t{arena::kUnwrittenByte}}) {
+    for (const bool next : {false, true}) {
+      SmallArena a(/*num_users=*/2, capacity, /*seed=*/1);
+      for (ItemId item = 0; item < kLive; ++item) {
+        a.insert(0, item, arena::EntryTag::kTagged, no_eviction);
+      }
+      AuditReport clean;
+      a.audit(clean);
+      ASSERT_TRUE(clean.ok()) << clean.summary();
+
+      const arena::SlotIndex head = AuditPeer::small_view(a, 0).head;
+      auto& node = AuditPeer::small_node(a, 0, head);
+      (next ? node.next : node.prev) = static_cast<arena::SlotIndex>(bad);
+      AuditReport report;
+      a.audit(report);
+      expect_failure_containing(
+          report, next ? "user 0: chain slot " + std::to_string(bad) +
+                             " outside the occupied prefix"
+                       : "user 0: broken prev link at slot " +
+                             std::to_string(head) + " (points at " +
+                             std::to_string(bad) + ")");
+    }
+  }
+}
+
+TEST(AuditInjection, SmallCacheArenaLinkPastTheOccupiedPrefix) {
+  expect_small_link_corruption_caught<arena::SmallLruArena>(8);
+  expect_small_link_corruption_caught<arena::SmallFifoArena>(8);
+  expect_small_link_corruption_caught<arena::SmallLfuArena>(
+      arena::kInlineResidencyCapacity);
 }
 
 /// A CLOCK flag byte holds only the tag and reference bits; any other bit
